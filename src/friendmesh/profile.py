@@ -8,6 +8,14 @@ exactly. Synchronization pulls only entries beyond the requester's
 version vector; a per-component prefix digest detects post-merge version
 renumbering and falls back to a full component resync when it happens.
 
+Each component keeps an index: its entries in version order, whether they
+are already in merge order, and a running prefix digest per entry. A pull
+or sync therefore costs time in proportion to the delta per component: the
+vector and its digests are read off the index, a pull slices from the
+requester's version, and a merge that only adds entries after a component's
+tail appends them. A component is rebuilt by replay only when new entries
+truly interleave with what it holds (or its log was never in merge order).
+
 Permission tables have read/write/no-access member sets holding usernames
 or group names; evaluation is deepest element first, individual entries
 before group entries, no_access over grants, and default deny. The owner
@@ -17,7 +25,10 @@ owner's public key by their authors, so mirrors only ever hold ciphertext.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import AccessDenied, InvalidPath, MalformedRequest
@@ -27,6 +38,7 @@ COMPONENTS = ("info", "share_board", "events", "groups", "private_messages")
 
 READ = "read"
 WRITE = "write"
+PERMISSION_SETS = ("read", "write", "no_access")
 
 
 @dataclass
@@ -44,7 +56,7 @@ class PermissionTable:
         return name in self.write
 
     def assign(self, set_name: str, members: set[str]) -> None:
-        if set_name not in ("read", "write", "no_access"):
+        if set_name not in PERMISSION_SETS:
             raise MalformedRequest(f"unknown permission set {set_name}")
         # Keep the three sets pairwise disjoint: the newest assignment wins.
         for other in (self.read, self.write, self.no_access):
@@ -67,21 +79,26 @@ class Element:
     children: dict[str, "Element"] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     path: str
     version: int
     author: str
     op: bytes
     timestamp: int
+    # The digest, computed on first use. It does not cover the version, so
+    # a renumbered copy carries it over (see _renumbered).
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def content_key(self) -> tuple:
         return (self.timestamp, self.author, self.path, self.op)
 
     def digest(self) -> bytes:
-        return hashlib.sha256(
-            pack_fields(pack_str(self.path), pack_str(self.author), self.op, pack_int(self.timestamp))
-        ).digest()
+        if self._digest is None:
+            object.__setattr__(self, "_digest", hashlib.sha256(
+                pack_fields(pack_str(self.path), pack_str(self.author), self.op, pack_int(self.timestamp))
+            ).digest())
+        return self._digest
 
     def encode(self) -> bytes:
         return pack_fields(
@@ -123,12 +140,137 @@ def op_perm(set_name: str, members: Iterable[str]) -> bytes:
     return pack_fields(b"perm", pack_str(set_name), pack_str(",".join(sorted(members))))
 
 
+# Fewest fields each op kind needs, its kind included.
+_OP_FIELDS = {b"set": 1, b"add": 2, b"remove": 2, b"perm": 3}
+
+
+def _decode_op(path: str, op: bytes) -> tuple:
+    """Check an op at `path` in full and return it as (kind, *arguments).
+
+    Every failure that depends only on the entry is raised here, so that
+    applying the result with create_missing=True cannot fail.
+    """
+    fields = unpack_fields(op)
+    if not fields:
+        raise MalformedRequest("empty op")
+    kind = fields[0]
+    if kind not in _OP_FIELDS:
+        raise MalformedRequest(f"unknown op kind {kind!r}")
+    if len(fields) < _OP_FIELDS[kind]:
+        raise MalformedRequest(f"{kind.decode()} op has {len(fields)} fields")
+    if kind == b"set":
+        step = (kind, fields[1] if len(fields) > 1 else b"")
+    elif kind == b"add":
+        child_id = unpack_str(fields[1])
+        if not child_id or "/" in child_id:
+            raise InvalidPath(child_id)
+        step = (kind, child_id, fields[2] if len(fields) > 2 else b"")
+    elif kind == b"remove":
+        step = (kind, unpack_str(fields[1]))
+    else:
+        set_name = unpack_str(fields[1])
+        if set_name not in PERMISSION_SETS:
+            raise MalformedRequest(f"unknown permission set {set_name}")
+        step = (kind, set_name, {m for m in unpack_str(fields[2]).split(",") if m})
+    if "" in path.split("/")[1:]:
+        raise InvalidPath(path)
+    return step
+
+
+def _merge_key(entry: LogEntry) -> tuple:
+    return (entry.timestamp, entry.author, entry.digest())
+
+
+_version = attrgetter("version")
+
+
+def _renumbered(entry: LogEntry, version: int) -> LogEntry:
+    if entry.version == version:
+        return entry
+    copy = LogEntry(entry.path, version, entry.author, entry.op, entry.timestamp)
+    object.__setattr__(copy, "_digest", entry._digest)
+    return copy
+
+
+def _merge_component(entries: list[LogEntry]) -> list[LogEntry]:
+    """One component of `merge_logs`: content-dedup (first copy wins), order
+    by (timestamp, author, digest), versions renumbered 1..n."""
+    unique: dict[tuple, LogEntry] = {}
+    for entry in entries:
+        unique.setdefault(entry.content_key(), entry)
+    ordered = sorted(unique.values(), key=_merge_key)
+    return [_renumbered(entry, i) for i, entry in enumerate(ordered, start=1)]
+
+
+# 16 bytes is plenty for renumber detection and keeps pull headers small.
+PREFIX_DIGEST_LEN = 16
+_EMPTY_PREFIX = hashlib.sha256().digest()[:PREFIX_DIGEST_LEN]
+
+
+class _ComponentLog:
+    """One component's entries in log (= version) order, and its index.
+
+    `ordered` holds while the entries are strictly sorted by merge key with
+    versions 1..n, that is while `merge_logs` would leave them as they are.
+    `_prefixes` holds the prefix digest after each entry, 16 bytes apiece.
+    """
+
+    __slots__ = ("entries", "ordered", "_hasher", "_prefixes")
+
+    def __init__(self):
+        self.entries: list[LogEntry] = []
+        self.ordered = True
+        self._hasher = hashlib.sha256()
+        self._prefixes = bytearray()
+
+    def append(self, entry: LogEntry) -> None:
+        entries = self.entries
+        self.ordered = (
+            self.ordered
+            and entry.version == len(entries) + 1
+            and (not entries or _merge_key(entries[-1]) < _merge_key(entry))
+        )
+        entries.append(entry)
+        self._hasher.update(entry.digest())
+        self._prefixes += self._hasher.copy().digest()[:PREFIX_DIGEST_LEN]
+
+    def prefix_digest(self, upto_version: int) -> bytes:
+        # Versions never decrease along the log, so the entries at or below
+        # upto_version are a prefix of it.
+        count = bisect_right(self.entries, upto_version, key=_version)
+        if count == 0:
+            return _EMPTY_PREFIX
+        return bytes(self._prefixes[(count - 1) * PREFIX_DIGEST_LEN : count * PREFIX_DIGEST_LEN])
+
+    def after(self, version: int) -> list[LogEntry]:
+        return self.entries[bisect_right(self.entries, version, key=_version) :]
+
+    def fresh_tail(self, foreign: list[LogEntry]) -> list[LogEntry] | None:
+        """The foreign entries not held yet, in merge order, when they all
+        sort after the tail; None when this log needs a merge rebuild."""
+        if not self.ordered:
+            return None
+        entries = self.entries
+        tail = _merge_key(entries[-1]) if entries else None
+        fresh: dict[tuple, LogEntry] = {}
+        for entry in foreign:
+            key = _merge_key(entry)
+            if tail is None or key > tail:
+                fresh.setdefault(entry.content_key(), entry)
+                continue
+            held = entries[bisect_left(entries, key, key=_merge_key)]
+            if held.content_key() != entry.content_key():
+                return None  # interleaves with what is held
+        return sorted(fresh.values(), key=_merge_key)
+
+
 class Profile:
     def __init__(self, owner: str):
         self.owner = owner
         self.root: dict[str, Element] = {name: Element(name) for name in COMPONENTS}
         self.versions: dict[str, int] = {name: 0 for name in COMPONENTS}
         self.log: list[LogEntry] = []
+        self._components = {name: _ComponentLog() for name in COMPONENTS}
 
     # -- tree access ------------------------------------------------------------
 
@@ -229,60 +371,40 @@ class Profile:
         component = self.component_of(element_path)
         if author != self.owner and not self.check_permission(author, element_path, WRITE):
             raise AccessDenied(f"{author} may not write {element_path}")
-        self._apply_op(element_path, op, create_missing=False)
+        self._apply_op(element_path, _decode_op(element_path, op), create_missing=False)
         version = self.versions[component] + 1
         self.versions[component] = version
-        self.log.append(
-            LogEntry(path=element_path, version=version, author=author, op=op, timestamp=timestamp)
-        )
+        entry = LogEntry(path=element_path, version=version, author=author, op=op, timestamp=timestamp)
+        self.log.append(entry)
+        self._components[component].append(entry)
         return version
 
-    def _apply_op(self, path: str, op: bytes, create_missing: bool) -> None:
-        fields = unpack_fields(op)
-        if not fields:
-            raise MalformedRequest("empty op")
-        kind = fields[0]
+    def _apply_op(self, path: str, step: tuple, create_missing: bool) -> None:
+        """Apply an op checked by `_decode_op`. What can still fail (a
+        missing element, without create_missing) fails before any change."""
+        node = self._walk(path, create=create_missing)
+        kind = step[0]
         if kind == b"set":
-            element = self._walk(path, create=create_missing)
-            element.content = fields[1] if len(fields) > 1 else b""
+            node.content = step[1]
         elif kind == b"add":
-            child_id = unpack_str(fields[1])
-            if not child_id or "/" in child_id:
-                raise InvalidPath(child_id)
-            parent = self._walk(path, create=create_missing)
-            child = parent.children.get(child_id)
+            child = node.children.get(step[1])
             if child is None:
-                child = Element(child_id)
-                parent.children[child_id] = child
-            child.content = fields[2] if len(fields) > 2 else b""
+                child = node.children[step[1]] = Element(step[1])
+            child.content = step[2]
         elif kind == b"remove":
-            child_id = unpack_str(fields[1])
-            parent = self._walk(path, create=create_missing)
-            parent.children.pop(child_id, None)
-        elif kind == b"perm":
-            set_name = unpack_str(fields[1])
-            members = {m for m in unpack_str(fields[2]).split(",") if m}
-            element = self._walk(path, create=create_missing)
-            if element.permissions is None:
-                element.permissions = PermissionTable()
-            element.permissions.assign(set_name, members)
+            node.children.pop(step[1], None)
         else:
-            raise MalformedRequest(f"unknown op kind {kind!r}")
+            if node.permissions is None:
+                node.permissions = PermissionTable()
+            node.permissions.assign(step[1], step[2])
 
     # -- pull ------------------------------------------------------------------------------
 
     def vector(self) -> dict[str, int]:
         return dict(self.versions)
 
-    # 16 bytes is plenty for renumber detection and keeps pull headers small.
-    PREFIX_DIGEST_LEN = 16
-
     def prefix_digest(self, component: str, upto_version: int) -> bytes:
-        hasher = hashlib.sha256()
-        for entry in self.log:
-            if self.component_of(entry.path) == component and entry.version <= upto_version:
-                hasher.update(entry.digest())
-        return hasher.digest()[: self.PREFIX_DIGEST_LEN]
+        return self._components[component].prefix_digest(upto_version)
 
     def pull_updates(
         self,
@@ -298,14 +420,12 @@ class Profile:
         """
         out: list[LogEntry] = []
         for component in COMPONENTS:
+            log = self._components[component]
             since = vector.get(component, 0)
             if digests is not None and since > 0:
-                theirs = digests.get(component, b"")
-                if theirs != self.prefix_digest(component, since):
+                if digests.get(component, b"") != log.prefix_digest(since):
                     since = 0
-            for entry in self.log:
-                if self.component_of(entry.path) != component or entry.version <= since:
-                    continue
+            for entry in log.after(since):
                 if filtered and not self.check_permission(requester, entry.path, READ):
                     continue
                 out.append(entry)
@@ -319,21 +439,55 @@ class Profile:
         for entry in sorted(log, key=lambda e: (COMPONENTS.index(cls.component_of(e.path)), e.version)):
             # Replay trusts the log (checks ran at append time); missing
             # parents from foreign merges become placeholders.
-            profile._apply_op(entry.path, entry.op, create_missing=True)
+            profile._apply_op(entry.path, _decode_op(entry.path, entry.op), create_missing=True)
             component = cls.component_of(entry.path)
             profile.versions[component] = max(profile.versions[component], entry.version)
             profile.log.append(entry)
+            profile._components[component].append(entry)
         return profile
 
     def merge_entries(self, entries: Iterable[LogEntry]) -> bool:
-        """Reconcile foreign entries into this profile; True when it changed."""
-        merged = merge_logs(self.log, list(entries))
+        """Reconcile foreign entries into this profile; True when it changed.
+
+        The result is what `merge_logs` and `replay` give. A component in
+        merge order whose new entries all sort after its tail appends them;
+        any other component is rebuilt by replay. Every new op is checked
+        before anything changes, so a batch that raises changes nothing.
+        """
+        foreign: dict[str, list[LogEntry]] = {c: [] for c in COMPONENTS}
+        for entry in entries:
+            foreign[self.component_of(entry.path)].append(entry)
+        appends: dict[str, list[tuple[LogEntry, tuple]]] = {}
+        diverged: list[str] = []
+        for component, theirs in foreign.items():
+            log = self._components[component]
+            fresh = log.fresh_tail(theirs)
+            if fresh is None:
+                diverged.append(component)
+            elif fresh:
+                n = len(log.entries)
+                appends[component] = [
+                    (_renumbered(e, n + i), _decode_op(e.path, e.op)) for i, e in enumerate(fresh, start=1)
+                ]
+        if diverged:
+            rebuilt = Profile.replay(
+                self.owner,
+                [e for c in diverged for e in _merge_component(self._components[c].entries + foreign[c])],
+            )
+        # Everything is checked; nothing below raises.
+        for component, batch in appends.items():
+            for entry, step in batch:
+                self._apply_op(entry.path, step, create_missing=True)
+                self._components[component].append(entry)
+            self.versions[component] = batch[-1][0].version
+        for component in diverged:
+            self.root[component] = rebuilt.root[component]
+            self.versions[component] = rebuilt.versions[component]
+            self._components[component] = rebuilt._components[component]
+        merged = list(chain.from_iterable(self._components[c].entries for c in COMPONENTS))
         if merged == self.log:
             return False
-        rebuilt = Profile.replay(self.owner, merged)
-        self.root = rebuilt.root
-        self.versions = rebuilt.versions
-        self.log = rebuilt.log
+        self.log = merged
         return True
 
     def state_digest(self) -> bytes:
@@ -425,28 +579,11 @@ def merge_logs(*logs: list[LogEntry]) -> list[LogEntry]:
     """Deterministic merge: content-dedup, order by (timestamp, author,
     digest) per component, versions renumbered densely. Commutative and
     idempotent; nothing is ever dropped."""
-    by_component: dict[str, dict[tuple, LogEntry]] = {c: {} for c in COMPONENTS}
+    by_component: dict[str, list[LogEntry]] = {c: [] for c in COMPONENTS}
     for log in logs:
         for entry in log:
-            component = Profile.component_of(entry.path)
-            by_component[component].setdefault(entry.content_key(), entry)
-    merged: list[LogEntry] = []
-    for component in COMPONENTS:
-        entries = sorted(
-            by_component[component].values(),
-            key=lambda e: (e.timestamp, e.author, e.digest()),
-        )
-        for i, entry in enumerate(entries, start=1):
-            if entry.version != i:
-                entry = LogEntry(
-                    path=entry.path,
-                    version=i,
-                    author=entry.author,
-                    op=entry.op,
-                    timestamp=entry.timestamp,
-                )
-            merged.append(entry)
-    return merged
+            by_component[Profile.component_of(entry.path)].append(entry)
+    return [entry for c in COMPONENTS for entry in _merge_component(by_component[c])]
 
 
 def reconcile(owner: str, *logs: list[LogEntry]) -> Profile:
@@ -495,7 +632,6 @@ class MirrorReplica:
     owner: str
     profile: Profile
     allowed_users: set[str] = field(default_factory=set)
-    last_sync_vector: dict[str, int] = field(default_factory=dict)
 
     def may_access(self, username: str) -> bool:
         return username == self.owner or username in self.allowed_users

@@ -1,14 +1,20 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from friendmesh import identity
-from friendmesh.errors import AccessDenied, InvalidPath
+from friendmesh.errors import AccessDenied, InvalidPath, MalformedRequest, ProtocolError
 from friendmesh.profile import (
+    COMPONENTS,
     LogEntry,
     PermissionTable,
     Profile,
+    decode_entries,
+    decode_vector,
+    encode_entries,
+    encode_vector,
     merge_logs,
     op_add,
     op_perm,
@@ -16,6 +22,7 @@ from friendmesh.profile import (
     op_set,
     reconcile,
 )
+from friendmesh.wire import pack_fields, pack_int, pack_str
 
 
 def make_profile(owner="olive"):
@@ -303,3 +310,249 @@ def test_canonical_text_import_rebuilds_tree():
     assert rebuilt.element("info").content == b"bio"
     assert rebuilt.check_permission("rita", "events", "read")
     assert not rebuilt.check_permission("zed", "events", "read")
+
+
+# -- strict op decoding ----------------------------------------------------------------
+
+
+SHORT_OPS = [pack_fields(b"add"), pack_fields(b"remove"), pack_fields(b"perm", pack_str("read"))]
+
+
+@pytest.mark.parametrize("op", SHORT_OPS)
+def test_short_op_is_malformed_and_changes_nothing(op):
+    p = make_profile()
+    before = (p.canonical_encode(), list(p.log))
+    with pytest.raises(MalformedRequest):
+        p.apply_update("olive", "share_board", op, timestamp=2)
+    with pytest.raises(MalformedRequest):
+        p.merge_entries([LogEntry("share_board", 2, "fred", op, 2)])
+    assert (p.canonical_encode(), p.log) == before
+
+
+def test_rejected_perm_leaves_no_empty_table():
+    p = Profile("olive")
+    with pytest.raises(MalformedRequest):
+        p.apply_update("olive", "events", op_perm("admins", ["fred"]), timestamp=1)
+    assert p.element("events").permissions is None
+    assert p.state_digest() == Profile.replay("olive", p.log).state_digest()
+
+
+# -- the index against the scan-and-rebuild reference ------------------------------------
+#
+# The reference is the code the index replaced: prefix digests and pulls
+# that scan the whole log, and a merge that is merge_logs followed by a
+# replay from empty.
+
+
+def ref_component(path):
+    return path.split("/", 1)[0]
+
+
+def ref_digest(entry):
+    return hashlib.sha256(
+        pack_fields(pack_str(entry.path), pack_str(entry.author), entry.op, pack_int(entry.timestamp))
+    ).digest()
+
+
+def ref_prefix_digest(log, component, upto):
+    hasher = hashlib.sha256()
+    for entry in log:
+        if ref_component(entry.path) == component and entry.version <= upto:
+            hasher.update(ref_digest(entry))
+    return hasher.digest()[:16]
+
+
+def ref_pull(profile, requester, vector, digests, filtered):
+    out = []
+    for component in COMPONENTS:
+        since = vector.get(component, 0)
+        if digests is not None and since > 0:
+            if digests.get(component, b"") != ref_prefix_digest(profile.log, component, since):
+                since = 0
+        for entry in profile.log:
+            if ref_component(entry.path) != component or entry.version <= since:
+                continue
+            if filtered and not profile.check_permission(requester, entry.path, "read"):
+                continue
+            out.append(entry)
+    return out
+
+
+def ref_merge_logs(*logs):
+    by_component = {c: {} for c in COMPONENTS}
+    for log in logs:
+        for entry in log:
+            by_component[ref_component(entry.path)].setdefault(entry.content_key(), entry)
+    merged = []
+    for component in COMPONENTS:
+        entries = sorted(by_component[component].values(), key=lambda e: (e.timestamp, e.author, ref_digest(e)))
+        for i, entry in enumerate(entries, start=1):
+            merged.append(LogEntry(entry.path, i, entry.author, entry.op, entry.timestamp))
+    return merged
+
+
+def observe(profile):
+    """Everything a caller can see of a profile, through the public surface."""
+    top = {c: len(profile.log) + 2 for c in COMPONENTS}
+    return (
+        list(profile.log),
+        dict(profile.versions),
+        profile.canonical_encode(),
+        {(c, v): profile.prefix_digest(c, v) for c in COMPONENTS for v in range(-1, top[c])},
+        profile.pull_updates("", {}, None, filtered=False),
+        encode_vector(profile),
+    )
+
+
+def check_against_reference(profile, vectors):
+    n = len(profile.log)
+    for component in COMPONENTS:
+        for v in range(-2, n + 3):
+            assert profile.prefix_digest(component, v) == ref_prefix_digest(profile.log, component, v)
+    want_vector = pack_fields(*[
+        field
+        for c in COMPONENTS
+        for field in (
+            pack_str(c),
+            pack_int(profile.versions[c]),
+            ref_prefix_digest(profile.log, c, profile.versions[c]) if profile.versions[c] else b"",
+        )
+    ])
+    assert encode_vector(profile) == want_vector
+    for vector, honest in vectors:
+        digests = {c: ref_prefix_digest(profile.log, c, v) if honest else b"stale" for c, v in vector.items()}
+        for requester, filtered in (("fred", True), ("", False)):
+            for d in (digests, None):
+                assert profile.pull_updates(requester, vector, d, filtered) == ref_pull(
+                    profile, requester, vector, d, filtered
+                )
+
+
+KINDS = ("set", "add", "remove", "perm")
+NAMES = ("a", "b", "c")
+BAD_OPS = (pack_fields(b"add"), op_perm("admins", ["x"]), pack_fields(b"grow", b"x"))
+
+
+def make_op(kind, name):
+    if kind == "set":
+        return op_set(name.encode())
+    if kind == "add":
+        return op_add(name, b"v-" + name.encode())
+    if kind == "remove":
+        return op_remove(name)
+    return op_perm(random.Random(name).choice(["read", "write", "no_access"]), ["fred", name])
+
+
+write_st = st.tuples(st.sampled_from(COMPONENTS), st.sampled_from(KINDS), st.sampled_from(NAMES), st.integers(0, 6))
+foreign_st = st.tuples(
+    st.sampled_from(["share_board", "events", "info", "events/a", "share_board/z/deep"]),
+    st.sampled_from(KINDS),
+    st.sampled_from(NAMES),
+    st.integers(0, 9),
+    st.sampled_from(["fred", "olive"]),
+)
+
+
+@st.composite
+def merge_cases(draw):
+    writes = draw(st.lists(write_st, max_size=18))
+    if draw(st.booleans()):
+        # Owner clock runs forward, yet same-millisecond ties remain.
+        stamps = sorted(w[3] for w in writes)
+        writes = [w[:3] + (t,) for w, t in zip(writes, stamps)]
+    owner = Profile("olive")
+    for component, kind, name, ts in writes:
+        path = f"{component}/{name}" if kind == "set" and owner.has_element(f"{component}/{name}") else component
+        owner.apply_update("olive", path, make_op(kind, name), timestamp=ts)
+
+    start = draw(st.sampled_from(["empty", "prefix", "subset", "owner"]))
+    if start == "owner":
+        local = owner
+    elif start == "subset":
+        local = Profile.replay("olive", [e for e in owner.log if draw(st.booleans())])
+    else:
+        local = Profile("olive")
+        if start == "prefix":
+            local.merge_entries(owner.log[: draw(st.integers(0, len(owner.log)))])
+
+    batches = []
+    for _ in range(draw(st.integers(1, 2))):
+        batch = [e for e in owner.log if draw(st.booleans())]
+        batch += draw(st.lists(st.sampled_from(owner.log), max_size=3)) if owner.log else []
+        for path, kind, name, ts, author in draw(st.lists(foreign_st, max_size=4)):
+            batch.append(LogEntry(path, draw(st.integers(-1, 9)), author, make_op(kind, name), ts))
+        if draw(st.integers(0, 5)) == 0:
+            batch.append(LogEntry(draw(st.sampled_from(["share_board", "events//x"])), 1, "mallory",
+                                  draw(st.sampled_from(BAD_OPS + (op_set(b"ok"),))), 3))
+        batches.append(draw(st.permutations(batch)))
+    vectors = draw(st.lists(
+        st.tuples(st.dictionaries(st.sampled_from(COMPONENTS), st.integers(-1, 8)), st.booleans()),
+        max_size=3,
+    ))
+    return local, batches, vectors
+
+
+@settings(deadline=None, max_examples=150)
+@given(merge_cases())
+def test_index_and_merge_match_the_rebuild_reference(case):
+    local, batches, vectors = case
+    check_against_reference(local, vectors)
+    for batch in batches:
+        try:
+            want_log = ref_merge_logs(local.log, batch)
+            want = Profile.replay(local.owner, want_log)
+        except ProtocolError as exc:
+            before = observe(local)
+            with pytest.raises(type(exc)):
+                local.merge_entries(batch)
+            assert observe(local) == before
+            continue
+        changed = want_log != local.log
+        assert local.merge_entries(batch) is changed
+        assert local.log == want_log
+        assert local.versions == want.versions
+        assert local.canonical_encode() == want.canonical_encode()
+        check_against_reference(local, vectors)
+
+
+# -- deterministic work per delta (counts, not time) ----------------------------------------
+
+
+def delta_work(history, monkeypatch, delta=10):
+    """Digest computations and op applications for one pull and merge of
+    `delta` new entries into a reader that holds `history` entries."""
+    owner = Profile("olive")
+    owner.apply_update("olive", "share_board", op_perm("read", ["rita"]), timestamp=1)
+    for i in range(history - 1):
+        owner.apply_update("olive", "share_board", op_add(f"p{i}", b"x"), timestamp=2 + i)
+    reader = Profile("olive")
+    reader.merge_entries(decode_entries(encode_entries(owner.pull_updates("rita", {}, None))))
+    for i in range(delta):
+        owner.apply_update("olive", "share_board", op_add(f"d{i}", b"y"), timestamp=history + 2 + i)
+
+    counts = {"digest": 0, "apply": 0}
+    digest, apply_op = LogEntry.digest, Profile._apply_op
+
+    def counting_digest(entry):
+        counts["digest"] += entry._digest is None
+        return digest(entry)
+
+    def counting_apply(profile, *args, **kwargs):
+        counts["apply"] += 1
+        return apply_op(profile, *args, **kwargs)
+
+    monkeypatch.setattr(LogEntry, "digest", counting_digest)
+    monkeypatch.setattr(Profile, "_apply_op", counting_apply)
+    vector, digests = decode_vector(encode_vector(reader))
+    batch = owner.pull_updates("rita", vector, digests)
+    assert reader.merge_entries(decode_entries(encode_entries(batch)))
+    monkeypatch.undo()
+    assert len(batch) == delta and reader.log == owner.log
+    return counts
+
+
+def test_delta_pull_and_merge_work_is_flat_in_history(monkeypatch):
+    small = delta_work(1000, monkeypatch)
+    large = delta_work(5000, monkeypatch)
+    assert small == large
+    assert small["digest"] <= 2 * 10 and small["apply"] <= 2 * 10
