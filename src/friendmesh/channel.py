@@ -49,9 +49,6 @@ class Channel(Protocol):
     def request(self, frame: Frame) -> Frame:
         ...
 
-    def send(self, frame: Frame) -> None:
-        ...
-
     def attach_reverse(self, service: Service) -> None:
         ...
 
@@ -99,9 +96,6 @@ class DirectChannel:
 
             raise PeerUnreachable("no reply")
         return reply
-
-    def send(self, frame: Frame) -> None:
-        self._session.handle(frame, self._ctx)
 
     def attach_reverse(self, service: Service) -> None:
         self._ctx.reverse_service = service

@@ -8,18 +8,21 @@ node at or clockwise after k.
 
 RingNode is a pure state machine over a pluggable transport, so the same
 code runs against an in-process node table, the deterministic simulator,
-or real sockets. Row storage is delegated to a RowStore; rows carry the
-identifier they were registered under so join/leave moves exactly the
-affected arc, and every row received from another server is verified
-before it is stored or re-replicated.
+or real sockets. Rows are PeerRows in a store.RendezvousStore, which the
+node reads and writes directly; each row carries the identifier it was
+registered under so join/leave moves exactly the affected arc, and every
+row received from another server is verified before it is stored or
+re-replicated.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
+from .records import PeerRow
+from .store import MemoryStore, RendezvousStore
 
 BITS_FULL = 128
 SUCCESSOR_LIST_LEN = 4
@@ -73,51 +76,14 @@ def in_interval(x: int, lo: int, hi: int, inc_lo: bool = False, inc_hi: bool = F
     return above or below
 
 
-@dataclass
-class RingRow:
-    """One stored key: the identifier it registered under, a name, a blob."""
-
-    ring_id: int
-    key: str
-    value: bytes
-    replica: bool = False
-
-
-class RowStore(Protocol):
-    def put_row(self, row: RingRow) -> None: ...
-    def rows(self) -> list[RingRow]: ...
-    def remove_rows(self, keys: Iterable[tuple[int, str]]) -> None: ...
-
-
-class DictRowStore:
-    """Minimal in-memory RowStore used by tests and plain ring nodes."""
-
-    def __init__(self) -> None:
-        self._rows: dict[tuple[int, str], RingRow] = {}
-
-    def put_row(self, row: RingRow) -> None:
-        existing = self._rows.get((row.ring_id, row.key))
-        if existing is not None and existing.replica is False and row.replica:
-            # A primary row never silently downgrades to replica.
-            return
-        self._rows[(row.ring_id, row.key)] = row
-
-    def rows(self) -> list[RingRow]:
-        return list(self._rows.values())
-
-    def remove_rows(self, keys: Iterable[tuple[int, str]]) -> None:
-        for key in keys:
-            self._rows.pop(key, None)
-
-
 class RingTransport(Protocol):
     """Remote queries RingNode makes; every call counts as one message."""
 
     def get_state(self, addr: str) -> tuple[str | None, list[str]]: ...
     def query(self, addr: str, ident: int) -> tuple[str, str]: ...
     def notify(self, addr: str, candidate: str) -> None: ...
-    def replicate(self, addr: str, row: RingRow) -> bool: ...
-    def transfer(self, addr: str, rows: list[RingRow], departing: str | None) -> None: ...
+    def replicate(self, addr: str, row: PeerRow) -> bool: ...
+    def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None: ...
 
 
 @dataclass
@@ -135,15 +101,15 @@ class RingNode:
         addr: str,
         transport: RingTransport,
         bits: int = BITS_FULL,
-        store: RowStore | None = None,
-        verify_row: Callable[[RingRow], bool] | None = None,
+        store: RendezvousStore | None = None,
+        verify_row: Callable[[PeerRow], bool] | None = None,
         successor_list_len: int = SUCCESSOR_LIST_LEN,
     ):
         self.addr = addr
         self.bits = bits
         self.ident = node_ident(addr, bits)
         self.transport = transport
-        self.store = store if store is not None else DictRowStore()
+        self.store = store if store is not None else MemoryStore()
         self.verify_row = verify_row or (lambda row: True)
         self.successor_list_len = successor_list_len
         self.successors: list[str] = [addr]
@@ -262,7 +228,7 @@ class RingNode:
         """Graceful departure: hand every primary row to the successor."""
         succ = self.successor()
         if succ != self.addr:
-            rows = [replace(r, replica=False) for r in self.store.rows() if not r.replica]
+            rows = [r for r in self.store.peer_rows() if not r.replica]
             try:
                 self.transport.transfer(succ, rows, departing=self.addr)
             except PeerUnreachable:
@@ -334,12 +300,10 @@ class RingNode:
 
     def _handoff_to_predecessor(self, candidate: str, old_pred: str | None) -> None:
         cand_id = node_ident(candidate, self.bits)
-        moving: list[RingRow] = []
-        for row in self.store.rows():
-            if row.replica:
-                continue
-            if not in_interval(row.ring_id, cand_id, self.ident, inc_hi=True):
-                moving.append(replace(row, replica=False))
+        moving = [
+            row for row in self.store.peer_rows()
+            if not row.replica and not in_interval(row.ring_id, cand_id, self.ident, inc_hi=True)
+        ]
         if not moving:
             return
         try:
@@ -347,10 +311,11 @@ class RingNode:
         except PeerUnreachable:
             self.note_dead(candidate)
             return
-        # This node stays the new owner's successor, so keep replica copies.
-        self.store.remove_rows([(r.ring_id, r.key) for r in moving])
+        # This node stays the new owner's successor, so keep replica copies
+        # (removed first: a primary row never downgrades in place).
         for row in moving:
-            self.store.put_row(replace(row, replica=True))
+            self.store.remove_peer(row.record.username, row.ring_id)
+            self.store.upsert_peer(replace(row, replica=True))
 
     def fix_fingers(self) -> None:
         prev_start: int | None = None
@@ -399,21 +364,21 @@ class RingNode:
         if self.predecessor is None:
             return
         pred_id = node_ident(self.predecessor, self.bits)
-        for row in self.store.rows():
+        for row in self.store.peer_rows():
             if row.replica and in_interval(row.ring_id, pred_id, self.ident, inc_hi=True):
-                self.store.put_row(replace(row, replica=False))
+                self.store.upsert_peer(replace(row, replica=False))
 
     # -- rows ------------------------------------------------------------------
 
-    def put_primary(self, row: RingRow) -> bool:
+    def put_primary(self, row: PeerRow) -> bool:
         """Store a row this node owns and push a replica to the successor."""
         if not self.verify_row(row):
             return False
-        self.store.put_row(replace(row, replica=False))
+        self.store.upsert_peer(replace(row, replica=False))
         self.replicate_out(row)
         return True
 
-    def replicate_out(self, row: RingRow) -> None:
+    def replicate_out(self, row: PeerRow) -> None:
         succ = self.successor()
         if succ == self.addr:
             return
@@ -422,19 +387,19 @@ class RingNode:
         except PeerUnreachable:
             self.note_dead(succ)
 
-    def accept_replica(self, row: RingRow) -> bool:
+    def accept_replica(self, row: PeerRow) -> bool:
         """Verify before replicating; invalid rows are never stored or forwarded."""
         if not self.verify_row(row):
             return False
-        self.store.put_row(replace(row, replica=True))
+        self.store.upsert_peer(replace(row, replica=True))
         return True
 
-    def accept_transfer(self, rows: list[RingRow], departing: str | None) -> int:
+    def accept_transfer(self, rows: list[PeerRow], departing: str | None) -> int:
         accepted = 0
         for row in rows:
             if not self.verify_row(row):
                 continue
-            self.store.put_row(replace(row, replica=False))
+            self.store.upsert_peer(replace(row, replica=False))
             self.replicate_out(row)
             accepted += 1
         if departing is not None:
@@ -475,11 +440,11 @@ class DirectTransport:
         self.messages += 1
         self._node(addr).notified(candidate)
 
-    def replicate(self, addr: str, row: RingRow) -> bool:
+    def replicate(self, addr: str, row: PeerRow) -> bool:
         self.messages += 1
         return self._node(addr).accept_replica(row)
 
-    def transfer(self, addr: str, rows: list[RingRow], departing: str | None) -> None:
+    def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None:
         self.messages += 1
         self._node(addr).accept_transfer(rows, departing)
 
@@ -489,7 +454,7 @@ def build_ring(
     bits: int = BITS_FULL,
     transport: DirectTransport | None = None,
     rounds: int | None = None,
-    verify_row: Callable[[RingRow], bool] | None = None,
+    verify_row: Callable[[PeerRow], bool] | None = None,
 ) -> tuple[dict[str, RingNode], DirectTransport]:
     """Sequentially join nodes and stabilize to convergence (tests/oracles)."""
     transport = transport or DirectTransport()

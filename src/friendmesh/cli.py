@@ -140,7 +140,6 @@ def _make_peer(args) -> Peer:
         rendezvous_addrs=args.rendezvous.split(",") if args.rendezvous else [],
         global_mode=args.global_mode,
         state_path=args.state,
-        bootstrap_list_path=args.bootstrap_list or "",
     )
     if args.bootstrap_list and os.path.exists(args.bootstrap_list):
         with open(args.bootstrap_list, "r", encoding="utf-8") as fh:

@@ -1,7 +1,9 @@
 """Component configuration dataclasses.
 
-Field sets mirror each component's constructor parameters; paths are only
-used by the real-socket runners, the simulator injects state directly.
+Field sets mirror what each component reads: ports, addresses, the
+rendezvous database path, timing and ring settings. The CLI runners take
+key and certificate files from their arguments; the simulator injects
+keys and state directly.
 """
 from __future__ import annotations
 
@@ -9,32 +11,14 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class CAConfig:
-    port: int = 7100
-    backlog: int = 16
-    bind_address: str = "127.0.0.1"
-    ca_name: str = "friendmesh-ca"
-    private_key_path: str = ""
-    key_algorithm: str = "ec-p256"
-    log_path: str = ""
-    # No expiry semantics are defined; placeholder only.
-    certificate_lifetime_ms: int | None = None
-
-
-@dataclass
 class RendezvousConfig:
     port: int = 7200
     db_url: str = ":memory:"  # sqlite path, or :memory:
-    db_username: str = ""
-    db_password: str = ""
     session_key_type: str = "aes-128-gcm"
-    asym_algorithm: str = "ec-p256"
-    session_cipher_algorithm: str = "aes-128-gcm"
     refresh_interval_ms: int = 2000  # must stay below age_ms
     age_ms: int = 6000  # 3 x refresh interval
     ring_bits: int = 128
     ring_enabled: bool = False
-    bootstrap_peers: list[str] = field(default_factory=list)
     complaint_threshold: int | None = None  # None = max(3, ceil(0.2 * registered))
     stabilization_period_ms: int = 2000
     complaint_freshness_ms: int | None = None  # None = 10 x stabilization period
@@ -68,15 +52,9 @@ class StunConfig:
 class PeerConfig:
     username: str = ""
     port: int = 7500
-    cert_path: str = ""
-    ca_cert_path: str = ""  # CA public key file
-    key_path: str = ""
     passphrase: str = ""  # generated when empty
-    mirrors_path: str = ""  # encrypted mirror table file
     ca_addr: str = ""
-    stun_addr: str = ""
     rendezvous_addrs: list[str] = field(default_factory=list)
-    bootstrap_list_path: str = ""  # newline-delimited known rendezvous addresses
     global_mode: bool = False
     notification_threshold: int = 3
     state_path: str = ""

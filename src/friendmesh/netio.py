@@ -15,7 +15,7 @@ import threading
 import time
 
 from .channel import Service, SessionContext
-from .errors import PeerUnreachable
+from .errors import PeerUnreachable, ProtocolError
 from .rudp import ArqEndpoint
 from .wire import Frame, frame_from_stream
 
@@ -56,13 +56,6 @@ class TcpChannel:
         if self._reverse is not None and not self._serving:
             self._start_reverse()
         return reply
-
-    def send(self, frame: Frame) -> None:
-        with self._lock:
-            try:
-                self._sock.sendall(frame.encode())
-            except OSError as exc:
-                raise PeerUnreachable(str(exc)) from exc
 
     def attach_reverse(self, service: Service) -> None:
         self._reverse = service
@@ -236,11 +229,6 @@ class RudpChannel:
                 return _decode_frame(message)
         raise PeerUnreachable(f"no reply from {self.remote_addr}")
 
-    def send(self, frame: Frame) -> None:
-        self._arq.send_message(frame.encode())
-        for _ in range(4):
-            self._pump_once()
-
     def attach_reverse(self, service: Service) -> None:
         raise PeerUnreachable("reverse serving unsupported over the UDP carrier")
 
@@ -301,6 +289,11 @@ class RudpServer:
                         arq.send_message(reply.encode())
             except socket.timeout:
                 pass
+            except ProtocolError:
+                # A message that is not a frame, or a session that raised:
+                # forget the remote and answer with silence.
+                _, session, ctx = self._conns.pop(peer)
+                session.closed(ctx)
             except OSError:
                 break
             now = now_ms()

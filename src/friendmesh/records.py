@@ -8,7 +8,7 @@ digest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import identity
 from .identity import Certificate, SignedDigest
@@ -221,7 +221,3 @@ class FriendshipRequestRecord:
             requester_username=unpack_str(requester),
             sealed_passphrase=blob,
         )
-
-
-def refreshed(row: PeerRow, now: int) -> PeerRow:
-    return replace(row, record=replace(row.record, last_refresh=now))

@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import chord, identity, sentinel, wire
 from .channel import Endpoint, SessionContext
-from .chord import RingNode, RingRow, dual_hash
+from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import MalformedRequest, ProtocolError
 from .identity import Certificate, SessionCipher, SignedDigest
@@ -61,13 +61,13 @@ class WireRingTransport:
     def notify(self, addr: str, candidate: str) -> None:
         self._request(addr, Frame(wire.RING_NOTIFY, wire.pack_fields(wire.pack_str(candidate))))
 
-    def replicate(self, addr: str, row: RingRow) -> bool:
+    def replicate(self, addr: str, row: PeerRow) -> bool:
         fields = self._request(
             addr, Frame(wire.RING_REPLICATE, wire.pack_fields(_encode_ring_row(row)))
         )
         return fields[0] == b"1"
 
-    def transfer(self, addr: str, rows: list[RingRow], departing: str | None) -> None:
+    def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None:
         payload = wire.pack_fields(
             wire.pack_str(departing or ""), *[_encode_ring_row(r) for r in rows]
         )
@@ -85,65 +85,13 @@ def _ident_from(field: bytes) -> int:
         raise MalformedRequest("bad identifier") from exc
 
 
-def _encode_ring_row(row: RingRow) -> bytes:
-    return wire.pack_fields(
-        _ident_bytes(row.ring_id), row.value, b"1" if row.replica else b"0"
-    )
+def _encode_ring_row(row: PeerRow) -> bytes:
+    return wire.pack_fields(_ident_bytes(row.ring_id), row.encode(), b"1" if row.replica else b"0")
 
 
-def _decode_ring_row(data: bytes) -> RingRow:
+def _decode_ring_row(data: bytes) -> PeerRow:
     ring_id, value, replica = wire.unpack_fields(data, expect=3)
-    peer = PeerRow.decode(value)
-    return RingRow(
-        ring_id=_ident_from(ring_id),
-        key=peer.record.username,
-        value=value,
-        replica=replica == b"1",
-    )
-
-
-class _PeerRowStore:
-    """chord.RowStore face of the rendezvous peer table.
-
-    Reads go through the server attribute so store wrappers installed
-    later (simulator adversaries) stay on the path.
-    """
-
-    def __init__(self, server: "RendezvousServer"):
-        self._server = server
-
-    @property
-    def _store(self) -> RendezvousStore:
-        return self._server.store
-
-    @staticmethod
-    def _to_ring(row: PeerRow) -> RingRow:
-        return RingRow(
-            ring_id=row.ring_id,
-            key=row.record.username,
-            value=row.encode(),
-            replica=row.replica,
-        )
-
-    def put_row(self, row: RingRow) -> None:
-        peer = replace(PeerRow.decode(row.value), ring_id=row.ring_id, replica=row.replica)
-        existing = self._find(row.key, row.ring_id)
-        if row.replica and existing is not None and not existing.replica:
-            return  # a primary row never downgrades to replica
-        self._store.upsert_peer(peer)
-
-    def _find(self, username: str, ring_id: int) -> PeerRow | None:
-        for row in self._store.peer_rows():
-            if row.record.username == username and row.ring_id == ring_id:
-                return row
-        return None
-
-    def rows(self) -> list[RingRow]:
-        return [self._to_ring(r) for r in self._store.peer_rows()]
-
-    def remove_rows(self, keys) -> None:
-        for ring_id, username in keys:
-            self._store.remove_peer(username, ring_id)
+    return replace(PeerRow.decode(value), ring_id=_ident_from(ring_id), replica=replica == b"1")
 
 
 class RendezvousServer:
@@ -179,7 +127,7 @@ class RendezvousServer:
                 addr,
                 WireRingTransport(endpoint),
                 bits=self.config.ring_bits,
-                store=_PeerRowStore(self),
+                store=self.store,
                 verify_row=self._verify_ring_row,
             )
         self.ledger = ComplaintLedger(self.config.complaint_threshold)
@@ -189,12 +137,8 @@ class RendezvousServer:
 
     # -- ring plumbing ---------------------------------------------------------
 
-    def _verify_ring_row(self, row: RingRow) -> bool:
-        try:
-            peer = PeerRow.decode(row.value)
-        except ProtocolError:
-            return False
-        return peer.verified(self.ca_public_key, self.ca_algorithm)
+    def _verify_ring_row(self, row: PeerRow) -> bool:
+        return row.verified(self.ca_public_key, self.ca_algorithm)
 
     def join_ring(self, bootstrap_addr: str) -> None:
         if self.ring is None:
@@ -405,7 +349,7 @@ class RendezvousSession:
             # Rejected, not stored.
             return enc_reply(wire.PEER_REGISTERED, self.cipher, "integrity_error")
         if server.ring is not None:
-            server.ring.put_primary(_PeerRowStore._to_ring(row))
+            server.ring.put_primary(row)
         else:
             server.store.upsert_peer(row)
         server.on_event("peer_registered", node=server.addr, username=record.username)

@@ -74,7 +74,6 @@ class SimNet:
         self.hosts: dict[str, SimHost] = {}
         self.partitions: list[tuple[frozenset, int, int]] = []
         self.trace: list[str] = []
-        self.capture: bytearray | None = None  # raw link bytes, opt-in
         self._events: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
 
@@ -140,8 +139,6 @@ class SimNet:
     def trace_msg(self, src: str, dst: str, frame: Frame, kind: str) -> None:
         name = MSG_NAMES.get(frame.msg_type, str(frame.msg_type))
         self.trace.append(f"{self.now:010d} MSG {kind} {src} {dst} {name} {len(frame.payload)}")
-        if self.capture is not None:
-            self.capture += frame.encode()
 
     def trace_event(self, kind: str, **fields) -> None:
         parts = [f"{self.now:010d} EV {kind}"]
@@ -215,13 +212,6 @@ class SimChannel:
             self.net.trace_msg(self.dst.addr, self.src.addr, reply, "rep")
             return reply
         raise PeerUnreachable(f"{self.dst.addr} did not answer")
-
-    def send(self, frame: Frame) -> None:
-        if not self.net.reachable(self.src, self.dst) or self._lost():
-            return
-        self.net.now += self._latency()
-        self.net.trace_msg(self.src.addr, self.dst.addr, frame, "one")
-        self.session.handle(frame, self.ctx)
 
     def attach_reverse(self, service: Service) -> None:
         self.ctx.reverse_service = service

@@ -260,6 +260,8 @@ class Scenario:
             if server is None:
                 continue
             if "falsify_record" in script.behaviors:
+                # Lookups read the wrapper; the ring keeps the inner store,
+                # which holds the same rows (the wrapper only lies on reads).
                 server.store = FalsifyingStore(server.store, sim, script)
             wire_behaviors = {"drop_lookups", "misroute", "claim_key", "eclipse_attempt"}
             if wire_behaviors & set(script.behaviors):

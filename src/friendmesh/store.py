@@ -1,9 +1,12 @@
 """Rendezvous server state: peers, friendship requests, relay servers.
 
 Two interchangeable backends with one contract: a sqlite database (the
-real server) and a dict-backed store (the deterministic simulator).
-Lookups are keyed strictly by passphrase; usernames are a separate
-namespace used only for friendship requests and replication bookkeeping.
+real server) and a dict-backed store (the deterministic simulator and
+plain chord ring nodes). Peer rows are keyed by (username, ring id); the
+chord ring reads and writes them here directly when it places, replicates
+and hands over rows. Lookups are keyed strictly by passphrase; usernames
+are a separate namespace used only for friendship requests and
+replication bookkeeping.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ from .identity import SignedDigest
 
 
 class RendezvousStore(Protocol):
-    def upsert_peer(self, row: PeerRow) -> None: ...
+    def upsert_peer(self, row: PeerRow) -> None:
+        """Insert or replace by (username, ring id); a replica never
+        replaces a primary row, a primary replaces either."""
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None: ...
     def peer_by_username(self, username: str) -> PeerRow | None: ...
     def peer_rows(self) -> list[PeerRow]: ...
@@ -35,7 +40,12 @@ class MemoryStore:
         self._relays: dict[tuple[str, int], RelayRecord] = {}
 
     def upsert_peer(self, row: PeerRow) -> None:
-        self._peers[(row.record.username, row.ring_id)] = row
+        key = (row.record.username, row.ring_id)
+        if row.replica:
+            existing = self._peers.get(key)
+            if existing is not None and not existing.replica:
+                return  # a primary row never downgrades to replica
+        self._peers[key] = row
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
         for row in self._peers.values():
@@ -113,8 +123,18 @@ class SqliteStore:
     def upsert_peer(self, row: PeerRow) -> None:
         rec = row.record
         with self._lock:
+            # A primary row never downgrades to replica.
             self._db.execute(
-                "INSERT OR REPLACE INTO peers VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                "INSERT INTO peers VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
+                " ON CONFLICT(username, ring_id) DO UPDATE SET"
+                " ip=excluded.ip, port=excluded.port, nat_kind=excluded.nat_kind,"
+                " protocol=excluded.protocol, relay_address=excluded.relay_address,"
+                " relay_port=excluded.relay_port, passphrase=excluded.passphrase,"
+                " encrypted_mirror_list=excluded.encrypted_mirror_list,"
+                " digest=excluded.digest, signature=excluded.signature,"
+                " certificate=excluded.certificate, replica=excluded.replica,"
+                " last_refresh=excluded.last_refresh"
+                " WHERE excluded.replica = 0 OR peers.replica = 1",
                 (
                     rec.username, rec.ip, rec.port, rec.nat_kind, rec.protocol,
                     rec.relay_address, rec.relay_port, rec.passphrase,

@@ -166,11 +166,15 @@ def pack_int(value: int) -> bytes:
 
 
 def unpack_int(field: bytes) -> int:
+    """Inverse of pack_int: ASCII decimal, optional leading minus; b"" reads 0."""
     if field == b"":
         return 0
+    digits = field[1:] if field[:1] == b"-" else field
+    if not digits.isdigit():  # bytes.isdigit is ASCII-only
+        raise MalformedRequest("invalid integer field")
     try:
-        return int(field.decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        return int(field)
+    except ValueError as exc:  # longer than the interpreter's digit limit
         raise MalformedRequest("invalid integer field") from exc
 
 

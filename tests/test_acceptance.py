@@ -8,10 +8,11 @@ import pytest
 
 from friendmesh import chord, identity, secure, wire
 from friendmesh.channel import DirectChannel
-from friendmesh.chord import RingRow, dual_hash, node_ident
+from friendmesh.chord import dual_hash, node_ident
 from friendmesh.errors import AuthError, NotFound, StorageAttack, Unavailable
+from friendmesh.identity import SignedDigest
 from friendmesh.profile import Profile, encode_entries, encode_vector, op_add, op_perm
-from friendmesh.records import make_registration_record
+from friendmesh.records import PeerRow, RegistrationRecord, make_registration_record
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.secure import pack_app
 from friendmesh.sentinel import ComplaintLedger, check_peer_record, make_complaint
@@ -24,6 +25,16 @@ def verdict(number: int, text: str) -> None:
     line = f"criterion {number:2d} PASS  {text}"
     RESULTS.append(line)
     print(line)
+
+
+def ring_row(username, ring_id):
+    """A stored row for user `username`, placed at `ring_id` (criterion 2)."""
+    record = RegistrationRecord(
+        username=username, ip="10.9.9.9", port=7500, nat_kind="public", protocol="tcp",
+        relay_address="", relay_port=0, passphrase=f"{username}-phrase",
+        encrypted_mirror_list=b"", signed_digest=SignedDigest(digest=b"", signature=b""),
+    )
+    return PeerRow(record=record, certificate=b"v", ring_id=ring_id)
 
 
 def oracle_for(addrs, bits=128):
@@ -116,7 +127,7 @@ def test_criterion_2_key_movement_bound():
     sample = [rng.randrange(2**128) for _ in range(400)]
     for i, key in enumerate(sample):
         owner = nodes[oracle(key)]
-        owner.put_primary(RingRow(ring_id=key, key=f"k{i}", value=b"v"))
+        owner.put_primary(ring_row(f"k{i}", key))
     newcomer = "10.32.1.9:7999"
     node = chord.RingNode(newcomer, transport, bits=128)
     transport.add(node)
@@ -125,7 +136,7 @@ def test_criterion_2_key_movement_bound():
     chord.stabilize_all(nodes)
     oracle_joined = oracle_for(list(nodes))
     for addr, ring_node in nodes.items():
-        for row in ring_node.store.rows():
+        for row in ring_node.store.peer_rows():
             if not row.replica:
                 assert oracle_joined(row.ring_id) == addr
     verdict(

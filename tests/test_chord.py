@@ -4,8 +4,20 @@ import random
 import pytest
 
 from friendmesh import chord
-from friendmesh.chord import RingRow, dual_hash, in_interval, node_ident
+from friendmesh.chord import dual_hash, in_interval, node_ident
 from friendmesh.errors import MalformedRequest
+from friendmesh.identity import SignedDigest
+from friendmesh.records import PeerRow, RegistrationRecord
+
+
+def peer_row(username, ring_id, value=b"v", replica=False):
+    """A stored row for user `username`; `value` rides in its certificate field."""
+    record = RegistrationRecord(
+        username=username, ip="10.9.9.9", port=7500, nat_kind="public", protocol="tcp",
+        relay_address="", relay_port=0, passphrase=f"{username}-phrase",
+        encrypted_mirror_list=b"", signed_digest=SignedDigest(digest=b"", signature=b""),
+    )
+    return PeerRow(record=record, certificate=value, ring_id=ring_id, replica=replica)
 
 
 # Independent oracle: linear scan for the first node id at or after the key.
@@ -163,15 +175,15 @@ def _store_keys(nodes, keys, bits):
     start = next(iter(nodes.values()))
     for name, ident in keys:
         owner = nodes[start.find_successor(ident).addr]
-        owner.put_primary(RingRow(ring_id=ident, key=name, value=b"v"))
+        owner.put_primary(peer_row(name, ident))
 
 
 def _primary_homes(nodes):
     homes = {}
     for addr, node in nodes.items():
-        for row in node.store.rows():
+        for row in node.store.peer_rows():
             if not row.replica:
-                homes[(row.ring_id, row.key)] = addr
+                homes[(row.ring_id, row.record.username)] = addr
     return homes
 
 
@@ -228,29 +240,29 @@ def test_join_moves_only_affected_arc():
 
 
 def test_replicate_verified_before_storing():
-    # verify_row rejects rows whose value fails the check, mirroring the
-    # digest verification each server performs before replicating.
+    # verify_row rejects rows whose certificate bytes fail the check,
+    # mirroring the verification each server performs before replicating.
     def verify(row):
-        return row.value.startswith(b"good")
+        return row.certificate.startswith(b"good")
 
     addrs = [f"10.5.0.{i}:7{i:03d}" for i in range(4)]
     nodes, transport = chord.build_ring(addrs, bits=128, verify_row=verify)
     node = nodes[addrs[0]]
     succ = nodes[node.successor()]
 
-    good = RingRow(ring_id=node.ident, key="alice", value=b"good-record")
+    good = peer_row("alice", node.ident, b"good-record")
     assert node.put_primary(good)
-    assert any(r.key == "alice" and r.replica for r in succ.store.rows())
+    assert any(r.record.username == "alice" and r.replica for r in succ.store.peer_rows())
 
-    bad = RingRow(ring_id=node.ident, key="mallory", value=b"evil-record")
+    bad = peer_row("mallory", node.ident, b"evil-record")
     assert not node.put_primary(bad)
-    assert not any(r.key == "mallory" for r in node.store.rows())
+    assert not any(r.record.username == "mallory" for r in node.store.peer_rows())
     assert not succ.accept_replica(bad)
-    assert not any(r.key == "mallory" for r in succ.store.rows())
+    assert not any(r.record.username == "mallory" for r in succ.store.peer_rows())
 
     # Re-replication of an identical record is an idempotent accept.
-    assert succ.accept_replica(RingRow(ring_id=node.ident, key="alice", value=b"good-record", replica=True))
-    copies = [r for r in succ.store.rows() if r.key == "alice"]
+    assert succ.accept_replica(peer_row("alice", node.ident, b"good-record", replica=True))
+    copies = [r for r in succ.store.peer_rows() if r.record.username == "alice"]
     assert len(copies) == 1
 
 

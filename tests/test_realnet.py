@@ -1,6 +1,7 @@
 """Honest-path suite over real loopback sockets: identical component code,
 real TCP and UDP carriers."""
 import random
+import socket
 
 import pytest
 
@@ -14,6 +15,7 @@ from friendmesh.peer import Peer
 from friendmesh.profile import op_add
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.rendezvous import RendezvousServer
+from friendmesh.rudp import ArqEndpoint
 from friendmesh.stun import StunClient, StunServer
 from friendmesh.wire import Frame
 
@@ -44,6 +46,25 @@ def test_udp_carrier_roundtrip():
         channel.close()
     finally:
         server.stop()
+
+
+def test_udp_server_survives_message_that_is_not_a_frame():
+    server = RudpServer(echo_service()).start()
+    bad = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        arq = ArqEndpoint()
+        arq.send_message(b"not a frame")
+        for datagram in arq.poll(0):
+            bad.sendto(datagram, (server.host, server.port))
+        channel = RudpChannel(server.addr, timeout_s=3.0)
+        reply = channel.request(Frame(wire.APP_DATA, b"still serving"))
+        assert reply == Frame(wire.APP_DATA, b"still serving")
+        channel.close()
+    finally:
+        bad.close()
+        server.stop()
+        server._thread.join(timeout=5)
+    assert not server._thread.is_alive()
 
 
 def test_stun_loopback_classifies_public():

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from friendmesh import identity, rvclient, store
+from friendmesh import identity, records, rvclient, store, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import IntegrityError, NotFound
@@ -282,6 +283,15 @@ def test_store_contract_equivalence(backend, ca, tmp_path):
     assert st.peer_by_username(f"store-user-{backend}") == row
     assert st.peer_by_passphrase(f"store-user-{backend}") is None
     assert st.peer_rows() == [row]
+    replica = replace(row, replica=True)
+    st.upsert_peer(replica)  # a replica never downgrades a primary
+    assert st.peer_rows() == [row]
+    st.remove_peer(f"store-user-{backend}", 7)
+    assert st.peer_rows() == []
+    st.upsert_peer(replica)
+    assert st.peer_rows() == [replica]
+    st.upsert_peer(row)  # a primary upgrades a replica
+    assert st.peer_rows() == [row]
     st.remove_peer(f"store-user-{backend}", 7)
     assert st.peer_rows() == []
 
@@ -329,3 +339,34 @@ def test_every_stored_record_verifies(server, ca):
         rvclient.register_peer(client, make_record(pair, cert, passphrase=f"{name}-phrase"))
     for row in server.store.peer_rows():
         assert row.verified(ca.public_key, ca.algorithm_id)
+
+
+def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
+    # Accepting one RING_REPLICATE costs one PeerRow.decode: the row is
+    # decoded off the wire, verified and stored without re-encoding.
+    server = RendezvousServer(
+        addr="10.0.0.2:7200",
+        config=RendezvousConfig(ring_enabled=True),
+        ca_public_key=ca.public_key,
+        ca_algorithm=ca.algorithm_id,
+        endpoint=object(),  # never dialled: accepting a replica sends nothing
+        clock=clock,
+        rng=random.Random(1),
+    )
+    pair, cert = make_user(ca, "gate-user")
+    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=42)
+    decodes = []
+    real_decode = records.PeerRow.decode.__func__
+
+    def counting_decode(cls, data):
+        decodes.append(data)
+        return real_decode(cls, data)
+
+    monkeypatch.setattr(records.PeerRow, "decode", classmethod(counting_decode))
+    ring_row = wire.pack_fields(b"2a", row.encode(), b"1")
+    reply = DirectChannel(server).request(
+        wire.Frame(wire.RING_REPLICATE, wire.pack_fields(ring_row))
+    )
+    assert wire.open_reply(reply) == [b"1"]
+    assert len(decodes) == 1
+    assert server.store.peer_rows() == [replace(row, replica=True)]

@@ -52,6 +52,15 @@ def test_empty_int_field_reads_zero():
     assert wire.unpack_int(b"") == 0
 
 
+@pytest.mark.parametrize(
+    "field",
+    [b"+5", b" 5", b"5 ", b"1_0", b"5\n", pytest.param(b"9" * 5000, id="5000-digits")],
+)
+def test_int_field_accepts_only_pack_int_output(field):
+    with pytest.raises(MalformedRequest):
+        wire.unpack_int(field)
+
+
 def test_reply_status_convention():
     reply = wire.ok_reply(wire.PEER_INFO, b"body")
     assert wire.open_reply(reply) == [b"body"]
