@@ -9,3 +9,5 @@ event simulator drives adversarial and partition scenarios.
 """
 
 __version__ = "0.1.0"
+
+from . import wire  # noqa: E402,F401  (first: its schema names records that import it)

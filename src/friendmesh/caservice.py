@@ -29,11 +29,11 @@ class CASession:
         if frame.msg_type != wire.CERT_REPLY:
             return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
         try:
-            (request,) = wire.unpack_fields(frame.payload, expect=1)
+            (request,) = wire.decode(wire.CERT_REPLY, frame.payload)
             sealed_reply = self.ca.handle_request(request)
         except ProtocolError as exc:
             return wire.err_reply(wire.CERT_REPLY, exc.code)
-        return wire.ok_reply(wire.CERT_REPLY, sealed_reply)
+        return wire.reply(wire.CERT_REPLY, sealed_reply)
 
 
 def request_certificate(
@@ -47,6 +47,5 @@ def request_certificate(
     request = identity.build_cert_request(
         username, keypair.public_key, keypair.algorithm_id, ca_public_key, ca_algorithm
     )
-    reply = channel.request(Frame(wire.CERT_REPLY, wire.pack_fields(request)))
-    (sealed,) = wire.open_reply(reply)
+    (sealed,) = wire.call(channel, wire.CERT_REPLY, request)
     return identity.open_cert_reply(sealed, keypair, ca_public_key, ca_algorithm)

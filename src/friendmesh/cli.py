@@ -139,7 +139,6 @@ def _make_peer(args) -> Peer:
         ca_addr=args.ca,
         rendezvous_addrs=args.rendezvous.split(",") if args.rendezvous else [],
         global_mode=args.global_mode,
-        state_path=args.state,
     )
     if args.bootstrap_list and os.path.exists(args.bootstrap_list):
         with open(args.bootstrap_list, "r", encoding="utf-8") as fh:
@@ -174,7 +173,7 @@ def cmd_peer(args) -> int:
                   f" relay={record.relay_address or '-'} via {server}")
         elif action == "connect":
             channel, served_by = peer.connect_friend(args.target)
-            channel.request_app("ping")
+            channel.call("ping")
             channel.close()
             print(f"connected to {args.target} (served by {served_by})")
         elif action == "friend-request":

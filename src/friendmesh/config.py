@@ -57,4 +57,3 @@ class PeerConfig:
     rendezvous_addrs: list[str] = field(default_factory=list)
     global_mode: bool = False
     notification_threshold: int = 3
-    state_path: str = ""

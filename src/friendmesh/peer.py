@@ -33,41 +33,17 @@ from .errors import (
 )
 from .identity import Certificate, KeyPair
 from .nat import NatType, Route, needs_relay, route_for_record, stun_classify, wire_nat_kind
-from .profile import (
-    MirrorReplica,
-    Profile,
-    decode_entries,
-    decode_vector,
-    encode_entries,
-    encode_vector,
+from .profile import MirrorReplica, Profile, decode_entries, encode_entries
+from .records import (
+    MirrorEntry,
+    RegistrationRecord,
+    decode_mirror_table,
+    encode_mirror_table,
+    make_registration_record,
 )
-from .records import RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
-from .secure import SecureChannel, pack_app, unpack_app
+from .secure import SecureChannel, pack_app, read_app_kind
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
-from .wire import Frame, pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
-
-
-@dataclass
-class MirrorEntry:
-    username: str
-    passphrase: str
-
-    def encode(self) -> bytes:
-        return pack_fields(pack_str(self.username), pack_str(self.passphrase))
-
-    @classmethod
-    def decode(cls, data: bytes) -> "MirrorEntry":
-        name, phrase = unpack_fields(data, expect=2)
-        return cls(username=unpack_str(name), passphrase=unpack_str(phrase))
-
-
-def encode_mirror_table(table: list[MirrorEntry]) -> bytes:
-    return pack_fields(*[m.encode() for m in table])
-
-
-def decode_mirror_table(data: bytes) -> list[MirrorEntry]:
-    return [MirrorEntry.decode(f) for f in unpack_fields(data)]
 
 
 @dataclass
@@ -408,9 +384,7 @@ class Peer:
             channel = self.endpoint.connect(f"{record.ip}:{record.port}")
         elif route is Route.RELAY:
             channel = self.endpoint.connect(f"{record.relay_address}:{record.relay_port}")
-            wire.open_reply(
-                channel.request(Frame(wire.BRIDGE_OPEN, pack_fields(pack_str(expected))))
-            )
+            wire.call(channel, wire.BRIDGE_OPEN, expected)
         else:
             raise Unavailable(f"no route to {expected}")
         return secure.connect_secure(
@@ -511,19 +485,14 @@ class Peer:
                 raise Unavailable(f"{requester} not currently registered")
             channel = self._open_route(record[0], requester)
             entry.certificate = channel.peer_cert.encode()
-            reply = channel.request_app(
-                "friend_accept",
-                pack_str(self.state.passphrase),
-                self.state.friend_key,
-                encode_mirror_table(self.state.mirror_table),
+            entry.friend_key, entry.mirror_table = channel.call(
+                "friend_accept", self.state.passphrase, self.state.friend_key, self.state.mirror_table
             )
         except ProtocolError:
             # Nothing was exchanged: unwind so the request stays acceptable.
             self.state.friend_list.pop(requester, None)
             self.state.pending_incoming[requester] = passphrase
             raise
-        entry.friend_key = reply[0]
-        entry.mirror_table = decode_mirror_table(reply[1]) if len(reply) > 1 else []
         self._grant_friend(requester)
         self.on_event("friend_accepted", peer=self.username, requester=requester)
 
@@ -572,6 +541,7 @@ class Peer:
             )
 
     def _queue_for(self, friend: str, message: tuple) -> None:
+        """Queue an app message, (kind, *values), for the friend's next channel."""
         self.state.queued_updates.setdefault(friend, []).append(message)
 
     def flush_queues(self) -> None:
@@ -595,14 +565,7 @@ class Peer:
     def _flush_queue(self, channel: SecureChannel, friend: str) -> None:
         queue = self.state.queued_updates.get(friend, [])
         while queue:
-            message = queue[0]
-            kind = message[0]
-            if kind == "note_bad_server":
-                channel.request_app("note_bad_server", pack_str(message[1]))
-            elif kind == "passphrase_update":
-                channel.request_app(
-                    "passphrase_update", pack_str(message[1]), message[2]
-                )
+            channel.call(*queue[0])
             queue.pop(0)
         self.state.queued_updates.pop(friend, None)
 
@@ -617,10 +580,10 @@ class Peer:
         if served_by != friend_username:
             channel.close()
             raise Unavailable(f"{friend_username} not directly reachable")
-        channel.request_app(
+        channel.call(
             "mirror_init",
-            pack_str(self.username),
-            pack_str(",".join(sorted(self.state.friend_list))),
+            self.username,
+            ",".join(sorted(self.state.friend_list)),
             encode_entries(self.profile.log),
         )
         channel.close()
@@ -647,37 +610,32 @@ class Peer:
     def _sync_over(self, channel: SecureChannel, owner: str) -> None:
         """Bidirectional reconcile of owner's profile over one channel."""
         mine = self.profile if owner == self.username else self.replicas[owner].profile
-        (their_vec_b,) = channel.request_app("sync_vec", pack_str(owner))
-        their_vector, their_digests = decode_vector(their_vec_b)
+        ((their_vector, their_digests),) = channel.call("sync_vec", owner)
         missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
+        allowed = ",".join(sorted(self.state.friend_list)) if owner == self.username else ""
         pushed = encode_entries(missing)
-        channel.request_app(
-            "sync_push",
-            pack_str(owner),
-            pushed,
-            pack_str(",".join(sorted(self.state.friend_list)) if owner == self.username else ""),
-        )
-        (entries_b,) = channel.request_app("pull", pack_str(owner), encode_vector(mine))
-        mine.merge_entries(decode_entries(entries_b))
-        self.on_event(
-            "sync", peer=self.username, owner=owner, bytes=len(pushed) + len(entries_b)
-        )
+        channel.call("sync_push", owner, pushed, allowed)
+        pulled = self._pull(channel, owner, mine)
+        self.on_event("sync", peer=self.username, owner=owner, bytes=len(pushed) + pulled)
+
+    def _pull(self, channel: SecureChannel, owner: str, into: Profile) -> int:
+        """Merge owner's entries that into lacks; returns their encoded size."""
+        (entries,) = channel.call("pull", owner, into)
+        into.merge_entries(decode_entries(entries))
+        return len(entries)
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
         channel, served_by = self.connect_friend(friend_username)
         try:
             local = into if into is not None else Profile(friend_username)
-            (entries_b,) = channel.request_app(
-                "pull", pack_str(friend_username), encode_vector(local)
-            )
-            local.merge_entries(decode_entries(entries_b))
+            pulled = self._pull(channel, friend_username, local)
             self.on_event(
                 "pull",
                 peer=self.username,
                 owner=friend_username,
                 served_by=served_by,
-                bytes=len(entries_b),
+                bytes=pulled,
             )
             return local
         finally:
@@ -686,8 +644,8 @@ class Peer:
     def write_to_friend(self, friend_username: str, path: str, op: bytes) -> int:
         channel, served_by = self.connect_friend(friend_username)
         try:
-            (version_b,) = channel.request_app("op", pack_str(friend_username), pack_str(path), op)
-            return unpack_int(version_b)
+            (version,) = channel.call("op", friend_username, path, op)
+            return version
         finally:
             channel.close()
 
@@ -740,32 +698,12 @@ class Peer:
     # ------------------------------------------------------------------ app handler
 
     def _handle_app(self, body: bytes, peer_username: str, ctx: SessionContext) -> bytes:
-        kind, fields = unpack_app(body)
-        if kind == "ping":
-            return pack_app("pong")
-        if kind == "friend_accept":
-            return self._on_friend_accept(fields, peer_username, ctx)
-        if kind == "passphrase_update":
-            return self._on_passphrase_update(fields, peer_username)
-        if kind == "note_bad_server":
-            accused = unpack_str(fields[0])
-            self.notifications.note(accused, peer_username)
-            self.maybe_file_complaints()
-            return pack_app("ok")
-        if kind == "mirror_init":
-            return self._on_mirror_init(fields, peer_username)
-        if kind == "sync_vec":
-            profile = self._profile_for(unpack_str(fields[0]), peer_username, write=False)
-            return pack_app("vec", encode_vector(profile))
-        if kind == "sync_push":
-            return self._on_sync_push(fields, peer_username)
-        if kind == "pull":
-            return self._on_pull(fields, peer_username)
-        if kind == "op":
-            return self._on_op(fields, peer_username)
-        if kind == "read":
-            return self._on_read(fields, peer_username)
-        raise MalformedRequest(f"unknown app kind {kind}")
+        kind, pos = read_app_kind(body)
+        handler = getattr(self, f"_on_{kind}", None) if kind in wire.SCHEMA else None
+        if handler is None:
+            raise MalformedRequest(f"unknown app kind {kind}")
+        values = handler(peer_username, ctx, *wire.decode(kind, body, pos))
+        return pack_app(wire.SCHEMA[kind].reply_kind) + wire.encode(kind, *values, reply=True)
 
     def _profile_for(self, owner: str, requester: str, write: bool) -> Profile:
         if owner in ("", self.username):
@@ -777,96 +715,95 @@ class Peer:
             raise AuthError(f"{requester} may not access {owner}'s replica")
         return replica.profile
 
-    def _on_friend_accept(self, fields: list[bytes], peer_username: str, ctx: SessionContext) -> bytes:
-        if peer_username not in self.state.pending_outgoing:
-            raise AuthError("no outstanding request to this user")
-        self.state.pending_outgoing.discard(peer_username)
-        peer_cert = ctx.meta.get("peer_cert")
-        entry = FriendEntry(
-            username=peer_username,
-            passphrase=unpack_str(fields[0]),
-            friend_key=fields[1],
-            certificate=peer_cert.encode() if peer_cert is not None else b"",
-            mirror_table=decode_mirror_table(fields[2]) if len(fields) > 2 else [],
-        )
-        self.state.friend_list[peer_username] = entry
-        self._grant_friend(peer_username)
-        self.on_event("friendship_established", peer=self.username, friend=peer_username)
-        return pack_app("ok", self.state.friend_key, encode_mirror_table(self.state.mirror_table))
+    # App handlers, one per app kind: (sender, ctx, *request values) -> reply values.
 
-    def _on_passphrase_update(self, fields: list[bytes], peer_username: str) -> bytes:
-        entry = self.state.friend_list.get(peer_username)
+    def _on_ping(self, peer: str, ctx: SessionContext) -> tuple:
+        return ()
+
+    def _on_friend_accept(self, peer: str, ctx: SessionContext, passphrase: str, friend_key: bytes,
+                          mirror_table: list[MirrorEntry]) -> tuple:
+        if peer not in self.state.pending_outgoing:
+            raise AuthError("no outstanding request to this user")
+        self.state.pending_outgoing.discard(peer)
+        peer_cert = ctx.meta.get("peer_cert")
+        self.state.friend_list[peer] = FriendEntry(
+            username=peer,
+            passphrase=passphrase,
+            friend_key=friend_key,
+            certificate=peer_cert.encode() if peer_cert is not None else b"",
+            mirror_table=mirror_table,
+        )
+        self._grant_friend(peer)
+        self.on_event("friendship_established", peer=self.username, friend=peer)
+        return self.state.friend_key, self.state.mirror_table
+
+    def _on_passphrase_update(self, peer: str, ctx: SessionContext, passphrase: str,
+                              friend_key: bytes) -> tuple:
+        entry = self.state.friend_list.get(peer)
         if entry is None:
             raise AuthError("not a friend")
-        entry.passphrase = unpack_str(fields[0])
-        if len(fields) > 1 and fields[1]:
-            entry.friend_key = fields[1]
-        return pack_app("ok")
+        entry.passphrase = passphrase
+        if friend_key:
+            entry.friend_key = friend_key
+        return ()
 
-    def _on_mirror_init(self, fields: list[bytes], peer_username: str) -> bytes:
-        owner = unpack_str(fields[0])
-        if owner != peer_username:
+    def _on_note_bad_server(self, peer: str, ctx: SessionContext, accused: str) -> tuple:
+        self.notifications.note(accused, peer)
+        self.maybe_file_complaints()
+        return ()
+
+    def _on_mirror_init(self, peer: str, ctx: SessionContext, owner: str, allowed: str,
+                        entries: bytes) -> tuple:
+        if owner != peer:
             raise AuthError("only the owner may seed a replica")
-        allowed = {u for u in unpack_str(fields[1]).split(",") if u}
-        entries = decode_entries(fields[2])
         self.replicas[owner] = MirrorReplica(
             owner=owner,
-            profile=Profile.replay(owner, entries),
-            allowed_users=allowed,
+            profile=Profile.replay(owner, decode_entries(entries)),
+            allowed_users={u for u in allowed.split(",") if u},
         )
         self.on_event("replica_seeded", peer=self.username, owner=owner)
-        return pack_app("ok")
+        return ()
 
-    def _on_sync_push(self, fields: list[bytes], peer_username: str) -> bytes:
-        owner = unpack_str(fields[0])
-        entries = decode_entries(fields[1])
-        if owner == peer_username:
+    def _on_sync_vec(self, peer: str, ctx: SessionContext, owner: str) -> tuple:
+        return (self._profile_for(owner, peer, write=False),)
+
+    def _on_sync_push(self, peer: str, ctx: SessionContext, owner: str, pushed: bytes,
+                      allowed: str) -> tuple:
+        entries = decode_entries(pushed)
+        if owner == peer:
             replica = self.replicas.get(owner)
             if replica is None:
                 raise NotFound(f"no replica for {owner}")
             replica.profile.merge_entries(entries)
-            allowed = unpack_str(fields[2]) if len(fields) > 2 else ""
             if allowed:
                 replica.allowed_users = {u for u in allowed.split(",") if u}
         elif owner in ("", self.username):
             # A mirror returning entries collected while this peer was away.
-            if all(m.username != peer_username for m in self.state.mirror_table):
+            if not self._is_my_mirror(peer):
                 raise AuthError("not one of this peer's mirrors")
             self.profile.merge_entries(entries)
         else:
             raise AuthError("cannot push for a third party")
-        return pack_app("ok")
+        return ()
 
-    def _on_pull(self, fields: list[bytes], peer_username: str) -> bytes:
-        owner = unpack_str(fields[0])
-        vector, digests = decode_vector(fields[1])
-        profile = self._profile_for(owner, peer_username, write=False)
-        trusted = peer_username == owner or (
-            owner in ("", self.username) and self._is_my_mirror(peer_username)
-        )
-        entries = profile.pull_updates(peer_username, vector, digests, filtered=not trusted)
-        return pack_app("entries", encode_entries(entries))
+    def _on_pull(self, peer: str, ctx: SessionContext, owner: str, vector: tuple) -> tuple:
+        versions, digests = vector
+        profile = self._profile_for(owner, peer, write=False)
+        trusted = peer == owner or (owner in ("", self.username) and self._is_my_mirror(peer))
+        return (encode_entries(profile.pull_updates(peer, versions, digests, filtered=not trusted)),)
 
     def _is_my_mirror(self, username: str) -> bool:
         return any(m.username == username for m in self.state.mirror_table)
 
-    def _on_op(self, fields: list[bytes], peer_username: str) -> bytes:
-        owner = unpack_str(fields[0])
-        path = unpack_str(fields[1])
-        op = fields[2]
-        profile = self._profile_for(owner, peer_username, write=True)
-        version = profile.apply_update(peer_username, path, op, timestamp=self.clock())
-        return pack_app("ok", pack_int(version))
+    def _on_op(self, peer: str, ctx: SessionContext, owner: str, path: str, op: bytes) -> tuple:
+        profile = self._profile_for(owner, peer, write=True)
+        return (profile.apply_update(peer, path, op, timestamp=self.clock()),)
 
-    def _on_read(self, fields: list[bytes], peer_username: str) -> bytes:
-        owner = unpack_str(fields[0])
-        path = unpack_str(fields[1])
-        profile = self._profile_for(owner, peer_username, write=False)
-        if peer_username != profile.owner and not profile.check_permission(
-            peer_username, path, "read"
-        ):
-            raise AuthError(f"{peer_username} may not read {path}")
-        return pack_app("ok", profile.element(path).content)
+    def _on_read(self, peer: str, ctx: SessionContext, owner: str, path: str) -> tuple:
+        profile = self._profile_for(owner, peer, write=False)
+        if peer != profile.owner and not profile.check_permission(peer, path, "read"):
+            raise AuthError(f"{peer} may not read {path}")
+        return (profile.element(path).content,)
 
 
 def save_state(peer: Peer, path: str) -> None:
@@ -986,7 +923,7 @@ class _Probe:
         except ProtocolError:
             return False
         try:
-            channel.request_app("ping")
+            channel.call("ping")
             return True
         except ProtocolError:
             return False

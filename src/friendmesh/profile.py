@@ -32,7 +32,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import AccessDenied, InvalidPath, MalformedRequest
-from .wire import pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
+from .wire import Field, pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
 
 COMPONENTS = ("info", "share_board", "events", "groups", "private_messages")
 
@@ -623,6 +623,11 @@ def encode_entries(entries: Iterable[LogEntry]) -> bytes:
 
 def decode_entries(data: bytes) -> list[LogEntry]:
     return [LogEntry.decode(f) for f in unpack_fields(data)]
+
+
+# Message field type (wire.SCHEMA): sent from the profile it describes,
+# read back as (versions, prefix digests).
+VECTOR = Field(encode_vector, decode_vector)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Registration, relay and friendship-request records and their wire forms.
+"""Registration, relay, friendship-request and mirror records and their wire forms.
 
 The signed digest covers the canonical item serialization in this fixed
 order: IP, port, protocol, relay address, relay port, passphrase,
@@ -8,11 +8,12 @@ digest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import identity
 from .identity import Certificate, SignedDigest
-from .wire import pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
+from .wire import Field, pack_fields, pack_ident, pack_int, pack_str
+from .wire import unpack_fields, unpack_ident, unpack_int, unpack_str
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class PeerRow:
         return pack_fields(
             self.record.encode(),
             self.certificate,
-            format(self.ring_id, "x").encode("ascii"),
+            pack_ident(self.ring_id),
             b"1" if self.replica else b"0",
         )
 
@@ -173,7 +174,7 @@ class PeerRow:
         return cls(
             record=RegistrationRecord.decode(rec),
             certificate=cert,
-            ring_id=int(ring_id.decode("ascii"), 16) if ring_id else 0,
+            ring_id=unpack_ident(ring_id) if ring_id else 0,
             replica=replica == b"1",
         )
 
@@ -185,6 +186,45 @@ class PeerRow:
         if not identity.verify_certificate(cert, ca_public_key, ca_algorithm):
             return False
         return verify_registration_record(self.record, cert)
+
+
+def encode_ring_row(row: PeerRow) -> bytes:
+    return pack_fields(pack_ident(row.ring_id), row.encode(), b"1" if row.replica else b"0")
+
+
+def decode_ring_row(data: bytes) -> PeerRow:
+    ring_id, value, replica = unpack_fields(data, expect=3)
+    return replace(PeerRow.decode(value), ring_id=unpack_ident(ring_id), replica=replica == b"1")
+
+
+# Message field type (wire.SCHEMA): a row as ring replication carries it.
+RING_ROW = Field(encode_ring_row, decode_ring_row)
+
+
+@dataclass
+class MirrorEntry:
+    username: str
+    passphrase: str
+
+    def encode(self) -> bytes:
+        return pack_fields(pack_str(self.username), pack_str(self.passphrase))
+
+    @classmethod
+    def decode(cls, data: bytes) -> "MirrorEntry":
+        name, phrase = unpack_fields(data, expect=2)
+        return cls(username=unpack_str(name), passphrase=unpack_str(phrase))
+
+
+def encode_mirror_table(table: list[MirrorEntry]) -> bytes:
+    return pack_fields(*[m.encode() for m in table])
+
+
+def decode_mirror_table(data: bytes) -> list[MirrorEntry]:
+    return [MirrorEntry.decode(f) for f in unpack_fields(data)]
+
+
+# Message field type (wire.SCHEMA): a peer's mirrors, in preference order.
+MIRROR_TABLE = Field(encode_mirror_table, decode_mirror_table)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable
 from . import identity, rvclient, wire
 from .channel import Channel, Endpoint, Service, Session, SessionContext
 from .config import RelayConfig
-from .errors import PeerUnreachable, ProtocolError
+from .errors import MalformedRequest, PeerUnreachable, ProtocolError
 from .identity import Certificate
 from .wire import Frame
 
@@ -132,27 +132,25 @@ class RelayConnSession:
         pass
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        if frame.msg_type == wire.IS_SERVER:
-            return self._on_is_server(frame, ctx)
-        if frame.msg_type == wire.CHALLENGE_REPLY:
-            return self._on_challenge_reply(frame, ctx)
-        if frame.msg_type == wire.SERVER_IS_ALIVE:
-            return self._on_keepalive(frame)
-        if frame.msg_type == wire.BRIDGE_OPEN:
-            return self._on_bridge_open(frame)
-        if self._bridge is not None:
-            return self._forward(frame)
-        return wire.err_reply(frame.msg_type, "malformed_request", "no bridge open")
-
-    def _on_is_server(self, frame: Frame, ctx: SessionContext) -> Frame:
-        server = self.server
-        if len(server.sessions) >= server.config.max_connections:
+        code = frame.msg_type
+        handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
+        if handler is None:
+            if self._bridge is not None:
+                return self._forward(frame)
+            return wire.err_reply(code, "malformed_request", "no bridge open")
+        # Refusals that come before the request is read.
+        if code == wire.IS_SERVER and len(self.server.sessions) >= self.server.config.max_connections:
             return wire.err_reply(wire.CHALLENGE, "reject", "capacity reached")
+        if code == wire.CHALLENGE_REPLY and (self._challenge is None or self._cert is None):
+            return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "no challenge outstanding")
         try:
-            (cert_bytes,) = wire.unpack_fields(frame.payload, expect=1)
-            cert = Certificate.decode(cert_bytes)
-        except ProtocolError:
-            return wire.err_reply(wire.CHALLENGE, "malformed_request")
+            values = wire.decode(code, frame.payload)
+        except MalformedRequest:
+            return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
+        return handler(ctx, *values)
+
+    def handle_is_server(self, ctx: SessionContext, cert: Certificate) -> Frame:
+        server = self.server
         if not identity.verify_certificate(cert, server.ca_public_key, server.ca_algorithm):
             return wire.err_reply(wire.CHALLENGE, "auth_error", "bad certificate")
         self._cert = cert
@@ -161,16 +159,10 @@ class RelayConnSession:
             wire.pack_int(server.clock()), server.rng.randbytes(8)
         )
         sealed = identity.seal(cert.public_key, self._challenge, cert.algorithm_id)
-        return wire.ok_reply(wire.CHALLENGE, sealed)
+        return wire.reply(wire.IS_SERVER, sealed, msg_type=wire.CHALLENGE)
 
-    def _on_challenge_reply(self, frame: Frame, ctx: SessionContext) -> Frame:
+    def handle_challenge_reply(self, ctx: SessionContext, value: bytes) -> Frame:
         server = self.server
-        if self._challenge is None or self._cert is None:
-            return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "no challenge outstanding")
-        try:
-            (value,) = wire.unpack_fields(frame.payload, expect=1)
-        except ProtocolError:
-            return wire.err_reply(wire.CHALLENGE_REPLY, "malformed_request")
         if value != self._challenge:
             return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "challenge mismatch")
         reverse = ctx.reverse_service
@@ -191,36 +183,24 @@ class RelayConnSession:
         server._by_token[token] = self._cert.username
         server.admitted += 1
         self._challenge = None
-        return wire.ok_reply(
-            wire.CHALLENGE_REPLY, wire.pack_int(server.config.ping_interval_ms), token
-        )
+        return wire.reply(wire.CHALLENGE_REPLY, server.config.ping_interval_ms, token)
 
-    def _on_keepalive(self, frame: Frame) -> Frame:
+    def handle_server_is_alive(self, ctx: SessionContext, token: bytes) -> Frame:
         server = self.server
-        try:
-            (token,) = wire.unpack_fields(frame.payload, expect=1)
-        except ProtocolError:
-            return wire.ok_reply(wire.SERVER_IS_ALIVE)
         username = server._by_token.get(token)
         if username in server.sessions:
             # No resurrection: only live sessions refresh.
             server.sessions[username].last_alive = server.clock()
-        return wire.ok_reply(wire.SERVER_IS_ALIVE)
+        return wire.reply(wire.SERVER_IS_ALIVE)
 
-    def _on_bridge_open(self, frame: Frame) -> Frame:
-        server = self.server
-        try:
-            (target,) = wire.unpack_fields(frame.payload, expect=1)
-            username = wire.unpack_str(target)
-        except ProtocolError:
-            return wire.err_reply(wire.BRIDGE_OPEN, "malformed_request")
-        session = server.sessions.get(username)
+    def handle_bridge_open(self, ctx: SessionContext, username: str) -> Frame:
+        session = self.server.sessions.get(username)
         if session is None:
             return wire.err_reply(wire.BRIDGE_OPEN, "peer_unreachable", "no such session")
         session.streams += 1
         self._bridge = session
         self._stream_id = session.streams.to_bytes(4, "big")
-        return wire.ok_reply(wire.BRIDGE_OPEN)
+        return wire.reply(wire.BRIDGE_OPEN)
 
     def _forward(self, frame: Frame) -> Frame:
         """Copy verbatim; the stream id travels only on the relay leg."""
@@ -243,6 +223,15 @@ class RelayConnSession:
             bridge._mux_session = session  # type: ignore[attr-defined]
             bridge._mux_ctx = ctx  # type: ignore[attr-defined]
         return session.handle(muxed, bridge._mux_ctx)  # type: ignore[attr-defined]
+
+
+# Requests whose malformed form gets its own reply rather than a
+# malformed_request under the request's code. A keepalive is never
+# refused: it only ever refreshes a live session.
+_MALFORMED_REPLY = {
+    wire.IS_SERVER: wire.err_reply(wire.CHALLENGE, "malformed_request"),
+    wire.SERVER_IS_ALIVE: wire.ok_reply(wire.SERVER_IS_ALIVE),
+}
 
 
 class MuxService:
@@ -292,17 +281,11 @@ def admit_as_server(
 
     Returns (keepalive interval ms, liveness token).
     """
-    reply = channel.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
-    if reply.msg_type != wire.CHALLENGE:
-        raise ProtocolError(f"expected challenge, got {reply.msg_type}")
-    (sealed,) = wire.open_reply(reply)
+    (sealed,) = wire.call(channel, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
     value = identity.open_sealed(private_key, sealed, cert.algorithm_id)
     channel.attach_reverse(mux)
-    ack = channel.request(Frame(wire.CHALLENGE_REPLY, wire.pack_fields(value)))
-    interval_b, token = wire.open_reply(ack)
-    return wire.unpack_int(interval_b), token
+    return wire.call(channel, wire.CHALLENGE_REPLY, value)
 
 
 def send_keepalive(channel: Channel, token: bytes) -> None:
-    reply = channel.request(Frame(wire.SERVER_IS_ALIVE, wire.pack_fields(token)))
-    wire.open_reply(reply)
+    wire.call(channel, wire.SERVER_IS_ALIVE, token)

@@ -23,6 +23,7 @@ from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import MalformedRequest, ProtocolError
 from .identity import Certificate, SessionCipher, SignedDigest
+from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
 from .secure import enc_reply
 from .sentinel import Complaint, ComplaintLedger
@@ -40,58 +41,29 @@ class WireRingTransport:
     def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
 
-    def _request(self, addr: str, frame: Frame) -> list[bytes]:
+    def _call(self, addr: str, code: int, *values) -> tuple:
         channel = self.endpoint.connect(addr)
         try:
-            return wire.open_reply(channel.request(frame))
+            return wire.call(channel, code, *values)
         finally:
             channel.close()
 
     def get_state(self, addr: str) -> tuple[str | None, list[str]]:
-        fields = self._request(addr, Frame(wire.RING_STATE))
-        pred = wire.unpack_str(fields[0]) if fields and fields[0] else None
-        return pred, [wire.unpack_str(f) for f in fields[1:]]
+        pred, succs = self._call(addr, wire.RING_STATE)
+        return pred or None, succs
 
     def query(self, addr: str, ident: int) -> tuple[str, str]:
-        fields = self._request(
-            addr, Frame(wire.RING_CLOSEST, wire.pack_fields(_ident_bytes(ident)))
-        )
-        return wire.unpack_str(fields[0]), wire.unpack_str(fields[1])
+        return self._call(addr, wire.RING_CLOSEST, ident)
 
     def notify(self, addr: str, candidate: str) -> None:
-        self._request(addr, Frame(wire.RING_NOTIFY, wire.pack_fields(wire.pack_str(candidate))))
+        self._call(addr, wire.RING_NOTIFY, candidate)
 
     def replicate(self, addr: str, row: PeerRow) -> bool:
-        fields = self._request(
-            addr, Frame(wire.RING_REPLICATE, wire.pack_fields(_encode_ring_row(row)))
-        )
-        return fields[0] == b"1"
+        (accepted,) = self._call(addr, wire.RING_REPLICATE, row)
+        return accepted
 
     def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None:
-        payload = wire.pack_fields(
-            wire.pack_str(departing or ""), *[_encode_ring_row(r) for r in rows]
-        )
-        self._request(addr, Frame(wire.RING_TRANSFER, payload))
-
-
-def _ident_bytes(ident: int) -> bytes:
-    return format(ident, "x").encode("ascii")
-
-
-def _ident_from(field: bytes) -> int:
-    try:
-        return int(field.decode("ascii"), 16)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise MalformedRequest("bad identifier") from exc
-
-
-def _encode_ring_row(row: PeerRow) -> bytes:
-    return wire.pack_fields(_ident_bytes(row.ring_id), row.encode(), b"1" if row.replica else b"0")
-
-
-def _decode_ring_row(data: bytes) -> PeerRow:
-    ring_id, value, replica = wire.unpack_fields(data, expect=3)
-    return replace(PeerRow.decode(value), ring_id=_ident_from(ring_id), replica=replica == b"1")
+        self._call(addr, wire.RING_TRANSFER, departing or "", rows)
 
 
 class RendezvousServer:
@@ -128,7 +100,7 @@ class RendezvousServer:
                 WireRingTransport(endpoint),
                 bits=self.config.ring_bits,
                 store=self.store,
-                verify_row=self._verify_ring_row,
+                verify_row=self._verify_row,
             )
         self.ledger = ComplaintLedger(self.config.complaint_threshold)
         self.evictions: list[tuple[int, str]] = []
@@ -137,17 +109,13 @@ class RendezvousServer:
 
     # -- ring plumbing ---------------------------------------------------------
 
-    def _verify_ring_row(self, row: PeerRow) -> bool:
+    def _verify_row(self, row: PeerRow) -> bool:
         return row.verified(self.ca_public_key, self.ca_algorithm)
 
     def join_ring(self, bootstrap_addr: str) -> None:
         if self.ring is None:
             raise MalformedRequest("ring not enabled")
         self.ring.join(bootstrap_addr)
-
-    def leave_ring(self) -> None:
-        if self.ring is not None:
-            self.ring.leave()
 
     def tick(self) -> None:
         """Periodic upkeep: relay staleness, ring stabilization."""
@@ -273,36 +241,19 @@ class RendezvousSession:
             return wire.err_reply(frame.msg_type, exc.code)
 
     def _dispatch(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        handlers = {
-            wire.REGISTER_PEER: self.handle_session_hello,
-            wire.REGISTRATION_PAYLOAD: self.handle_peer_register,
-            wire.LOCATE_PEER: self.handle_locate_peer,
-            wire.FRIEND_REQUEST: self.handle_friend_request,
-            wire.PASSPHRASE_BLOB: self.handle_passphrase_blob,
-            wire.RELAY_REGISTER: self.handle_relay_register,
-            wire.RELAY_UPDATE: self.handle_relay_update,
-            wire.REQUEST_RELAY: self.handle_request_relay,
-            wire.CHORD_LOOKUP: self.handle_chord_lookup,
-            wire.COMPLAINT: self.handle_complaint,
-            wire.RING_STATE: self.handle_ring_state,
-            wire.RING_CLOSEST: self.handle_ring_closest,
-            wire.RING_NOTIFY: self.handle_ring_notify,
-            wire.RING_REPLICATE: self.handle_ring_replicate,
-            wire.RING_TRANSFER: self.handle_ring_transfer,
-        }
-        handler = handlers.get(frame.msg_type)
+        code = frame.msg_type
+        handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
         if handler is None:
-            return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
-        return handler(frame, ctx)
+            return wire.err_reply(code, "malformed_request", "unexpected message")
+        try:
+            values = wire.decode(code, self._decrypt(frame) if code in _SEALED else frame.payload)
+        except MalformedRequest:
+            return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
+        return handler(ctx, *values)
 
     # -- secure session plumbing ----------------------------------------------------
 
-    def handle_session_hello(self, frame: Frame, ctx: SessionContext) -> Frame:
-        try:
-            (cert_bytes,) = wire.unpack_fields(frame.payload, expect=1)
-            cert = Certificate.decode(cert_bytes)
-        except ProtocolError:
-            return wire.err_reply(wire.SESSION_KEY, "malformed_request")
+    def handle_register_peer(self, ctx: SessionContext, cert: Certificate) -> Frame:
         if not identity.verify_certificate(cert, self.server.ca_public_key, self.server.ca_algorithm):
             return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
         session_key = identity.generate_session_key(
@@ -311,33 +262,26 @@ class RendezvousSession:
         self.peer_cert = cert
         self.cipher = SessionCipher(session_key, direction=1)
         sealed = identity.seal(cert.public_key, session_key.encode(), cert.algorithm_id)
-        return wire.ok_reply(wire.SESSION_KEY, sealed)
+        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
 
     def _decrypt(self, frame: Frame) -> bytes:
         if self.cipher is None or self.peer_cert is None:
             raise ProtocolError("session not established")
         return self.cipher.decrypt(frame.payload)
 
+    def _sealed_reply(self, msg_type: int, code: int, *values) -> Frame:
+        """The encrypted ok reply to code's request."""
+        return enc_reply(msg_type, self.cipher, "ok", wire.encode(code, *values, reply=True))
+
     # -- peer registration -------------------------------------------------------------
 
-    def handle_peer_register(self, frame: Frame, ctx: SessionContext) -> Frame:
+    def handle_registration_payload(self, ctx: SessionContext, *values) -> Frame:
         server = self.server
-        plain = self._decrypt(frame)
-        fields = wire.unpack_fields(plain, expect=10)
+        *head, digest, signature = values  # the record's own fields (wire.REGISTRATION_PAYLOAD)
         record = RegistrationRecord(
-            username=self.peer_cert.username,
-            ip=wire.unpack_str(fields[0]),
-            port=wire.unpack_int(fields[1]),
-            nat_kind=wire.unpack_str(fields[2]),
-            protocol=wire.unpack_str(fields[3]),
-            relay_address=wire.unpack_str(fields[4]),
-            relay_port=wire.unpack_int(fields[5]),
-            passphrase=wire.unpack_str(fields[6]),
-            encrypted_mirror_list=fields[7],
-            signed_digest=SignedDigest(digest=fields[8], signature=fields[9]),
-            last_refresh=server.clock(),
+            self.peer_cert.username, *head, SignedDigest(digest, signature), server.clock()
         )
-        if record.nat_kind not in ("public", "full_cone", "non_full_cone"):
+        if record.nat_kind not in WIRE_NAT_KINDS:
             return enc_reply(wire.PEER_REGISTERED, self.cipher, "malformed_request")
         row = PeerRow(
             record=record,
@@ -345,18 +289,18 @@ class RendezvousSession:
             ring_id=self._owned_ring_id(record.username),
             replica=False,
         )
-        if not row.verified(server.ca_public_key, server.ca_algorithm):
-            # Rejected, not stored.
-            return enc_reply(wire.PEER_REGISTERED, self.cipher, "integrity_error")
+        # One signature check either way: the ring verifies what it stores.
         if server.ring is not None:
-            server.ring.put_primary(row)
+            stored = server.ring.put_primary(row)
         else:
-            server.store.upsert_peer(row)
+            stored = server._verify_row(row)
+            if stored:
+                server.store.upsert_peer(row)
+        if not stored:
+            return enc_reply(wire.PEER_REGISTERED, self.cipher, "integrity_error")
         server.on_event("peer_registered", node=server.addr, username=record.username)
         pending = server.store.pop_friend_requests(record.username)
-        return enc_reply(
-            wire.PEER_REGISTERED, self.cipher, "ok", *[p.encode() for p in pending]
-        )
+        return self._sealed_reply(wire.PEER_REGISTERED, wire.REGISTRATION_PAYLOAD, pending)
 
     def _owned_ring_id(self, username: str) -> int:
         server = self.server
@@ -370,10 +314,8 @@ class RendezvousSession:
 
     # -- lookup -------------------------------------------------------------------------
 
-    def handle_locate_peer(self, frame: Frame, ctx: SessionContext) -> Frame:
-        plain = self._decrypt(frame)
-        (passphrase,) = wire.unpack_fields(plain, expect=1)
-        row = self.server.store.peer_by_passphrase(wire.unpack_str(passphrase))
+    def handle_locate_peer(self, ctx: SessionContext, passphrase: str) -> Frame:
+        row = self.server.store.peer_by_passphrase(passphrase)
         self.server.on_event(
             "locate",
             node=self.server.addr,
@@ -382,23 +324,18 @@ class RendezvousSession:
         )
         if row is None:
             return enc_reply(wire.PEER_INFO, self.cipher, "not_found")
-        return enc_reply(wire.PEER_INFO, self.cipher, "ok", row.record.encode(), row.certificate)
+        return self._sealed_reply(wire.PEER_INFO, wire.LOCATE_PEER, row.record, row.certificate)
 
     # -- friendship requests ---------------------------------------------------------------
 
-    def handle_friend_request(self, frame: Frame, ctx: SessionContext) -> Frame:
-        plain = self._decrypt(frame)
-        (target,) = wire.unpack_fields(plain, expect=1)
-        target_name = wire.unpack_str(target)
-        row = self.server.store.peer_by_username(target_name)
+    def handle_friend_request(self, ctx: SessionContext, target: str) -> Frame:
+        row = self.server.store.peer_by_username(target)
         if row is None:
             return enc_reply(wire.CERT_REPLY, self.cipher, "not_found")
-        self._friend_target = target_name
-        return enc_reply(wire.CERT_REPLY, self.cipher, "ok", row.certificate)
+        self._friend_target = target
+        return self._sealed_reply(wire.CERT_REPLY, wire.FRIEND_REQUEST, row.certificate)
 
-    def handle_passphrase_blob(self, frame: Frame, ctx: SessionContext) -> Frame:
-        plain = self._decrypt(frame)
-        (blob,) = wire.unpack_fields(plain, expect=1)
+    def handle_passphrase_blob(self, ctx: SessionContext, blob: bytes) -> Frame:
         if self._friend_target is None:
             return enc_reply(wire.PASSPHRASE_BLOB, self.cipher, "malformed_request")
         request = FriendshipRequestRecord(
@@ -407,71 +344,43 @@ class RendezvousSession:
             sealed_passphrase=blob,  # stored verbatim; the server cannot open it
         )
         self.server.store.put_friend_request(request)
-        return enc_reply(wire.PASSPHRASE_BLOB, self.cipher, "ok")
+        return self._sealed_reply(wire.PASSPHRASE_BLOB, wire.PASSPHRASE_BLOB)
 
     # -- relay directory ----------------------------------------------------------------------
 
-    def handle_relay_register(self, frame: Frame, ctx: SessionContext) -> Frame:
-        try:
-            port_b, capacity_b = wire.unpack_fields(frame.payload, expect=2)
-            port = wire.unpack_int(port_b)
-            capacity = wire.unpack_int(capacity_b)
-        except ProtocolError:
-            return wire.err_reply(wire.RELAY_REGISTER, "reject")
-        relay = RelayRecord(
-            address=host_of(ctx.remote_addr),
-            port=port,
-            capacity=capacity,
-            load=0,
-            last_update=self.server.clock(),
-        )
-        self.server.store.upsert_relay(relay)
-        return wire.ok_reply(
-            wire.RELAY_REGISTER, wire.pack_int(self.server.config.refresh_interval_ms)
-        )
+    def handle_relay_register(self, ctx: SessionContext, port: int, capacity: int) -> Frame:
+        self.handle_relay_update(ctx, port, 0, capacity)
+        return wire.reply(wire.RELAY_REGISTER, self.server.config.refresh_interval_ms)
 
-    def handle_relay_update(self, frame: Frame, ctx: SessionContext) -> Frame:
-        port_b, load_b, capacity_b = wire.unpack_fields(frame.payload, expect=3)
-        relay = RelayRecord(
-            address=host_of(ctx.remote_addr),
-            port=wire.unpack_int(port_b),
-            capacity=wire.unpack_int(capacity_b),
-            load=wire.unpack_int(load_b),
-            last_update=self.server.clock(),
-        )
+    def handle_relay_update(self, ctx: SessionContext, port: int, load: int, capacity: int) -> Frame:
+        relay = RelayRecord(host_of(ctx.remote_addr), port, capacity, load, self.server.clock())
         self.server.store.upsert_relay(relay)
-        return wire.ok_reply(wire.RELAY_UPDATE)
+        return wire.reply(wire.RELAY_UPDATE)
 
-    def handle_request_relay(self, frame: Frame, ctx: SessionContext) -> Frame:
+    def handle_request_relay(self, ctx: SessionContext) -> Frame:
         # Deliberately plaintext: carries nothing sensitive.
         now = self.server.clock()
         best = select_relay(self.server.store, now, self.server.config.age_ms)
         if best is None:
             return Frame(wire.NO_RELAY_AVAILABLE)
         # Optimistic load bump keeps assignments balanced between updates.
-        self.server.store.upsert_relay(replace_load(best, best.load + 1))
-        return wire.ok_reply(
-            wire.REQUEST_RELAY, wire.pack_str(best.address), wire.pack_int(best.port)
-        )
+        self.server.store.upsert_relay(replace(best, load=best.load + 1))
+        return wire.reply(wire.REQUEST_RELAY, best.address, best.port)
 
     # -- chord ------------------------------------------------------------------------------------
 
-    def handle_chord_lookup(self, frame: Frame, ctx: SessionContext) -> Frame:
-        (ident_b,) = wire.unpack_fields(frame.payload, expect=1)
-        ident = _ident_from(ident_b)
-        if self.server.ring is None:
-            return wire.ok_reply(wire.CHORD_REPLY, wire.pack_str(self.server.addr), wire.pack_int(0))
-        result = self.server.ring.find_successor(ident)
-        self.server.on_event("chord_lookup", node=self.server.addr, hops=result.hops)
-        return wire.ok_reply(
-            wire.CHORD_REPLY, wire.pack_str(result.addr), wire.pack_int(result.hops)
-        )
+    def handle_chord_lookup(self, ctx: SessionContext, ident: int) -> Frame:
+        server = self.server
+        if server.ring is None:
+            return wire.reply(wire.CHORD_LOOKUP, server.addr, 0, msg_type=wire.CHORD_REPLY)
+        result = server.ring.find_successor(ident)
+        server.on_event("chord_lookup", node=server.addr, hops=result.hops)
+        return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops, msg_type=wire.CHORD_REPLY)
 
-    def handle_complaint(self, frame: Frame, ctx: SessionContext) -> Frame:
-        complaint = Complaint.decode(frame.payload)
-        self.server.handle_complaint(complaint)
+    def handle_complaint(self, ctx: SessionContext, *values) -> Frame:
+        self.server.handle_complaint(Complaint(*values))
         # Invalid complaints are dropped without telling the sender why.
-        return wire.ok_reply(wire.COMPLAINT)
+        return wire.reply(wire.COMPLAINT)
 
     # -- ring maintenance ---------------------------------------------------------------------------
 
@@ -480,44 +389,30 @@ class RendezvousSession:
             raise MalformedRequest("ring not enabled")
         return self.server.ring
 
-    def handle_ring_state(self, frame: Frame, ctx: SessionContext) -> Frame:
+    def handle_ring_state(self, ctx: SessionContext) -> Frame:
         pred, succs = self._ring().state()
-        return wire.ok_reply(
-            wire.RING_STATE,
-            wire.pack_str(pred or ""),
-            *[wire.pack_str(s) for s in succs],
-        )
+        return wire.reply(wire.RING_STATE, pred or "", succs)
 
-    def handle_ring_closest(self, frame: Frame, ctx: SessionContext) -> Frame:
-        (ident_b,) = wire.unpack_fields(frame.payload, expect=1)
-        closest, succ = self._ring().local_query(_ident_from(ident_b))
-        return wire.ok_reply(wire.RING_CLOSEST, wire.pack_str(closest), wire.pack_str(succ))
+    def handle_ring_closest(self, ctx: SessionContext, ident: int) -> Frame:
+        return wire.reply(wire.RING_CLOSEST, *self._ring().local_query(ident))
 
-    def handle_ring_notify(self, frame: Frame, ctx: SessionContext) -> Frame:
-        (candidate,) = wire.unpack_fields(frame.payload, expect=1)
-        self._ring().notified(wire.unpack_str(candidate))
-        return wire.ok_reply(wire.RING_NOTIFY)
+    def handle_ring_notify(self, ctx: SessionContext, candidate: str) -> Frame:
+        self._ring().notified(candidate)
+        return wire.reply(wire.RING_NOTIFY)
 
-    def handle_ring_replicate(self, frame: Frame, ctx: SessionContext) -> Frame:
-        (row_b,) = wire.unpack_fields(frame.payload, expect=1)
-        accepted = self._ring().accept_replica(_decode_ring_row(row_b))
-        return wire.ok_reply(wire.RING_REPLICATE, b"1" if accepted else b"0")
+    def handle_ring_replicate(self, ctx: SessionContext, row: PeerRow) -> Frame:
+        return wire.reply(wire.RING_REPLICATE, self._ring().accept_replica(row))
 
-    def handle_ring_transfer(self, frame: Frame, ctx: SessionContext) -> Frame:
-        fields = wire.unpack_fields(frame.payload)
-        if not fields:
-            raise MalformedRequest("empty transfer")
-        departing = wire.unpack_str(fields[0]) or None
-        rows = [_decode_ring_row(f) for f in fields[1:]]
-        accepted = self._ring().accept_transfer(rows, departing)
-        return wire.ok_reply(wire.RING_TRANSFER, wire.pack_int(accepted))
+    def handle_ring_transfer(self, ctx: SessionContext, departing: str, rows: list[PeerRow]) -> Frame:
+        return wire.reply(wire.RING_TRANSFER, self._ring().accept_transfer(rows, departing or None))
 
 
-def replace_load(relay: RelayRecord, load: int) -> RelayRecord:
-    return RelayRecord(
-        address=relay.address,
-        port=relay.port,
-        capacity=relay.capacity,
-        load=load,
-        last_update=relay.last_update,
-    )
+# Requests whose payload is encrypted under the session key.
+_SEALED = {wire.REGISTRATION_PAYLOAD, wire.LOCATE_PEER, wire.FRIEND_REQUEST, wire.PASSPHRASE_BLOB}
+
+# Requests whose malformed form gets its own reply rather than a
+# malformed_request under the request's code.
+_MALFORMED_REPLY = {
+    wire.REGISTER_PEER: wire.err_reply(wire.SESSION_KEY, "malformed_request"),
+    wire.RELAY_REGISTER: wire.err_reply(wire.RELAY_REGISTER, "reject"),
+}

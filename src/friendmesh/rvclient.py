@@ -5,6 +5,8 @@ secure ones establish the certificate/session-key prelude first.
 """
 from __future__ import annotations
 
+from dataclasses import astuple
+
 from . import identity, wire
 from .channel import Channel
 from .errors import ProtocolError
@@ -24,39 +26,25 @@ def register_peer(
     client: SecureClient, record: RegistrationRecord
 ) -> list[FriendshipRequestRecord]:
     """Submit the signed registration payload; returns pending friendship requests."""
-    payload = wire.pack_fields(
-        wire.pack_str(record.ip),
-        wire.pack_int(record.port),
-        wire.pack_str(record.nat_kind),
-        wire.pack_str(record.protocol),
-        wire.pack_str(record.relay_address),
-        wire.pack_int(record.relay_port),
-        wire.pack_str(record.passphrase),
-        record.encrypted_mirror_list,
-        record.signed_digest.digest,
-        record.signed_digest.signature,
-    )
-    fields = client.request(wire.REGISTRATION_PAYLOAD, payload)
-    return [FriendshipRequestRecord.decode(f) for f in fields]
+    _, *head, signed, _ = astuple(record)  # the record's own fields (wire.REGISTRATION_PAYLOAD)
+    (pending,) = client.call(wire.REGISTRATION_PAYLOAD, *head, *signed)
+    return pending
 
 
 def locate_peer(
     client: SecureClient, passphrase: str
 ) -> tuple[RegistrationRecord, bytes]:
     """Exact-passphrase lookup; raises NotFound when no row matches."""
-    fields = client.request(wire.LOCATE_PEER, wire.pack_fields(wire.pack_str(passphrase)))
-    return RegistrationRecord.decode(fields[0]), fields[1]
+    return client.call(wire.LOCATE_PEER, passphrase)
 
 
 def friend_request(client: SecureClient, target_username: str) -> Certificate:
-    fields = client.request(
-        wire.FRIEND_REQUEST, wire.pack_fields(wire.pack_str(target_username))
-    )
-    return Certificate.decode(fields[0])
+    (cert,) = client.call(wire.FRIEND_REQUEST, target_username)
+    return Certificate.decode(cert)
 
 
 def submit_passphrase_blob(client: SecureClient, sealed_blob: bytes) -> None:
-    client.request(wire.PASSPHRASE_BLOB, wire.pack_fields(sealed_blob))
+    client.call(wire.PASSPHRASE_BLOB, sealed_blob)
 
 
 def seal_request_blob(target_cert: Certificate, requester_username: str, passphrase: str) -> bytes:
@@ -71,50 +59,33 @@ def open_request_blob(
     """Open a delivered request; None when it fails to open or was re-used."""
     try:
         body = identity.open_sealed(keys.private_key, request.sealed_passphrase, keys.algorithm_id)
-        name_b, passphrase_b = wire.unpack_fields(body, expect=2)
+        name, passphrase = map(wire.unpack_str, wire.unpack_fields(body, expect=2))
     except ProtocolError:
         return None
-    if wire.unpack_str(name_b) != request.requester_username:
+    if name != request.requester_username:
         return None
-    return wire.unpack_str(passphrase_b)
+    return passphrase
 
 
 def request_relay(channel: Channel) -> tuple[str, int] | None:
     reply = channel.request(Frame(wire.REQUEST_RELAY))
     if reply.msg_type == wire.NO_RELAY_AVAILABLE:
         return None
-    addr_b, port_b = wire.open_reply(reply)
-    return wire.unpack_str(addr_b), wire.unpack_int(port_b)
+    return wire.open_reply(reply, wire.REQUEST_RELAY)
 
 
 def relay_register(channel: Channel, port: int, capacity: int) -> int:
-    reply = channel.request(
-        Frame(wire.RELAY_REGISTER, wire.pack_fields(wire.pack_int(port), wire.pack_int(capacity)))
-    )
-    (interval_b,) = wire.open_reply(reply)
-    return wire.unpack_int(interval_b)
+    (interval,) = wire.call(channel, wire.RELAY_REGISTER, port, capacity)
+    return interval
 
 
 def relay_update(channel: Channel, port: int, load: int, capacity: int) -> None:
-    reply = channel.request(
-        Frame(
-            wire.RELAY_UPDATE,
-            wire.pack_fields(wire.pack_int(port), wire.pack_int(load), wire.pack_int(capacity)),
-        )
-    )
-    wire.open_reply(reply)
+    wire.call(channel, wire.RELAY_UPDATE, port, load, capacity)
 
 
 def chord_lookup(channel: Channel, ident: int) -> tuple[str, int]:
-    reply = channel.request(
-        Frame(wire.CHORD_LOOKUP, wire.pack_fields(format(ident, "x").encode("ascii")))
-    )
-    if reply.msg_type != wire.CHORD_REPLY:
-        raise ProtocolError(f"unexpected reply {reply.msg_type}")
-    fields = wire.open_reply(reply)
-    return wire.unpack_str(fields[0]), wire.unpack_int(fields[1])
+    return wire.call(channel, wire.CHORD_LOOKUP, ident, expect=wire.CHORD_REPLY)
 
 
 def submit_complaint(channel: Channel, complaint_bytes: bytes) -> None:
-    reply = channel.request(Frame(wire.COMPLAINT, complaint_bytes))
-    wire.open_reply(reply)
+    wire.open_reply(channel.request(Frame(wire.COMPLAINT, complaint_bytes)), wire.COMPLAINT)

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import identity, wire
 from .channel import Channel, SessionContext
-from .errors import AuthError, HandshakeError, ProtocolError, error_for_code
+from .errors import AuthError, HandshakeError, MalformedRequest, ProtocolError, error_for_code
 from .identity import Certificate, KeyPair, SessionCipher, SessionKey
 from .wire import Frame
 
@@ -30,11 +30,17 @@ def pack_app(kind: str, *fields: bytes) -> bytes:
     return wire.pack_fields(kind.encode("ascii"), *fields)
 
 
-def unpack_app(body: bytes) -> tuple[str, list[bytes]]:
-    fields = wire.unpack_fields(body)
-    if not fields:
+def read_app_kind(body: bytes) -> tuple[str, int]:
+    """An app body's kind, and the position of the field after it."""
+    if not body:
         raise ProtocolError("empty app envelope")
-    return fields[0].decode("ascii", "replace"), fields[1:]
+    kind, pos = wire.read_field(body)
+    return kind.decode("ascii", "replace"), pos
+
+
+def unpack_app(body: bytes) -> tuple[str, list[bytes]]:
+    kind, pos = read_app_kind(body)
+    return kind, wire.unpack_fields(body[pos:])
 
 
 class SecureChannel:
@@ -51,16 +57,27 @@ class SecureChannel:
     def peer_username(self) -> str:
         return self.peer_cert.username
 
-    def request_app(self, kind: str, *fields: bytes) -> list[bytes]:
-        ct = self._cipher.encrypt(pack_app(kind, *fields))
-        reply = self._channel.request(Frame(wire.APP_DATA, ct))
+    def _exchange(self, body: bytes) -> tuple[bytes, int]:
+        """Send one app body; return the reply body and the position after
+        its kind. An err reply raises the error it reports."""
+        reply = self._channel.request(Frame(wire.APP_DATA, self._cipher.encrypt(body)))
         if reply.msg_type != wire.APP_DATA:
             raise ProtocolError(f"unexpected reply type {reply.msg_type}")
-        reply_kind, reply_fields = unpack_app(self._cipher.decrypt(reply.payload))
-        if reply_kind == "err":
-            code = reply_fields[0].decode("ascii", "replace") if reply_fields else "protocol_error"
-            raise error_for_code(code)
-        return reply_fields
+        body = self._cipher.decrypt(reply.payload)
+        kind, pos = read_app_kind(body)
+        if kind == "err":
+            _, fields = unpack_app(body)
+            raise error_for_code(fields[0].decode("ascii", "replace") if fields else "protocol_error")
+        return body, pos
+
+    def request_app(self, kind: str, *fields: bytes) -> list[bytes]:
+        body, pos = self._exchange(pack_app(kind, *fields))
+        return wire.unpack_fields(body[pos:])
+
+    def call(self, kind: str, *values) -> tuple:
+        """request_app for a kind in wire.SCHEMA: typed values both ways."""
+        body, pos = self._exchange(pack_app(kind) + wire.encode(kind, *values))
+        return wire.decode(kind, body, pos, reply=True)
 
     def close(self) -> None:
         self._channel.close()
@@ -76,10 +93,10 @@ def connect_secure(
     rng: random.Random | None = None,
 ) -> SecureChannel:
     """Run the initiator side of the peer-to-peer handshake on a channel."""
-    reply = channel.request(Frame(wire.REGISTER_PEER, wire.pack_fields(my_cert.encode())))
+    reply = channel.request(Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, my_cert)))
     if reply.msg_type != wire.CERT_REPLY:
         raise HandshakeError(f"expected cert_reply, got {reply.msg_type}")
-    (sealed_cert,) = wire.open_reply(reply)
+    (sealed_cert,) = wire.open_reply(reply, wire.REGISTER_PEER)
     try:
         peer_cert = Certificate.decode(
             identity.open_sealed(my_keys.private_key, sealed_cert, my_keys.algorithm_id)
@@ -96,10 +113,10 @@ def connect_secure(
     blob = identity.seal_session_key(
         session_key, peer_cert.public_key, my_keys.private_key, my_keys.algorithm_id
     )
-    ack = channel.request(Frame(wire.SESSION_KEY, wire.pack_fields(blob)))
+    ack = channel.request(Frame(wire.SESSION_KEY, wire.encode(wire.SESSION_KEY, blob)))
     if ack.msg_type != wire.SESSION_KEY:
         raise HandshakeError(f"expected session_key ack, got {ack.msg_type}")
-    wire.open_reply(ack)
+    wire.open_reply(ack, wire.SESSION_KEY)
     return SecureChannel(channel, SessionCipher(session_key, direction=0), peer_cert, session_key)
 
 
@@ -142,9 +159,8 @@ class ResponderSession:
 
     def _on_hello(self, frame: Frame, ctx: SessionContext) -> Frame:
         try:
-            (cert_bytes,) = wire.unpack_fields(frame.payload, expect=1)
-            peer_cert = Certificate.decode(cert_bytes)
-        except ProtocolError:
+            (peer_cert,) = wire.decode(wire.REGISTER_PEER, frame.payload)
+        except MalformedRequest:
             return wire.err_reply(wire.CERT_REPLY, "malformed_request")
         if not identity.verify_certificate(peer_cert, self._ca_pub, self._ca_algo):
             return wire.err_reply(wire.CERT_REPLY, "auth_error", "bad certificate")
@@ -156,20 +172,20 @@ class ResponderSession:
         sealed = identity.seal(
             peer_cert.public_key, self._cert.encode(), peer_cert.algorithm_id
         )
-        return wire.ok_reply(wire.CERT_REPLY, sealed)
+        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.CERT_REPLY)
 
     def _on_session_key(self, frame: Frame) -> Frame:
         if self._peer_cert is None:
             return wire.err_reply(wire.SESSION_KEY, "handshake_error", "no certificate yet")
         try:
-            (blob,) = wire.unpack_fields(frame.payload, expect=1)
+            (blob,) = wire.decode(wire.SESSION_KEY, frame.payload)
             session_key = identity.open_session_key(
                 blob, self._peer_cert.public_key, self._keys.private_key, self._keys.algorithm_id
             )
         except ProtocolError as exc:
             return wire.err_reply(wire.SESSION_KEY, exc.code)
         self._cipher = SessionCipher(session_key, direction=1)
-        return wire.ok_reply(wire.SESSION_KEY)
+        return wire.reply(wire.SESSION_KEY)
 
     def _on_app(self, frame: Frame, ctx: SessionContext) -> Frame:
         if self._cipher is None or self._peer_cert is None:
@@ -196,11 +212,11 @@ class SecureClient:
 
     def establish(self) -> None:
         reply = self._channel.request(
-            Frame(wire.REGISTER_PEER, wire.pack_fields(self._cert.encode()))
+            Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, self._cert))
         )
         if reply.msg_type != wire.SESSION_KEY:
             raise HandshakeError(f"expected session_key, got {reply.msg_type}")
-        (sealed,) = wire.open_reply(reply)
+        (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
         try:
             plain = identity.open_sealed(self._keys.private_key, sealed, self._keys.algorithm_id)
             session_key = SessionKey.decode(plain)
@@ -208,8 +224,8 @@ class SecureClient:
             raise HandshakeError("session key failed to open") from exc
         self._cipher = SessionCipher(session_key, direction=0)
 
-    def request(self, msg_type: int, plaintext: bytes) -> list[bytes]:
-        """Send one encrypted request; return the decrypted reply fields.
+    def call(self, msg_type: int, *values) -> tuple:
+        """Send one encrypted request; return the reply's values (wire.SCHEMA).
 
         Server replies are pack(b"enc", ciphertext) with the status inside
         the ciphertext, so outcomes like not_found stay hidden from
@@ -217,25 +233,22 @@ class SecureClient:
         """
         if self._cipher is None:
             raise HandshakeError("session not established")
-        reply = self._channel.request(Frame(msg_type, self._cipher.encrypt(plaintext)))
+        reply = self._channel.request(
+            Frame(msg_type, self._cipher.encrypt(wire.encode(msg_type, *values)))
+        )
         outer = wire.unpack_fields(reply.payload)
-        if not outer:
-            raise ProtocolError("empty reply")
-        if outer[0] != b"enc":
-            message = outer[1].decode("utf-8", "replace") if len(outer) > 1 else ""
-            raise error_for_code(outer[0].decode("ascii", "replace"), message)
-        inner = wire.unpack_fields(self._cipher.decrypt(outer[1]))
-        if not inner:
-            raise ProtocolError("empty encrypted reply")
-        if inner[0] != b"ok":
-            raise error_for_code(inner[0].decode("ascii", "replace"))
-        return inner[1:]
+        if len(outer) == 2 and outer[0] == b"enc":
+            inner = self._cipher.decrypt(outer[1])
+            return wire.open_reply(Frame(reply.msg_type, inner), msg_type)
+        wire.open_reply(reply)  # raises the pre-session failure it reports
+        raise MalformedRequest("reply is neither encrypted nor an error")
 
     def close(self) -> None:
         self._channel.close()
 
 
-def enc_reply(msg_type: int, cipher: SessionCipher, status: str, *fields: bytes) -> Frame:
-    """Server-side helper: encrypted reply with in-ciphertext status."""
-    inner = wire.pack_fields(status.encode("ascii"), *fields)
+def enc_reply(msg_type: int, cipher: SessionCipher, status: str, fields: bytes = b"") -> Frame:
+    """Server-side helper: encrypted reply with in-ciphertext status,
+    followed by the already packed fields."""
+    inner = wire.pack_fields(status.encode("ascii")) + fields
     return Frame(msg_type, wire.pack_fields(b"enc", cipher.encrypt(inner)))

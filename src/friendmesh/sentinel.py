@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from . import identity
+from . import identity, wire
 from .chord import DualId
 from .errors import PeerUnreachable
 from .identity import Certificate
 from .records import RegistrationRecord, verify_registration_record
-from .wire import pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
+from .wire import pack_fields, pack_int, pack_str
 
 OK = "ok"
 STORAGE_ATTACK = "storage_attack"
@@ -160,25 +160,20 @@ class Complaint:
     def signed_bytes(self) -> bytes:
         return pack_fields(pack_str(self.accused), pack_str(self.complainant), pack_int(self.timestamp))
 
+    # A complaint travels as the COMPLAINT request: its fields, in order.
     def encode(self) -> bytes:
-        return pack_fields(
-            pack_str(self.accused),
-            pack_str(self.complainant),
-            pack_int(self.timestamp),
+        return wire.encode(
+            wire.COMPLAINT,
+            self.accused,
+            self.complainant,
+            self.timestamp,
             self.signature,
             self.certificate,
         )
 
     @classmethod
     def decode(cls, data: bytes) -> "Complaint":
-        accused, complainant, ts, sig, cert = unpack_fields(data, expect=5)
-        return cls(
-            accused=unpack_str(accused),
-            complainant=unpack_str(complainant),
-            timestamp=unpack_int(ts),
-            signature=sig,
-            certificate=cert,
-        )
+        return cls(*wire.decode(wire.COMPLAINT, data))
 
 
 def make_complaint(accused: str, cert: Certificate, private_key: bytes, now: int) -> Complaint:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from .. import wire
 from ..channel import Service, Session, SessionContext
 from ..chord import dual_hash
+from ..errors import ProtocolError
 from ..wire import Frame
 
 
@@ -92,32 +93,28 @@ class AdversarySession:
             if "drop_lookups" in behaviors:
                 return None  # refuse to forward: silence
             if victim_hit and "claim_key" in behaviors:
-                return wire.ok_reply(
-                    wire.CHORD_REPLY, wire.pack_str(wrapper.self_addr), wire.pack_int(0)
+                return wire.reply(
+                    wire.CHORD_LOOKUP, wrapper.self_addr, 0, msg_type=wire.CHORD_REPLY
                 )
             if victim_hit and "misroute" in behaviors:
                 decoy = wrapper.script.accomplice or DEAD_ADDR
-                return wire.ok_reply(wire.CHORD_REPLY, wire.pack_str(decoy), wire.pack_int(0))
+                return wire.reply(wire.CHORD_LOOKUP, decoy, 0, msg_type=wire.CHORD_REPLY)
         if frame.msg_type == wire.RING_CLOSEST and "drop_lookups" in behaviors:
             return None
         if frame.msg_type in (wire.RING_STATE, wire.RING_CLOSEST) and "eclipse_attempt" in behaviors:
             poison = wrapper.attacker_addrs[0]
             if frame.msg_type == wire.RING_STATE:
-                return wire.ok_reply(
-                    wire.RING_STATE,
-                    wire.pack_str(poison),
-                    *[wire.pack_str(a) for a in wrapper.attacker_addrs],
-                )
-            return wire.ok_reply(wire.RING_CLOSEST, wire.pack_str(poison), wire.pack_str(poison))
+                return wire.reply(wire.RING_STATE, poison, wrapper.attacker_addrs)
+            return wire.reply(wire.RING_CLOSEST, poison, poison)
         return NO_ACTION
 
     @staticmethod
     def _ident_of(frame: Frame) -> int:
         try:
-            (ident_b,) = wire.unpack_fields(frame.payload, expect=1)
-            return int(ident_b.decode("ascii"), 16)
-        except Exception:
+            (ident,) = wire.decode(wire.CHORD_LOOKUP, frame.payload)
+        except ProtocolError:
             return -1
+        return ident
 
 
 NO_ACTION = object()

@@ -370,3 +370,30 @@ def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
     assert wire.open_reply(reply) == [b"1"]
     assert len(decodes) == 1
     assert server.store.peer_rows() == [replace(row, replica=True)]
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_register_verifies_row_once(ca, clock, monkeypatch, ring):
+    # One certificate and record signature check per registration, with or
+    # without a ring: a ring node verifies the row it stores as primary.
+    server = RendezvousServer(
+        addr="10.0.0.3:7200",
+        config=RendezvousConfig(ring_enabled=ring),
+        ca_public_key=ca.public_key,
+        ca_algorithm=ca.algorithm_id,
+        endpoint=object() if ring else None,  # a one-node ring replicates to nobody
+        clock=clock,
+        rng=random.Random(1),
+    )
+    checks = []
+    real_verified = records.PeerRow.verified
+
+    def counting_verified(row, *args):
+        checks.append(row.record.username)
+        return real_verified(row, *args)
+
+    monkeypatch.setattr(records.PeerRow, "verified", counting_verified)
+    pair, cert = make_user(ca, f"once-{ring}")
+    rvclient.register_peer(secure_client(server, pair, cert), make_record(pair, cert))
+    assert checks == [cert.username]
+    assert [row.record.username for row in server.store.peer_rows()] == [cert.username]
