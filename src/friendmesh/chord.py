@@ -17,7 +17,7 @@ re-replicated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
@@ -90,7 +90,6 @@ class RingTransport(Protocol):
 class LookupResult:
     addr: str
     hops: int
-    path: list[str] = field(default_factory=list)
 
 
 class RingNode:
@@ -167,7 +166,6 @@ class RingNode:
         for _ in range(6):
             node, node_id = self.addr, self.ident
             closest, succ = self.local_query(ident)
-            path = [node]
             seen: set[str] = set()
             stuck_at: str | None = None
             for _ in range(2 * self.bits + 8):
@@ -176,7 +174,7 @@ class RingNode:
                     if succ == node and node != self.addr:
                         stuck_at = node
                         break
-                    return LookupResult(succ, hops, path)
+                    return LookupResult(succ, hops)
                 nxt = closest if closest != node else succ
                 if nxt == node or nxt in seen or nxt in excluded or nxt in self.evicted:
                     stuck_at = node if node != self.addr else None
@@ -184,7 +182,6 @@ class RingNode:
                 seen.add(node)
                 node = nxt
                 node_id = node_ident(node, self.bits)
-                path.append(node)
                 try:
                     closest, succ = self.transport.query(node, ident)
                     hops += 1

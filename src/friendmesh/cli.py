@@ -1,6 +1,9 @@
 """Command line entry points.
 
-Servers (run until interrupted):
+Servers (run until interrupted, calling their periodic upkeep: the
+rendezvous server every stabilization period, the relay every ping or
+rendezvous update interval, whichever is longer, and a serving peer every
+relay interval, or 2 s when it is not relayed):
     friendmesh ca --port 7100 --name myca --state ca.log --key ca.key
     friendmesh rendezvous --port 7200 --db rv.sqlite --ca-cert ca.pub
     friendmesh relay --port 7300 --rendezvous 127.0.0.1:7200 --ca-cert ca.pub
@@ -38,11 +41,17 @@ def _load_ca_public(path: str) -> tuple[bytes, str]:
     return pair.public_key, pair.algorithm_id
 
 
-def _run_forever(label: str) -> None:
+def _run_upkeep(label: str, tick=lambda: None, period_ms: int = 3_600_000) -> None:
+    """Call tick() every period_ms until interrupted. A ProtocolError from one
+    tick is dropped, as the simulator drops it, and the next tick runs."""
     print(f"{label} running; ctrl-c to stop")
     try:
         while True:
-            time.sleep(3600)
+            time.sleep(period_ms / 1000)
+            try:
+                tick()
+            except ProtocolError:
+                pass
     except KeyboardInterrupt:
         pass
 
@@ -59,7 +68,7 @@ def cmd_ca(args) -> int:
     ca = identity.CAState(args.name, pair, log_path=args.state)
     server = TcpServer(CAService(ca), host=args.bind, port=args.port, backlog=args.backlog).start()
     print(f"certificate authority {args.name} on {server.addr}")
-    _run_forever("ca")
+    _run_upkeep("ca")
     server.stop()
     return 0
 
@@ -83,7 +92,7 @@ def cmd_rendezvous(args) -> int:
     if args.join:
         server.join_ring(args.join)
     print(f"rendezvous server on {listener.addr} (db: {args.db})")
-    _run_forever("rendezvous")
+    _run_upkeep("rendezvous", server.tick, config.stabilization_period_ms)
     listener.stop()
     return 0
 
@@ -107,12 +116,7 @@ def cmd_relay(args) -> int:
     relay.addr = listener.addr
     interval = relay.register_with_rendezvous()
     print(f"relay on {listener.addr}, rendezvous update interval {interval} ms")
-    try:
-        while True:
-            time.sleep(max(interval, config.ping_interval_ms) / 1000)
-            relay.tick()
-    except KeyboardInterrupt:
-        pass
+    _run_upkeep("relay", relay.tick, max(interval, config.ping_interval_ms))
     listener.stop()
     return 0
 
@@ -124,7 +128,7 @@ def cmd_stun(args) -> int:
     )
     server = StunServer(config).start()
     print(f"stun server on {args.primary}:{args.primary_port} / {args.secondary}:{args.secondary_port}")
-    _run_forever("stun")
+    _run_upkeep("stun")
     server.stop()
     return 0
 
@@ -199,7 +203,8 @@ def cmd_peer(args) -> int:
             listener = TcpServer(peer, host="127.0.0.1", port=args.port).start()
             peer.endpoint = TcpEndpoint(local_addr=listener.addr)
             print(f"peer {peer.username} serving on {listener.addr}")
-            _run_forever("peer")
+            # Relay keepalives (when relayed), queued writes and complaints.
+            _run_upkeep("peer", peer.tick, peer.state.relay_interval_ms or 2000)
             listener.stop()
     except ProtocolError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

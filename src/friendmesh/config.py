@@ -1,9 +1,12 @@
 """Component configuration dataclasses.
 
 Field sets mirror what each component reads: ports, addresses, the
-rendezvous database path, timing and ring settings. The CLI runners take
-key and certificate files from their arguments; the simulator injects
-keys and state directly.
+rendezvous database path, timing and ring settings. Every field is read by
+its component; fixed protocol choices (the session cipher, the complaint
+freshness of 10 stabilization periods, the relay's keepalive grace) are
+constants of the code, not settings. The CLI runners take key and
+certificate files from their arguments; the simulator injects keys and
+state directly.
 """
 from __future__ import annotations
 
@@ -14,19 +17,16 @@ from dataclasses import dataclass, field
 class RendezvousConfig:
     port: int = 7200
     db_url: str = ":memory:"  # sqlite path, or :memory:
-    session_key_type: str = "aes-128-gcm"
     refresh_interval_ms: int = 2000  # must stay below age_ms
     age_ms: int = 6000  # 3 x refresh interval
     ring_bits: int = 128
     ring_enabled: bool = False
     complaint_threshold: int | None = None  # None = max(3, ceil(0.2 * registered))
     stabilization_period_ms: int = 2000
-    complaint_freshness_ms: int | None = None  # None = 10 x stabilization period
 
     @property
     def freshness_ms(self) -> int:
-        if self.complaint_freshness_ms is not None:
-            return self.complaint_freshness_ms
+        """How old a complaint may be: 10 stabilization periods."""
         return 10 * self.stabilization_period_ms
 
 
@@ -37,7 +37,6 @@ class RelayConfig:
     port: int = 7300
     max_connections: int = 32
     ping_interval_ms: int = 2000
-    keepalive_grace: int = 3
 
 
 @dataclass
@@ -52,7 +51,6 @@ class StunConfig:
 class PeerConfig:
     username: str = ""
     port: int = 7500
-    passphrase: str = ""  # generated when empty
     ca_addr: str = ""
     rendezvous_addrs: list[str] = field(default_factory=list)
     global_mode: bool = False

@@ -17,7 +17,7 @@ import base64
 import hashlib
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -36,7 +36,7 @@ from .errors import (
     MalformedRequest,
     UsernameTaken,
 )
-from .wire import pack_fields, pack_str, unpack_fields, unpack_str
+from .wire import INT, RAW, STR, Layout, record
 
 MAX_USERNAME_BYTES = 64
 DIGEST_LEN = 32
@@ -206,6 +206,7 @@ def _algo(algorithm_id: str):
 # ---------------------------------------------------------------------------
 
 
+@record(RAW, RAW, STR)  # also the key file's layout
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
@@ -223,6 +224,10 @@ def derive_public(private_key: bytes, algorithm_id: str) -> bytes:
     return _algo(algorithm_id).derive_public(private_key)
 
 
+# A sealed blob: the wrapped data key, the nonce, the ciphertext.
+_SEALED = Layout("sealed", (RAW, RAW, RAW))
+
+
 def seal(pub: bytes, data: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bytes:
     """Hybrid-seal data so only the holder of the private key can read it."""
     algo = _algo(algorithm_id)
@@ -230,12 +235,12 @@ def seal(pub: bytes, data: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> byte
     wrapped = algo.wrap_key(pub, dek)
     nonce = os.urandom(12)
     ct = AESGCM(dek).encrypt(nonce, data, None)
-    return pack_fields(wrapped, nonce, ct)
+    return _SEALED.pack((wrapped, nonce, ct))
 
 
 def open_sealed(priv: bytes, blob: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bytes:
     algo = _algo(algorithm_id)
-    wrapped, nonce, ct = unpack_fields(blob, expect=3)
+    wrapped, nonce, ct = _SEALED.unpack(blob)
     try:
         dek = algo.unwrap_key(priv, wrapped)
         return AESGCM(dek).decrypt(nonce, ct, None)
@@ -256,18 +261,11 @@ def verify(pub: bytes, data: bytes, sig: bytes, algorithm_id: str = DEFAULT_ALGO
 # ---------------------------------------------------------------------------
 
 
+@record(RAW, RAW)
 @dataclass(frozen=True)
 class SignedDigest:
     digest: bytes
     signature: bytes
-
-    def encode(self) -> bytes:
-        return pack_fields(self.digest, self.signature)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SignedDigest":
-        digest, signature = unpack_fields(data, expect=2)
-        return cls(digest=digest, signature=signature)
 
 
 def sign_record(payload: bytes, priv: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> SignedDigest:
@@ -290,18 +288,15 @@ def verify_record(
 # ---------------------------------------------------------------------------
 
 
+@record(RAW, STR)
 @dataclass(frozen=True)
 class SessionKey:
     key: bytes
     cipher_id: str = DEFAULT_CIPHER
 
-    def encode(self) -> bytes:
-        return pack_fields(self.key, pack_str(self.cipher_id))
 
-    @classmethod
-    def decode(cls, data: bytes) -> "SessionKey":
-        key, cipher = unpack_fields(data, expect=2)
-        return cls(key=key, cipher_id=unpack_str(cipher))
+# Inside a sealed session key: the encoded key and the sender's signature over it.
+_SIGNED_KEY = Layout("signed_session_key", (RAW, RAW))
 
 
 def generate_session_key(cipher_id: str = DEFAULT_CIPHER, rng: random.Random | None = None) -> SessionKey:
@@ -325,7 +320,7 @@ def seal_session_key(
     """
     inner = sk.encode()
     sig = sign(sender_priv, inner, algorithm_id)
-    return seal(receiver_pub, pack_fields(inner, sig), algorithm_id)
+    return seal(receiver_pub, _SIGNED_KEY.pack((inner, sig)), algorithm_id)
 
 
 def open_session_key(
@@ -336,7 +331,7 @@ def open_session_key(
 ) -> SessionKey:
     try:
         plain = open_sealed(receiver_priv, blob, algorithm_id)
-        inner, sig = unpack_fields(plain, expect=2)
+        inner, sig = _SIGNED_KEY.unpack(plain)
     except (IntegrityError, MalformedRequest) as exc:
         raise HandshakeError("session key blob failed to open") from exc
     if not verify(sender_pub, inner, sig, algorithm_id):
@@ -384,6 +379,7 @@ class SessionCipher:
 # ---------------------------------------------------------------------------
 
 
+@record(STR, RAW, STR, STR, RAW)
 @dataclass(frozen=True)
 class Certificate:
     username: str
@@ -393,32 +389,11 @@ class Certificate:
     signature: bytes
 
     def signed_bytes(self) -> bytes:
-        return pack_fields(
-            pack_str(self.username),
-            self.public_key,
-            pack_str(self.issuer),
-            pack_str(self.algorithm_id),
-        )
+        return _CERT_SIGNED.encode(self)
 
-    def encode(self) -> bytes:
-        return pack_fields(
-            pack_str(self.username),
-            self.public_key,
-            pack_str(self.issuer),
-            pack_str(self.algorithm_id),
-            self.signature,
-        )
 
-    @classmethod
-    def decode(cls, data: bytes) -> "Certificate":
-        username, pub, issuer, algo, sig = unpack_fields(data, expect=5)
-        return cls(
-            username=unpack_str(username),
-            public_key=pub,
-            issuer=unpack_str(issuer),
-            algorithm_id=unpack_str(algo),
-            signature=sig,
-        )
+# What the CA's signature covers: every field before it.
+_CERT_SIGNED = Certificate.LAYOUT.view("username", "public_key", "issuer", "algorithm_id")
 
 
 def verify_certificate(cert: Certificate, ca_public_key: bytes, ca_algorithm: str | None = None) -> bool:
@@ -435,13 +410,16 @@ def verify_certificate(cert: Certificate, ca_public_key: bytes, ca_algorithm: st
 def build_cert_request(username: str, pub: bytes, algorithm_id: str, ca_pub: bytes, ca_algorithm: str) -> bytes:
     """Assemble the sealed certificate request a new user sends the CA.
 
-    Layout: sealed(username, public key, algorithm), plain length of the
-    unsealed body, digest over the body. The body is hidden so an observer
-    watching CA traffic cannot learn who is signing up.
+    The body is sealed so an observer watching CA traffic cannot learn who
+    is signing up.
     """
-    body = pack_fields(pack_str(username), pub, pack_str(algorithm_id))
-    sealed = seal(ca_pub, body, ca_algorithm)
-    return pack_fields(sealed, str(len(body)).encode("ascii"), sha256(body))
+    body = _CERT_REQUEST_BODY.pack((username, pub, algorithm_id))
+    return _CERT_REQUEST.pack((seal(ca_pub, body, ca_algorithm), len(body), sha256(body)))
+
+
+# The request: the sealed body, the body's plain length, its digest.
+_CERT_REQUEST = Layout("cert_request", (RAW, INT, RAW))
+_CERT_REQUEST_BODY = Layout("cert_request_body", (STR, RAW, STR))  # username, public key, algorithm
 
 
 class CAState:
@@ -489,22 +467,10 @@ class CAState:
             raise MalformedRequest("username empty or too long")
         if username in self._issued:
             raise UsernameTaken(username)
-        unsigned = Certificate(
-            username=username,
-            public_key=public_key,
-            issuer=self.name,
-            algorithm_id=algorithm_id,
-            signature=b"",
-        )
-        cert = Certificate(
-            username=username,
-            public_key=public_key,
-            issuer=self.name,
-            algorithm_id=algorithm_id,
-            signature=sign(
-                self.keypair.private_key, unsigned.signed_bytes(), self.keypair.algorithm_id
-            ),
-        )
+        unsigned = Certificate(username, public_key, self.name, algorithm_id, b"")
+        cert = replace(unsigned, signature=sign(
+            self.keypair.private_key, unsigned.signed_bytes(), self.keypair.algorithm_id
+        ))
         self._record(cert)
         return cert
 
@@ -513,20 +479,11 @@ class CAState:
 
         Raises UsernameTaken / IntegrityError / MalformedRequest.
         """
-        try:
-            sealed, length_field, digest = unpack_fields(request, expect=3)
-            claimed_len = int(length_field.decode("ascii"))
-        except (MalformedRequest, ValueError, UnicodeDecodeError) as exc:
-            raise MalformedRequest("unparseable certificate request") from exc
+        sealed, claimed_len, digest = _CERT_REQUEST.unpack(request)
         body = open_sealed(self.keypair.private_key, sealed, self.keypair.algorithm_id)
         if len(body) != claimed_len or sha256(body) != digest:
             raise IntegrityError("certificate request digest mismatch")
-        try:
-            username_b, pub, algo_b = unpack_fields(body, expect=3)
-            username = unpack_str(username_b)
-            algorithm_id = unpack_str(algo_b)
-        except MalformedRequest as exc:
-            raise MalformedRequest("unparseable certificate request body") from exc
+        username, pub, algorithm_id = _CERT_REQUEST_BODY.unpack(body)
         cert = self.issue(username, pub, algorithm_id)
         return seal(pub, cert.encode(), algorithm_id)
 
@@ -587,10 +544,9 @@ def load_certificate(path: str) -> Certificate:
 
 def save_keypair(pair: KeyPair, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(pack_fields(pair.public_key, pair.private_key, pack_str(pair.algorithm_id)))
+        fh.write(pair.encode())
 
 
 def load_keypair(path: str) -> KeyPair:
     with open(path, "rb") as fh:
-        pub, priv, algo = unpack_fields(fh.read(), expect=3)
-    return KeyPair(public_key=pub, private_key=priv, algorithm_id=unpack_str(algo))
+        return KeyPair.decode(fh.read())

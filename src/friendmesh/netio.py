@@ -113,6 +113,7 @@ class TcpServer:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(backlog)
+        self._sock.settimeout(0.2)  # here, not in the thread: stop() may close it first
         self.host, self.port = self._sock.getsockname()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -126,7 +127,6 @@ class TcpServer:
         return self
 
     def _accept_loop(self) -> None:
-        self._sock.settimeout(0.2)
         while not self._stop.is_set():
             try:
                 conn, peer = self._sock.accept()

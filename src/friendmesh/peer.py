@@ -34,13 +34,7 @@ from .errors import (
 from .identity import Certificate, KeyPair
 from .nat import NatType, Route, needs_relay, route_for_record, stun_classify, wire_nat_kind
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries
-from .records import (
-    MirrorEntry,
-    RegistrationRecord,
-    decode_mirror_table,
-    encode_mirror_table,
-    make_registration_record,
-)
+from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
 from .secure import SecureChannel, pack_app, read_app_kind
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
@@ -101,7 +95,7 @@ class Peer:
         self.state = PeerState(
             username=config.username,
             keypair=keypair or identity.generate_keypair(identity.DEFAULT_ALGORITHM),
-            passphrase=config.passphrase or identity.generate_passphrase(self.rng),
+            passphrase=identity.generate_passphrase(self.rng),
             friend_key=identity.generate_friend_key(self.rng),
         )
         self.profile = Profile(config.username)
@@ -275,7 +269,7 @@ class Peer:
     def build_record(self) -> RegistrationRecord:
         state = self.state
         enc_mirrors = identity.friend_key_encrypt(
-            state.friend_key, encode_mirror_table(state.mirror_table)
+            state.friend_key, MIRROR_TABLE.encode(state.mirror_table)
         )
         relay_addr = state.relay_endpoint[0] if state.relay_endpoint else ""
         relay_port = state.relay_endpoint[1] if state.relay_endpoint else 0
@@ -411,7 +405,7 @@ class Peer:
         if record is not None:
             if entry.friend_key:
                 try:
-                    mirror_table = decode_mirror_table(
+                    mirror_table = MIRROR_TABLE.decode(
                         identity.friend_key_decrypt(entry.friend_key, record.encrypted_mirror_list)
                     )
                     entry.mirror_table = mirror_table

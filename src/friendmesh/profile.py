@@ -32,7 +32,8 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import AccessDenied, InvalidPath, MalformedRequest
-from .wire import Field, pack_fields, pack_int, pack_str, unpack_fields, unpack_int, unpack_str
+from .wire import INT, RAW, STR, Field, Layout, list_of, many, pack_fields, pack_int, pack_str
+from .wire import record, unpack_fields, unpack_int, unpack_str
 
 COMPONENTS = ("info", "share_board", "events", "groups", "private_messages")
 
@@ -63,13 +64,6 @@ class PermissionTable:
             other.difference_update(members)
         getattr(self, set_name).update(members)
 
-    def encode(self) -> bytes:
-        return pack_fields(
-            pack_str(",".join(sorted(self.read))),
-            pack_str(",".join(sorted(self.write))),
-            pack_str(",".join(sorted(self.no_access))),
-        )
-
 
 @dataclass
 class Element:
@@ -79,6 +73,7 @@ class Element:
     children: dict[str, "Element"] = field(default_factory=dict)
 
 
+@record(STR, INT, STR, RAW, INT)
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     path: str
@@ -95,30 +90,12 @@ class LogEntry:
 
     def digest(self) -> bytes:
         if self._digest is None:
-            object.__setattr__(self, "_digest", hashlib.sha256(
-                pack_fields(pack_str(self.path), pack_str(self.author), self.op, pack_int(self.timestamp))
-            ).digest())
+            object.__setattr__(self, "_digest", hashlib.sha256(_DIGESTED.encode(self)).digest())
         return self._digest
 
-    def encode(self) -> bytes:
-        return pack_fields(
-            pack_str(self.path),
-            pack_int(self.version),
-            pack_str(self.author),
-            self.op,
-            pack_int(self.timestamp),
-        )
 
-    @classmethod
-    def decode(cls, data: bytes) -> "LogEntry":
-        path, version, author, op, ts = unpack_fields(data, expect=5)
-        return cls(
-            path=unpack_str(path),
-            version=unpack_int(version),
-            author=unpack_str(author),
-            op=op,
-            timestamp=unpack_int(ts),
-        )
+# What a log entry's digest covers: every field but the version.
+_DIGESTED = LogEntry.LAYOUT.view("path", "author", "op", "timestamp")
 
 
 # -- operations ---------------------------------------------------------------
@@ -524,15 +501,11 @@ class Profile:
         return lines
 
     def export_log(self) -> bytes:
-        return pack_fields(pack_str(self.owner), *[e.encode() for e in self.log])
+        return _EXPORT.pack((self.owner, self.log))
 
     @classmethod
     def import_log(cls, data: bytes) -> "Profile":
-        fields = unpack_fields(data)
-        if not fields:
-            raise MalformedRequest("empty profile export")
-        owner = unpack_str(fields[0])
-        return cls.replay(owner, [LogEntry.decode(f) for f in fields[1:]])
+        return cls.replay(*_EXPORT.unpack(data))
 
     @classmethod
     def canonical_decode(cls, text: bytes) -> "Profile":
@@ -617,12 +590,19 @@ def decode_vector(data: bytes) -> tuple[dict[str, int], dict[str, bytes]]:
     return vector, digests
 
 
+# A profile export: the owner, then every log entry.
+_EXPORT = Layout("profile_export", (STR, many(LogEntry)))
+
+# Log entries as one field: a pull's or a sync's batch.
+_ENTRIES = list_of(LogEntry, "entries")
+
+
 def encode_entries(entries: Iterable[LogEntry]) -> bytes:
-    return pack_fields(*[e.encode() for e in entries])
+    return _ENTRIES.encode(entries)
 
 
 def decode_entries(data: bytes) -> list[LogEntry]:
-    return [LogEntry.decode(f) for f in unpack_fields(data)]
+    return _ENTRIES.decode(data)
 
 
 # Message field type (wire.SCHEMA): sent from the profile it describes,

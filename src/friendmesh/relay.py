@@ -21,6 +21,8 @@ from .errors import MalformedRequest, PeerUnreachable, ProtocolError
 from .identity import Certificate
 from .wire import Frame
 
+KEEPALIVE_GRACE = 3  # ping intervals a relayed peer may stay silent before eviction
+
 
 @dataclass
 class RelaySession:
@@ -93,7 +95,7 @@ class RelayServer:
     def tick(self) -> None:
         """Evict sessions whose keepalives stopped; push a rendezvous update."""
         now = self.clock()
-        horizon = self.config.ping_interval_ms * self.config.keepalive_grace
+        horizon = self.config.ping_interval_ms * KEEPALIVE_GRACE
         for username in sorted(self.sessions):
             session = self.sessions[username]
             if now - session.last_alive > horizon:

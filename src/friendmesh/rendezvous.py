@@ -22,7 +22,7 @@ from .channel import Endpoint, SessionContext
 from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import MalformedRequest, ProtocolError
-from .identity import Certificate, SessionCipher, SignedDigest
+from .identity import Certificate, SessionCipher
 from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
 from .secure import enc_reply
@@ -256,9 +256,7 @@ class RendezvousSession:
     def handle_register_peer(self, ctx: SessionContext, cert: Certificate) -> Frame:
         if not identity.verify_certificate(cert, self.server.ca_public_key, self.server.ca_algorithm):
             return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
-        session_key = identity.generate_session_key(
-            self.server.config.session_key_type, rng=self.server.rng
-        )
+        session_key = identity.generate_session_key(rng=self.server.rng)
         self.peer_cert = cert
         self.cipher = SessionCipher(session_key, direction=1)
         sealed = identity.seal(cert.public_key, session_key.encode(), cert.algorithm_id)
@@ -277,10 +275,8 @@ class RendezvousSession:
 
     def handle_registration_payload(self, ctx: SessionContext, *values) -> Frame:
         server = self.server
-        *head, digest, signature = values  # the record's own fields (wire.REGISTRATION_PAYLOAD)
-        record = RegistrationRecord(
-            self.peer_cert.username, *head, SignedDigest(digest, signature), server.clock()
-        )
+        # values: the record's fields less username and last_refresh (wire.REGISTRATION_PAYLOAD)
+        record = RegistrationRecord(self.peer_cert.username, *values, server.clock())
         if record.nat_kind not in WIRE_NAT_KINDS:
             return enc_reply(wire.PEER_REGISTERED, self.cipher, "malformed_request")
         row = PeerRow(
@@ -377,8 +373,8 @@ class RendezvousSession:
         server.on_event("chord_lookup", node=server.addr, hops=result.hops)
         return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops, msg_type=wire.CHORD_REPLY)
 
-    def handle_complaint(self, ctx: SessionContext, *values) -> Frame:
-        self.server.handle_complaint(Complaint(*values))
+    def handle_complaint(self, ctx: SessionContext, complaint: Complaint) -> Frame:
+        self.server.handle_complaint(complaint)
         # Invalid complaints are dropped without telling the sender why.
         return wire.reply(wire.COMPLAINT)
 

@@ -5,8 +5,6 @@ secure ones establish the certificate/session-key prelude first.
 """
 from __future__ import annotations
 
-from dataclasses import astuple
-
 from . import identity, wire
 from .channel import Channel
 from .errors import ProtocolError
@@ -26,8 +24,8 @@ def register_peer(
     client: SecureClient, record: RegistrationRecord
 ) -> list[FriendshipRequestRecord]:
     """Submit the signed registration payload; returns pending friendship requests."""
-    _, *head, signed, _ = astuple(record)  # the record's own fields (wire.REGISTRATION_PAYLOAD)
-    (pending,) = client.call(wire.REGISTRATION_PAYLOAD, *head, *signed)
+    fields = RegistrationRecord.LAYOUT.values(record)[1:-1]  # less username and last_refresh
+    (pending,) = client.call(wire.REGISTRATION_PAYLOAD, *fields)
     return pending
 
 
@@ -47,9 +45,13 @@ def submit_passphrase_blob(client: SecureClient, sealed_blob: bytes) -> None:
     client.call(wire.PASSPHRASE_BLOB, sealed_blob)
 
 
+# Inside a sealed friendship request: the requester's username and passphrase.
+_REQUEST_BLOB = wire.Layout("request_blob", (wire.STR, wire.STR))
+
+
 def seal_request_blob(target_cert: Certificate, requester_username: str, passphrase: str) -> bytes:
     """Bind the requester's name inside the sealed blob so nobody can reuse it."""
-    body = wire.pack_fields(wire.pack_str(requester_username), wire.pack_str(passphrase))
+    body = _REQUEST_BLOB.pack((requester_username, passphrase))
     return identity.seal(target_cert.public_key, body, target_cert.algorithm_id)
 
 
@@ -59,7 +61,7 @@ def open_request_blob(
     """Open a delivered request; None when it fails to open or was re-used."""
     try:
         body = identity.open_sealed(keys.private_key, request.sealed_passphrase, keys.algorithm_id)
-        name, passphrase = map(wire.unpack_str, wire.unpack_fields(body, expect=2))
+        name, passphrase = _REQUEST_BLOB.unpack(body)
     except ProtocolError:
         return None
     if name != request.requester_username:

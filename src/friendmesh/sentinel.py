@@ -9,15 +9,15 @@ registrants have signed complaints against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
-from . import identity, wire
+from . import identity
 from .chord import DualId
 from .errors import PeerUnreachable
 from .identity import Certificate
 from .records import RegistrationRecord, verify_registration_record
-from .wire import pack_fields, pack_int, pack_str
+from .wire import INT, RAW, STR, record
 
 OK = "ok"
 STORAGE_ATTACK = "storage_attack"
@@ -149,6 +149,7 @@ def verify_registration_targets(
 # ---------------------------------------------------------------------------
 
 
+@record(STR, STR, INT, RAW, RAW)  # also the COMPLAINT request
 @dataclass(frozen=True)
 class Complaint:
     accused: str  # rendezvous node address
@@ -158,33 +159,17 @@ class Complaint:
     certificate: bytes  # complainant's certificate
 
     def signed_bytes(self) -> bytes:
-        return pack_fields(pack_str(self.accused), pack_str(self.complainant), pack_int(self.timestamp))
+        return _COMPLAINT_SIGNED.encode(self)
 
-    # A complaint travels as the COMPLAINT request: its fields, in order.
-    def encode(self) -> bytes:
-        return wire.encode(
-            wire.COMPLAINT,
-            self.accused,
-            self.complainant,
-            self.timestamp,
-            self.signature,
-            self.certificate,
-        )
 
-    @classmethod
-    def decode(cls, data: bytes) -> "Complaint":
-        return cls(*wire.decode(wire.COMPLAINT, data))
+# What the complainant's signature covers.
+_COMPLAINT_SIGNED = Complaint.LAYOUT.view("accused", "complainant", "timestamp")
 
 
 def make_complaint(accused: str, cert: Certificate, private_key: bytes, now: int) -> Complaint:
-    body = pack_fields(pack_str(accused), pack_str(cert.username), pack_int(now))
-    return Complaint(
-        accused=accused,
-        complainant=cert.username,
-        timestamp=now,
-        signature=identity.sign(private_key, body, cert.algorithm_id),
-        certificate=cert.encode(),
-    )
+    unsigned = Complaint(accused, cert.username, now, b"", cert.encode())
+    signature = identity.sign(private_key, unsigned.signed_bytes(), cert.algorithm_id)
+    return replace(unsigned, signature=signature)
 
 
 def verify_complaint(

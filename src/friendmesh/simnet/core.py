@@ -109,9 +109,6 @@ class SimNet:
     def now_ms(self) -> int:
         return self.now
 
-    def schedule(self, delay_ms: int, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay_ms, fn)
-
     def schedule_at(self, t: int, fn: Callable[[], None]) -> None:
         heapq.heappush(self._events, (t, self._seq, fn))
         self._seq += 1
@@ -241,7 +238,7 @@ class SimEndpoint:
 class SimStunProbes:
     """Probe surface backed by the host's assigned NAT behavior."""
 
-    def __init__(self, host: SimHost, server_addrs: tuple[str, str] | None = None):
+    def __init__(self, host: SimHost):
         self.host = host
         self._symmetric_ports: dict[int, int] = {}
         self._next_port = 40000

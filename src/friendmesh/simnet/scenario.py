@@ -504,16 +504,3 @@ class Scenario:
 
 def run_scenario(config: SimConfig) -> tuple[Metrics, str]:
     return Scenario(config).run()
-
-
-def inject_partition(scenario: Scenario, node_set, t_start: int, t_end: int) -> None:
-    """Partition with times relative to workload start."""
-    scenario.sim.inject_partition(
-        [scenario._node_addr(n) for n in node_set],
-        scenario.workload_start + t_start,
-        scenario.workload_start + t_end,
-    )
-
-
-def spawn_adversary(scenario: Scenario, script: AdversaryScript) -> None:
-    scenario.spawn_adversary(script)

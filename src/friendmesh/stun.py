@@ -12,9 +12,12 @@ import threading
 
 from . import wire
 from .config import StunConfig
-from .wire import Frame
+from .errors import ProtocolError
+from .wire import FLAG, INT, STR, Frame, Layout
 
 STUN_BIND = 39  # extension code: binding request/response
+_REQUEST = Layout("stun_request", (FLAG, FLAG))  # change address, change port
+_REPLY = Layout("stun_reply", (STR, INT))  # the endpoint the server saw
 
 
 class StunServer:
@@ -56,20 +59,13 @@ class StunServer:
                 break
             try:
                 frame = wire.decode_frame(data)
-                change_addr, change_port = wire.unpack_fields(frame.payload, expect=2)
-            except Exception:
+                change_addr, change_port = _REQUEST.unpack(frame.payload)
+            except ProtocolError:
                 continue
             if frame.msg_type != STUN_BIND:
                 continue
-            reply_key = (
-                addr_index ^ (1 if change_addr == b"1" else 0),
-                port_index ^ (1 if change_port == b"1" else 0),
-            )
-            reply_sock = self._socks.get(reply_key, sock)
-            reply = Frame(
-                STUN_BIND,
-                wire.pack_fields(wire.pack_str(peer[0]), wire.pack_int(peer[1])),
-            )
+            reply_sock = self._socks.get((addr_index ^ change_addr, port_index ^ change_port), sock)
+            reply = Frame(STUN_BIND, _REPLY.pack(peer))
             try:
                 reply_sock.sendto(reply.encode(), peer)
             except OSError:
@@ -100,19 +96,12 @@ class StunClient:
         return (host, port)
 
     def probe(self, server: int = 0, change_address: bool = False, change_port: bool = False):
-        request = Frame(
-            STUN_BIND,
-            wire.pack_fields(
-                b"1" if change_address else b"0", b"1" if change_port else b"0"
-            ),
-        )
+        request = Frame(STUN_BIND, _REQUEST.pack((change_address, change_port)))
         try:
             self._sock.sendto(request.encode(), self.servers[server])
             data, _ = self._sock.recvfrom(2048)
-            frame = wire.decode_frame(data)
-            ip_b, port_b = wire.unpack_fields(frame.payload, expect=2)
-            return (wire.unpack_str(ip_b), wire.unpack_int(port_b))
-        except (socket.timeout, OSError):
+            return tuple(_REPLY.unpack(wire.decode_frame(data).payload))
+        except (OSError, ProtocolError):  # timeout, or a reply that is not one
             return None
 
     def close(self) -> None:

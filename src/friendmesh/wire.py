@@ -11,27 +11,41 @@ big-endian length; integers travel as ASCII decimal, addresses as
 "host:port" strings. Replies put a status field first: b"ok" or an error
 code from errors.py.
 
-The schema at the end of this module declares every layout once: each
-message code (1-21 the public protocol, 32-38 ring and bridging plumbing)
-and each peer app kind (the plaintext inside APP_DATA) with the typed
-fields of its request and of its reply after the status field (after the
-kind, for an app reply). A field type has encode(value) -> bytes and
+The schema at the end of this module declares every message layout once:
+each message code (1-21 the public protocol, 32-38 ring and bridging
+plumbing) and each peer app kind (the plaintext inside APP_DATA) with the
+typed fields of its request and of its reply after the status field (after
+the kind, for an app reply). A field type has encode(value) -> bytes and
 decode(bytes) -> value: STR, INT (strict decimal), IDENT (hexadecimal),
-RAW, FLAG, a record class or a record codec. The last type of a layout may
-be many(T): zero or more T fields, carried as one list value. A layout of
-None is a payload the schema does not read: ciphertext, a request served
-whatever it carries, or a code that only names a reply.
+RAW, FLAG, a record class, list_of(T) (one field holding zero or more T
+fields) or another codec. The last type of a layout may be many(T): zero
+or more T fields, carried as one list value. A layout of None is a payload
+the schema does not read: ciphertext, a request served whatever it
+carries, or a code that only names a reply.
 
-decode() is the one decoder. It checks the field count and every field's
-type and raises MalformedRequest on any mismatch, never IndexError or
-ValueError, so a server answers a hostile request with a coded error and
-a client meets a hostile reply as a ProtocolError.
+Records (certificates, registration rows, complaints, log entries, ...)
+declare their layout once too, with @record(field types) over their
+dataclass fields in order. The class gets LAYOUT, encode() and decode()
+from that one declaration and is itself a field type. Layouts that are not
+classes (a sealed blob, a certificate request) are Layout objects. A
+layout's spread(R) stands for record R's fields, in place and flat on the
+wire, and reads back as one R value: a RegistrationRecord carries its
+SignedDigest this way. A view of a record's layout packs some of its fields,
+for example what a signature or a digest covers.
+
+Layout.unpack is the one loop that reads fields, for messages and records
+alike; decode() reads a message through it. It checks the field count and
+every field's type and raises MalformedRequest on any mismatch, never
+IndexError or ValueError, so a server answers a hostile request with a
+coded error and a client meets a hostile reply as a ProtocolError.
 """
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .errors import MalformedRequest, ProtocolError, error_for_code
@@ -43,7 +57,7 @@ _HEADER = struct.Struct(">IB")
 _LENGTH = struct.Struct(">H")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     msg_type: int
     payload: bytes = b""
@@ -181,7 +195,7 @@ def open_reply(frame: Frame, key: int | str | None = None) -> list[bytes] | tupl
     raise error_for_code(status.decode("ascii", "replace"), message)
 
 
-# -- the message schema ---------------------------------------------------------
+# -- layouts ------------------------------------------------------------------
 
 
 class Field(NamedTuple):
@@ -208,25 +222,166 @@ class many(NamedTuple):
     type: Any
 
 
+class spread(NamedTuple):
+    """A record type whose own fields stand in place, read back as one value."""
+
+    type: Any
+
+
+class Layout:
+    """One declared field sequence, and the one loop that packs and reads it.
+
+    fields: field types in order. The last may be many(T); spread(R) stands
+    for record type R's fields. A record's layout (or a view of it) also
+    holds the attribute names its values come from.
+    """
+
+    __slots__ = ("name", "fields", "types", "tail", "names", "values", "_spreads")
+
+    def __init__(self, name: str, fields: tuple, names: tuple | None = None):
+        self.name = name
+        self.fields = fields = tuple(fields)
+        self.tail = None
+        if fields and isinstance(fields[-1], many):
+            fields, self.tail = fields[:-1], fields[-1].type
+        types: list = []
+        spreads = []  # (value index, record type, field count)
+        for i, t in enumerate(fields):
+            if isinstance(t, spread):
+                inner = t.type.LAYOUT
+                if inner.tail is not None or inner._spreads:
+                    raise TypeError(f"{name}: only a flat record spreads")
+                spreads.append((i, t.type, len(inner.types)))
+                types.extend(inner.types)
+            else:
+                types.append(t)
+        self.types = tuple(types)  # one per field, spreads expanded
+        self._spreads = tuple(spreads)
+        self.names = names
+        self.values = attrgetter(*names) if names else None  # record -> its values, in order
+
+    def view(self, *names: str) -> "Layout":
+        """The layout of some of this record's fields, in the order named."""
+        by_name = dict(zip(self.names, self.fields))
+        return Layout(f"{self.name}({', '.join(names)})", [by_name[n] for n in names], names)
+
+    def encode(self, obj) -> bytes:
+        """A record's named fields, packed."""
+        return self.pack(self.values(obj))
+
+    def pack(self, values) -> bytes:
+        """The packed fields carrying values, in order; a variadic tail is
+        passed as one iterable and a spread record as one value."""
+        if len(values) != len(self.fields):
+            raise TypeError(f"{self.name} takes {len(self.fields)} values, got {len(values)}")
+        if self._spreads:
+            values = list(values)
+            for i, cls, _ in reversed(self._spreads):
+                values[i:i + 1] = cls.LAYOUT.values(values[i])
+        pairs = zip(self.types, values)
+        if self.tail is not None:
+            pairs = chain(pairs, zip(repeat(self.tail), values[-1]))
+        parts = []
+        try:
+            for t, value in pairs:
+                field = t.encode(value)
+                parts.append(_LENGTH.pack(len(field)))
+                parts.append(field)
+        except struct.error as exc:  # longer than MAX_FIELD
+            raise MalformedRequest(f"{self.name}: field exceeds 65535 bytes") from exc
+        return b"".join(parts)
+
+    def unpack(self, data: bytes, pos: int = 0) -> list:
+        """The values read from data[pos:]; MalformedRequest unless the
+        fields there are exactly this layout's."""
+        values = []
+        n = len(data)
+        try:
+            for t in self.types:  # read_field, inlined: this loop runs for every field
+                end = pos + 2 + (data[pos] << 8 | data[pos + 1])  # IndexError: no field left
+                if end > n:
+                    raise MalformedRequest(f"{self.name}: truncated field")
+                values.append(t.decode(data[pos + 2:end]))
+                pos = end
+            if self.tail is not None:
+                tail, rest = self.tail, []
+                while pos < n:
+                    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+                    if end > n:
+                        raise MalformedRequest(f"{self.name}: truncated field")
+                    rest.append(tail.decode(data[pos + 2:end]))
+                    pos = end
+                values.append(rest)
+        except (ValueError, IndexError) as exc:  # too few fields, or a decoder's slip
+            raise MalformedRequest(f"{self.name}: {len(self.types)} fields expected") from exc
+        if pos != n:
+            raise MalformedRequest(f"{self.name}: more than {len(self.types)} fields")
+        for i, cls, count in self._spreads:
+            values[i:i + count] = [cls(*values[i:i + count])]
+        return values
+
+
+def record(*fields):
+    """Class decorator: a dataclass's init fields travel, in order, as fields.
+
+    Gives the class its LAYOUT, encode() and the classmethod decode(data),
+    so the class itself is a field type.
+    """
+
+    def declare(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+        if len(names) != len(fields):
+            raise TypeError(f"{cls.__name__}: {len(names)} fields, {len(fields)} types")
+        layout = cls.LAYOUT = Layout(cls.__name__, fields, names)
+
+        def encode(self) -> bytes:
+            return layout.pack(layout.values(self))
+
+        def decode(cls, data: bytes):
+            return cls(*layout.unpack(data))
+
+        cls.encode = encode
+        cls.decode = classmethod(decode)
+        return cls
+
+    return declare
+
+
+def list_of(t, name: str) -> Field:
+    """A field type: one field holding zero or more t fields, as a list."""
+    layout = Layout(name, (many(t),))
+
+    def encode(items) -> bytes:
+        return layout.pack((items,))
+
+    def decode(data: bytes) -> list:
+        return layout.unpack(data)[0]
+
+    return Field(encode, decode)
+
+
+# -- the message schema ---------------------------------------------------------
+
+
 class Message(NamedTuple):
     name: str
-    request: tuple | None  # (field types, tail type or None); None: not read
-    reply: tuple | None
+    request: Layout | None  # None: not read
+    reply: Layout | None
     reply_kind: str  # app kinds: the kind an ok reply carries
 
 
 SCHEMA: dict[int | str, Message] = {}
-
-
-def _layout(types: tuple | None) -> tuple | None:
-    if types and isinstance(types[-1], many):
-        return types[:-1], types[-1].type
-    return None if types is None else (types, None)
+_NOTHING = Layout("nothing", ())
 
 
 def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None,
             reply_kind: str = "ok") -> int | str:
-    SCHEMA[key] = Message(name, _layout(request), _layout(reply), reply_kind)
+    SCHEMA[key] = Message(
+        name,
+        None if request is None else Layout(name, request),
+        None if reply is None else Layout(name, reply),
+        reply_kind,
+    )
     return key
 
 
@@ -238,21 +393,7 @@ def encode(key: int | str, *values: Any, reply: bool = False) -> bytes:
     """The packed fields of key's request (or reply) carrying values, in
     order; a variadic tail is passed as one iterable."""
     message = SCHEMA[key]
-    types, tail = (message.reply if reply else message.request) or ((), None)
-    if len(values) != len(types) + (tail is not None):
-        raise TypeError(f"{message.name} takes {len(types)} values, got {len(values)}")
-    pairs = zip(types, values)
-    if tail is not None:
-        pairs = chain(pairs, zip(repeat(tail), values[-1]))
-    parts = []
-    try:
-        for t, value in pairs:
-            field = t.encode(value)
-            parts.append(_LENGTH.pack(len(field)))
-            parts.append(field)
-    except struct.error as exc:  # longer than MAX_FIELD
-        raise MalformedRequest(f"{message.name}: field exceeds 65535 bytes") from exc
-    return b"".join(parts)
+    return ((message.reply if reply else message.request) or _NOTHING).pack(values)
 
 
 def decode(key: int | str, data: bytes, pos: int = 0, reply: bool = False) -> tuple:
@@ -261,29 +402,7 @@ def decode(key: int | str, data: bytes, pos: int = 0, reply: bool = False) -> tu
     if message is None:
         raise MalformedRequest(f"unknown message {key!r}")
     layout = message.reply if reply else message.request
-    if layout is None:
-        return ()
-    types, tail = layout
-    values = []
-    n = len(data)
-    try:
-        for t in types:  # read_field, inlined: this loop runs for every message
-            end = pos + 2 + (data[pos] << 8 | data[pos + 1])  # IndexError: no field left
-            if end > n:
-                raise MalformedRequest(f"{message.name}: truncated field")
-            values.append(t.decode(data[pos + 2:end]))
-            pos = end
-        if tail is not None:
-            rest = []
-            while pos < n:
-                field, pos = read_field(data, pos)
-                rest.append(tail.decode(field))
-            values.append(rest)
-    except (ValueError, IndexError) as exc:  # too few fields, or a record decoder's slip
-        raise MalformedRequest(f"{message.name}: {len(types)} fields expected") from exc
-    if pos != n:
-        raise MalformedRequest(f"{message.name}: more than {len(types)} fields")
-    return tuple(values)
+    return () if layout is None else tuple(layout.unpack(data, pos))
 
 
 def call(channel, code: int, *values: Any, expect: int | None = None) -> tuple:
@@ -307,6 +426,7 @@ def reply(code: int, *values: Any, msg_type: int | None = None) -> Frame:
 from .identity import Certificate  # noqa: E402
 from .profile import VECTOR  # noqa: E402
 from .records import MIRROR_TABLE, RING_ROW, FriendshipRequestRecord, RegistrationRecord  # noqa: E402
+from .sentinel import Complaint  # noqa: E402
 
 # Each line: code = (code, name, request fields, reply fields after "ok").
 # A comment names the fields; "(as X)" is the reply's frame code when it
@@ -323,10 +443,10 @@ SERVER_IS_ALIVE = _define(8, "server_is_alive", (RAW,), ())  # token
 REGISTER_PEER = _define(9, "register_peer", (Certificate,), (RAW,))
 SESSION_KEY = _define(10, "session_key", (RAW,), ())  # signed-then-sealed session key (peer)
 # sealed: the RegistrationRecord's fields in order, less username and
-# last_refresh, with the signed digest as two fields -> pending requests (as 12)
+# last_refresh (the signed digest spread as two) -> pending requests (as 12)
 REGISTRATION_PAYLOAD = _define(
     11, "registration_payload",
-    (STR, INT, STR, STR, STR, INT, STR, RAW, RAW, RAW), (many(FriendshipRequestRecord),),
+    RegistrationRecord.LAYOUT.fields[1:-1], (many(FriendshipRequestRecord),),
 )
 PEER_REGISTERED = _define(12, "peer_registered", None, None)
 # sealed: passphrase -> record, owner certificate (as 14)
@@ -337,8 +457,7 @@ CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))  # sealed certificate req
 PASSPHRASE_BLOB = _define(17, "passphrase_blob", (RAW,), ())  # sealed: blob for the last target
 CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT))  # -> successor, hops (as 19)
 CHORD_REPLY = _define(19, "chord_reply", None, None)
-# accused, complainant, timestamp, signature, complainant certificate
-COMPLAINT = _define(20, "complaint", (STR, STR, INT, RAW, RAW), ())
+COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint's fields
 APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app body
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
 RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR))  # -> closest preceding, successor

@@ -1,12 +1,15 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from friendmesh import cli, identity
 from friendmesh.caservice import CAService
 from friendmesh.config import RendezvousConfig
+from friendmesh.errors import ProtocolError
 from friendmesh.netio import TcpServer
+from friendmesh.peer import Peer
 from friendmesh.rendezvous import RendezvousServer
 from friendmesh.simnet import cli as sim_cli
 
@@ -122,3 +125,36 @@ def test_profile_cli_local_post_and_read(tmp_path, capsys, live_servers):
     assert "version 1" in capsys.readouterr().out
     assert cli.main(["profile", "read", *common]) == 0
     assert "share_board/p1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["rendezvous", "peer"])
+def test_cli_servers_run_their_upkeep(tmp_path, monkeypatch, command):
+    # The serving loop calls tick() once per period, and a ProtocolError
+    # from one tick does not stop the next.
+    ca_key = str(tmp_path / "ca.key")
+    identity.save_keypair(identity.generate_keypair("ec-p256"), ca_key)
+    service = RendezvousServer if command == "rendezvous" else Peer
+    ticks = []
+
+    def failing_tick(self):
+        ticks.append(self)
+        raise ProtocolError("unreachable")
+
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) > 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(service, "tick", failing_tick)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=sleep))
+    if command == "rendezvous":
+        argv = ["rendezvous", "--port", "0", "--db", str(tmp_path / "rv.sqlite"),
+                "--ca-cert", ca_key, "--ring"]
+    else:
+        argv = ["peer", "serve", "--username", "erin", "--state", str(tmp_path / "erin.json"),
+                "--ca-cert", ca_key, "--port", "0"]
+    assert cli.main(argv) == 0
+    assert len(ticks) == 2
+    assert sleeps == [2.0, 2.0, 2.0]  # stabilization period; an unrelayed peer's 2 s

@@ -2,6 +2,7 @@
 real TCP and UDP carriers."""
 import random
 import socket
+import threading
 
 import pytest
 
@@ -9,6 +10,7 @@ from friendmesh import identity, secure, wire
 from friendmesh.caservice import CAService
 from friendmesh.channel import FuncService
 from friendmesh.config import PeerConfig, RelayConfig, RendezvousConfig, StunConfig
+from friendmesh.errors import NetworkUnreachable
 from friendmesh.nat import NatType, stun_classify
 from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpEndpoint, TcpServer
 from friendmesh.peer import Peer
@@ -80,6 +82,41 @@ def test_stun_loopback_classifies_public():
         client.close()
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("garbage", [
+    pytest.param(b"not a frame", id="not-a-frame"),
+    pytest.param(Frame(39, wire.pack_fields(b"127.0.0.1")).encode(), id="one-field"),
+    pytest.param(Frame(39, wire.pack_fields(b"127.0.0.1", b"port")).encode(), id="bad-port"),
+])
+def test_stun_client_survives_garbled_reply(garbage):
+    # A reply that is not a binding reply counts as no reply: probe returns
+    # None (the StunProbes contract) and classification fails with a coded error.
+    server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    server.bind(("127.0.0.1", 0))
+    server.settimeout(0.1)
+    stop = threading.Event()
+
+    def answer():
+        while not stop.is_set():
+            try:
+                _, peer = server.recvfrom(2048)
+            except socket.timeout:
+                continue
+            server.sendto(garbage, peer)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    client = StunClient(server.getsockname(), server.getsockname(), timeout_s=2)
+    try:
+        assert client.probe(0) is None
+        with pytest.raises(NetworkUnreachable):
+            stun_classify(client)
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        client.close()
+        server.close()
 
 
 @pytest.fixture()

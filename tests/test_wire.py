@@ -1,8 +1,14 @@
-import pytest
-from hypothesis import given, strategies as st
+import os
 
-from friendmesh import wire
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from friendmesh import identity, profile, records, rvclient, sentinel, stun, wire
 from friendmesh.errors import MalformedRequest, NotFound
+from friendmesh.identity import Certificate, KeyPair, SessionKey, SignedDigest
+from friendmesh.profile import LogEntry
+from friendmesh.records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord
+from friendmesh.sentinel import Complaint
 
 
 @given(st.integers(min_value=0, max_value=255), st.binary(max_size=4096))
@@ -67,3 +73,247 @@ def test_reply_status_convention():
     err = wire.err_reply(wire.PEER_INFO, "not_found", "no such passphrase")
     with pytest.raises(NotFound):
         wire.open_reply(err)
+
+
+# -- record layouts ------------------------------------------------------------------
+#
+# GOLDEN holds the bytes of one fixed instance of every record layout, as the
+# hand-written encoders produced them before the layouts were declared.
+
+RECORDS = [
+    Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
+    FriendshipRequestRecord, Complaint, LogEntry,
+]
+LAYOUTS = [cls.LAYOUT for cls in RECORDS] + [
+    identity._CERT_SIGNED, identity._SEALED, identity._SIGNED_KEY, identity._CERT_REQUEST,
+    identity._CERT_REQUEST_BODY, records._CANONICAL, records._RING_ROW, sentinel._COMPLAINT_SIGNED,
+    profile._DIGESTED, profile._EXPORT, rvclient._REQUEST_BLOB,
+    stun._REQUEST, stun._REPLY,
+]
+FIELDS = [records.RING_ROW, records.MIRROR_TABLE, profile._ENTRIES]
+
+GOLDEN = {
+    'signed_digest': '0004010101010003736967',
+    'registration_record': (
+        '0005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e65000375647000'
+        '0831302e302e302e39000437333030000670687261736500076d6972726f72730004010101010003'
+        '736967000431323334'
+    ),
+    'canonical_payload': (
+        '000831302e302e302e310004373530300003756470000831302e302e302e39000437333030000670'
+        '687261736500076d6972726f7273'
+    ),
+    'peer_row': (
+        '00590005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e6500037564'
+        '70000831302e302e302e39000437333030000670687261736500076d6972726f7273000401010101'
+        '00037369670004313233340004636572740003616263000131'
+    ),
+    'ring_row': (
+        '0003616263006900590005616c696365000831302e302e302e31000437353030000966756c6c5f63'
+        '6f6e650003756470000831302e302e302e39000437333030000670687261736500076d6972726f72'
+        '7300040101010100037369670004313233340004636572740003616263000131000131'
+    ),
+    'mirror_entry': '0003626f62000a626f622d706872617365',
+    'mirror_table': '00090003626f6200027031000b00056361726f6c00027032',
+    'friendship_request': '00056361726f6c0005616c6963650004626c6f62',
+    'certificate': '0005616c696365000350554200026361000765632d703235360003534947',
+    'certificate_signed': '0005616c696365000350554200026361000765632d70323536',
+    'session_key': '00106b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b000b6165732d3132382d67636d',
+    'complaint': (
+        '000d31302e302e302e323a373230300005616c6963650002393900046373696700056363657274'
+    ),
+    'complaint_signed': '000d31302e302e302e323a373230300005616c69636500023939',
+    'log_entry': '000b73686172655f626f6172640001330005616c69636500026f7000023737',
+    'log_entry_digest': '6f6ab2282ba6935bc54030a6895085bcf7dbf3c72d93d35af08eb38602ef223b',
+    'entries': (
+        '001f000b73686172655f626f6172640001330005616c69636500026f700002373700140004696e66'
+        '6f0001310003626f62000000022d35'
+    ),
+    'export_log': (
+        '0005616c696365001f0004696e666f0001310005616c696365000900037365740002686900023130'
+        '0029000b73686172655f626f6172640001310005616c696365000c00036164640002703100017800'
+        '023131'
+    ),
+    'seal': (
+        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
+        '020202020202020202020202001463b7bd2888de28273466cf0f6b9473e852bf1539'
+    ),
+    'session_key_blob': (
+        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
+        '020202020202020202020202003807c9c959213caa96b8a7d7a337cca9d9c9deba84ebbaec14aeaa'
+        'd1c940d6131c1a7f1b64eeef5a5b7142b4d153963cf415ae26773a449fc5'
+    ),
+    'cert_request': (
+        '005d0026574341505542010101010101010101010101010101010101010101010101010101010101'
+        '0101000c020202020202020202020202002507d3a8252334a4fdd09ce98a5ca0a7d18fc5e3dadda7'
+        '48fa19830160f3daa1b469fa6d8dfc000232310020916fc69f7d89857d861e2a15849fcec8a8368d'
+        '4b0d9d04f664da5324ebf64740'
+    ),
+    'passphrase_blob': (
+        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
+        '020202020202020202020202001f07d3a8252334a4fdd5bcd4ba3dd4a70352213d115025883e4b7d'
+        'd9234c8b43'
+    ),
+    'key_file': '0003505542000450524956000765632d70323536',
+    'issued_certificate': '0005616c696365000350554200026361000765632d70323536000553d7a607d6',
+    'complaint_made': (
+        '000d31302e302e302e323a373230300005616c69636500023939000553568ef211001e0005616c69'
+        '6365000350554200026361000765632d703235360003534947'
+    ),
+    'registration_made': (
+        '0005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e65000375647000'
+        '00000130000670687261736500016d00209974ed8b9e307cdb99f2eb63d88dc7713abd720d6bafd5'
+        'c9d94f9dd727e56bca000553ccab9913000130'
+    ),
+    'stun_request': '000131000130',
+    'stun_reply': '00093132372e302e302e31000437343030',
+}
+
+
+@pytest.fixture()
+def fixed_crypto(monkeypatch):
+    """Seal and sign without randomness, so sealed and signed layouts have fixed bytes."""
+    counter = [0]
+
+    def urandom(n):
+        counter[0] += 1
+        return bytes([counter[0]]) * n
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    monkeypatch.setattr(identity._EcAlgo, "wrap_key", lambda self, pub, key: b"W" + pub + key)
+    monkeypatch.setattr(
+        identity, "sign",
+        lambda priv, data, algorithm_id="ec-p256": b"S" + identity.sha256(priv + data)[:4],
+    )
+    return counter
+
+
+def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
+    sd = SignedDigest(b"\x01" * 4, b"sig")
+    rec = RegistrationRecord("alice", "10.0.0.1", 7500, "full_cone", "udp", "10.0.0.9", 7300,
+                             "phrase", b"mirrors", sd, last_refresh=1234)
+    row = PeerRow(rec, b"cert", ring_id=0xABC, replica=True)
+    cert = Certificate("alice", b"PUB", "ca", "ec-p256", b"SIG")
+    complaint = Complaint("10.0.0.2:7200", "alice", 99, b"csig", b"ccert")
+    e1 = LogEntry("share_board", 3, "alice", b"op", 77)
+    e2 = LogEntry("info", 1, "bob", b"", -5)
+    p = profile.Profile("alice")
+    p.apply_update("alice", "info", profile.op_set(b"hi"), timestamp=10)
+    p.apply_update("alice", "share_board", profile.op_add("p1", b"x"), timestamp=11)
+    out = {
+        "signed_digest": sd.encode(),
+        "registration_record": rec.encode(),
+        "canonical_payload": rec.canonical_payload(),
+        "peer_row": row.encode(),
+        "ring_row": records.RING_ROW.encode(row),
+        "mirror_entry": MirrorEntry("bob", "bob-phrase").encode(),
+        "mirror_table": records.MIRROR_TABLE.encode([MirrorEntry("bob", "p1"),
+                                                     MirrorEntry("carol", "p2")]),
+        "friendship_request": FriendshipRequestRecord("carol", "alice", b"blob").encode(),
+        "certificate": cert.encode(),
+        "certificate_signed": cert.signed_bytes(),
+        "session_key": SessionKey(b"k" * 16).encode(),
+        "complaint": complaint.encode(),
+        "complaint_signed": complaint.signed_bytes(),
+        "log_entry": e1.encode(),
+        "log_entry_digest": e1.digest(),
+        "entries": profile.encode_entries([e1, e2]),
+        "export_log": p.export_log(),
+    }
+    for name, make in [
+        ("seal", lambda: identity.seal(b"PUB", b"data")),
+        ("session_key_blob", lambda: identity.seal_session_key(SessionKey(b"k" * 16), b"PUB", b"PRIV")),
+        ("cert_request", lambda: identity.build_cert_request("alice", b"PUB", "ec-p256", b"CAPUB",
+                                                             "ec-p256")),
+        ("passphrase_blob", lambda: rvclient.seal_request_blob(cert, "alice", "phrase")),
+    ]:
+        counter[0] = 0
+        out[name] = make()
+    path = str(tmp_path / "key")
+    identity.save_keypair(KeyPair(b"PUB", b"PRIV", "ec-p256"), path)
+    with open(path, "rb") as fh:
+        out["key_file"] = fh.read()
+    ca = identity.CAState("ca", KeyPair(b"CAPUB", b"CAPRIV", "ec-p256"))
+    out["issued_certificate"] = ca.issue("alice", b"PUB", "ec-p256").encode()
+    out["complaint_made"] = sentinel.make_complaint("10.0.0.2:7200", cert, b"PRIV", 99).encode()
+    out["registration_made"] = records.make_registration_record(
+        "alice", "10.0.0.1", 7500, "full_cone", "udp", "", 0, "phrase", b"m", b"PRIV", "ec-p256"
+    ).encode()
+    out["stun_request"] = stun._REQUEST.pack((True, False))
+    out["stun_reply"] = stun._REPLY.pack(("127.0.0.1", 7400))
+    return out
+
+
+def test_record_bytes_are_pinned(fixed_crypto, tmp_path):
+    got = {name: data.hex() for name, data in fixed_instances(fixed_crypto, tmp_path).items()}
+    assert got == GOLDEN
+
+
+def value_of(t):
+    """A strategy for values of field type t."""
+    if isinstance(t, wire.many):
+        return st.lists(value_of(t.type), max_size=3)
+    if isinstance(t, wire.spread):
+        return value_of(t.type)
+    if isinstance(t, type):  # a record
+        return st.builds(t, *[value_of(f) for f in t.LAYOUT.fields])
+    if t is records.RING_ROW:
+        return value_of(PeerRow)
+    if t is records.MIRROR_TABLE:
+        return st.lists(value_of(MirrorEntry), max_size=3)
+    if t is profile._ENTRIES:
+        return st.lists(value_of(LogEntry), max_size=3)
+    return {
+        wire.STR: st.text(max_size=12),
+        wire.INT: st.integers(-(2**64), 2**64),
+        wire.IDENT: st.integers(0, 2**160),
+        wire.RAW: st.binary(max_size=24),
+        wire.FLAG: st.booleans(),
+    }[t]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda layout: layout.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layout_roundtrip(layout, data):
+    values = data.draw(st.tuples(*[value_of(t) for t in layout.fields]))
+    assert tuple(layout.unpack(layout.pack(values))) == values
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_record_roundtrip(cls, data):
+    value = data.draw(value_of(cls))
+    assert cls.decode(value.encode()) == value
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["ring_row", "mirror_table", "entries"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_record_field_roundtrip(field, data):
+    value = data.draw(value_of(field))
+    assert field.decode(field.encode(value)) == value
+
+
+DECODERS = (
+    [cls.decode for cls in RECORDS]
+    + [layout.unpack for layout in LAYOUTS]
+    + [field.decode for field in FIELDS]
+    + [profile.decode_entries]
+)
+# Arbitrary bytes, and well-framed fields of arbitrary content.
+HOSTILE = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.binary(max_size=24), max_size=14).map(lambda fields: wire.pack_fields(*fields)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=HOSTILE)
+def test_record_decoders_raise_only_malformed_request(data):
+    for decode in DECODERS:
+        try:
+            decode(data)
+        except MalformedRequest:
+            pass
