@@ -13,11 +13,21 @@ node reads and writes directly; each row carries the identifier it was
 registered under so join/leave moves exactly the affected arc, and every
 row received from another server is verified before it is stored or
 re-replicated.
+
+The predecessor, the successor list and the fingers hold (id, address)
+entries, so an address is hashed once, when it enters the table: beyond
+its own and its bootstrap's, a node hashes only new addresses that remote
+messages hand it. Routing reads an
+index of the distinct live fingers and successors sorted by clockwise
+distance from the node, rebuilt after the table or the evicted set
+changes: closest_preceding is a bisect over it.
 """
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
@@ -65,15 +75,10 @@ def in_interval(x: int, lo: int, hi: int, inc_lo: bool = False, inc_hi: bool = F
     every key); the shared endpoint itself is in only when inclusive.
     """
     if lo == hi:
-        return True if x != lo else (inc_lo or inc_hi)
-    if lo < hi:
-        above = x > lo or (inc_lo and x == lo)
-        below = x < hi or (inc_hi and x == hi)
-        return above and below
-    # Wrapped interval.
+        return x != lo or inc_lo or inc_hi
     above = x > lo or (inc_lo and x == lo)
     below = x < hi or (inc_hi and x == hi)
-    return above or below
+    return (above and below) if lo < hi else (above or below)
 
 
 class RingTransport(Protocol):
@@ -90,6 +95,11 @@ class RingTransport(Protocol):
 class LookupResult:
     addr: str
     hops: int
+    ident: int  # node_ident(addr)
+
+
+# A routing table entry: a node's id and its address.
+Entry = tuple[int, str]
 
 
 class RingNode:
@@ -111,46 +121,99 @@ class RingNode:
         self.store = store if store is not None else MemoryStore()
         self.verify_row = verify_row or (lambda row: True)
         self.successor_list_len = successor_list_len
-        self.successors: list[str] = [addr]
-        self.predecessor: str | None = None
-        self.fingers: list[str | None] = [None] * bits
+        self._self: Entry = (self.ident, addr)
+        self._succ: list[Entry] = [self._self]
+        self._pred: Entry | None = None
+        self._fingers: list[Entry | None] = [None] * bits
         self.evicted: set[str] = set()
         self.alive = True
+        # (addr -> ident over fingers and successors, sorted clockwise
+        # distances of the live candidates, their entries). Set to None when
+        # fingers, successors or evicted change; rebuilt at the next read.
+        self._index: tuple[dict[str, int], list[int], list[Entry]] | None = None
+
+    # -- table ---------------------------------------------------------------
+
+    def _routing(self) -> tuple[dict[str, int], list[int], list[Entry]]:
+        if self._index is None:
+            ids: dict[str, int] = {}
+            for entry in chain(self._fingers, self._succ):
+                if entry is not None and entry[1] not in ids:
+                    ids[entry[1]] = entry[0]
+            # One candidate per distance: the first in finger-then-successor
+            # order, which is the one a linear scan would keep on a tie.
+            # Distance 0 is this node, or an id colliding with it.
+            first: dict[int, Entry] = {}
+            size = 1 << self.bits
+            for addr, ident in ids.items():
+                dist = (ident - self.ident) % size
+                if dist and addr not in self.evicted:
+                    first.setdefault(dist, (ident, addr))
+            dists = sorted(first)
+            self._index = (ids, dists, [first[d] for d in dists])
+        return self._index
+
+    def _entry(self, addr: str) -> Entry:
+        """(ident, addr), hashing addr only if the table does not hold it."""
+        ident = self._routing()[0].get(addr)
+        if ident is None:
+            pred = self._pred
+            ident = pred[0] if pred is not None and pred[1] == addr else node_ident(addr, self.bits)
+        return ident, addr
+
+    def _set_successors(self, entries: list[Entry]) -> None:
+        if entries != self._succ:
+            self._succ = entries
+            self._index = None
+
+    def _set_finger(self, i: int, entry: Entry | None) -> None:
+        if entry != self._fingers[i]:
+            self._fingers[i] = entry
+            self._index = None
 
     # -- local views ---------------------------------------------------------
 
+    @property
+    def predecessor(self) -> str | None:
+        return None if self._pred is None else self._pred[1]
+
+    def contacts(self) -> set[str]:
+        """Every address among the successors and fingers, evicted ones too."""
+        return set(self._routing()[0])
+
+    def _successor_entry(self) -> Entry:
+        for entry in self._succ:
+            if entry[1] not in self.evicted:
+                return entry
+        return self._self
+
     def successor(self) -> str:
-        for addr in self.successors:
-            if addr not in self.evicted:
-                return addr
-        return self.addr
+        return self._successor_entry()[1]
 
     def state(self) -> tuple[str | None, list[str]]:
         pred = self.predecessor
         if pred in self.evicted:
             pred = None
-        return pred, [s for s in self.successors if s not in self.evicted]
+        return pred, [s for _, s in self._succ if s not in self.evicted]
 
     def owns(self, ident: int) -> bool:
-        if self.predecessor is None or self.predecessor == self.addr:
+        if self._pred is None or self._pred[1] == self.addr:
             return True
-        return in_interval(ident, node_ident(self.predecessor, self.bits), self.ident, inc_hi=True)
+        return in_interval(ident, self._pred[0], self.ident, inc_hi=True)
+
+    def _closest(self, ident: int) -> Entry:
+        """The live candidate closest before ident: strictly inside (self, ident)."""
+        _, dists, entries = self._routing()
+        size = 1 << self.bits
+        # ident == self.ident is the full circle. An id off the ring (a
+        # remote may send any integer) bounds the arc as id 0 does.
+        limit = (ident - self.ident) % size if 0 <= ident < size else -self.ident % size
+        i = bisect_left(dists, limit or size)
+        return entries[i - 1] if i else self._self
 
     def closest_preceding(self, ident: int) -> str:
         """Best local routing step strictly inside (self, ident)."""
-        candidates: list[str] = [f for f in self.fingers if f] + list(self.successors)
-        best = self.addr
-        best_id = self.ident
-        for addr in candidates:
-            if addr in self.evicted or addr == self.addr:
-                continue
-            cand_id = node_ident(addr, self.bits)
-            if in_interval(cand_id, self.ident, ident) and (
-                best == self.addr or in_interval(cand_id, best_id, ident)
-            ):
-                best = addr
-                best_id = cand_id
-        return best
+        return self._closest(ident)[1]
 
     def local_query(self, ident: int) -> tuple[str, str]:
         return self.closest_preceding(ident), self.successor()
@@ -160,28 +223,28 @@ class RingNode:
     def find_successor(self, ident: int) -> LookupResult:
         """Iterative search. A remote node claiming itself as its own
         successor would own every key, so such answers are treated as
-        unverifiable and routed around (bounded restarts)."""
+        unverifiable and routed around (bounded restarts). Only the two
+        addresses of each remote answer are hashed."""
         hops = 0
         excluded: set[str] = set()
         for _ in range(6):
             node, node_id = self.addr, self.ident
-            closest, succ = self.local_query(ident)
+            closest_id, closest = self._closest(ident)
+            succ_id, succ = self._successor_entry()
             seen: set[str] = set()
             stuck_at: str | None = None
             for _ in range(2 * self.bits + 8):
-                succ_id = node_ident(succ, self.bits)
                 if in_interval(ident, node_id, succ_id, inc_hi=True):
                     if succ == node and node != self.addr:
                         stuck_at = node
                         break
-                    return LookupResult(succ, hops)
-                nxt = closest if closest != node else succ
+                    return LookupResult(succ, hops, succ_id)
+                nxt_id, nxt = (closest_id, closest) if closest != node else (succ_id, succ)
                 if nxt == node or nxt in seen or nxt in excluded or nxt in self.evicted:
                     stuck_at = node if node != self.addr else None
                     break
                 seen.add(node)
-                node = nxt
-                node_id = node_ident(node, self.bits)
+                node, node_id = nxt, nxt_id
                 try:
                     closest, succ = self.transport.query(node, ident)
                     hops += 1
@@ -189,6 +252,7 @@ class RingNode:
                     self.note_dead(node)
                     stuck_at = None
                     break
+                closest_id, succ_id = node_ident(closest, self.bits), node_ident(succ, self.bits)
             if stuck_at is None and node == self.addr:
                 break
             if stuck_at is not None:
@@ -201,22 +265,26 @@ class RingNode:
         if bootstrap_addr == self.addr:
             return
         try:
-            res_addr = self._resolve_via(bootstrap_addr, self.ident)
+            found = self._resolve_via(bootstrap_addr, self.ident)
         except (PeerUnreachable, LookupFailed) as exc:
             raise JoinFailed(f"bootstrap {bootstrap_addr} unreachable") from exc
-        self.predecessor = None
-        self.successors = [res_addr if res_addr != self.addr else bootstrap_addr]
+        if found[1] == self.addr:
+            found = (node_ident(bootstrap_addr, self.bits), bootstrap_addr)
+        self._pred = None
+        self._set_successors([found])
         self.stabilize()
 
-    def _resolve_via(self, via: str, ident: int) -> str:
-        node = via
+    def _resolve_via(self, via: str, ident: int) -> Entry:
+        node, node_id = via, node_ident(via, self.bits)
         closest, succ = self.transport.query(node, ident)
         for _ in range(2 * self.bits + 8):
-            if in_interval(ident, node_ident(node, self.bits), node_ident(succ, self.bits), inc_hi=True):
-                return succ
+            succ_id = node_ident(succ, self.bits)
+            if in_interval(ident, node_id, succ_id, inc_hi=True):
+                return succ_id, succ
             nxt = closest if closest != node else succ
             if nxt == node:
-                return succ
+                return succ_id, succ
+            node_id = succ_id if nxt == succ else node_ident(nxt, self.bits)
             node = nxt
             closest, succ = self.transport.query(node, ident)
         raise LookupFailed("join lookup did not converge")
@@ -237,66 +305,55 @@ class RingNode:
         if succ is None:
             # Alone, or every successor died: close the ring through the
             # predecessor if one is known (two-node bootstrap case).
-            pred = self.predecessor
-            if pred and pred != self.addr and pred not in self.evicted:
-                self.successors = [pred]
+            pred = self._pred
+            if pred and pred[1] != self.addr and pred[1] not in self.evicted:
+                self._set_successors([pred])
                 succ = pred
             else:
-                self.successors = [self.addr]
+                self._set_successors([self._self])
                 return
         try:
-            pred_of_succ, succ_list = self.transport.get_state(succ)
+            pred_of_succ, succ_list = self.transport.get_state(succ[1])
         except PeerUnreachable:
-            self.note_dead(succ)
+            self.note_dead(succ[1])
             return
-        if (
-            pred_of_succ
-            and pred_of_succ != self.addr
-            and pred_of_succ not in self.evicted
-            and in_interval(node_ident(pred_of_succ, self.bits), self.ident, node_ident(succ, self.bits))
-        ):
-            try:
-                _, probe_list = self.transport.get_state(pred_of_succ)
-                succ, succ_list = pred_of_succ, probe_list
-            except PeerUnreachable:
-                self.note_dead(pred_of_succ)
+        if pred_of_succ and pred_of_succ != self.addr and pred_of_succ not in self.evicted:
+            closer = self._entry(pred_of_succ)
+            if in_interval(closer[0], self.ident, succ[0]):
+                try:
+                    _, probe_list = self.transport.get_state(pred_of_succ)
+                    succ, succ_list = closer, probe_list
+                except PeerUnreachable:
+                    self.note_dead(pred_of_succ)
         # Merge the claimed list with current backups: a successor reporting
         # a degenerate list (dead or lying) must not strip our fallbacks.
-        chain = [succ] + [s for s in succ_list if s != self.addr and s not in self.evicted]
-        chain += [s for s in self.successors if s not in self.evicted]
-        deduped: list[str] = []
-        for addr in chain:
-            if addr not in deduped:
-                deduped.append(addr)
-        self.successors = deduped[: self.successor_list_len]
+        chain_addrs = [succ[1]] + [s for s in succ_list if s != self.addr and s not in self.evicted]
+        chain_addrs += [s for _, s in self._succ if s not in self.evicted]
+        kept = list(dict.fromkeys(chain_addrs))[: self.successor_list_len]
+        self._set_successors([succ if addr == succ[1] else self._entry(addr) for addr in kept])
         try:
-            self.transport.notify(succ, self.addr)
+            self.transport.notify(succ[1], self.addr)
         except PeerUnreachable:
-            self.note_dead(succ)
+            self.note_dead(succ[1])
 
-    def _first_live_successor(self) -> str | None:
-        for addr in self.successors:
-            if addr == self.addr:
-                continue
-            if addr in self.evicted:
-                continue
-            return addr
+    def _first_live_successor(self) -> Entry | None:
+        for entry in self._succ:
+            if entry[1] != self.addr and entry[1] not in self.evicted:
+                return entry
         return None
 
     def notified(self, candidate: str) -> None:
         """Handle a notify: adopt a closer predecessor, hand over its arc."""
         if candidate == self.addr or candidate in self.evicted:
             return
-        cand_id = node_ident(candidate, self.bits)
-        old_pred = self.predecessor
-        if old_pred is None or old_pred in self.evicted or in_interval(
-            cand_id, node_ident(old_pred, self.bits), self.ident
-        ):
-            self.predecessor = candidate
-            self._handoff_to_predecessor(candidate, old_pred)
+        cand = self._entry(candidate)
+        old = self._pred
+        if old is None or old[1] in self.evicted or in_interval(cand[0], old[0], self.ident):
+            self._pred = cand
+            self._handoff_to_predecessor(cand)
 
-    def _handoff_to_predecessor(self, candidate: str, old_pred: str | None) -> None:
-        cand_id = node_ident(candidate, self.bits)
+    def _handoff_to_predecessor(self, cand: Entry) -> None:
+        cand_id, candidate = cand
         moving = [
             row for row in self.store.peer_rows()
             if not row.replica and not in_interval(row.ring_id, cand_id, self.ident, inc_hi=True)
@@ -315,52 +372,53 @@ class RingNode:
             self.store.upsert_peer(replace(row, replica=True))
 
     def fix_fingers(self) -> None:
-        prev_start: int | None = None
-        prev_addr: str | None = None
+        prev_start = 0
+        prev: Entry | None = None
         for i in range(self.bits):
             start = (self.ident + (1 << i)) % (1 << self.bits)
-            if prev_addr is not None and prev_start is not None:
-                prev_id = node_ident(prev_addr, self.bits)
+            if prev is not None:
                 covered = (
                     start == prev_start
-                    if prev_start == prev_id
-                    else in_interval(start, prev_start, prev_id, inc_lo=True, inc_hi=True)
+                    if prev_start == prev[0]
+                    else in_interval(start, prev_start, prev[0], inc_lo=True, inc_hi=True)
                 )
                 if covered:
-                    self.fingers[i] = prev_addr
+                    self._set_finger(i, prev)
                     continue
             try:
                 result = self.find_successor(start)
             except LookupFailed:
                 continue
-            self.fingers[i] = result.addr
-            prev_start, prev_addr = start, result.addr
+            prev_start, prev = start, (result.ident, result.addr)
+            self._set_finger(i, prev)
 
     def check_predecessor(self) -> None:
-        if self.predecessor is None or self.predecessor == self.addr:
+        if self._pred is None or self._pred[1] == self.addr:
             return
         try:
-            self.transport.get_state(self.predecessor)
+            self.transport.get_state(self._pred[1])
         except PeerUnreachable:
-            self.predecessor = None
+            self._pred = None
 
     def note_dead(self, addr: str) -> None:
-        self.successors = [s for s in self.successors if s != addr] or [self.addr]
-        self.fingers = [None if f == addr else f for f in self.fingers]
+        self._set_successors([e for e in self._succ if e[1] != addr] or [self._self])
+        for i, entry in enumerate(self._fingers):
+            if entry is not None and entry[1] == addr:
+                self._set_finger(i, None)
         if self.predecessor == addr:
-            self.predecessor = None
+            self._pred = None
 
     def evict(self, addr: str) -> None:
         """Locally drop an adjudicated-malicious node from all structures."""
         if addr == self.addr:
             return
         self.evicted.add(addr)
-        self.note_dead(addr)
+        self.note_dead(addr)  # drops addr from the table, so from the index
         # Keys the evicted node held are taken over by its successor: this
         # node promotes any replicas it keeps for arcs it now owns.
-        if self.predecessor is None:
+        if self._pred is None:
             return
-        pred_id = node_ident(self.predecessor, self.bits)
+        pred_id = self._pred[0]
         for row in self.store.peer_rows():
             if row.replica and in_interval(row.ring_id, pred_id, self.ident, inc_hi=True):
                 self.store.upsert_peer(replace(row, replica=False))

@@ -177,7 +177,7 @@ class RendezvousServer:
     def _spread_complaint(self, complaint: Complaint) -> None:
         if self.ring is None or self.endpoint is None:
             return
-        targets = set(self.ring.successors) | {f for f in self.ring.fingers if f}
+        targets = self.ring.contacts()
         targets.discard(self.addr)
         targets.discard(complaint.accused)
         frame = Frame(wire.COMPLAINT, complaint.encode())

@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendmesh import chord
 from friendmesh.chord import dual_hash, in_interval, node_ident
-from friendmesh.errors import MalformedRequest
+from friendmesh.errors import MalformedRequest, PeerUnreachable
 from friendmesh.identity import SignedDigest
 from friendmesh.records import PeerRow, RegistrationRecord
 
@@ -94,6 +97,27 @@ def test_interval_full_circle():
     assert in_interval(7, 7, 7, inc_hi=True)
 
 
+def two_branch_interval(x, lo, hi, inc_lo=False, inc_hi=False):
+    """in_interval as written with separate plain and wrapped branches."""
+    if lo == hi:
+        return True if x != lo else (inc_lo or inc_hi)
+    if lo < hi:
+        above = x > lo or (inc_lo and x == lo)
+        below = x < hi or (inc_hi and x == hi)
+        return above and below
+    above = x > lo or (inc_lo and x == lo)
+    below = x < hi or (inc_hi and x == hi)
+    return above or below
+
+
+def test_interval_matches_two_branch_form_exhaustively():
+    for x, lo, hi in itertools.product(range(16), repeat=3):
+        for inc_lo, inc_hi in itertools.product((False, True), repeat=2):
+            assert in_interval(x, lo, hi, inc_lo, inc_hi) == two_branch_interval(
+                x, lo, hi, inc_lo, inc_hi
+            ), (x, lo, hi, inc_lo, inc_hi)
+
+
 # -- reduced-space lookups -----------------------------------------------------
 
 
@@ -165,6 +189,136 @@ def test_sequential_joins_match_oracle():
         for _ in range(50):
             key = rng.randrange(2**128)
             assert nodes[start_addr].find_successor(key).addr == oracle_successor(addrs, key, 128)
+
+
+# -- routing index vs a linear scan ---------------------------------------------
+
+
+def scan_closest(node, ident):
+    """Reference: scan fingers, then successors, hashing every address."""
+    candidates = [f[1] for f in node._fingers if f] + [s for _, s in node._succ]
+    best, best_id = node.addr, node.ident
+    for addr in candidates:
+        if addr in node.evicted or addr == node.addr:
+            continue
+        cand_id = node_ident(addr, node.bits)
+        if two_branch_interval(cand_id, node.ident, ident) and (
+            best == node.addr or two_branch_interval(cand_id, best_id, ident)
+        ):
+            best, best_id = addr, cand_id
+    return best
+
+
+def assert_routes_like_scan(node):
+    size = 1 << node.bits
+    entries = [e for e in node._fingers if e] + node._succ
+    assert all(ident == node_ident(addr, node.bits) for ident, addr in entries)
+    # Ids off the ring reach closest_preceding from remote queries.
+    probes = [-(2**130), -size // 2, size + size // 3, 2**130 + 7]
+    if node.bits <= 8:
+        probes += range(-2, size + 2)
+    else:
+        ids = {ident for ident, _ in entries} | {node.ident, 0, size}
+        probes += {i + d for i in ids for d in (-1, 0, 1)}
+    for ident in probes:
+        assert node.closest_preceding(ident) == scan_closest(node, ident), ident
+        assert node.local_query(ident) == (scan_closest(node, ident), node.successor())
+
+
+class OracleTransport:
+    """Answers a query with the true successor among `live`; others are down."""
+
+    def __init__(self, live, bits):
+        self.live = live
+        self.pairs = sorted((node_ident(a, bits), a) for a in live)
+
+    def query(self, addr, ident):
+        if addr not in self.live:
+            raise PeerUnreachable(addr)
+        succ = next((a for i, a in self.pairs if i >= ident), self.pairs[0][1])
+        return succ, succ
+
+
+def colliding_pool(bits=6, groups=8, size=3):
+    """`groups` x `size` addresses; those of a group share their id at `bits`."""
+    by_id = {}
+    for i in itertools.count():
+        addr = f"10.7.{i // 250}.{i % 250}:7000"
+        by_id.setdefault(node_ident(addr, bits), []).append(addr)
+        full = [members[:size] for members in by_id.values() if len(members) >= size]
+        if len(full) == groups:
+            return [addr for members in full for addr in members]
+
+
+POOL = colliding_pool()
+
+
+@st.composite
+def routing_tables(draw):
+    bits = draw(st.sampled_from([6, 8, 128]))
+    slot = st.integers(0, bits - 1)
+    return {
+        "bits": bits,
+        "self": draw(st.sampled_from(POOL)),
+        "fingers": draw(st.dictionaries(slot, st.none() | st.sampled_from(POOL), max_size=12)),
+        "successors": draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=6)),
+        "evicted": draw(st.sets(st.sampled_from(POOL), max_size=5)),
+        "live": draw(st.sets(st.sampled_from(POOL), min_size=1)),
+        "actions": draw(st.lists(
+            st.tuples(st.sampled_from(["note_dead", "evict"]), st.sampled_from(POOL))
+            | st.just(("fix_fingers", None)),
+            max_size=4,
+        )),
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(routing_tables())
+def test_routing_index_matches_linear_scan(table):
+    # At 6 bits every address shares its id with two others, the node's
+    # own included, so ties and the full circle are exercised.
+    bits = table["bits"]
+    node = chord.RingNode(table["self"], OracleTransport(table["live"], bits), bits=bits)
+    for i, addr in table["fingers"].items():
+        node._fingers[i] = None if addr is None else (node_ident(addr, bits), addr)
+    node._succ = [(node_ident(a, bits), a) for a in table["successors"]]
+    node.evicted |= table["evicted"] - {node.addr}
+    node._index = None
+    assert_routes_like_scan(node)
+    for action, addr in table["actions"]:
+        if action == "fix_fingers":
+            node.fix_fingers()
+        else:
+            getattr(node, action)(addr)
+        assert_routes_like_scan(node)
+
+
+def test_routing_hashes_only_remote_answers(monkeypatch):
+    addrs = [f"10.6.0.{i}:7{i:03d}" for i in range(32)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    hashed = []
+    real = chord.node_ident
+    monkeypatch.setattr(chord, "node_ident", lambda addr, bits=128: hashed.append(addr) or real(addr, bits))
+    rng = random.Random(32)
+    keys = [rng.randrange(2**128) for _ in range(300)]
+    for node in nodes.values():
+        for key in keys[:20]:
+            node.closest_preceding(key)
+            node.local_query(key)
+    assert hashed == []
+    for key in keys:
+        hashed.clear()
+        result = nodes[rng.choice(addrs)].find_successor(key)
+        assert result.addr == oracle_successor(addrs, key, 128)
+        assert len(hashed) <= 2 * result.hops + 1, (len(hashed), result.hops)
+    # On a converged ring, stabilize and notify reuse the ids the tables
+    # hold, and a round with fix_fingers sends 331 messages.
+    hashed.clear()
+    chord.stabilize_all(nodes, rounds=1, fix=False)
+    assert hashed == []
+    before = transport.messages
+    chord.stabilize_all(nodes, rounds=1)
+    assert transport.messages - before == 331
 
 
 # -- key movement on join/leave ----------------------------------------------
