@@ -10,13 +10,35 @@ Sealing is always hybrid: the payload goes under a fresh AES-256-GCM key and
 only that key is wrapped asymmetrically, so payload size is unbounded.
 ec-p256 is the default everywhere speed matters; sizes of every ciphertext
 and signature are a pure function of the plaintext length for both.
+
+Public-key work that repeats is done once per process:
+
+  - a long-lived key (an identity's private key, a certificate's or the
+    CA's public key) is loaded once, in a bounded LRU cache per backend;
+    on ec-p256 loading a private key re-derives its public point, an EC
+    scalar multiplication;
+  - a certificate or record signature that verified is remembered in one
+    bounded, thread-safe table keyed by every input of the check
+    (algorithm, public key, signed bytes, signature), so a hit answers
+    exactly what the check would answer again. The username-length and
+    payload-digest checks still run on every call, and a failed check is
+    not remembered, so unauthenticated garbage cannot evict an entry.
+
+Fresh material is not cached: the ephemeral key inside a sealed blob, and
+session-key and complaint signatures, are new on every use, so an entry
+for them would only cost memory. The caches are sized to the identities
+one process serves (a simulated world of a few hundred users); a miss
+costs what the check cost before.
 """
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import os
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidTag
@@ -45,6 +67,10 @@ DEFAULT_ALGORITHM = "ec-p256"
 DEFAULT_CIPHER = "aes-128-gcm"
 
 _CIPHER_KEY_LEN = {"aes-128-gcm": 16, "aes-256-gcm": 32}
+
+# Bounds of the per-process caches (see the module docstring).
+KEYS_CACHED = 256  # per backend, private and public keys each
+VERIFIED_CACHED = 1024
 
 
 def sha256(data: bytes) -> bytes:
@@ -82,10 +108,12 @@ class _RsaAlgo:
         return self._ser_pub(self._load_priv(priv).public_key())
 
     @staticmethod
+    @functools.lru_cache(maxsize=KEYS_CACHED)
     def _load_priv(priv: bytes):
         return serialization.load_der_private_key(priv, password=None)
 
     @staticmethod
+    @functools.lru_cache(maxsize=KEYS_CACHED)
     def _load_pub(pub: bytes):
         return serialization.load_der_public_key(pub)
 
@@ -148,11 +176,15 @@ class _EcAlgo:
             serialization.PublicFormat.UncompressedPoint,
         )
 
-    def _load_priv(self, priv: bytes):
-        return ec.derive_private_key(int.from_bytes(priv, "big"), self._curve)
+    @staticmethod
+    @functools.lru_cache(maxsize=KEYS_CACHED)
+    def _load_priv(priv: bytes):
+        return ec.derive_private_key(int.from_bytes(priv, "big"), _EcAlgo._curve)
 
-    def _load_pub(self, pub: bytes):
-        return ec.EllipticCurvePublicKey.from_encoded_point(self._curve, pub)
+    @staticmethod
+    @functools.lru_cache(maxsize=KEYS_CACHED)
+    def _load_pub(pub: bytes):
+        return ec.EllipticCurvePublicKey.from_encoded_point(_EcAlgo._curve, pub)
 
     def derive_public(self, priv: bytes) -> bytes:
         return self._ser_pub(self._load_priv(priv).public_key())
@@ -169,7 +201,8 @@ class _EcAlgo:
         if len(wrapped) < 65 + 12 + 16:
             raise ValueError("short wrap")
         eph_pub, nonce, ct = wrapped[:65], wrapped[65:77], wrapped[77:]
-        shared = self._load_priv(priv).exchange(ec.ECDH(), self._load_pub(eph_pub))
+        eph = ec.EllipticCurvePublicKey.from_encoded_point(self._curve, eph_pub)  # fresh: not cached
+        shared = self._load_priv(priv).exchange(ec.ECDH(), eph)
         kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
         return AESGCM(kek).decrypt(nonce, ct, None)
 
@@ -256,6 +289,41 @@ def verify(pub: bytes, data: bytes, sig: bytes, algorithm_id: str = DEFAULT_ALGO
     return _algo(algorithm_id).verify(pub, data, sig)
 
 
+class _VerifiedSignatures:
+    """Bounded, thread-safe LRU set of signatures that verified.
+
+    Keyed by every input of `verify`; only successes are added, and the
+    check and the insert each hold the lock, so concurrent callers never
+    push the set past its bound.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+    def verify(self, pub: bytes, data: bytes, sig: bytes, algorithm_id: str) -> bool:
+        key = (algorithm_id, pub, data, sig)
+        with self._lock:
+            if key in self._seen:
+                self._seen.move_to_end(key)
+                return True
+        if not verify(pub, data, sig, algorithm_id):
+            return False
+        with self._lock:
+            self._seen[key] = None
+            if len(self._seen) > self.maxsize:
+                self._seen.popitem(last=False)
+        return True
+
+
+# Certificate and record signatures: the same few recur on every operation.
+_VERIFIED = _VerifiedSignatures(VERIFIED_CACHED)
+
+
 # ---------------------------------------------------------------------------
 # Signed digests
 # ---------------------------------------------------------------------------
@@ -280,7 +348,7 @@ def verify_record(
 ) -> bool:
     if sha256(payload) != sd.digest:
         return False
-    return verify(pub, sd.digest, sd.signature, algorithm_id)
+    return _VERIFIED.verify(pub, sd.digest, sd.signature, algorithm_id)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +470,7 @@ def verify_certificate(cert: Certificate, ca_public_key: bytes, ca_algorithm: st
         if not cert.username or len(cert.username.encode("utf-8")) > MAX_USERNAME_BYTES:
             return False
         algo = ca_algorithm or cert.algorithm_id
-        return verify(ca_public_key, cert.signed_bytes(), cert.signature, algo)
+        return _VERIFIED.verify(ca_public_key, cert.signed_bytes(), cert.signature, algo)
     except Exception:
         return False
 

@@ -92,7 +92,8 @@ class TcpChannel:
 class TcpEndpoint:
     def __init__(self, local_addr: str = "127.0.0.1:0", rng: random.Random | None = None):
         self._local = local_addr
-        self.rng = rng or random.Random()
+        # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
+        self.rng = rng or random.SystemRandom()
 
     def connect(self, addr: str) -> TcpChannel:
         return TcpChannel(addr)

@@ -88,7 +88,8 @@ class Peer:
         self.ca_public_key = ca_public_key
         self.ca_algorithm = ca_algorithm
         self.probes = probes
-        self.rng = rng or random.Random()
+        # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
+        self.rng = rng or random.SystemRandom()
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.on_event = on_event or (lambda kind, **fields: None)
         self.username = config.username

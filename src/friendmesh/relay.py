@@ -49,7 +49,8 @@ class RelayServer:
         self.ca_public_key = ca_public_key
         self.ca_algorithm = ca_algorithm
         self.endpoint = endpoint
-        self.rng = rng or random.Random()
+        # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
+        self.rng = rng or random.SystemRandom()
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.sessions: dict[str, RelaySession] = {}
         self._by_token: dict[bytes, str] = {}

@@ -90,7 +90,8 @@ class RendezvousServer:
         else:
             self.store = MemoryStore()
         self.endpoint = endpoint
-        self.rng = rng or random.Random()
+        # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
+        self.rng = rng or random.SystemRandom()
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.on_event = on_event or (lambda kind, **fields: None)
         self.ring: RingNode | None = None
@@ -369,7 +370,7 @@ class RendezvousSession:
         server = self.server
         if server.ring is None:
             return wire.reply(wire.CHORD_LOOKUP, server.addr, 0, msg_type=wire.CHORD_REPLY)
-        result = server.ring.find_successor(ident)
+        result = server.ring.find_successor(self._on_ring(ident))
         server.on_event("chord_lookup", node=server.addr, hops=result.hops)
         return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops, msg_type=wire.CHORD_REPLY)
 
@@ -385,12 +386,18 @@ class RendezvousSession:
             raise MalformedRequest("ring not enabled")
         return self.server.ring
 
+    def _on_ring(self, ident: int) -> int:
+        """A requested id, refused if the ring's id space does not hold it."""
+        if ident >= 1 << self._ring().bits:
+            raise MalformedRequest("identifier off the ring")
+        return ident
+
     def handle_ring_state(self, ctx: SessionContext) -> Frame:
         pred, succs = self._ring().state()
         return wire.reply(wire.RING_STATE, pred or "", succs)
 
     def handle_ring_closest(self, ctx: SessionContext, ident: int) -> Frame:
-        return wire.reply(wire.RING_CLOSEST, *self._ring().local_query(ident))
+        return wire.reply(wire.RING_CLOSEST, *self._ring().local_query(self._on_ring(ident)))
 
     def handle_ring_notify(self, ctx: SessionContext, candidate: str) -> Frame:
         self._ring().notified(candidate)

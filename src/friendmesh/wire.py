@@ -154,11 +154,11 @@ def pack_ident(ident: int) -> bytes:
 
 
 def unpack_ident(field: bytes) -> int:
-    """Inverse of pack_ident; accepts what int(text, 16) accepts."""
-    try:
-        return int(field, 16)
-    except ValueError as exc:
-        raise MalformedRequest("bad identifier") from exc
+    """Inverse of pack_ident: lower-case hex digits only, so no sign, prefix,
+    space or underscore that int(text, 16) would accept."""
+    if not field or field.translate(None, b"0123456789abcdef"):
+        raise MalformedRequest("bad identifier")
+    return int(field, 16)
 
 
 def ok_reply(msg_type: int, *fields: bytes) -> Frame:

@@ -1,6 +1,11 @@
 import random
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
+from hypothesis import given, settings, strategies as st
 
 from friendmesh import identity
 from friendmesh.errors import (
@@ -10,6 +15,8 @@ from friendmesh.errors import (
     MalformedRequest,
     UsernameTaken,
 )
+from friendmesh.profile import op_add
+from friendmesh.simnet.scenario import Scenario, SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +299,155 @@ def test_keypair_file_roundtrip(tmp_path):
     path = str(tmp_path / "key.bin")
     identity.save_keypair(pair, path)
     assert identity.load_keypair(path) == pair
+
+
+# -- the verification and key caches -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def signed(ca):
+    pair, cert = make_user(ca, "cache-user")
+    payload = b"10.0.0.1|7000|udp|relay:9|phrase"
+    return pair, cert, payload, identity.sign_record(payload, pair.private_key)
+
+
+def _flip(value, pos: int, xor: int):
+    """value with one byte XOR-ed; a str stays ASCII (xor < 128)."""
+    raw = bytearray(value.encode("ascii") if isinstance(value, str) else value)
+    raw[pos % len(raw)] ^= xor
+    return raw.decode("ascii") if isinstance(value, str) else bytes(raw)
+
+
+def _accepted(check, *args) -> bool:
+    try:
+        return check(*args)
+    except MalformedRequest:  # an unsupported algorithm
+        return False
+
+
+def _uncached_certificate(cert, ca_pub, ca_algorithm) -> bool:
+    if not cert.username or len(cert.username.encode("utf-8")) > identity.MAX_USERNAME_BYTES:
+        return False
+    return identity._algo(ca_algorithm).verify(ca_pub, cert.signed_bytes(), cert.signature)
+
+
+def _uncached_record(payload, sd, pub, algorithm_id) -> bool:
+    if identity.sha256(payload) != sd.digest:
+        return False
+    return identity._algo(algorithm_id).verify(pub, sd.digest, sd.signature)
+
+
+CERT_MUTATIONS = ("username", "public_key", "issuer", "algorithm_id", "signature", "ca_key", "ca_algorithm")
+RECORD_MUTATIONS = ("payload", "digest", "signature", "public_key", "algorithm_id")
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    target=st.sampled_from([("cert", m) for m in CERT_MUTATIONS] + [("record", m) for m in RECORD_MUTATIONS]),
+    pos=st.integers(min_value=0, max_value=255),
+    xor=st.integers(min_value=1, max_value=127),
+)
+def test_cached_verification_agrees_with_uncached(ca, signed, target, pos, xor):
+    # Each check runs first on the valid input, so the mutation meets a
+    # cached entry; every input of the signature check is in the cache key.
+    pair, cert, payload, sd = signed
+    assert identity.verify_certificate(cert, ca.public_key, ca.algorithm_id)
+    assert identity.verify_record(payload, sd, pair.public_key, pair.algorithm_id)
+    kind, field = target
+    if kind == "cert":
+        ca_pub, ca_algorithm = ca.public_key, ca.algorithm_id
+        if field == "ca_key":
+            ca_pub = _flip(ca_pub, pos, xor)
+        elif field == "ca_algorithm":
+            ca_algorithm = _flip(ca_algorithm, pos, xor)
+        else:
+            cert = replace(cert, **{field: _flip(getattr(cert, field), pos, xor)})
+        got = identity.verify_certificate(cert, ca_pub, ca_algorithm)
+        want = _accepted(_uncached_certificate, cert, ca_pub, ca_algorithm)
+    else:
+        pub, algorithm_id = pair.public_key, pair.algorithm_id
+        if field == "payload":  # re-digested, as a forger would
+            payload = _flip(payload, pos, xor)
+            sd = replace(sd, digest=identity.sha256(payload))
+        elif field in ("digest", "signature"):
+            sd = replace(sd, **{field: _flip(getattr(sd, field), pos, xor)})
+        elif field == "public_key":
+            pub = _flip(pub, pos, xor)
+        else:
+            algorithm_id = _flip(algorithm_id, pos, xor)
+        got = _accepted(identity.verify_record, payload, sd, pub, algorithm_id)
+        want = _accepted(_uncached_record, payload, sd, pub, algorithm_id)
+    assert got is want is False
+
+
+def test_caches_stay_within_their_bounds():
+    pair = identity.generate_keypair("ec-p256")
+    for i in range(identity.VERIFIED_CACHED + 16):
+        data = b"flood %d" % i
+        assert identity.verify_record(data, identity.sign_record(data, pair.private_key), pair.public_key)
+    for _ in range(identity.KEYS_CACHED + 16):
+        other = identity.generate_keypair("ec-p256")
+        sd = identity.sign_record(b"flood", other.private_key)
+        assert identity.verify_record(b"flood", sd, other.public_key)
+    assert len(identity._VERIFIED) == identity.VERIFIED_CACHED
+    assert identity._EcAlgo._load_priv.cache_info().currsize == identity.KEYS_CACHED
+    assert identity._EcAlgo._load_pub.cache_info().currsize == identity.KEYS_CACHED
+    for load in (identity._RsaAlgo._load_priv, identity._RsaAlgo._load_pub):
+        assert load.cache_info().maxsize == identity.KEYS_CACHED
+
+
+def test_verified_signatures_bounded_under_threads():
+    table = identity._VerifiedSignatures(8)
+    pair = identity.generate_keypair("ec-p256")
+    signed = [(b"t%d" % i, identity.sign(pair.private_key, b"t%d" % i)) for i in range(64)]
+    results = []
+
+    def work(part):
+        results.extend(table.verify(pair.public_key, data, sig, pair.algorithm_id) for data, sig in part * 3)
+
+    threads = [threading.Thread(target=work, args=(signed[k::4],)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 64 * 3 and all(results)
+    assert len(table) == table.maxsize
+
+
+def test_warm_friend_operations_do_no_repeated_public_key_work(monkeypatch):
+    # After one pull the certificates, the stored record and every long-lived
+    # key are known: a pull or write verifies only the fresh session-key
+    # signature and derives no key; a locate does neither.
+    world = Scenario(SimConfig(seed=21, duration_ms=5000, n_rendezvous=1, n_relays=1, n_peers=2,
+                               friendships=[["user00", "user01"]]))
+    reader = world.peers["user01"]
+    reader.pull_friend_profile("user00")
+    counts = {"verify": 0, "derive": 0}
+    real_verify, real_derive = identity._EcAlgo.verify, ec.derive_private_key
+
+    def counting_verify(self, *args):
+        counts["verify"] += 1
+        return real_verify(self, *args)
+
+    def counting_derive(*args):
+        counts["derive"] += 1
+        return real_derive(*args)
+
+    monkeypatch.setattr(identity._EcAlgo, "verify", counting_verify)
+    monkeypatch.setattr(ec, "derive_private_key", counting_derive)
+    operations = [
+        ("pull", lambda: reader.pull_friend_profile("user00"), {"verify": 1, "derive": 0}),
+        ("write", lambda: reader.write_to_friend("user00", "share_board", op_add("c1", b"hi")),
+         {"verify": 1, "derive": 0}),
+        ("locate", lambda: reader.locate_friend("user00"), {"verify": 0, "derive": 0}),
+    ]
+    for name, operation, expected in operations:
+        counts.update(verify=0, derive=0)
+        operation()
+        assert counts == expected, name

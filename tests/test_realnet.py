@@ -8,7 +8,7 @@ import pytest
 
 from friendmesh import identity, secure, wire
 from friendmesh.caservice import CAService
-from friendmesh.channel import FuncService
+from friendmesh.channel import DirectChannel, FuncService
 from friendmesh.config import PeerConfig, RelayConfig, RendezvousConfig, StunConfig
 from friendmesh.errors import NetworkUnreachable
 from friendmesh.nat import NatType, stun_classify
@@ -224,3 +224,30 @@ def test_relay_bridge_over_tcp(ca_world):
         channel.close()
     finally:
         relay_srv.stop()
+
+
+def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
+    # Real mode injects no rng, so passphrases, friend keys, session keys and
+    # relay challenges come from os.urandom, not from Mersenne Twister.
+    draws = []
+    real_randbytes = random.SystemRandom.randbytes
+
+    def counting_randbytes(self, n):
+        draws.append(n)
+        return real_randbytes(self, n)
+
+    monkeypatch.setattr(random.SystemRandom, "randbytes", counting_randbytes)
+    ca = identity.CAState("csprng-ca", identity.generate_keypair())
+    pair = identity.generate_keypair()
+    cert = ca.issue("alice", pair.public_key, pair.algorithm_id)
+    endpoint = TcpEndpoint()
+    peer = Peer(PeerConfig(username="alice"), endpoint, ca.public_key)
+    assert draws == [32, 16]  # passphrase, friend key
+    rendezvous = RendezvousServer("127.0.0.1:1", RendezvousConfig(), ca.public_key)
+    secure.SecureClient(DirectChannel(rendezvous), cert, pair).establish()
+    assert draws[2:] == [16]  # session key
+    relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
+    wire.call(DirectChannel(relay), wire.IS_SERVER, cert, expect=wire.CHALLENGE)
+    assert draws[3:] == [8]  # challenge nonce
+    for component in (endpoint, peer, rendezvous, relay):
+        assert type(component.rng) is random.SystemRandom

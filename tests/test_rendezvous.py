@@ -6,7 +6,7 @@ import pytest
 from friendmesh import identity, records, rvclient, store, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RendezvousConfig
-from friendmesh.errors import IntegrityError, NotFound
+from friendmesh.errors import IntegrityError, MalformedRequest, NotFound
 from friendmesh.records import (
     FriendshipRequestRecord,
     PeerRow,
@@ -397,3 +397,22 @@ def test_register_verifies_row_once(ca, clock, monkeypatch, ring):
     rvclient.register_peer(secure_client(server, pair, cert), make_record(pair, cert))
     assert checks == [cert.username]
     assert [row.record.username for row in server.store.peer_rows()] == [cert.username]
+
+
+@pytest.mark.parametrize("code", [wire.CHORD_LOOKUP, wire.RING_CLOSEST], ids=["chord_lookup", "ring_closest"])
+def test_off_ring_identifier_refused(ca, clock, code):
+    # An id outside Z_{2^bits} is refused, not routed as its residue.
+    server = RendezvousServer(
+        addr="10.0.0.4:7200",
+        config=RendezvousConfig(ring_enabled=True),
+        ca_public_key=ca.public_key,
+        ca_algorithm=ca.algorithm_id,
+        endpoint=object(),  # a one-node ring dials nobody
+        clock=clock,
+        rng=random.Random(1),
+    )
+    top = (1 << server.ring.bits) - 1
+    channel = DirectChannel(server)
+    wire.open_reply(channel.request(wire.Frame(code, wire.pack_fields(wire.pack_ident(top)))))
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(channel.request(wire.Frame(code, wire.pack_fields(wire.pack_ident(top + 1)))))

@@ -67,6 +67,14 @@ def test_int_field_accepts_only_pack_int_output(field):
         wire.unpack_int(field)
 
 
+@pytest.mark.parametrize(
+    "field", [b"", b"-ff", b"+ff", b"0xff", b" ff", b"ff ", b"f_f", b"FF", b"fF", b"ff\n", b"g"],
+)
+def test_ident_field_accepts_only_pack_ident_output(field):
+    with pytest.raises(MalformedRequest):
+        wire.unpack_ident(field)
+
+
 def test_reply_status_convention():
     reply = wire.ok_reply(wire.PEER_INFO, b"body")
     assert wire.open_reply(reply) == [b"body"]
