@@ -22,9 +22,6 @@ class CASession:
     def __init__(self, ca: CAState):
         self.ca = ca
 
-    def closed(self, ctx: SessionContext) -> None:
-        pass
-
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame:
         if frame.msg_type != wire.CERT_REPLY:
             return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")

@@ -1,21 +1,30 @@
 """Connection abstractions every component is written against.
 
 A Channel is the client end of one connection: it sends a frame and waits
-for the single reply frame. A Service accepts connections and hands each
-one a Session whose handle() produces the reply. The deterministic
-simulator and the real-socket carriers both implement these, which is what
-lets identical component code run in either world.
+for the single reply frame, and close() ends the connection. A Service
+accepts connections and hands each one a Session; a session only answers
+frames, one handle() call per request, and is simply dropped when its
+connection ends. The deterministic simulator and the real-socket carriers
+both implement these, which is what lets identical component code run in
+either world.
 
-attach_reverse() models a full-duplex connection kept open by the client:
-the attached service handles frames the *server* later pushes down the same
-connection (used by relayed server-peers).
+A relay takes over a connection one way. A carrier that can serve in
+reverse offers the client's side of the connection to the server's session
+as ctx.reverse_service: in process, the service the client passed to
+attach_reverse(); over TCP, the socket itself. Opening a session on it
+takes the connection over for good: the server writes requests down it and
+the client answers them, and the server's own session reads no further
+frames from it. Over TCP the serve loop stops once the current reply is
+out, and the client starts answering after that reply. A relay does this
+once, when it admits a server-peer.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
+from .errors import PeerUnreachable
 from .wire import Frame
 
 
@@ -24,17 +33,11 @@ class SessionContext:
     """What a server session may know about the connection."""
 
     remote_addr: str
-    local_addr: str
-    now_ms: Callable[[], int]
-    reverse_service: "Service | None" = None
-    meta: dict = field(default_factory=dict)
+    reverse_service: "Service | None" = None  # the client's side, where it can serve in reverse
 
 
 class Session(Protocol):
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        ...
-
-    def closed(self, ctx: SessionContext) -> None:
         ...
 
 
@@ -78,22 +81,14 @@ class DirectChannel:
     builds on the same idea with clocks, loss and adversaries in between.
     """
 
-    def __init__(
-        self,
-        service: Service,
-        remote_addr: str = "server:0",
-        local_addr: str = "client:0",
-        clock: Callable[[], int] = lambda: 0,
-    ):
+    def __init__(self, service: Service, remote_addr: str = "server:0", local_addr: str = "client:0"):
         self.remote_addr = remote_addr
-        self._ctx = SessionContext(remote_addr=local_addr, local_addr=remote_addr, now_ms=clock)
+        self._ctx = SessionContext(remote_addr=local_addr)
         self._session = service.open_session(self._ctx)
 
     def request(self, frame: Frame) -> Frame:
         reply = self._session.handle(frame, self._ctx)
         if reply is None:
-            from .errors import PeerUnreachable
-
             raise PeerUnreachable("no reply")
         return reply
 
@@ -101,25 +96,17 @@ class DirectChannel:
         self._ctx.reverse_service = service
 
     def close(self) -> None:
-        self._session.closed(self._ctx)
-
-
-class FuncSession:
-    """Session backed by a plain handler function."""
-
-    def __init__(self, fn: Callable[[Frame, SessionContext], Frame | None]):
-        self._fn = fn
-
-    def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        return self._fn(frame, ctx)
-
-    def closed(self, ctx: SessionContext) -> None:
         pass
 
 
 class FuncService:
+    """A stateless service backed by a plain handler function: its own session."""
+
     def __init__(self, fn: Callable[[Frame, SessionContext], Frame | None]):
         self._fn = fn
 
-    def open_session(self, ctx: SessionContext) -> Session:
-        return FuncSession(self._fn)
+    def open_session(self, ctx: SessionContext) -> "FuncService":
+        return self
+
+    def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
+        return self._fn(frame, ctx)

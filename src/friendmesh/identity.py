@@ -286,7 +286,9 @@ def sign(priv: bytes, data: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> byt
 
 
 def verify(pub: bytes, data: bytes, sig: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bool:
-    return _algo(algorithm_id).verify(pub, data, sig)
+    """False for a bad signature and for an algorithm this build does not know."""
+    algo = _ALGORITHMS.get(algorithm_id)
+    return algo is not None and algo.verify(pub, data, sig)
 
 
 class _VerifiedSignatures:
@@ -535,6 +537,7 @@ class CAState:
             raise MalformedRequest("username empty or too long")
         if username in self._issued:
             raise UsernameTaken(username)
+        _algo(algorithm_id)  # refuse an unknown algorithm before the username is taken
         unsigned = Certificate(username, public_key, self.name, algorithm_id, b"")
         cert = replace(unsigned, signature=sign(
             self.keypair.private_key, unsigned.signed_bytes(), self.keypair.algorithm_id

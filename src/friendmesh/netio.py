@@ -3,9 +3,11 @@
 The same Channel/Service contracts the simulator provides, over actual
 sockets. TCP maps one connection to one session; the UDP carrier runs the
 ARQ engine per remote endpoint with a pump thread driving retransmission.
-attach_reverse() flips a client connection into serving mode after the
-next reply, which is how a relayed server-peer answers muxed frames on
-the connection it keeps open.
+A TCP connection can be taken over one way (see channel.py): on the
+client, attach_reverse() starts answering frames after the next reply; on
+the server, opening a session on ctx.reverse_service ends the serve loop
+once the current reply is out. Bytes that are not a frame end the
+connection silently.
 """
 from __future__ import annotations
 
@@ -63,9 +65,7 @@ class TcpChannel:
     def _start_reverse(self) -> None:
         self._serving = True
         self._sock.settimeout(None)
-        ctx = SessionContext(
-            remote_addr=self.remote_addr, local_addr=self.remote_addr, now_ms=now_ms
-        )
+        ctx = SessionContext(remote_addr=self.remote_addr)
         session = self._reverse.open_session(ctx)
 
         def loop():
@@ -75,8 +75,8 @@ class TcpChannel:
                     reply = session.handle(frame, ctx)
                     if reply is not None:
                         self._sock.sendall(reply.encode())
-            except (PeerUnreachable, OSError):
-                pass
+            except (ProtocolError, OSError):
+                self._sock.close()  # the connection ended, or carried bytes that are not a frame
 
         threading.Thread(target=loop, daemon=True).start()
 
@@ -138,33 +138,21 @@ class TcpServer:
             threading.Thread(target=self._serve_conn, args=(conn, peer), daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket, peer) -> None:
-        ctx = SessionContext(
-            remote_addr=f"{peer[0]}:{peer[1]}", local_addr=self.addr, now_ms=now_ms
-        )
-
-        def make_reverse() -> "_SocketReverse":
-            # The connection flips: the remote starts answering requests we
-            # write down the same socket (relayed server-peers).
-            ctx.meta["_flipped"] = True
-            return _SocketReverse(conn)
-
-        ctx.meta["make_reverse"] = make_reverse
+        reverse = _SocketReverse(conn)
+        ctx = SessionContext(remote_addr=f"{peer[0]}:{peer[1]}", reverse_service=reverse)
         session = self.service.open_session(ctx)
-        flipped = False
         try:
             while not self._stop.is_set():
                 frame = frame_from_stream(lambda n: _read_exact(conn, n))
                 reply = session.handle(frame, ctx)
                 if reply is not None:
                     conn.sendall(reply.encode())
-                if ctx.meta.get("_flipped"):
-                    flipped = True
-                    break
-        except (PeerUnreachable, OSError):
+                if reverse.taken:
+                    break  # the connection now carries requests the other way
+        except (ProtocolError, OSError):
             pass
         finally:
-            session.closed(ctx)
-            if not flipped:
+            if not reverse.taken:
                 conn.close()
 
     def stop(self) -> None:
@@ -176,13 +164,15 @@ class TcpServer:
 
 
 class _SocketReverse:
-    """Service/Session facade writing requests down a flipped connection."""
+    """Service/Session facade writing requests down a taken-over connection."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._lock = threading.Lock()
+        self.taken = False
 
     def open_session(self, ctx: SessionContext) -> "_SocketReverse":
+        self.taken = True
         return self
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
@@ -190,11 +180,8 @@ class _SocketReverse:
             try:
                 self._sock.sendall(frame.encode())
                 return frame_from_stream(lambda n: _read_exact(self._sock, n))
-            except (PeerUnreachable, OSError):
+            except (ProtocolError, OSError):
                 return None
-
-    def closed(self, ctx: SessionContext) -> None:
-        pass
 
 
 class RudpChannel:
@@ -270,9 +257,7 @@ class RudpServer:
     def _conn_for(self, peer) -> tuple[ArqEndpoint, object, SessionContext]:
         conn = self._conns.get(peer)
         if conn is None:
-            ctx = SessionContext(
-                remote_addr=f"{peer[0]}:{peer[1]}", local_addr=self.addr, now_ms=now_ms
-            )
+            ctx = SessionContext(remote_addr=f"{peer[0]}:{peer[1]}")
             conn = (ArqEndpoint(), self.service.open_session(ctx), ctx)
             self._conns[peer] = conn
         return conn
@@ -293,8 +278,7 @@ class RudpServer:
             except ProtocolError:
                 # A message that is not a frame, or a session that raised:
                 # forget the remote and answer with silence.
-                _, session, ctx = self._conns.pop(peer)
-                session.closed(ctx)
+                del self._conns[peer]
             except OSError:
                 break
             now = now_ms()

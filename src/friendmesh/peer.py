@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import caservice, identity, rvclient, secure, sentinel, wire
-from .channel import Endpoint, FuncSession, SessionContext
+from .channel import Endpoint, FuncService, SessionContext
 from .chord import DualId, dual_hash
 from .config import PeerConfig
 from .errors import (
@@ -38,6 +39,11 @@ from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registr
 from .relay import MuxService, admit_as_server, send_keepalive
 from .secure import SecureChannel, pack_app, read_app_kind
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
+
+# What a peer serves before it has a certificate: a refusal that reveals nothing.
+_NOT_READY = FuncService(
+    lambda frame, ctx: wire.err_reply(frame.msg_type, "unavailable", "not ready")
+)
 
 
 @dataclass
@@ -110,10 +116,7 @@ class Peer:
 
     def open_session(self, ctx: SessionContext):
         if self.state.certificate is None:
-            # Not bootstrapped yet: refuse without revealing anything.
-            return FuncSession(
-                lambda frame, c: wire.err_reply(frame.msg_type, "unavailable", "not ready")
-            )
+            return _NOT_READY
         return secure.ResponderSession(
             self.state.certificate,
             self.state.keypair,
@@ -166,24 +169,18 @@ class Peer:
         self.on_event("bootstrapped", peer=self.username, servers=",".join(registered))
 
     def _obtain_certificate(self) -> None:
-        channel = self.endpoint.connect(self.config.ca_addr)
-        try:
+        with closing(self.endpoint.connect(self.config.ca_addr)) as channel:
             self.state.certificate = caservice.request_certificate(
                 channel, self.username, self.state.keypair, self.ca_public_key, self.ca_algorithm
             )
-        finally:
-            channel.close()
 
     def _obtain_relay(self) -> None:
         state = self.state
         got = None
         for server in self._bootstrap_servers():
             try:
-                channel = self.endpoint.connect(server)
-                try:
+                with closing(self.endpoint.connect(server)) as channel:
                     got = rvclient.request_relay(channel)
-                finally:
-                    channel.close()
                 if got:
                     break
             except PeerUnreachable:
@@ -195,7 +192,7 @@ class Peer:
             return
         relay_addr = f"{got[0]}:{got[1]}"
         self._mux = MuxService(self)
-        channel = self.endpoint.connect(relay_addr)
+        channel = self.endpoint.connect(relay_addr)  # kept open: the relay serves us over it
         interval, token = admit_as_server(
             channel, state.certificate, state.keypair.private_key, self._mux
         )
@@ -260,12 +257,9 @@ class Peer:
         )
 
     def _chord_lookup(self, server: str, ident: int) -> str:
-        channel = self.endpoint.connect(server)
-        try:
+        with closing(self.endpoint.connect(server)) as channel:
             addr, _hops = rvclient.chord_lookup(channel, ident)
             return addr
-        finally:
-            channel.close()
 
     def build_record(self) -> RegistrationRecord:
         state = self.state
@@ -289,12 +283,9 @@ class Peer:
         )
 
     def _register_at(self, server: str, record: RegistrationRecord) -> None:
-        channel = self.endpoint.connect(server)
-        client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-        try:
+        with closing(self.endpoint.connect(server)) as channel:
+            client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
             pending = rvclient.register_peer(client, record)
-        finally:
-            client.close()
         for request in pending:
             passphrase = rvclient.open_request_blob(self.state.keypair, request)
             if passphrase is not None:
@@ -331,14 +322,12 @@ class Peer:
         return list(dict.fromkeys(servers))
 
     def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
-        channel = self.endpoint.connect(server)
-        client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-        try:
-            return rvclient.locate_peer(client, passphrase)
-        except NotFound:
-            return None
-        finally:
-            client.close()
+        with closing(self.endpoint.connect(server)) as channel:
+            client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
+            try:
+                return rvclient.locate_peer(client, passphrase)
+            except NotFound:
+                return None
 
     def locate_friend(self, friend_username: str) -> tuple[RegistrationRecord, str]:
         """Try both dual-hash paths; verify each record before trusting it."""
@@ -379,18 +368,23 @@ class Peer:
             channel = self.endpoint.connect(f"{record.ip}:{record.port}")
         elif route is Route.RELAY:
             channel = self.endpoint.connect(f"{record.relay_address}:{record.relay_port}")
-            wire.call(channel, wire.BRIDGE_OPEN, expected)
         else:
             raise Unavailable(f"no route to {expected}")
-        return secure.connect_secure(
-            channel,
-            self.state.certificate,
-            self.state.keypair,
-            self.ca_public_key,
-            self.ca_algorithm,
-            expected_username=expected,
-            rng=self.rng,
-        )
+        try:
+            if route is Route.RELAY:
+                wire.call(channel, wire.BRIDGE_OPEN, expected)
+            return secure.connect_secure(
+                channel,
+                self.state.certificate,
+                self.state.keypair,
+                self.ca_public_key,
+                self.ca_algorithm,
+                expected_username=expected,
+                rng=self.rng,
+            )
+        except ProtocolError:
+            channel.close()
+            raise
 
     def connect_friend(self, friend_username: str) -> tuple[SecureChannel, str]:
         """Channel to the friend, or to one of their mirrors in preference
@@ -414,7 +408,11 @@ class Peer:
                     pass
             try:
                 channel = self._open_route(record, friend_username)
-                self._flush_queue(channel, friend_username)
+                try:
+                    self._flush_queue(channel, friend_username)
+                except ProtocolError:
+                    channel.close()
+                    raise
                 return channel, friend_username
             except ProtocolError:
                 pass
@@ -444,16 +442,13 @@ class Peer:
         last: ProtocolError | None = None
         for server in self._servers_for(target_username) or self._bootstrap_servers():
             try:
-                channel = self.endpoint.connect(server)
-                client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-                try:
+                with closing(self.endpoint.connect(server)) as channel:
+                    client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
                     target_cert = rvclient.friend_request(client, target_username)
                     blob = rvclient.seal_request_blob(
                         target_cert, self.username, self.state.passphrase
                     )
                     rvclient.submit_passphrase_blob(client, blob)
-                finally:
-                    client.close()
                 self.state.pending_outgoing.add(target_username)
                 self.on_event("friend_request_sent", peer=self.username, target=target_username)
                 return
@@ -478,11 +473,12 @@ class Peer:
                     break
             if record is None:
                 raise Unavailable(f"{requester} not currently registered")
-            channel = self._open_route(record[0], requester)
-            entry.certificate = channel.peer_cert.encode()
-            entry.friend_key, entry.mirror_table = channel.call(
-                "friend_accept", self.state.passphrase, self.state.friend_key, self.state.mirror_table
-            )
+            with closing(self._open_route(record[0], requester)) as channel:
+                entry.certificate = channel.peer_cert.encode()
+                entry.friend_key, entry.mirror_table = channel.call(
+                    "friend_accept", self.state.passphrase, self.state.friend_key,
+                    self.state.mirror_table,
+                )
         except ProtocolError:
             # Nothing was exchanged: unwind so the request stays acceptable.
             self.state.friend_list.pop(requester, None)
@@ -551,11 +547,9 @@ class Peer:
                 channel, served_by = self.connect_friend(friend)
             except ProtocolError:
                 continue
-            if served_by != friend:
-                channel.close()
-                continue  # only the friend themself can take these
-            self._flush_queue(channel, friend)
-            channel.close()
+            with closing(channel):
+                if served_by == friend:  # only the friend themself can take these
+                    self._flush_queue(channel, friend)
 
     def _flush_queue(self, channel: SecureChannel, friend: str) -> None:
         queue = self.state.queued_updates.get(friend, [])
@@ -572,16 +566,15 @@ class Peer:
         if entry is None:
             raise NotFound(friend_username)
         channel, served_by = self.connect_friend(friend_username)
-        if served_by != friend_username:
-            channel.close()
-            raise Unavailable(f"{friend_username} not directly reachable")
-        channel.call(
-            "mirror_init",
-            self.username,
-            ",".join(sorted(self.state.friend_list)),
-            encode_entries(self.profile.log),
-        )
-        channel.close()
+        with closing(channel):
+            if served_by != friend_username:
+                raise Unavailable(f"{friend_username} not directly reachable")
+            channel.call(
+                "mirror_init",
+                self.username,
+                ",".join(sorted(self.state.friend_list)),
+                encode_entries(self.profile.log),
+            )
         if all(m.username != friend_username for m in self.state.mirror_table):
             self.state.mirror_table.append(
                 MirrorEntry(username=friend_username, passphrase=entry.passphrase)
@@ -594,13 +587,9 @@ class Peer:
                 channel, served_by = self.connect_friend(mirror.username)
             except ProtocolError:
                 continue
-            if served_by != mirror.username:
-                channel.close()
-                continue
-            try:
-                self._sync_over(channel, self.username)
-            finally:
-                channel.close()
+            with closing(channel):
+                if served_by == mirror.username:
+                    self._sync_over(channel, self.username)
 
     def _sync_over(self, channel: SecureChannel, owner: str) -> None:
         """Bidirectional reconcile of owner's profile over one channel."""
@@ -622,7 +611,7 @@ class Peer:
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
         channel, served_by = self.connect_friend(friend_username)
-        try:
+        with closing(channel):
             local = into if into is not None else Profile(friend_username)
             pulled = self._pull(channel, friend_username, local)
             self.on_event(
@@ -633,16 +622,12 @@ class Peer:
                 bytes=pulled,
             )
             return local
-        finally:
-            channel.close()
 
     def write_to_friend(self, friend_username: str, path: str, op: bytes) -> int:
         channel, served_by = self.connect_friend(friend_username)
-        try:
+        with closing(channel):
             (version,) = channel.call("op", friend_username, path, op)
             return version
-        finally:
-            channel.close()
 
     # ------------------------------------------------------------------ periodic upkeep
 
@@ -650,13 +635,9 @@ class Peer:
         state = self.state
         if state.relay_endpoint is not None and state.relay_token:
             try:
-                channel = self.endpoint.connect(
-                    f"{state.relay_endpoint[0]}:{state.relay_endpoint[1]}"
-                )
-                try:
+                relay_addr = f"{state.relay_endpoint[0]}:{state.relay_endpoint[1]}"
+                with closing(self.endpoint.connect(relay_addr)) as channel:
                     send_keepalive(channel, state.relay_token)
-                finally:
-                    channel.close()
             except ProtocolError:
                 pass
         self.flush_queues()
@@ -679,11 +660,8 @@ class Peer:
         targets += [s for s in self._bootstrap_servers() if s != accused]
         for server in dict.fromkeys(targets):
             try:
-                channel = self.endpoint.connect(server)
-                try:
+                with closing(self.endpoint.connect(server)) as channel:
                     rvclient.submit_complaint(channel, complaint.encode())
-                finally:
-                    channel.close()
                 self.notifications.mark_filed(accused)
                 self.on_event("complaint_filed", peer=self.username, accused=accused, via=server)
                 return
@@ -692,12 +670,12 @@ class Peer:
 
     # ------------------------------------------------------------------ app handler
 
-    def _handle_app(self, body: bytes, peer_username: str, ctx: SessionContext) -> bytes:
+    def _handle_app(self, body: bytes, sender: Certificate, ctx: SessionContext) -> bytes:
         kind, pos = read_app_kind(body)
         handler = getattr(self, f"_on_{kind}", None) if kind in wire.SCHEMA else None
         if handler is None:
             raise MalformedRequest(f"unknown app kind {kind}")
-        values = handler(peer_username, ctx, *wire.decode(kind, body, pos))
+        values = handler(sender, *wire.decode(kind, body, pos))
         return pack_app(wire.SCHEMA[kind].reply_kind) + wire.encode(kind, *values, reply=True)
 
     def _profile_for(self, owner: str, requester: str, write: bool) -> Profile:
@@ -710,31 +688,31 @@ class Peer:
             raise AuthError(f"{requester} may not access {owner}'s replica")
         return replica.profile
 
-    # App handlers, one per app kind: (sender, ctx, *request values) -> reply values.
+    # App handlers, one per app kind: (sender's certificate, *request values) -> reply values.
 
-    def _on_ping(self, peer: str, ctx: SessionContext) -> tuple:
+    def _on_ping(self, sender: Certificate) -> tuple:
         return ()
 
-    def _on_friend_accept(self, peer: str, ctx: SessionContext, passphrase: str, friend_key: bytes,
+    def _on_friend_accept(self, sender: Certificate, passphrase: str, friend_key: bytes,
                           mirror_table: list[MirrorEntry]) -> tuple:
+        peer = sender.username
         if peer not in self.state.pending_outgoing:
             raise AuthError("no outstanding request to this user")
         self.state.pending_outgoing.discard(peer)
-        peer_cert = ctx.meta.get("peer_cert")
         self.state.friend_list[peer] = FriendEntry(
             username=peer,
             passphrase=passphrase,
             friend_key=friend_key,
-            certificate=peer_cert.encode() if peer_cert is not None else b"",
+            certificate=sender.encode(),
             mirror_table=mirror_table,
         )
         self._grant_friend(peer)
         self.on_event("friendship_established", peer=self.username, friend=peer)
         return self.state.friend_key, self.state.mirror_table
 
-    def _on_passphrase_update(self, peer: str, ctx: SessionContext, passphrase: str,
+    def _on_passphrase_update(self, sender: Certificate, passphrase: str,
                               friend_key: bytes) -> tuple:
-        entry = self.state.friend_list.get(peer)
+        entry = self.state.friend_list.get(sender.username)
         if entry is None:
             raise AuthError("not a friend")
         entry.passphrase = passphrase
@@ -742,14 +720,14 @@ class Peer:
             entry.friend_key = friend_key
         return ()
 
-    def _on_note_bad_server(self, peer: str, ctx: SessionContext, accused: str) -> tuple:
-        self.notifications.note(accused, peer)
+    def _on_note_bad_server(self, sender: Certificate, accused: str) -> tuple:
+        self.notifications.note(accused, sender.username)
         self.maybe_file_complaints()
         return ()
 
-    def _on_mirror_init(self, peer: str, ctx: SessionContext, owner: str, allowed: str,
+    def _on_mirror_init(self, sender: Certificate, owner: str, allowed: str,
                         entries: bytes) -> tuple:
-        if owner != peer:
+        if owner != sender.username:
             raise AuthError("only the owner may seed a replica")
         self.replicas[owner] = MirrorReplica(
             owner=owner,
@@ -759,11 +737,12 @@ class Peer:
         self.on_event("replica_seeded", peer=self.username, owner=owner)
         return ()
 
-    def _on_sync_vec(self, peer: str, ctx: SessionContext, owner: str) -> tuple:
-        return (self._profile_for(owner, peer, write=False),)
+    def _on_sync_vec(self, sender: Certificate, owner: str) -> tuple:
+        return (self._profile_for(owner, sender.username, write=False),)
 
-    def _on_sync_push(self, peer: str, ctx: SessionContext, owner: str, pushed: bytes,
+    def _on_sync_push(self, sender: Certificate, owner: str, pushed: bytes,
                       allowed: str) -> tuple:
+        peer = sender.username
         entries = decode_entries(pushed)
         if owner == peer:
             replica = self.replicas.get(owner)
@@ -781,7 +760,8 @@ class Peer:
             raise AuthError("cannot push for a third party")
         return ()
 
-    def _on_pull(self, peer: str, ctx: SessionContext, owner: str, vector: tuple) -> tuple:
+    def _on_pull(self, sender: Certificate, owner: str, vector: tuple) -> tuple:
+        peer = sender.username
         versions, digests = vector
         profile = self._profile_for(owner, peer, write=False)
         trusted = peer == owner or (owner in ("", self.username) and self._is_my_mirror(peer))
@@ -790,11 +770,13 @@ class Peer:
     def _is_my_mirror(self, username: str) -> bool:
         return any(m.username == username for m in self.state.mirror_table)
 
-    def _on_op(self, peer: str, ctx: SessionContext, owner: str, path: str, op: bytes) -> tuple:
+    def _on_op(self, sender: Certificate, owner: str, path: str, op: bytes) -> tuple:
+        peer = sender.username
         profile = self._profile_for(owner, peer, write=True)
         return (profile.apply_update(peer, path, op, timestamp=self.clock()),)
 
-    def _on_read(self, peer: str, ctx: SessionContext, owner: str, path: str) -> tuple:
+    def _on_read(self, sender: Certificate, owner: str, path: str) -> tuple:
+        peer = sender.username
         profile = self._profile_for(owner, peer, write=False)
         if peer != profile.owner and not profile.check_permission(peer, path, "read"):
             raise AuthError(f"{peer} may not read {path}")
@@ -914,16 +896,11 @@ class _Probe:
 
     def try_connect(self, record: RegistrationRecord) -> bool:
         try:
-            channel = self.peer._open_route(record, record.username)
-        except ProtocolError:
-            return False
-        try:
-            channel.call("ping")
+            with closing(self.peer._open_route(record, record.username)) as channel:
+                channel.call("ping")
             return True
         except ProtocolError:
             return False
-        finally:
-            channel.close()
 
     def next_alternate(self) -> str | None:
         return self._alternates.pop(0) if self._alternates else None

@@ -27,7 +27,7 @@ KEEPALIVE_GRACE = 3  # ping intervals a relayed peer may stay silent before evic
 @dataclass
 class RelaySession:
     username: str
-    service: Service  # the server-peer's mux face, reached over its own connection
+    session: Session  # the server-peer's mux face, on the connection it keeps open
     token: bytes
     last_alive: int
     streams: int = 0
@@ -131,15 +131,12 @@ class RelayConnSession:
         self._bridge: RelaySession | None = None
         self._stream_id: bytes | None = None
 
-    def closed(self, ctx: SessionContext) -> None:
-        pass
-
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         code = frame.msg_type
         handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
         if handler is None:
             if self._bridge is not None:
-                return self._forward(frame)
+                return self._forward(frame, ctx)
             return wire.err_reply(code, "malformed_request", "no bridge open")
         # Refusals that come before the request is read.
         if code == wire.IS_SERVER and len(self.server.sessions) >= self.server.config.max_connections:
@@ -168,17 +165,12 @@ class RelayConnSession:
         server = self.server
         if value != self._challenge:
             return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "challenge mismatch")
-        reverse = ctx.reverse_service
-        if reverse is None:
-            make_reverse = ctx.meta.get("make_reverse")
-            if make_reverse is not None:
-                reverse = make_reverse()
-        if reverse is None:
+        if ctx.reverse_service is None:
             return wire.err_reply(wire.CHALLENGE_REPLY, "malformed_request", "no mux attached")
         token = server.rng.randbytes(16)
         session = RelaySession(
             username=self._cert.username,
-            service=reverse,
+            session=ctx.reverse_service.open_session(ctx),
             token=token,
             last_alive=server.clock(),
         )
@@ -205,27 +197,16 @@ class RelayConnSession:
         self._stream_id = session.streams.to_bytes(4, "big")
         return wire.reply(wire.BRIDGE_OPEN)
 
-    def _forward(self, frame: Frame) -> Frame:
+    def _forward(self, frame: Frame, ctx: SessionContext) -> Frame:
         """Copy verbatim; the stream id travels only on the relay leg."""
         bridge = self._bridge
         if bridge.username not in self.server.sessions:
             return wire.err_reply(frame.msg_type, "peer_unreachable", "session gone")
         muxed = Frame(frame.msg_type, self._stream_id + frame.payload)
-        reply = self._mux_request(bridge, muxed)
+        reply = bridge.session.handle(muxed, ctx)
         if reply is None:
             return wire.err_reply(frame.msg_type, "peer_unreachable")
         return Frame(reply.msg_type, reply.payload[4:])
-
-    def _mux_request(self, bridge: RelaySession, muxed: Frame) -> Frame | None:
-        session = getattr(bridge, "_mux_session", None)
-        if session is None:
-            ctx = SessionContext(
-                remote_addr=self.server.addr, local_addr=self.server.addr, now_ms=self.server.clock
-            )
-            session = bridge.service.open_session(ctx)
-            bridge._mux_session = session  # type: ignore[attr-defined]
-            bridge._mux_ctx = ctx  # type: ignore[attr-defined]
-        return session.handle(muxed, bridge._mux_ctx)  # type: ignore[attr-defined]
 
 
 # Requests whose malformed form gets its own reply rather than a
@@ -245,7 +226,7 @@ class MuxService:
         self._streams: dict[bytes, Session] = {}
 
     def open_session(self, ctx: SessionContext) -> "MuxSession":
-        return MuxSession(self, ctx)
+        return MuxSession(self)
 
     def stream_session(self, stream_id: bytes, ctx: SessionContext) -> Session:
         session = self._streams.get(stream_id)
@@ -256,12 +237,8 @@ class MuxService:
 
 
 class MuxSession:
-    def __init__(self, service: MuxService, ctx: SessionContext):
+    def __init__(self, service: MuxService):
         self._service = service
-        self._ctx = ctx
-
-    def closed(self, ctx: SessionContext) -> None:
-        pass
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         if len(frame.payload) < 4:

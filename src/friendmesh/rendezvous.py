@@ -105,7 +105,6 @@ class RendezvousServer:
             )
         self.ledger = ComplaintLedger(self.config.complaint_threshold)
         self.evictions: list[tuple[int, str]] = []
-        self._seen_complaints: set[tuple[str, str]] = set()
         self._tick_count = 0
 
     # -- ring plumbing ---------------------------------------------------------
@@ -159,12 +158,6 @@ class RendezvousServer:
         )
         if not fresh:
             return False
-        # Flood dedup keyed by (accused, complainant), marked only for
-        # valid complaints so forgeries cannot pre-block a real one.
-        key = (complaint.accused, complaint.complainant)
-        if key in self._seen_complaints:
-            return False
-        self._seen_complaints.add(key)
         self.on_event(
             "complaint",
             node=self.addr,
@@ -231,9 +224,6 @@ class RendezvousSession:
         self.peer_cert: Certificate | None = None
         self.cipher: SessionCipher | None = None
         self._friend_target: str | None = None
-
-    def closed(self, ctx: SessionContext) -> None:
-        pass
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         try:

@@ -22,8 +22,8 @@ from .identity import Certificate, KeyPair, SessionCipher, SessionKey
 from .wire import Frame
 
 AdmissionGate = Callable[[str], bool]
-# App handler: (plaintext body, peer username, ctx) -> plaintext reply body.
-AppHandler = Callable[[bytes, str, SessionContext], bytes]
+# App handler: (plaintext body, peer certificate, ctx) -> plaintext reply body.
+AppHandler = Callable[[bytes, Certificate, SessionContext], bytes]
 
 
 def pack_app(kind: str, *fields: bytes) -> bytes:
@@ -141,23 +141,16 @@ class ResponderSession:
         self._peer_cert: Certificate | None = None
         self._cipher: SessionCipher | None = None
 
-    @property
-    def peer_username(self) -> str | None:
-        return self._peer_cert.username if self._peer_cert else None
-
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         if frame.msg_type == wire.REGISTER_PEER:
-            return self._on_hello(frame, ctx)
+            return self._on_hello(frame)
         if frame.msg_type == wire.SESSION_KEY:
             return self._on_session_key(frame)
         if frame.msg_type == wire.APP_DATA:
             return self._on_app(frame, ctx)
         return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
 
-    def closed(self, ctx: SessionContext) -> None:
-        pass
-
-    def _on_hello(self, frame: Frame, ctx: SessionContext) -> Frame:
+    def _on_hello(self, frame: Frame) -> Frame:
         try:
             (peer_cert,) = wire.decode(wire.REGISTER_PEER, frame.payload)
         except MalformedRequest:
@@ -168,7 +161,6 @@ class ResponderSession:
         if not self._admission(peer_cert.username):
             return wire.err_reply(wire.CERT_REPLY, "auth_error", "not authorized")
         self._peer_cert = peer_cert
-        ctx.meta["peer_cert"] = peer_cert
         sealed = identity.seal(
             peer_cert.public_key, self._cert.encode(), peer_cert.algorithm_id
         )
@@ -195,7 +187,7 @@ class ResponderSession:
         except ProtocolError as exc:
             return wire.err_reply(wire.APP_DATA, exc.code)
         try:
-            reply_body = self._app_handler(body, self._peer_cert.username, ctx)
+            reply_body = self._app_handler(body, self._peer_cert, ctx)
         except ProtocolError as exc:
             reply_body = pack_app("err", exc.code.encode("ascii"))
         return Frame(wire.APP_DATA, self._cipher.encrypt(reply_body))

@@ -72,9 +72,6 @@ class AdversarySession:
         self.wrapper = wrapper
         self.inner = inner
 
-    def closed(self, ctx: SessionContext) -> None:
-        self.inner.closed(ctx)
-
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         wrapper = self.wrapper
         script = wrapper.script

@@ -174,7 +174,7 @@ class SimChannel:
         self.src = src
         self.dst = dst
         self.remote_addr = dst.addr
-        self.ctx = SessionContext(remote_addr=src.addr, local_addr=dst.addr, now_ms=net.now_ms)
+        self.ctx = SessionContext(remote_addr=src.addr)
         self.session = dst.service.open_session(self.ctx)
 
     def _latency(self) -> int:
@@ -214,7 +214,7 @@ class SimChannel:
         self.ctx.reverse_service = service
 
     def close(self) -> None:
-        self.session.closed(self.ctx)
+        pass
 
 
 class SimEndpoint:

@@ -464,7 +464,6 @@ RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR))  # -> closest p
 RING_NOTIFY = _define(34, "ring_notify", (STR,), ())  # candidate predecessor
 RING_REPLICATE = _define(35, "ring_replicate", (RING_ROW,), (FLAG,))  # -> accepted
 RING_TRANSFER = _define(36, "ring_transfer", (STR, many(RING_ROW)), (INT,))  # departing or "" -> accepted
-PUNCH_COORDINATE = _define(37, "punch_coordinate", None, None)
 BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 
 MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstance(code, int)}

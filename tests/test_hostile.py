@@ -2,10 +2,15 @@
 keeps serving, and a client facing a hostile reply raises a ProtocolError.
 """
 import itertools
+import queue
 import random
+import socket
+import struct
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import example
 from hypothesis import strategies as st
 
 from friendmesh import identity, rvclient, secure, wire
@@ -14,9 +19,12 @@ from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RelayConfig, RendezvousConfig
 from friendmesh.errors import MalformedRequest, NotFound, PeerUnreachable, ProtocolError
 from friendmesh.identity import SessionCipher
+from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpServer
 from friendmesh.records import make_registration_record
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
+from friendmesh.relay import send_keepalive
 from friendmesh.rendezvous import RendezvousServer, WireRingTransport
+from friendmesh.rudp import ArqEndpoint
 from friendmesh.simnet.scenario import Scenario, SimConfig
 from friendmesh.wire import Frame
 
@@ -44,7 +52,7 @@ class Conn:
 
     def __init__(self, service, remote="10.0.9.9:5000"):
         self.remote_addr = "server:0"
-        self.ctx = SessionContext(remote_addr=remote, local_addr="server:0", now_ms=lambda: 0)
+        self.ctx = SessionContext(remote_addr=remote)
         self.session = service.open_session(self.ctx)
 
     def send(self, code, payload):
@@ -62,7 +70,7 @@ class Conn:
         self.ctx.reverse_service = service
 
     def close(self):
-        self.session.closed(self.ctx)
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +273,142 @@ def test_pull_rejects_two_field_reply(friends, monkeypatch):
     monkeypatch.setattr(bob, "_handle_app", lambda body, peer, ctx: secure.pack_app("entries", b"", b""))
     with pytest.raises(ProtocolError):
         alice.pull_friend_profile("user01")
+
+
+# -- (d) raw bytes through the loopback carriers: no server or client thread dies -------
+
+LOOPBACK_FUZZ = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+OVERSIZED = struct.pack(">IB", wire.MAX_FRAME_PAYLOAD + 1, wire.RING_STATE)
+
+# One valid request per service, answered ok whatever came before.
+VALID = {
+    "rendezvous": lambda channel: wire.call(channel, wire.RELAY_UPDATE, 7300, 0, 4),
+    "relay": lambda channel: send_keepalive(channel, bytes(16)),
+}
+
+
+def streams():
+    """Byte streams that are, or almost are, frames: headers announcing any
+    length, among arbitrary bytes."""
+    lengths = st.sampled_from([0, 1, 40, wire.MAX_FRAME_PAYLOAD + 1, 2**32 - 1])
+    header = st.builds(lambda n, code: struct.pack(">IB", n, code), lengths, CODES)
+    return st.lists(st.one_of(header, st.binary(max_size=60)), max_size=4).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def served():
+    """What each TCP connection thread ended with: None, or the exception
+    that escaped it."""
+    outcomes = queue.Queue()
+    serve = TcpServer._serve_conn
+
+    def watched(self, conn, peer):
+        try:
+            serve(self, conn, peer)
+        except Exception as exc:
+            outcomes.put(exc)
+        else:
+            outcomes.put(None)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TcpServer, "_serve_conn", watched)
+        yield outcomes
+
+
+@pytest.fixture(scope="module")
+def loopback(ca, served):
+    rendezvous = RendezvousServer("127.0.0.1:0", RendezvousConfig(), ca.public_key, ca.algorithm_id)
+    relay = RelayServer("127.0.0.1:0", ca_public_key=ca.public_key, ca_algorithm=ca.algorithm_id)
+    servers = {}
+    for name, service in (("rendezvous", rendezvous), ("relay", relay)):
+        servers[name, "tcp"] = TcpServer(service).start()
+        servers[name, "udp"] = RudpServer(service).start()
+    yield servers
+    for server in servers.values():
+        server.stop()
+
+
+@pytest.fixture(scope="module")
+def udp_clients(loopback):
+    clients = {name: RudpChannel(loopback[name, "udp"].addr, timeout_s=3.0) for name in VALID}
+    yield clients
+    for client in clients.values():
+        client.close()
+
+
+@LOOPBACK_FUZZ
+@given(stream=streams(), target=st.sampled_from(sorted(VALID)))
+@example(stream=OVERSIZED, target="rendezvous")
+@example(stream=OVERSIZED, target="relay")
+def test_tcp_server_survives_any_byte_stream(loopback, served, stream, target):
+    server = loopback[target, "tcp"]
+    with socket.create_connection((server.host, server.port), timeout=5) as raw:
+        try:
+            raw.sendall(stream)
+            raw.shutdown(socket.SHUT_WR)
+            while raw.recv(65536):
+                pass  # replies, then the server ends the connection
+        except OSError:
+            pass  # the server ended it first
+    assert served.get(timeout=5) is None
+    channel = TcpChannel(server.addr)
+    VALID[target](channel)
+    channel.close()
+    assert served.get(timeout=5) is None
+
+
+@LOOPBACK_FUZZ
+@given(
+    datagrams=st.lists(st.binary(max_size=80), max_size=3),
+    message=streams(),
+    target=st.sampled_from(sorted(VALID)),
+)
+def test_udp_server_survives_any_datagram(loopback, udp_clients, datagrams, message, target):
+    server = loopback[target, "udp"]
+    arq = ArqEndpoint()
+    arq.send_message(message)  # reaches the frame decoder
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+        for datagram in datagrams + arq.poll(0):
+            raw.sendto(datagram, (server.host, server.port))
+        VALID[target](udp_clients[target])
+    assert server._thread.is_alive()
+
+
+def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, user, monkeypatch):
+    # The relay's end of a taken-over connection announces too large a
+    # frame: the relayed peer's serving thread ends without raising.
+    pair, cert = user
+    relay = loopback["relay", "tcp"].service
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+    before = set(threading.enumerate())
+    channel = TcpChannel(loopback["relay", "tcp"].addr)
+    admit_as_server(channel, cert, pair.private_key, MuxService(FuncService(lambda f, c: None)))
+    assert served.get(timeout=5) is None  # the relay's serve loop hands the connection over
+    relay.sessions[cert.username].session._sock.sendall(OVERSIZED)
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert escaped == []
+
+
+def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, served, user):
+    pair, cert = user
+    server = loopback["relay", "tcp"]
+    # Admitted by hand, so the test holds the relayed peer's end of the connection.
+    admitted = TcpChannel(server.addr)
+    (sealed,) = wire.call(admitted, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
+    value = identity.open_sealed(pair.private_key, sealed, cert.algorithm_id)
+    wire.call(admitted, wire.CHALLENGE_REPLY, value)
+    assert served.get(timeout=5) is None
+    admitted._sock.sendall(OVERSIZED)  # the reply to the next forwarded frame
+    bridge = TcpChannel(server.addr)
+    wire.call(bridge, wire.BRIDGE_OPEN, cert.username)
+    with pytest.raises(PeerUnreachable):
+        wire.open_reply(bridge.request(Frame(wire.APP_DATA, b"hello")))
+    send_keepalive(bridge, bytes(16))  # the bridge's connection still serves
+    bridge.close()
+    admitted.close()
+    assert served.get(timeout=5) is None

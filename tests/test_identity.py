@@ -16,6 +16,7 @@ from friendmesh.errors import (
     UsernameTaken,
 )
 from friendmesh.profile import op_add
+from friendmesh.records import make_registration_record, verify_registration_record
 from friendmesh.simnet.scenario import Scenario, SimConfig
 
 
@@ -118,6 +119,37 @@ def test_ca_issue_digest_flip_is_integrity_error(ca):
     mutated[-1] ^= 0x01  # digest is the trailing field
     with pytest.raises(IntegrityError):
         identity.ca_issue(bytes(mutated), ca)
+
+
+def test_ca_refuses_unknown_algorithm_before_taking_the_username(ca):
+    # A request naming an algorithm the CA cannot use does not burn the
+    # username: the corrected retry gets its certificate.
+    pair = identity.generate_keypair("ec-p256")
+    bad = identity.build_cert_request(
+        "algo-retry", pair.public_key, "ec-p257", ca.public_key, ca.algorithm_id
+    )
+    with pytest.raises(MalformedRequest):
+        identity.ca_issue(bad, ca)
+    assert "algo-retry" not in ca.usernames()
+    good = identity.build_cert_request(
+        "algo-retry", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
+    )
+    cert = identity.open_cert_reply(identity.ca_issue(good, ca), pair, ca.public_key, ca.algorithm_id)
+    assert cert.username == "algo-retry"
+
+
+def test_unknown_algorithm_verifies_false(ca):
+    pair, cert = make_user(ca, "algo-check")
+    signature = identity.sign(pair.private_key, b"data", pair.algorithm_id)
+    assert identity.verify(pair.public_key, b"data", signature, pair.algorithm_id)
+    assert not identity.verify(pair.public_key, b"data", signature, "ec-p257")
+    record = make_registration_record(
+        username="algo-check", ip="10.0.0.9", port=7000, nat_kind="public", protocol="tcp",
+        relay_address="", relay_port=0, passphrase="p" * 32, encrypted_mirror_list=b"",
+        private_key=pair.private_key, algorithm_id=pair.algorithm_id,
+    )
+    assert verify_registration_record(record, cert)
+    assert not verify_registration_record(record, replace(cert, algorithm_id="ec-p257"))
 
 
 def test_certificate_uniqueness_invariant():

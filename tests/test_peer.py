@@ -409,3 +409,69 @@ def test_mirror_writeback_to_owner():
     world.sim.set_down(owner.endpoint.local_addr(), False)
     owner.sync_mirrors()
     assert owner.profile.element("share_board/away").content == b"missed you"
+
+
+# -- channel lifetime ------------------------------------------------------------
+
+
+@pytest.fixture
+def open_sim_channels(monkeypatch):
+    """Simulator channels opened and not yet closed. A relayed peer's
+    admission channel is left out: the relay serves the peer over it."""
+    from friendmesh.simnet.core import SimChannel
+
+    still_open = set()
+    init, close, attach = SimChannel.__init__, SimChannel.close, SimChannel.attach_reverse
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        still_open.add(self)
+
+    def tracked_close(self):
+        close(self)
+        still_open.discard(self)
+
+    def tracked_attach(self, service):
+        attach(self, service)
+        still_open.discard(self)
+
+    monkeypatch.setattr(SimChannel, "__init__", tracked_init)
+    monkeypatch.setattr(SimChannel, "close", tracked_close)
+    monkeypatch.setattr(SimChannel, "attach_reverse", tracked_attach)
+    return still_open
+
+
+def test_every_channel_a_peer_opens_is_closed(open_sim_channels):
+    # Connects against closes across a whole simulated run.
+    world = small_world(
+        seed=31,
+        n_rendezvous=4,
+        n_peers=6,
+        global_mode=True,
+        nat_assignment={"user03": "symmetric"},
+        mirrors=[["user00", "user01"]],
+        churn=[{"node": "user02", "down_at": 2000, "up_at": 6000}],
+        duration_ms=10_000,
+    )
+    world.run()
+    assert len(world.relays[next(iter(world.relays))].sessions) == 1
+    assert not open_sim_channels
+
+
+def test_failed_routes_close_their_channels(open_sim_channels):
+    world = small_world(seed=32, nat_assignment={"user01": "symmetric"})
+    alice = world.peers["user00"]
+    # A queued update the friend refuses.
+    alice._queue_for("user01", ("mirror_init", "user02", "", b""))
+    with pytest.raises(Unavailable):
+        alice.connect_friend("user01")
+    # A handshake the friend refuses.
+    world.peers["user02"].state.friend_list.pop("user00")
+    with pytest.raises(Unavailable):
+        alice.connect_friend("user02")
+    # A bridge the relay refuses.
+    relay = world.relays[next(iter(world.relays))]
+    relay._drop("user01", evicted=True)
+    with pytest.raises(Unavailable):
+        alice.connect_friend("user01")
+    assert not open_sim_channels

@@ -102,7 +102,7 @@ def test_no_half_open_channels(ca):
         rcert, rpair, ca.public_key, ca.algorithm_id, lambda u: True,
         lambda body, u, c: body,
     )
-    ctx = SessionContext(remote_addr="x", local_addr="y", now_ms=lambda: 0)
+    ctx = SessionContext(remote_addr="x")
     session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
     reply = session.handle(Frame(wire.APP_DATA, b"\x00" * 32), ctx)
     with pytest.raises(HandshakeError):
