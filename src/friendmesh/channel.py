@@ -16,7 +16,8 @@ takes the connection over for good: the server writes requests down it and
 the client answers them, and the server's own session reads no further
 frames from it. Over TCP the serve loop stops once the current reply is
 out, and the client starts answering after that reply. A relay does this
-once, when it admits a server-peer.
+once, when it admits a server-peer; the server-peer's close() of its side
+ends the takeover.
 """
 from __future__ import annotations
 

@@ -210,6 +210,8 @@ def cmd_peer(args) -> int:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         _save(peer, args)
         return 1
+    finally:
+        peer.close()
     _save(peer, args)
     return 0
 
@@ -258,6 +260,8 @@ def cmd_profile(args) -> int:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         _save(peer, args)
         return 1
+    finally:
+        peer.close()
     _save(peer, args)
     return 0
 

@@ -4,10 +4,10 @@ The same Channel/Service contracts the simulator provides, over actual
 sockets. TCP maps one connection to one session; the UDP carrier runs the
 ARQ engine per remote endpoint with a pump thread driving retransmission.
 A TCP connection can be taken over one way (see channel.py): on the
-client, attach_reverse() starts answering frames after the next reply; on
-the server, opening a session on ctx.reverse_service ends the serve loop
-once the current reply is out. Bytes that are not a frame end the
-connection silently.
+client, attach_reverse() starts answering frames after the next reply, and
+close() ends that; on the server, opening a session on ctx.reverse_service
+ends the serve loop once the current reply is out. Bytes that are not a
+frame end the connection silently.
 """
 from __future__ import annotations
 
@@ -81,12 +81,11 @@ class TcpChannel:
         threading.Thread(target=loop, daemon=True).start()
 
     def close(self) -> None:
-        if self._serving:
-            return  # the reverse loop owns the socket now
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)  # also wakes a reverse loop blocked reading
         except OSError:
             pass
+        self._sock.close()
 
 
 class TcpEndpoint:
@@ -181,6 +180,7 @@ class _SocketReverse:
                 self._sock.sendall(frame.encode())
                 return frame_from_stream(lambda n: _read_exact(self._sock, n))
             except (ProtocolError, OSError):
+                self._sock.close()  # the client closed its side, or broke the framing
                 return None
 
 

@@ -8,8 +8,19 @@ and from then on locates friends by passphrase, connects direct /
 hole-punch / relayed, falls back to their mirrors in preference order, and
 replicates its own profile to mirrors it appointed.
 
+A peer keeps at most one secure session per rendezvous server and one
+secure channel per friend, and reuses them across operations, so a warm
+operation costs no handshake. Every friend operation still locates the
+friend and verifies the record it gets; a kept channel is used only while
+that record routes to it. A session or channel is dropped once it falls out
+of step (a transport or crypto failure); a kept one that finds its peer
+unreachable, as after a restart, is retried once on a fresh one. Mirror
+channels are never kept. close() ends all of them and the relay admission
+channel.
+
 Inbound channels are admitted only for friends, friend requesters,
-requested friends, or users allowed on a hosted replica.
+requested friends, or users allowed on a hosted replica, and the check
+runs on every request, so a revoked friend's open channel is refused too.
 """
 from __future__ import annotations
 
@@ -17,10 +28,10 @@ import random
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import caservice, identity, rvclient, secure, sentinel, wire
-from .channel import Endpoint, FuncService, SessionContext
+from .channel import Channel, Endpoint, FuncService, SessionContext
 from .chord import DualId, dual_hash
 from .config import PeerConfig
 from .errors import (
@@ -37,13 +48,15 @@ from .nat import NatType, Route, needs_relay, route_for_record, stun_classify, w
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
-from .secure import SecureChannel, pack_app, read_app_kind
+from .secure import SecureChannel, SecureClient, pack_app, read_app_kind
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
 
 # What a peer serves before it has a certificate: a refusal that reveals nothing.
 _NOT_READY = FuncService(
     lambda frame, ctx: wire.err_reply(frame.msg_type, "unavailable", "not ready")
 )
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -110,7 +123,23 @@ class Peer:
         self.notifications = NotificationBook(threshold=config.notification_threshold)
         self.ring_bits = 128
         self._mux: MuxService | None = None
+        self._relay_channel: Channel | None = None  # kept open: the relay serves us over it
         self._witness: str | None = None  # last verified-correct server
+        self._sessions: dict[str, SecureClient] = {}  # kept, by rendezvous server
+        self._channels: dict[str, SecureChannel] = {}  # kept, by friend
+
+    def close(self) -> None:
+        """Close every kept session and channel and the relay admission channel."""
+        for kept in [*self._sessions.values(), *self._channels.values()]:
+            kept.close()
+        self._sessions.clear()
+        self._channels.clear()
+        self._close_relay_channel()
+
+    def _close_relay_channel(self) -> None:
+        if self._relay_channel is not None:
+            self._relay_channel.close()
+            self._relay_channel = None
 
     # ------------------------------------------------------------------ service
 
@@ -152,6 +181,7 @@ class Peer:
             self._obtain_relay()
         else:
             # NAT may have improved since the last run: drop stale relay state.
+            self._close_relay_channel()
             state.relay_endpoint = None
             state.relay_token = b""
         targets = self._registration_targets()
@@ -176,6 +206,7 @@ class Peer:
 
     def _obtain_relay(self) -> None:
         state = self.state
+        self._close_relay_channel()  # a re-admission replaces the old one
         got = None
         for server in self._bootstrap_servers():
             try:
@@ -192,9 +223,9 @@ class Peer:
             return
         relay_addr = f"{got[0]}:{got[1]}"
         self._mux = MuxService(self)
-        channel = self.endpoint.connect(relay_addr)  # kept open: the relay serves us over it
+        self._relay_channel = self.endpoint.connect(relay_addr)
         interval, token = admit_as_server(
-            channel, state.certificate, state.keypair.private_key, self._mux
+            self._relay_channel, state.certificate, state.keypair.private_key, self._mux
         )
         state.relay_endpoint = got
         state.relay_token = token
@@ -282,10 +313,33 @@ class Peer:
             algorithm_id=state.keypair.algorithm_id,
         )
 
+    def _rendezvous(self, server: str, fn: Callable[[SecureClient], T]) -> T:
+        """Run fn on the kept session to a rendezvous server, or on a new one
+        that is then kept. An authenticated refusal, such as not_found, keeps
+        the session; any other failure drops it, and a kept session that
+        finds the server unreachable is retried once on a new one."""
+        kept = self._sessions.pop(server, None)
+        if kept is not None:
+            try:
+                return self._run_session(server, kept, fn)
+            except PeerUnreachable:
+                pass  # the connection went away: once more on a new session
+        client = SecureClient(self.endpoint.connect(server), self.state.certificate, self.state.keypair)
+        return self._run_session(server, client, fn)
+
+    def _run_session(self, server: str, client: SecureClient, fn: Callable[[SecureClient], T]) -> T:
+        try:
+            if not client.established:  # a new session: its handshake comes first
+                client.establish()
+            return fn(client)
+        finally:
+            if client.established:
+                self._sessions[server] = client
+            else:
+                client.close()
+
     def _register_at(self, server: str, record: RegistrationRecord) -> None:
-        with closing(self.endpoint.connect(server)) as channel:
-            client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-            pending = rvclient.register_peer(client, record)
+        pending = self._rendezvous(server, lambda client: rvclient.register_peer(client, record))
         for request in pending:
             passphrase = rvclient.open_request_blob(self.state.keypair, request)
             if passphrase is not None:
@@ -322,12 +376,10 @@ class Peer:
         return list(dict.fromkeys(servers))
 
     def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
-        with closing(self.endpoint.connect(server)) as channel:
-            client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-            try:
-                return rvclient.locate_peer(client, passphrase)
-            except NotFound:
-                return None
+        try:
+            return self._rendezvous(server, lambda client: rvclient.locate_peer(client, passphrase))
+        except NotFound:
+            return None
 
     def locate_friend(self, friend_username: str) -> tuple[RegistrationRecord, str]:
         """Try both dual-hash paths; verify each record before trusting it."""
@@ -362,14 +414,20 @@ class Peer:
             raise StorageAttack(f"all located records for {friend_username} failed verification")
         raise NotFound(f"{friend_username} offline or rotated passphrase")
 
-    def _open_route(self, record: RegistrationRecord, expected: str) -> SecureChannel:
+    def _route(self, record: RegistrationRecord) -> tuple[Route, str]:
+        """How to reach the record's owner, and the address to dial ("" for none)."""
         route = route_for_record(self.state.nat_type, record.nat_kind, record.has_relay)
         if route in (Route.DIRECT, Route.HOLE_PUNCH):
-            channel = self.endpoint.connect(f"{record.ip}:{record.port}")
-        elif route is Route.RELAY:
-            channel = self.endpoint.connect(f"{record.relay_address}:{record.relay_port}")
-        else:
+            return route, f"{record.ip}:{record.port}"
+        if route is Route.RELAY:
+            return route, f"{record.relay_address}:{record.relay_port}"
+        return route, ""
+
+    def _open_route(self, record: RegistrationRecord, expected: str) -> SecureChannel:
+        route, addr = self._route(record)
+        if not addr:
             raise Unavailable(f"no route to {expected}")
+        channel = self.endpoint.connect(addr)
         try:
             if route is Route.RELAY:
                 wire.call(channel, wire.BRIDGE_OPEN, expected)
@@ -388,34 +446,67 @@ class Peer:
 
     def connect_friend(self, friend_username: str) -> tuple[SecureChannel, str]:
         """Channel to the friend, or to one of their mirrors in preference
-        order; returns (channel, serving username)."""
+        order; returns (channel, serving username). The caller owns the
+        channel: a kept one is taken out of the keep."""
+        record = self._locate_for_route(friend_username)
+        channel, served_by, _reused = self._reach_friend(friend_username, record)
+        return channel, served_by
+
+    def _with_friend(self, friend: str, fn: Callable[[SecureChannel, str], T]) -> T:
+        """Run fn(channel, serving username) on a channel to the friend or,
+        failing that, to one of their mirrors. The friend's own channel is
+        kept for the next operation while it stays in step; a mirror's is
+        closed. When a kept channel finds the friend unreachable, fn runs
+        once more on a fresh route to the record this operation located.
+        Other failures are not retried: a reply that failed may follow a
+        request that was served, and a write must not apply twice."""
+        record = self._locate_for_route(friend)
+        while True:
+            channel, served_by, reused = self._reach_friend(friend, record)
+            try:
+                return fn(channel, served_by)
+            except PeerUnreachable:
+                if not reused:
+                    raise
+            finally:
+                if served_by == friend and channel.established:
+                    self._channels[friend] = channel
+                else:
+                    channel.close()
+
+    def _locate_for_route(self, friend_username: str) -> RegistrationRecord | None:
+        """The friend's located and verified record (None when there is
+        none to trust), with the friend's mirror table refreshed from it."""
         entry = self.state.friend_list.get(friend_username)
         if entry is None:
             raise NotFound(f"{friend_username} is not a friend")
-        mirror_table = list(entry.mirror_table)
         try:
             record, _server = self.locate_friend(friend_username)
         except (NotFound, StorageAttack):
-            record = None
-        if record is not None:
-            if entry.friend_key:
-                try:
-                    mirror_table = MIRROR_TABLE.decode(
-                        identity.friend_key_decrypt(entry.friend_key, record.encrypted_mirror_list)
-                    )
-                    entry.mirror_table = mirror_table
-                except ProtocolError:
-                    pass
+            return None
+        if entry.friend_key:
             try:
-                channel = self._open_route(record, friend_username)
-                try:
-                    self._flush_queue(channel, friend_username)
-                except ProtocolError:
-                    channel.close()
-                    raise
-                return channel, friend_username
+                entry.mirror_table = MIRROR_TABLE.decode(
+                    identity.friend_key_decrypt(entry.friend_key, record.encrypted_mirror_list)
+                )
             except ProtocolError:
                 pass
+        return record
+
+    def _reach_friend(self, friend_username: str,
+                      record: RegistrationRecord | None) -> tuple[SecureChannel, str, bool]:
+        """(channel, serving username, whether it is a kept channel): the
+        friend along the record's route, else a mirror."""
+        kept = self._channels.pop(friend_username, None)
+        if record is not None:
+            try:
+                channel, reused = self._friend_route(record, friend_username, kept)
+                return channel, friend_username, reused
+            except ProtocolError:
+                pass
+        elif kept is not None:
+            kept.close()
+        mirror_table = list(self.state.friend_list[friend_username].mirror_table)
         for mirror in mirror_table:
             if mirror.username == self.username:
                 continue
@@ -431,24 +522,43 @@ class Peer:
                 if check_peer_record(mirror_record, Certificate.decode(mirror_cert)) != sentinel.OK:
                     continue
                 channel = self._open_route(mirror_record, mirror.username)
-                return channel, mirror.username
+                return channel, mirror.username, False
             except ProtocolError:
                 continue
         raise Unavailable(f"{friend_username} and all mirrors unreachable")
 
+    def _friend_route(self, record: RegistrationRecord, friend: str,
+                      kept: SecureChannel | None) -> tuple[SecureChannel, bool]:
+        """A channel along the record's route with the friend's queue flushed:
+        the kept one while the record still routes to it, else a new one."""
+        if kept is not None:
+            if kept.remote_addr == self._route(record)[1]:
+                try:
+                    self._flush_queue(kept, friend)
+                    return kept, True
+                except ProtocolError:
+                    pass
+            kept.close()
+        channel = self._open_route(record, friend)
+        try:
+            self._flush_queue(channel, friend)
+        except ProtocolError:
+            channel.close()
+            raise
+        return channel, False
+
     # ------------------------------------------------------------------ friendship lifecycle
 
     def send_friend_request(self, target_username: str) -> None:
+        def deposit(client: SecureClient) -> None:
+            target_cert = rvclient.friend_request(client, target_username)
+            blob = rvclient.seal_request_blob(target_cert, self.username, self.state.passphrase)
+            rvclient.submit_passphrase_blob(client, blob)
+
         last: ProtocolError | None = None
         for server in self._servers_for(target_username) or self._bootstrap_servers():
             try:
-                with closing(self.endpoint.connect(server)) as channel:
-                    client = rvclient.open_secure(channel, self.state.certificate, self.state.keypair)
-                    target_cert = rvclient.friend_request(client, target_username)
-                    blob = rvclient.seal_request_blob(
-                        target_cert, self.username, self.state.passphrase
-                    )
-                    rvclient.submit_passphrase_blob(client, blob)
+                self._rendezvous(server, deposit)
                 self.state.pending_outgoing.add(target_username)
                 self.on_event("friend_request_sent", peer=self.username, target=target_username)
                 return
@@ -496,6 +606,9 @@ class Peer:
         state.pending_outgoing.discard(ex_friend)
         state.mirror_table = [m for m in state.mirror_table if m.username != ex_friend]
         self.replicas.pop(ex_friend, None)
+        kept = self._channels.pop(ex_friend, None)
+        if kept is not None:
+            kept.close()
         state.passphrase = identity.generate_passphrase(self.rng)
         state.friend_key = identity.generate_friend_key(self.rng)
         self._ungrant_friend(ex_friend)
@@ -544,12 +657,10 @@ class Peer:
                 self.state.queued_updates.pop(friend, None)
                 continue
             try:
-                channel, served_by = self.connect_friend(friend)
+                # Reaching the friend themself delivers the queue; a mirror cannot take it.
+                self._with_friend(friend, lambda channel, served_by: None)
             except ProtocolError:
                 continue
-            with closing(channel):
-                if served_by == friend:  # only the friend themself can take these
-                    self._flush_queue(channel, friend)
 
     def _flush_queue(self, channel: SecureChannel, friend: str) -> None:
         queue = self.state.queued_updates.get(friend, [])
@@ -565,8 +676,8 @@ class Peer:
         entry = self.state.friend_list.get(friend_username)
         if entry is None:
             raise NotFound(friend_username)
-        channel, served_by = self.connect_friend(friend_username)
-        with closing(channel):
+
+        def seed(channel: SecureChannel, served_by: str) -> None:
             if served_by != friend_username:
                 raise Unavailable(f"{friend_username} not directly reachable")
             channel.call(
@@ -575,6 +686,8 @@ class Peer:
                 ",".join(sorted(self.state.friend_list)),
                 encode_entries(self.profile.log),
             )
+
+        self._with_friend(friend_username, seed)
         if all(m.username != friend_username for m in self.state.mirror_table):
             self.state.mirror_table.append(
                 MirrorEntry(username=friend_username, passphrase=entry.passphrase)
@@ -582,14 +695,17 @@ class Peer:
         self.reregister()
 
     def sync_mirrors(self) -> None:
+        """Reconcile with every mirror that serves itself; one that cannot be
+        reached or fails is skipped until the next round."""
         for mirror in self.state.mirror_table:
+            def sync(channel: SecureChannel, served_by: str) -> None:
+                if served_by == mirror.username:  # not one of the mirror's own mirrors
+                    self._sync_over(channel, self.username)
+
             try:
-                channel, served_by = self.connect_friend(mirror.username)
+                self._with_friend(mirror.username, sync)
             except ProtocolError:
                 continue
-            with closing(channel):
-                if served_by == mirror.username:
-                    self._sync_over(channel, self.username)
 
     def _sync_over(self, channel: SecureChannel, owner: str) -> None:
         """Bidirectional reconcile of owner's profile over one channel."""
@@ -610,9 +726,9 @@ class Peer:
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
-        channel, served_by = self.connect_friend(friend_username)
-        with closing(channel):
-            local = into if into is not None else Profile(friend_username)
+        local = into if into is not None else Profile(friend_username)
+
+        def pull(channel: SecureChannel, served_by: str) -> None:
             pulled = self._pull(channel, friend_username, local)
             self.on_event(
                 "pull",
@@ -621,13 +737,15 @@ class Peer:
                 served_by=served_by,
                 bytes=pulled,
             )
-            return local
+
+        self._with_friend(friend_username, pull)
+        return local
 
     def write_to_friend(self, friend_username: str, path: str, op: bytes) -> int:
-        channel, served_by = self.connect_friend(friend_username)
-        with closing(channel):
-            (version,) = channel.call("op", friend_username, path, op)
-            return version
+        (version,) = self._with_friend(
+            friend_username, lambda channel, served_by: channel.call("op", friend_username, path, op)
+        )
+        return version
 
     # ------------------------------------------------------------------ periodic upkeep
 

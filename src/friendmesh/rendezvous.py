@@ -245,6 +245,8 @@ class RendezvousSession:
     # -- secure session plumbing ----------------------------------------------------
 
     def handle_register_peer(self, ctx: SessionContext, cert: Certificate) -> Frame:
+        if self.cipher is not None:  # one handshake per session: a kept one is never re-keyed
+            return wire.err_reply(wire.SESSION_KEY, "handshake_error", "already established")
         if not identity.verify_certificate(cert, self.server.ca_public_key, self.server.ca_algorithm):
             return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
         session_key = identity.generate_session_key(rng=self.server.rng)
@@ -316,17 +318,20 @@ class RendezvousSession:
     # -- friendship requests ---------------------------------------------------------------
 
     def handle_friend_request(self, ctx: SessionContext, target: str) -> Frame:
+        # A session lives across requests: the blob that follows is for this
+        # target only, and a refused request leaves no target behind.
         row = self.server.store.peer_by_username(target)
+        self._friend_target = None if row is None else target
         if row is None:
             return enc_reply(wire.CERT_REPLY, self.cipher, "not_found")
-        self._friend_target = target
         return self._sealed_reply(wire.CERT_REPLY, wire.FRIEND_REQUEST, row.certificate)
 
     def handle_passphrase_blob(self, ctx: SessionContext, blob: bytes) -> Frame:
-        if self._friend_target is None:
+        target, self._friend_target = self._friend_target, None
+        if target is None:
             return enc_reply(wire.PASSPHRASE_BLOB, self.cipher, "malformed_request")
         request = FriendshipRequestRecord(
-            target_username=self._friend_target,
+            target_username=target,
             requester_username=self.peer_cert.username,
             sealed_passphrase=blob,  # stored verbatim; the server cannot open it
         )

@@ -9,6 +9,15 @@ that every byte on the wire is ciphertext under the session key.
 Server sessions (rendezvous-style) differ only in the second message: the
 server replies with a session key it generated itself, sealed under the
 client's public key. SecureClient speaks that dialect.
+
+Both kinds of session are meant to be kept across requests. One stays
+established while it is in step: every reply so far authenticated under
+its key, an authenticated error reply included. A failure on the way (the
+transport, a reply that does not decrypt, a plain error) leaves it out of
+step for good, and the owner drops it. Of those, only peer_unreachable says
+that the request cannot have been served. The responder checks admission on
+every app frame, not only at the handshake, so a peer that stops admitting
+a user refuses the user's open channel too.
 """
 from __future__ import annotations
 
@@ -17,7 +26,15 @@ from typing import Callable
 
 from . import identity, wire
 from .channel import Channel, SessionContext
-from .errors import AuthError, HandshakeError, MalformedRequest, ProtocolError, error_for_code
+from .errors import (
+    AuthError,
+    HandshakeError,
+    IntegrityError,
+    MalformedRequest,
+    PeerUnreachable,
+    ProtocolError,
+    error_for_code,
+)
 from .identity import Certificate, KeyPair, SessionCipher, SessionKey
 from .wire import Frame
 
@@ -49,7 +66,7 @@ class SecureChannel:
     def __init__(self, channel: Channel, cipher: SessionCipher, peer_cert: Certificate,
                  session_key: SessionKey):
         self._channel = channel
-        self._cipher = cipher
+        self._cipher: SessionCipher | None = cipher
         self.peer_cert = peer_cert
         self.session_key = session_key
 
@@ -57,13 +74,30 @@ class SecureChannel:
     def peer_username(self) -> str:
         return self.peer_cert.username
 
+    @property
+    def remote_addr(self) -> str:
+        return self._channel.remote_addr
+
+    @property
+    def established(self) -> bool:
+        """Still in step, so fit for another request."""
+        return self._cipher is not None
+
     def _exchange(self, body: bytes) -> tuple[bytes, int]:
         """Send one app body; return the reply body and the position after
         its kind. An err reply raises the error it reports."""
-        reply = self._channel.request(Frame(wire.APP_DATA, self._cipher.encrypt(body)))
+        cipher, self._cipher = self._cipher, None  # out of step until the reply authenticates
+        if cipher is None:
+            raise HandshakeError("channel out of step")
+        reply = self._channel.request(Frame(wire.APP_DATA, cipher.encrypt(body)))
         if reply.msg_type != wire.APP_DATA:
             raise ProtocolError(f"unexpected reply type {reply.msg_type}")
-        body = self._cipher.decrypt(reply.payload)
+        try:
+            body = cipher.decrypt(reply.payload)
+        except IntegrityError:
+            _raise_if_unreachable(reply)
+            raise
+        self._cipher = cipher
         kind, pos = read_app_kind(body)
         if kind == "err":
             _, fields = unpack_app(body)
@@ -81,6 +115,17 @@ class SecureChannel:
 
     def close(self) -> None:
         self._channel.close()
+
+
+def _raise_if_unreachable(reply: Frame) -> None:
+    """A plain peer_unreachable, as a relay answers for a peer it no longer
+    serves, means the request never reached the peer."""
+    try:
+        wire.open_reply(reply)
+    except PeerUnreachable:
+        raise
+    except ProtocolError:
+        pass
 
 
 def connect_secure(
@@ -151,6 +196,8 @@ class ResponderSession:
         return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
 
     def _on_hello(self, frame: Frame) -> Frame:
+        if self._cipher is not None:  # one handshake per channel: a kept one is never re-keyed
+            return wire.err_reply(wire.CERT_REPLY, "handshake_error", "already established")
         try:
             (peer_cert,) = wire.decode(wire.REGISTER_PEER, frame.payload)
         except MalformedRequest:
@@ -167,6 +214,8 @@ class ResponderSession:
         return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.CERT_REPLY)
 
     def _on_session_key(self, frame: Frame) -> Frame:
+        if self._cipher is not None:
+            return wire.err_reply(wire.SESSION_KEY, "handshake_error", "already established")
         if self._peer_cert is None:
             return wire.err_reply(wire.SESSION_KEY, "handshake_error", "no certificate yet")
         try:
@@ -187,6 +236,8 @@ class ResponderSession:
         except ProtocolError as exc:
             return wire.err_reply(wire.APP_DATA, exc.code)
         try:
+            if not self._admission(self._peer_cert.username):
+                raise AuthError("not authorized")
             reply_body = self._app_handler(body, self._peer_cert, ctx)
         except ProtocolError as exc:
             reply_body = pack_app("err", exc.code.encode("ascii"))
@@ -216,6 +267,11 @@ class SecureClient:
             raise HandshakeError("session key failed to open") from exc
         self._cipher = SessionCipher(session_key, direction=0)
 
+    @property
+    def established(self) -> bool:
+        """Established and still in step, so fit for another request."""
+        return self._cipher is not None
+
     def call(self, msg_type: int, *values) -> tuple:
         """Send one encrypted request; return the reply's values (wire.SCHEMA).
 
@@ -223,14 +279,16 @@ class SecureClient:
         the ciphertext, so outcomes like not_found stay hidden from
         observers; plain pack(code, message) marks pre-session failures.
         """
-        if self._cipher is None:
+        cipher, self._cipher = self._cipher, None  # out of step until the reply authenticates
+        if cipher is None:
             raise HandshakeError("session not established")
         reply = self._channel.request(
-            Frame(msg_type, self._cipher.encrypt(wire.encode(msg_type, *values)))
+            Frame(msg_type, cipher.encrypt(wire.encode(msg_type, *values)))
         )
         outer = wire.unpack_fields(reply.payload)
         if len(outer) == 2 and outer[0] == b"enc":
-            inner = self._cipher.decrypt(outer[1])
+            inner = cipher.decrypt(outer[1])
+            self._cipher = cipher
             return wire.open_reply(Frame(reply.msg_type, inner), msg_type)
         wire.open_reply(reply)  # raises the pre-session failure it reports
         raise MalformedRequest("reply is neither encrypted nor an error")

@@ -10,6 +10,10 @@ enter it, and all ciphertext encodings are length-deterministic.
 Loss below the retry budget is absorbed the way the reliable datagram
 layer would absorb it: an attempt that loses the request or the reply
 costs a timeout and is retried; exhaustion raises peer_unreachable.
+
+A connection does not outlive a restart of either end: taking a host down
+starts a new incarnation, and a channel opened in an earlier one raises
+peer_unreachable, as a TCP connection is reset by the crash of its peer.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ class SimHost:
         self.service = service
         self.nat = nat
         self.down = False
+        self.incarnation = 0  # bumped each time the host goes down
         self.binding_open = False  # any outbound traffic opens the NAT binding
         self.punched: set[str] = set()  # sources this host sent coordination traffic to
         host, _, port = addr.rpartition(":")
@@ -88,7 +93,10 @@ class SimNet:
         self.hosts[addr].service = service
 
     def set_down(self, addr: str, down: bool) -> None:
-        self.hosts[addr].down = down
+        host = self.hosts[addr]
+        host.down = down
+        if down:
+            host.incarnation += 1
         self.trace_event("churn", node=addr, down=int(down))
 
     # -- partitions ------------------------------------------------------------------
@@ -176,6 +184,7 @@ class SimChannel:
         self.remote_addr = dst.addr
         self.ctx = SessionContext(remote_addr=src.addr)
         self.session = dst.service.open_session(self.ctx)
+        self._incarnations = (src.incarnation, dst.incarnation)
 
     def _latency(self) -> int:
         link = self.net.link
@@ -187,6 +196,8 @@ class SimChannel:
         return link.loss_rate > 0 and self.net.rng.random() < link.loss_rate
 
     def request(self, frame: Frame) -> Frame:
+        if self._incarnations != (self.src.incarnation, self.dst.incarnation):
+            raise PeerUnreachable(f"connection to {self.dst.addr} was reset")
         link = self.net.link
         for _ in range(link.request_retries):
             if not self.net.reachable(self.src, self.dst):

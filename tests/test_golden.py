@@ -1,8 +1,8 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were recorded from the simulator before the message schema
-replaced hand-written packing; any change to a wire byte, a message
-count or an event in any scenario changes a hash.
+The hashes were recorded when peers began to keep one secure session per
+rendezvous server and one channel per friend; any change to a wire byte, a
+message count or an event in any scenario changes a hash.
 """
 import hashlib
 import pathlib
@@ -14,16 +14,16 @@ from friendmesh.simnet.scenario import SimConfig, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACE_SHA256 = {
-    "baseline": "51be96053137e976c7539b54944936f5436498ec8b70bf6341251793421a9561",
-    "churn": "ae7a14716bc7fe0fc96a5fcf486e9d4bfb68983f22eed79068f2ec115403b8fc",
-    "e1_eclipse": "ccdb2b104ee5f9acedf31dc0462cd5204e2d38cda16a02538c6ea1f3311ea422",
-    "eviction": "5dfc4ecd150460a4d758088386d31a31045d77e6ad8233283abe595dacede7b2",
-    "island_partition": "ed2eb2c63484c732014a1dcc6c905a13f5612052d879c7500ea1983a86dcc1b5",
-    "r1_drop": "cb6826ede9546ad1e9103a5f0b3aa3a9a166c4ff164cf1aac0e307996b95d02b",
-    "r2_misroute": "8362fcd334591c356f97165870ab30cd60c70dbd3845e7617ae84ad905f3632f",
-    "r3_claim_key": "f4d6079d9a2f8382b4e5a2a297dfd9a9ad3e06ee8baba0aea47ac81a103d0b72",
-    "s1_sybil": "fb5647aca0b93545a69943e6db2747f988043ed2506b610f292844a4fab6a41f",
-    "t1_falsify": "06cc21263329620dbace8a803d7d64d4ecd433a54dd0dc99ff8b22fad033b0ba",
+    "baseline": "c9e26c42d0a8bbd74ec99c2be089da3860e2a69b773d72411f55616203604047",
+    "churn": "8ac51b035ad837e089a7e47abc958a375437ad357f645df56e1935248131a68e",
+    "e1_eclipse": "5b4b0ace186aa7a9053749bab67a936a279048932b6f224952f017e0c39ad7b4",
+    "eviction": "e29695750029e35e98df0b2d3dd8094760f83812b7eeac128594cd593a463659",
+    "island_partition": "33295136bb2095e40e2f4c42a96812545bf1bb38f47343a851be0a3ccec4cdef",
+    "r1_drop": "2dcf94c871fdb14d4a2457b68ed4ee75dda0cf4ec1520f17b94f26eaabf67476",
+    "r2_misroute": "d14e295411daeb2ba7547c4d3dbd6626329b3e709db7ecf0f8ce44e030da730d",
+    "r3_claim_key": "fa606cd88ee4dcaf2f2d976039b80bbe9c87bafc2172251c48ccc90da24daccd",
+    "s1_sybil": "353172b2f057d376dd2e9c79c6409bf89ccc21d2e676566ce96ae2afd6b6c89d",
+    "t1_falsify": "27698ecbc0d05c0027be2ab947ae81fa365559f4543c951d1548772f4ff5c620",
 }
 
 

@@ -454,8 +454,9 @@ def test_verified_signatures_bounded_under_threads():
 
 def test_warm_friend_operations_do_no_repeated_public_key_work(monkeypatch):
     # After one pull the certificates, the stored record and every long-lived
-    # key are known: a pull or write verifies only the fresh session-key
-    # signature and derives no key; a locate does neither.
+    # key are known, and the channel to the friend and the session to the
+    # server are kept: a pull, a write or a locate verifies nothing new and
+    # derives no key.
     world = Scenario(SimConfig(seed=21, duration_ms=5000, n_rendezvous=1, n_relays=1, n_peers=2,
                                friendships=[["user00", "user01"]]))
     reader = world.peers["user01"]
@@ -474,9 +475,9 @@ def test_warm_friend_operations_do_no_repeated_public_key_work(monkeypatch):
     monkeypatch.setattr(identity._EcAlgo, "verify", counting_verify)
     monkeypatch.setattr(ec, "derive_private_key", counting_derive)
     operations = [
-        ("pull", lambda: reader.pull_friend_profile("user00"), {"verify": 1, "derive": 0}),
+        ("pull", lambda: reader.pull_friend_profile("user00"), {"verify": 0, "derive": 0}),
         ("write", lambda: reader.write_to_friend("user00", "share_board", op_add("c1", b"hi")),
-         {"verify": 1, "derive": 0}),
+         {"verify": 0, "derive": 0}),
         ("locate", lambda: reader.locate_friend("user00"), {"verify": 0, "derive": 0}),
     ]
     for name, operation, expected in operations:

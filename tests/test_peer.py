@@ -441,6 +441,24 @@ def open_sim_channels(monkeypatch):
     return still_open
 
 
+def kept_sim_channels(world) -> set:
+    """The simulator channels under what the peers keep: at most one channel
+    per friend and one session per rendezvous server."""
+    kept = []
+    for peer in world.peers.values():
+        assert set(peer._channels) <= set(peer.state.friend_list)
+        assert set(peer._sessions) <= set(world.servers)
+        kept += [channel._channel for channel in peer._channels.values()]
+        kept += [session._channel for session in peer._sessions.values()]
+    assert len(set(kept)) == len(kept)
+    return set(kept)
+
+
+def close_peers(world) -> None:
+    for peer in world.peers.values():
+        peer.close()
+
+
 def test_every_channel_a_peer_opens_is_closed(open_sim_channels):
     # Connects against closes across a whole simulated run.
     world = small_world(
@@ -455,6 +473,8 @@ def test_every_channel_a_peer_opens_is_closed(open_sim_channels):
     )
     world.run()
     assert len(world.relays[next(iter(world.relays))].sessions) == 1
+    assert open_sim_channels == kept_sim_channels(world)
+    close_peers(world)
     assert not open_sim_channels
 
 
@@ -474,4 +494,127 @@ def test_failed_routes_close_their_channels(open_sim_channels):
     relay._drop("user01", evicted=True)
     with pytest.raises(Unavailable):
         alice.connect_friend("user01")
+    assert open_sim_channels == kept_sim_channels(world)
+    close_peers(world)
     assert not open_sim_channels
+
+
+def test_rebootstrap_keeps_one_admission_channel(monkeypatch):
+    from friendmesh.simnet.core import SimChannel, SimStunProbes
+
+    attached = set()
+    attach, close = SimChannel.attach_reverse, SimChannel.close
+
+    def tracked_attach(self, service):
+        attach(self, service)
+        attached.add(self)
+
+    def tracked_close(self):
+        close(self)
+        attached.discard(self)
+
+    monkeypatch.setattr(SimChannel, "attach_reverse", tracked_attach)
+    monkeypatch.setattr(SimChannel, "close", tracked_close)
+    world = small_world(nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    peer.bootstrap()
+    peer.bootstrap()
+    assert len(attached) == 1
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    # The NAT improved: the relay is let go.
+    host = world.sim.hosts[peer.endpoint.local_addr()]
+    host.nat = NatType.PUBLIC
+    peer.probes = SimStunProbes(host)
+    peer.bootstrap()
+    assert not attached
+
+
+# -- kept channels and sessions --------------------------------------------------------
+
+
+def frames_of(world, operation) -> int:
+    """Frames on the simulated wire (requests and replies) while operation runs."""
+    mark = len(world.sim.trace)
+    operation()
+    return sum(" MSG " in line for line in world.sim.trace[mark:])
+
+
+def test_warm_operations_message_counts():
+    # Warm, every operation is its locate (one request to the one server)
+    # plus its own requests on the kept channel: no handshake.
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]],
+                        mirrors=[["user00", "user01"]])
+    owner, reader = world.peers["user00"], world.peers["user01"]
+    operations = {
+        "locate": (lambda: reader.locate_friend("user00"), 2),
+        "pull": (lambda: reader.pull_friend_profile("user00"), 4),
+        "write": (lambda: reader.write_to_friend("user00", "share_board", op_add("w", b"x")), 4),
+        "sync": (owner.sync_mirrors, 8),
+    }
+    for operation, _ in operations.values():
+        operation()
+    owner.profile.apply_update("user00", "share_board", op_add("p", b"y"), timestamp=world.sim.now + 1)
+    for name, (operation, frames) in operations.items():
+        assert frames_of(world, operation) == frames, name
+    assert reader.pull_friend_profile("user00").element("share_board/p").content == b"y"
+
+
+def test_every_operation_still_locates_and_verifies(monkeypatch):
+    from friendmesh import peer as peer_module
+
+    world = small_world(seed=25, n_peers=2, friendships=[["user00", "user01"]])
+    reader = world.peers["user01"]
+    reader.pull_friend_profile("user00")
+    checks = []
+    real_check = peer_module.check_peer_record
+    monkeypatch.setattr(peer_module, "check_peer_record",
+                        lambda record, cert: checks.append(record.username) or real_check(record, cert))
+    reader.pull_friend_profile("user00")
+    reader.write_to_friend("user00", "share_board", op_add("w", b"x"))
+    assert checks == ["user00", "user00"]
+
+
+def test_revoked_friend_is_refused_on_a_channel_it_holds():
+    world = small_world(seed=26, n_peers=3,
+                        friendships=[["user00", "user01"], ["user00", "user02"]])
+    owner, ex = world.peers["user00"], world.peers["user01"]
+    held, _ = ex.connect_friend("user00")
+    ex.pull_friend_profile("user00")  # and one the ex-friend keeps
+    authored = [e for e in owner.profile.log if e.author == "user01"]
+    owner.revoke_friend("user01")
+    with pytest.raises(AuthError):
+        held.call("ping")
+    with pytest.raises(AuthError):
+        held.call("op", "user00", "share_board", op_add("late", b"after revoke"))
+    # Even with the rotated passphrase, which routes to the kept channel.
+    ex.state.friend_list["user00"].passphrase = owner.state.passphrase
+    kept = ex._channels["user00"]
+    with pytest.raises((AuthError, Unavailable)):
+        ex.pull_friend_profile("user00")
+    with pytest.raises((AuthError, Unavailable)):
+        ex.write_to_friend("user00", "share_board", op_add("later", b"after revoke"))
+    assert ex._channels["user00"] is kept
+    assert [e for e in owner.profile.log if e.author == "user01"] == authored
+
+
+def test_restart_resets_channels_and_the_next_operation_reconnects():
+    from friendmesh.errors import PeerUnreachable
+
+    world = small_world(seed=27, n_peers=2, friendships=[["user00", "user01"]])
+    owner, reader = world.peers["user00"], world.peers["user01"]
+    held, _ = reader.connect_friend("user00")
+    reader.pull_friend_profile("user00")
+    kept = reader._channels["user00"]
+    server = owner.state.registered_at[0]
+    session = reader._sessions[server]
+    for addr in (owner.endpoint.local_addr(), server):
+        world.sim.set_down(addr, True)
+        world.sim.set_down(addr, False)
+    with pytest.raises(PeerUnreachable):
+        held.call("ping")
+    owner.profile.apply_update("user00", "share_board", op_add("p", b"back"), timestamp=world.sim.now + 1)
+    view = reader.pull_friend_profile("user00")
+    assert view.element("share_board/p").content == b"back"
+    assert reader._channels["user00"] is not kept
+    assert reader._sessions[server] is not session

@@ -226,6 +226,67 @@ def test_relay_bridge_over_tcp(ca_world):
         relay_srv.stop()
 
 
+def test_closing_a_taken_over_connection_ends_it():
+    # A relayed peer that re-admits or shuts down closes its admission
+    # channel; the server side then gets no more answers over it.
+    taken = []
+
+    class TakeOver:
+        def open_session(self, ctx):
+            return self
+
+        def handle(self, frame, ctx):
+            taken.append(ctx.reverse_service.open_session(ctx))
+            return frame
+
+    server = TcpServer(TakeOver()).start()
+    try:
+        channel = TcpChannel(server.addr)
+        channel.attach_reverse(echo_service())
+        channel.request(Frame(wire.APP_DATA, b"take over"))
+        reverse = taken[0]
+        assert reverse.handle(Frame(wire.APP_DATA, b"served"), None) == Frame(wire.APP_DATA, b"served")
+        channel.close()
+        assert reverse.handle(Frame(wire.APP_DATA, b"gone"), None) is None
+    finally:
+        server.stop()
+
+
+def test_kept_sessions_over_tcp(ca_world, monkeypatch):
+    ca, ca_server, rv, rv_server = ca_world
+    alice, alice_srv = make_real_peer(ca_server, rv_server, "alice")
+    bob, bob_srv = make_real_peer(ca_server, rv_server, "bob")
+    try:
+        alice.bootstrap()
+        bob.bootstrap()
+        alice.send_friend_request("bob")
+        bob.reregister()
+        bob.accept_friend("alice")
+        alice.pull_friend_profile("bob")
+        dialed = []
+        connect = TcpEndpoint.connect
+        monkeypatch.setattr(TcpEndpoint, "connect", lambda self, addr: dialed.append(addr) or connect(self, addr))
+        bob.profile.apply_update("bob", "share_board", op_add("warm", b"no dial"), timestamp=1)
+        assert alice.pull_friend_profile("bob").element("share_board/warm").content == b"no dial"
+        alice.write_to_friend("bob", "share_board", op_add("c", b"hi"))
+        assert dialed == []
+        # Bob moves: the kept channel no longer matches his record.
+        bob_srv.stop()
+        bob_srv = TcpServer(bob).start()
+        bob.endpoint = TcpEndpoint(local_addr=bob_srv.addr, rng=bob.rng)
+        bob.bootstrap()
+        alice.pull_friend_profile("bob")
+        assert dialed == [bob_srv.addr]
+        alice.close()
+        alice.pull_friend_profile("bob")
+        assert dialed == [bob_srv.addr, rv_server.addr, bob_srv.addr]
+    finally:
+        alice.close()
+        bob.close()
+        alice_srv.stop()
+        bob_srv.stop()
+
+
 def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     # Real mode injects no rng, so passphrases, friend keys, session keys and
     # relay challenges come from os.urandom, not from Mersenne Twister.

@@ -6,7 +6,7 @@ import pytest
 from friendmesh import identity, records, rvclient, store, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RendezvousConfig
-from friendmesh.errors import IntegrityError, MalformedRequest, NotFound
+from friendmesh.errors import HandshakeError, IntegrityError, MalformedRequest, NotFound
 from friendmesh.records import (
     FriendshipRequestRecord,
     PeerRow,
@@ -207,6 +207,39 @@ def test_pending_requests_delivered_at_registration(server, ca):
     client3 = secure_client(server, tpair, tcert)
     again = rvclient.register_peer(client3, make_record(tpair, tcert, passphrase="fr-carol-3"))
     assert again == []
+
+
+def test_kept_session_blob_needs_its_own_friend_request(server, ca):
+    # A session serves many requests: a blob is filed only right after an
+    # accepted friend request, for that request's target.
+    tpair, tcert = make_user(ca, "fr-erin")
+    rvclient.register_peer(secure_client(server, tpair, tcert),
+                           make_record(tpair, tcert, passphrase="fr-erin-phrase"))
+    rpair, rcert = make_user(ca, "fr-finn")
+    client = secure_client(server, rpair, rcert)
+    got = rvclient.friend_request(client, "fr-erin")
+    rvclient.submit_passphrase_blob(client, rvclient.seal_request_blob(got, "fr-finn", "p1"))
+    with pytest.raises(MalformedRequest):
+        rvclient.submit_passphrase_blob(client, rvclient.seal_request_blob(got, "fr-finn", "p2"))
+    rvclient.friend_request(client, "fr-erin")
+    with pytest.raises(NotFound):
+        rvclient.friend_request(client, "fr-nobody")
+    with pytest.raises(MalformedRequest):
+        rvclient.submit_passphrase_blob(client, rvclient.seal_request_blob(got, "fr-finn", "p3"))
+    stored = server.store.pop_friend_requests("fr-erin")
+    assert [rvclient.open_request_blob(tpair, r) for r in stored] == ["p1"]
+
+
+def test_established_session_is_not_rekeyed(server, ca):
+    # Sessions are kept across requests: a second hello on one is refused
+    # and leaves the session in step.
+    pair, cert = make_user(ca, "kept-gina")
+    client = secure_client(server, pair, cert)
+    again = client._channel.request(wire.Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, cert)))
+    with pytest.raises(HandshakeError):
+        wire.open_reply(again)
+    with pytest.raises(NotFound):
+        rvclient.locate_peer(client, "no such passphrase")
 
 
 # -- relay directory ------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from friendmesh import identity, secure, wire
 from friendmesh.channel import DirectChannel, SessionContext
-from friendmesh.errors import AuthError, HandshakeError
+from friendmesh.errors import AuthError, HandshakeError, IntegrityError
 from friendmesh.secure import ResponderSession, connect_secure
 from friendmesh.wire import Frame
 
@@ -107,6 +107,46 @@ def test_no_half_open_channels(ca):
     reply = session.handle(Frame(wire.APP_DATA, b"\x00" * 32), ctx)
     with pytest.raises(HandshakeError):
         wire.open_reply(reply)
+
+
+def test_admission_checked_on_every_app_frame(ca):
+    # A kept channel outlives the handshake: once its sender is no longer
+    # admitted, the next app frame is refused, and the channel stays in step.
+    ipair, icert = user(ca, "hs-kept")
+    rpair, rcert = user(ca, "hs-gate")
+    admitted = {"hs-kept"}
+    service = ResponderService(ca, rcert, rpair, admission=lambda u: u in admitted)
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, ca.algorithm_id)
+    assert sc.request_app("m", b"one") == [b"one"]
+    admitted.clear()
+    with pytest.raises(AuthError):
+        sc.request_app("m", b"two")
+    assert sc.established
+    admitted.add("hs-kept")
+    assert sc.request_app("m", b"three") == [b"three"]
+
+
+def test_channel_out_of_step_is_not_established(ca):
+    ipair, icert = user(ca, "hs-step")
+    rpair, rcert = user(ca, "hs-step-resp")
+    service = ResponderService(ca, rcert, rpair)
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, ca.algorithm_id)
+    service.sessions[0]._cipher = None  # the responder lost the session
+    with pytest.raises(IntegrityError):  # its plain refusal does not decrypt
+        sc.request_app("m", b"x")
+    assert not sc.established
+    with pytest.raises(HandshakeError):
+        sc.request_app("m", b"y")
+
+
+def test_established_channel_is_not_rekeyed(ca):
+    ipair, icert = user(ca, "hs-rekey")
+    rpair, rcert = user(ca, "hs-rekey-resp")
+    channel = DirectChannel(ResponderService(ca, rcert, rpair))
+    sc = connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+    with pytest.raises(HandshakeError):
+        connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+    assert sc.request_app("m", b"still in step") == [b"still in step"]
 
 
 def test_transcript_hides_responder_certificate(ca):
