@@ -1,4 +1,4 @@
-"""Discrete-event network core: virtual clock, hosts, links, NAT, trace.
+"""Discrete-event network core: virtual clocks, hosts, links, NAT, trace.
 
 Connections are synchronous request/reply exchanges between host services;
 every exchange samples link latency from the seeded generator, applies
@@ -7,9 +7,27 @@ endpoints, message name, size) to the event trace. Identical config and
 seed therefore reproduce a byte-identical trace: ciphertext bytes never
 enter it, and all ciphertext encodings are length-deterministic.
 
+Each host keeps its own clock, so hosts work side by side instead of on
+one serial timeline (Lamport's receive rule). `SimNet.now` is the time of
+the context that is running: run() starts each event at its scheduled
+time, and an exchange first lifts `now` to the sending host's clock. The
+request reaches the callee one latency later; the callee runs at that
+time or at its own clock, whichever is later, and its clock is set when
+its handler returns; the reply arrives one latency after that and sets
+the caller's clock. A request line in the trace is stamped when the callee
+takes it, a reply line when it reaches the caller, so the lines each host
+receives never go back in time, while the trace as a whole is in execution
+order, not time order. Partitions and liveness are judged at send time.
+An event belongs to no host, so a clock read before the event's first
+exchange returns the event's scheduled time, which may be earlier than
+the clock of the host the event works for. After run(until), `now`
+resumes at until, or where it was if that is later.
+
 Loss below the retry budget is absorbed the way the reliable datagram
 layer would absorb it: an attempt that loses the request or the reply
-costs a timeout and is retried; exhaustion raises peer_unreachable.
+costs the caller a timeout and is retried; exhaustion raises
+peer_unreachable. A request is handled once: after the callee has
+answered, a retry makes it resend the reply it already has.
 
 A connection does not outlive a restart of either end: taking a host down
 starts a new incarnation, and a channel opened in an earlier one raises
@@ -45,6 +63,7 @@ class SimHost:
         self.nat = nat
         self.down = False
         self.incarnation = 0  # bumped each time the host goes down
+        self.clock = 0  # the host's time when it last sent or answered
         self.binding_open = False  # any outbound traffic opens the NAT binding
         self.punched: set[str] = set()  # sources this host sent coordination traffic to
         host, _, port = addr.rpartition(":")
@@ -128,16 +147,15 @@ class SimNet:
             t += interval_ms
 
     def run(self, until_ms: int) -> None:
+        """Run the events due by until_ms, each from its scheduled time."""
+        resume = max(self.now, until_ms)
         while self._events and self._events[0][0] <= until_ms:
-            t, _, fn = heapq.heappop(self._events)
-            if t > self.now:
-                self.now = t
+            self.now, _, fn = heapq.heappop(self._events)
             try:
                 fn()
             except PeerUnreachable:
                 pass  # scheduled actions against dead/cut nodes just fail
-        if until_ms > self.now:
-            self.now = until_ms
+        self.now = resume
 
     # -- trace ------------------------------------------------------------------------------
 
@@ -168,8 +186,10 @@ class SimNet:
         src.binding_open = True
         if dst is None or dst.service is None:
             raise PeerUnreachable(f"no host at {dst_addr}")
+        self.now = max(self.now, src.clock)
         if not self.reachable(src, dst):
             self.now += self.link.retry_timeout_ms
+            src.clock = self.now
             raise PeerUnreachable(f"{dst_addr} unreachable")
         if not dst.accepts_from(src):
             raise PeerUnreachable(f"{dst_addr} NAT refuses inbound")
@@ -184,7 +204,7 @@ class SimChannel:
         self.remote_addr = dst.addr
         self.ctx = SessionContext(remote_addr=src.addr)
         self.session = dst.service.open_session(self.ctx)
-        self._incarnations = (src.incarnation, dst.incarnation)
+        self._incarnations = (src.incarnation, dst.incarnation)  # None: not pinned
 
     def _latency(self) -> int:
         link = self.net.link
@@ -196,36 +216,81 @@ class SimChannel:
         return link.loss_rate > 0 and self.net.rng.random() < link.loss_rate
 
     def request(self, frame: Frame) -> Frame:
-        if self._incarnations != (self.src.incarnation, self.dst.incarnation):
-            raise PeerUnreachable(f"connection to {self.dst.addr} was reset")
-        link = self.net.link
-        for _ in range(link.request_retries):
-            if not self.net.reachable(self.src, self.dst):
-                self.net.now += link.retry_timeout_ms
-                continue
-            if self._lost():
-                self.net.now += link.retry_timeout_ms
-                continue
-            self.net.now += self._latency()
-            self.net.trace_msg(self.src.addr, self.dst.addr, frame, "req")
-            reply = self.session.handle(frame, self.ctx)
-            if reply is None:
-                # Deliberate silence (drop behavior): costs a timeout.
-                self.net.now += link.retry_timeout_ms
-                continue
-            if self._lost():
-                self.net.now += link.retry_timeout_ms
-                continue
-            self.net.now += self._latency()
-            self.net.trace_msg(self.dst.addr, self.src.addr, reply, "rep")
-            return reply
-        raise PeerUnreachable(f"{self.dst.addr} did not answer")
+        net, src, dst, link = self.net, self.src, self.dst, self.net.link
+        pin = self._incarnations
+        if pin is not None and pin != (src.incarnation, dst.incarnation):
+            raise PeerUnreachable(f"connection to {dst.addr} was reset")
+        if net.now < src.clock:
+            net.now = src.clock
+        reply = None  # once answered, a retry resends this instead of handling again
+        try:
+            for _ in range(link.request_retries):
+                if not net.reachable(src, dst) or self._lost():
+                    net.now += link.retry_timeout_ms
+                    continue
+                net.now += self._latency()
+                if net.now < dst.clock:
+                    net.now = dst.clock
+                net.trace_msg(src.addr, dst.addr, frame, "req")
+                try:
+                    if reply is None:
+                        reply = self.session.handle(frame, self.ctx)
+                finally:
+                    dst.clock = net.now  # the callee answered, or resent its answer
+                if reply is None:
+                    # Deliberate silence (drop behavior): costs a timeout.
+                    net.now += link.retry_timeout_ms
+                    continue
+                if self._lost():
+                    net.now += link.retry_timeout_ms
+                    continue
+                net.now += self._latency()
+                net.trace_msg(dst.addr, src.addr, reply, "rep")
+                return reply
+            raise PeerUnreachable(f"{dst.addr} did not answer")
+        finally:
+            src.clock = net.now
 
     def attach_reverse(self, service: Service) -> None:
-        self.ctx.reverse_service = service
+        self.ctx.reverse_service = _ReverseLeg(self, service)
 
     def close(self) -> None:
         pass
+
+
+class _ReverseLeg:
+    """The client's side of a connection, for the server to take over."""
+
+    def __init__(self, channel: SimChannel, service: Service):
+        self._channel = channel
+        self._service = service
+
+    def open_session(self, ctx: SessionContext) -> "_ReverseChannel":
+        return _ReverseChannel(self._channel, self._service)
+
+
+class _ReverseChannel(SimChannel):
+    """The same connection the other way, as the server's session on it.
+
+    Every frame the server sends down the taken-over connection is a
+    request from the server's host to the client's, like any other. A
+    failed request answers None. The leg is not pinned to the client's
+    incarnation: a restarted client keeps answering on it.
+    """
+
+    def __init__(self, forward: SimChannel, service: Service):
+        self.net = forward.net
+        self.src, self.dst = forward.dst, forward.src
+        self.remote_addr = self.dst.addr
+        self.ctx = SessionContext(remote_addr=self.src.addr)
+        self.session = service.open_session(self.ctx)
+        self._incarnations = None
+
+    def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
+        try:
+            return self.request(frame)
+        except PeerUnreachable:
+            return None
 
 
 class SimEndpoint:

@@ -1,8 +1,9 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were recorded when peers began to keep one secure session per
-rendezvous server and one channel per friend; any change to a wire byte, a
-message count or an event in any scenario changes a hash.
+The hashes were recorded when each simulated host got its own clock (and a
+relay's leg to a relayed peer became a simulated exchange); any change to a
+wire byte, a message count, a timestamp or an event in any scenario changes
+a hash.
 """
 import hashlib
 import pathlib
@@ -14,16 +15,16 @@ from friendmesh.simnet.scenario import SimConfig, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACE_SHA256 = {
-    "baseline": "c9e26c42d0a8bbd74ec99c2be089da3860e2a69b773d72411f55616203604047",
-    "churn": "8ac51b035ad837e089a7e47abc958a375437ad357f645df56e1935248131a68e",
-    "e1_eclipse": "5b4b0ace186aa7a9053749bab67a936a279048932b6f224952f017e0c39ad7b4",
-    "eviction": "e29695750029e35e98df0b2d3dd8094760f83812b7eeac128594cd593a463659",
-    "island_partition": "33295136bb2095e40e2f4c42a96812545bf1bb38f47343a851be0a3ccec4cdef",
-    "r1_drop": "2dcf94c871fdb14d4a2457b68ed4ee75dda0cf4ec1520f17b94f26eaabf67476",
-    "r2_misroute": "d14e295411daeb2ba7547c4d3dbd6626329b3e709db7ecf0f8ce44e030da730d",
-    "r3_claim_key": "fa606cd88ee4dcaf2f2d976039b80bbe9c87bafc2172251c48ccc90da24daccd",
-    "s1_sybil": "353172b2f057d376dd2e9c79c6409bf89ccc21d2e676566ce96ae2afd6b6c89d",
-    "t1_falsify": "27698ecbc0d05c0027be2ab947ae81fa365559f4543c951d1548772f4ff5c620",
+    "baseline": "3c1d2b4a2894e006995b7a702096b50e4bcea4599d03e0c7fd98a42382dbabf9",
+    "churn": "6884c067d6d69486a6eed4e5552a811a660dfd35709895db6e3f311b453b9005",
+    "e1_eclipse": "09b8049a2d0c5e3bdf502c5a5d317ce678852cd094bc8bc13e7b53b240191ebf",
+    "eviction": "c8e8e57f0e7bbfcef4f246ef64dfb5f8160c4eb06ea11926621b81e45c65e889",
+    "island_partition": "473e4afbf93d67eb48a5a8fef023203122da5293a7dbd3ebebba56b6200ea133",
+    "r1_drop": "3649d39e78826a9a0d2e1970b4415b006b9d27e65b81d91189e803e1ca617461",
+    "r2_misroute": "1c90d515e3d4e3bf6930899bdb10fb64f9d00a8b7550523cf47c53e8429afb39",
+    "r3_claim_key": "8fd3c341c59b15ee7a387bf7ea288e9860bdce5344f86c8e6dbd685c6b3e864b",
+    "s1_sybil": "13ba218dceb89e04a6061d2db9bce9e17a46be1268b6e039164c87e543e2d4ac",
+    "t1_falsify": "fffa20735e5b4f04ffad4e31999efa1632d2471ad6a5842314be26c86a1d306d",
 }
 
 

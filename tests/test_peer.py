@@ -117,6 +117,19 @@ def test_connect_via_relay_for_symmetric_responder():
     channel.close()
 
 
+def test_relayed_peer_that_is_down_does_not_answer_through_its_relay():
+    # The relay's leg to the peer is a simulated exchange: liveness applies.
+    from friendmesh.errors import PeerUnreachable
+
+    world = small_world(nat_assignment={"user01": "symmetric"})
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    world.sim.set_down(world.peers["user01"].endpoint.local_addr(), True)
+    with pytest.raises(PeerUnreachable):
+        channel.request_app("ping")
+    channel.close()
+
+
 def test_storage_attack_surfaced_when_all_paths_lie():
     world = small_world(
         adversaries=[{

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendmesh.chord import dual_hash, node_ident
 from friendmesh.errors import ConfigError
@@ -397,3 +399,197 @@ def test_adversary_selectivity_time_window():
         if " EV pull_ok" in line and "owner=user01" in line and int(line.split()[0]) < start
     ]
     assert ok_before
+
+
+# -- host clocks ------------------------------------------------------------------------
+
+
+def _echo_hosts(sim, count):
+    from friendmesh.channel import FuncService
+
+    echo = FuncService(lambda frame, ctx: frame)
+    return [sim.add_host(f"10.60.0.{i}:7200", echo) for i in range(count)]
+
+
+def _msg_lines(trace):
+    """(stamp, kind, from, to, name) of every MSG line, in trace order."""
+    out = []
+    for line in trace:
+        parts = line.split()
+        if parts[1] == "MSG":
+            out.append((int(parts[0]), parts[2], parts[3], parts[4], parts[5]))
+    return out
+
+
+def test_upkeep_scheduled_together_runs_side_by_side():
+    # Two hosts' upkeep due at the same time both start then: the second
+    # does not wait for the first one's round trips.
+    from friendmesh.simnet.core import LinkModel, SimNet
+    from friendmesh.wire import Frame
+
+    sim = SimNet(seed=1, link=LinkModel(latency_base_ms=5, latency_jitter_ms=0))
+    a, b, server_a, server_b = _echo_hosts(sim, 4)
+    for src, dst in ((a, server_a), (b, server_b)):
+        def upkeep(src=src, dst=dst):
+            channel = sim.connect(src, dst.addr)
+            for _ in range(3):
+                channel.request(Frame(1, b"tick"))
+        sim.schedule_at(1000, upkeep)
+    sim.run(2000)
+    first = {}
+    for stamp, kind, src, _dst, _name in _msg_lines(sim.trace):
+        if kind == "req":
+            first.setdefault(src, stamp)
+    assert first == {a.addr: 1005, b.addr: 1005}
+    assert a.clock == b.clock == 1030  # three round trips of 10 ms each
+    assert sim.now == 2000  # the driver resumes where it asked to
+
+
+def test_callee_busy_later_answers_at_its_own_time():
+    # A request that reaches a host whose clock is ahead waits for it, and
+    # its reply carries that delay back to the caller.
+    from friendmesh.simnet.core import LinkModel, SimNet
+    from friendmesh.wire import Frame
+
+    sim = SimNet(seed=1, link=LinkModel(latency_base_ms=5, latency_jitter_ms=0))
+    caller, server = _echo_hosts(sim, 2)
+    server.clock = 1500
+    sim.schedule_at(1000, lambda: sim.connect(caller, server.addr).request(Frame(1, b"x")))
+    sim.run(1000)
+    assert [line[0] for line in _msg_lines(sim.trace)] == [1500, 1505]
+    assert (server.clock, caller.clock) == (1500, 1505)
+
+
+def test_lost_reply_is_resent_not_handled_again():
+    # On a lossy link every request is handled exactly once; a retry after
+    # a lost reply gets the reply the callee already has.
+    from friendmesh.simnet.core import LinkModel, SimNet
+    from friendmesh.wire import Frame
+
+    sim = SimNet(seed=3, link=LinkModel(loss_rate=0.3, request_retries=40))
+    handled = []
+
+    class Counting:
+        def open_session(self, ctx):
+            return self
+
+        def handle(self, frame, ctx):
+            handled.append(frame.payload)
+            return Frame(frame.msg_type, b"re:" + frame.payload)
+
+    caller = sim.add_host("10.62.0.1:7500")
+    server = sim.add_host("10.62.0.2:7200", Counting())
+    channel = sim.connect(caller, server.addr)
+    payloads = [b"%d" % i for i in range(60)]
+    for payload in payloads:
+        assert channel.request(Frame(1, payload)) == Frame(1, b"re:" + payload)
+    assert handled == payloads
+    lines = _msg_lines(sim.trace)
+    requests = sum(kind == "req" for _, kind, *_ in lines)
+    assert requests > len(payloads)  # some replies were lost and resent
+    assert sum(kind == "rep" for _, kind, *_ in lines) == len(payloads)
+
+
+def _nested_run(n_hosts, events, loss_rate):
+    """Events of nested requests: each hop's handler sends to the next hop.
+    Returns the trace and, per host, the times its code saw at each
+    exchange (on taking a request, and when its own request ended)."""
+    from friendmesh.errors import PeerUnreachable
+    from friendmesh.simnet.core import LinkModel, SimNet
+    from friendmesh.wire import Frame
+
+    sim = SimNet(seed=7, link=LinkModel(latency_base_ms=2, latency_jitter_ms=3,
+                                        loss_rate=loss_rate))
+    addrs = [f"10.61.0.{i}:7200" for i in range(n_hosts)]
+    seen = {addr: [] for addr in addrs}
+
+    def send(src, path):
+        """src asks addrs[path[0]] to carry the rest of the path on."""
+        try:
+            sim.connect(sim.hosts[src], addrs[path[0]]).request(Frame(1, bytes(path[1:])))
+        except PeerUnreachable:
+            pass
+        seen[src].append(sim.now)
+
+    class Hop:
+        def __init__(self, addr):
+            self.addr = addr
+
+        def open_session(self, ctx):
+            return self
+
+        def handle(self, frame, ctx):
+            seen[self.addr].append(sim.now)
+            if frame.payload:
+                send(self.addr, list(frame.payload))
+            return Frame(1, b"")
+
+    for addr in addrs:
+        sim.add_host(addr, Hop(addr))
+    for t, path in events:
+        sim.schedule_at(t, lambda path=path: send(addrs[path[0]], path[1:]))
+    sim.run(100_000)
+    return sim.trace, seen
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_each_host_clock_never_goes_back(data):
+    n_hosts = data.draw(st.integers(2, 5))
+    hop = st.integers(0, n_hosts - 1)
+    events = data.draw(st.lists(
+        st.tuples(st.integers(0, 400), st.lists(hop, min_size=2, max_size=6)),
+        min_size=1, max_size=12,
+    ))
+    loss_rate = data.draw(st.sampled_from([0.0, 0.25]))
+    trace, seen = _nested_run(n_hosts, events, loss_rate)
+    for times in seen.values():
+        assert times == sorted(times)
+    # A line is stamped when its receiver gets it: each host receives in order.
+    received = {}
+    for stamp, _kind, _src, dst, _name in _msg_lines(trace):
+        assert stamp >= received.get(dst, 0)
+        received[dst] = stamp
+    assert _nested_run(n_hosts, events, loss_rate) == (trace, seen)
+
+
+def _idle_ring_upkeep(n_servers, rounds=40, gap_ms=250):
+    """Ring requests per server per virtual second, and the virtual span,
+    of an idle ring driven in steps of gap_ms as the benchmark drives its
+    worlds: each server's tick reschedules itself every period."""
+    from friendmesh.errors import ProtocolError
+
+    scenario = Scenario(SimConfig(seed=1, n_rendezvous=n_servers, n_relays=0, n_peers=0,
+                                  global_mode=True, latency_base_ms=5))
+    sim = scenario.sim
+    period = scenario.config.stabilize_interval_ms
+
+    def every(server, t):
+        def fire():
+            sim.schedule_at(t + period, every(server, t + period))
+            try:
+                server.tick()
+            except ProtocolError:
+                pass
+        return fire
+
+    start = sim.now
+    for addr in sorted(scenario.servers):
+        sim.schedule_at(start + period, every(scenario.servers[addr], start + period))
+    mark = len(sim.trace)
+    for _ in range(rounds):
+        sim.run(sim.now + gap_ms)
+    ring = sum(1 for _, kind, _, _, name in _msg_lines(sim.trace[mark:])
+               if kind == "req" and name.startswith("ring_"))
+    return ring / n_servers / (rounds * gap_ms / 1000), sim.now - start
+
+
+def test_idle_ring_upkeep_per_server_does_not_grow_with_the_ring():
+    # On one serial clock a period's upkeep costs the sum of every server's
+    # round trips, so the driver's steps overrun and a fixed span carries
+    # more upkeep per server as the ring grows (about 9x from 8 to 32
+    # servers). With a clock per host each step ends where it was asked to.
+    small, small_span = _idle_ring_upkeep(8)
+    large, large_span = _idle_ring_upkeep(32)
+    assert small_span == large_span == 40 * 250
+    assert max(small, large) / min(small, large) <= 1.5
