@@ -16,8 +16,9 @@ takes the connection over for good: the server writes requests down it and
 the client answers them, and the server's own session reads no further
 frames from it. Over TCP the serve loop stops once the current reply is
 out, and the client starts answering after that reply. A relay does this
-once, when it admits a server-peer; the server-peer's close() of its side
-ends the takeover.
+once, when it admits a server-peer. Either end's close() ends the takeover:
+the server-peer's of its channel, or the relay's of the session it opened,
+when a re-admission replaces that session or the relay evicts it.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ class SessionContext:
     """What a server session may know about the connection."""
 
     remote_addr: str
-    reverse_service: "Service | None" = None  # the client's side, where it can serve in reverse
+    # The client's side, where it can serve in reverse: its sessions are ReverseSessions.
+    reverse_service: "Service | None" = None
 
 
 class Session(Protocol):
@@ -44,6 +46,14 @@ class Session(Protocol):
 
 class Service(Protocol):
     def open_session(self, ctx: SessionContext) -> Session:
+        ...
+
+
+class ReverseSession(Session, Protocol):
+    """A session opened on ctx.reverse_service: it writes requests down the
+    taken-over connection, and close() ends that connection."""
+
+    def close(self) -> None:
         ...
 
 

@@ -86,7 +86,8 @@ class RingTransport(Protocol):
 
     def get_state(self, addr: str) -> tuple[str | None, list[str]]: ...
     def query(self, addr: str, ident: int) -> tuple[str, str]: ...
-    def notify(self, addr: str, candidate: str) -> None: ...
+    # The notified node's state after the notify, as get_state gives it.
+    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]: ...
     def replicate(self, addr: str, row: PeerRow) -> bool: ...
     def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None: ...
 
@@ -268,10 +269,13 @@ class RingNode:
             found = self._resolve_via(bootstrap_addr, self.ident)
         except (PeerUnreachable, LookupFailed) as exc:
             raise JoinFailed(f"bootstrap {bootstrap_addr} unreachable") from exc
+        bootstrap = (node_ident(bootstrap_addr, self.bits), bootstrap_addr)
         if found[1] == self.addr:
-            found = (node_ident(bootstrap_addr, self.bits), bootstrap_addr)
+            found = bootstrap
         self._pred = None
-        self._set_successors([found])
+        # The bootstrap stays on as a backup: a successor found through a
+        # stale table may be gone, and then this node would be left alone.
+        self._set_successors(list(dict.fromkeys([found, bootstrap])))
         self.stabilize()
 
     def _resolve_via(self, via: str, ident: int) -> Entry:
@@ -301,27 +305,33 @@ class RingNode:
         self.alive = False
 
     def stabilize(self) -> None:
-        succ = self._first_live_successor()
-        if succ is None:
-            # Alone, or every successor died: close the ring through the
-            # predecessor if one is known (two-node bootstrap case).
-            pred = self._pred
-            if pred and pred[1] != self.addr and pred[1] not in self.evicted:
-                self._set_successors([pred])
-                succ = pred
-            else:
-                self._set_successors([self._self])
-                return
-        try:
-            pred_of_succ, succ_list = self.transport.get_state(succ[1])
-        except PeerUnreachable:
-            self.note_dead(succ[1])
-            return
+        # One exchange: the notify's reply is the successor's state after it.
+        # A successor that does not answer is dropped for the next one.
+        while True:
+            succ = self._first_live_successor()
+            if succ is None:
+                # Alone, or every successor died: close the ring through the
+                # predecessor if one is known (two-node bootstrap case).
+                pred = self._pred
+                if pred and pred[1] != self.addr and pred[1] not in self.evicted:
+                    self._set_successors([pred])
+                    succ = pred
+                else:
+                    self._set_successors([self._self])
+                    return
+            try:
+                pred_of_succ, succ_list = self.transport.notify(succ[1], self.addr)
+                break
+            except PeerUnreachable:
+                self.note_dead(succ[1])
         if pred_of_succ and pred_of_succ != self.addr and pred_of_succ not in self.evicted:
             closer = self._entry(pred_of_succ)
             if in_interval(closer[0], self.ident, succ[0]):
+                # The closer node is this node's successor from now on: rows
+                # it hands over during the notify are replicated back to it.
+                self._set_successors([closer] + self._succ)
                 try:
-                    _, probe_list = self.transport.get_state(pred_of_succ)
+                    _, probe_list = self.transport.notify(pred_of_succ, self.addr)
                     succ, succ_list = closer, probe_list
                 except PeerUnreachable:
                     self.note_dead(pred_of_succ)
@@ -331,10 +341,6 @@ class RingNode:
         chain_addrs += [s for _, s in self._succ if s not in self.evicted]
         kept = list(dict.fromkeys(chain_addrs))[: self.successor_list_len]
         self._set_successors([succ if addr == succ[1] else self._entry(addr) for addr in kept])
-        try:
-            self.transport.notify(succ[1], self.addr)
-        except PeerUnreachable:
-            self.note_dead(succ[1])
 
     def _first_live_successor(self) -> Entry | None:
         for entry in self._succ:
@@ -342,15 +348,16 @@ class RingNode:
                 return entry
         return None
 
-    def notified(self, candidate: str) -> None:
-        """Handle a notify: adopt a closer predecessor, hand over its arc."""
-        if candidate == self.addr or candidate in self.evicted:
-            return
-        cand = self._entry(candidate)
-        old = self._pred
-        if old is None or old[1] in self.evicted or in_interval(cand[0], old[0], self.ident):
-            self._pred = cand
-            self._handoff_to_predecessor(cand)
+    def notified(self, candidate: str) -> tuple[str | None, list[str]]:
+        """Handle a notify: adopt a closer predecessor, hand over its arc.
+        Returns the state after it, which the notifier stabilizes on."""
+        if candidate != self.addr and candidate not in self.evicted:
+            cand = self._entry(candidate)
+            old = self._pred
+            if old is None or old[1] in self.evicted or in_interval(cand[0], old[0], self.ident):
+                self._pred = cand
+                self._handoff_to_predecessor(cand)
+        return self.state()
 
     def _handoff_to_predecessor(self, cand: Entry) -> None:
         cand_id, candidate = cand
@@ -491,9 +498,9 @@ class DirectTransport:
         self.messages += 1
         return self._node(addr).local_query(ident)
 
-    def notify(self, addr: str, candidate: str) -> None:
+    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]:
         self.messages += 1
-        self._node(addr).notified(candidate)
+        return self._node(addr).notified(candidate)
 
     def replicate(self, addr: str, row: PeerRow) -> bool:
         self.messages += 1

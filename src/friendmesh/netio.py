@@ -183,6 +183,13 @@ class _SocketReverse:
                 self._sock.close()  # the client closed its side, or broke the framing
                 return None
 
+    def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # the client's serving loop reads the end
+        except OSError:
+            pass
+        self._sock.close()
+
 
 class RudpChannel:
     """Client channel over the ARQ engine on a UDP socket."""

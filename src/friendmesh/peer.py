@@ -28,7 +28,8 @@ import random
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from itertools import chain
+from typing import Callable, Iterator, TypeVar
 
 from . import caservice, identity, rvclient, secure, sentinel, wire
 from .channel import Channel, Endpoint, FuncService, SessionContext
@@ -360,20 +361,26 @@ class Peer:
 
     # ------------------------------------------------------------------ locate / connect
 
-    def _servers_for(self, username: str) -> list[str]:
+    def _servers_for(self, username: str) -> Iterator[str]:
+        """The servers that hold username's record, each resolved through
+        the ring only when asked for: the md5 server first, the sha1 server
+        once the caller moves past it. A server is named once."""
         if not self.config.global_mode:
-            return self._bootstrap_servers()[:1]
+            yield from self._bootstrap_servers()[:1]
+            return
         ids = dual_hash(username, self.ring_bits)
-        servers: list[str] = []
         vias = self.state.registered_at or self._bootstrap_servers()
+        named: set[str] = set()
         for ident in ids.both():
             for via in vias:
                 try:
-                    servers.append(self._chord_lookup(via, ident))
-                    break
+                    server = self._chord_lookup(via, ident)
                 except ProtocolError:
                     continue
-        return list(dict.fromkeys(servers))
+                if server not in named:
+                    named.add(server)
+                    yield server
+                break
 
     def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
         try:
@@ -556,7 +563,9 @@ class Peer:
             rvclient.submit_passphrase_blob(client, blob)
 
         last: ProtocolError | None = None
-        for server in self._servers_for(target_username) or self._bootstrap_servers():
+        servers = self._servers_for(target_username)
+        first = next(servers, None)  # None: no dual-hash server resolved
+        for server in self._bootstrap_servers() if first is None else chain((first,), servers):
             try:
                 self._rendezvous(server, deposit)
                 self.state.pending_outgoing.add(target_username)
@@ -696,40 +705,53 @@ class Peer:
 
     def sync_mirrors(self) -> None:
         """Reconcile with every mirror that serves itself; one that cannot be
-        reached or fails is skipped until the next round."""
+        reached or fails is skipped until the next round. When a mirror
+        hands the owner entries, the mirrors already reconciled this round
+        are reconciled again, so each leaves the round with them."""
+        done: list[MirrorEntry] = []
         for mirror in self.state.mirror_table:
-            def sync(channel: SecureChannel, served_by: str) -> None:
-                if served_by == mirror.username:  # not one of the mirror's own mirrors
-                    self._sync_over(channel, self.username)
+            if self._sync_mirror(mirror):
+                for earlier in done:
+                    self._sync_mirror(earlier)
+            done.append(mirror)
 
-            try:
-                self._with_friend(mirror.username, sync)
-            except ProtocolError:
-                continue
+    def _sync_mirror(self, mirror: MirrorEntry) -> bool:
+        """Reconcile with one mirror; True when it handed the owner entries."""
 
-    def _sync_over(self, channel: SecureChannel, owner: str) -> None:
-        """Bidirectional reconcile of owner's profile over one channel."""
+        def sync(channel: SecureChannel, served_by: str) -> bool:
+            # Not with one of the mirror's own mirrors.
+            return served_by == mirror.username and self._sync_over(channel, self.username)
+
+        try:
+            return self._with_friend(mirror.username, sync)
+        except ProtocolError:
+            return False
+
+    def _sync_over(self, channel: SecureChannel, owner: str) -> bool:
+        """Bidirectional reconcile of owner's profile over one channel; True
+        when the pull changed the local copy."""
         mine = self.profile if owner == self.username else self.replicas[owner].profile
         ((their_vector, their_digests),) = channel.call("sync_vec", owner)
         missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
         allowed = ",".join(sorted(self.state.friend_list)) if owner == self.username else ""
         pushed = encode_entries(missing)
         channel.call("sync_push", owner, pushed, allowed)
-        pulled = self._pull(channel, owner, mine)
+        pulled, changed = self._pull(channel, owner, mine)
         self.on_event("sync", peer=self.username, owner=owner, bytes=len(pushed) + pulled)
+        return changed
 
-    def _pull(self, channel: SecureChannel, owner: str, into: Profile) -> int:
-        """Merge owner's entries that into lacks; returns their encoded size."""
+    def _pull(self, channel: SecureChannel, owner: str, into: Profile) -> tuple[int, bool]:
+        """Merge owner's entries that into lacks; returns their encoded size
+        and whether into changed."""
         (entries,) = channel.call("pull", owner, into)
-        into.merge_entries(decode_entries(entries))
-        return len(entries)
+        return len(entries), into.merge_entries(decode_entries(entries))
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
         local = into if into is not None else Profile(friend_username)
 
         def pull(channel: SecureChannel, served_by: str) -> None:
-            pulled = self._pull(channel, friend_username, local)
+            pulled, _ = self._pull(channel, friend_username, local)
             self.on_event(
                 "pull",
                 peer=self.username,

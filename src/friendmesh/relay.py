@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import identity, rvclient, wire
-from .channel import Channel, Endpoint, Service, Session, SessionContext
+from .channel import Channel, Endpoint, ReverseSession, Service, Session, SessionContext
 from .config import RelayConfig
 from .errors import MalformedRequest, PeerUnreachable, ProtocolError
 from .identity import Certificate
@@ -27,7 +27,7 @@ KEEPALIVE_GRACE = 3  # ping intervals a relayed peer may stay silent before evic
 @dataclass
 class RelaySession:
     username: str
-    session: Session  # the server-peer's mux face, on the connection it keeps open
+    session: ReverseSession  # the server-peer's mux face, on the connection it keeps open
     token: bytes
     last_alive: int
     streams: int = 0
@@ -104,10 +104,13 @@ class RelayServer:
         self.send_update()
 
     def _drop(self, username: str, evicted: bool) -> None:
+        """End a session: its token refreshes nothing more and the
+        connection it took over is closed."""
         session = self.sessions.pop(username, None)
         if session is None:
             return
         self._by_token.pop(session.token, None)
+        session.session.close()
         if evicted:
             self.evicted += 1
         else:
@@ -167,6 +170,7 @@ class RelayConnSession:
             return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "challenge mismatch")
         if ctx.reverse_service is None:
             return wire.err_reply(wire.CHALLENGE_REPLY, "malformed_request", "no mux attached")
+        server._drop(self._cert.username, evicted=False)  # a re-admission replaces the session
         token = server.rng.randbytes(16)
         session = RelaySession(
             username=self._cert.username,
@@ -239,6 +243,9 @@ class MuxService:
 class MuxSession:
     def __init__(self, service: MuxService):
         self._service = service
+
+    def close(self) -> None:
+        pass  # in process, the relay's reverse session holds no connection
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         if len(frame.payload) < 4:

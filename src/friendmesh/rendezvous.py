@@ -55,8 +55,9 @@ class WireRingTransport:
     def query(self, addr: str, ident: int) -> tuple[str, str]:
         return self._call(addr, wire.RING_CLOSEST, ident)
 
-    def notify(self, addr: str, candidate: str) -> None:
-        self._call(addr, wire.RING_NOTIFY, candidate)
+    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]:
+        pred, succs = self._call(addr, wire.RING_NOTIFY, candidate)
+        return pred or None, succs
 
     def replicate(self, addr: str, row: PeerRow) -> bool:
         (accepted,) = self._call(addr, wire.RING_REPLICATE, row)
@@ -395,8 +396,8 @@ class RendezvousSession:
         return wire.reply(wire.RING_CLOSEST, *self._ring().local_query(self._on_ring(ident)))
 
     def handle_ring_notify(self, ctx: SessionContext, candidate: str) -> Frame:
-        self._ring().notified(candidate)
-        return wire.reply(wire.RING_NOTIFY)
+        pred, succs = self._ring().notified(candidate)
+        return wire.reply(wire.RING_NOTIFY, pred or "", succs)
 
     def handle_ring_replicate(self, ctx: SessionContext, row: PeerRow) -> Frame:
         return wire.reply(wire.RING_REPLICATE, self._ring().accept_replica(row))

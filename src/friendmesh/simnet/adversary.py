@@ -8,7 +8,7 @@ paths, compose freely, and honor per-victim and per-time selectivity:
   claim_key       answer victim lookups with the attacker's own address
   falsify_record  corrupt the stored record served for victim passphrases
   sybil_spawn     flood the ring with attacker rendezvous servers
-  eclipse_attempt poison ring-state replies with attacker addresses
+  eclipse_attempt poison ring-state replies (state and notify) with attacker addresses
 """
 from __future__ import annotations
 
@@ -79,6 +79,10 @@ class AdversarySession:
             scripted = self._scripted_reply(frame)
             if scripted is not NO_ACTION:
                 return scripted
+            if frame.msg_type == wire.RING_NOTIFY and "eclipse_attempt" in script.behaviors:
+                # The notify is taken; the state its reply carries is poisoned.
+                self.inner.handle(frame, ctx)
+                return wire.reply(wire.RING_NOTIFY, wrapper.attacker_addrs[0], wrapper.attacker_addrs)
         return self.inner.handle(frame, ctx)
 
     def _scripted_reply(self, frame: Frame):

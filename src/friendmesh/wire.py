@@ -461,7 +461,9 @@ COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint'
 APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app body
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
 RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR))  # -> closest preceding, successor
-RING_NOTIFY = _define(34, "ring_notify", (STR,), ())  # candidate predecessor
+# candidate predecessor -> the notified node's predecessor or "", successors
+# after the notify: stabilize takes its successor's state from this reply
+RING_NOTIFY = _define(34, "ring_notify", (STR,), (STR, many(STR)))
 RING_REPLICATE = _define(35, "ring_replicate", (RING_ROW,), (FLAG,))  # -> accepted
 RING_TRANSFER = _define(36, "ring_transfer", (STR, many(RING_ROW)), (INT,))  # departing or "" -> accepted
 BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username

@@ -177,6 +177,84 @@ def test_one_honest_dual_path_still_serves():
     assert world.peers["user03"].state.queued_updates.get("user04")
 
 
+def dual_path_world(monkeypatch):
+    """A 4-server global world where user04's identifiers land on two
+    servers, with every chord lookup of the reader user03 recorded."""
+    from friendmesh.chord import dual_hash, node_ident
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=4, n_peers=5, global_mode=True))
+    pairs = sorted((node_ident(a, 128), a) for a in world.servers)
+
+    def oracle(key):
+        return next((a for ident, a in pairs if ident >= key), pairs[0][1])
+
+    ids = dual_hash("user04")
+    homes = oracle(ids.id_md5), oracle(ids.id_sha1)
+    assert homes[0] != homes[1]
+    reader = world.peers["user03"]
+    lookups = []
+    real = reader._chord_lookup
+    monkeypatch.setattr(reader, "_chord_lookup",
+                        lambda server, ident: lookups.append(ident) or real(server, ident))
+    return world, reader, homes, ids, lookups
+
+
+def test_locate_at_an_honest_md5_server_does_one_lookup(monkeypatch):
+    world, reader, (md5_home, _), ids, lookups = dual_path_world(monkeypatch)
+    record, server = reader.locate_friend("user04")
+    assert (record.username, server) == ("user04", md5_home)
+    assert lookups == [ids.id_md5]
+
+
+def test_locate_falls_through_to_sha1_when_md5_server_has_no_record(monkeypatch):
+    world, reader, (md5_home, sha1_home), ids, lookups = dual_path_world(monkeypatch)
+    store = world.servers[md5_home].store
+    for row in store.peer_rows():
+        if row.record.username == "user04":
+            store.remove_peer("user04", row.ring_id)
+    record, server = reader.locate_friend("user04")
+    assert (record.username, server) == ("user04", sha1_home)
+    assert lookups == [ids.id_md5, ids.id_sha1]
+
+
+def test_locate_falls_through_to_sha1_when_md5_server_tampers(monkeypatch):
+    world, reader, (md5_home, sha1_home), ids, lookups = dual_path_world(monkeypatch)
+    world.spawn_adversary(
+        AdversaryScript(behaviors=["falsify_record"], targets=[md5_home], victims=["user04"])
+    )
+    record, server = reader.locate_friend("user04")
+    assert (record.username, server) == ("user04", sha1_home)
+    assert lookups == [ids.id_md5, ids.id_sha1]
+
+
+def test_locate_raises_storage_attack_when_both_servers_tamper(monkeypatch):
+    world, reader, homes, ids, lookups = dual_path_world(monkeypatch)
+    world.spawn_adversary(
+        AdversaryScript(behaviors=["falsify_record"], targets=list(homes), victims=["user04"])
+    )
+    with pytest.raises(StorageAttack):
+        reader.locate_friend("user04")
+    assert lookups == [ids.id_md5, ids.id_sha1]
+
+
+def test_friend_request_falls_back_to_bootstrap_servers_when_no_lookup_resolves(monkeypatch):
+    from friendmesh.errors import LookupFailed
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=4, n_peers=5, global_mode=True, friendships=[]))
+    sender = world.peers["user00"]
+
+    def unresolved(server, ident):
+        raise LookupFailed("no route")
+
+    deposited = []
+    real = sender._rendezvous
+    monkeypatch.setattr(sender, "_chord_lookup", unresolved)
+    monkeypatch.setattr(sender, "_rendezvous", lambda server, fn: deposited.append(server) or real(server, fn))
+    sender.send_friend_request("user01")
+    assert deposited and set(deposited) <= set(sender._bootstrap_servers())
+    assert "user01" in sender.state.pending_outgoing
+
+
 def test_mirror_fallback_preference_order():
     world = small_world(
         seed=14,
@@ -208,6 +286,34 @@ def test_mirror_fallback_preference_order():
     world.sim.set_down(world.peers["user02"].endpoint.local_addr(), True)
     with pytest.raises(Unavailable):
         reader.connect_friend("user00")
+
+
+def test_one_sync_round_converges_every_mirror():
+    # A write lands only at the second mirror while the owner and the first
+    # mirror are down. One sync round hands it to the owner and to the first
+    # mirror, which was reconciled before the owner had it.
+    world = small_world(
+        seed=14,
+        n_peers=4,
+        friendships=[["user00", "user01"], ["user00", "user02"], ["user00", "user03"]],
+        mirrors=[["user00", "user01"], ["user00", "user02"]],
+    )
+    owner = world.peers["user00"]
+    owner.sync_mirrors()
+    down = [owner.endpoint.local_addr(), world.peers["user01"].endpoint.local_addr()]
+    for addr in down:
+        world.sim.set_down(addr, True)
+    world.peers["user03"].write_to_friend("user00", "share_board", op_add("late", b"at mirror two"))
+    for addr in down:
+        world.sim.set_down(addr, False)
+    assert not world.peers["user01"].replicas["user00"].profile.has_element("share_board/late")
+    assert world.peers["user02"].replicas["user00"].profile.has_element("share_board/late")
+
+    owner.sync_mirrors()
+    expected = owner.profile.canonical_encode()
+    assert owner.profile.element("share_board/late").content == b"at mirror two"
+    for mirror in ("user01", "user02"):
+        assert world.peers[mirror].replicas["user00"].profile.canonical_encode() == expected
 
 
 def test_mirror_serves_replica_reads():

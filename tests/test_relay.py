@@ -162,6 +162,41 @@ def test_liveness_accounting(server, ca, clock):
     assert len(server.sessions) == server.admitted - server.evicted - server.closed
 
 
+class ClosedCount:
+    """A reverse service whose sessions answer nothing and count closes."""
+
+    def __init__(self):
+        self.closes = 0
+
+    def open_session(self, ctx):
+        return self
+
+    def handle(self, frame, ctx):
+        return None
+
+    def close(self):
+        self.closes += 1
+
+
+def test_readmission_retires_the_old_token_and_closes_the_old_session(server, ca, clock):
+    pair, cert = make_user(ca, "readmit-1")
+    first, second = ClosedCount(), ClosedCount()
+    old_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
+    interval, old_token = admit_as_server(old_channel, cert, pair.private_key, first)
+    new_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6001")
+    admit_as_server(new_channel, cert, pair.private_key, second)
+    assert (first.closes, second.closes) == (1, 0)
+    assert len(server.sessions) == server.admitted - server.evicted - server.closed == 1
+    # The old token refreshes nothing: the new session, silent since its
+    # admission, is evicted on time, and its connection closed.
+    clock.advance(interval * 2)
+    send_keepalive(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6002"), old_token)
+    clock.advance(interval + 1)
+    server.tick()
+    assert server.load == 0
+    assert second.closes == 1
+
+
 def test_bridge_handshake_and_opacity(server, ca):
     # The two peers handshake through the relay; both ends derive one key,
     # the relay leg carries no plaintext payload and no session key bytes.
