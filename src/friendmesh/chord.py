@@ -126,6 +126,9 @@ class RingNode:
         self._succ: list[Entry] = [self._self]
         self._pred: Entry | None = None
         self._fingers: list[Entry | None] = [None] * bits
+        self._finger_cursor = 0  # the finger fix_finger resolves next
+        # The predecessor notified since the last check_predecessor.
+        self._pred_heard = False
         self.evicted: set[str] = set()
         self.alive = True
         # (addr -> ident over fingers and successors, sorted clockwise
@@ -354,9 +357,20 @@ class RingNode:
         if candidate != self.addr and candidate not in self.evicted:
             cand = self._entry(candidate)
             old = self._pred
+            if (
+                old is not None and old[1] != candidate and not self._pred_heard
+                and not in_interval(cand[0], old[0], self.ident)
+            ):
+                # The notifier passed over a predecessor not heard from since
+                # the last check: one that crashed is dropped now, and the
+                # notifier adopted, instead of a period later.
+                self._ping_predecessor()
+                old = self._pred
             if old is None or old[1] in self.evicted or in_interval(cand[0], old[0], self.ident):
                 self._pred = cand
                 self._handoff_to_predecessor(cand)
+            if self.predecessor == candidate:
+                self._pred_heard = True
         return self.state()
 
     def _handoff_to_predecessor(self, cand: Entry) -> None:
@@ -378,28 +392,45 @@ class RingNode:
             self.store.remove_peer(row.record.username, row.ring_id)
             self.store.upsert_peer(replace(row, replica=True))
 
+    def fix_finger(self) -> bool:
+        """Resolve the finger at the cursor and every later finger its answer
+        covers, then move the cursor past them; True when it wrapped.
+
+        Finger j starts 2**j past this node, so the successor found for the
+        cursor's start is also finger j's for every 2**j up to its distance.
+        """
+        i = self._finger_cursor
+        try:
+            result = self.find_successor((self.ident + (1 << i)) % (1 << self.bits))
+        except LookupFailed:
+            end = i + 1
+        else:
+            entry = (result.ident, result.addr)
+            # Distance 0 is this node: it follows every later start too.
+            dist = (entry[0] - self.ident) % (1 << self.bits) or 1 << self.bits
+            # An answer short of the start (a stale or lying table) still
+            # fills this one finger and moves the cursor on.
+            end = min(self.bits, max(i + 1, dist.bit_length()))
+            span = [entry] * (end - i)
+            if self._fingers[i:end] != span:
+                self._fingers[i:end] = span
+                self._index = None
+        self._finger_cursor = end % self.bits
+        return self._finger_cursor == 0
+
     def fix_fingers(self) -> None:
-        prev_start = 0
-        prev: Entry | None = None
-        for i in range(self.bits):
-            start = (self.ident + (1 << i)) % (1 << self.bits)
-            if prev is not None:
-                covered = (
-                    start == prev_start
-                    if prev_start == prev[0]
-                    else in_interval(start, prev_start, prev[0], inc_lo=True, inc_hi=True)
-                )
-                if covered:
-                    self._set_finger(i, prev)
-                    continue
-            try:
-                result = self.find_successor(start)
-            except LookupFailed:
-                continue
-            prev_start, prev = start, (result.ident, result.addr)
-            self._set_finger(i, prev)
+        """Refresh the whole finger table, from the first finger on."""
+        self._finger_cursor = 0
+        while not self.fix_finger():
+            pass
 
     def check_predecessor(self) -> None:
+        """Ping the predecessor unless it notified since the last check."""
+        heard, self._pred_heard = self._pred_heard, False
+        if not heard:
+            self._ping_predecessor()
+
+    def _ping_predecessor(self) -> None:
         if self._pred is None or self._pred[1] == self.addr:
             return
         try:

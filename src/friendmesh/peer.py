@@ -720,20 +720,20 @@ class Peer:
 
         def sync(channel: SecureChannel, served_by: str) -> bool:
             # Not with one of the mirror's own mirrors.
-            return served_by == mirror.username and self._sync_over(channel, self.username)
+            return served_by == mirror.username and self._sync_over(channel)
 
         try:
             return self._with_friend(mirror.username, sync)
         except ProtocolError:
             return False
 
-    def _sync_over(self, channel: SecureChannel, owner: str) -> bool:
-        """Bidirectional reconcile of owner's profile over one channel; True
-        when the pull changed the local copy."""
-        mine = self.profile if owner == self.username else self.replicas[owner].profile
+    def _sync_over(self, channel: SecureChannel) -> bool:
+        """Bidirectional reconcile of this peer's profile with a mirror over
+        one channel; True when the pull changed the local copy."""
+        owner, mine = self.username, self.profile
         ((their_vector, their_digests),) = channel.call("sync_vec", owner)
         missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
-        allowed = ",".join(sorted(self.state.friend_list)) if owner == self.username else ""
+        allowed = ",".join(sorted(self.state.friend_list))
         pushed = encode_entries(missing)
         channel.call("sync_push", owner, pushed, allowed)
         pulled, changed = self._pull(channel, owner, mine)
@@ -1020,11 +1020,8 @@ class _Probe:
         self.peer = peer
         self._alternates = [s for s in peer._bootstrap_servers() if s not in exclude]
 
-    def locate_rendezvous_servers(self, via_addr: str, ids: DualId) -> tuple[str, str]:
-        return (
-            self.peer._chord_lookup(via_addr, ids.id_md5),
-            self.peer._chord_lookup(via_addr, ids.id_sha1),
-        )
+    def locate(self, via_addr: str, ident: int) -> str:
+        return self.peer._chord_lookup(via_addr, ident)
 
     def fetch_record(self, server_addr: str, passphrase: str):
         try:

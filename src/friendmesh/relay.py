@@ -120,6 +120,11 @@ class RelayServer:
     def load(self) -> int:
         return len(self.sessions)
 
+    def full_for(self, username: str) -> bool:
+        """No room for username: it holds no session and every slot is taken.
+        A re-admission replaces the peer's own session, so it always fits."""
+        return username not in self.sessions and len(self.sessions) >= self.config.max_connections
+
     def open_session(self, ctx: SessionContext) -> "RelayConnSession":
         return RelayConnSession(self)
 
@@ -142,8 +147,6 @@ class RelayConnSession:
                 return self._forward(frame, ctx)
             return wire.err_reply(code, "malformed_request", "no bridge open")
         # Refusals that come before the request is read.
-        if code == wire.IS_SERVER and len(self.server.sessions) >= self.server.config.max_connections:
-            return wire.err_reply(wire.CHALLENGE, "reject", "capacity reached")
         if code == wire.CHALLENGE_REPLY and (self._challenge is None or self._cert is None):
             return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "no challenge outstanding")
         try:
@@ -156,6 +159,8 @@ class RelayConnSession:
         server = self.server
         if not identity.verify_certificate(cert, server.ca_public_key, server.ca_algorithm):
             return wire.err_reply(wire.CHALLENGE, "auth_error", "bad certificate")
+        if server.full_for(cert.username):
+            return wire.err_reply(wire.CHALLENGE, "reject", "capacity reached")
         self._cert = cert
         # Fresh timestamp + nonce: a replayed reply can never match.
         self._challenge = wire.pack_fields(
@@ -170,6 +175,9 @@ class RelayConnSession:
             return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "challenge mismatch")
         if ctx.reverse_service is None:
             return wire.err_reply(wire.CHALLENGE_REPLY, "malformed_request", "no mux attached")
+        # Others may have been admitted since the challenge went out.
+        if server.full_for(self._cert.username):
+            return wire.err_reply(wire.CHALLENGE_REPLY, "reject", "capacity reached")
         server._drop(self._cert.username, evicted=False)  # a re-admission replaces the session
         token = server.rng.randbytes(16)
         session = RelaySession(

@@ -106,7 +106,6 @@ class RendezvousServer:
             )
         self.ledger = ComplaintLedger(self.config.complaint_threshold)
         self.evictions: list[tuple[int, str]] = []
-        self._tick_count = 0
 
     # -- ring plumbing ---------------------------------------------------------
 
@@ -125,9 +124,7 @@ class RendezvousServer:
         if self.ring is not None:
             self.ring.check_predecessor()
             self.ring.stabilize()
-            self._tick_count += 1
-            if self._tick_count % 4 == 1:
-                self.ring.fix_fingers()
+            self.ring.fix_finger()
 
     # -- complaints --------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 from . import identity
 from .chord import DualId
@@ -52,8 +52,8 @@ class VerificationOutcome:
 class RegistrationProbe(Protocol):
     """Network actions the verification procedure needs from the peer."""
 
-    def locate_rendezvous_servers(self, via_addr: str, ids: DualId) -> tuple[str, str]:
-        """Ask via_addr to resolve both identifiers; it may lie."""
+    def locate(self, via_addr: str, ident: int) -> str:
+        """Ask via_addr which server owns ident; it may lie."""
         ...
 
     def fetch_record(
@@ -67,6 +67,24 @@ class RegistrationProbe(Protocol):
     def next_alternate(self) -> str | None:
         """Another publicly known rendezvous server, or None when exhausted."""
         ...
+
+
+def _witness_candidates(
+    probe: RegistrationProbe, vias: tuple[str, str], ids: DualId
+) -> Iterator[str]:
+    """The servers each via names for ids, resolved one at a time as the
+    caller asks for the next, each named once. An unreachable via is left
+    for the next."""
+    seen: set[str] = set()
+    for via in dict.fromkeys(vias):
+        for ident in ids.both():
+            try:
+                server = probe.locate(via, ident)
+            except PeerUnreachable:
+                break
+            if server not in seen:
+                seen.add(server)
+                yield server
 
 
 def verify_registration_targets(
@@ -84,21 +102,16 @@ def verify_registration_targets(
     """Check whether (y, z) really own the caller's identifiers.
 
     x named (y, z); y and z each name the servers responsible for a
-    friend's identifiers; whichever of those four yields a verifiable,
-    connectable record for the friend is a correct witness, and its answer
-    for the caller's own identifiers is compared against (y, z). Requires
-    at least one friend, by construction.
+    friend's identifiers; the first of those four (y's md5 and sha1
+    answers, then z's) that yields a verifiable, connectable record for
+    the friend is a correct witness, and its answer for the caller's own
+    identifiers is compared against (y, z). A candidate is resolved only
+    when every earlier one failed. Requires at least one friend, by
+    construction.
     """
     for _ in range(max_restarts):
-        candidates: list[str] = []
-        for via in (y_addr, z_addr):
-            try:
-                r, s = probe.locate_rendezvous_servers(via, friend_ids)
-                candidates.extend([r, s])
-            except PeerUnreachable:
-                continue
         witness: str | None = None
-        for server in dict.fromkeys(candidates):
+        for server in _witness_candidates(probe, (y_addr, z_addr), friend_ids):
             fetched = None
             try:
                 fetched = probe.fetch_record(server, friend_passphrase)
@@ -120,12 +133,14 @@ def verify_registration_targets(
                 return VerificationOutcome(status=INCONCLUSIVE)
             x_addr = alternate
             try:
-                y_addr, z_addr = probe.locate_rendezvous_servers(x_addr, my_ids)
+                y_addr = probe.locate(x_addr, my_ids.id_md5)
+                z_addr = probe.locate(x_addr, my_ids.id_sha1)
             except PeerUnreachable:
                 continue
             continue
         try:
-            a, b = probe.locate_rendezvous_servers(witness, my_ids)
+            a = probe.locate(witness, my_ids.id_md5)
+            b = probe.locate(witness, my_ids.id_sha1)
         except PeerUnreachable:
             continue
         implicated: list[str] = []

@@ -382,15 +382,97 @@ def test_routing_hashes_only_remote_answers(monkeypatch):
         assert result.addr == oracle_successor(addrs, key, 128)
         assert len(hashed) <= 2 * result.hops + 1, (len(hashed), result.hops)
     # On a converged ring, stabilize and notify reuse the ids the tables
-    # hold, and a round with fix_fingers sends 299 messages: per node one
-    # check_predecessor and one notify, whose reply is the successor's
-    # state, then the fingers.
+    # hold, and a round with fix_fingers sends 267 messages: per node one
+    # notify, whose reply is the successor's state, then the fingers. No
+    # check_predecessor pings: every predecessor notified during the round
+    # before (299 when each check pinged).
     hashed.clear()
     chord.stabilize_all(nodes, rounds=1, fix=False)
     assert hashed == []
     before = transport.messages
     chord.stabilize_all(nodes, rounds=1)
-    assert transport.messages - before == 299
+    assert transport.messages - before == 267
+
+
+# -- periodic upkeep ---------------------------------------------------------------
+
+
+class StateCountingTransport(chord.DirectTransport):
+    """Counts get_state requests, the only ones check_predecessor sends."""
+
+    def __init__(self):
+        super().__init__()
+        self.states = 0
+
+    def get_state(self, addr):
+        self.states += 1
+        return super().get_state(addr)
+
+
+def upkeep_period(nodes):
+    """One stabilization period: every live node ticks as a rendezvous server does."""
+    for addr in sorted(nodes):
+        node = nodes[addr]
+        if node.alive:
+            node.check_predecessor()
+            node.stabilize()
+            node.fix_finger()
+
+
+def test_steady_ring_sends_no_ring_state():
+    addrs = [f"10.6.1.{i}:7{i:03d}" for i in range(16)]
+    transport = StateCountingTransport()
+    nodes, _ = chord.build_ring(addrs, transport=transport)
+    transport.states = 0
+    for _ in range(10):
+        upkeep_period(nodes)
+    assert transport.states == 0
+    assert_one_ordered_ring(nodes)
+
+
+def test_crashed_predecessor_cleared_within_two_periods():
+    addrs = [f"10.6.2.{i}:7{i:03d}" for i in range(16)]
+    for victim in addrs:
+        nodes, _ = chord.build_ring(addrs)
+        upkeep_period(nodes)
+        ring = [a for _, a in sorted((n.ident, a) for a, n in nodes.items())]
+        at = ring.index(victim)
+        pred, succ = ring[at - 1], ring[(at + 1) % len(ring)]
+        nodes[victim].alive = False
+        for _ in range(2):
+            upkeep_period(nodes)
+        assert nodes[succ].predecessor == pred, victim
+        assert nodes[pred].successor() == succ, victim
+        live = [a for a in ring if a != victim]
+        for i, addr in enumerate(live):
+            assert nodes[addr].successor() == live[(i + 1) % len(live)], (victim, addr)
+            assert nodes[addr].predecessor == live[i - 1], (victim, addr)
+
+
+def finger_oracle(node, addrs):
+    size = 1 << node.bits
+    return [oracle_successor(addrs, (node.ident + (1 << i)) % size, node.bits) for i in range(node.bits)]
+
+
+def test_one_finger_per_tick_builds_the_full_table():
+    addrs = [f"10.6.3.{i}:7{i:03d}" for i in range(32)]
+    nodes, _ = chord.build_ring(addrs)
+    full = {addr: list(node._fingers) for addr, node in nodes.items()}
+    for node in nodes.values():
+        assert [e[1] for e in full[node.addr]] == finger_oracle(node, addrs)
+        for i in range(node.bits):
+            node._set_finger(i, None)
+    ticks = dict.fromkeys(nodes, 0)
+    pending = set(nodes)
+    while pending:
+        for addr in sorted(pending):
+            ticks[addr] += 1
+            if nodes[addr].fix_finger():
+                pending.discard(addr)
+    for addr, node in nodes.items():
+        assert node._fingers == full[addr], addr
+        # One lookup per distinct finger, not one per finger.
+        assert ticks[addr] == len(set(full[addr])), addr
 
 
 # -- key movement on join/leave ----------------------------------------------

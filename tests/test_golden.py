@@ -1,13 +1,15 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were re-recorded, on purpose, when a locate began resolving its
-sha1 server only after the md5 server failed and a stabilize became one
-notify whose reply carries the successor's state (with a joining node
-keeping its bootstrap as a backup successor, and a stabilize moving past a
-dead successor at once): every scenario sends fewer ring messages, so every
-trace changed. The eclipse adversary poisons the state a notify's reply now
-carries, as it poisons a ring_state reply. Any change to a wire byte, a message count, a timestamp or
-an event in any scenario changes a hash.
+The hashes were last re-recorded, on purpose, when ring upkeep stopped
+sending frames whose answers it already had: check_predecessor pings only a
+predecessor that sent no notify since the last check, a server tick
+refreshes one finger (and the fingers its answer covers) instead of every
+finger each fourth tick, and the registration sentinel resolves a friend's
+servers one at a time, stopping at the first correct witness. Every
+scenario sends fewer ring messages, so every trace changed; each
+scenario's summary (deliveries, detections, evictions) is as before. Any
+change to a wire byte, a message count, a timestamp or an event in any
+scenario changes a hash.
 """
 import hashlib
 import pathlib
@@ -19,16 +21,16 @@ from friendmesh.simnet.scenario import SimConfig, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACE_SHA256 = {
-    "baseline": "aecd482443e5ae28075c486f1021e22d469fbf514c20b62fdf8a6774351e9147",
-    "churn": "e711dc8bd017f89f2ba8eb746b589db6457364f3022cc44758d6e32005813ba7",
-    "e1_eclipse": "2c8c9c96ebbdc5a1a1b08411425151a8b1a1dbe2073a5376b64661410a1a9360",
-    "eviction": "4faba7297b62c938b558160a59e22d1629abd2a3c33c2b6a5c56ea1252f78769",
-    "island_partition": "9ff33cdc49f8894431aa6fee94823dbf322be057a44a399568ea82980f560391",
-    "r1_drop": "9212bde5fd32a32009bb273a54b6d8c31c54abaed0e581fb5cc9afed49a6c7c9",
-    "r2_misroute": "8b7897fbf63b5d6655229853ab6ee2860f9a439f59736bdbc57f5e9039fec06c",
-    "r3_claim_key": "1bd804151f6faa628dbf459b58c1022cd1286a1f87832c6862781f9499dfca40",
-    "s1_sybil": "c4fd459207bc5c3bf11aa3d4f475394ba4108daf8695afd333ae2a5ea2b5d329",
-    "t1_falsify": "235bbc6c0395b690354fc44fe36c7a5a292cc3974981cc8f1869b9cbf66fc8a9",
+    "baseline": "11d92748f1f8684a25cd4abc46a4c223a01fe427af3d4e0e4c0d8b482c457fd5",
+    "churn": "70bab196e43214903ced548f64f75a5f7a0d96bb1f598fe6429b104495e62d5f",
+    "e1_eclipse": "6f59e5ee03944b6472215a46218f1110e4b897296a4f21d1ba4126317a2b65a4",
+    "eviction": "453f18f7819a5c464dadaf18b7cfe1a0196909e19cc3c6687a3b49dc1ebd9b4e",
+    "island_partition": "f23594f8dd074735a3b8f3511d8871ed383f27da1e27d9c48f6de12e28b591d7",
+    "r1_drop": "9520017ec981dfeaa765cf022c2293de2170ff5aea07a2463b9e8ff37daa9922",
+    "r2_misroute": "668005afb9dccec4713e87314377b70fa575caa45daa364dbe29ebf4f60f7000",
+    "r3_claim_key": "2d3084d377b2366753bc674d7d9130d958dca79b3152e0b850c47fb1f98b848a",
+    "s1_sybil": "2cd0ca211d02dd50b6183a1db907c5ecf368c107f2c75bde95b7fb9e24b1c54e",
+    "t1_falsify": "2baf3cd8ba92afe46d3238fa3b1af4d89d4a881648d5c08311e18263f2699036",
 }
 
 

@@ -89,8 +89,8 @@ def make_responder_service(ca, cert, pair, app_handler=None):
     return _Service()
 
 
-def admit(server, ca, name, mux=None):
-    pair, cert = make_user(ca, name)
+def admit(server, ca, name, mux=None, user=None):
+    pair, cert = user or make_user(ca, name)
     mux = mux or MuxService(make_responder_service(ca, cert, pair))
     channel = DirectChannel(server, remote_addr=server.addr, local_addr=f"10.0.7.{name[-1]}:6000")
     interval, token = admit_as_server(channel, cert, pair.private_key, mux)
@@ -129,6 +129,37 @@ def test_capacity_reached_rejected(server, ca):
     with pytest.raises(Exception) as err:
         wire.open_reply(reply)
     assert "capacity" in str(err.value)
+
+
+def test_full_relay_readmits_a_peer_it_holds(server, ca):
+    first = make_user(ca, "full-a1")
+    admit(server, ca, "full-a1", user=first)
+    admit(server, ca, "full-b2")
+    old_token = server.sessions["full-a1"].token
+    # A re-admission replaces the peer's own session, so it fits a full relay.
+    _, _, token, _ = admit(server, ca, "full-a1", user=first)
+    assert token != old_token
+    assert server.load == 2
+    with pytest.raises(Exception) as err:
+        admit(server, ca, "full-c3")
+    assert "capacity" in str(err.value)
+    assert sorted(server.sessions) == ["full-a1", "full-b2"]
+
+
+def test_capacity_checked_again_at_the_challenge_reply(server, ca):
+    # The relay filled up between a newcomer's challenge and its reply.
+    pair, cert = make_user(ca, "late-c3")
+    channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.6:6000")
+    reply = channel.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
+    (sealed,) = wire.open_reply(reply)
+    value = identity.open_sealed(pair.private_key, sealed, cert.algorithm_id)
+    admit(server, ca, "late-a1")
+    admit(server, ca, "late-b2")
+    channel.attach_reverse(MuxService(make_responder_service(ca, cert, pair)))
+    with pytest.raises(Exception) as err:
+        wire.open_reply(channel.request(Frame(wire.CHALLENGE_REPLY, wire.pack_fields(value))))
+    assert "capacity" in str(err.value)
+    assert sorted(server.sessions) == ["late-a1", "late-b2"]
 
 
 def test_keepalive_keeps_session_alive(server, ca, clock):

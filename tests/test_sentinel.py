@@ -198,8 +198,9 @@ class ScriptedRing:
     def __init__(self, ca, honest_servers, friend):
         self.ca = ca
         self.honest = honest_servers  # list of addrs
-        self.lies = {}  # via_addr -> (addr, addr) forced answer
+        self.lies = {}  # via_addr -> addr it names for every id
         self.unreachable = set()
+        self.lookups = []  # (via, ident) of every locate
         self.friend_pair, self.friend_cert = friend
         self.friend_record = make_record(self.friend_pair, self.friend_cert)
         self.record_holders = set(honest_servers)
@@ -211,12 +212,11 @@ class ScriptedRing:
         # Stand-in ring geometry: stable pick by ident.
         return self.honest[ident % len(self.honest)]
 
-    def locate_rendezvous_servers(self, via, ids):
+    def locate(self, via, ident):
+        self.lookups.append((via, ident))
         if via in self.unreachable:
             raise PeerUnreachable(via)
-        if via in self.lies:
-            return self.lies[via]
-        return (self._honest_successor(ids.id_md5), self._honest_successor(ids.id_sha1))
+        return self.lies.get(via) or self._honest_successor(ident)
 
     def fetch_record(self, server, passphrase):
         if server in self.unreachable:
@@ -260,6 +260,11 @@ def run_procedure(ring, x, y, z):
     )
 
 
+def first_candidate(ring):
+    """The server y and z name first for the friend: y's md5 answer."""
+    return ring._honest_successor(dual_hash(ring.friend_cert.username).id_md5)
+
+
 def test_honest_ring_verified(scripted):
     my_ids = dual_hash("vr-peer")
     y = scripted._honest_successor(my_ids.id_md5)
@@ -267,7 +272,26 @@ def test_honest_ring_verified(scripted):
     outcome = run_procedure(scripted, "10.0.1.0:7200", y, z)
     assert outcome.status == "verified"
     assert outcome.targets == (y, z)
-    assert outcome.witness in scripted.honest
+    assert outcome.witness == first_candidate(scripted)
+    assert outcome.implicated == ()
+
+
+def test_honest_ring_resolves_only_the_first_witness(scripted):
+    # y's md5 answer for the friend is a correct witness, so neither y's
+    # sha1 answer nor z's are resolved: 3 lookups, where resolving every
+    # candidate first made 6. The witness then rechecks both of the
+    # caller's ids.
+    my_ids = dual_hash("vr-peer")
+    friend_ids = dual_hash(scripted.friend_cert.username)
+    y = scripted._honest_successor(my_ids.id_md5)
+    z = scripted._honest_successor(my_ids.id_sha1)
+    outcome = run_procedure(scripted, "10.0.1.0:7200", y, z)
+    witness = outcome.witness
+    assert scripted.lookups == [
+        (y, friend_ids.id_md5),
+        (witness, my_ids.id_md5),
+        (witness, my_ids.id_sha1),
+    ]
 
 
 def test_colluding_fake_md5_server_detected(scripted):
@@ -280,7 +304,7 @@ def test_colluding_fake_md5_server_detected(scripted):
     outcome = run_procedure(scripted, x, fake_y, z)
     assert outcome.status == "suspect"
     assert set(outcome.implicated) == {x, fake_y}
-    assert outcome.witness is not None
+    assert outcome.witness == first_candidate(scripted)
     # Corrected targets point at the honest servers.
     assert outcome.targets == (
         scripted._honest_successor(my_ids.id_md5),
@@ -307,15 +331,19 @@ def test_friend_offline_retries_another_server(scripted):
     scripted.fetch_record = fetch_with_recovery
     scripted.alternates = ["10.0.1.3:7200"]
 
-    def lrs(via, ids):
-        restore["done"] = True
-        return (scripted._honest_successor(ids.id_md5), scripted._honest_successor(ids.id_sha1))
+    real_locate = scripted.locate
 
-    real_lrs = scripted.locate_rendezvous_servers
-    scripted.locate_rendezvous_servers = lambda via, ids: lrs(via, ids) if restore["done"] or via == "10.0.1.3:7200" else real_lrs(via, ids)
+    def locate(via, ident):
+        if via == "10.0.1.3:7200":
+            restore["done"] = True
+        return real_locate(via, ident)
+
+    scripted.locate = locate
 
     outcome = run_procedure(scripted, "10.0.1.0:7200", y, z)
     assert outcome.status == "verified"
+    assert outcome.witness == first_candidate(scripted)
+    assert outcome.implicated == ()
 
 
 def test_everything_unreachable_is_inconclusive(scripted):
@@ -324,7 +352,7 @@ def test_everything_unreachable_is_inconclusive(scripted):
     y = scripted._honest_successor(my_ids.id_md5)
     z = scripted._honest_successor(my_ids.id_sha1)
     outcome = run_procedure(scripted, "10.0.1.0:7200", y, z)
-    assert outcome.status == "inconclusive"
+    assert outcome == VerificationOutcome(status="inconclusive")
 
 
 def test_falsified_record_not_used_as_witness(scripted):
