@@ -38,11 +38,8 @@ def request_certificate(
     username: str,
     keypair: KeyPair,
     ca_public_key: bytes,
-    ca_algorithm: str,
 ) -> Certificate:
     """One-shot signup: sealed request out, sealed certificate back."""
-    request = identity.build_cert_request(
-        username, keypair.public_key, keypair.algorithm_id, ca_public_key, ca_algorithm
-    )
+    request = identity.build_cert_request(username, keypair.public_key, ca_public_key)
     (sealed,) = wire.call(channel, wire.CERT_REPLY, request)
-    return identity.open_cert_reply(sealed, keypair, ca_public_key, ca_algorithm)
+    return identity.open_cert_reply(sealed, keypair, ca_public_key)

@@ -26,7 +26,7 @@ import time
 from . import identity
 from .caservice import CAService
 from .config import PeerConfig, RelayConfig, RendezvousConfig, StunConfig
-from .errors import ProtocolError
+from .errors import MalformedRequest, ProtocolError
 from .netio import TcpEndpoint, TcpServer
 from .peer import Peer, load_state, save_state
 from .profile import Profile, op_add, op_perm, reconcile
@@ -36,9 +36,13 @@ from .simnet import cli as sim_cli
 from .stun import StunServer
 
 
-def _load_ca_public(path: str) -> tuple[bytes, str]:
-    pair = identity.load_keypair(path)
-    return pair.public_key, pair.algorithm_id
+def _ca_public_key(path: str) -> bytes:
+    """The CA's public point, as `friendmesh ca` writes it to ca.pub."""
+    try:
+        with open(path, "rb") as fh:
+            return identity.check_public_key(fh.read())
+    except (OSError, MalformedRequest) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: not a CA public key file ({exc})") from None
 
 
 def _run_upkeep(label: str, tick=lambda: None, period_ms: int = 3_600_000) -> None:
@@ -63,18 +67,20 @@ def cmd_ca(args) -> int:
     if os.path.exists(args.key):
         pair = identity.load_keypair(args.key)
     else:
-        pair = identity.generate_keypair(args.algorithm)
+        pair = identity.generate_keypair()
         identity.save_keypair(pair, args.key)
+    pub_path = os.path.join(os.path.dirname(args.key), "ca.pub")
+    with open(pub_path, "wb") as fh:
+        fh.write(pair.public_key)
     ca = identity.CAState(args.name, pair, log_path=args.state)
     server = TcpServer(CAService(ca), host=args.bind, port=args.port, backlog=args.backlog).start()
-    print(f"certificate authority {args.name} on {server.addr}")
+    print(f"certificate authority {args.name} on {server.addr}, public key in {pub_path}")
     _run_upkeep("ca")
     server.stop()
     return 0
 
 
 def cmd_rendezvous(args) -> int:
-    ca_pub, ca_algo = _load_ca_public(args.ca_cert)
     config = RendezvousConfig(
         port=args.port,
         db_url=args.db,
@@ -83,8 +89,7 @@ def cmd_rendezvous(args) -> int:
         ring_enabled=bool(args.join or args.ring),
     )
     server = RendezvousServer(
-        addr=f"{args.bind}:{args.port}", config=config,
-        ca_public_key=ca_pub, ca_algorithm=ca_algo,
+        addr=f"{args.bind}:{args.port}", config=config, ca_public_key=args.ca_cert,
         endpoint=TcpEndpoint(local_addr=f"{args.bind}:{args.port}"),
     )
     listener = TcpServer(server, host=args.bind, port=args.port).start()
@@ -98,7 +103,6 @@ def cmd_rendezvous(args) -> int:
 
 
 def cmd_relay(args) -> int:
-    ca_pub, ca_algo = _load_ca_public(args.ca_cert)
     rv_host, _, rv_port = args.rendezvous.rpartition(":")
     config = RelayConfig(
         rendezvous_addr=rv_host,
@@ -108,8 +112,7 @@ def cmd_relay(args) -> int:
         ping_interval_ms=args.ping_interval,
     )
     relay = RelayServer(
-        addr=f"{args.bind}:{args.port}", config=config,
-        ca_public_key=ca_pub, ca_algorithm=ca_algo,
+        addr=f"{args.bind}:{args.port}", config=config, ca_public_key=args.ca_cert,
         endpoint=TcpEndpoint(local_addr=f"{args.bind}:{args.port}"),
     )
     listener = TcpServer(relay, host=args.bind, port=args.port).start()
@@ -137,7 +140,6 @@ def cmd_stun(args) -> int:
 
 
 def _make_peer(args) -> Peer:
-    ca_pub, ca_algo = _load_ca_public(args.ca_cert)
     config = PeerConfig(
         username=args.username,
         ca_addr=args.ca,
@@ -151,8 +153,7 @@ def _make_peer(args) -> Peer:
     peer = Peer(
         config=config,
         endpoint=TcpEndpoint(local_addr=f"127.0.0.1:{args.port}"),
-        ca_public_key=ca_pub,
-        ca_algorithm=ca_algo,
+        ca_public_key=args.ca_cert,
     )
     if args.state and os.path.exists(args.state):
         load_state(peer, args.state)
@@ -269,11 +270,14 @@ def cmd_profile(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+_CA_CERT_HELP = "the CA's public key file (friendmesh ca writes ca.pub beside its --key)"
+
+
 def _add_peer_common(parser) -> None:
     parser.add_argument("--username", required=True)
     parser.add_argument("--state", default="peer_state.json")
     parser.add_argument("--ca", default="127.0.0.1:7100")
-    parser.add_argument("--ca-cert", default="ca.key", help="CA key file (public part used)")
+    parser.add_argument("--ca-cert", default="ca.pub", type=_ca_public_key, help=_CA_CERT_HELP)
     parser.add_argument("--rendezvous", default="127.0.0.1:7200", help="comma-separated")
     parser.add_argument("--bootstrap-list", default=None, help="file of known rendezvous addresses")
     parser.add_argument("--port", type=int, default=7500)
@@ -291,14 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     ca_p.add_argument("--name", default="friendmesh-ca")
     ca_p.add_argument("--key", default="ca.key")
     ca_p.add_argument("--state", default="ca.log")
-    ca_p.add_argument("--algorithm", default="ec-p256")
     ca_p.set_defaults(fn=cmd_ca)
 
     rv_p = sub.add_parser("rendezvous", help="run a rendezvous server")
     rv_p.add_argument("--port", type=int, default=7200)
     rv_p.add_argument("--bind", default="127.0.0.1")
     rv_p.add_argument("--db", default="rendezvous.sqlite")
-    rv_p.add_argument("--ca-cert", default="ca.key")
+    rv_p.add_argument("--ca-cert", default="ca.pub", type=_ca_public_key, help=_CA_CERT_HELP)
     rv_p.add_argument("--age", type=int, default=6000)
     rv_p.add_argument("--refresh-interval", type=int, default=2000)
     rv_p.add_argument("--ring", action="store_true", help="enable the server ring")
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     relay_p.add_argument("--port", type=int, default=7300)
     relay_p.add_argument("--bind", default="127.0.0.1")
     relay_p.add_argument("--rendezvous", default="127.0.0.1:7200")
-    relay_p.add_argument("--ca-cert", default="ca.key")
+    relay_p.add_argument("--ca-cert", default="ca.pub", type=_ca_public_key, help=_CA_CERT_HELP)
     relay_p.add_argument("--max-connections", type=int, default=32)
     relay_p.add_argument("--ping-interval", type=int, default=2000)
     relay_p.set_defaults(fn=cmd_relay)

@@ -1,28 +1,33 @@
 """Key pairs, certificates, signed digests, sealed session keys and the CA.
 
-Two key algorithms are supported behind one surface:
+There is one key algorithm, ec-p256 (NIST P-256):
 
-  rsa-2048  RSA with OAEP sealing and PSS signatures (DER-serialized keys)
-  ec-p256   ECDH-based sealing (ephemeral key + HKDF + AES-GCM) and ECDSA
-            signatures in fixed 64-byte raw form (raw-serialized keys)
+  - a private key is its 32-byte scalar, a public key its 65-byte
+    uncompressed point;
+  - signatures are ECDSA over SHA-256 in fixed 64-byte raw form (r || s);
+  - sealing is hybrid: the payload goes under a fresh AES-256-GCM data key,
+    and only that key is wrapped to the receiver (ECDH with an ephemeral
+    key, HKDF-SHA256, AES-GCM), so payload size is unbounded. The size of
+    every ciphertext and signature is a pure function of the plaintext
+    length.
 
-Sealing is always hybrid: the payload goes under a fresh AES-256-GCM key and
-only that key is wrapped asymmetrically, so payload size is unbounded.
-ec-p256 is the default everywhere speed matters; sizes of every ciphertext
-and signature are a pure function of the plaintext length for both.
+Certificates, certificate requests, key files and session keys still carry
+the strings "ec-p256" and "aes-128-gcm", so their bytes stay as they were.
+They are format tags, not choices: a certificate with any other tag does
+not verify, and a key pair, a certificate request or a session key with
+another is refused with MalformedRequest.
 
 Public-key work that repeats is done once per process:
 
   - a long-lived key (an identity's private key, a certificate's or the
-    CA's public key) is loaded once, in a bounded LRU cache per backend;
-    on ec-p256 loading a private key re-derives its public point, an EC
-    scalar multiplication;
+    CA's public key) is loaded once, in a bounded LRU cache; loading a
+    private key re-derives its public point, an EC scalar multiplication;
   - a certificate or record signature that verified is remembered in one
-    bounded, thread-safe table keyed by every input of the check
-    (algorithm, public key, signed bytes, signature), so a hit answers
-    exactly what the check would answer again. The username-length and
-    payload-digest checks still run on every call, and a failed check is
-    not remembered, so unauthenticated garbage cannot evict an entry.
+    bounded, thread-safe table keyed by every input of the check (public
+    key, signed bytes, signature), so a hit answers exactly what the check
+    would answer again. The username-length, tag and payload-digest checks
+    still run on every call, and a failed check is not remembered, so
+    unauthenticated garbage cannot evict an entry.
 
 Fresh material is not cached: the ephemeral key inside a sealed blob, and
 session-key and complaint signatures, are new on every use, so an entry
@@ -43,7 +48,7 @@ from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature,
     encode_dss_signature,
@@ -61,182 +66,56 @@ from .errors import (
 from .wire import INT, RAW, STR, Layout, record
 
 MAX_USERNAME_BYTES = 64
-DIGEST_LEN = 32
 
-DEFAULT_ALGORITHM = "ec-p256"
-DEFAULT_CIPHER = "aes-128-gcm"
-
-_CIPHER_KEY_LEN = {"aes-128-gcm": 16, "aes-256-gcm": 32}
+DEFAULT_ALGORITHM = "ec-p256"  # the one key algorithm's tag
+DEFAULT_CIPHER = "aes-128-gcm"  # the one session cipher's tag
+SESSION_KEY_LEN = 16
 
 # Bounds of the per-process caches (see the module docstring).
-KEYS_CACHED = 256  # per backend, private and public keys each
+KEYS_CACHED = 256  # private and public keys each
 VERIFIED_CACHED = 1024
+
+_CURVE = ec.SECP256R1()
 
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-# ---------------------------------------------------------------------------
-# Algorithm backends
-# ---------------------------------------------------------------------------
-
-
-class _RsaAlgo:
-    name = "rsa-2048"
-
-    def generate(self) -> tuple[bytes, bytes]:
-        key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-        return self._ser_priv(key), self._ser_pub(key.public_key())
-
-    @staticmethod
-    def _ser_priv(key) -> bytes:
-        return key.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
-
-    @staticmethod
-    def _ser_pub(key) -> bytes:
-        return key.public_bytes(
-            serialization.Encoding.DER,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
-
-    def derive_public(self, priv: bytes) -> bytes:
-        return self._ser_pub(self._load_priv(priv).public_key())
-
-    @staticmethod
-    @functools.lru_cache(maxsize=KEYS_CACHED)
-    def _load_priv(priv: bytes):
-        return serialization.load_der_private_key(priv, password=None)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=KEYS_CACHED)
-    def _load_pub(pub: bytes):
-        return serialization.load_der_public_key(pub)
-
-    def wrap_key(self, pub: bytes, key: bytes) -> bytes:
-        return self._load_pub(pub).encrypt(
-            key,
-            padding.OAEP(
-                mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                algorithm=hashes.SHA256(),
-                label=None,
-            ),
-        )
-
-    def unwrap_key(self, priv: bytes, wrapped: bytes) -> bytes:
-        return self._load_priv(priv).decrypt(
-            wrapped,
-            padding.OAEP(
-                mgf=padding.MGF1(algorithm=hashes.SHA256()),
-                algorithm=hashes.SHA256(),
-                label=None,
-            ),
-        )
-
-    def sign(self, priv: bytes, data: bytes) -> bytes:
-        return self._load_priv(priv).sign(
-            data,
-            padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32),
-            hashes.SHA256(),
-        )
-
-    def verify(self, pub: bytes, data: bytes, sig: bytes) -> bool:
-        try:
-            self._load_pub(pub).verify(
-                sig,
-                data,
-                padding.PSS(mgf=padding.MGF1(hashes.SHA256()), salt_length=32),
-                hashes.SHA256(),
-            )
-            return True
-        except Exception:
-            return False
-
-
-class _EcAlgo:
-    name = "ec-p256"
-    _curve = ec.SECP256R1()
-
-    def generate(self) -> tuple[bytes, bytes]:
-        key = ec.generate_private_key(self._curve)
-        return self._ser_priv(key), self._ser_pub(key.public_key())
-
-    @staticmethod
-    def _ser_priv(key) -> bytes:
-        return key.private_numbers().private_value.to_bytes(32, "big")
-
-    @staticmethod
-    def _ser_pub(key) -> bytes:
-        return key.public_bytes(
-            serialization.Encoding.X962,
-            serialization.PublicFormat.UncompressedPoint,
-        )
-
-    @staticmethod
-    @functools.lru_cache(maxsize=KEYS_CACHED)
-    def _load_priv(priv: bytes):
-        return ec.derive_private_key(int.from_bytes(priv, "big"), _EcAlgo._curve)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=KEYS_CACHED)
-    def _load_pub(pub: bytes):
-        return ec.EllipticCurvePublicKey.from_encoded_point(_EcAlgo._curve, pub)
-
-    def derive_public(self, priv: bytes) -> bytes:
-        return self._ser_pub(self._load_priv(priv).public_key())
-
-    def wrap_key(self, pub: bytes, key: bytes) -> bytes:
-        eph = ec.generate_private_key(self._curve)
-        shared = eph.exchange(ec.ECDH(), self._load_pub(pub))
-        kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
-        nonce = os.urandom(12)
-        ct = AESGCM(kek).encrypt(nonce, key, None)
-        return self._ser_pub(eph.public_key()) + nonce + ct
-
-    def unwrap_key(self, priv: bytes, wrapped: bytes) -> bytes:
-        if len(wrapped) < 65 + 12 + 16:
-            raise ValueError("short wrap")
-        eph_pub, nonce, ct = wrapped[:65], wrapped[65:77], wrapped[77:]
-        eph = ec.EllipticCurvePublicKey.from_encoded_point(self._curve, eph_pub)  # fresh: not cached
-        shared = self._load_priv(priv).exchange(ec.ECDH(), eph)
-        kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
-        return AESGCM(kek).decrypt(nonce, ct, None)
-
-    def sign(self, priv: bytes, data: bytes) -> bytes:
-        der = self._load_priv(priv).sign(data, ec.ECDSA(hashes.SHA256()))
-        r, s = decode_dss_signature(der)
-        return r.to_bytes(32, "big") + s.to_bytes(32, "big")
-
-    def verify(self, pub: bytes, data: bytes, sig: bytes) -> bool:
-        if len(sig) != 64:
-            return False
-        try:
-            der = encode_dss_signature(
-                int.from_bytes(sig[:32], "big"), int.from_bytes(sig[32:], "big")
-            )
-            self._load_pub(pub).verify(der, data, ec.ECDSA(hashes.SHA256()))
-            return True
-        except Exception:
-            return False
-
-
-_ALGORITHMS = {a.name: a for a in (_RsaAlgo(), _EcAlgo())}
-
-
-def _algo(algorithm_id: str):
-    try:
-        return _ALGORITHMS[algorithm_id]
-    except KeyError:
-        raise MalformedRequest(f"unsupported algorithm: {algorithm_id}") from None
+def check_algorithm(algorithm_id: str) -> None:
+    """Refuse every key algorithm tag but ec-p256."""
+    if algorithm_id != DEFAULT_ALGORITHM:
+        raise MalformedRequest(f"unsupported algorithm: {algorithm_id}")
 
 
 # ---------------------------------------------------------------------------
 # Key pairs and primitive operations
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=KEYS_CACHED)
+def _private_key(priv: bytes) -> ec.EllipticCurvePrivateKey:
+    return ec.derive_private_key(int.from_bytes(priv, "big"), _CURVE)
+
+
+@functools.lru_cache(maxsize=KEYS_CACHED)
+def _public_key(pub: bytes) -> ec.EllipticCurvePublicKey:
+    return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, pub)
+
+
+def _point(key: ec.EllipticCurvePublicKey) -> bytes:
+    return key.public_bytes(
+        serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
+    )
+
+
+def check_public_key(pub: bytes) -> bytes:
+    """pub, if it loads as a P-256 point; MalformedRequest otherwise."""
+    try:
+        _public_key(pub)
+    except (TypeError, ValueError):
+        raise MalformedRequest("not a P-256 public key") from None
+    return pub
 
 
 @record(RAW, RAW, STR)  # also the key file's layout
@@ -248,47 +127,66 @@ class KeyPair:
 
 
 def generate_keypair(algorithm_id: str = DEFAULT_ALGORITHM) -> KeyPair:
-    algo = _algo(algorithm_id)
-    priv, pub = algo.generate()
-    return KeyPair(public_key=pub, private_key=priv, algorithm_id=algorithm_id)
-
-
-def derive_public(private_key: bytes, algorithm_id: str) -> bytes:
-    return _algo(algorithm_id).derive_public(private_key)
+    """A fresh key pair; algorithm_id may only name the one algorithm."""
+    check_algorithm(algorithm_id)
+    key = ec.generate_private_key(_CURVE)
+    private = key.private_numbers().private_value.to_bytes(32, "big")
+    return KeyPair(_point(key.public_key()), private, algorithm_id)
 
 
 # A sealed blob: the wrapped data key, the nonce, the ciphertext.
 _SEALED = Layout("sealed", (RAW, RAW, RAW))
 
 
-def seal(pub: bytes, data: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bytes:
+def _wrap_key(pub: bytes, dek: bytes) -> bytes:
+    """The ephemeral point, a nonce, and dek under the key ECDH agreed.
+
+    Apart from seal so that a test can fake it and pin sealed layouts."""
+    eph = ec.generate_private_key(_CURVE)
+    shared = eph.exchange(ec.ECDH(), _public_key(pub))
+    kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
+    nonce = os.urandom(12)
+    return _point(eph.public_key()) + nonce + AESGCM(kek).encrypt(nonce, dek, None)
+
+
+def seal(pub: bytes, data: bytes) -> bytes:
     """Hybrid-seal data so only the holder of the private key can read it."""
-    algo = _algo(algorithm_id)
     dek = os.urandom(32)
-    wrapped = algo.wrap_key(pub, dek)
+    wrapped = _wrap_key(pub, dek)
     nonce = os.urandom(12)
     ct = AESGCM(dek).encrypt(nonce, data, None)
     return _SEALED.pack((wrapped, nonce, ct))
 
 
-def open_sealed(priv: bytes, blob: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bytes:
-    algo = _algo(algorithm_id)
+def open_sealed(priv: bytes, blob: bytes) -> bytes:
     wrapped, nonce, ct = _SEALED.unpack(blob)
     try:
-        dek = algo.unwrap_key(priv, wrapped)
+        eph = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, wrapped[:65])  # fresh: not cached
+        shared = _private_key(priv).exchange(ec.ECDH(), eph)
+        kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
+        dek = AESGCM(kek).decrypt(wrapped[65:77], wrapped[77:], None)
         return AESGCM(dek).decrypt(nonce, ct, None)
     except Exception as exc:
         raise IntegrityError("sealed payload failed to open") from exc
 
 
-def sign(priv: bytes, data: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bytes:
-    return _algo(algorithm_id).sign(priv, data)
+def sign(priv: bytes, data: bytes) -> bytes:
+    r, s = decode_dss_signature(_private_key(priv).sign(data, ec.ECDSA(hashes.SHA256())))
+    return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def verify(pub: bytes, data: bytes, sig: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> bool:
-    """False for a bad signature and for an algorithm this build does not know."""
-    algo = _ALGORITHMS.get(algorithm_id)
-    return algo is not None and algo.verify(pub, data, sig)
+def verify(pub: bytes, data: bytes, sig: bytes) -> bool:
+    """False for a bad signature and for a key that is not a P-256 point."""
+    if len(sig) != 64:
+        return False
+    try:
+        der = encode_dss_signature(
+            int.from_bytes(sig[:32], "big"), int.from_bytes(sig[32:], "big")
+        )
+        _public_key(pub).verify(der, data, ec.ECDSA(hashes.SHA256()))
+        return True
+    except Exception:
+        return False
 
 
 class _VerifiedSignatures:
@@ -307,13 +205,13 @@ class _VerifiedSignatures:
     def __len__(self) -> int:
         return len(self._seen)
 
-    def verify(self, pub: bytes, data: bytes, sig: bytes, algorithm_id: str) -> bool:
-        key = (algorithm_id, pub, data, sig)
+    def verify(self, pub: bytes, data: bytes, sig: bytes) -> bool:
+        key = (pub, data, sig)
         with self._lock:
             if key in self._seen:
                 self._seen.move_to_end(key)
                 return True
-        if not verify(pub, data, sig, algorithm_id):
+        if not verify(pub, data, sig):
             return False
         with self._lock:
             self._seen[key] = None
@@ -338,19 +236,17 @@ class SignedDigest:
     signature: bytes
 
 
-def sign_record(payload: bytes, priv: bytes, algorithm_id: str = DEFAULT_ALGORITHM) -> SignedDigest:
+def sign_record(payload: bytes, priv: bytes) -> SignedDigest:
     if not payload:
         raise MalformedRequest("empty payload")
     digest = sha256(payload)
-    return SignedDigest(digest=digest, signature=sign(priv, digest, algorithm_id))
+    return SignedDigest(digest=digest, signature=sign(priv, digest))
 
 
-def verify_record(
-    payload: bytes, sd: SignedDigest, pub: bytes, algorithm_id: str = DEFAULT_ALGORITHM
-) -> bool:
+def verify_record(payload: bytes, sd: SignedDigest, pub: bytes) -> bool:
     if sha256(payload) != sd.digest:
         return False
-    return _VERIFIED.verify(pub, sd.digest, sd.signature, algorithm_id)
+    return _VERIFIED.verify(pub, sd.digest, sd.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -369,42 +265,28 @@ class SessionKey:
 _SIGNED_KEY = Layout("signed_session_key", (RAW, RAW))
 
 
-def generate_session_key(cipher_id: str = DEFAULT_CIPHER, rng: random.Random | None = None) -> SessionKey:
-    length = _CIPHER_KEY_LEN.get(cipher_id)
-    if length is None:
-        raise MalformedRequest(f"unsupported cipher: {cipher_id}")
-    key = rng.randbytes(length) if rng is not None else os.urandom(length)
-    return SessionKey(key=key, cipher_id=cipher_id)
+def generate_session_key(rng: random.Random | None = None) -> SessionKey:
+    key = rng.randbytes(SESSION_KEY_LEN) if rng is not None else os.urandom(SESSION_KEY_LEN)
+    return SessionKey(key=key)
 
 
-def seal_session_key(
-    sk: SessionKey,
-    receiver_pub: bytes,
-    sender_priv: bytes,
-    algorithm_id: str = DEFAULT_ALGORITHM,
-) -> bytes:
+def seal_session_key(sk: SessionKey, receiver_pub: bytes, sender_priv: bytes) -> bytes:
     """Sign the key with the sender's key, then seal it to the receiver.
 
     The double wrap means only the receiver can read it and only the real
     sender could have produced it.
     """
     inner = sk.encode()
-    sig = sign(sender_priv, inner, algorithm_id)
-    return seal(receiver_pub, _SIGNED_KEY.pack((inner, sig)), algorithm_id)
+    return seal(receiver_pub, _SIGNED_KEY.pack((inner, sign(sender_priv, inner))))
 
 
-def open_session_key(
-    blob: bytes,
-    sender_pub: bytes,
-    receiver_priv: bytes,
-    algorithm_id: str = DEFAULT_ALGORITHM,
-) -> SessionKey:
+def open_session_key(blob: bytes, sender_pub: bytes, receiver_priv: bytes) -> SessionKey:
     try:
-        plain = open_sealed(receiver_priv, blob, algorithm_id)
+        plain = open_sealed(receiver_priv, blob)
         inner, sig = _SIGNED_KEY.unpack(plain)
     except (IntegrityError, MalformedRequest) as exc:
         raise HandshakeError("session key blob failed to open") from exc
-    if not verify(sender_pub, inner, sig, algorithm_id):
+    if not verify(sender_pub, inner, sig):
         raise HandshakeError("session key signature did not verify")
     return SessionKey.decode(inner)
 
@@ -417,7 +299,7 @@ class SessionCipher:
     """
 
     def __init__(self, sk: SessionKey, direction: int):
-        if sk.cipher_id not in _CIPHER_KEY_LEN:
+        if sk.cipher_id != DEFAULT_CIPHER or len(sk.key) != SESSION_KEY_LEN:
             raise MalformedRequest(f"unsupported cipher: {sk.cipher_id}")
         self._aead = AESGCM(sk.key)
         self._send_dir = direction & 0xFF
@@ -466,25 +348,26 @@ class Certificate:
 _CERT_SIGNED = Certificate.LAYOUT.view("username", "public_key", "issuer", "algorithm_id")
 
 
-def verify_certificate(cert: Certificate, ca_public_key: bytes, ca_algorithm: str | None = None) -> bool:
+def verify_certificate(cert: Certificate, ca_public_key: bytes) -> bool:
     """True iff the signature covers the unmodified fields under the CA key."""
     try:
         if not cert.username or len(cert.username.encode("utf-8")) > MAX_USERNAME_BYTES:
             return False
-        algo = ca_algorithm or cert.algorithm_id
-        return _VERIFIED.verify(ca_public_key, cert.signed_bytes(), cert.signature, algo)
+        if cert.algorithm_id != DEFAULT_ALGORITHM:
+            return False
+        return _VERIFIED.verify(ca_public_key, cert.signed_bytes(), cert.signature)
     except Exception:
         return False
 
 
-def build_cert_request(username: str, pub: bytes, algorithm_id: str, ca_pub: bytes, ca_algorithm: str) -> bytes:
+def build_cert_request(username: str, pub: bytes, ca_pub: bytes) -> bytes:
     """Assemble the sealed certificate request a new user sends the CA.
 
     The body is sealed so an observer watching CA traffic cannot learn who
     is signing up.
     """
-    body = _CERT_REQUEST_BODY.pack((username, pub, algorithm_id))
-    return _CERT_REQUEST.pack((seal(ca_pub, body, ca_algorithm), len(body), sha256(body)))
+    body = _CERT_REQUEST_BODY.pack((username, pub, DEFAULT_ALGORITHM))
+    return _CERT_REQUEST.pack((seal(ca_pub, body), len(body), sha256(body)))
 
 
 # The request: the sealed body, the body's plain length, its digest.
@@ -531,17 +414,16 @@ class CAState:
             with open(self.log_path, "a", encoding="ascii") as fh:
                 fh.write(base64.b64encode(cert.encode()).decode("ascii") + "\n")
 
-    def issue(self, username: str, public_key: bytes, algorithm_id: str) -> Certificate:
-        """Uniqueness check and insert are one atomic step."""
+    def issue(self, username: str, public_key: bytes) -> Certificate:
+        """Uniqueness check and insert are one atomic step; a malformed
+        username or key is refused before the username is taken."""
         if not username or len(username.encode("utf-8")) > MAX_USERNAME_BYTES:
             raise MalformedRequest("username empty or too long")
+        check_public_key(public_key)
         if username in self._issued:
             raise UsernameTaken(username)
-        _algo(algorithm_id)  # refuse an unknown algorithm before the username is taken
-        unsigned = Certificate(username, public_key, self.name, algorithm_id, b"")
-        cert = replace(unsigned, signature=sign(
-            self.keypair.private_key, unsigned.signed_bytes(), self.keypair.algorithm_id
-        ))
+        unsigned = Certificate(username, public_key, self.name, DEFAULT_ALGORITHM, b"")
+        cert = replace(unsigned, signature=sign(self.keypair.private_key, unsigned.signed_bytes()))
         self._record(cert)
         return cert
 
@@ -551,23 +433,17 @@ class CAState:
         Raises UsernameTaken / IntegrityError / MalformedRequest.
         """
         sealed, claimed_len, digest = _CERT_REQUEST.unpack(request)
-        body = open_sealed(self.keypair.private_key, sealed, self.keypair.algorithm_id)
+        body = open_sealed(self.keypair.private_key, sealed)
         if len(body) != claimed_len or sha256(body) != digest:
             raise IntegrityError("certificate request digest mismatch")
         username, pub, algorithm_id = _CERT_REQUEST_BODY.unpack(body)
-        cert = self.issue(username, pub, algorithm_id)
-        return seal(pub, cert.encode(), algorithm_id)
+        check_algorithm(algorithm_id)
+        return seal(pub, self.issue(username, pub).encode())
 
 
-def ca_issue(request: bytes, ca: CAState) -> bytes:
-    """Request/reply form of the CA exchange; see CAState.handle_request."""
-    return ca.handle_request(request)
-
-
-def open_cert_reply(blob: bytes, keypair: KeyPair, ca_public_key: bytes, ca_algorithm: str) -> Certificate:
-    plain = open_sealed(keypair.private_key, blob, keypair.algorithm_id)
-    cert = Certificate.decode(plain)
-    if not verify_certificate(cert, ca_public_key, ca_algorithm):
+def open_cert_reply(blob: bytes, keypair: KeyPair, ca_public_key: bytes) -> Certificate:
+    cert = Certificate.decode(open_sealed(keypair.private_key, blob))
+    if not verify_certificate(cert, ca_public_key):
         raise AuthError("issued certificate failed verification")
     if cert.public_key != keypair.public_key:
         raise AuthError("issued certificate is for a different key")
@@ -620,4 +496,6 @@ def save_keypair(pair: KeyPair, path: str) -> None:
 
 def load_keypair(path: str) -> KeyPair:
     with open(path, "rb") as fh:
-        return KeyPair.decode(fh.read())
+        pair = KeyPair.decode(fh.read())
+    check_algorithm(pair.algorithm_id)
+    return pair

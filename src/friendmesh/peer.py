@@ -105,8 +105,8 @@ class Peer:
     ):
         self.config = config
         self.endpoint = endpoint
+        identity.check_algorithm(ca_algorithm)  # accepted for callers that name it; not kept
         self.ca_public_key = ca_public_key
-        self.ca_algorithm = ca_algorithm
         self.probes = probes
         # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
         self.rng = rng or random.SystemRandom()
@@ -115,7 +115,7 @@ class Peer:
         self.username = config.username
         self.state = PeerState(
             username=config.username,
-            keypair=keypair or identity.generate_keypair(identity.DEFAULT_ALGORITHM),
+            keypair=keypair or identity.generate_keypair(),
             passphrase=identity.generate_passphrase(self.rng),
             friend_key=identity.generate_friend_key(self.rng),
         )
@@ -151,7 +151,6 @@ class Peer:
             self.state.certificate,
             self.state.keypair,
             self.ca_public_key,
-            self.ca_algorithm,
             self.admission_gate,
             self._handle_app,
         )
@@ -202,7 +201,7 @@ class Peer:
     def _obtain_certificate(self) -> None:
         with closing(self.endpoint.connect(self.config.ca_addr)) as channel:
             self.state.certificate = caservice.request_certificate(
-                channel, self.username, self.state.keypair, self.ca_public_key, self.ca_algorithm
+                channel, self.username, self.state.keypair, self.ca_public_key
             )
 
     def _obtain_relay(self) -> None:
@@ -311,7 +310,6 @@ class Peer:
             passphrase=state.passphrase,
             encrypted_mirror_list=enc_mirrors,
             private_key=state.keypair.private_key,
-            algorithm_id=state.keypair.algorithm_id,
         )
 
     def _rendezvous(self, server: str, fn: Callable[[SecureClient], T]) -> T:
@@ -443,7 +441,6 @@ class Peer:
                 self.state.certificate,
                 self.state.keypair,
                 self.ca_public_key,
-                self.ca_algorithm,
                 expected_username=expected,
                 rng=self.rng,
             )
@@ -976,6 +973,7 @@ def load_state(peer: Peer, path: str) -> None:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    identity.check_algorithm(doc["keypair"]["algorithm"])
     state = peer.state
     state.username = doc["username"]
     peer.username = doc["username"]

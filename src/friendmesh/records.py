@@ -60,13 +60,12 @@ def make_registration_record(
     passphrase: str,
     encrypted_mirror_list: bytes,
     private_key: bytes,
-    algorithm_id: str,
 ) -> RegistrationRecord:
     unsigned = RegistrationRecord(
         username, ip, port, nat_kind, protocol, relay_address, relay_port, passphrase,
         encrypted_mirror_list, SignedDigest(b"", b""),
     )
-    signed = identity.sign_record(unsigned.canonical_payload(), private_key, algorithm_id)
+    signed = identity.sign_record(unsigned.canonical_payload(), private_key)
     return replace(unsigned, signed_digest=signed)
 
 
@@ -74,9 +73,7 @@ def verify_registration_record(record: RegistrationRecord, cert: Certificate) ->
     """True iff the owner-signed digest covers the record as presented."""
     if record.username != cert.username:
         return False
-    return identity.verify_record(
-        record.canonical_payload(), record.signed_digest, cert.public_key, cert.algorithm_id
-    )
+    return identity.verify_record(record.canonical_payload(), record.signed_digest, cert.public_key)
 
 
 @record(RegistrationRecord, RAW, IDENT, FLAG)
@@ -89,12 +86,12 @@ class PeerRow:
     ring_id: int = 0
     replica: bool = False
 
-    def verified(self, ca_public_key: bytes, ca_algorithm: str) -> bool:
+    def verified(self, ca_public_key: bytes) -> bool:
         try:
             cert = Certificate.decode(self.certificate)
         except Exception:
             return False
-        if not identity.verify_certificate(cert, ca_public_key, ca_algorithm):
+        if not identity.verify_certificate(cert, ca_public_key):
             return False
         return verify_registration_record(self.record, cert)
 

@@ -46,8 +46,8 @@ class RelayServer:
     ):
         self.addr = addr
         self.config = config or RelayConfig()
+        identity.check_algorithm(ca_algorithm)  # accepted for callers that name it; not kept
         self.ca_public_key = ca_public_key
-        self.ca_algorithm = ca_algorithm
         self.endpoint = endpoint
         # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
         self.rng = rng or random.SystemRandom()
@@ -157,7 +157,7 @@ class RelayConnSession:
 
     def handle_is_server(self, ctx: SessionContext, cert: Certificate) -> Frame:
         server = self.server
-        if not identity.verify_certificate(cert, server.ca_public_key, server.ca_algorithm):
+        if not identity.verify_certificate(cert, server.ca_public_key):
             return wire.err_reply(wire.CHALLENGE, "auth_error", "bad certificate")
         if server.full_for(cert.username):
             return wire.err_reply(wire.CHALLENGE, "reject", "capacity reached")
@@ -166,7 +166,7 @@ class RelayConnSession:
         self._challenge = wire.pack_fields(
             wire.pack_int(server.clock()), server.rng.randbytes(8)
         )
-        sealed = identity.seal(cert.public_key, self._challenge, cert.algorithm_id)
+        sealed = identity.seal(cert.public_key, self._challenge)
         return wire.reply(wire.IS_SERVER, sealed, msg_type=wire.CHALLENGE)
 
     def handle_challenge_reply(self, ctx: SessionContext, value: bytes) -> Frame:
@@ -277,7 +277,7 @@ def admit_as_server(
     Returns (keepalive interval ms, liveness token).
     """
     (sealed,) = wire.call(channel, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
-    value = identity.open_sealed(private_key, sealed, cert.algorithm_id)
+    value = identity.open_sealed(private_key, sealed)
     channel.attach_reverse(mux)
     return wire.call(channel, wire.CHALLENGE_REPLY, value)
 

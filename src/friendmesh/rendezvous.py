@@ -82,8 +82,8 @@ class RendezvousServer:
     ):
         self.addr = addr
         self.config = config or RendezvousConfig()
+        identity.check_algorithm(ca_algorithm)  # accepted for callers that name it; not kept
         self.ca_public_key = ca_public_key
-        self.ca_algorithm = ca_algorithm
         if store is not None:
             self.store = store
         elif self.config.db_url and self.config.db_url != ":memory:":
@@ -110,7 +110,7 @@ class RendezvousServer:
     # -- ring plumbing ---------------------------------------------------------
 
     def _verify_row(self, row: PeerRow) -> bool:
-        return row.verified(self.ca_public_key, self.ca_algorithm)
+        return row.verified(self.ca_public_key)
 
     def join_ring(self, bootstrap_addr: str) -> None:
         if self.ring is None:
@@ -149,7 +149,6 @@ class RendezvousServer:
         fresh = self.ledger.add(
             complaint,
             self.ca_public_key,
-            self.ca_algorithm,
             now,
             self.config.freshness_ms,
             self._registered_with,
@@ -245,12 +244,12 @@ class RendezvousSession:
     def handle_register_peer(self, ctx: SessionContext, cert: Certificate) -> Frame:
         if self.cipher is not None:  # one handshake per session: a kept one is never re-keyed
             return wire.err_reply(wire.SESSION_KEY, "handshake_error", "already established")
-        if not identity.verify_certificate(cert, self.server.ca_public_key, self.server.ca_algorithm):
+        if not identity.verify_certificate(cert, self.server.ca_public_key):
             return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
         session_key = identity.generate_session_key(rng=self.server.rng)
         self.peer_cert = cert
         self.cipher = SessionCipher(session_key, direction=1)
-        sealed = identity.seal(cert.public_key, session_key.encode(), cert.algorithm_id)
+        sealed = identity.seal(cert.public_key, session_key.encode())
         return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
 
     def _decrypt(self, frame: Frame) -> bytes:

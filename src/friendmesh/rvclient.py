@@ -52,7 +52,7 @@ _REQUEST_BLOB = wire.Layout("request_blob", (wire.STR, wire.STR))
 def seal_request_blob(target_cert: Certificate, requester_username: str, passphrase: str) -> bytes:
     """Bind the requester's name inside the sealed blob so nobody can reuse it."""
     body = _REQUEST_BLOB.pack((requester_username, passphrase))
-    return identity.seal(target_cert.public_key, body, target_cert.algorithm_id)
+    return identity.seal(target_cert.public_key, body)
 
 
 def open_request_blob(
@@ -60,7 +60,7 @@ def open_request_blob(
 ) -> str | None:
     """Open a delivered request; None when it fails to open or was re-used."""
     try:
-        body = identity.open_sealed(keys.private_key, request.sealed_passphrase, keys.algorithm_id)
+        body = identity.open_sealed(keys.private_key, request.sealed_passphrase)
         name, passphrase = _REQUEST_BLOB.unpack(body)
     except ProtocolError:
         return None

@@ -133,7 +133,6 @@ def connect_secure(
     my_cert: Certificate,
     my_keys: KeyPair,
     ca_public_key: bytes,
-    ca_algorithm: str,
     expected_username: str | None = None,
     rng: random.Random | None = None,
 ) -> SecureChannel:
@@ -143,21 +142,17 @@ def connect_secure(
         raise HandshakeError(f"expected cert_reply, got {reply.msg_type}")
     (sealed_cert,) = wire.open_reply(reply, wire.REGISTER_PEER)
     try:
-        peer_cert = Certificate.decode(
-            identity.open_sealed(my_keys.private_key, sealed_cert, my_keys.algorithm_id)
-        )
+        peer_cert = Certificate.decode(identity.open_sealed(my_keys.private_key, sealed_cert))
     except ProtocolError as exc:
         raise HandshakeError("responder certificate failed to open") from exc
-    if not identity.verify_certificate(peer_cert, ca_public_key, ca_algorithm):
+    if not identity.verify_certificate(peer_cert, ca_public_key):
         raise AuthError("responder certificate failed CA verification")
     if expected_username is not None and peer_cert.username != expected_username:
         raise AuthError(
             f"responder is {peer_cert.username!r}, expected {expected_username!r}"
         )
     session_key = identity.generate_session_key(rng=rng)
-    blob = identity.seal_session_key(
-        session_key, peer_cert.public_key, my_keys.private_key, my_keys.algorithm_id
-    )
+    blob = identity.seal_session_key(session_key, peer_cert.public_key, my_keys.private_key)
     ack = channel.request(Frame(wire.SESSION_KEY, wire.encode(wire.SESSION_KEY, blob)))
     if ack.msg_type != wire.SESSION_KEY:
         raise HandshakeError(f"expected session_key ack, got {ack.msg_type}")
@@ -173,14 +168,12 @@ class ResponderSession:
         my_cert: Certificate,
         my_keys: KeyPair,
         ca_public_key: bytes,
-        ca_algorithm: str,
         admission: AdmissionGate,
         app_handler: AppHandler,
     ):
         self._cert = my_cert
         self._keys = my_keys
         self._ca_pub = ca_public_key
-        self._ca_algo = ca_algorithm
         self._admission = admission
         self._app_handler = app_handler
         self._peer_cert: Certificate | None = None
@@ -202,15 +195,13 @@ class ResponderSession:
             (peer_cert,) = wire.decode(wire.REGISTER_PEER, frame.payload)
         except MalformedRequest:
             return wire.err_reply(wire.CERT_REPLY, "malformed_request")
-        if not identity.verify_certificate(peer_cert, self._ca_pub, self._ca_algo):
+        if not identity.verify_certificate(peer_cert, self._ca_pub):
             return wire.err_reply(wire.CERT_REPLY, "auth_error", "bad certificate")
         # Admission before anything about this endpoint is revealed.
         if not self._admission(peer_cert.username):
             return wire.err_reply(wire.CERT_REPLY, "auth_error", "not authorized")
         self._peer_cert = peer_cert
-        sealed = identity.seal(
-            peer_cert.public_key, self._cert.encode(), peer_cert.algorithm_id
-        )
+        sealed = identity.seal(peer_cert.public_key, self._cert.encode())
         return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.CERT_REPLY)
 
     def _on_session_key(self, frame: Frame) -> Frame:
@@ -220,12 +211,10 @@ class ResponderSession:
             return wire.err_reply(wire.SESSION_KEY, "handshake_error", "no certificate yet")
         try:
             (blob,) = wire.decode(wire.SESSION_KEY, frame.payload)
-            session_key = identity.open_session_key(
-                blob, self._peer_cert.public_key, self._keys.private_key, self._keys.algorithm_id
-            )
+            session_key = identity.open_session_key(blob, self._peer_cert.public_key, self._keys.private_key)
+            self._cipher = SessionCipher(session_key, direction=1)
         except ProtocolError as exc:
             return wire.err_reply(wire.SESSION_KEY, exc.code)
-        self._cipher = SessionCipher(session_key, direction=1)
         return wire.reply(wire.SESSION_KEY)
 
     def _on_app(self, frame: Frame, ctx: SessionContext) -> Frame:
@@ -261,7 +250,7 @@ class SecureClient:
             raise HandshakeError(f"expected session_key, got {reply.msg_type}")
         (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
         try:
-            plain = identity.open_sealed(self._keys.private_key, sealed, self._keys.algorithm_id)
+            plain = identity.open_sealed(self._keys.private_key, sealed)
             session_key = SessionKey.decode(plain)
         except ProtocolError as exc:
             raise HandshakeError("session key failed to open") from exc

@@ -183,14 +183,13 @@ _COMPLAINT_SIGNED = Complaint.LAYOUT.view("accused", "complainant", "timestamp")
 
 def make_complaint(accused: str, cert: Certificate, private_key: bytes, now: int) -> Complaint:
     unsigned = Complaint(accused, cert.username, now, b"", cert.encode())
-    signature = identity.sign(private_key, unsigned.signed_bytes(), cert.algorithm_id)
+    signature = identity.sign(private_key, unsigned.signed_bytes())
     return replace(unsigned, signature=signature)
 
 
 def verify_complaint(
     complaint: Complaint,
     ca_public_key: bytes,
-    ca_algorithm: str,
     now: int,
     freshness_ms: int,
 ) -> bool:
@@ -203,11 +202,9 @@ def verify_complaint(
         return False
     if cert.username != complaint.complainant:
         return False
-    if not identity.verify_certificate(cert, ca_public_key, ca_algorithm):
+    if not identity.verify_certificate(cert, ca_public_key):
         return False
-    return identity.verify(
-        cert.public_key, complaint.signed_bytes(), complaint.signature, cert.algorithm_id
-    )
+    return identity.verify(cert.public_key, complaint.signed_bytes(), complaint.signature)
 
 
 # Is the complainant actually registered with the accused server?
@@ -226,13 +223,12 @@ class ComplaintLedger:
         self,
         complaint: Complaint,
         ca_public_key: bytes,
-        ca_algorithm: str,
         now: int,
         freshness_ms: int,
         registered_with: RegisteredCheck,
     ) -> bool:
         """Record a complaint; True when it is new and valid for counting."""
-        if not verify_complaint(complaint, ca_public_key, ca_algorithm, now, freshness_ms):
+        if not verify_complaint(complaint, ca_public_key, now, freshness_ms):
             self._rejected += 1
             return False
         if not registered_with(complaint.complainant, complaint.accused):

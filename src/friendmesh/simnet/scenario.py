@@ -107,7 +107,7 @@ class Scenario:
             ),
         )
         self.ca = identity.CAState(
-            "sim-ca", identity.generate_keypair(identity.DEFAULT_ALGORITHM)
+            "sim-ca", identity.generate_keypair()
         )
         self.servers: dict[str, RendezvousServer] = {}
         self.relays: dict[str, RelayServer] = {}
@@ -136,7 +136,6 @@ class Scenario:
                     stabilization_period_ms=config.stabilize_interval_ms,
                 ),
                 ca_public_key=self.ca.public_key,
-                ca_algorithm=self.ca.algorithm_id,
                 store=MemoryStore(),
                 endpoint=host.endpoint(),
                 rng=random.Random(f"{config.seed}:rv:{addr}"),
@@ -173,7 +172,6 @@ class Scenario:
                     max_connections=16,
                 ),
                 ca_public_key=self.ca.public_key,
-                ca_algorithm=self.ca.algorithm_id,
                 endpoint=host.endpoint(),
                 rng=random.Random(f"{config.seed}:relay:{addr}"),
                 clock=sim.now_ms,
@@ -199,7 +197,6 @@ class Scenario:
                 ),
                 endpoint=host.endpoint(),
                 ca_public_key=self.ca.public_key,
-                ca_algorithm=self.ca.algorithm_id,
                 probes=SimStunProbes(host),
                 rng=random.Random(f"{config.seed}:peer:{username}"),
                 clock=sim.now_ms,
@@ -288,7 +285,6 @@ class Scenario:
                     ring_enabled=self.config.global_mode, ring_bits=self.config.ring_bits
                 ),
                 ca_public_key=self.ca.public_key,
-                ca_algorithm=self.ca.algorithm_id,
                 store=MemoryStore(),
                 endpoint=host.endpoint(),
                 rng=random.Random(f"{self.config.seed}:sybil:{addr}"),

@@ -155,7 +155,7 @@ def test_criterion_3_tamper_detection():
 
     def fresh_record(i):
         pair = identity.generate_keypair("ec-p256")
-        cert = ca.issue(f"acc3-user{i}", pair.public_key, pair.algorithm_id)
+        cert = ca.issue(f"acc3-user{i}", pair.public_key)
         record = make_registration_record(
             username=cert.username,
             ip=f"10.0.{rng.randrange(255)}.{rng.randrange(255)}",
@@ -167,7 +167,6 @@ def test_criterion_3_tamper_detection():
             passphrase=identity.generate_passphrase(rng),
             encrypted_mirror_list=rng.randbytes(rng.randrange(1, 64)),
             private_key=pair.private_key,
-            algorithm_id=pair.algorithm_id,
         )
         return record, cert
 
@@ -209,7 +208,7 @@ def test_criterion_4_complaint_semantics():
 
     def user(name):
         pair = identity.generate_keypair("ec-p256")
-        return pair, ca.issue(name, pair.public_key, pair.algorithm_id)
+        return pair, ca.issue(name, pair.public_key)
 
     registered = {f"reg{i}": True for i in range(4)}
 
@@ -219,7 +218,7 @@ def test_criterion_4_complaint_semantics():
     def add(ledger, name, now=1000):
         pair, cert = users[name]
         complaint = make_complaint(accused, cert, pair.private_key, now)
-        return ledger.add(complaint, ca.public_key, ca.algorithm_id, now, 60_000, is_registered)
+        return ledger.add(complaint, ca.public_key, now, 60_000, is_registered)
 
     users = {}
     for i in range(4):
@@ -252,7 +251,7 @@ def test_criterion_4_complaint_semantics():
         _, cert = users[f"reg{i}"]
         forged = make_complaint(accused, cert, server_key.private_key, 1000)
         assert not ledger3.add(
-            forged, ca.public_key, ca.algorithm_id, 1000, 60_000, is_registered
+            forged, ca.public_key, 1000, 60_000, is_registered
         )
     assert ledger3.adjudicate(accused) == "retain"
 
@@ -260,7 +259,7 @@ def test_criterion_4_complaint_semantics():
     ledger4 = ComplaintLedger(threshold=3)
     pair, cert = users["reg0"]
     stale = make_complaint(accused, cert, pair.private_key, now=1000)
-    assert not ledger4.add(stale, ca.public_key, ca.algorithm_id, 999_999, 60_000, is_registered)
+    assert not ledger4.add(stale, ca.public_key, 999_999, 60_000, is_registered)
 
     # End to end: the ring evicts when three victims registered with the
     # lying server each accumulate enough friend notifications.
@@ -371,7 +370,7 @@ def test_criterion_6_opacity_and_transparency():
 
     def user(name):
         pair = identity.generate_keypair("ec-p256")
-        return pair, ca.issue(name, pair.public_key, pair.algorithm_id)
+        return pair, ca.issue(name, pair.public_key)
 
     skeys, scert = user("acc6-server")
     ckeys, ccert = user("acc6-client")
@@ -386,7 +385,7 @@ def test_criterion_6_opacity_and_transparency():
         class _Service:
             def open_session(self, ctx):
                 return secure.ResponderSession(
-                    scert, skeys, ca.public_key, ca.algorithm_id, lambda u: True, app
+                    scert, skeys, ca.public_key, lambda u: True, app
                 )
 
         return _Service()
@@ -399,7 +398,7 @@ def test_criterion_6_opacity_and_transparency():
     # Direct: observer taps the wire in front of the responder.
     direct_tap = _Tap(responder_service("direct"))
     direct_ch = DirectChannel(direct_tap, remote_addr="srv:1", local_addr="cli:1")
-    direct = secure.connect_secure(direct_ch, ccert, ckeys, ca.public_key, ca.algorithm_id)
+    direct = secure.connect_secure(direct_ch, ccert, ckeys, ca.public_key)
     direct_replies = []
     for i, payload in enumerate(payloads):
         body = markers[i % len(markers)] + payload
@@ -407,7 +406,7 @@ def test_criterion_6_opacity_and_transparency():
 
     # Relayed: observer is the relay leg itself.
     relay = RelayServer(
-        addr="10.40.0.1:7300", ca_public_key=ca.public_key, ca_algorithm=ca.algorithm_id,
+        addr="10.40.0.1:7300", ca_public_key=ca.public_key,
         rng=random.Random(6002), clock=lambda: 0,
     )
     relay_tap = _Tap(MuxService(responder_service("relay")))
@@ -415,7 +414,7 @@ def test_criterion_6_opacity_and_transparency():
     admit_as_server(admit_ch, scert, skeys.private_key, relay_tap)
     bridge = DirectChannel(relay, remote_addr=relay.addr, local_addr="cli:2")
     wire.open_reply(bridge.request(wire.Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"acc6-server"))))
-    relayed = secure.connect_secure(bridge, ccert, ckeys, ca.public_key, ca.algorithm_id)
+    relayed = secure.connect_secure(bridge, ccert, ckeys, ca.public_key)
     relay_replies = []
     for i, payload in enumerate(payloads):
         body = markers[i % len(markers)] + payload

@@ -81,7 +81,7 @@ def ca():
 @pytest.fixture(scope="module")
 def user(ca):
     pair = identity.generate_keypair("ec-p256")
-    return pair, ca.issue("hostile-user", pair.public_key, pair.algorithm_id)
+    return pair, ca.issue("hostile-user", pair.public_key)
 
 
 def field_values(cert):
@@ -140,7 +140,6 @@ def rendezvous(ca):
         addr="10.0.0.1:7200",
         config=RendezvousConfig(ring_enabled=True),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         endpoint=NoNetwork(),
         clock=lambda: 0,
         rng=random.Random(3),
@@ -175,7 +174,6 @@ def test_relay_serves_after_any_frame(ca, user, data, admitted):
         addr="10.0.3.1:7300",
         config=RelayConfig(max_connections=4),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         rng=random.Random(4),
         clock=lambda: 0,
     )
@@ -199,8 +197,23 @@ def test_ca_serves_after_any_frame(ca, user, data):
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
         conn.send(code, payload)
     name = f"fresh-user-{next(FRESH)}"  # the CA issues each name once
-    issued = request_certificate(conn, name, pair, ca.public_key, ca.algorithm_id)
+    issued = request_certificate(conn, name, pair, ca.public_key)
     assert issued.username == name
+
+
+@pytest.mark.parametrize("subject_key", [b"junk", b"\x04" + b"\x01" * 64], ids=["short", "off_curve"])
+def test_ca_refuses_a_subject_key_that_is_not_a_point(ca, user, subject_key):
+    # A correctly sealed request for a key the CA could not seal its reply
+    # to gets a coded reply, and the username stays free for a valid key.
+    pair, _ = user
+    name = f"keyless-user-{next(FRESH)}"
+    conn = Conn(CAService(ca))
+    request = identity.build_cert_request(name, subject_key, ca.public_key)
+    reply = conn.send(wire.CERT_REPLY, wire.encode(wire.CERT_REPLY, request))
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(reply)
+    assert name not in ca.usernames()
+    assert request_certificate(conn, name, pair, ca.public_key).username == name
 
 
 @FUZZ
@@ -212,7 +225,7 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
     channel = None
     if established:
         channel = secure.connect_secure(
-            conn, cert, keys, alice.ca_public_key, alice.ca_algorithm, expected_username="user01"
+            conn, cert, keys, alice.ca_public_key, expected_username="user01"
         )
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=4)):
         conn.send(code, payload)
@@ -226,7 +239,7 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
     if channel is not None:
         assert channel.request_app("ping") == []
     else:
-        channel = secure.connect_secure(conn, cert, keys, alice.ca_public_key, alice.ca_algorithm)
+        channel = secure.connect_secure(conn, cert, keys, alice.ca_public_key)
         assert channel.request_app("ping") == []
 
 
@@ -250,14 +263,14 @@ def test_locate_peer_rejects_short_reply(ca, user):
     record = make_registration_record(
         username="hostile-user", ip="10.0.5.5", port=7500, nat_kind="public", protocol="tcp",
         relay_address="", relay_port=0, passphrase="hostile-phrase",
-        encrypted_mirror_list=b"\x01", private_key=pair.private_key, algorithm_id=pair.algorithm_id,
+        encrypted_mirror_list=b"\x01", private_key=pair.private_key,
     )
     key = identity.generate_session_key(rng=random.Random(5))
     server_cipher = SessionCipher(key, direction=1)
 
     def handle(frame, ctx):
         if frame.msg_type == wire.REGISTER_PEER:
-            sealed = identity.seal(cert.public_key, key.encode(), cert.algorithm_id)
+            sealed = identity.seal(cert.public_key, key.encode())
             return wire.ok_reply(wire.SESSION_KEY, sealed)
         server_cipher.decrypt(frame.payload)
         inner = wire.pack_fields(b"ok", record.encode())
@@ -319,8 +332,8 @@ def served():
 
 @pytest.fixture(scope="module")
 def loopback(ca, served):
-    rendezvous = RendezvousServer("127.0.0.1:0", RendezvousConfig(), ca.public_key, ca.algorithm_id)
-    relay = RelayServer("127.0.0.1:0", ca_public_key=ca.public_key, ca_algorithm=ca.algorithm_id)
+    rendezvous = RendezvousServer("127.0.0.1:0", RendezvousConfig(), ca.public_key)
+    relay = RelayServer("127.0.0.1:0", ca_public_key=ca.public_key)
     servers = {}
     for name, service in (("rendezvous", rendezvous), ("relay", relay)):
         servers[name, "tcp"] = TcpServer(service).start()
@@ -400,7 +413,7 @@ def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, se
     # Admitted by hand, so the test holds the relayed peer's end of the connection.
     admitted = TcpChannel(server.addr)
     (sealed,) = wire.call(admitted, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
-    value = identity.open_sealed(pair.private_key, sealed, cert.algorithm_id)
+    value = identity.open_sealed(pair.private_key, sealed)
     wire.call(admitted, wire.CHALLENGE_REPLY, value)
     assert served.get(timeout=5) is None
     admitted._sock.sendall(OVERSIZED)  # the reply to the next forwarded frame

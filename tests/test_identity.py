@@ -16,7 +16,7 @@ from friendmesh.errors import (
     UsernameTaken,
 )
 from friendmesh.profile import op_add
-from friendmesh.records import make_registration_record, verify_registration_record
+from friendmesh.records import PeerRow, make_registration_record, verify_registration_record
 from friendmesh.simnet.scenario import Scenario, SimConfig
 
 
@@ -28,18 +28,18 @@ def ca():
 
 def make_user(ca, username):
     pair = identity.generate_keypair("ec-p256")
-    cert = ca.issue(username, pair.public_key, pair.algorithm_id)
+    cert = ca.issue(username, pair.public_key)
     return pair, cert
 
 
 # -- generate_keypair --------------------------------------------------------
 
 
-@pytest.mark.parametrize("algo", ["rsa-2048", "ec-p256"])
+@pytest.mark.parametrize("algo", ["ec-p256"])
 def test_seal_open_roundtrip(algo):
     pair = identity.generate_keypair(algo)
-    blob = identity.seal(pair.public_key, b"x", algo)
-    assert identity.open_sealed(pair.private_key, blob, algo) == b"x"
+    blob = identity.seal(pair.public_key, b"x")
+    assert identity.open_sealed(pair.private_key, blob) == b"x"
 
 
 def test_successive_keypairs_are_distinct():
@@ -53,44 +53,32 @@ def test_unsupported_algorithm_rejected():
         identity.generate_keypair("no-such-alg")
 
 
-def test_public_key_derivable_from_private():
-    for algo in ("rsa-2048", "ec-p256"):
-        pair = identity.generate_keypair(algo)
-        assert identity.derive_public(pair.private_key, algo) == pair.public_key
-
-
 def test_large_payload_hybrid_seal():
-    pair = identity.generate_keypair("rsa-2048")
-    data = bytes(range(256)) * 40  # far beyond one RSA block
-    blob = identity.seal(pair.public_key, data, "rsa-2048")
-    assert identity.open_sealed(pair.private_key, blob, "rsa-2048") == data
+    pair = identity.generate_keypair("ec-p256")
+    data = bytes(range(256)) * 40  # far beyond one key-wrap block
+    blob = identity.seal(pair.public_key, data)
+    assert identity.open_sealed(pair.private_key, blob) == data
 
 
-# -- ca_issue ----------------------------------------------------------------
+# -- the certificate request ---------------------------------------------------
 
 
 def test_ca_issue_nominal(ca):
     pair = identity.generate_keypair("ec-p256")
-    request = identity.build_cert_request(
-        "alice", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
-    reply = identity.ca_issue(request, ca)
-    cert = identity.open_cert_reply(reply, pair, ca.public_key, ca.algorithm_id)
+    request = identity.build_cert_request("alice", pair.public_key, ca.public_key)
+    reply = ca.handle_request(request)
+    cert = identity.open_cert_reply(reply, pair, ca.public_key)
     assert cert.username == "alice"
-    assert identity.verify_certificate(cert, ca.public_key, ca.algorithm_id)
+    assert identity.verify_certificate(cert, ca.public_key)
 
 
 def test_ca_issue_duplicate_username(ca):
     pair = identity.generate_keypair("ec-p256")
-    request = identity.build_cert_request(
-        "bob", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
-    identity.ca_issue(request, ca)
-    second = identity.build_cert_request(
-        "bob", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
+    request = identity.build_cert_request("bob", pair.public_key, ca.public_key)
+    ca.handle_request(request)
+    second = identity.build_cert_request("bob", pair.public_key, ca.public_key)
     with pytest.raises(UsernameTaken):
-        identity.ca_issue(second, ca)
+        ca.handle_request(second)
 
 
 def test_ca_issue_flipped_byte_detected(ca):
@@ -98,58 +86,64 @@ def test_ca_issue_flipped_byte_detected(ca):
     # tamper-detected flips as integrity errors.
     rng = random.Random(7)
     pair = identity.generate_keypair("ec-p256")
-    request = identity.build_cert_request(
-        "carol", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
+    request = identity.build_cert_request("carol", pair.public_key, ca.public_key)
     for _ in range(24):
         pos = rng.randrange(len(request))
         mutated = bytearray(request)
         mutated[pos] ^= 1 << rng.randrange(8)
         with pytest.raises((IntegrityError, MalformedRequest)):
-            identity.ca_issue(bytes(mutated), ca)
+            ca.handle_request(bytes(mutated))
     assert "carol" not in ca.usernames()
 
 
 def test_ca_issue_digest_flip_is_integrity_error(ca):
     pair = identity.generate_keypair("ec-p256")
-    request = identity.build_cert_request(
-        "dave", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
+    request = identity.build_cert_request("dave", pair.public_key, ca.public_key)
     mutated = bytearray(request)
     mutated[-1] ^= 0x01  # digest is the trailing field
     with pytest.raises(IntegrityError):
-        identity.ca_issue(bytes(mutated), ca)
+        ca.handle_request(bytes(mutated))
 
 
 def test_ca_refuses_unknown_algorithm_before_taking_the_username(ca):
     # A request naming an algorithm the CA cannot use does not burn the
     # username: the corrected retry gets its certificate.
     pair = identity.generate_keypair("ec-p256")
-    bad = identity.build_cert_request(
-        "algo-retry", pair.public_key, "ec-p257", ca.public_key, ca.algorithm_id
+    body = identity._CERT_REQUEST_BODY.pack(("algo-retry", pair.public_key, "ec-p257"))
+    bad = identity._CERT_REQUEST.pack(
+        (identity.seal(ca.public_key, body), len(body), identity.sha256(body))
     )
     with pytest.raises(MalformedRequest):
-        identity.ca_issue(bad, ca)
+        ca.handle_request(bad)
     assert "algo-retry" not in ca.usernames()
-    good = identity.build_cert_request(
-        "algo-retry", pair.public_key, pair.algorithm_id, ca.public_key, ca.algorithm_id
-    )
-    cert = identity.open_cert_reply(identity.ca_issue(good, ca), pair, ca.public_key, ca.algorithm_id)
+    good = identity.build_cert_request("algo-retry", pair.public_key, ca.public_key)
+    cert = identity.open_cert_reply(ca.handle_request(good), pair, ca.public_key)
     assert cert.username == "algo-retry"
 
 
 def test_unknown_algorithm_verifies_false(ca):
     pair, cert = make_user(ca, "algo-check")
-    signature = identity.sign(pair.private_key, b"data", pair.algorithm_id)
-    assert identity.verify(pair.public_key, b"data", signature, pair.algorithm_id)
-    assert not identity.verify(pair.public_key, b"data", signature, "ec-p257")
+    signature = identity.sign(pair.private_key, b"data")
+    assert identity.verify(pair.public_key, b"data", signature)
     record = make_registration_record(
         username="algo-check", ip="10.0.0.9", port=7000, nat_kind="public", protocol="tcp",
         relay_address="", relay_port=0, passphrase="p" * 32, encrypted_mirror_list=b"",
-        private_key=pair.private_key, algorithm_id=pair.algorithm_id,
+        private_key=pair.private_key,
     )
     assert verify_registration_record(record, cert)
-    assert not verify_registration_record(record, replace(cert, algorithm_id="ec-p257"))
+    assert PeerRow(record, cert.encode()).verified(ca.public_key)
+    renamed = replace(cert, algorithm_id="ec-p257")
+    assert not identity.verify_certificate(renamed, ca.public_key)
+    assert not PeerRow(record, renamed.encode()).verified(ca.public_key)
+
+
+def test_certificate_for_another_algorithm_does_not_verify(ca):
+    # Signed by the CA over every field, so only the tag refuses it.
+    pair = identity.generate_keypair("ec-p256")
+    unsigned = identity.Certificate("rsa-user", pair.public_key, ca.name, "rsa-2048", b"")
+    cert = replace(unsigned, signature=identity.sign(ca.keypair.private_key, unsigned.signed_bytes()))
+    assert identity.verify(ca.public_key, cert.signed_bytes(), cert.signature)
+    assert not identity.verify_certificate(cert, ca.public_key)
 
 
 def test_certificate_uniqueness_invariant():
@@ -157,11 +151,11 @@ def test_certificate_uniqueness_invariant():
     fresh = identity.CAState("uniq", pair)
     for i in range(20):
         user = identity.generate_keypair("ec-p256")
-        fresh.issue(f"user{i}", user.public_key, user.algorithm_id)
+        fresh.issue(f"user{i}", user.public_key)
     assert len(fresh.usernames()) == 20
     dup = identity.generate_keypair("ec-p256")
     with pytest.raises(UsernameTaken):
-        fresh.issue("user3", dup.public_key, dup.algorithm_id)
+        fresh.issue("user3", dup.public_key)
     assert len(fresh.usernames()) == 20
 
 
@@ -170,10 +164,10 @@ def test_ca_log_survives_restart(tmp_path):
     pair = identity.generate_keypair("ec-p256")
     first = identity.CAState("persist", pair, log_path=log)
     user = identity.generate_keypair("ec-p256")
-    first.issue("erin", user.public_key, user.algorithm_id)
+    first.issue("erin", user.public_key)
     reloaded = identity.CAState("persist", pair, log_path=log)
     with pytest.raises(UsernameTaken):
-        reloaded.issue("erin", user.public_key, user.algorithm_id)
+        reloaded.issue("erin", user.public_key)
 
 
 # -- verify_certificate ------------------------------------------------------
@@ -188,14 +182,14 @@ def test_certificate_mutation_fails(ca):
         algorithm_id=cert.algorithm_id,
         signature=cert.signature,
     )
-    assert identity.verify_certificate(cert, ca.public_key, ca.algorithm_id)
-    assert not identity.verify_certificate(forged, ca.public_key, ca.algorithm_id)
+    assert identity.verify_certificate(cert, ca.public_key)
+    assert not identity.verify_certificate(forged, ca.public_key)
 
 
 def test_certificate_wrong_ca_key(ca):
     _, cert = make_user(ca, "grace")
     other = identity.generate_keypair("ec-p256")
-    assert not identity.verify_certificate(cert, other.public_key, "ec-p256")
+    assert not identity.verify_certificate(cert, other.public_key)
 
 
 # -- sign_record / verify_record ---------------------------------------------
@@ -350,27 +344,22 @@ def _flip(value, pos: int, xor: int):
     return raw.decode("ascii") if isinstance(value, str) else bytes(raw)
 
 
-def _accepted(check, *args) -> bool:
-    try:
-        return check(*args)
-    except MalformedRequest:  # an unsupported algorithm
-        return False
-
-
-def _uncached_certificate(cert, ca_pub, ca_algorithm) -> bool:
+def _uncached_certificate(cert, ca_pub) -> bool:
     if not cert.username or len(cert.username.encode("utf-8")) > identity.MAX_USERNAME_BYTES:
         return False
-    return identity._algo(ca_algorithm).verify(ca_pub, cert.signed_bytes(), cert.signature)
+    if cert.algorithm_id != identity.DEFAULT_ALGORITHM:
+        return False
+    return identity.verify(ca_pub, cert.signed_bytes(), cert.signature)
 
 
-def _uncached_record(payload, sd, pub, algorithm_id) -> bool:
+def _uncached_record(payload, sd, pub) -> bool:
     if identity.sha256(payload) != sd.digest:
         return False
-    return identity._algo(algorithm_id).verify(pub, sd.digest, sd.signature)
+    return identity.verify(pub, sd.digest, sd.signature)
 
 
-CERT_MUTATIONS = ("username", "public_key", "issuer", "algorithm_id", "signature", "ca_key", "ca_algorithm")
-RECORD_MUTATIONS = ("payload", "digest", "signature", "public_key", "algorithm_id")
+CERT_MUTATIONS = ("username", "public_key", "issuer", "algorithm_id", "signature", "ca_key")
+RECORD_MUTATIONS = ("payload", "digest", "signature", "public_key")
 
 
 @settings(deadline=None, max_examples=150)
@@ -383,32 +372,28 @@ def test_cached_verification_agrees_with_uncached(ca, signed, target, pos, xor):
     # Each check runs first on the valid input, so the mutation meets a
     # cached entry; every input of the signature check is in the cache key.
     pair, cert, payload, sd = signed
-    assert identity.verify_certificate(cert, ca.public_key, ca.algorithm_id)
-    assert identity.verify_record(payload, sd, pair.public_key, pair.algorithm_id)
+    assert identity.verify_certificate(cert, ca.public_key)
+    assert identity.verify_record(payload, sd, pair.public_key)
     kind, field = target
     if kind == "cert":
-        ca_pub, ca_algorithm = ca.public_key, ca.algorithm_id
+        ca_pub = ca.public_key
         if field == "ca_key":
             ca_pub = _flip(ca_pub, pos, xor)
-        elif field == "ca_algorithm":
-            ca_algorithm = _flip(ca_algorithm, pos, xor)
         else:
             cert = replace(cert, **{field: _flip(getattr(cert, field), pos, xor)})
-        got = identity.verify_certificate(cert, ca_pub, ca_algorithm)
-        want = _accepted(_uncached_certificate, cert, ca_pub, ca_algorithm)
+        got = identity.verify_certificate(cert, ca_pub)
+        want = _uncached_certificate(cert, ca_pub)
     else:
-        pub, algorithm_id = pair.public_key, pair.algorithm_id
+        pub = pair.public_key
         if field == "payload":  # re-digested, as a forger would
             payload = _flip(payload, pos, xor)
             sd = replace(sd, digest=identity.sha256(payload))
         elif field in ("digest", "signature"):
             sd = replace(sd, **{field: _flip(getattr(sd, field), pos, xor)})
-        elif field == "public_key":
-            pub = _flip(pub, pos, xor)
         else:
-            algorithm_id = _flip(algorithm_id, pos, xor)
-        got = _accepted(identity.verify_record, payload, sd, pub, algorithm_id)
-        want = _accepted(_uncached_record, payload, sd, pub, algorithm_id)
+            pub = _flip(pub, pos, xor)
+        got = identity.verify_record(payload, sd, pub)
+        want = _uncached_record(payload, sd, pub)
     assert got is want is False
 
 
@@ -422,10 +407,8 @@ def test_caches_stay_within_their_bounds():
         sd = identity.sign_record(b"flood", other.private_key)
         assert identity.verify_record(b"flood", sd, other.public_key)
     assert len(identity._VERIFIED) == identity.VERIFIED_CACHED
-    assert identity._EcAlgo._load_priv.cache_info().currsize == identity.KEYS_CACHED
-    assert identity._EcAlgo._load_pub.cache_info().currsize == identity.KEYS_CACHED
-    for load in (identity._RsaAlgo._load_priv, identity._RsaAlgo._load_pub):
-        assert load.cache_info().maxsize == identity.KEYS_CACHED
+    assert identity._private_key.cache_info().currsize == identity.KEYS_CACHED
+    assert identity._public_key.cache_info().currsize == identity.KEYS_CACHED
 
 
 def test_verified_signatures_bounded_under_threads():
@@ -435,7 +418,7 @@ def test_verified_signatures_bounded_under_threads():
     results = []
 
     def work(part):
-        results.extend(table.verify(pair.public_key, data, sig, pair.algorithm_id) for data, sig in part * 3)
+        results.extend(table.verify(pair.public_key, data, sig) for data, sig in part * 3)
 
     threads = [threading.Thread(target=work, args=(signed[k::4],)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -462,17 +445,17 @@ def test_warm_friend_operations_do_no_repeated_public_key_work(monkeypatch):
     reader = world.peers["user01"]
     reader.pull_friend_profile("user00")
     counts = {"verify": 0, "derive": 0}
-    real_verify, real_derive = identity._EcAlgo.verify, ec.derive_private_key
+    real_verify, real_derive = identity.verify, ec.derive_private_key
 
-    def counting_verify(self, *args):
+    def counting_verify(*args):
         counts["verify"] += 1
-        return real_verify(self, *args)
+        return real_verify(*args)
 
     def counting_derive(*args):
         counts["derive"] += 1
         return real_derive(*args)
 
-    monkeypatch.setattr(identity._EcAlgo, "verify", counting_verify)
+    monkeypatch.setattr(identity, "verify", counting_verify)
     monkeypatch.setattr(ec, "derive_private_key", counting_derive)
     operations = [
         ("pull", lambda: reader.pull_friend_profile("user00"), {"verify": 0, "derive": 0}),

@@ -474,18 +474,14 @@ def test_private_messages_reach_mirror_only_as_ciphertext():
     from friendmesh.profile import op_add
 
     secret = b"meet behind the library at nine"
-    sealed = ident.seal(
-        owner.state.keypair.public_key, secret, owner.state.keypair.algorithm_id
-    )
+    sealed = ident.seal(owner.state.keypair.public_key, secret)
     sender.write_to_friend("user00", "private_messages", op_add("pm1", sealed))
     owner.sync_mirrors()
 
     replica = world.peers["user01"].replicas["user00"]
     assert secret not in replica.profile.canonical_encode()
     stored = replica.profile.element("private_messages/pm1").content
-    assert ident.open_sealed(
-        owner.state.keypair.private_key, stored, owner.state.keypair.algorithm_id
-    ) == secret
+    assert ident.open_sealed(owner.state.keypair.private_key, stored) == secret
 
 
 def test_trust_as_replica_is_one_directional():

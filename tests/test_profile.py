@@ -277,13 +277,13 @@ def test_private_messages_sealed_for_mirror():
     owner_keys = identity.generate_keypair("ec-p256")
     p = Profile("olive")
     plaintext = b"meet at noon"
-    sealed = identity.seal(owner_keys.public_key, plaintext, owner_keys.algorithm_id)
+    sealed = identity.seal(owner_keys.public_key, plaintext)
     p.apply_update("olive", "private_messages", op_add("m1", sealed), timestamp=1)
 
     replica = Profile.replay("olive", p.log)
     assert plaintext not in replica.canonical_encode()
     stored = replica.element("private_messages/m1").content
-    assert identity.open_sealed(owner_keys.private_key, stored, owner_keys.algorithm_id) == plaintext
+    assert identity.open_sealed(owner_keys.private_key, stored) == plaintext
 
 
 def test_export_import_roundtrip():

@@ -127,7 +127,6 @@ def ca_world(tmp_path):
         addr="pending",
         config=RendezvousConfig(db_url=str(tmp_path / "rv.sqlite")),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
     )
     rv_server = TcpServer(rv).start()
     rv.addr = rv_server.addr
@@ -145,7 +144,6 @@ def make_real_peer(ca_server, rv_server, username):
         ),
         endpoint=TcpEndpoint(),
         ca_public_key=ca_server.service.ca.public_key,
-        ca_algorithm=ca_server.service.ca.algorithm_id,
         rng=random.Random(username),
     )
     listener = TcpServer(peer).start()
@@ -186,14 +184,13 @@ def test_relay_bridge_over_tcp(ca_world):
         addr="pending",
         config=RelayConfig(max_connections=4, ping_interval_ms=60_000),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         rng=random.Random(7),
     )
     relay_srv = TcpServer(relay).start()
     relay.addr = relay_srv.addr
     try:
         srv_keys = identity.generate_keypair("ec-p256")
-        srv_cert = ca.issue("relayed-srv", srv_keys.public_key, srv_keys.algorithm_id)
+        srv_cert = ca.issue("relayed-srv", srv_keys.public_key)
 
         def app(body, peer_username, ctx):
             kind, fields = secure.unpack_app(body)
@@ -202,7 +199,7 @@ def test_relay_bridge_over_tcp(ca_world):
         class _Responder:
             def open_session(self, ctx):
                 return secure.ResponderSession(
-                    srv_cert, srv_keys, ca.public_key, ca.algorithm_id, lambda u: True, app
+                    srv_cert, srv_keys, ca.public_key, lambda u: True, app
                 )
 
         admit_channel = TcpChannel(relay_srv.addr)
@@ -212,11 +209,11 @@ def test_relay_bridge_over_tcp(ca_world):
         assert token
 
         cli_keys = identity.generate_keypair("ec-p256")
-        cli_cert = ca.issue("relayed-cli", cli_keys.public_key, cli_keys.algorithm_id)
+        cli_cert = ca.issue("relayed-cli", cli_keys.public_key)
         bridge = TcpChannel(relay_srv.addr)
         wire.open_reply(bridge.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"relayed-srv"))))
         channel = secure.connect_secure(
-            bridge, cli_cert, cli_keys, ca.public_key, ca.algorithm_id,
+            bridge, cli_cert, cli_keys, ca.public_key,
             expected_username="relayed-srv",
         )
         (reply,) = channel.request_app("post", b"through the relay")
@@ -300,7 +297,7 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     monkeypatch.setattr(random.SystemRandom, "randbytes", counting_randbytes)
     ca = identity.CAState("csprng-ca", identity.generate_keypair())
     pair = identity.generate_keypair()
-    cert = ca.issue("alice", pair.public_key, pair.algorithm_id)
+    cert = ca.issue("alice", pair.public_key)
     endpoint = TcpEndpoint()
     peer = Peer(PeerConfig(username="alice"), endpoint, ca.public_key)
     assert draws == [32, 16]  # passphrase, friend key

@@ -29,7 +29,7 @@ def ca():
 
 def make_user(ca, name):
     pair = identity.generate_keypair("ec-p256")
-    cert = ca.issue(name, pair.public_key, pair.algorithm_id)
+    cert = ca.issue(name, pair.public_key)
     return pair, cert
 
 
@@ -44,7 +44,6 @@ def server(ca, clock):
         addr="10.0.3.1:7300",
         config=RelayConfig(max_connections=2, ping_interval_ms=1000),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         rng=random.Random(4),
         clock=clock,
     )
@@ -83,7 +82,7 @@ def make_responder_service(ca, cert, pair, app_handler=None):
     class _Service:
         def open_session(self, ctx):
             return secure.ResponderSession(
-                cert, pair, ca.public_key, ca.algorithm_id, lambda u: True, handler
+                cert, pair, ca.public_key, lambda u: True, handler
             )
 
     return _Service()
@@ -110,7 +109,7 @@ def test_replayed_challenge_reply_rejected(server, ca):
     ch1 = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.8:6000")
     reply = ch1.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
     (sealed,) = wire.open_reply(reply)
-    old_value = identity.open_sealed(pair.private_key, sealed, cert.algorithm_id)
+    old_value = identity.open_sealed(pair.private_key, sealed)
 
     # A second admission gets a fresh challenge; replaying the old value fails.
     ch2 = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.9:6000")
@@ -152,7 +151,7 @@ def test_capacity_checked_again_at_the_challenge_reply(server, ca):
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.6:6000")
     reply = channel.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
     (sealed,) = wire.open_reply(reply)
-    value = identity.open_sealed(pair.private_key, sealed, cert.algorithm_id)
+    value = identity.open_sealed(pair.private_key, sealed)
     admit(server, ca, "late-a1")
     admit(server, ca, "late-b2")
     channel.attach_reverse(MuxService(make_responder_service(ca, cert, pair)))
@@ -247,7 +246,7 @@ def test_bridge_handshake_and_opacity(server, ca):
     client_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.1:5000")
     wire.open_reply(client_ch.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"brg-srv"))))
     sc = secure.connect_secure(
-        client_ch, ccert, cpair, ca.public_key, ca.algorithm_id, expected_username="brg-srv"
+        client_ch, ccert, cpair, ca.public_key, expected_username="brg-srv"
     )
     marker = b"TOP-SECRET-PAYLOAD-MARKER"
     (reply,) = sc.request_app("post", marker)
@@ -292,14 +291,14 @@ def test_bridge_transparency_matches_direct(server, ca):
         remote_addr="10.0.9.9:7500",
         local_addr="10.0.8.4:5000",
     )
-    direct = secure.connect_secure(direct_ch, ccert, cpair, ca.public_key, ca.algorithm_id)
+    direct = secure.connect_secure(direct_ch, ccert, cpair, ca.public_key)
 
     mux = MuxService(make_responder_service(ca, scert, spair, make_app("relay")))
     admit_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.4:6000")
     admit_as_server(admit_ch, scert, spair.private_key, mux)
     relay_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.5:5000")
     wire.open_reply(relay_ch.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"tr-srv"))))
-    relayed = secure.connect_secure(relay_ch, ccert, cpair, ca.public_key, ca.algorithm_id)
+    relayed = secure.connect_secure(relay_ch, ccert, cpair, ca.public_key)
 
     payloads = [b"one", b"", b"three" * 100]
     direct_replies = [direct.request_app("msg", p) for p in payloads]

@@ -45,7 +45,6 @@ def server(ca, clock):
         addr="10.0.0.1:7200",
         config=RendezvousConfig(),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         clock=clock,
         rng=random.Random(1),
     )
@@ -53,7 +52,7 @@ def server(ca, clock):
 
 def make_user(ca, name):
     pair = identity.generate_keypair("ec-p256")
-    cert = ca.issue(name, pair.public_key, pair.algorithm_id)
+    cert = ca.issue(name, pair.public_key)
     return pair, cert
 
 
@@ -71,7 +70,7 @@ def make_record(pair, cert, passphrase="PASS-" + "X" * 20, ip="10.0.5.5", port=7
     )
     args.update(kw)
     return make_registration_record(
-        private_key=pair.private_key, algorithm_id=pair.algorithm_id, **args
+        private_key=pair.private_key, **args
     )
 
 
@@ -371,7 +370,7 @@ def test_every_stored_record_verifies(server, ca):
         client = secure_client(server, pair, cert)
         rvclient.register_peer(client, make_record(pair, cert, passphrase=f"{name}-phrase"))
     for row in server.store.peer_rows():
-        assert row.verified(ca.public_key, ca.algorithm_id)
+        assert row.verified(ca.public_key)
 
 
 def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
@@ -381,7 +380,6 @@ def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
         addr="10.0.0.2:7200",
         config=RendezvousConfig(ring_enabled=True),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         endpoint=object(),  # never dialled: accepting a replica sends nothing
         clock=clock,
         rng=random.Random(1),
@@ -413,7 +411,6 @@ def test_register_verifies_row_once(ca, clock, monkeypatch, ring):
         addr="10.0.0.3:7200",
         config=RendezvousConfig(ring_enabled=ring),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         endpoint=object() if ring else None,  # a one-node ring replicates to nobody
         clock=clock,
         rng=random.Random(1),
@@ -439,7 +436,6 @@ def test_off_ring_identifier_refused(ca, clock, code):
         addr="10.0.0.4:7200",
         config=RendezvousConfig(ring_enabled=True),
         ca_public_key=ca.public_key,
-        ca_algorithm=ca.algorithm_id,
         endpoint=object(),  # a one-node ring dials nobody
         clock=clock,
         rng=random.Random(1),

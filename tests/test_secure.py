@@ -2,7 +2,7 @@ import pytest
 
 from friendmesh import identity, secure, wire
 from friendmesh.channel import DirectChannel, SessionContext
-from friendmesh.errors import AuthError, HandshakeError, IntegrityError
+from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest
 from friendmesh.secure import ResponderSession, connect_secure
 from friendmesh.wire import Frame
 
@@ -14,12 +14,12 @@ def ca():
 
 def user(ca, name):
     pair = identity.generate_keypair("ec-p256")
-    return pair, ca.issue(name, pair.public_key, pair.algorithm_id)
+    return pair, ca.issue(name, pair.public_key)
 
 
 class ResponderService:
     def __init__(self, ca, cert, pair, admission=lambda u: True, captured=None):
-        self.args = (cert, pair, ca.public_key, ca.algorithm_id)
+        self.args = (cert, pair, ca.public_key)
         self.admission = admission
         self.captured = captured
         self.sessions = []
@@ -53,7 +53,7 @@ def test_nominal_handshake_identical_session_keys(ca):
     rpair, rcert = user(ca, "hs-resp")
     service = ResponderService(ca, rcert, rpair)
     channel = DirectChannel(service)
-    sc = connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+    sc = connect_secure(channel, icert, ipair, ca.public_key)
     assert sc.peer_username == "hs-resp"
     # Both sides hold the byte-identical session key.
     responder = service.sessions[0]
@@ -65,11 +65,11 @@ def test_responder_bad_certificate_auth_error(ca):
     ipair, icert = user(ca, "hs-init2")
     rogue_ca = identity.CAState("rogue", identity.generate_keypair("ec-p256"))
     rpair = identity.generate_keypair("ec-p256")
-    fake_cert = rogue_ca.issue("hs-fake", rpair.public_key, rpair.algorithm_id)
+    fake_cert = rogue_ca.issue("hs-fake", rpair.public_key)
     service = ResponderService(ca, fake_cert, rpair)
     channel = DirectChannel(service)
     with pytest.raises(AuthError):
-        connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+        connect_secure(channel, icert, ipair, ca.public_key)
 
 
 def test_initiator_rejected_by_admission_gate(ca):
@@ -78,7 +78,7 @@ def test_initiator_rejected_by_admission_gate(ca):
     service = ResponderService(ca, rcert, rpair, admission=lambda u: u == "somebody-else")
     channel = DirectChannel(service)
     with pytest.raises(AuthError):
-        connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+        connect_secure(channel, icert, ipair, ca.public_key)
 
 
 def test_expected_username_mismatch(ca):
@@ -88,7 +88,7 @@ def test_expected_username_mismatch(ca):
     channel = DirectChannel(service)
     with pytest.raises(AuthError):
         connect_secure(
-            channel, icert, ipair, ca.public_key, ca.algorithm_id,
+            channel, icert, ipair, ca.public_key,
             expected_username="hs-expected",
         )
 
@@ -99,7 +99,7 @@ def test_no_half_open_channels(ca):
     ipair, icert = user(ca, "hs-init4")
     rpair, rcert = user(ca, "hs-resp4")
     session = ResponderSession(
-        rcert, rpair, ca.public_key, ca.algorithm_id, lambda u: True,
+        rcert, rpair, ca.public_key, lambda u: True,
         lambda body, u, c: body,
     )
     ctx = SessionContext(remote_addr="x")
@@ -109,6 +109,21 @@ def test_no_half_open_channels(ca):
         wire.open_reply(reply)
 
 
+def test_session_key_for_another_cipher_gets_a_coded_reply(ca):
+    # Signed by a certified initiator, so only the cipher tag refuses it.
+    ipair, icert = user(ca, "hs-cipher-init")
+    rpair, rcert = user(ca, "hs-cipher-resp")
+    session = ResponderSession(rcert, rpair, ca.public_key, lambda u: True, lambda body, u, c: body)
+    ctx = SessionContext(remote_addr="x")
+    session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
+    odd = identity.SessionKey(b"k" * 16, "aes-128-ocb")
+    blob = identity.seal_session_key(odd, rpair.public_key, ipair.private_key)
+    reply = session.handle(Frame(wire.SESSION_KEY, wire.encode(wire.SESSION_KEY, blob)), ctx)
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(reply)
+    assert session._cipher is None
+
+
 def test_admission_checked_on_every_app_frame(ca):
     # A kept channel outlives the handshake: once its sender is no longer
     # admitted, the next app frame is refused, and the channel stays in step.
@@ -116,7 +131,7 @@ def test_admission_checked_on_every_app_frame(ca):
     rpair, rcert = user(ca, "hs-gate")
     admitted = {"hs-kept"}
     service = ResponderService(ca, rcert, rpair, admission=lambda u: u in admitted)
-    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, ca.algorithm_id)
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key)
     assert sc.request_app("m", b"one") == [b"one"]
     admitted.clear()
     with pytest.raises(AuthError):
@@ -130,7 +145,7 @@ def test_channel_out_of_step_is_not_established(ca):
     ipair, icert = user(ca, "hs-step")
     rpair, rcert = user(ca, "hs-step-resp")
     service = ResponderService(ca, rcert, rpair)
-    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, ca.algorithm_id)
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key)
     service.sessions[0]._cipher = None  # the responder lost the session
     with pytest.raises(IntegrityError):  # its plain refusal does not decrypt
         sc.request_app("m", b"x")
@@ -143,9 +158,9 @@ def test_established_channel_is_not_rekeyed(ca):
     ipair, icert = user(ca, "hs-rekey")
     rpair, rcert = user(ca, "hs-rekey-resp")
     channel = DirectChannel(ResponderService(ca, rcert, rpair))
-    sc = connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+    sc = connect_secure(channel, icert, ipair, ca.public_key)
     with pytest.raises(HandshakeError):
-        connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+        connect_secure(channel, icert, ipair, ca.public_key)
     assert sc.request_app("m", b"still in step") == [b"still in step"]
 
 
@@ -157,7 +172,7 @@ def test_transcript_hides_responder_certificate(ca):
     captured = bytearray()
     service = ResponderService(ca, rcert, rpair, captured=captured)
     channel = DirectChannel(service)
-    sc = connect_secure(channel, icert, ipair, ca.public_key, ca.algorithm_id)
+    sc = connect_secure(channel, icert, ipair, ca.public_key)
     sc.request_app("m", b"x")
     transcript = bytes(captured)
     assert rcert.encode() not in transcript

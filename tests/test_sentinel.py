@@ -26,7 +26,7 @@ def ca():
 
 def make_user(ca, name):
     pair = identity.generate_keypair("ec-p256")
-    cert = ca.issue(name, pair.public_key, pair.algorithm_id)
+    cert = ca.issue(name, pair.public_key)
     return pair, cert
 
 
@@ -44,7 +44,7 @@ def make_record(pair, cert, **kw):
     )
     args.update(kw)
     return make_registration_record(
-        private_key=pair.private_key, algorithm_id=pair.algorithm_id, **args
+        private_key=pair.private_key, **args
     )
 
 
@@ -90,13 +90,13 @@ def test_complaint_roundtrip_and_verify(ca):
     c = make_complaint("10.0.0.9:7200", cert, pair.private_key, now=1000)
     decoded = Complaint.decode(c.encode())
     assert decoded == c
-    assert verify_complaint(decoded, ca.public_key, ca.algorithm_id, now=1500, freshness_ms=5000)
+    assert verify_complaint(decoded, ca.public_key, now=1500, freshness_ms=5000)
 
 
 def test_complaint_replay_dropped(ca):
     pair, cert = make_user(ca, "cm-bob")
     c = make_complaint("10.0.0.9:7200", cert, pair.private_key, now=1000)
-    assert not verify_complaint(c, ca.public_key, ca.algorithm_id, now=99_999, freshness_ms=5000)
+    assert not verify_complaint(c, ca.public_key, now=99_999, freshness_ms=5000)
 
 
 def test_complaint_without_peer_key_invalid(ca):
@@ -111,7 +111,7 @@ def test_complaint_without_peer_key_invalid(ca):
         signature=identity.sign(rogue.private_key, b"whatever"),
         certificate=cert.encode(),
     )
-    assert not verify_complaint(forged, ca.public_key, ca.algorithm_id, 1000, 5000)
+    assert not verify_complaint(forged, ca.public_key, 1000, 5000)
 
 
 def test_complaint_wrong_username_in_cert(ca):
@@ -125,13 +125,13 @@ def test_complaint_wrong_username_in_cert(ca):
         signature=c.signature,
         certificate=other_cert.encode(),
     )
-    assert not verify_complaint(spoofed, ca.public_key, ca.algorithm_id, 1000, 5000)
+    assert not verify_complaint(spoofed, ca.public_key, 1000, 5000)
 
 
 def add_complaint(ledger, ca, name_pair_cert, accused, now=1000, registered=lambda u, a: True):
     pair, cert = name_pair_cert
     c = make_complaint(accused, cert, pair.private_key, now=now)
-    return ledger.add(c, ca.public_key, ca.algorithm_id, now, 5000, registered)
+    return ledger.add(c, ca.public_key, now, 5000, registered)
 
 
 def test_ledger_eviction_at_exactly_r(ca):

@@ -130,7 +130,7 @@ def test_honest_path_conservation():
     for addr, server in scenario.servers.items():
         # Every stored registration verifies under its own certificate.
         for row in server.store.peer_rows():
-            assert row.verified(scenario.ca.public_key, scenario.ca.algorithm_id)
+            assert row.verified(scenario.ca.public_key)
             # Primary rows sit at their oracle home.
             if not row.replica:
                 assert oracle(row.ring_id) == addr

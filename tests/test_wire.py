@@ -188,11 +188,9 @@ def fixed_crypto(monkeypatch):
         return bytes([counter[0]]) * n
 
     monkeypatch.setattr(os, "urandom", urandom)
-    monkeypatch.setattr(identity._EcAlgo, "wrap_key", lambda self, pub, key: b"W" + pub + key)
-    monkeypatch.setattr(
-        identity, "sign",
-        lambda priv, data, algorithm_id="ec-p256": b"S" + identity.sha256(priv + data)[:4],
-    )
+    monkeypatch.setattr(identity, "_wrap_key", lambda pub, key: b"W" + pub + key)
+    monkeypatch.setattr(identity, "sign", lambda priv, data: b"S" + identity.sha256(priv + data)[:4])
+    monkeypatch.setattr(identity, "check_public_key", lambda pub: pub)  # placeholder keys
     return counter
 
 
@@ -231,8 +229,7 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     for name, make in [
         ("seal", lambda: identity.seal(b"PUB", b"data")),
         ("session_key_blob", lambda: identity.seal_session_key(SessionKey(b"k" * 16), b"PUB", b"PRIV")),
-        ("cert_request", lambda: identity.build_cert_request("alice", b"PUB", "ec-p256", b"CAPUB",
-                                                             "ec-p256")),
+        ("cert_request", lambda: identity.build_cert_request("alice", b"PUB", b"CAPUB")),
         ("passphrase_blob", lambda: rvclient.seal_request_blob(cert, "alice", "phrase")),
     ]:
         counter[0] = 0
@@ -242,10 +239,10 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     with open(path, "rb") as fh:
         out["key_file"] = fh.read()
     ca = identity.CAState("ca", KeyPair(b"CAPUB", b"CAPRIV", "ec-p256"))
-    out["issued_certificate"] = ca.issue("alice", b"PUB", "ec-p256").encode()
+    out["issued_certificate"] = ca.issue("alice", b"PUB").encode()
     out["complaint_made"] = sentinel.make_complaint("10.0.0.2:7200", cert, b"PRIV", 99).encode()
     out["registration_made"] = records.make_registration_record(
-        "alice", "10.0.0.1", 7500, "full_cone", "udp", "", 0, "phrase", b"m", b"PRIV", "ec-p256"
+        "alice", "10.0.0.1", 7500, "full_cone", "udp", "", 0, "phrase", b"m", b"PRIV"
     ).encode()
     out["stun_request"] = stun._REQUEST.pack((True, False))
     out["stun_reply"] = stun._REPLY.pack(("127.0.0.1", 7400))
