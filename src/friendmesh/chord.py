@@ -356,6 +356,8 @@ class RingNode:
         Returns the state after it, which the notifier stabilizes on."""
         if candidate != self.addr and candidate not in self.evicted:
             cand = self._entry(candidate)
+            if self._first_live_successor() is None:  # alone: the notifier is the ring
+                self._set_successors([cand])
             old = self._pred
             if (
                 old is not None and old[1] != candidate and not self._pred_heard

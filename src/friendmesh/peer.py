@@ -37,7 +37,6 @@ from .chord import DualId, dual_hash
 from .config import PeerConfig
 from .errors import (
     AuthError,
-    MalformedRequest,
     NotFound,
     PeerUnreachable,
     ProtocolError,
@@ -49,7 +48,7 @@ from .nat import NatType, Route, needs_relay, route_for_record, stun_classify, w
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
-from .secure import SecureChannel, SecureClient, pack_app, read_app_kind
+from .secure import SecureChannel
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
 
 # What a peer serves before it has a certificate: a refusal that reveals nothing.
@@ -126,7 +125,7 @@ class Peer:
         self._mux: MuxService | None = None
         self._relay_channel: Channel | None = None  # kept open: the relay serves us over it
         self._witness: str | None = None  # last verified-correct server
-        self._sessions: dict[str, SecureClient] = {}  # kept, by rendezvous server
+        self._sessions: dict[str, SecureChannel] = {}  # kept, by rendezvous server
         self._channels: dict[str, SecureChannel] = {}  # kept, by friend
 
     def close(self) -> None:
@@ -312,7 +311,7 @@ class Peer:
             private_key=state.keypair.private_key,
         )
 
-    def _rendezvous(self, server: str, fn: Callable[[SecureClient], T]) -> T:
+    def _rendezvous(self, server: str, fn: Callable[[SecureChannel], T]) -> T:
         """Run fn on the kept session to a rendezvous server, or on a new one
         that is then kept. An authenticated refusal, such as not_found, keeps
         the session; any other failure drops it, and a kept session that
@@ -323,22 +322,25 @@ class Peer:
                 return self._run_session(server, kept, fn)
             except PeerUnreachable:
                 pass  # the connection went away: once more on a new session
-        client = SecureClient(self.endpoint.connect(server), self.state.certificate, self.state.keypair)
-        return self._run_session(server, client, fn)
-
-    def _run_session(self, server: str, client: SecureClient, fn: Callable[[SecureClient], T]) -> T:
+        channel = self.endpoint.connect(server)
         try:
-            if not client.established:  # a new session: its handshake comes first
-                client.establish()
-            return fn(client)
+            session = secure.connect_rendezvous(channel, self.state.certificate, self.state.keypair)
+        except ProtocolError:
+            channel.close()
+            raise
+        return self._run_session(server, session, fn)
+
+    def _run_session(self, server: str, session: SecureChannel, fn: Callable[[SecureChannel], T]) -> T:
+        try:
+            return fn(session)
         finally:
-            if client.established:
-                self._sessions[server] = client
+            if session.established:
+                self._sessions[server] = session
             else:
-                client.close()
+                session.close()
 
     def _register_at(self, server: str, record: RegistrationRecord) -> None:
-        pending = self._rendezvous(server, lambda client: rvclient.register_peer(client, record))
+        pending = self._rendezvous(server, lambda session: rvclient.register_peer(session, record))
         for request in pending:
             passphrase = rvclient.open_request_blob(self.state.keypair, request)
             if passphrase is not None:
@@ -382,7 +384,7 @@ class Peer:
 
     def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
         try:
-            return self._rendezvous(server, lambda client: rvclient.locate_peer(client, passphrase))
+            return self._rendezvous(server, lambda session: rvclient.locate_peer(session, passphrase))
         except NotFound:
             return None
 
@@ -554,10 +556,10 @@ class Peer:
     # ------------------------------------------------------------------ friendship lifecycle
 
     def send_friend_request(self, target_username: str) -> None:
-        def deposit(client: SecureClient) -> None:
-            target_cert = rvclient.friend_request(client, target_username)
+        def deposit(session: SecureChannel) -> None:
+            target_cert = rvclient.friend_request(session, target_username)
             blob = rvclient.seal_request_blob(target_cert, self.username, self.state.passphrase)
-            rvclient.submit_passphrase_blob(client, blob)
+            rvclient.submit_passphrase_blob(session, blob)
 
         last: ProtocolError | None = None
         servers = self._servers_for(target_username)
@@ -807,13 +809,8 @@ class Peer:
 
     # ------------------------------------------------------------------ app handler
 
-    def _handle_app(self, body: bytes, sender: Certificate, ctx: SessionContext) -> bytes:
-        kind, pos = read_app_kind(body)
-        handler = getattr(self, f"_on_{kind}", None) if kind in wire.SCHEMA else None
-        if handler is None:
-            raise MalformedRequest(f"unknown app kind {kind}")
-        values = handler(sender, *wire.decode(kind, body, pos))
-        return pack_app(wire.SCHEMA[kind].reply_kind) + wire.encode(kind, *values, reply=True)
+    def _handle_app(self, body: bytes, sender: Certificate) -> bytes:
+        return secure.dispatch_app(self, body, sender)
 
     def _profile_for(self, owner: str, requester: str, write: bool) -> Profile:
         if owner in ("", self.username):

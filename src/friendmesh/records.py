@@ -3,7 +3,8 @@
 Each record's wire layout is declared once, with wire.record over its
 fields in order; its encode() and decode() come from that declaration. A
 RegistrationRecord carries its signed digest spread over two fields
-(digest, signature), and REGISTRATION_PAYLOAD reuses its layout.
+(digest, signature), and the rendezvous app kind register reuses its
+layout.
 
 The signed digest covers the canonical payload, a view of the record's
 layout: IP, port, protocol, relay address, relay port, passphrase,

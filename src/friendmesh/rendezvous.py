@@ -5,10 +5,13 @@ relay directory with load balancing, friendship-request mailbox, staleness
 eviction, the chord ring face (lookup, stabilization, verified
 replication) and the complaint ledger driving collaborative eviction.
 
-Every client exchange is a session over one connection: certificate in,
+A peer's exchanges run on a session over one connection: certificate in,
 server-generated session key out (sealed under the client's public key),
-then encrypted request/reply pairs. Server-to-server ring traffic is
-plain; record integrity rests on owner signatures, never on the servers.
+then the app kinds register, locate, friend_request and passphrase_blob,
+each an APP_DATA frame answered as secure.answer_app answers a friend's,
+so no frame code names the operation. Relay directory,
+chord lookup, complaints and server-to-server ring traffic are plain;
+record integrity rests on owner signatures, never on the servers.
 """
 from __future__ import annotations
 
@@ -17,15 +20,14 @@ import time
 from dataclasses import replace
 from typing import Callable
 
-from . import chord, identity, sentinel, wire
+from . import chord, identity, secure, sentinel, wire
 from .channel import Endpoint, SessionContext
 from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
-from .errors import MalformedRequest, ProtocolError
+from .errors import IntegrityError, MalformedRequest, NotFound, ProtocolError
 from .identity import Certificate, SessionCipher
 from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
-from .secure import enc_reply
 from .sentinel import Complaint, ComplaintLedger
 from .store import MemoryStore, RendezvousStore, SqliteStore, evict_stale_relays, select_relay
 from .wire import Frame
@@ -223,6 +225,8 @@ class RendezvousSession:
         self._friend_target: str | None = None
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
+        if frame.msg_type == wire.APP_DATA:
+            return secure.answer_app(self.cipher, frame, self._serve)
         try:
             return self._dispatch(frame, ctx)
         except ProtocolError as exc:
@@ -234,10 +238,13 @@ class RendezvousSession:
         if handler is None:
             return wire.err_reply(code, "malformed_request", "unexpected message")
         try:
-            values = wire.decode(code, self._decrypt(frame) if code in _SEALED else frame.payload)
+            values = wire.decode(code, frame.payload)
         except MalformedRequest:
             return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
         return handler(ctx, *values)
+
+    def _serve(self, body: bytes) -> bytes:
+        return secure.dispatch_app(self, body, self.peer_cert)
 
     # -- secure session plumbing ----------------------------------------------------
 
@@ -252,26 +259,20 @@ class RendezvousSession:
         sealed = identity.seal(cert.public_key, session_key.encode())
         return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
 
-    def _decrypt(self, frame: Frame) -> bytes:
-        if self.cipher is None or self.peer_cert is None:
-            raise ProtocolError("session not established")
-        return self.cipher.decrypt(frame.payload)
-
-    def _sealed_reply(self, msg_type: int, code: int, *values) -> Frame:
-        """The encrypted ok reply to code's request."""
-        return enc_reply(msg_type, self.cipher, "ok", wire.encode(code, *values, reply=True))
+    # App handlers, one per rendezvous app kind: (the session's client
+    # certificate, *request values) -> reply values.
 
     # -- peer registration -------------------------------------------------------------
 
-    def handle_registration_payload(self, ctx: SessionContext, *values) -> Frame:
+    def _on_register(self, sender: Certificate, *values) -> tuple:
         server = self.server
-        # values: the record's fields less username and last_refresh (wire.REGISTRATION_PAYLOAD)
-        record = RegistrationRecord(self.peer_cert.username, *values, server.clock())
+        # values: the record's fields less username and last_refresh (wire.SCHEMA["register"])
+        record = RegistrationRecord(sender.username, *values, server.clock())
         if record.nat_kind not in WIRE_NAT_KINDS:
-            return enc_reply(wire.PEER_REGISTERED, self.cipher, "malformed_request")
+            raise MalformedRequest(f"unknown nat kind {record.nat_kind}")
         row = PeerRow(
             record=record,
-            certificate=self.peer_cert.encode(),
+            certificate=sender.encode(),
             ring_id=self._owned_ring_id(record.username),
             replica=False,
         )
@@ -283,10 +284,9 @@ class RendezvousSession:
             if stored:
                 server.store.upsert_peer(row)
         if not stored:
-            return enc_reply(wire.PEER_REGISTERED, self.cipher, "integrity_error")
+            raise IntegrityError("registration record failed verification")
         server.on_event("peer_registered", node=server.addr, username=record.username)
-        pending = server.store.pop_friend_requests(record.username)
-        return self._sealed_reply(wire.PEER_REGISTERED, wire.REGISTRATION_PAYLOAD, pending)
+        return (server.store.pop_friend_requests(record.username),)
 
     def _owned_ring_id(self, username: str) -> int:
         server = self.server
@@ -300,40 +300,40 @@ class RendezvousSession:
 
     # -- lookup -------------------------------------------------------------------------
 
-    def handle_locate_peer(self, ctx: SessionContext, passphrase: str) -> Frame:
+    def _on_locate(self, sender: Certificate, passphrase: str) -> tuple:
         row = self.server.store.peer_by_passphrase(passphrase)
         self.server.on_event(
             "locate",
             node=self.server.addr,
-            requester=self.peer_cert.username,
+            requester=sender.username,
             found=row is not None,
         )
         if row is None:
-            return enc_reply(wire.PEER_INFO, self.cipher, "not_found")
-        return self._sealed_reply(wire.PEER_INFO, wire.LOCATE_PEER, row.record, row.certificate)
+            raise NotFound("no record under that passphrase")
+        return row.record, row.certificate
 
     # -- friendship requests ---------------------------------------------------------------
 
-    def handle_friend_request(self, ctx: SessionContext, target: str) -> Frame:
+    def _on_friend_request(self, sender: Certificate, target: str) -> tuple:
         # A session lives across requests: the blob that follows is for this
         # target only, and a refused request leaves no target behind.
         row = self.server.store.peer_by_username(target)
         self._friend_target = None if row is None else target
         if row is None:
-            return enc_reply(wire.CERT_REPLY, self.cipher, "not_found")
-        return self._sealed_reply(wire.CERT_REPLY, wire.FRIEND_REQUEST, row.certificate)
+            raise NotFound(f"no user {target}")
+        return (row.certificate,)
 
-    def handle_passphrase_blob(self, ctx: SessionContext, blob: bytes) -> Frame:
+    def _on_passphrase_blob(self, sender: Certificate, blob: bytes) -> tuple:
         target, self._friend_target = self._friend_target, None
         if target is None:
-            return enc_reply(wire.PASSPHRASE_BLOB, self.cipher, "malformed_request")
+            raise MalformedRequest("no friend_request before the blob")
         request = FriendshipRequestRecord(
             target_username=target,
-            requester_username=self.peer_cert.username,
+            requester_username=sender.username,
             sealed_passphrase=blob,  # stored verbatim; the server cannot open it
         )
         self.server.store.put_friend_request(request)
-        return self._sealed_reply(wire.PASSPHRASE_BLOB, wire.PASSPHRASE_BLOB)
+        return ()
 
     # -- relay directory ----------------------------------------------------------------------
 
@@ -401,9 +401,6 @@ class RendezvousSession:
     def handle_ring_transfer(self, ctx: SessionContext, departing: str, rows: list[PeerRow]) -> Frame:
         return wire.reply(wire.RING_TRANSFER, self._ring().accept_transfer(rows, departing or None))
 
-
-# Requests whose payload is encrypted under the session key.
-_SEALED = {wire.REGISTRATION_PAYLOAD, wire.LOCATE_PEER, wire.FRIEND_REQUEST, wire.PASSPHRASE_BLOB}
 
 # Requests whose malformed form gets its own reply rather than a
 # malformed_request under the request's code.

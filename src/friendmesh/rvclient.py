@@ -1,7 +1,8 @@
 """Client-side calls against rendezvous and relay servers.
 
-Each function drives one protocol exchange over an open channel; the
-secure ones establish the certificate/session-key prelude first.
+Each function drives one protocol exchange: the secure ones over a
+rendezvous session (secure.connect_rendezvous), the rest over an open
+channel.
 """
 from __future__ import annotations
 
@@ -10,39 +11,33 @@ from .channel import Channel
 from .errors import ProtocolError
 from .identity import Certificate, KeyPair
 from .records import FriendshipRequestRecord, RegistrationRecord
-from .secure import SecureClient
+from .secure import SecureChannel
 from .wire import Frame
 
 
-def open_secure(channel: Channel, cert: Certificate, keys: KeyPair) -> SecureClient:
-    client = SecureClient(channel, cert, keys)
-    client.establish()
-    return client
-
-
 def register_peer(
-    client: SecureClient, record: RegistrationRecord
+    session: SecureChannel, record: RegistrationRecord
 ) -> list[FriendshipRequestRecord]:
     """Submit the signed registration payload; returns pending friendship requests."""
     fields = RegistrationRecord.LAYOUT.values(record)[1:-1]  # less username and last_refresh
-    (pending,) = client.call(wire.REGISTRATION_PAYLOAD, *fields)
+    (pending,) = session.call("register", *fields)
     return pending
 
 
 def locate_peer(
-    client: SecureClient, passphrase: str
+    session: SecureChannel, passphrase: str
 ) -> tuple[RegistrationRecord, bytes]:
     """Exact-passphrase lookup; raises NotFound when no row matches."""
-    return client.call(wire.LOCATE_PEER, passphrase)
+    return session.call("locate", passphrase)
 
 
-def friend_request(client: SecureClient, target_username: str) -> Certificate:
-    (cert,) = client.call(wire.FRIEND_REQUEST, target_username)
+def friend_request(session: SecureChannel, target_username: str) -> Certificate:
+    (cert,) = session.call("friend_request", target_username)
     return Certificate.decode(cert)
 
 
-def submit_passphrase_blob(client: SecureClient, sealed_blob: bytes) -> None:
-    client.call(wire.PASSPHRASE_BLOB, sealed_blob)
+def submit_passphrase_blob(session: SecureChannel, sealed_blob: bytes) -> None:
+    session.call("passphrase_blob", sealed_blob)
 
 
 # Inside a sealed friendship request: the requester's username and passphrase.

@@ -1,23 +1,34 @@
-"""TLS-like secure channels between certified endpoints.
+"""TLS-like secure sessions between certified endpoints.
 
-Peer-to-peer handshake: the initiator presents its certificate in the
-clear; the responder answers with its own certificate sealed under the
-initiator's public key (an observer never learns who answered); the
-initiator generates the session key and sends it signed-then-sealed. After
-that every byte on the wire is ciphertext under the session key.
+Two handshakes open a session, and both start with the client presenting
+its certificate in the clear (REGISTER_PEER):
 
-Server sessions (rendezvous-style) differ only in the second message: the
-server replies with a session key it generated itself, sealed under the
-client's public key. SecureClient speaks that dialect.
+- Peer to peer: the responder answers with its own certificate sealed
+  under the initiator's public key (an observer never learns who
+  answered); the initiator generates the session key and sends it
+  signed-then-sealed.
+- Rendezvous: the server answers with a session key it generated itself,
+  sealed under the client's public key. The server presents no
+  certificate, so the client's end has peer_cert None.
 
-Both kinds of session are meant to be kept across requests. One stays
-established while it is in step: every reply so far authenticated under
-its key, an authenticated error reply included. A failure on the way (the
-transport, a reply that does not decrypt, a plain error) leaves it out of
-step for good, and the owner drops it. Of those, only peer_unreachable says
-that the request cannot have been served. The responder checks admission on
-every app frame, not only at the handshake, so a peer that stops admitting
-a user refuses the user's open channel too.
+Both end in a SecureChannel, and from then on every request is an APP_DATA
+frame whose plaintext is pack(kind) and then that kind's fields
+(wire.SCHEMA), and every reply's plaintext is a plain reply's payload:
+b"ok" or an error code, then the fields. The frame code so names neither
+the operation nor its outcome; frame lengths still differ, as nothing is
+padded. answer_app serves such a frame for the peer responder and the
+rendezvous server alike.
+
+Sessions are meant to be kept across requests. One stays established
+while it is in step: every reply so far authenticated under its key, an
+authenticated error reply included. A failure on the way (the transport,
+a reply that does not decrypt) leaves it out of step for good, and the
+owner drops it. A reply that does not decrypt is believed only as a plain
+peer_unreachable, as a relay answers for a peer it no longer serves: it
+says the request cannot have been served. Any other is an IntegrityError.
+The peer responder checks admission on every app frame, not only at the
+handshake, so a peer that stops admitting a user refuses the user's open
+channel too.
 """
 from __future__ import annotations
 
@@ -33,14 +44,14 @@ from .errors import (
     MalformedRequest,
     PeerUnreachable,
     ProtocolError,
-    error_for_code,
 )
 from .identity import Certificate, KeyPair, SessionCipher, SessionKey
 from .wire import Frame
 
 AdmissionGate = Callable[[str], bool]
-# App handler: (plaintext body, peer certificate, ctx) -> plaintext reply body.
-AppHandler = Callable[[bytes, Certificate, SessionContext], bytes]
+# App handler: (plaintext body, peer certificate) -> the reply's packed fields
+# after its status. A ProtocolError it raises is answered with its code.
+AppHandler = Callable[[bytes, Certificate], bytes]
 
 
 def pack_app(kind: str, *fields: bytes) -> bytes:
@@ -60,19 +71,44 @@ def unpack_app(body: bytes) -> tuple[str, list[bytes]]:
     return kind, wire.unpack_fields(body[pos:])
 
 
-class SecureChannel:
-    """Initiator's end of an established peer-to-peer channel."""
+def dispatch_app(service, body: bytes, sender: Certificate) -> bytes:
+    """The packed reply fields to an app body whose kind is in wire.SCHEMA,
+    served by service._on_<kind>(sender, *request values) -> reply values."""
+    kind, pos = read_app_kind(body)
+    handler = getattr(service, f"_on_{kind}", None) if kind in wire.SCHEMA else None
+    if handler is None:
+        raise MalformedRequest(f"unknown app kind {kind}")
+    return wire.encode(kind, *handler(sender, *wire.decode(kind, body, pos)), reply=True)
 
-    def __init__(self, channel: Channel, cipher: SessionCipher, peer_cert: Certificate,
+
+def answer_app(cipher: SessionCipher | None, frame: Frame, serve: Callable[[bytes], bytes]) -> Frame:
+    """The reply to an APP_DATA frame on a session keyed by cipher (None
+    before the handshake). serve(plaintext body) returns the reply's packed
+    fields or raises a ProtocolError, and either answer goes back encrypted;
+    a frame that does not decrypt gets a plain error reply."""
+    if cipher is None:
+        return wire.err_reply(wire.APP_DATA, "handshake_error", "session not established")
+    try:
+        body = cipher.decrypt(frame.payload)
+    except ProtocolError as exc:
+        return wire.err_reply(wire.APP_DATA, exc.code)
+    try:
+        reply = wire.OK + serve(body)
+    except ProtocolError as exc:
+        reply = wire.pack_fields(exc.code.encode("ascii"))
+    return Frame(wire.APP_DATA, cipher.encrypt(reply))
+
+
+class SecureChannel:
+    """The client's end of an established session: to a friend (peer_cert
+    is the friend's certificate) or to a rendezvous server (peer_cert None)."""
+
+    def __init__(self, channel: Channel, cipher: SessionCipher, peer_cert: Certificate | None,
                  session_key: SessionKey):
         self._channel = channel
         self._cipher: SessionCipher | None = cipher
         self.peer_cert = peer_cert
         self.session_key = session_key
-
-    @property
-    def peer_username(self) -> str:
-        return self.peer_cert.username
 
     @property
     def remote_addr(self) -> str:
@@ -83,35 +119,27 @@ class SecureChannel:
         """Still in step, so fit for another request."""
         return self._cipher is not None
 
-    def _exchange(self, body: bytes) -> tuple[bytes, int]:
-        """Send one app body; return the reply body and the position after
-        its kind. An err reply raises the error it reports."""
+    def _exchange(self, body: bytes, key: str | None = None) -> list[bytes] | tuple:
+        """Send one app body; return what wire.open_reply reads from the
+        reply, which raises the error an error reply reports."""
         cipher, self._cipher = self._cipher, None  # out of step until the reply authenticates
         if cipher is None:
             raise HandshakeError("channel out of step")
         reply = self._channel.request(Frame(wire.APP_DATA, cipher.encrypt(body)))
-        if reply.msg_type != wire.APP_DATA:
-            raise ProtocolError(f"unexpected reply type {reply.msg_type}")
         try:
-            body = cipher.decrypt(reply.payload)
+            plain = cipher.decrypt(reply.payload)
         except IntegrityError:
             _raise_if_unreachable(reply)
             raise
         self._cipher = cipher
-        kind, pos = read_app_kind(body)
-        if kind == "err":
-            _, fields = unpack_app(body)
-            raise error_for_code(fields[0].decode("ascii", "replace") if fields else "protocol_error")
-        return body, pos
+        return wire.open_reply(Frame(wire.APP_DATA, plain), key)
 
     def request_app(self, kind: str, *fields: bytes) -> list[bytes]:
-        body, pos = self._exchange(pack_app(kind, *fields))
-        return wire.unpack_fields(body[pos:])
+        return self._exchange(pack_app(kind, *fields))
 
     def call(self, kind: str, *values) -> tuple:
         """request_app for a kind in wire.SCHEMA: typed values both ways."""
-        body, pos = self._exchange(pack_app(kind) + wire.encode(kind, *values))
-        return wire.decode(kind, body, pos, reply=True)
+        return self._exchange(pack_app(kind) + wire.encode(kind, *values), kind)
 
     def close(self) -> None:
         self._channel.close()
@@ -128,6 +156,16 @@ def _raise_if_unreachable(reply: Frame) -> None:
         pass
 
 
+def _hello(channel: Channel, my_cert: Certificate, answer: int) -> bytes:
+    """Present my_cert; return the sealed blob of the reply, which must come
+    under the answer code."""
+    reply = channel.request(Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, my_cert)))
+    if reply.msg_type != answer:
+        raise HandshakeError(f"expected {wire.MSG_NAMES[answer]}, got {reply.msg_type}")
+    (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
+    return sealed
+
+
 def connect_secure(
     channel: Channel,
     my_cert: Certificate,
@@ -137,10 +175,7 @@ def connect_secure(
     rng: random.Random | None = None,
 ) -> SecureChannel:
     """Run the initiator side of the peer-to-peer handshake on a channel."""
-    reply = channel.request(Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, my_cert)))
-    if reply.msg_type != wire.CERT_REPLY:
-        raise HandshakeError(f"expected cert_reply, got {reply.msg_type}")
-    (sealed_cert,) = wire.open_reply(reply, wire.REGISTER_PEER)
+    sealed_cert = _hello(channel, my_cert, wire.CERT_REPLY)
     try:
         peer_cert = Certificate.decode(identity.open_sealed(my_keys.private_key, sealed_cert))
     except ProtocolError as exc:
@@ -158,6 +193,16 @@ def connect_secure(
         raise HandshakeError(f"expected session_key ack, got {ack.msg_type}")
     wire.open_reply(ack, wire.SESSION_KEY)
     return SecureChannel(channel, SessionCipher(session_key, direction=0), peer_cert, session_key)
+
+
+def connect_rendezvous(channel: Channel, my_cert: Certificate, my_keys: KeyPair) -> SecureChannel:
+    """Run the client side of the rendezvous handshake on a channel."""
+    sealed = _hello(channel, my_cert, wire.SESSION_KEY)
+    try:
+        session_key = SessionKey.decode(identity.open_sealed(my_keys.private_key, sealed))
+    except ProtocolError as exc:
+        raise HandshakeError("session key failed to open") from exc
+    return SecureChannel(channel, SessionCipher(session_key, direction=0), None, session_key)
 
 
 class ResponderSession:
@@ -185,7 +230,7 @@ class ResponderSession:
         if frame.msg_type == wire.SESSION_KEY:
             return self._on_session_key(frame)
         if frame.msg_type == wire.APP_DATA:
-            return self._on_app(frame, ctx)
+            return answer_app(self._cipher, frame, self._serve)
         return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
 
     def _on_hello(self, frame: Frame) -> Frame:
@@ -217,77 +262,7 @@ class ResponderSession:
             return wire.err_reply(wire.SESSION_KEY, exc.code)
         return wire.reply(wire.SESSION_KEY)
 
-    def _on_app(self, frame: Frame, ctx: SessionContext) -> Frame:
-        if self._cipher is None or self._peer_cert is None:
-            return wire.err_reply(wire.APP_DATA, "handshake_error", "channel not established")
-        try:
-            body = self._cipher.decrypt(frame.payload)
-        except ProtocolError as exc:
-            return wire.err_reply(wire.APP_DATA, exc.code)
-        try:
-            if not self._admission(self._peer_cert.username):
-                raise AuthError("not authorized")
-            reply_body = self._app_handler(body, self._peer_cert, ctx)
-        except ProtocolError as exc:
-            reply_body = pack_app("err", exc.code.encode("ascii"))
-        return Frame(wire.APP_DATA, self._cipher.encrypt(reply_body))
-
-
-class SecureClient:
-    """Client side of a server session keyed by a server-generated session key."""
-
-    def __init__(self, channel: Channel, my_cert: Certificate, my_keys: KeyPair):
-        self._channel = channel
-        self._cert = my_cert
-        self._keys = my_keys
-        self._cipher: SessionCipher | None = None
-
-    def establish(self) -> None:
-        reply = self._channel.request(
-            Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, self._cert))
-        )
-        if reply.msg_type != wire.SESSION_KEY:
-            raise HandshakeError(f"expected session_key, got {reply.msg_type}")
-        (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
-        try:
-            plain = identity.open_sealed(self._keys.private_key, sealed)
-            session_key = SessionKey.decode(plain)
-        except ProtocolError as exc:
-            raise HandshakeError("session key failed to open") from exc
-        self._cipher = SessionCipher(session_key, direction=0)
-
-    @property
-    def established(self) -> bool:
-        """Established and still in step, so fit for another request."""
-        return self._cipher is not None
-
-    def call(self, msg_type: int, *values) -> tuple:
-        """Send one encrypted request; return the reply's values (wire.SCHEMA).
-
-        Server replies are pack(b"enc", ciphertext) with the status inside
-        the ciphertext, so outcomes like not_found stay hidden from
-        observers; plain pack(code, message) marks pre-session failures.
-        """
-        cipher, self._cipher = self._cipher, None  # out of step until the reply authenticates
-        if cipher is None:
-            raise HandshakeError("session not established")
-        reply = self._channel.request(
-            Frame(msg_type, cipher.encrypt(wire.encode(msg_type, *values)))
-        )
-        outer = wire.unpack_fields(reply.payload)
-        if len(outer) == 2 and outer[0] == b"enc":
-            inner = cipher.decrypt(outer[1])
-            self._cipher = cipher
-            return wire.open_reply(Frame(reply.msg_type, inner), msg_type)
-        wire.open_reply(reply)  # raises the pre-session failure it reports
-        raise MalformedRequest("reply is neither encrypted nor an error")
-
-    def close(self) -> None:
-        self._channel.close()
-
-
-def enc_reply(msg_type: int, cipher: SessionCipher, status: str, fields: bytes = b"") -> Frame:
-    """Server-side helper: encrypted reply with in-ciphertext status,
-    followed by the already packed fields."""
-    inner = wire.pack_fields(status.encode("ascii")) + fields
-    return Frame(msg_type, wire.pack_fields(b"enc", cipher.encrypt(inner)))
+    def _serve(self, body: bytes) -> bytes:
+        if not self._admission(self._peer_cert.username):
+            raise AuthError("not authorized")
+        return self._app_handler(body, self._peer_cert)

@@ -13,9 +13,11 @@ code from errors.py.
 
 The schema at the end of this module declares every message layout once:
 each message code (1-21 the public protocol, 32-38 ring and bridging
-plumbing) and each peer app kind (the plaintext inside APP_DATA) with the
-typed fields of its request and of its reply after the status field (after
-the kind, for an app reply). A field type has encode(value) -> bytes and
+plumbing) and each app kind with the typed fields of its request and of
+its reply after the status field. An app kind is an operation on an
+established secure session (secure.py), a friend's or a rendezvous
+server's: the plaintext inside APP_DATA is pack(kind) and then the
+request's fields, and a reply's plaintext is laid out as a plain reply. A field type has encode(value) -> bytes and
 decode(bytes) -> value: STR, INT (strict decimal), IDENT (hexadecimal),
 RAW, FLAG, a record class, list_of(T) (one field holding zero or more T
 fields) or another codec. The last type of a layout may be many(T): zero
@@ -367,26 +369,23 @@ class Message(NamedTuple):
     name: str
     request: Layout | None  # None: not read
     reply: Layout | None
-    reply_kind: str  # app kinds: the kind an ok reply carries
 
 
 SCHEMA: dict[int | str, Message] = {}
 _NOTHING = Layout("nothing", ())
 
 
-def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None,
-            reply_kind: str = "ok") -> int | str:
+def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None) -> int | str:
     SCHEMA[key] = Message(
         name,
         None if request is None else Layout(name, request),
         None if reply is None else Layout(name, reply),
-        reply_kind,
     )
     return key
 
 
-def _app(kind: str, request: tuple, reply: tuple, reply_kind: str = "ok") -> None:
-    _define(kind, kind, request, reply, reply_kind)
+def _app(kind: str, request: tuple, reply: tuple) -> None:
+    _define(kind, kind, request, reply)
 
 
 def encode(key: int | str, *values: Any, reply: bool = False) -> bytes:
@@ -413,12 +412,12 @@ def call(channel, code: int, *values: Any, expect: int | None = None) -> tuple:
     return open_reply(frame, code)
 
 
-_OK = pack_fields(b"ok")
+OK = pack_fields(b"ok")  # the status field of every ok reply
 
 
 def reply(code: int, *values: Any, msg_type: int | None = None) -> Frame:
     """The ok reply to code's request; msg_type overrides the frame's code."""
-    return Frame(code if msg_type is None else msg_type, _OK + encode(code, *values, reply=True))
+    return Frame(code if msg_type is None else msg_type, OK + encode(code, *values, reply=True))
 
 
 # The record types import this module's primitives; the package imports
@@ -430,7 +429,7 @@ from .sentinel import Complaint  # noqa: E402
 
 # Each line: code = (code, name, request fields, reply fields after "ok").
 # A comment names the fields; "(as X)" is the reply's frame code when it
-# differs from the request's; "sealed" marks a session-encrypted request.
+# differs from the request's.
 RELAY_REGISTER = _define(1, "relay_register", (INT, INT), (INT,))  # port, capacity -> refresh ms
 RELAY_UPDATE = _define(2, "relay_update", (INT, INT, INT), ())  # port, load, capacity
 REQUEST_RELAY = _define(3, "request_relay", None, (STR, INT))  # -> host, port
@@ -442,23 +441,13 @@ SERVER_IS_ALIVE = _define(8, "server_is_alive", (RAW,), ())  # token
 # certificate -> sealed session key (rendezvous, as 10) or responder certificate (peer, as 16)
 REGISTER_PEER = _define(9, "register_peer", (Certificate,), (RAW,))
 SESSION_KEY = _define(10, "session_key", (RAW,), ())  # signed-then-sealed session key (peer)
-# sealed: the RegistrationRecord's fields in order, less username and
-# last_refresh (the signed digest spread as two) -> pending requests (as 12)
-REGISTRATION_PAYLOAD = _define(
-    11, "registration_payload",
-    RegistrationRecord.LAYOUT.fields[1:-1], (many(FriendshipRequestRecord),),
-)
-PEER_REGISTERED = _define(12, "peer_registered", None, None)
-# sealed: passphrase -> record, owner certificate (as 14)
-LOCATE_PEER = _define(13, "locate_peer", (STR,), (RegistrationRecord, RAW))
-PEER_INFO = _define(14, "peer_info", None, None)
-FRIEND_REQUEST = _define(15, "friend_request", (STR,), (RAW,))  # sealed: user -> certificate (as 16)
+# 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
+# passphrase_blob below; 12 and 14 are unused.
 CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))  # sealed certificate request -> certificate
-PASSPHRASE_BLOB = _define(17, "passphrase_blob", (RAW,), ())  # sealed: blob for the last target
 CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT))  # -> successor, hops (as 19)
 CHORD_REPLY = _define(19, "chord_reply", None, None)
 COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint's fields
-APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app body
+APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app request or reply
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
 RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR))  # -> closest preceding, successor
 # candidate predecessor -> the notified node's predecessor or "", successors
@@ -470,16 +459,25 @@ BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 
 MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstance(code, int)}
 
-# Peer app kinds. Log entries travel as profile.encode_entries() bytes:
-# the peer counts their size, and decodes them once it knows the sender.
-_app("ping", (), (), "pong")
+# Rendezvous app kinds, each on a rendezvous session.
+# The RegistrationRecord's fields in order, less username and last_refresh
+# (the signed digest spread as two) -> pending friendship requests
+_app("register", RegistrationRecord.LAYOUT.fields[1:-1], (many(FriendshipRequestRecord),))
+_app("locate", (STR,), (RegistrationRecord, RAW))  # passphrase -> record, owner certificate
+_app("friend_request", (STR,), (RAW,))  # username -> certificate
+_app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user
+
+# Peer app kinds, each on a friend channel. Log entries travel as
+# profile.encode_entries() bytes: the peer counts their size, and decodes
+# them once it knows the sender.
+_app("ping", (), ())
 # passphrase, friend key, mirror table -> friend key, mirror table
 _app("friend_accept", (STR, RAW, MIRROR_TABLE), (RAW, MIRROR_TABLE))
 _app("passphrase_update", (STR, RAW), ())  # passphrase, friend key (b"": keep the old one)
 _app("note_bad_server", (STR,), ())  # accused server
 _app("mirror_init", (STR, STR, RAW), ())  # owner, allowed users, entries
-_app("sync_vec", (STR,), (VECTOR,), "vec")  # owner -> version vector
+_app("sync_vec", (STR,), (VECTOR,))  # owner -> version vector
 _app("sync_push", (STR, RAW, STR), ())  # owner, entries, allowed users ("": keep them)
-_app("pull", (STR, VECTOR), (RAW,), "entries")  # owner, version vector -> entries
+_app("pull", (STR, VECTOR), (RAW,))  # owner, version vector -> entries
 _app("op", (STR, STR, RAW), (INT,))  # owner, path, operation -> version
 _app("read", (STR, STR), (RAW,))  # owner, path -> content

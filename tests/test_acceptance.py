@@ -377,10 +377,10 @@ def test_criterion_6_opacity_and_transparency():
     transcripts = {"direct": [], "relay": []}
 
     def responder_service(label):
-        def app(body, peer_username, ctx):
+        def app(body, peer):
             kind, fields = secure.unpack_app(body)
             transcripts[label].append((kind, tuple(fields)))
-            return pack_app("echo", *fields)
+            return wire.pack_fields(*fields)
 
         class _Service:
             def open_session(self, ctx):
@@ -490,7 +490,7 @@ def test_criterion_8_pull_minimality():
     request = pack_app("pull", b"olive", encode_vector(reader))
     batch = host.pull_updates("rita", vector, digests)
     assert batch == []
-    reply = pack_app("entries", encode_entries(batch))
+    reply = wire.OK + wire.encode("pull", encode_entries(batch), reply=True)
     per_element = (len(request) + len(reply)) / len(COMPONENTS)
     assert per_element <= 64, per_element
 
@@ -502,7 +502,7 @@ def test_criterion_8_pull_minimality():
     delta = host.pull_updates("rita", behind_vector, behind_digests)
     assert len(delta) == 2
     serialized = sum(len(e.encode()) for e in delta)
-    transferred = len(pack_app("entries", encode_entries(delta)))
+    transferred = len(wire.OK + wire.encode("pull", encode_entries(delta), reply=True))
     assert transferred <= 1.5 * serialized, (transferred, serialized)
     verdict(8, f"up-to-date pull {per_element:.1f} B/element (<=64); "
                f"2-entry delta {transferred} B <= 1.5x{serialized} B")

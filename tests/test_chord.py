@@ -261,6 +261,21 @@ def test_join_through_a_stale_table_then_losing_the_bootstrap():
     assert_one_ordered_ring(nodes)
 
 
+def test_lone_node_leaves_before_its_joiners_stabilize():
+    # Shrunk from the churn test: two nodes join a lone node, which leaves
+    # before either has stabilized. Each joiner names only the other as a
+    # live node, through a notify, so that notify must give it a successor.
+    a, b, c = CHURN_POOL[:3]
+    nodes, transport = chord.build_ring([a])
+    for addr in (b, c):
+        nodes[addr] = chord.RingNode(addr, transport)
+        transport.add(nodes[addr])
+        nodes[addr].join(a)
+    nodes[a].leave()
+    chord.stabilize_all(nodes, rounds=4)
+    assert_one_ordered_ring(nodes)
+
+
 # -- routing index vs a linear scan ---------------------------------------------
 
 

@@ -1,13 +1,12 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were last re-recorded, on purpose, when ring upkeep stopped
-sending frames whose answers it already had: check_predecessor pings only a
-predecessor that sent no notify since the last check, a server tick
-refreshes one finger (and the fingers its answer covers) instead of every
-finger each fourth tick, and the registration sentinel resolves a friend's
-servers one at a time, stopping at the first correct witness. Every
-scenario sends fewer ring messages, so every trace changed; each
-scenario's summary (deliveries, detections, evictions) is as before. Any
+The hashes were last re-recorded, on purpose, when rendezvous sessions
+and friend channels came to share one encrypted envelope: register,
+locate, friend_request and passphrase_blob travel as APP_DATA app kinds
+and every encrypted reply starts with its status. Only the MSG lines'
+message names and payload sizes changed; every message, timestamp and
+event, and each scenario's summary (deliveries, detections, evictions),
+is as before. Any
 change to a wire byte, a message count, a timestamp or an event in any
 scenario changes a hash.
 """
@@ -21,16 +20,16 @@ from friendmesh.simnet.scenario import SimConfig, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACE_SHA256 = {
-    "baseline": "11d92748f1f8684a25cd4abc46a4c223a01fe427af3d4e0e4c0d8b482c457fd5",
-    "churn": "70bab196e43214903ced548f64f75a5f7a0d96bb1f598fe6429b104495e62d5f",
-    "e1_eclipse": "6f59e5ee03944b6472215a46218f1110e4b897296a4f21d1ba4126317a2b65a4",
-    "eviction": "453f18f7819a5c464dadaf18b7cfe1a0196909e19cc3c6687a3b49dc1ebd9b4e",
-    "island_partition": "f23594f8dd074735a3b8f3511d8871ed383f27da1e27d9c48f6de12e28b591d7",
-    "r1_drop": "9520017ec981dfeaa765cf022c2293de2170ff5aea07a2463b9e8ff37daa9922",
-    "r2_misroute": "668005afb9dccec4713e87314377b70fa575caa45daa364dbe29ebf4f60f7000",
-    "r3_claim_key": "2d3084d377b2366753bc674d7d9130d958dca79b3152e0b850c47fb1f98b848a",
-    "s1_sybil": "2cd0ca211d02dd50b6183a1db907c5ecf368c107f2c75bde95b7fb9e24b1c54e",
-    "t1_falsify": "2baf3cd8ba92afe46d3238fa3b1af4d89d4a881648d5c08311e18263f2699036",
+    "baseline": "11f96a01366f7d45cff7fa41623cb47c1ca462ed616f72639eb593591ff5df8a",
+    "churn": "ee8fdb41c1b01a9159b88d2d4895a85bd5faa0aacc4c8a229594b4705cc5d473",
+    "e1_eclipse": "a453071c323917d81b7542e6ecd1ae9e6ed9f73cc48a30d18a979d248a725669",
+    "eviction": "ff5697765de4504ab4e18ef76b4efe964365dd7949c9093f5bbc0022ccab9477",
+    "island_partition": "27313b265c9511d55d6115aa0427e38a3a27957b5e8a2279eda7f28443bc91b0",
+    "r1_drop": "3f0fd21754371b6b7d78b41ea73ac3f01fc769b9b9851a05c64f001b9f77b62c",
+    "r2_misroute": "542a7dc02a159dce1f02b94b1593efeb383f5e8bdd178a0016a43ba116c6b628",
+    "r3_claim_key": "dc3b2a95d3bcc25710fc6e90fe1ef74e240f378d825af7565d03ce469a4fef51",
+    "s1_sybil": "20a69ef3b41775d96693c92d476ea5d341bec66bb5de220baf79c5dde845f228",
+    "t1_falsify": "3b125b05fa40a8ba78731f9c12ba71a412eab375b6a36ab65b3940f926493e54",
 }
 
 

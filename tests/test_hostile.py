@@ -17,7 +17,7 @@ from friendmesh import identity, rvclient, secure, wire
 from friendmesh.caservice import CAService, request_certificate
 from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RelayConfig, RendezvousConfig
-from friendmesh.errors import MalformedRequest, NotFound, PeerUnreachable, ProtocolError
+from friendmesh.errors import IntegrityError, MalformedRequest, NotFound, PeerUnreachable, ProtocolError
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpServer
 from friendmesh.records import make_registration_record
@@ -102,7 +102,8 @@ def payloads(cert):
 
 CODES = st.one_of(st.integers(0, 40), st.integers(0, 255))
 FRESH = itertools.count()
-SEALED = {wire.REGISTRATION_PAYLOAD, wire.LOCATE_PEER, wire.FRIEND_REQUEST, wire.PASSPHRASE_BLOB}
+# The kinds a rendezvous session serves, and kinds it does not.
+RENDEZVOUS_KINDS = ["register", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
 
 
 # -- (a) app kinds with one field too few or too many -----------------------------
@@ -151,19 +152,22 @@ def rendezvous(ca):
 def test_rendezvous_serves_after_any_frame(rendezvous, user, data, established):
     pair, cert = user
     conn = Conn(rendezvous)
-    client = rvclient.open_secure(conn, cert, pair) if established else None
+    session = secure.connect_rendezvous(conn, cert, pair) if established else None
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
-        # Session-encrypted requests: the server decrypts them, in sequence.
-        sealed = client is not None and code in SEALED and data.draw(st.booleans())
-        reply = conn.send(code, client._cipher.encrypt(payload) if sealed else payload)
-        if sealed and reply is not None:
-            outer = wire.unpack_fields(reply.payload)
-            if outer[:1] == [b"enc"]:
-                client._cipher.decrypt(outer[1])  # keep the reply sequence in step
+        conn.send(code, payload)
+        if session is not None:
+            # Session-encrypted: any kind with any fields, decrypted in sequence.
+            kind = data.draw(st.sampled_from(RENDEZVOUS_KINDS))
+            fields = data.draw(st.lists(field_values(cert), max_size=4))
+            try:
+                session.request_app(kind, *fields)
+            except ProtocolError:
+                pass
+            assert session.established  # every answer came back authenticated
     wire.open_reply(conn.request(Frame(wire.RING_STATE)))
-    if client is not None:
+    if session is not None:
         with pytest.raises(NotFound):
-            rvclient.locate_peer(client, "no such passphrase")
+            rvclient.locate_peer(session, "no such passphrase")
 
 
 @FUZZ
@@ -274,16 +278,54 @@ def test_locate_peer_rejects_short_reply(ca, user):
             return wire.ok_reply(wire.SESSION_KEY, sealed)
         server_cipher.decrypt(frame.payload)
         inner = wire.pack_fields(b"ok", record.encode())
-        return Frame(wire.PEER_INFO, wire.pack_fields(b"enc", server_cipher.encrypt(inner)))
+        return Frame(wire.APP_DATA, server_cipher.encrypt(inner))
 
-    client = rvclient.open_secure(DirectChannel(FuncService(handle)), cert, pair)
+    session = secure.connect_rendezvous(DirectChannel(FuncService(handle)), cert, pair)
     with pytest.raises(ProtocolError):
-        rvclient.locate_peer(client, "hostile-phrase")
+        rvclient.locate_peer(session, "hostile-phrase")
+
+
+def forged_plain_reply(cert, pair, reply):
+    """A rendezvous session whose server answers every request with the
+    plain reply given, not encrypted under the session key."""
+    key = identity.generate_session_key(rng=random.Random(6))
+
+    def handle(frame, ctx):
+        if frame.msg_type == wire.REGISTER_PEER:
+            return wire.ok_reply(wire.SESSION_KEY, identity.seal(cert.public_key, key.encode()))
+        return reply
+
+    return secure.connect_rendezvous(DirectChannel(FuncService(handle)), cert, pair)
+
+
+@pytest.mark.parametrize("status", [b"ok", b"not_found", b"auth_error"])
+def test_forged_plain_reply_is_not_taken_as_authenticated(user, status):
+    # An on-path forger without the session key answers a locate in the
+    # clear: neither its record nor its refusal is believed.
+    pair, cert = user
+    record = make_registration_record(
+        username="forged-user", ip="10.0.5.6", port=7501, nat_kind="public", protocol="tcp",
+        relay_address="", relay_port=0, passphrase="forged-phrase",
+        encrypted_mirror_list=b"\x01", private_key=pair.private_key,
+    )
+    forged = Frame(wire.APP_DATA, wire.pack_fields(status, record.encode(), cert.encode()))
+    session = forged_plain_reply(cert, pair, forged)
+    with pytest.raises(IntegrityError):
+        rvclient.locate_peer(session, "forged-phrase")
+    assert not session.established
+
+
+def test_plain_peer_unreachable_is_believed_and_drops_the_session(user):
+    pair, cert = user
+    session = forged_plain_reply(cert, pair, wire.err_reply(wire.APP_DATA, "peer_unreachable"))
+    with pytest.raises(PeerUnreachable):
+        rvclient.locate_peer(session, "any-phrase")
+    assert not session.established
 
 
 def test_pull_rejects_two_field_reply(friends, monkeypatch):
     alice, bob = friends
-    monkeypatch.setattr(bob, "_handle_app", lambda body, peer, ctx: secure.pack_app("entries", b"", b""))
+    monkeypatch.setattr(bob, "_handle_app", lambda body, peer: wire.pack_fields(b"", b""))
     with pytest.raises(ProtocolError):
         alice.pull_friend_profile("user01")
 

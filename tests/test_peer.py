@@ -99,7 +99,7 @@ def test_locate_and_connect_direct():
     assert record.username == "user01"
     channel, served_by = alice.connect_friend("user01")
     assert served_by == "user01"
-    assert channel.peer_username == "user01"
+    assert channel.peer_cert.username == "user01"
     channel.close()
 
 
@@ -346,8 +346,8 @@ def test_friend_request_accept_symmetric():
     # Both directions locate and connect.
     ch1, _ = a.connect_friend("user01")
     ch2, _ = b.connect_friend("user00")
-    assert ch1.peer_username == "user01"
-    assert ch2.peer_username == "user00"
+    assert ch1.peer_cert.username == "user01"
+    assert ch2.peer_cert.username == "user00"
     assert a.state.friend_list["user01"].friend_key == b.state.friend_key
     assert b.state.friend_list["user00"].friend_key == a.state.friend_key
 

@@ -192,9 +192,9 @@ def test_relay_bridge_over_tcp(ca_world):
         srv_keys = identity.generate_keypair("ec-p256")
         srv_cert = ca.issue("relayed-srv", srv_keys.public_key)
 
-        def app(body, peer_username, ctx):
+        def app(body, peer):
             kind, fields = secure.unpack_app(body)
-            return secure.pack_app("ack", b"saw:" + (fields[0] if fields else b""))
+            return wire.pack_fields(b"saw:" + (fields[0] if fields else b""))
 
         class _Responder:
             def open_session(self, ctx):
@@ -302,7 +302,7 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     peer = Peer(PeerConfig(username="alice"), endpoint, ca.public_key)
     assert draws == [32, 16]  # passphrase, friend key
     rendezvous = RendezvousServer("127.0.0.1:1", RendezvousConfig(), ca.public_key)
-    secure.SecureClient(DirectChannel(rendezvous), cert, pair).establish()
+    secure.connect_rendezvous(DirectChannel(rendezvous), cert, pair)
     assert draws[2:] == [16]  # session key
     relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
     wire.call(DirectChannel(relay), wire.IS_SERVER, cert, expect=wire.CHALLENGE)

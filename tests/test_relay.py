@@ -77,7 +77,7 @@ class TapMux:
 
 
 def make_responder_service(ca, cert, pair, app_handler=None):
-    handler = app_handler or (lambda body, peer, ctx: secure.pack_app("echo", body))
+    handler = app_handler or (lambda body, peer: wire.pack_fields(body))
 
     class _Service:
         def open_session(self, ctx):
@@ -233,10 +233,10 @@ def test_bridge_handshake_and_opacity(server, ca):
     spair, scert = make_user(ca, "brg-srv")
     received = []
 
-    def app(body, peer, ctx):
+    def app(body, peer):
         kind, fields = secure.unpack_app(body)
         received.append((kind, fields[0]))
-        return secure.pack_app("ack", b"got:" + fields[0])
+        return wire.pack_fields(b"got:" + fields[0])
 
     tap = TapMux(MuxService(make_responder_service(ca, scert, spair, app)))
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
@@ -277,10 +277,10 @@ def test_bridge_transparency_matches_direct(server, ca):
     transcripts = {"direct": [], "relay": []}
 
     def make_app(label):
-        def app(body, peer, ctx):
+        def app(body, peer):
             kind, fields = secure.unpack_app(body)
             transcripts[label].append((kind, tuple(fields)))
-            return secure.pack_app("ok", fields[0] if fields else b"")
+            return wire.pack_fields(fields[0] if fields else b"")
 
         return app
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from friendmesh import identity, records, rvclient, store, wire
+from friendmesh import identity, records, rvclient, secure, store, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import HandshakeError, IntegrityError, MalformedRequest, NotFound
@@ -76,7 +76,7 @@ def make_record(pair, cert, passphrase="PASS-" + "X" * 20, ip="10.0.5.5", port=7
 
 def secure_client(server, pair, cert, remote="10.0.9.9:5000"):
     channel = DirectChannel(server, remote_addr=server.addr, local_addr=remote)
-    return rvclient.open_secure(channel, cert, pair)
+    return secure.connect_rendezvous(channel, cert, pair)
 
 
 # -- peer registration ------------------------------------------------------------
@@ -239,6 +239,43 @@ def test_established_session_is_not_rekeyed(server, ca):
         wire.open_reply(again)
     with pytest.raises(NotFound):
         rvclient.locate_peer(client, "no such passphrase")
+
+
+class TapChannel:
+    """A channel that records the code of every frame it carries, both ways."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.remote_addr = inner.remote_addr
+        self.codes = []
+
+    def request(self, frame):
+        self.codes.append(frame.msg_type)
+        reply = self.inner.request(frame)
+        self.codes.append(reply.msg_type)
+        return reply
+
+    def close(self):
+        self.inner.close()
+
+
+def test_rendezvous_session_hides_its_operation(server, ca):
+    # An on-path observer sees the handshake and then app data frames only:
+    # no frame code names the operation or says whether it was refused.
+    tpair, tcert = make_user(ca, "tap-tess")
+    rvclient.register_peer(secure_client(server, tpair, tcert), make_record(tpair, tcert))
+    pair, cert = make_user(ca, "tap-uma")
+    tap = TapChannel(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.9.7:5000"))
+    session = secure.connect_rendezvous(tap, cert, pair)
+    rvclient.register_peer(session, make_record(pair, cert, passphrase="tap-uma-phrase"))
+    assert rvclient.locate_peer(session, "tap-uma-phrase")[0].username == "tap-uma"
+    with pytest.raises(NotFound):
+        rvclient.locate_peer(session, "no such passphrase")
+    got = rvclient.friend_request(session, "tap-tess")
+    rvclient.submit_passphrase_blob(session, rvclient.seal_request_blob(got, "tap-uma", "p"))
+    assert len(server.store.pop_friend_requests("tap-tess")) == 1
+    assert tap.codes[:2] == [wire.REGISTER_PEER, wire.SESSION_KEY]
+    assert tap.codes[2:] == [wire.APP_DATA] * 10
 
 
 # -- relay directory ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import pytest
 
 from friendmesh import identity, secure, wire
-from friendmesh.channel import DirectChannel, SessionContext
+from friendmesh.channel import DirectChannel, FuncService, SessionContext
+from friendmesh.config import RendezvousConfig
 from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest
-from friendmesh.secure import ResponderSession, connect_secure
+from friendmesh.rendezvous import RendezvousServer
+from friendmesh.secure import ResponderSession, connect_rendezvous, connect_secure
 from friendmesh.wire import Frame
 
 
@@ -27,7 +29,7 @@ class ResponderService:
     def open_session(self, ctx):
         session = ResponderSession(
             *self.args, self.admission,
-            lambda body, u, c: secure.pack_app("ok", *secure.unpack_app(body)[1]),
+            lambda body, u: wire.pack_fields(*secure.unpack_app(body)[1]),
         )
         self.sessions.append(session)
         if self.captured is None:
@@ -54,7 +56,7 @@ def test_nominal_handshake_identical_session_keys(ca):
     service = ResponderService(ca, rcert, rpair)
     channel = DirectChannel(service)
     sc = connect_secure(channel, icert, ipair, ca.public_key)
-    assert sc.peer_username == "hs-resp"
+    assert sc.peer_cert.username == "hs-resp"
     # Both sides hold the byte-identical session key.
     responder = service.sessions[0]
     assert responder._cipher is not None
@@ -100,7 +102,7 @@ def test_no_half_open_channels(ca):
     rpair, rcert = user(ca, "hs-resp4")
     session = ResponderSession(
         rcert, rpair, ca.public_key, lambda u: True,
-        lambda body, u, c: body,
+        lambda body, u: body,
     )
     ctx = SessionContext(remote_addr="x")
     session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
@@ -109,11 +111,37 @@ def test_no_half_open_channels(ca):
         wire.open_reply(reply)
 
 
+def test_friend_handshake_refuses_a_rendezvous_style_answer(ca):
+    # A responder that answers the hello as a rendezvous server does, with a
+    # session key sealed to the initiator, presents no certificate: the
+    # initiator must not take the key as a session with the friend it named.
+    ipair, icert = user(ca, "hs-init-rv")
+    key = identity.generate_session_key()
+
+    def answer(frame, ctx):
+        sealed = identity.seal(icert.public_key, key.encode())
+        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
+
+    with pytest.raises(HandshakeError):
+        connect_secure(
+            DirectChannel(FuncService(answer)), icert, ipair, ca.public_key,
+            expected_username="hs-friend",
+        )
+
+
+def test_rendezvous_session_has_no_peer_certificate(ca):
+    ipair, icert = user(ca, "hs-init-rv2")
+    server = RendezvousServer("10.0.0.1:7200", RendezvousConfig(), ca.public_key)
+    session = connect_rendezvous(DirectChannel(server), icert, ipair)
+    assert session.peer_cert is None
+    assert session.established
+
+
 def test_session_key_for_another_cipher_gets_a_coded_reply(ca):
     # Signed by a certified initiator, so only the cipher tag refuses it.
     ipair, icert = user(ca, "hs-cipher-init")
     rpair, rcert = user(ca, "hs-cipher-resp")
-    session = ResponderSession(rcert, rpair, ca.public_key, lambda u: True, lambda body, u, c: body)
+    session = ResponderSession(rcert, rpair, ca.public_key, lambda u: True, lambda body, u: body)
     ctx = SessionContext(remote_addr="x")
     session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
     odd = identity.SessionKey(b"k" * 16, "aes-128-ocb")

@@ -76,9 +76,9 @@ def test_ident_field_accepts_only_pack_ident_output(field):
 
 
 def test_reply_status_convention():
-    reply = wire.ok_reply(wire.PEER_INFO, b"body")
+    reply = wire.ok_reply(wire.APP_DATA, b"body")
     assert wire.open_reply(reply) == [b"body"]
-    err = wire.err_reply(wire.PEER_INFO, "not_found", "no such passphrase")
+    err = wire.err_reply(wire.APP_DATA, "not_found", "no such passphrase")
     with pytest.raises(NotFound):
         wire.open_reply(err)
 
