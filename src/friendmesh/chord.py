@@ -338,10 +338,16 @@ class RingNode:
                     succ, succ_list = closer, probe_list
                 except PeerUnreachable:
                     self.note_dead(pred_of_succ)
-        # Merge the claimed list with current backups: a successor reporting
-        # a degenerate list (dead or lying) must not strip our fallbacks.
-        chain_addrs = [succ[1]] + [s for s in succ_list if s != self.addr and s not in self.evicted]
-        chain_addrs += [s for _, s in self._succ if s not in self.evicted]
+        # The claimed list ends where it laps round to this node: past it
+        # come only this node's own successors again, dead ones too. A list
+        # that did not lap is topped up with current backups, so a successor
+        # reporting a degenerate list (dead or lying) cannot strip them.
+        lapped = self.addr in succ_list
+        if lapped:
+            succ_list = succ_list[: succ_list.index(self.addr)]
+        chain_addrs = [succ[1]] + [s for s in succ_list if s not in self.evicted]
+        if not lapped:
+            chain_addrs += [s for _, s in self._succ if s not in self.evicted]
         kept = list(dict.fromkeys(chain_addrs))[: self.successor_list_len]
         self._set_successors([succ if addr == succ[1] else self._entry(addr) for addr in kept])
 

@@ -1,4 +1,4 @@
-"""Key pairs, certificates, signed digests, sealed session keys and the CA.
+"""Key pairs, certificates, signed digests, session keys and the CA.
 
 There is one key algorithm, ec-p256 (NIST P-256):
 
@@ -30,7 +30,7 @@ Public-key work that repeats is done once per process:
     unauthenticated garbage cannot evict an entry.
 
 Fresh material is not cached: the ephemeral key inside a sealed blob, and
-session-key and complaint signatures, are new on every use, so an entry
+handshake and complaint signatures, are new on every use, so an entry
 for them would only cost memory. The caches are sized to the identities
 one process serves (a simulated world of a few hundred users); a miss
 costs what the check cost before.
@@ -58,7 +58,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import (
     AuthError,
-    HandshakeError,
     IntegrityError,
     MalformedRequest,
     UsernameTaken,
@@ -261,34 +260,13 @@ class SessionKey:
     cipher_id: str = DEFAULT_CIPHER
 
 
-# Inside a sealed session key: the encoded key and the sender's signature over it.
-_SIGNED_KEY = Layout("signed_session_key", (RAW, RAW))
+def random_bytes(n: int, rng: random.Random | None = None) -> bytes:
+    """n fresh secret bytes: from rng when one is injected, else the OS CSPRNG."""
+    return rng.randbytes(n) if rng is not None else os.urandom(n)
 
 
 def generate_session_key(rng: random.Random | None = None) -> SessionKey:
-    key = rng.randbytes(SESSION_KEY_LEN) if rng is not None else os.urandom(SESSION_KEY_LEN)
-    return SessionKey(key=key)
-
-
-def seal_session_key(sk: SessionKey, receiver_pub: bytes, sender_priv: bytes) -> bytes:
-    """Sign the key with the sender's key, then seal it to the receiver.
-
-    The double wrap means only the receiver can read it and only the real
-    sender could have produced it.
-    """
-    inner = sk.encode()
-    return seal(receiver_pub, _SIGNED_KEY.pack((inner, sign(sender_priv, inner))))
-
-
-def open_session_key(blob: bytes, sender_pub: bytes, receiver_priv: bytes) -> SessionKey:
-    try:
-        plain = open_sealed(receiver_priv, blob)
-        inner, sig = _SIGNED_KEY.unpack(plain)
-    except (IntegrityError, MalformedRequest) as exc:
-        raise HandshakeError("session key blob failed to open") from exc
-    if not verify(sender_pub, inner, sig):
-        raise HandshakeError("session key signature did not verify")
-    return SessionKey.decode(inner)
+    return SessionKey(key=random_bytes(SESSION_KEY_LEN, rng))
 
 
 class SessionCipher:
@@ -457,12 +435,11 @@ def open_cert_reply(blob: bytes, keypair: KeyPair, ca_public_key: bytes) -> Cert
 
 def generate_passphrase(rng: random.Random | None = None) -> str:
     """32 random bytes, base32, no padding; carries no trace of the username."""
-    raw = rng.randbytes(32) if rng is not None else os.urandom(32)
-    return base64.b32encode(raw).decode("ascii").rstrip("=")
+    return base64.b32encode(random_bytes(32, rng)).decode("ascii").rstrip("=")
 
 
 def generate_friend_key(rng: random.Random | None = None) -> bytes:
-    return rng.randbytes(16) if rng is not None else os.urandom(16)
+    return random_bytes(16, rng)
 
 
 def friend_key_encrypt(key: bytes, data: bytes) -> bytes:

@@ -152,6 +152,7 @@ class Peer:
             self.ca_public_key,
             self.admission_gate,
             self._handle_app,
+            rng=self.rng,
         )
 
     def admission_gate(self, username: str) -> bool:
@@ -324,7 +325,9 @@ class Peer:
                 pass  # the connection went away: once more on a new session
         channel = self.endpoint.connect(server)
         try:
-            session = secure.connect_rendezvous(channel, self.state.certificate, self.state.keypair)
+            session = secure.connect_secure(
+                channel, self.state.certificate, self.state.keypair, self.ca_public_key, rng=self.rng
+            )
         except ProtocolError:
             channel.close()
             raise
@@ -812,7 +815,7 @@ class Peer:
     def _handle_app(self, body: bytes, sender: Certificate) -> bytes:
         return secure.dispatch_app(self, body, sender)
 
-    def _profile_for(self, owner: str, requester: str, write: bool) -> Profile:
+    def _profile_for(self, owner: str, requester: str) -> Profile:
         if owner in ("", self.username):
             return self.profile
         replica = self.replicas.get(owner)
@@ -872,7 +875,7 @@ class Peer:
         return ()
 
     def _on_sync_vec(self, sender: Certificate, owner: str) -> tuple:
-        return (self._profile_for(owner, sender.username, write=False),)
+        return (self._profile_for(owner, sender.username),)
 
     def _on_sync_push(self, sender: Certificate, owner: str, pushed: bytes,
                       allowed: str) -> tuple:
@@ -897,7 +900,7 @@ class Peer:
     def _on_pull(self, sender: Certificate, owner: str, vector: tuple) -> tuple:
         peer = sender.username
         versions, digests = vector
-        profile = self._profile_for(owner, peer, write=False)
+        profile = self._profile_for(owner, peer)
         trusted = peer == owner or (owner in ("", self.username) and self._is_my_mirror(peer))
         return (encode_entries(profile.pull_updates(peer, versions, digests, filtered=not trusted)),)
 
@@ -906,12 +909,12 @@ class Peer:
 
     def _on_op(self, sender: Certificate, owner: str, path: str, op: bytes) -> tuple:
         peer = sender.username
-        profile = self._profile_for(owner, peer, write=True)
+        profile = self._profile_for(owner, peer)
         return (profile.apply_update(peer, path, op, timestamp=self.clock()),)
 
     def _on_read(self, sender: Certificate, owner: str, path: str) -> tuple:
         peer = sender.username
-        profile = self._profile_for(owner, peer, write=False)
+        profile = self._profile_for(owner, peer)
         if peer != profile.owner and not profile.check_permission(peer, path, "read"):
             raise AuthError(f"{peer} may not read {path}")
         return (profile.element(path).content,)

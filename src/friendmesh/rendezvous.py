@@ -5,16 +5,18 @@ relay directory with load balancing, friendship-request mailbox, staleness
 eviction, the chord ring face (lookup, stabilization, verified
 replication) and the complaint ledger driving collaborative eviction.
 
-A peer's exchanges run on a session over one connection: certificate in,
-server-generated session key out (sealed under the client's public key),
-then the app kinds register, locate, friend_request and passphrase_blob,
-each an APP_DATA frame answered as secure.answer_app answers a friend's,
-so no frame code names the operation. Relay directory,
-chord lookup, complaints and server-to-server ring traffic are plain;
-record integrity rests on owner signatures, never on the servers.
+A peer's exchanges run on a session over one connection, opened by the
+one handshake of secure.py (the server holds no certificate, so it answers
+with a bare session key sealed to the client) and served by the same
+secure.ResponderSession as a friend channel: the app kinds register,
+locate, friend_request and passphrase_blob each travel as an APP_DATA
+frame, so no frame code names the operation. Relay directory, chord
+lookup, complaints and server-to-server ring traffic are plain; record
+integrity rests on owner signatures, never on the servers.
 """
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import replace
@@ -25,7 +27,7 @@ from .channel import Endpoint, SessionContext
 from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import IntegrityError, MalformedRequest, NotFound, ProtocolError
-from .identity import Certificate, SessionCipher
+from .identity import Certificate
 from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
 from .sentinel import Complaint, ComplaintLedger
@@ -220,13 +222,17 @@ class RendezvousServer:
 class RendezvousSession:
     def __init__(self, server: RendezvousServer):
         self.server = server
-        self.peer_cert: Certificate | None = None
-        self.cipher: SessionCipher | None = None
+        # The handshake and APP_DATA, served to any certified user with no
+        # certificate of the server's own; the app kinds are the _on_ methods.
+        self._secure = secure.ResponderSession(
+            None, None, server.ca_public_key, lambda username: True,
+            functools.partial(secure.dispatch_app, self), rng=server.rng,
+        )
         self._friend_target: str | None = None
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        if frame.msg_type == wire.APP_DATA:
-            return secure.answer_app(self.cipher, frame, self._serve)
+        if frame.msg_type in (wire.REGISTER_PEER, wire.APP_DATA):
+            return self._secure.handle(frame, ctx)
         try:
             return self._dispatch(frame, ctx)
         except ProtocolError as exc:
@@ -242,22 +248,6 @@ class RendezvousSession:
         except MalformedRequest:
             return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
         return handler(ctx, *values)
-
-    def _serve(self, body: bytes) -> bytes:
-        return secure.dispatch_app(self, body, self.peer_cert)
-
-    # -- secure session plumbing ----------------------------------------------------
-
-    def handle_register_peer(self, ctx: SessionContext, cert: Certificate) -> Frame:
-        if self.cipher is not None:  # one handshake per session: a kept one is never re-keyed
-            return wire.err_reply(wire.SESSION_KEY, "handshake_error", "already established")
-        if not identity.verify_certificate(cert, self.server.ca_public_key):
-            return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
-        session_key = identity.generate_session_key(rng=self.server.rng)
-        self.peer_cert = cert
-        self.cipher = SessionCipher(session_key, direction=1)
-        sealed = identity.seal(cert.public_key, session_key.encode())
-        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
 
     # App handlers, one per rendezvous app kind: (the session's client
     # certificate, *request values) -> reply values.
@@ -405,6 +395,5 @@ class RendezvousSession:
 # Requests whose malformed form gets its own reply rather than a
 # malformed_request under the request's code.
 _MALFORMED_REPLY = {
-    wire.REGISTER_PEER: wire.err_reply(wire.SESSION_KEY, "malformed_request"),
     wire.RELAY_REGISTER: wire.err_reply(wire.RELAY_REGISTER, "reject"),
 }

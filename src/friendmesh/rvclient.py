@@ -1,7 +1,7 @@
 """Client-side calls against rendezvous and relay servers.
 
 Each function drives one protocol exchange: the secure ones over a
-rendezvous session (secure.connect_rendezvous), the rest over an open
+rendezvous session (secure.connect_secure), the rest over an open
 channel.
 """
 from __future__ import annotations

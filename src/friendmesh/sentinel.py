@@ -217,7 +217,6 @@ class ComplaintLedger:
     def __init__(self, threshold: int | None = None):
         self.threshold = threshold
         self._by_accused: dict[str, dict[str, int]] = {}
-        self._rejected = 0
 
     def add(
         self,
@@ -229,10 +228,8 @@ class ComplaintLedger:
     ) -> bool:
         """Record a complaint; True when it is new and valid for counting."""
         if not verify_complaint(complaint, ca_public_key, now, freshness_ms):
-            self._rejected += 1
             return False
         if not registered_with(complaint.complainant, complaint.accused):
-            self._rejected += 1
             return False
         entries = self._by_accused.setdefault(complaint.accused, {})
         known = entries.get(complaint.complainant)

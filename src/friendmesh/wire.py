@@ -438,12 +438,14 @@ IS_SERVER = _define(5, "is_server", (Certificate,), (RAW,))  # -> sealed challen
 CHALLENGE = _define(6, "challenge", None, None)
 CHALLENGE_REPLY = _define(7, "challenge_reply", (RAW,), (INT, RAW))  # opened -> ping ms, token
 SERVER_IS_ALIVE = _define(8, "server_is_alive", (RAW,), ())  # token
-# certificate -> sealed session key (rendezvous, as 10) or responder certificate (peer, as 16)
-REGISTER_PEER = _define(9, "register_peer", (Certificate,), (RAW,))
-SESSION_KEY = _define(10, "session_key", (RAW,), ())  # signed-then-sealed session key (peer)
+# The one handshake (secure.py): certificate, nonce -> the session key
+# reply sealed to the initiator (as 10)
+REGISTER_PEER = _define(9, "register_peer", (Certificate, RAW), (RAW,))
+SESSION_KEY = _define(10, "session_key", None, None)  # only names the reply to 9
 # 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
 # passphrase_blob below; 12 and 14 are unused.
-CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))  # sealed certificate request -> certificate
+# The CA's one exchange: sealed certificate request -> sealed certificate
+CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))
 CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT))  # -> successor, hops (as 19)
 CHORD_REPLY = _define(19, "chord_reply", None, None)
 COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint's fields

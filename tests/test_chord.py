@@ -276,6 +276,22 @@ def test_lone_node_leaves_before_its_joiners_stabilize():
     assert_one_ordered_ring(nodes)
 
 
+
+def test_crashed_node_leaves_no_successor_list_of_a_small_ring():
+    # In a ring no larger than a successor list, each list laps round to its
+    # own node. Past that point it names only the ring again, so a crashed
+    # node kept there would be handed out by RING_STATE and RING_NOTIFY.
+    addrs = [f"10.6.3.{i}:7{i:03d}" for i in range(4)]
+    for victim in addrs:
+        nodes, _ = chord.build_ring(addrs)
+        nodes[victim].alive = False
+        chord.stabilize_all(nodes, rounds=10)
+        for addr, node in nodes.items():
+            if node.alive:
+                pred, succs = node.state()
+                assert victim != pred and victim not in succs, (victim, addr)
+        assert_one_ordered_ring(nodes)
+
 # -- routing index vs a linear scan ---------------------------------------------
 
 

@@ -152,7 +152,7 @@ def rendezvous(ca):
 def test_rendezvous_serves_after_any_frame(rendezvous, user, data, established):
     pair, cert = user
     conn = Conn(rendezvous)
-    session = secure.connect_rendezvous(conn, cert, pair) if established else None
+    session = secure.connect_secure(conn, cert, pair, rendezvous.ca_public_key) if established else None
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
         conn.send(code, payload)
         if session is not None:
@@ -274,32 +274,33 @@ def test_locate_peer_rejects_short_reply(ca, user):
 
     def handle(frame, ctx):
         if frame.msg_type == wire.REGISTER_PEER:
-            sealed = identity.seal(cert.public_key, key.encode())
+            sealed = secure.seal_key_reply(cert.public_key, frame.payload, key, None, None)
             return wire.ok_reply(wire.SESSION_KEY, sealed)
         server_cipher.decrypt(frame.payload)
         inner = wire.pack_fields(b"ok", record.encode())
         return Frame(wire.APP_DATA, server_cipher.encrypt(inner))
 
-    session = secure.connect_rendezvous(DirectChannel(FuncService(handle)), cert, pair)
+    session = secure.connect_secure(DirectChannel(FuncService(handle)), cert, pair, ca.public_key)
     with pytest.raises(ProtocolError):
         rvclient.locate_peer(session, "hostile-phrase")
 
 
-def forged_plain_reply(cert, pair, reply):
+def forged_plain_reply(ca, cert, pair, reply):
     """A rendezvous session whose server answers every request with the
     plain reply given, not encrypted under the session key."""
     key = identity.generate_session_key(rng=random.Random(6))
 
     def handle(frame, ctx):
         if frame.msg_type == wire.REGISTER_PEER:
-            return wire.ok_reply(wire.SESSION_KEY, identity.seal(cert.public_key, key.encode()))
+            sealed = secure.seal_key_reply(cert.public_key, frame.payload, key, None, None)
+            return wire.ok_reply(wire.SESSION_KEY, sealed)
         return reply
 
-    return secure.connect_rendezvous(DirectChannel(FuncService(handle)), cert, pair)
+    return secure.connect_secure(DirectChannel(FuncService(handle)), cert, pair, ca.public_key)
 
 
 @pytest.mark.parametrize("status", [b"ok", b"not_found", b"auth_error"])
-def test_forged_plain_reply_is_not_taken_as_authenticated(user, status):
+def test_forged_plain_reply_is_not_taken_as_authenticated(ca, user, status):
     # An on-path forger without the session key answers a locate in the
     # clear: neither its record nor its refusal is believed.
     pair, cert = user
@@ -309,15 +310,15 @@ def test_forged_plain_reply_is_not_taken_as_authenticated(user, status):
         encrypted_mirror_list=b"\x01", private_key=pair.private_key,
     )
     forged = Frame(wire.APP_DATA, wire.pack_fields(status, record.encode(), cert.encode()))
-    session = forged_plain_reply(cert, pair, forged)
+    session = forged_plain_reply(ca, cert, pair, forged)
     with pytest.raises(IntegrityError):
         rvclient.locate_peer(session, "forged-phrase")
     assert not session.established
 
 
-def test_plain_peer_unreachable_is_believed_and_drops_the_session(user):
+def test_plain_peer_unreachable_is_believed_and_drops_the_session(ca, user):
     pair, cert = user
-    session = forged_plain_reply(cert, pair, wire.err_reply(wire.APP_DATA, "peer_unreachable"))
+    session = forged_plain_reply(ca, cert, pair, wire.err_reply(wire.APP_DATA, "peer_unreachable"))
     with pytest.raises(PeerUnreachable):
         rvclient.locate_peer(session, "any-phrase")
     assert not session.established

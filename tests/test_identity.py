@@ -7,7 +7,8 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings, strategies as st
 
-from friendmesh import identity
+from friendmesh import identity, secure, wire
+from friendmesh.channel import DirectChannel, FuncService
 from friendmesh.errors import (
     AuthError,
     HandshakeError,
@@ -225,49 +226,65 @@ def test_sign_empty_payload_rejected():
         identity.sign_record(b"", pair.private_key)
 
 
-# -- seal_session_key / open_session_key --------------------------------------
+# -- the session key reply of the handshake (secure.py) -------------------------
+#
+# Each case answers an initiator's hello with a key reply built here, as a
+# responder (or an adversary) would seal it.
 
 
-def test_session_key_roundtrip():
-    sender = identity.generate_keypair("ec-p256")
-    receiver = identity.generate_keypair("ec-p256")
+def answer_with(build):
+    """A channel whose responder answers a hello with build(hello) sealed."""
+    def handle(frame, ctx):
+        return wire.reply(wire.REGISTER_PEER, build(frame.payload), msg_type=wire.SESSION_KEY)
+
+    return DirectChannel(FuncService(handle))
+
+
+def test_session_key_roundtrip(ca):
+    ipair, icert = make_user(ca, "sk-init")
+    rpair, rcert = make_user(ca, "sk-resp")
     sk = identity.generate_session_key()
-    blob = identity.seal_session_key(sk, receiver.public_key, sender.private_key)
-    opened = identity.open_session_key(blob, sender.public_key, receiver.private_key)
-    assert opened == sk
+    channel = answer_with(lambda hello: secure.seal_key_reply(icert.public_key, hello, sk, rcert, rpair))
+    session = secure.connect_secure(channel, icert, ipair, ca.public_key, expected_username="sk-resp")
+    assert session.session_key == sk
+    assert session.peer_cert == rcert
 
 
-def test_session_key_wrong_receiver_key():
-    sender = identity.generate_keypair("ec-p256")
-    receiver = identity.generate_keypair("ec-p256")
+def test_session_key_wrong_receiver_key(ca):
+    ipair, icert = make_user(ca, "sk-init2")
+    rpair, rcert = make_user(ca, "sk-resp2")
     wrong = identity.generate_keypair("ec-p256")
     sk = identity.generate_session_key()
-    blob = identity.seal_session_key(sk, receiver.public_key, sender.private_key)
+    channel = answer_with(lambda hello: secure.seal_key_reply(wrong.public_key, hello, sk, rcert, rpair))
     with pytest.raises(HandshakeError):
-        identity.open_session_key(blob, sender.public_key, wrong.private_key)
+        secure.connect_secure(channel, icert, ipair, ca.public_key)
 
 
-def test_session_key_adversary_strategies_fail():
-    # Adversary harness: replay under the wrong sender identity, truncation,
-    # and reseal-under-own-key must all fail at the opener.
-    sender = identity.generate_keypair("ec-p256")
-    receiver = identity.generate_keypair("ec-p256")
-    mallory = identity.generate_keypair("ec-p256")
+def test_session_key_adversary_strategies_fail(ca):
+    # Adversary harness: Mallory answering as herself, a truncated reply, and
+    # Mallory signing under the responder's certificate must all fail at the
+    # initiator, which named the responder.
+    ipair, icert = make_user(ca, "sk-init3")
+    rpair, rcert = make_user(ca, "sk-resp3")
+    mpair, mcert = make_user(ca, "sk-mallory")
     sk = identity.generate_session_key()
-    blob = identity.seal_session_key(sk, receiver.public_key, sender.private_key)
 
-    # Replay presented as coming from mallory: signature check fails.
-    with pytest.raises(HandshakeError):
-        identity.open_session_key(blob, mallory.public_key, receiver.private_key)
+    def connect(build):
+        return secure.connect_secure(
+            answer_with(build), icert, ipair, ca.public_key, expected_username="sk-resp3"
+        )
+
+    # Mallory's own certificate and signature: not the user named.
+    with pytest.raises(AuthError):
+        connect(lambda hello: secure.seal_key_reply(icert.public_key, hello, sk, mcert, mpair))
 
     # Truncation: AEAD fails.
     with pytest.raises(HandshakeError):
-        identity.open_session_key(blob[:-4], sender.public_key, receiver.private_key)
+        connect(lambda hello: secure.seal_key_reply(icert.public_key, hello, sk, rcert, rpair)[:-4])
 
-    # Reseal under mallory's own key while claiming to be the sender.
-    resealed = identity.seal_session_key(sk, receiver.public_key, mallory.private_key)
+    # Resealed by Mallory, who signs while claiming to be the responder.
     with pytest.raises(HandshakeError):
-        identity.open_session_key(resealed, sender.public_key, receiver.private_key)
+        connect(lambda hello: secure.seal_key_reply(icert.public_key, hello, sk, rcert, mpair))
 
 
 def test_session_cipher_directions():

@@ -302,7 +302,7 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     peer = Peer(PeerConfig(username="alice"), endpoint, ca.public_key)
     assert draws == [32, 16]  # passphrase, friend key
     rendezvous = RendezvousServer("127.0.0.1:1", RendezvousConfig(), ca.public_key)
-    secure.connect_rendezvous(DirectChannel(rendezvous), cert, pair)
+    secure.connect_secure(DirectChannel(rendezvous), cert, pair, ca.public_key)
     assert draws[2:] == [16]  # session key
     relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
     wire.call(DirectChannel(relay), wire.IS_SERVER, cert, expect=wire.CHALLENGE)

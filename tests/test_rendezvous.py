@@ -76,7 +76,7 @@ def make_record(pair, cert, passphrase="PASS-" + "X" * 20, ip="10.0.5.5", port=7
 
 def secure_client(server, pair, cert, remote="10.0.9.9:5000"):
     channel = DirectChannel(server, remote_addr=server.addr, local_addr=remote)
-    return secure.connect_rendezvous(channel, cert, pair)
+    return secure.connect_secure(channel, cert, pair, server.ca_public_key)
 
 
 # -- peer registration ------------------------------------------------------------
@@ -234,7 +234,8 @@ def test_established_session_is_not_rekeyed(server, ca):
     # and leaves the session in step.
     pair, cert = make_user(ca, "kept-gina")
     client = secure_client(server, pair, cert)
-    again = client._channel.request(wire.Frame(wire.REGISTER_PEER, wire.encode(wire.REGISTER_PEER, cert)))
+    hello = wire.encode(wire.REGISTER_PEER, cert, b"n" * secure.NONCE_LEN)
+    again = client._channel.request(wire.Frame(wire.REGISTER_PEER, hello))
     with pytest.raises(HandshakeError):
         wire.open_reply(again)
     with pytest.raises(NotFound):
@@ -266,7 +267,7 @@ def test_rendezvous_session_hides_its_operation(server, ca):
     rvclient.register_peer(secure_client(server, tpair, tcert), make_record(tpair, tcert))
     pair, cert = make_user(ca, "tap-uma")
     tap = TapChannel(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.9.7:5000"))
-    session = secure.connect_rendezvous(tap, cert, pair)
+    session = secure.connect_secure(tap, cert, pair, server.ca_public_key)
     rvclient.register_peer(session, make_record(pair, cert, passphrase="tap-uma-phrase"))
     assert rvclient.locate_peer(session, "tap-uma-phrase")[0].username == "tap-uma"
     with pytest.raises(NotFound):

@@ -5,7 +5,7 @@ from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest
 from friendmesh.rendezvous import RendezvousServer
-from friendmesh.secure import ResponderSession, connect_rendezvous, connect_secure
+from friendmesh.secure import ResponderSession, connect_secure, seal_key_reply
 from friendmesh.wire import Frame
 
 
@@ -96,8 +96,9 @@ def test_expected_username_mismatch(ca):
 
 
 def test_no_half_open_channels(ca):
-    # Agreement: a responder that never gets the session key refuses app
-    # traffic instead of guessing at one.
+    # Agreement: a hello that does not parse (here, one without its nonce)
+    # leaves the responder with no cipher, so it refuses app traffic instead
+    # of guessing at one.
     ipair, icert = user(ca, "hs-init4")
     rpair, rcert = user(ca, "hs-resp4")
     session = ResponderSession(
@@ -105,7 +106,10 @@ def test_no_half_open_channels(ca):
         lambda body, u: body,
     )
     ctx = SessionContext(remote_addr="x")
-    session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
+    reply = session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(reply)
+    assert session._cipher is None
     reply = session.handle(Frame(wire.APP_DATA, b"\x00" * 32), ctx)
     with pytest.raises(HandshakeError):
         wire.open_reply(reply)
@@ -113,13 +117,14 @@ def test_no_half_open_channels(ca):
 
 def test_friend_handshake_refuses_a_rendezvous_style_answer(ca):
     # A responder that answers the hello as a rendezvous server does, with a
-    # session key sealed to the initiator, presents no certificate: the
-    # initiator must not take the key as a session with the friend it named.
+    # bare session key sealed to the initiator, presents no certificate and
+    # no signature: the initiator must not take the key as a session with
+    # the friend it named.
     ipair, icert = user(ca, "hs-init-rv")
     key = identity.generate_session_key()
 
     def answer(frame, ctx):
-        sealed = identity.seal(icert.public_key, key.encode())
+        sealed = seal_key_reply(icert.public_key, frame.payload, key, None, None)
         return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
 
     with pytest.raises(HandshakeError):
@@ -132,24 +137,24 @@ def test_friend_handshake_refuses_a_rendezvous_style_answer(ca):
 def test_rendezvous_session_has_no_peer_certificate(ca):
     ipair, icert = user(ca, "hs-init-rv2")
     server = RendezvousServer("10.0.0.1:7200", RendezvousConfig(), ca.public_key)
-    session = connect_rendezvous(DirectChannel(server), icert, ipair)
+    session = connect_secure(DirectChannel(server), icert, ipair, ca.public_key)
     assert session.peer_cert is None
     assert session.established
 
 
 def test_session_key_for_another_cipher_gets_a_coded_reply(ca):
-    # Signed by a certified initiator, so only the cipher tag refuses it.
+    # Signed by a certified responder, so only the cipher tag refuses it:
+    # the initiator takes no key it could not use.
     ipair, icert = user(ca, "hs-cipher-init")
     rpair, rcert = user(ca, "hs-cipher-resp")
-    session = ResponderSession(rcert, rpair, ca.public_key, lambda u: True, lambda body, u: body)
-    ctx = SessionContext(remote_addr="x")
-    session.handle(Frame(wire.REGISTER_PEER, wire.pack_fields(icert.encode())), ctx)
     odd = identity.SessionKey(b"k" * 16, "aes-128-ocb")
-    blob = identity.seal_session_key(odd, rpair.public_key, ipair.private_key)
-    reply = session.handle(Frame(wire.SESSION_KEY, wire.encode(wire.SESSION_KEY, blob)), ctx)
-    with pytest.raises(MalformedRequest):
-        wire.open_reply(reply)
-    assert session._cipher is None
+
+    def answer(frame, ctx):
+        sealed = seal_key_reply(icert.public_key, frame.payload, odd, rcert, rpair)
+        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
+
+    with pytest.raises(HandshakeError):
+        connect_secure(DirectChannel(FuncService(answer)), icert, ipair, ca.public_key)
 
 
 def test_admission_checked_on_every_app_frame(ca):
@@ -207,3 +212,68 @@ def test_transcript_hides_responder_certificate(ca):
     assert b"hs-hidden-responder" not in transcript
     # The initiator's certificate is the one thing sent in the clear.
     assert icert.encode() in transcript
+
+
+class Recorder:
+    """A channel that records every request it carries and its reply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.remote_addr = inner.remote_addr
+        self.frames = []  # (request, reply)
+
+    def request(self, frame):
+        reply = self.inner.request(frame)
+        self.frames.append((frame, reply))
+        return reply
+
+    def close(self):
+        self.inner.close()
+
+
+def test_friend_handshake_is_one_round_trip(ca):
+    ipair, icert = user(ca, "hs-tap")
+    rpair, rcert = user(ca, "hs-tap-resp")
+    tap = Recorder(DirectChannel(ResponderService(ca, rcert, rpair)))
+    sc = connect_secure(tap, icert, ipair, ca.public_key, expected_username="hs-tap-resp")
+    assert sc.request_app("op", b"x") == [b"x"]
+    codes = [code for request, reply in tap.frames for code in (request.msg_type, reply.msg_type)]
+    assert codes == [wire.REGISTER_PEER, wire.SESSION_KEY, wire.APP_DATA, wire.APP_DATA]
+
+
+def test_replayed_friend_session_runs_its_request_once(ca):
+    # A passive observer records a friend session (hello, key, one op) and
+    # replays its requests to the responder: the hello gets a fresh key, so
+    # the recorded app frame does not decrypt and nothing runs again.
+    ipair, icert = user(ca, "hs-replay-init")
+    rpair, rcert = user(ca, "hs-replay-resp")
+    served = []
+
+    class Counting:
+        def open_session(self, ctx):
+            return ResponderSession(
+                rcert, rpair, ca.public_key, lambda u: True,
+                lambda body, u: served.append(body) or b"",
+            )
+
+    tap = Recorder(DirectChannel(Counting()))
+    sc = connect_secure(tap, icert, ipair, ca.public_key)
+    sc.request_app("op", b"owner", b"path", b"operation")
+    assert len(served) == 1
+    replay = DirectChannel(Counting())
+    for request, _ in tap.frames:
+        replay.request(request)
+    assert len(served) == 1
+
+
+def test_replayed_responder_reply_fails_the_nonce_bound_signature(ca):
+    # An active forger answers a new hello with a recorded answer (every
+    # recorded reply, in order): the signature covers the old nonce.
+    ipair, icert = user(ca, "hs-replay2-init")
+    rpair, rcert = user(ca, "hs-replay2-resp")
+    tap = Recorder(DirectChannel(ResponderService(ca, rcert, rpair)))
+    connect_secure(tap, icert, ipair, ca.public_key, expected_username="hs-replay2-resp")
+    replies = iter([reply for _, reply in tap.frames])
+    forger = DirectChannel(FuncService(lambda frame, ctx: next(replies)))
+    with pytest.raises(HandshakeError):
+        connect_secure(forger, icert, ipair, ca.public_key, expected_username="hs-replay2-resp")

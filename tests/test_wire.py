@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendmesh import identity, profile, records, rvclient, sentinel, stun, wire
+from friendmesh import identity, profile, records, rvclient, secure, sentinel, stun, wire
 from friendmesh.errors import MalformedRequest, NotFound
 from friendmesh.identity import Certificate, KeyPair, SessionKey, SignedDigest
 from friendmesh.profile import LogEntry
@@ -86,14 +86,15 @@ def test_reply_status_convention():
 # -- record layouts ------------------------------------------------------------------
 #
 # GOLDEN holds the bytes of one fixed instance of every record layout, as the
-# hand-written encoders produced them before the layouts were declared.
+# hand-written encoders produced them before the layouts were declared. The
+# handshake's hello and sealed key reply are pinned as they were declared.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
     FriendshipRequestRecord, Complaint, LogEntry,
 ]
 LAYOUTS = [cls.LAYOUT for cls in RECORDS] + [
-    identity._CERT_SIGNED, identity._SEALED, identity._SIGNED_KEY, identity._CERT_REQUEST,
+    identity._CERT_SIGNED, identity._SEALED, secure._KEY_REPLY, secure._TRANSCRIPT, identity._CERT_REQUEST,
     identity._CERT_REQUEST_BODY, records._CANONICAL, records._RING_ROW, sentinel._COMPLAINT_SIGNED,
     profile._DIGESTED, profile._EXPORT, rvclient._REQUEST_BLOB,
     stun._REQUEST, stun._REPLY,
@@ -146,10 +147,15 @@ GOLDEN = {
         '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
         '020202020202020202020202001463b7bd2888de28273466cf0f6b9473e852bf1539'
     ),
-    'session_key_blob': (
+    'hello': (
+        '001e0005616c696365000350554200026361000765632d70323536000353494700106e6e6e6e6e6e'
+        '6e6e6e6e6e6e6e6e6e6e'
+    ),
+    'key_reply': (
         '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
-        '020202020202020202020202003807c9c959213caa96b8a7d7a337cca9d9c9deba84ebbaec14aeaa'
-        'd1c940d6131c1a7f1b64eeef5a5b7142b4d153963cf415ae26773a449fc5'
+        '020202020202020202020202005807c9c959213caa96b8a7d7a337cca9d9c9deba84ebbaec14aeaa'
+        'd1c940d6131c1a7f0037680ecf86244b52eacf721e7ba816bfd7a03fbe0bbb71868463371ec333e4'
+        '94b1f5f6b07b15d116d0892ba690b29f3e709293a1e8'
     ),
     'cert_request': (
         '005d0026574341505542010101010101010101010101010101010101010101010101010101010101'
@@ -226,9 +232,11 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "entries": profile.encode_entries([e1, e2]),
         "export_log": p.export_log(),
     }
+    hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert, b"n" * secure.NONCE_LEN)
+    keys = KeyPair(b"PUB", b"PRIV", "ec-p256")
     for name, make in [
         ("seal", lambda: identity.seal(b"PUB", b"data")),
-        ("session_key_blob", lambda: identity.seal_session_key(SessionKey(b"k" * 16), b"PUB", b"PRIV")),
+        ("key_reply", lambda: secure.seal_key_reply(b"PUB", hello, SessionKey(b"k" * 16), cert, keys)),
         ("cert_request", lambda: identity.build_cert_request("alice", b"PUB", b"CAPUB")),
         ("passphrase_blob", lambda: rvclient.seal_request_blob(cert, "alice", "phrase")),
     ]:
