@@ -84,36 +84,14 @@ def stun_classify(probes: StunProbes) -> NatType:
     return NatType.PORT_RESTRICTED
 
 
-def connect_strategy(
-    initiator: NatType,
-    responder: NatType,
-    responder_has_relay: bool,
-    coordinated: bool = False,
-) -> Route:
-    """Pick the route for reaching the responder. Total and deterministic.
-
-    coordinated=True means prior outbound traffic from a restricted-cone
-    responder toward the initiator can be arranged; the default flow never
-    sets it and restricted responders go through their relay.
-    """
-    if responder is NatType.PUBLIC:
+def connect_strategy(nat_kind: str, has_relay: bool) -> Route:
+    """Pick the route for reaching the owner of a record of one of the three
+    wire kinds. Total and deterministic. A non-full-cone owner admits no
+    unsolicited inbound traffic, so it is reached through its relay."""
+    if nat_kind == "public":
         return Route.DIRECT
-    if responder is NatType.FULL_CONE:
+    if nat_kind == "full_cone":
         return Route.HOLE_PUNCH
-    if responder in (NatType.ADDRESS_RESTRICTED, NatType.PORT_RESTRICTED) and coordinated:
-        return Route.HOLE_PUNCH
-    if responder_has_relay:
+    if nat_kind == "non_full_cone" and has_relay:
         return Route.RELAY
     return Route.UNREACHABLE
-
-
-def route_for_record(initiator: NatType, record_nat_kind: str, record_has_relay: bool) -> Route:
-    """connect_strategy over the three wire kinds a located record carries."""
-    kind = {
-        "public": NatType.PUBLIC,
-        "full_cone": NatType.FULL_CONE,
-        "non_full_cone": NatType.SYMMETRIC,
-    }.get(record_nat_kind)
-    if kind is None:
-        return Route.UNREACHABLE
-    return connect_strategy(initiator, kind, record_has_relay)

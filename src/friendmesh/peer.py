@@ -8,15 +8,21 @@ and from then on locates friends by passphrase, connects direct /
 hole-punch / relayed, falls back to their mirrors in preference order, and
 replicates its own profile to mirrors it appointed.
 
-A peer keeps at most one secure session per rendezvous server and one
-secure channel per friend, and reuses them across operations, so a warm
-operation costs no handshake. Every friend operation still locates the
-friend and verifies the record it gets; a kept channel is used only while
-that record routes to it. A session or channel is dropped once it falls out
-of step (a transport or crypto failure); a kept one that finds its peer
-unreachable, as after a restart, is retried once on a fresh one. Mirror
-channels are never kept. close() ends all of them and the relay admission
-channel.
+A user is located one way, whether a friend, a friend's mirror or a friend
+requester: the record from the md5 server, else the sha1 server's, the
+first that verifies against the user's certificate, the one the peer holds
+or else the one the server sent.
+
+Every secure channel a peer opens, to a rendezvous server or to a user,
+comes from one opener, and the ones it reuses sit in one keep, by (friend,
+or "" for a rendezvous server; address dialled): at most one per server and
+one per friend, so a warm operation costs no handshake. Every friend
+operation still locates the friend and verifies the record it gets; a kept
+channel is used only while that record routes to it. A channel is dropped
+once it falls out of step (a transport or crypto failure); a kept one that
+finds its peer unreachable, as after a restart, or fails the friend's queue
+flush, is replaced once by a new one. Mirror channels are never kept.
+close() ends all of them and the relay admission channel.
 
 Inbound channels are admitted only for friends, friend requesters,
 requested friends, or users allowed on a hosted replica, and the check
@@ -44,7 +50,7 @@ from .errors import (
     Unavailable,
 )
 from .identity import Certificate, KeyPair
-from .nat import NatType, Route, needs_relay, route_for_record, stun_classify, wire_nat_kind
+from .nat import NatType, Route, connect_strategy, needs_relay, stun_classify, wire_nat_kind
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
@@ -125,15 +131,14 @@ class Peer:
         self._mux: MuxService | None = None
         self._relay_channel: Channel | None = None  # kept open: the relay serves us over it
         self._witness: str | None = None  # last verified-correct server
-        self._sessions: dict[str, SecureChannel] = {}  # kept, by rendezvous server
-        self._channels: dict[str, SecureChannel] = {}  # kept, by friend
+        # Kept secure channels, by (friend, or "" for a rendezvous server; address dialled).
+        self._kept: dict[tuple[str, str], SecureChannel] = {}
 
     def close(self) -> None:
-        """Close every kept session and channel and the relay admission channel."""
-        for kept in [*self._sessions.values(), *self._channels.values()]:
+        """Close every kept channel and the relay admission channel."""
+        for kept in self._kept.values():
             kept.close()
-        self._sessions.clear()
-        self._channels.clear()
+        self._kept.clear()
         self._close_relay_channel()
 
     def _close_relay_channel(self) -> None:
@@ -313,34 +318,90 @@ class Peer:
         )
 
     def _rendezvous(self, server: str, fn: Callable[[SecureChannel], T]) -> T:
-        """Run fn on the kept session to a rendezvous server, or on a new one
-        that is then kept. An authenticated refusal, such as not_found, keeps
-        the session; any other failure drops it, and a kept session that
-        finds the server unreachable is retried once on a new one."""
-        kept = self._sessions.pop(server, None)
-        if kept is not None:
-            try:
-                return self._run_session(server, kept, fn)
-            except PeerUnreachable:
-                pass  # the connection went away: once more on a new session
-        channel = self.endpoint.connect(server)
+        """Run fn on the kept session to a rendezvous server, or on a new one."""
+        return self._keep(("", server), fn)
+
+    def _open(self, key: tuple[str, str], relayed: bool = False) -> SecureChannel:
+        """A new secure channel to key's address: to the user key names, through
+        the relay at that address when relayed, or to a rendezvous server."""
+        expected, addr = key
+        if not addr:
+            raise Unavailable(f"no route to {expected}")
+        channel = self.endpoint.connect(addr)
         try:
-            session = secure.connect_secure(
-                channel, self.state.certificate, self.state.keypair, self.ca_public_key, rng=self.rng
+            if relayed:
+                wire.call(channel, wire.BRIDGE_OPEN, expected)
+            return secure.connect_secure(
+                channel,
+                self.state.certificate,
+                self.state.keypair,
+                self.ca_public_key,
+                expected_username=expected or None,
+                rng=self.rng,
             )
         except ProtocolError:
             channel.close()
             raise
-        return self._run_session(server, session, fn)
 
-    def _run_session(self, server: str, session: SecureChannel, fn: Callable[[SecureChannel], T]) -> T:
-        try:
-            return fn(session)
-        finally:
-            if session.established:
-                self._sessions[server] = session
+    def _keep(self, key: tuple[str, str], fn: Callable[[SecureChannel], T], relayed: bool = False,
+              ready: Callable[[SecureChannel], None] = lambda channel: None,
+              fallback: Callable[[], T] | None = None) -> T:
+        """Run fn on the channel kept under key, else on a new one; either
+        stays kept while it is in step. ready runs on it first, as a
+        friend's queue flush does. A kept channel that finds its peer
+        unreachable, or fails ready, is replaced once by a new one. When no
+        new one opens and gets ready, fallback answers instead, or the
+        failure is raised. Other failures of fn are not retried: a reply
+        that failed may follow a request that was served, and a write must
+        not apply twice. An authenticated refusal, such as not_found, leaves
+        the channel in step."""
+        if key[0]:
+            self._close_kept(key[0], but=key[1])  # kept from before the friend moved
+        kept = self._kept.pop(key, None)
+        if kept is not None:
+            try:
+                ready(kept)
+            except ProtocolError:
+                kept.close()
             else:
-                session.close()
+                try:
+                    return self._run(key, kept, fn)
+                except PeerUnreachable:
+                    pass  # the connection went away: once more on a new channel
+        try:
+            channel = self._open(key, relayed)
+            try:
+                ready(channel)
+            except ProtocolError:
+                channel.close()
+                raise
+        except ProtocolError:
+            if fallback is None:
+                raise
+            return fallback()
+        return self._run(key, channel, fn)
+
+    def _close_kept(self, username: str, but: str = "") -> None:
+        """Close the channels kept to username, but one to address but."""
+        for key in [k for k in self._kept if k[0] == username and k[1] != but]:
+            self._kept.pop(key).close()
+
+    def _run(self, key: tuple[str, str] | None, channel: SecureChannel,
+             fn: Callable[[SecureChannel], T]) -> T:
+        """fn(channel); then the channel is kept under key while in step, or
+        closed. A channel fn returns is handed to the caller; key None (a
+        mirror's channel) is never kept."""
+        result = None
+        try:
+            result = fn(channel)
+            return result
+        finally:
+            if result is channel:
+                pass
+            elif key is not None and channel.established:
+                self._kept[key] = channel
+            else:
+                channel.close()
 
     def _register_at(self, server: str, record: RegistrationRecord) -> None:
         pending = self._rendezvous(server, lambda session: rvclient.register_peer(session, record))
@@ -391,170 +452,107 @@ class Peer:
         except NotFound:
             return None
 
+    def _locate(self, username: str, passphrase: str,
+                cert: Certificate | None = None) -> tuple[RegistrationRecord, str]:
+        """username's first record, with its server, that verifies against
+        cert, or else against the certificate the server sent: the md5
+        server's first, then the sha1 server's. A record that fails, or
+        whose certificate does not decode, is reported: an event, and a note
+        queued for its owner, which reaches them if they are a friend."""
+        attack_seen = False
+        for server in self._servers_for(username):
+            try:
+                fetched = self._fetch_record(server, passphrase)
+            except ProtocolError:
+                continue
+            if fetched is None:
+                continue
+            record, cert_bytes = fetched
+            try:
+                check_cert = cert or Certificate.decode(cert_bytes)
+            except ProtocolError:
+                check_cert = None
+            if check_cert is not None and check_peer_record(record, check_cert) == sentinel.OK:
+                return record, server
+            attack_seen = True
+            self.on_event("storage_attack_detected", peer=self.username, server=server, owner=username)
+            self._queue_for(username, ("note_bad_server", server))
+        if attack_seen:
+            raise StorageAttack(f"all located records for {username} failed verification")
+        raise NotFound(f"{username} offline or rotated passphrase")
+
     def locate_friend(self, friend_username: str) -> tuple[RegistrationRecord, str]:
         """Try both dual-hash paths; verify each record before trusting it."""
         entry = self.state.friend_list.get(friend_username)
         if entry is None:
             raise NotFound(f"{friend_username} is not a friend")
         cert = Certificate.decode(entry.certificate) if entry.certificate else None
-        attack_seen = False
-        found_any = False
-        for server in self._servers_for(friend_username):
-            try:
-                fetched = self._fetch_record(server, entry.passphrase)
-            except ProtocolError:
-                continue
-            if fetched is None:
-                continue
-            found_any = True
-            record, cert_bytes = fetched
-            check_cert = cert or Certificate.decode(cert_bytes)
-            if check_peer_record(record, check_cert) != sentinel.OK:
-                attack_seen = True
-                self.on_event(
-                    "storage_attack_detected",
-                    peer=self.username,
-                    server=server,
-                    owner=friend_username,
-                )
-                self._queue_for(friend_username, ("note_bad_server", server))
-                continue
-            return record, server
-        if attack_seen:
-            raise StorageAttack(f"all located records for {friend_username} failed verification")
-        raise NotFound(f"{friend_username} offline or rotated passphrase")
+        return self._locate(friend_username, entry.passphrase, cert)
 
-    def _route(self, record: RegistrationRecord) -> tuple[Route, str]:
-        """How to reach the record's owner, and the address to dial ("" for none)."""
-        route = route_for_record(self.state.nat_type, record.nat_kind, record.has_relay)
+    def _route(self, record: RegistrationRecord | None) -> tuple[str, bool]:
+        """The address to dial for the record's owner ("" for none), and
+        whether it is their relay's."""
+        route = connect_strategy(record.nat_kind, record.has_relay) if record else Route.UNREACHABLE
         if route in (Route.DIRECT, Route.HOLE_PUNCH):
-            return route, f"{record.ip}:{record.port}"
+            return f"{record.ip}:{record.port}", False
         if route is Route.RELAY:
-            return route, f"{record.relay_address}:{record.relay_port}"
-        return route, ""
+            return f"{record.relay_address}:{record.relay_port}", True
+        return "", False
 
     def _open_route(self, record: RegistrationRecord, expected: str) -> SecureChannel:
-        route, addr = self._route(record)
-        if not addr:
-            raise Unavailable(f"no route to {expected}")
-        channel = self.endpoint.connect(addr)
-        try:
-            if route is Route.RELAY:
-                wire.call(channel, wire.BRIDGE_OPEN, expected)
-            return secure.connect_secure(
-                channel,
-                self.state.certificate,
-                self.state.keypair,
-                self.ca_public_key,
-                expected_username=expected,
-                rng=self.rng,
-            )
-        except ProtocolError:
-            channel.close()
-            raise
+        addr, relayed = self._route(record)
+        return self._open((expected, addr), relayed)
 
     def connect_friend(self, friend_username: str) -> tuple[SecureChannel, str]:
         """Channel to the friend, or to one of their mirrors in preference
         order; returns (channel, serving username). The caller owns the
         channel: a kept one is taken out of the keep."""
-        record = self._locate_for_route(friend_username)
-        channel, served_by, _reused = self._reach_friend(friend_username, record)
-        return channel, served_by
+        channel = self._with_friend(friend_username, lambda channel, served_by: channel)
+        return channel, channel.peer_cert.username
 
-    def _with_friend(self, friend: str, fn: Callable[[SecureChannel, str], T]) -> T:
-        """Run fn(channel, serving username) on a channel to the friend or,
-        failing that, to one of their mirrors. The friend's own channel is
-        kept for the next operation while it stays in step; a mirror's is
-        closed. When a kept channel finds the friend unreachable, fn runs
-        once more on a fresh route to the record this operation located.
-        Other failures are not retried: a reply that failed may follow a
-        request that was served, and a write must not apply twice."""
-        record = self._locate_for_route(friend)
-        while True:
-            channel, served_by, reused = self._reach_friend(friend, record)
-            try:
-                return fn(channel, served_by)
-            except PeerUnreachable:
-                if not reused:
-                    raise
-            finally:
-                if served_by == friend and channel.established:
-                    self._channels[friend] = channel
-                else:
-                    channel.close()
-
-    def _locate_for_route(self, friend_username: str) -> RegistrationRecord | None:
-        """The friend's located and verified record (None when there is
-        none to trust), with the friend's mirror table refreshed from it."""
-        entry = self.state.friend_list.get(friend_username)
+    def _with_friend(self, friend: str, fn: Callable[[SecureChannel, str], T],
+                     mirrors: bool = True) -> T:
+        """Run fn(channel, serving username) on the friend's channel, with
+        their queue flushed first: the kept one while the record this
+        operation located routes to it, else a new one. Failing that, fn
+        runs on a channel to one of their mirrors, unless mirrors is off;
+        the mirror table comes from the located record."""
+        entry = self.state.friend_list.get(friend)
         if entry is None:
-            raise NotFound(f"{friend_username} is not a friend")
+            raise NotFound(f"{friend} is not a friend")
         try:
-            record, _server = self.locate_friend(friend_username)
+            record, _server = self.locate_friend(friend)
         except (NotFound, StorageAttack):
-            return None
-        if entry.friend_key:
+            record = None
+        if record is not None and entry.friend_key:
             try:
                 entry.mirror_table = MIRROR_TABLE.decode(
                     identity.friend_key_decrypt(entry.friend_key, record.encrypted_mirror_list)
                 )
             except ProtocolError:
                 pass
-        return record
+        addr, relayed = self._route(record)
+        return self._keep(
+            (friend, addr),
+            lambda channel: fn(channel, friend),
+            relayed,
+            ready=lambda channel: self._flush_queue(channel, friend),
+            fallback=(lambda: self._with_mirror(friend, fn)) if mirrors else None,
+        )
 
-    def _reach_friend(self, friend_username: str,
-                      record: RegistrationRecord | None) -> tuple[SecureChannel, str, bool]:
-        """(channel, serving username, whether it is a kept channel): the
-        friend along the record's route, else a mirror."""
-        kept = self._channels.pop(friend_username, None)
-        if record is not None:
-            try:
-                channel, reused = self._friend_route(record, friend_username, kept)
-                return channel, friend_username, reused
-            except ProtocolError:
-                pass
-        elif kept is not None:
-            kept.close()
-        mirror_table = list(self.state.friend_list[friend_username].mirror_table)
-        for mirror in mirror_table:
+    def _with_mirror(self, friend: str, fn: Callable[[SecureChannel, str], T]) -> T:
+        """fn(channel, mirror) on a channel, not kept, to the first of the
+        friend's mirrors that a verified record routes to."""
+        for mirror in self.state.friend_list[friend].mirror_table:
             if mirror.username == self.username:
                 continue
             try:
-                fetched = None
-                for server in self._servers_for(mirror.username):
-                    fetched = self._fetch_record(server, mirror.passphrase)
-                    if fetched is not None:
-                        break
-                if fetched is None:
-                    continue
-                mirror_record, mirror_cert = fetched
-                if check_peer_record(mirror_record, Certificate.decode(mirror_cert)) != sentinel.OK:
-                    continue
-                channel = self._open_route(mirror_record, mirror.username)
-                return channel, mirror.username, False
+                record, _server = self._locate(mirror.username, mirror.passphrase)
+                channel = self._open_route(record, mirror.username)
             except ProtocolError:
                 continue
-        raise Unavailable(f"{friend_username} and all mirrors unreachable")
-
-    def _friend_route(self, record: RegistrationRecord, friend: str,
-                      kept: SecureChannel | None) -> tuple[SecureChannel, bool]:
-        """A channel along the record's route with the friend's queue flushed:
-        the kept one while the record still routes to it, else a new one."""
-        if kept is not None:
-            if kept.remote_addr == self._route(record)[1]:
-                try:
-                    self._flush_queue(kept, friend)
-                    return kept, True
-                except ProtocolError:
-                    pass
-            kept.close()
-        channel = self._open_route(record, friend)
-        try:
-            self._flush_queue(channel, friend)
-        except ProtocolError:
-            channel.close()
-            raise
-        return channel, False
+            return self._run(None, channel, lambda channel: fn(channel, mirror.username))
+        raise Unavailable(f"{friend} and all mirrors unreachable")
 
     # ------------------------------------------------------------------ friendship lifecycle
 
@@ -584,17 +582,8 @@ class Peer:
         entry = FriendEntry(username=requester, passphrase=passphrase)
         self.state.friend_list[requester] = entry
         try:
-            record = None
-            for server in self._servers_for(requester):
-                try:
-                    record = self._fetch_record(server, passphrase)
-                except ProtocolError:
-                    continue
-                if record is not None:
-                    break
-            if record is None:
-                raise Unavailable(f"{requester} not currently registered")
-            with closing(self._open_route(record[0], requester)) as channel:
+            record, _server = self._locate(requester, passphrase)
+            with closing(self._open_route(record, requester)) as channel:
                 entry.certificate = channel.peer_cert.encode()
                 entry.friend_key, entry.mirror_table = channel.call(
                     "friend_accept", self.state.passphrase, self.state.friend_key,
@@ -617,9 +606,7 @@ class Peer:
         state.pending_outgoing.discard(ex_friend)
         state.mirror_table = [m for m in state.mirror_table if m.username != ex_friend]
         self.replicas.pop(ex_friend, None)
-        kept = self._channels.pop(ex_friend, None)
-        if kept is not None:
-            kept.close()
+        self._close_kept(ex_friend)
         state.passphrase = identity.generate_passphrase(self.rng)
         state.friend_key = identity.generate_friend_key(self.rng)
         self._ungrant_friend(ex_friend)
@@ -669,7 +656,7 @@ class Peer:
                 continue
             try:
                 # Reaching the friend themself delivers the queue; a mirror cannot take it.
-                self._with_friend(friend, lambda channel, served_by: None)
+                self._with_friend(friend, lambda channel, served_by: None, mirrors=False)
             except ProtocolError:
                 continue
 

@@ -65,7 +65,6 @@ class SimHost:
         self.incarnation = 0  # bumped each time the host goes down
         self.clock = 0  # the host's time when it last sent or answered
         self.binding_open = False  # any outbound traffic opens the NAT binding
-        self.punched: set[str] = set()  # sources this host sent coordination traffic to
         host, _, port = addr.rpartition(":")
         self.ip = host or addr
         self.port = int(port) if port.isdigit() else 0
@@ -79,14 +78,7 @@ class SimHost:
             return True
         if self.nat is NatType.FULL_CONE:
             return self.binding_open
-        if self.nat in (NatType.ADDRESS_RESTRICTED, NatType.PORT_RESTRICTED):
-            return src.addr in self.punched
-        return False  # symmetric
-
-    def punch_toward(self, src_addr: str) -> None:
-        """Model prior outbound traffic toward src (coordination extension)."""
-        self.punched.add(src_addr)
-        self.binding_open = True
+        return False  # restricted cones and symmetric NATs admit no unsolicited inbound
 
 
 class SimNet:

@@ -288,6 +288,32 @@ def test_mirror_fallback_preference_order():
         reader.connect_friend("user00")
 
 
+def homes(world, username):
+    """The servers of username's md5 and sha1 identifiers."""
+    from friendmesh.chord import dual_hash, node_ident
+
+    pairs = sorted((node_ident(a, 128), a) for a in world.servers)
+    ids = dual_hash(username)
+    return tuple(next((a for ident, a in pairs if ident >= key), pairs[0][1])
+                 for key in (ids.id_md5, ids.id_sha1))
+
+
+def test_mirror_is_served_by_its_sha1_server_when_its_md5_server_falsifies():
+    # On 8 servers user01's identifiers land on two servers; on 4 they share one.
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True,
+                               friendships=[["user00", "user01"], ["user00", "user02"]],
+                               mirrors=[["user00", "user01"]]))
+    md5_home, sha1_home = homes(world, "user01")
+    assert md5_home != sha1_home
+    world.spawn_adversary(
+        AdversaryScript(behaviors=["falsify_record"], targets=[md5_home], victims=["user01"])
+    )
+    world.sim.set_down(world.peers["user00"].endpoint.local_addr(), True)
+    channel, served_by = world.peers["user02"].connect_friend("user00")
+    assert served_by == "user01" and channel.call("ping") == ()
+    channel.close()
+
+
 def test_one_sync_round_converges_every_mirror():
     # A write lands only at the second mirror while the owner and the first
     # mirror are down. One sync round hands it to the owner and to the first
@@ -368,6 +394,21 @@ def test_accept_while_requester_offline_unwinds():
     world.sim.set_down(a.endpoint.local_addr(), False)
     b.accept_friend("user00")
     assert "user00" in b.state.friend_list
+
+
+def test_accept_verifies_the_requester_record_and_falls_through_to_sha1():
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True, friendships=[]))
+    a, b = world.peers["user00"], world.peers["user01"]
+    a.send_friend_request("user01")
+    b.reregister()
+    md5_home, sha1_home = homes(world, "user00")
+    assert md5_home != sha1_home
+    world.spawn_adversary(
+        AdversaryScript(behaviors=["falsify_record"], targets=[md5_home], victims=["user00"])
+    )
+    b.accept_friend("user00")
+    assert "user01" in a.state.friend_list
+    assert b.state.friend_list["user00"].friend_key == a.state.friend_key
 
 
 def test_declined_request_leaks_nothing():
@@ -561,10 +602,11 @@ def kept_sim_channels(world) -> set:
     per friend and one session per rendezvous server."""
     kept = []
     for peer in world.peers.values():
-        assert set(peer._channels) <= set(peer.state.friend_list)
-        assert set(peer._sessions) <= set(world.servers)
-        kept += [channel._channel for channel in peer._channels.values()]
-        kept += [session._channel for session in peer._sessions.values()]
+        friends = [user for user, _addr in peer._kept if user]
+        servers = [addr for user, addr in peer._kept if not user]
+        assert len(set(friends)) == len(friends) and set(friends) <= set(peer.state.friend_list)
+        assert set(servers) <= set(world.servers)
+        kept += [channel._channel for channel in peer._kept.values()]
     assert len(set(kept)) == len(kept)
     return set(kept)
 
@@ -675,6 +717,18 @@ def test_warm_operations_message_counts():
     assert reader.pull_friend_profile("user00").element("share_board/p").content == b"y"
 
 
+def test_flushing_a_queue_for_a_downed_friend_costs_only_its_locate():
+    # user01 is down, with user02 as its mirror: a mirror cannot take the
+    # queue, so the flush neither locates nor reaches it.
+    world = small_world(seed=28, mirrors=[["user01", "user02"]])
+    alice = world.peers["user00"]
+    alice.locate_friend("user01")
+    world.sim.set_down(world.peers["user01"].endpoint.local_addr(), True)
+    alice._queue_for("user01", ("ping",))
+    assert frames_of(world, alice.flush_queues) == 2
+    assert alice.state.queued_updates["user01"] == [("ping",)]
+
+
 def test_every_operation_still_locates_and_verifies(monkeypatch):
     from friendmesh import peer as peer_module
 
@@ -704,12 +758,13 @@ def test_revoked_friend_is_refused_on_a_channel_it_holds():
         held.call("op", "user00", "share_board", op_add("late", b"after revoke"))
     # Even with the rotated passphrase, which routes to the kept channel.
     ex.state.friend_list["user00"].passphrase = owner.state.passphrase
-    kept = ex._channels["user00"]
+    key = ("user00", owner.endpoint.local_addr())
+    kept = ex._kept[key]
     with pytest.raises((AuthError, Unavailable)):
         ex.pull_friend_profile("user00")
     with pytest.raises((AuthError, Unavailable)):
         ex.write_to_friend("user00", "share_board", op_add("later", b"after revoke"))
-    assert ex._channels["user00"] is kept
+    assert ex._kept[key] is kept
     assert [e for e in owner.profile.log if e.author == "user01"] == authored
 
 
@@ -720,9 +775,10 @@ def test_restart_resets_channels_and_the_next_operation_reconnects():
     owner, reader = world.peers["user00"], world.peers["user01"]
     held, _ = reader.connect_friend("user00")
     reader.pull_friend_profile("user00")
-    kept = reader._channels["user00"]
+    friend_key = ("user00", owner.endpoint.local_addr())
+    kept = reader._kept[friend_key]
     server = owner.state.registered_at[0]
-    session = reader._sessions[server]
+    session = reader._kept[("", server)]
     for addr in (owner.endpoint.local_addr(), server):
         world.sim.set_down(addr, True)
         world.sim.set_down(addr, False)
@@ -731,5 +787,19 @@ def test_restart_resets_channels_and_the_next_operation_reconnects():
     owner.profile.apply_update("user00", "share_board", op_add("p", b"back"), timestamp=world.sim.now + 1)
     view = reader.pull_friend_profile("user00")
     assert view.element("share_board/p").content == b"back"
-    assert reader._channels["user00"] is not kept
-    assert reader._sessions[server] is not session
+    assert reader._kept[friend_key] is not kept
+    assert reader._kept[("", server)] is not session
+
+
+def test_a_kept_channel_that_fails_the_queue_flush_is_replaced():
+    world = small_world(seed=27, n_peers=2, friendships=[["user00", "user01"]])
+    owner, reader = world.peers["user00"], world.peers["user01"]
+    reader.pull_friend_profile("user00")
+    key = ("user00", owner.endpoint.local_addr())
+    kept = reader._kept[key]
+    world.sim.set_down(key[1], True)
+    world.sim.set_down(key[1], False)
+    reader._queue_for("user00", ("ping",))
+    reader.pull_friend_profile("user00")
+    assert reader._kept[key] is not kept
+    assert not reader.state.queued_updates.get("user00")

@@ -274,6 +274,7 @@ def test_kept_sessions_over_tcp(ca_world, monkeypatch):
         bob.bootstrap()
         alice.pull_friend_profile("bob")
         assert dialed == [bob_srv.addr]
+        assert [key for key in alice._kept if key[0] == "bob"] == [("bob", bob_srv.addr)]
         alice.close()
         alice.pull_friend_profile("bob")
         assert dialed == [bob_srv.addr, rv_server.addr, bob_srv.addr]

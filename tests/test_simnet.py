@@ -40,7 +40,7 @@ def test_sim_nat_models_classify_correctly():
         assert stun_classify(SimStunProbes(host)) is nat
 
 
-def test_sim_nat_admission_and_punch_coordination():
+def test_sim_nat_admission():
     from friendmesh.channel import FuncService
     from friendmesh.errors import PeerUnreachable
     from friendmesh.nat import NatType
@@ -66,16 +66,12 @@ def test_sim_nat_admission_and_punch_coordination():
     sim.connect(cone, caller.addr)  # outbound opens the binding
     assert sim.connect(caller, cone.addr).request(Frame(1, b"x")) == Frame(1, b"x")
 
-    # Restricted cones open only toward coordinated sources (extension).
-    restricted.punch_toward(caller.addr)
-    assert sim.connect(caller, restricted.addr).request(Frame(1, b"y")) == Frame(1, b"y")
-    # Symmetric never opens.
-    symmetric.punch_toward(caller.addr)
-    symmetric.binding_open = True
-    assert symmetric.nat is NatType.SYMMETRIC
-    with pytest.raises(PeerUnreachable):
-        other = sim.add_host("10.51.0.9:7500", echo, NatType.PUBLIC)
-        sim.connect(other, symmetric.addr)
+    # Restricted cones and symmetric NATs never open, even with a binding open.
+    other = sim.add_host("10.51.0.9:7500", echo, NatType.PUBLIC)
+    for host in (restricted, symmetric):
+        host.binding_open = True
+        with pytest.raises(PeerUnreachable):
+            sim.connect(other, host.addr)
 
 
 def test_identical_seed_identical_trace():

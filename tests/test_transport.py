@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from friendmesh import rudp
 from friendmesh.errors import NetworkUnreachable, PeerUnreachable
-from friendmesh.nat import NatType, Route, connect_strategy, needs_relay, stun_classify, wire_nat_kind
+from friendmesh.nat import (
+    WIRE_NAT_KINDS,
+    NatType,
+    Route,
+    connect_strategy,
+    needs_relay,
+    stun_classify,
+    wire_nat_kind,
+)
 
 
 class FakeProbes:
@@ -74,24 +82,20 @@ def test_wire_nat_kinds():
 
 
 def test_connect_strategy_table():
-    assert connect_strategy(NatType.SYMMETRIC, NatType.PUBLIC, False) is Route.DIRECT
-    assert connect_strategy(NatType.PUBLIC, NatType.SYMMETRIC, True) is Route.RELAY
-    assert connect_strategy(NatType.PUBLIC, NatType.SYMMETRIC, False) is Route.UNREACHABLE
-    assert connect_strategy(NatType.PUBLIC, NatType.FULL_CONE, False) is Route.HOLE_PUNCH
-    assert connect_strategy(NatType.SYMMETRIC, NatType.PORT_RESTRICTED, True) is Route.RELAY
-    assert (
-        connect_strategy(NatType.PUBLIC, NatType.ADDRESS_RESTRICTED, False, coordinated=True)
-        is Route.HOLE_PUNCH
-    )
+    assert connect_strategy("public", False) is Route.DIRECT
+    assert connect_strategy("non_full_cone", True) is Route.RELAY
+    assert connect_strategy("non_full_cone", False) is Route.UNREACHABLE
+    assert connect_strategy("full_cone", False) is Route.HOLE_PUNCH
+    assert connect_strategy(wire_nat_kind(NatType.PORT_RESTRICTED), True) is Route.RELAY
+    assert connect_strategy("no_such_kind", True) is Route.UNREACHABLE
 
 
 def test_connect_strategy_total_and_deterministic():
-    for a in NatType:
-        for b in NatType:
-            for has_relay in (False, True):
-                first = connect_strategy(a, b, has_relay)
-                assert first is connect_strategy(a, b, has_relay)
-                assert isinstance(first, Route)
+    for kind in (*WIRE_NAT_KINDS, ""):
+        for has_relay in (False, True):
+            first = connect_strategy(kind, has_relay)
+            assert first is connect_strategy(kind, has_relay)
+            assert isinstance(first, Route)
 
 
 # ---------------------------------------------------------------------------
