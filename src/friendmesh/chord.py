@@ -21,6 +21,10 @@ messages hand it. Routing reads an
 index of the distinct live fingers and successors sorted by clockwise
 distance from the node, rebuilt after the table or the evicted set
 changes: closest_preceding is a bisect over it.
+
+A ring query is answered with the closest preceding entry and the successor
+list, and a lookup (a joiner's too) ends at the first node whose list, read
+up to successor_list_len, covers the key (Stoica et al., SIGCOMM 2001).
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
 from .records import PeerRow
@@ -85,7 +89,8 @@ class RingTransport(Protocol):
     """Remote queries RingNode makes; every call counts as one message."""
 
     def get_state(self, addr: str) -> tuple[str | None, list[str]]: ...
-    def query(self, addr: str, ident: int) -> tuple[str, str]: ...
+    # The closest preceding entry and the successor list, never empty.
+    def query(self, addr: str, ident: int) -> tuple[str, list[str]]: ...
     # The notified node's state after the notify, as get_state gives it.
     def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]: ...
     def replicate(self, addr: str, row: PeerRow) -> bool: ...
@@ -185,14 +190,8 @@ class RingNode:
         """Every address among the successors and fingers, evicted ones too."""
         return set(self._routing()[0])
 
-    def _successor_entry(self) -> Entry:
-        for entry in self._succ:
-            if entry[1] not in self.evicted:
-                return entry
-        return self._self
-
     def successor(self) -> str:
-        return self._successor_entry()[1]
+        return next((s for _, s in self._succ if s not in self.evicted), self.addr)
 
     def state(self) -> tuple[str | None, list[str]]:
         pred = self.predecessor
@@ -219,49 +218,72 @@ class RingNode:
         """Best local routing step strictly inside (self, ident)."""
         return self._closest(ident)[1]
 
-    def local_query(self, ident: int) -> tuple[str, str]:
-        return self.closest_preceding(ident), self.successor()
+    def local_query(self, ident: int) -> tuple[str, list[str]]:
+        """The closest preceding entry and the live successors (this node when none)."""
+        return self.closest_preceding(ident), self.state()[1] or [self.addr]
 
     # -- lookup ---------------------------------------------------------------
 
     def find_successor(self, ident: int) -> LookupResult:
-        """Iterative search. A remote node claiming itself as its own
-        successor would own every key, so such answers are treated as
-        unverifiable and routed around (bounded restarts). Only the two
-        addresses of each remote answer are hashed."""
+        """Iterative search, ending at the first link of a successor chain
+        (this node's own list, then each answer's) whose arc covers ident;
+        else the next hop is the closest preceding entry or the first
+        successor. A remote node claiming itself as its own successor would
+        own every key, so such answers are unverifiable and routed around
+        (bounded restarts)."""
         hops = 0
         excluded: set[str] = set()
         for _ in range(6):
             node, node_id = self.addr, self.ident
-            closest_id, closest = self._closest(ident)
-            succ_id, succ = self._successor_entry()
+            closest, chain = self._closest(ident), self._succ
             seen: set[str] = set()
             stuck_at: str | None = None
             for _ in range(2 * self.bits + 8):
-                if in_interval(ident, node_id, succ_id, inc_hi=True):
-                    if succ == node and node != self.addr:
+                found, first = self._walk((node_id, node), chain, ident)
+                if found is not None:
+                    if found[1] == node and node != self.addr:
                         stuck_at = node
                         break
-                    return LookupResult(succ, hops, succ_id)
-                nxt_id, nxt = (closest_id, closest) if closest != node else (succ_id, succ)
-                if nxt == node or nxt in seen or nxt in excluded or nxt in self.evicted:
+                    return LookupResult(found[1], hops, found[0])
+                nxt = closest if closest[1] != node else first
+                if nxt is None or nxt[1] in seen or nxt[1] in excluded or nxt[1] in self.evicted:
                     stuck_at = node if node != self.addr else None
                     break
                 seen.add(node)
-                node, node_id = nxt, nxt_id
+                node_id, node = nxt
                 try:
-                    closest, succ = self.transport.query(node, ident)
+                    closest_addr, succs = self.transport.query(node, ident)
                     hops += 1
                 except PeerUnreachable:
                     self.note_dead(node)
                     stuck_at = None
                     break
-                closest_id, succ_id = node_ident(closest, self.bits), node_ident(succ, self.bits)
+                closest, chain = self._entry(closest_addr), self._chain(succs)
             if stuck_at is None and node == self.addr:
                 break
             if stuck_at is not None:
                 excluded.add(stuck_at)
         raise LookupFailed(f"no route to successor of {ident:x}")
+
+    def _chain(self, addrs: list[str]) -> Iterator[Entry]:
+        """A remote answer's successors up to successor_list_len; the walk
+        hashes only the addresses it reads."""
+        return (self._entry(addr) for addr in addrs[: self.successor_list_len])
+
+    def _walk(self, node: Entry, chain: Iterable[Entry], ident: int) -> tuple[Entry | None, Entry | None]:
+        """(The first link of node's successor chain whose arc covers ident,
+        the first link), each None if there is none. A link's arc runs from
+        the link before it, or from node: node as its own first link covers
+        every key. The walk stops at an evicted link or a lap back to node."""
+        first, prev = None, node[0]
+        for entry in chain:
+            if entry[1] in self.evicted or (first is not None and entry[1] == node[1]):
+                break
+            first = first or entry
+            if in_interval(ident, prev, entry[0], inc_hi=True):
+                return entry, first
+            prev = entry[0]
+        return None, first
 
     # -- membership -----------------------------------------------------------
 
@@ -282,18 +304,16 @@ class RingNode:
         self.stabilize()
 
     def _resolve_via(self, via: str, ident: int) -> Entry:
-        node, node_id = via, node_ident(via, self.bits)
-        closest, succ = self.transport.query(node, ident)
+        node = (node_ident(via, self.bits), via)
         for _ in range(2 * self.bits + 8):
-            succ_id = node_ident(succ, self.bits)
-            if in_interval(ident, node_id, succ_id, inc_hi=True):
-                return succ_id, succ
-            nxt = closest if closest != node else succ
-            if nxt == node:
-                return succ_id, succ
-            node_id = succ_id if nxt == succ else node_ident(nxt, self.bits)
+            closest, succs = self.transport.query(node[1], ident)
+            found, first = self._walk(node, self._chain(succs), ident)
+            if found is not None:
+                return found
+            nxt = self._entry(closest) if closest != node[1] else first
+            if nxt is None:
+                break
             node = nxt
-            closest, succ = self.transport.query(node, ident)
         raise LookupFailed("join lookup did not converge")
 
     def leave(self) -> None:
@@ -533,7 +553,7 @@ class DirectTransport:
         self.messages += 1
         return self._node(addr).state()
 
-    def query(self, addr: str, ident: int) -> tuple[str, str]:
+    def query(self, addr: str, ident: int) -> tuple[str, list[str]]:
         self.messages += 1
         return self._node(addr).local_query(ident)
 

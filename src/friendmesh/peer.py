@@ -676,8 +676,6 @@ class Peer:
             raise NotFound(friend_username)
 
         def seed(channel: SecureChannel, served_by: str) -> None:
-            if served_by != friend_username:
-                raise Unavailable(f"{friend_username} not directly reachable")
             channel.call(
                 "mirror_init",
                 self.username,
@@ -685,7 +683,8 @@ class Peer:
                 encode_entries(self.profile.log),
             )
 
-        self._with_friend(friend_username, seed)
+        # Only the friend themself can take the replica, not one of their mirrors.
+        self._with_friend(friend_username, seed, mirrors=False)
         if all(m.username != friend_username for m in self.state.mirror_table):
             self.state.mirror_table.append(
                 MirrorEntry(username=friend_username, passphrase=entry.passphrase)
@@ -707,12 +706,9 @@ class Peer:
     def _sync_mirror(self, mirror: MirrorEntry) -> bool:
         """Reconcile with one mirror; True when it handed the owner entries."""
 
-        def sync(channel: SecureChannel, served_by: str) -> bool:
-            # Not with one of the mirror's own mirrors.
-            return served_by == mirror.username and self._sync_over(channel)
-
         try:
-            return self._with_friend(mirror.username, sync)
+            # Not with one of the mirror's own mirrors.
+            return self._with_friend(mirror.username, lambda channel, _: self._sync_over(channel), mirrors=False)
         except ProtocolError:
             return False
 

@@ -56,8 +56,9 @@ class WireRingTransport:
         pred, succs = self._call(addr, wire.RING_STATE)
         return pred or None, succs
 
-    def query(self, addr: str, ident: int) -> tuple[str, str]:
-        return self._call(addr, wire.RING_CLOSEST, ident)
+    def query(self, addr: str, ident: int) -> tuple[str, list[str]]:
+        closest, succ, more = self._call(addr, wire.RING_CLOSEST, ident)
+        return closest, [succ, *more]
 
     def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]:
         pred, succs = self._call(addr, wire.RING_NOTIFY, candidate)
@@ -379,7 +380,8 @@ class RendezvousSession:
         return wire.reply(wire.RING_STATE, pred or "", succs)
 
     def handle_ring_closest(self, ctx: SessionContext, ident: int) -> Frame:
-        return wire.reply(wire.RING_CLOSEST, *self._ring().local_query(self._on_ring(ident)))
+        closest, succs = self._ring().local_query(self._on_ring(ident))
+        return wire.reply(wire.RING_CLOSEST, closest, succs[0], succs[1:])
 
     def handle_ring_notify(self, ctx: SessionContext, candidate: str) -> Frame:
         pred, succs = self._ring().notified(candidate)

@@ -106,7 +106,7 @@ class AdversarySession:
             poison = wrapper.attacker_addrs[0]
             if frame.msg_type == wire.RING_STATE:
                 return wire.reply(wire.RING_STATE, poison, wrapper.attacker_addrs)
-            return wire.reply(wire.RING_CLOSEST, poison, poison)
+            return wire.reply(wire.RING_CLOSEST, poison, poison, [])
         return NO_ACTION
 
     @staticmethod

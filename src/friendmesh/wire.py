@@ -451,7 +451,8 @@ CHORD_REPLY = _define(19, "chord_reply", None, None)
 COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint's fields
 APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app request or reply
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
-RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR))  # -> closest preceding, successor
+# -> closest preceding, the successor list: its first entry, then the rest
+RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR, many(STR)))
 # candidate predecessor -> the notified node's predecessor or "", successors
 # after the notify: stabilize takes its successor's state from this reply
 RING_NOTIFY = _define(34, "ring_notify", (STR,), (STR, many(STR)))

@@ -1,16 +1,17 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were last re-recorded, on purpose, when friend channels came to
-open through the rendezvous session's one handshake: a hello with a nonce,
-answered by a session key the responder chose, so each friend handshake
-sends 2 frames where it sent 4. The handshake's MSG lines, the message
-counts and every time after the first handshake changed (an app reply
-carrying a timestamp with one digit fewer changed size with it). r1_drop
-also changed in its ring lines: its 4-node ring's successor lists now stop
-where they lap round to their own node. Each scenario's summary
-(deliveries, detections, evictions) is as before. Any change to a wire
-byte, a message count, a timestamp or an event in any scenario changes a
-hash.
+The hashes were last re-recorded, on purpose, when a RING_CLOSEST answer
+came to carry the answering server's successor list and a lookup to end at
+the first server whose list covers the key. The scenarios on rings of more
+than two servers changed: their ring replies are longer, their lookups
+take fewer hops, and every time after the ring's build moved earlier.
+churn and island_partition, on 2-server rings where a list holds one
+server and no hop is saved, are unchanged. In each scenario the
+detections, evictions, replica states and key owners are those of before
+but for their times. s1_sybil's peers meet its 100 joining sybil servers at
+other moments, as the joins take fewer frames: one locate fewer and one
+pull fewer fail. Any change to a wire byte, a message count, a timestamp
+or an event in any scenario changes a hash.
 """
 import hashlib
 import pathlib
@@ -22,16 +23,16 @@ from friendmesh.simnet.scenario import SimConfig, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 TRACE_SHA256 = {
-    "baseline": "04679a61e062817dc39dd96827e2f9676f6aa13e6b7fd2d71602688fb564c66f",
+    "baseline": "af0b87127181c4f6e4a97503726714db6c8ab0e95f5b3b1e6e563e025a2f2d39",
     "churn": "579b110334b15bfdfdad86beb7eeb13cc0930e931494b7e5a4c2d082c69eb7cb",
-    "e1_eclipse": "18c9325b889c0a9ce1d76db63235a543aef25bad067e9782429d5ab6732e3416",
-    "eviction": "d0f3a2639a00454e9be98ed6b4bb1896b20f6489f7b965e28047a65b1aa01889",
+    "e1_eclipse": "83b933d96e4d7f366ffaab01291ff12ce9898bb617e7b96c5add6b7abe786225",
+    "eviction": "c6f36acfcd5a8265e72c2ac23efcca80bfbf8acc96805db6e6216423e12e9932",
     "island_partition": "f0a6fc3586436a2e57691504a7ab34d956ecd855b09f667d2112a2d5587e80d5",
-    "r1_drop": "bc2f191a710c4eb0bd21f14411d325338282e6b52eb469455c2af6125ab92651",
-    "r2_misroute": "40d6674f84913a830cf057c3c0a26c48600dd4a10e7c6e32e869116d34fd59ae",
-    "r3_claim_key": "58d809474bf399423d0fb6c97654ab21c15c45084d5096989d68d4822082297c",
-    "s1_sybil": "85de2d10db1b2ad93ea3afaa6846f4c3eb4de28512ced232e231a8e32324b7ac",
-    "t1_falsify": "9611b6323541371574583b20183950253ab24deb3ed45d46abb5330dc9242d2f",
+    "r1_drop": "8b8cc44e31a4cbfb4a0f380255b7d6aeac0c149eb6486126677996813c97268c",
+    "r2_misroute": "9e9dcc88d46da03d8950bf7a5ab15fa0559fa8b50316f63ae923a72a7ee492e2",
+    "r3_claim_key": "4534f39310cef09908b50ee69fd1cf86b69eb218fea7707051a46a9bf645d3ed",
+    "s1_sybil": "7ffff1193bf78e7c73bf6a99497c22196ff3960e738898fd024b5f261b99ff22",
+    "t1_falsify": "2a3337b0498eff2aca0c103eb3aa909a49a9d9ace7b6ba83afe76bf7811fd234",
 }
 
 

@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import example
 from hypothesis import strategies as st
 
-from friendmesh import identity, rvclient, secure, wire
+from friendmesh import chord, identity, rvclient, secure, wire
 from friendmesh.caservice import CAService, request_certificate
 from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RelayConfig, RendezvousConfig
-from friendmesh.errors import IntegrityError, MalformedRequest, NotFound, PeerUnreachable, ProtocolError
+from friendmesh.errors import (
+    IntegrityError, LookupFailed, MalformedRequest, NotFound, PeerUnreachable, ProtocolError,
+)
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpServer
 from friendmesh.records import make_registration_record
@@ -250,15 +252,78 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
 # -- (c) a client facing a hostile reply ----------------------------------------------
 
 
+class OneServiceEndpoint:
+    """Connects every address to one service."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def connect(self, addr):
+        return DirectChannel(self.service)
+
+
 def test_ring_query_rejects_short_reply():
-    short = FuncService(lambda frame, ctx: wire.ok_reply(frame.msg_type, b"10.0.0.5:7200"))
+    # No successor, or an empty successor list: one and the same bytes, as
+    # the reply's layout holds the list's first address as a field of its own.
+    for fields in [(), (b"10.0.0.5:7200",)]:
+        short = FuncService(lambda frame, ctx: wire.ok_reply(frame.msg_type, *fields))
+        with pytest.raises(ProtocolError):
+            WireRingTransport(OneServiceEndpoint(short)).query("10.0.0.5:7200", 42)
 
-    class Endpoint:
-        def connect(self, addr):
-            return DirectChannel(short)
 
-    with pytest.raises(ProtocolError):
-        WireRingTransport(Endpoint()).query("10.0.0.5:7200", 42)
+def test_ring_answer_listing_many_addresses_costs_at_most_a_list_of_hashes(monkeypatch):
+    # The node a lookup asks first answers with itself as closest and a list
+    # of 1,000 addresses. The first successor_list_len are unreachable and
+    # lie just past it, so no arc among them covers the key; every later one
+    # would, were the walk to read it. The answering node stays the first
+    # hop of every restart, so the lookup can only give up.
+    addrs = [f"10.6.4.{i}:7{i:03d}" for i in range(16)]
+    nodes, transport = chord.build_ring(addrs)
+    start = nodes[addrs[0]]
+    span = start.successor_list_len
+    size = 1 << 128
+    real = chord.node_ident
+    pool = {a: real(a) for a in (f"10.66.{i // 250}.{i % 250}:9000" for i in range(3000))}
+    pairs = sorted((real(a), a) for a in addrs)
+    hashed = []
+    monkeypatch.setattr(chord, "node_ident", lambda addr, bits=128: hashed.append(addr) or real(addr, bits))
+    rng = random.Random(4)
+    tried = 0
+    while tried < 8:
+        key = rng.randrange(size)
+        hostile = start.closest_preceding(key)
+        if hostile == start.addr:
+            continue
+        hostile_id = real(hostile)
+        near = sorted(pool, key=lambda a: (pool[a] - hostile_id) % size)[:span]
+        last_id = pool[near[-1]]
+        if chord.in_interval(key, hostile_id, last_id, inc_hi=True):
+            continue
+        traps = [a for a in pool if a not in near and chord.in_interval(key, last_id, pool[a], inc_hi=True)]
+        listed = near + traps[: 1000 - span]
+        assert len(listed) == 1000
+        service = FuncService(lambda frame, ctx: wire.reply(wire.RING_CLOSEST, hostile, listed[0], listed[1:]))
+        replies = []
+
+        class HostileTransport:
+            def query(self, addr, ident):
+                if addr != hostile:
+                    return transport.query(addr, ident)
+                replies.append(addr)
+                return WireRingTransport(OneServiceEndpoint(service)).query(addr, ident)
+
+        start.transport = HostileTransport()
+        hashed.clear()
+        try:
+            result = start.find_successor(key)
+        except LookupFailed:
+            pass
+        else:
+            assert result.addr == next((a for i, a in pairs if i >= key), pairs[0][1])
+        tried += 1
+        assert replies
+        assert len([a for a in hashed if a in pool]) <= span * len(replies)
+        assert not set(hashed) & set(traps)
 
 
 def test_locate_peer_rejects_short_reply(ca, user):

@@ -729,6 +729,16 @@ def test_flushing_a_queue_for_a_downed_friend_costs_only_its_locate():
     assert alice.state.queued_updates["user01"] == [("ping",)]
 
 
+def test_syncing_with_a_downed_mirror_costs_only_its_locate():
+    # user00's mirror user01 is down, with user02 as its own mirror: only
+    # user01 itself can reconcile, so the sync neither locates nor reaches user02.
+    world = small_world(seed=29, mirrors=[["user00", "user01"], ["user01", "user02"]])
+    owner = world.peers["user00"]
+    owner.locate_friend("user01")
+    world.sim.set_down(world.peers["user01"].endpoint.local_addr(), True)
+    assert frames_of(world, owner.sync_mirrors) == 2
+
+
 def test_every_operation_still_locates_and_verifies(monkeypatch):
     from friendmesh import peer as peer_module
 
