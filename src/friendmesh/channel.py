@@ -4,7 +4,7 @@ A Channel is the client end of one connection: it sends a frame and waits
 for the single reply frame, and close() ends the connection. A Service
 accepts connections and hands each one a Session; a session only answers
 frames, one handle() call per request, and is simply dropped when its
-connection ends. The deterministic simulator and the real-socket carriers
+connection ends. The deterministic simulator and the real-socket carrier
 both implement these, which is what lets identical component code run in
 either world.
 

@@ -7,7 +7,6 @@ relay interval, or 2 s when it is not relayed):
     friendmesh ca --port 7100 --name myca --state ca.log --key ca.key
     friendmesh rendezvous --port 7200 --db rv.sqlite --ca-cert ca.pub
     friendmesh relay --port 7300 --rendezvous 127.0.0.1:7200 --ca-cert ca.pub
-    friendmesh stun --primary 127.0.0.1 --secondary 127.0.0.2
 
 Peer operations (state persisted between invocations):
     friendmesh peer bootstrap|locate|connect|friend-request|accept|revoke|status|serve
@@ -25,7 +24,7 @@ import time
 
 from . import identity
 from .caservice import CAService
-from .config import PeerConfig, RelayConfig, RendezvousConfig, StunConfig
+from .config import PeerConfig, RelayConfig, RendezvousConfig
 from .errors import MalformedRequest, ProtocolError
 from .netio import TcpEndpoint, TcpServer
 from .peer import Peer, load_state, save_state
@@ -33,7 +32,6 @@ from .profile import Profile, op_add, op_perm, reconcile
 from .relay import RelayServer
 from .rendezvous import RendezvousServer
 from .simnet import cli as sim_cli
-from .stun import StunServer
 
 
 def _ca_public_key(path: str) -> bytes:
@@ -121,18 +119,6 @@ def cmd_relay(args) -> int:
     print(f"relay on {listener.addr}, rendezvous update interval {interval} ms")
     _run_upkeep("relay", relay.tick, max(interval, config.ping_interval_ms))
     listener.stop()
-    return 0
-
-
-def cmd_stun(args) -> int:
-    config = StunConfig(
-        primary_addr=args.primary, primary_port=args.primary_port,
-        secondary_addr=args.secondary, secondary_port=args.secondary_port,
-    )
-    server = StunServer(config).start()
-    print(f"stun server on {args.primary}:{args.primary_port} / {args.secondary}:{args.secondary_port}")
-    _run_upkeep("stun")
-    server.stop()
     return 0
 
 
@@ -316,13 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     relay_p.add_argument("--max-connections", type=int, default=32)
     relay_p.add_argument("--ping-interval", type=int, default=2000)
     relay_p.set_defaults(fn=cmd_relay)
-
-    stun_p = sub.add_parser("stun", help="run the NAT discovery server")
-    stun_p.add_argument("--primary", default="127.0.0.1")
-    stun_p.add_argument("--primary-port", type=int, default=7400)
-    stun_p.add_argument("--secondary", default="127.0.0.2")
-    stun_p.add_argument("--secondary-port", type=int, default=7402)
-    stun_p.set_defaults(fn=cmd_stun)
 
     peer_p = sub.add_parser("peer", help="peer operations")
     peer_p.add_argument(

@@ -40,14 +40,6 @@ class RelayConfig:
 
 
 @dataclass
-class StunConfig:
-    primary_addr: str = "127.0.0.1"
-    primary_port: int = 7400
-    secondary_addr: str = "127.0.0.2"
-    secondary_port: int = 7401
-
-
-@dataclass
 class PeerConfig:
     username: str = ""
     port: int = 7500

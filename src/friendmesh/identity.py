@@ -456,16 +456,6 @@ def friend_key_decrypt(key: bytes, blob: bytes) -> bytes:
         raise IntegrityError("friend-key blob failed authentication") from exc
 
 
-def save_certificate(cert: Certificate, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(cert.encode())
-
-
-def load_certificate(path: str) -> Certificate:
-    with open(path, "rb") as fh:
-        return Certificate.decode(fh.read())
-
-
 def save_keypair(pair: KeyPair, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(pair.encode())

@@ -3,7 +3,9 @@
 Classification runs the three-probe decision tree against a dual-homed
 probe server: mapped-equals-local, reply-from-alternate-address, and
 mapped-stability across destinations with an alternate-port tiebreak.
-Only this minimal subset of the standard is implemented.
+Only this minimal subset of the standard is implemented. The simulator
+probes through `simnet.core.SimStunProbes`; a peer given no probes, as a
+CLI peer is, registers as public.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ class NatType(enum.Enum):
 
 class Route(enum.Enum):
     DIRECT = "direct"
-    HOLE_PUNCH = "hole_punch"
     RELAY = "relay"
     UNREACHABLE = "unreachable"
 
@@ -86,12 +87,11 @@ def stun_classify(probes: StunProbes) -> NatType:
 
 def connect_strategy(nat_kind: str, has_relay: bool) -> Route:
     """Pick the route for reaching the owner of a record of one of the three
-    wire kinds. Total and deterministic. A non-full-cone owner admits no
+    wire kinds. Total and deterministic. A public or full-cone owner is
+    dialled at its recorded address. A non-full-cone owner admits no
     unsolicited inbound traffic, so it is reached through its relay."""
-    if nat_kind == "public":
+    if nat_kind in ("public", "full_cone"):
         return Route.DIRECT
-    if nat_kind == "full_cone":
-        return Route.HOLE_PUNCH
     if nat_kind == "non_full_cone" and has_relay:
         return Route.RELAY
     return Route.UNREACHABLE

@@ -1,13 +1,12 @@
-"""Real-socket carriers: TCP and reliable-UDP with identical framing.
+"""The real-socket carrier: TCP.
 
 The same Channel/Service contracts the simulator provides, over actual
-sockets. TCP maps one connection to one session; the UDP carrier runs the
-ARQ engine per remote endpoint with a pump thread driving retransmission.
-A TCP connection can be taken over one way (see channel.py): on the
-client, attach_reverse() starts answering frames after the next reply, and
-close() ends that; on the server, opening a session on ctx.reverse_service
-ends the serve loop once the current reply is out. Bytes that are not a
-frame end the connection silently.
+sockets: one connection carries one session. A connection can be taken
+over one way (see channel.py): on the client, attach_reverse() starts
+answering frames after the next reply, and close() ends that; on the
+server, opening a session on ctx.reverse_service ends the serve loop once
+the current reply is out. Bytes that are not a frame end the connection
+silently.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import time
 
 from .channel import Service, SessionContext
 from .errors import PeerUnreachable, ProtocolError
-from .rudp import ArqEndpoint
 from .wire import Frame, frame_from_stream
 
 
@@ -189,116 +187,3 @@ class _SocketReverse:
         except OSError:
             pass
         self._sock.close()
-
-
-class RudpChannel:
-    """Client channel over the ARQ engine on a UDP socket."""
-
-    def __init__(self, addr: str, timeout_s: float = 8.0):
-        host, _, port = addr.rpartition(":")
-        self.remote_addr = addr
-        self._peer = (host, int(port))
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(("127.0.0.1" if host.startswith("127.") else "0.0.0.0", 0))
-        self._sock.settimeout(0.05)
-        self._arq = ArqEndpoint()
-        self._timeout_s = timeout_s
-
-    def _pump_once(self) -> None:
-        now = now_ms()
-        for datagram in self._arq.poll(now):
-            self._sock.sendto(datagram, self._peer)
-        try:
-            data, _ = self._sock.recvfrom(65535)
-            self._arq.on_datagram(data, now_ms())
-        except socket.timeout:
-            pass
-
-    def request(self, frame: Frame) -> Frame:
-        self._arq.send_message(frame.encode())
-        deadline = time.monotonic() + self._timeout_s
-        while time.monotonic() < deadline:
-            self._pump_once()
-            message = self._arq.recv_message()
-            if message is not None:
-                return _decode_frame(message)
-        raise PeerUnreachable(f"no reply from {self.remote_addr}")
-
-    def attach_reverse(self, service: Service) -> None:
-        raise PeerUnreachable("reverse serving unsupported over the UDP carrier")
-
-    def close(self) -> None:
-        self._arq.close()
-        for _ in range(3):
-            self._pump_once()
-        self._sock.close()
-
-
-def _decode_frame(message: bytes) -> Frame:
-    from .wire import decode_frame
-
-    return decode_frame(message)
-
-
-class RudpServer:
-    """Reliable-datagram server: one ARQ endpoint and session per remote."""
-
-    def __init__(self, service: Service, host: str = "127.0.0.1", port: int = 0):
-        self.service = service
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((host, port))
-        self.host, self.port = self._sock.getsockname()
-        self._sock.settimeout(0.05)
-        self._conns: dict[tuple, tuple[ArqEndpoint, object, SessionContext]] = {}
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-
-    @property
-    def addr(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def start(self) -> "RudpServer":
-        self._thread.start()
-        return self
-
-    def _conn_for(self, peer) -> tuple[ArqEndpoint, object, SessionContext]:
-        conn = self._conns.get(peer)
-        if conn is None:
-            ctx = SessionContext(remote_addr=f"{peer[0]}:{peer[1]}")
-            conn = (ArqEndpoint(), self.service.open_session(ctx), ctx)
-            self._conns[peer] = conn
-        return conn
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                data, peer = self._sock.recvfrom(65535)
-                arq, session, ctx = self._conn_for(peer)
-                arq.on_datagram(data, now_ms())
-                while (message := arq.recv_message()) is not None:
-                    frame = _decode_frame(message)
-                    reply = session.handle(frame, ctx)
-                    if reply is not None:
-                        arq.send_message(reply.encode())
-            except socket.timeout:
-                pass
-            except ProtocolError:
-                # A message that is not a frame, or a session that raised:
-                # forget the remote and answer with silence.
-                del self._conns[peer]
-            except OSError:
-                break
-            now = now_ms()
-            for peer, (arq, _, _) in list(self._conns.items()):
-                for datagram in arq.poll(now):
-                    try:
-                        self._sock.sendto(datagram, peer)
-                    except OSError:
-                        pass
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass

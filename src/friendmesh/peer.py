@@ -4,9 +4,10 @@ A peer signs up once with the CA, classifies its NAT, obtains and keeps a
 relay when it cannot accept inbound traffic, registers its signed
 connection record (at one server locally, at both dual-hash successors
 globally, with the sentinel verification run first once a friend exists),
-and from then on locates friends by passphrase, connects direct /
-hole-punch / relayed, falls back to their mirrors in preference order, and
-replicates its own profile to mirrors it appointed.
+and from then on locates friends by passphrase, connects direct (public
+or full-cone owners) or through the owner's relay, falls back to their
+mirrors in preference order, and replicates its own profile to mirrors it
+appointed.
 
 A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
@@ -493,7 +494,7 @@ class Peer:
         """The address to dial for the record's owner ("" for none), and
         whether it is their relay's."""
         route = connect_strategy(record.nat_kind, record.has_relay) if record else Route.UNREACHABLE
-        if route in (Route.DIRECT, Route.HOLE_PUNCH):
+        if route is Route.DIRECT:
             return f"{record.ip}:{record.port}", False
         if route is Route.RELAY:
             return f"{record.relay_address}:{record.relay_port}", True

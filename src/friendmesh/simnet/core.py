@@ -23,8 +23,8 @@ exchange returns the event's scheduled time, which may be earlier than
 the clock of the host the event works for. After run(until), `now`
 resumes at until, or where it was if that is later.
 
-Loss below the retry budget is absorbed the way the reliable datagram
-layer would absorb it: an attempt that loses the request or the reply
+Loss below the retry budget is absorbed the way a reliable carrier
+would absorb it: an attempt that loses the request or the reply
 costs the caller a timeout and is retried; exhaustion raises
 peer_unreachable. A request is handled once: after the callee has
 answered, a retry makes it resend the reply it already has.

@@ -1,6 +1,6 @@
 """Binary framing, field packing and the message schema of every component.
 
-Frame layout (bit-exact, identical over TCP and UDP carriers):
+Frame layout (bit-exact, identical over TCP and in the simulator):
 
     4 bytes  big-endian payload length
     1 byte   message type code

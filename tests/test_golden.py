@@ -12,15 +12,26 @@ but for their times. s1_sybil's peers meet its 100 joining sybil servers at
 other moments, as the joins take fewer frames: one locate fewer and one
 pull fewer fail. Any change to a wire byte, a message count, a timestamp
 or an event in any scenario changes a hash.
+
+Beside the hashes, golden_outcomes.json pins what each scenario came to,
+without times: locates and pulls ok and failed, the detection count, the
+evicted addresses in order, each replica's final digest and the key
+owners. A change that moves frames but no outcome re-records hashes only;
+one that moves an outcome shows it as a diff of named values. Rewrite the
+file with `PYTHONPATH=src python tests/test_golden.py`.
 """
+import functools
 import hashlib
+import json
 import pathlib
 
 import pytest
 
+from friendmesh.simnet.metrics import metrics_from_trace
 from friendmesh.simnet.scenario import SimConfig, run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
     "baseline": "af0b87127181c4f6e4a97503726714db6c8ab0e95f5b3b1e6e563e025a2f2d39",
@@ -36,12 +47,44 @@ TRACE_SHA256 = {
 }
 
 
+@functools.cache
+def run(name: str) -> tuple[str, dict]:
+    """The scenario's trace hash and outcomes, from one run shared by both tests."""
+    config = SimConfig.from_json((SCENARIOS / f"{name}.json").read_text())
+    _, trace = run_scenario(config)
+    m = metrics_from_trace(trace)
+    outcomes = {
+        "locates_ok": m.locates_ok,
+        "locates_failed": m.locates_failed,
+        "pulls_ok": m.pulls_ok,
+        "pulls_failed": m.pulls_failed,
+        "detections": len(m.detections),
+        "evictions": [accused for _, accused in m.evictions],
+        # "owner holder" -> the digest of the holder's last replica state
+        "replicas": {f"{owner} {holder}": digest for _, owner, holder, digest in m.replica_states},
+        "key_owners": {
+            user: {"md5": md5, "sha1": sha1} for user, (md5, sha1) in m.key_owners.items()
+        },
+    }
+    return hashlib.sha256(trace.encode("utf-8")).hexdigest(), outcomes
+
+
 def test_every_scenario_is_pinned():
-    assert sorted(p.stem for p in SCENARIOS.glob("*.json")) == sorted(TRACE_SHA256)
+    names = sorted(p.stem for p in SCENARIOS.glob("*.json"))
+    assert names == sorted(TRACE_SHA256)
+    assert names == sorted(json.loads(OUTCOMES.read_text()))
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
 def test_scenario_trace_unchanged(name):
-    config = SimConfig.from_json((SCENARIOS / f"{name}.json").read_text())
-    _, trace = run_scenario(config)
-    assert hashlib.sha256(trace.encode("utf-8")).hexdigest() == TRACE_SHA256[name]
+    assert run(name)[0] == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_scenario_outcomes_unchanged(name):
+    assert run(name)[1] == json.loads(OUTCOMES.read_text())[name]
+
+
+if __name__ == "__main__":
+    pinned = {name: run(name)[1] for name in sorted(TRACE_SHA256)}
+    OUTCOMES.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")

@@ -21,12 +21,11 @@ from friendmesh.errors import (
     IntegrityError, LookupFailed, MalformedRequest, NotFound, PeerUnreachable, ProtocolError,
 )
 from friendmesh.identity import SessionCipher
-from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpServer
+from friendmesh.netio import TcpChannel, TcpServer
 from friendmesh.records import make_registration_record
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.relay import send_keepalive
 from friendmesh.rendezvous import RendezvousServer, WireRingTransport
-from friendmesh.rudp import ArqEndpoint
 from friendmesh.simnet.scenario import Scenario, SimConfig
 from friendmesh.wire import Frame
 
@@ -396,7 +395,7 @@ def test_pull_rejects_two_field_reply(friends, monkeypatch):
         alice.pull_friend_profile("user01")
 
 
-# -- (d) raw bytes through the loopback carriers: no server or client thread dies -------
+# -- (d) raw bytes through the loopback carrier: no server or client thread dies --------
 
 LOOPBACK_FUZZ = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -445,18 +444,9 @@ def loopback(ca, served):
     servers = {}
     for name, service in (("rendezvous", rendezvous), ("relay", relay)):
         servers[name, "tcp"] = TcpServer(service).start()
-        servers[name, "udp"] = RudpServer(service).start()
     yield servers
     for server in servers.values():
         server.stop()
-
-
-@pytest.fixture(scope="module")
-def udp_clients(loopback):
-    clients = {name: RudpChannel(loopback[name, "udp"].addr, timeout_s=3.0) for name in VALID}
-    yield clients
-    for client in clients.values():
-        client.close()
 
 
 @LOOPBACK_FUZZ
@@ -478,23 +468,6 @@ def test_tcp_server_survives_any_byte_stream(loopback, served, stream, target):
     VALID[target](channel)
     channel.close()
     assert served.get(timeout=5) is None
-
-
-@LOOPBACK_FUZZ
-@given(
-    datagrams=st.lists(st.binary(max_size=80), max_size=3),
-    message=streams(),
-    target=st.sampled_from(sorted(VALID)),
-)
-def test_udp_server_survives_any_datagram(loopback, udp_clients, datagrams, message, target):
-    server = loopback[target, "udp"]
-    arq = ArqEndpoint()
-    arq.send_message(message)  # reaches the frame decoder
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
-        for datagram in datagrams + arq.poll(0):
-            raw.sendto(datagram, (server.host, server.port))
-        VALID[target](udp_clients[target])
-    assert server._thread.is_alive()
 
 
 def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, user, monkeypatch):

@@ -330,13 +330,6 @@ def test_friend_key_roundtrip_and_tamper():
         identity.friend_key_decrypt(key, bytes(bad))
 
 
-def test_certificate_file_roundtrip(tmp_path, ca):
-    _, cert = make_user(ca, "heidi")
-    path = str(tmp_path / "heidi.cert")
-    identity.save_certificate(cert, path)
-    assert identity.load_certificate(path) == cert
-
-
 def test_keypair_file_roundtrip(tmp_path):
     pair = identity.generate_keypair("ec-p256")
     path = str(tmp_path / "key.bin")

@@ -1,24 +1,18 @@
 """Honest-path suite over real loopback sockets: identical component code,
-real TCP and UDP carriers."""
+the real TCP carrier."""
 import random
-import socket
-import threading
 
 import pytest
 
 from friendmesh import identity, secure, wire
 from friendmesh.caservice import CAService
 from friendmesh.channel import DirectChannel, FuncService
-from friendmesh.config import PeerConfig, RelayConfig, RendezvousConfig, StunConfig
-from friendmesh.errors import NetworkUnreachable
-from friendmesh.nat import NatType, stun_classify
-from friendmesh.netio import RudpChannel, RudpServer, TcpChannel, TcpEndpoint, TcpServer
+from friendmesh.config import PeerConfig, RelayConfig, RendezvousConfig
+from friendmesh.netio import TcpChannel, TcpEndpoint, TcpServer
 from friendmesh.peer import Peer
 from friendmesh.profile import op_add
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.rendezvous import RendezvousServer
-from friendmesh.rudp import ArqEndpoint
-from friendmesh.stun import StunClient, StunServer
 from friendmesh.wire import Frame
 
 
@@ -36,87 +30,6 @@ def test_tcp_carrier_roundtrip():
         channel.close()
     finally:
         server.stop()
-
-
-def test_udp_carrier_roundtrip():
-    server = RudpServer(echo_service()).start()
-    try:
-        channel = RudpChannel(server.addr)
-        payload = random.Random(1).randbytes(20_000)  # spans many segments
-        reply = channel.request(Frame(wire.APP_DATA, payload))
-        assert reply.payload == payload
-        channel.close()
-    finally:
-        server.stop()
-
-
-def test_udp_server_survives_message_that_is_not_a_frame():
-    server = RudpServer(echo_service()).start()
-    bad = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        arq = ArqEndpoint()
-        arq.send_message(b"not a frame")
-        for datagram in arq.poll(0):
-            bad.sendto(datagram, (server.host, server.port))
-        channel = RudpChannel(server.addr, timeout_s=3.0)
-        reply = channel.request(Frame(wire.APP_DATA, b"still serving"))
-        assert reply == Frame(wire.APP_DATA, b"still serving")
-        channel.close()
-    finally:
-        bad.close()
-        server.stop()
-        server._thread.join(timeout=5)
-    assert not server._thread.is_alive()
-
-
-def test_stun_loopback_classifies_public():
-    try:
-        server = StunServer(StunConfig(primary_port=0, secondary_port=0)).start()
-    except OSError:
-        pytest.skip("cannot bind 127.0.0.2 on this host")
-    try:
-        primary = server._socks[(0, 0)].getsockname()
-        secondary = server._socks[(1, 0)].getsockname()
-        client = StunClient(primary, secondary)
-        assert stun_classify(client) is NatType.PUBLIC
-        client.close()
-    finally:
-        server.stop()
-
-
-@pytest.mark.parametrize("garbage", [
-    pytest.param(b"not a frame", id="not-a-frame"),
-    pytest.param(Frame(39, wire.pack_fields(b"127.0.0.1")).encode(), id="one-field"),
-    pytest.param(Frame(39, wire.pack_fields(b"127.0.0.1", b"port")).encode(), id="bad-port"),
-])
-def test_stun_client_survives_garbled_reply(garbage):
-    # A reply that is not a binding reply counts as no reply: probe returns
-    # None (the StunProbes contract) and classification fails with a coded error.
-    server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    server.bind(("127.0.0.1", 0))
-    server.settimeout(0.1)
-    stop = threading.Event()
-
-    def answer():
-        while not stop.is_set():
-            try:
-                _, peer = server.recvfrom(2048)
-            except socket.timeout:
-                continue
-            server.sendto(garbage, peer)
-
-    thread = threading.Thread(target=answer, daemon=True)
-    thread.start()
-    client = StunClient(server.getsockname(), server.getsockname(), timeout_s=2)
-    try:
-        assert client.probe(0) is None
-        with pytest.raises(NetworkUnreachable):
-            stun_classify(client)
-    finally:
-        stop.set()
-        thread.join(timeout=5)
-        client.close()
-        server.close()
 
 
 @pytest.fixture()

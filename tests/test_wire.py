@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendmesh import identity, profile, records, rvclient, secure, sentinel, stun, wire
+from friendmesh import identity, profile, records, rvclient, secure, sentinel, wire
 from friendmesh.errors import MalformedRequest, NotFound
 from friendmesh.identity import Certificate, KeyPair, SessionKey, SignedDigest
 from friendmesh.profile import LogEntry
@@ -97,7 +97,6 @@ LAYOUTS = [cls.LAYOUT for cls in RECORDS] + [
     identity._CERT_SIGNED, identity._SEALED, secure._KEY_REPLY, secure._TRANSCRIPT, identity._CERT_REQUEST,
     identity._CERT_REQUEST_BODY, records._CANONICAL, records._RING_ROW, sentinel._COMPLAINT_SIGNED,
     profile._DIGESTED, profile._EXPORT, rvclient._REQUEST_BLOB,
-    stun._REQUEST, stun._REPLY,
 ]
 FIELDS = [records.RING_ROW, records.MIRROR_TABLE, profile._ENTRIES]
 
@@ -179,8 +178,6 @@ GOLDEN = {
         '00000130000670687261736500016d00209974ed8b9e307cdb99f2eb63d88dc7713abd720d6bafd5'
         'c9d94f9dd727e56bca000553ccab9913000130'
     ),
-    'stun_request': '000131000130',
-    'stun_reply': '00093132372e302e302e31000437343030',
 }
 
 
@@ -252,8 +249,6 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     out["registration_made"] = records.make_registration_record(
         "alice", "10.0.0.1", 7500, "full_cone", "udp", "", 0, "phrase", b"m", b"PRIV"
     ).encode()
-    out["stun_request"] = stun._REQUEST.pack((True, False))
-    out["stun_reply"] = stun._REPLY.pack(("127.0.0.1", 7400))
     return out
 
 
