@@ -84,9 +84,19 @@ class LogEntry:
     # The digest, computed on first use. It does not cover the version, so
     # a renumbered copy carries it over (see _renumbered).
     _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # The encoding, packed on first use. It covers the version, so a
+    # renumbered copy packs its own.
+    _encoded: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def content_key(self) -> tuple:
         return (self.timestamp, self.author, self.path, self.op)
+
+    def encode(self) -> bytes:
+        encoded = self._encoded
+        if encoded is None:
+            encoded = _ENCODE(self)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     def digest(self) -> bytes:
         if self._digest is None:
@@ -94,6 +104,7 @@ class LogEntry:
         return self._digest
 
 
+_ENCODE = LogEntry.LAYOUT.encode
 # What a log entry's digest covers: every field but the version.
 _DIGESTED = LogEntry.LAYOUT.view("path", "author", "op", "timestamp")
 

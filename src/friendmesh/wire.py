@@ -35,8 +35,12 @@ wire, and reads back as one R value: a RegistrationRecord carries its
 SignedDigest this way. A view of a record's layout packs some of its fields,
 for example what a signature or a digest covers.
 
-Layout.unpack is the one loop that reads fields, for messages and records
-alike; decode() reads a message through it. It checks the field count and
+Each Layout generates its pack and unpack once, when it is declared, as
+straight-line code with one step per field (the way dataclasses and
+namedtuple generate their methods). The schema stays the one declaration,
+and no loop walks the field types per message. encode(), decode(), call()
+and reply() use them for messages, and a record's encode() and decode()
+are its layout's generated functions. An unpack checks the field count and
 every field's type and raises MalformedRequest on any mismatch, never
 IndexError or ValueError, so a server answers a hostile request with a
 coded error and a client meets a hostile reply as a ProtocolError.
@@ -46,7 +50,6 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
@@ -72,16 +75,6 @@ class Frame:
         return _HEADER.pack(len(self.payload), self.msg_type) + self.payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame; the inverse of Frame.encode."""
-    if len(data) < _HEADER.size:
-        raise MalformedRequest("short frame header")
-    length, msg_type = _HEADER.unpack_from(data)
-    if len(data) != _HEADER.size + length:
-        raise MalformedRequest("frame length mismatch")
-    return Frame(msg_type, data[_HEADER.size:])
-
-
 def frame_from_stream(read) -> Frame:
     """Read one frame from a callable read(n) that returns exactly n bytes."""
     header = read(_HEADER.size)
@@ -104,7 +97,7 @@ def pack_fields(*fields: bytes) -> bytes:
     return b"".join(parts)
 
 
-def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
+def unpack_fields(data: bytes) -> list[bytes]:
     """Split a pack_fields buffer back into its fields."""
     fields: list[bytes] = []
     pos = 0
@@ -118,8 +111,6 @@ def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
             raise MalformedRequest("truncated field body")
         fields.append(data[pos:pos + length])
         pos += length
-    if expect is not None and len(fields) != expect:
-        raise MalformedRequest(f"expected {expect} fields, got {len(fields)}")
     return fields
 
 
@@ -135,7 +126,7 @@ def unpack_str(field: bytes) -> str:
 
 
 def pack_int(value: int) -> bytes:
-    return str(int(value)).encode("ascii")
+    return b"%d" % value
 
 
 def unpack_int(field: bytes) -> int:
@@ -182,6 +173,9 @@ def read_field(data: bytes, pos: int = 0) -> tuple[bytes, int]:
     return data[pos + 2:end], end
 
 
+OK = pack_fields(b"ok")  # the status field of every ok reply
+
+
 def open_reply(frame: Frame, key: int | str | None = None) -> list[bytes] | tuple:
     """Unpack a reply; raise the reported error unless status is ok.
 
@@ -189,9 +183,9 @@ def open_reply(frame: Frame, key: int | str | None = None) -> list[bytes] | tupl
     SCHEMA key, the values its reply layout reads from them.
     """
     data = frame.payload
-    status, pos = read_field(data)
-    if status == b"ok":
-        return unpack_fields(data)[1:] if key is None else decode(key, data, pos, reply=True)
+    if data.startswith(OK):
+        return unpack_fields(data)[1:] if key is None else decode(key, data, len(OK), reply=True)
+    status, _ = read_field(data)
     fields = unpack_fields(data)
     message = unpack_str(fields[1]) if len(fields) > 1 else ""
     raise error_for_code(status.decode("ascii", "replace"), message)
@@ -231,119 +225,174 @@ class spread(NamedTuple):
 
 
 class Layout:
-    """One declared field sequence, and the one loop that packs and reads it.
+    """One declared field sequence, and its pack and unpack, generated once.
 
     fields: field types in order. The last may be many(T); spread(R) stands
     for record type R's fields. A record's layout (or a view of it) also
-    holds the attribute names its values come from.
+    holds the attribute names its values come from, and gets encode(obj),
+    those attributes packed. A record's own layout (record=True) also gets
+    decode(cls, data), the record built from the values read.
+
+    pack(values) -> bytes: the packed fields carrying values, in order; a
+    variadic tail is passed as one iterable and a spread record as one
+    value. TypeError on a wrong value count, MalformedRequest on a field
+    over 65535 bytes.
+    unpack(data, pos=0) -> tuple: the values read from data[pos:];
+    MalformedRequest unless the fields there are exactly this layout's.
     """
 
-    __slots__ = ("name", "fields", "types", "tail", "names", "values", "_spreads")
+    __slots__ = ("name", "fields", "names", "values", "pack", "unpack", "encode", "decode")
 
-    def __init__(self, name: str, fields: tuple, names: tuple | None = None):
+    def __init__(self, name: str, fields: tuple, names: tuple | None = None, record: bool = False):
         self.name = name
-        self.fields = fields = tuple(fields)
-        self.tail = None
-        if fields and isinstance(fields[-1], many):
-            fields, self.tail = fields[:-1], fields[-1].type
-        types: list = []
-        spreads = []  # (value index, record type, field count)
-        for i, t in enumerate(fields):
-            if isinstance(t, spread):
-                inner = t.type.LAYOUT
-                if inner.tail is not None or inner._spreads:
-                    raise TypeError(f"{name}: only a flat record spreads")
-                spreads.append((i, t.type, len(inner.types)))
-                types.extend(inner.types)
-            else:
-                types.append(t)
-        self.types = tuple(types)  # one per field, spreads expanded
-        self._spreads = tuple(spreads)
+        self.fields = tuple(fields)
         self.names = names
         self.values = attrgetter(*names) if names else None  # record -> its values, in order
+        code = _generate(name, self.fields, names, record)
+        self.pack, self.unpack = code["pack"], code["unpack"]
+        self.encode, self.decode = code.get("encode"), code.get("decode")
 
     def view(self, *names: str) -> "Layout":
         """The layout of some of this record's fields, in the order named."""
         by_name = dict(zip(self.names, self.fields))
         return Layout(f"{self.name}({', '.join(names)})", [by_name[n] for n in names], names)
 
-    def encode(self, obj) -> bytes:
-        """A record's named fields, packed."""
-        return self.pack(self.values(obj))
 
-    def pack(self, values) -> bytes:
-        """The packed fields carrying values, in order; a variadic tail is
-        passed as one iterable and a spread record as one value."""
-        if len(values) != len(self.fields):
-            raise TypeError(f"{self.name} takes {len(self.fields)} values, got {len(values)}")
-        if self._spreads:
-            values = list(values)
-            for i, cls, _ in reversed(self._spreads):
-                values[i:i + 1] = cls.LAYOUT.values(values[i])
-        pairs = zip(self.types, values)
-        if self.tail is not None:
-            pairs = chain(pairs, zip(repeat(self.tail), values[-1]))
-        parts = []
-        try:
-            for t, value in pairs:
-                field = t.encode(value)
-                parts.append(_LENGTH.pack(len(field)))
-                parts.append(field)
-        except struct.error as exc:  # longer than MAX_FIELD
-            raise MalformedRequest(f"{self.name}: field exceeds 65535 bytes") from exc
-        return b"".join(parts)
+def _generate(name: str, fields: tuple, names: tuple | None, record: bool) -> dict:
+    """A layout's functions, compiled from straight-line source.
 
-    def unpack(self, data: bytes, pos: int = 0) -> list:
-        """The values read from data[pos:]; MalformedRequest unless the
-        fields there are exactly this layout's."""
-        values = []
-        n = len(data)
-        try:
-            for t in self.types:  # read_field, inlined: this loop runs for every field
-                end = pos + 2 + (data[pos] << 8 | data[pos + 1])  # IndexError: no field left
-                if end > n:
-                    raise MalformedRequest(f"{self.name}: truncated field")
-                values.append(t.decode(data[pos + 2:end]))
-                pos = end
-            if self.tail is not None:
-                tail, rest = self.tail, []
-                while pos < n:
-                    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
-                    if end > n:
-                        raise MalformedRequest(f"{self.name}: truncated field")
-                    rest.append(tail.decode(data[pos + 2:end]))
-                    pos = end
-                values.append(rest)
-        except (ValueError, IndexError) as exc:  # too few fields, or a decoder's slip
-            raise MalformedRequest(f"{self.name}: {len(self.types)} fields expected") from exc
-        if pos != n:
-            raise MalformedRequest(f"{self.name}: more than {len(self.types)} fields")
-        for i, cls, count in self._spreads:
-            values[i:i + count] = [cls(*values[i:i + count])]
-        return values
+    Each field is its own statements, in order, as dataclasses and
+    namedtuple generate their methods. The RAW, STR and INT encoders and
+    the RAW and STR decoders are written in place; a record type's encode
+    and decode are looked up on its class at call time (so a patched one
+    is used); any other field type's converters are called directly.
+    """
+    tail = None
+    if fields and isinstance(fields[-1], many):
+        fields, tail = fields[:-1], fields[-1].type
+    ns: dict = {"MalformedRequest": MalformedRequest, "_H": _LENGTH.pack, "_StructError": struct.error}
+
+    def converter(t, key: str) -> tuple[str, str]:
+        """Source of t's encoder and decoder, each with {} for its argument."""
+        if t is RAW:
+            return "{}", "{}"
+        if t is STR:
+            return "{}.encode()", "{}.decode()"
+        if isinstance(t, type):  # a record
+            ns[key] = t
+            return f"{key}.encode({{}})", f"{key}.decode({{}})"
+        ns[f"{key}e"], ns[f"{key}d"] = t.encode, t.decode
+        return ('b"%d" % {}' if t is INT else f"{key}e({{}})"), f"{key}d({{}})"
+
+    flat = []  # per field on the wire, spreads expanded: (value source, encoder, decoder)
+    results = []  # per value: its source from the fields read
+    for i, t in enumerate(fields):
+        if isinstance(t, spread):
+            inner = t.type.LAYOUT
+            if any(isinstance(u, (many, spread)) for u in inner.fields):
+                raise TypeError(f"{name}: only a flat record spreads")
+            ns[f"_s{i}"] = t.type
+            first = len(flat)
+            for n, u in zip(inner.names, inner.fields):
+                flat.append((f"v{i}.{n}", *converter(u, f"_t{len(flat)}")))
+            results.append(f"_s{i}({', '.join(f'w{j}' for j in range(first, len(flat)))})")
+        else:
+            results.append(f"w{len(flat)}")
+            flat.append((f"v{i}", *converter(t, f"_t{len(flat)}")))
+    count = len(flat)
+    ns["_TOO_LONG"] = f"{name}: field exceeds 65535 bytes"
+    ns["_TRUNCATED"] = f"{name}: truncated field"
+    ns["_NOT_UTF8"] = "invalid utf-8 field"
+    ns["_EXPECTED"] = f"{name}: {count} fields expected"
+    ns["_MORE"] = f"{name}: more than {count} fields"
+    ns["_COUNT"] = f"{name} takes {len(fields) + (tail is not None)} values, got {{}}"
+    values = [f"v{i}" for i in range(len(fields))]
+    if tail is not None:
+        values.append("items")
+        results.append("rest")
+        tail_encoder, tail_decoder = converter(tail, "_tail")
+
+    # pack's and encode's body, once the values are named v0, v1, ...
+    body = ["    try:"]
+    body += [f"        f{j} = {encoder.format(value)}" for j, (value, encoder, _) in enumerate(flat)]
+    parts = "".join(f"_H(len(f{j})), f{j}, " for j in range(count))
+    if tail is None:
+        body.append(f"        return b\"\".join(({parts}))")
+    else:
+        body += [
+            f"        parts = [{parts}]",
+            "        for item in items:",
+            f"            f = {tail_encoder.format('item')}",
+            "            parts.append(_H(len(f)))",
+            "            parts.append(f)",
+            "        return b\"\".join(parts)",
+        ]
+    body += ["    except _StructError as exc:", "        raise MalformedRequest(_TOO_LONG) from exc"]
+    source = [
+        "def pack(values):",
+        "    try:",
+        f"        ({''.join(v + ', ' for v in values)}) = values",
+        "    except ValueError:",
+        "        raise TypeError(_COUNT.format(len(values))) from None",
+        *body,
+    ]
+    if names:
+        source.append("def encode(self):")
+        source += [f"    {v} = self.{n}" for v, n in zip(values, names)]
+        source += body
+
+    # unpack's and decode's body: read_field, once per field
+    read = []
+    for j, (_, _, decoder) in enumerate(flat):
+        read += [
+            "        end = pos + 2 + (data[pos] << 8 | data[pos + 1])",  # IndexError: no field left
+            "        if end > n:",
+            "            raise MalformedRequest(_TRUNCATED)",
+            f"        w{j} = {decoder.format('data[pos + 2:end]')}",
+            "        pos = end",
+        ]
+    if tail is not None:
+        read += [
+            "        rest = []",
+            "        while pos < n:",
+            "            end = pos + 2 + (data[pos] << 8 | data[pos + 1])",
+            "            if end > n:",
+            "                raise MalformedRequest(_TRUNCATED)",
+            f"            rest.append({tail_decoder.format('data[pos + 2:end]')})",
+            "            pos = end",
+        ]
+    if read:
+        read = [
+            "    try:",
+            *read,
+            "    except UnicodeDecodeError as exc:",  # a STR field's, as unpack_str raises it
+            "        raise MalformedRequest(_NOT_UTF8) from exc",
+            "    except (ValueError, IndexError) as exc:",  # too few fields, or a decoder's slip
+            "        raise MalformedRequest(_EXPECTED) from exc",
+        ]
+    read = ["    n = len(data)", *read, "    if pos != n:", "        raise MalformedRequest(_MORE)"]
+    source += ["def unpack(data, pos=0):", *read, f"    return ({''.join(r + ', ' for r in results)})"]
+    if record:
+        source += ["def decode(cls, data):", "    pos = 0", *read, f"    return cls({', '.join(results)})"]
+    exec(compile("\n".join(source), f"<layout {name}>", "exec"), ns)
+    return ns
 
 
 def record(*fields):
     """Class decorator: a dataclass's init fields travel, in order, as fields.
 
-    Gives the class its LAYOUT, encode() and the classmethod decode(data),
-    so the class itself is a field type.
+    Gives the class its LAYOUT, encode() (unless the class defines its own)
+    and the classmethod decode(data), so the class itself is a field type.
     """
 
     def declare(cls):
         names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
         if len(names) != len(fields):
             raise TypeError(f"{cls.__name__}: {len(names)} fields, {len(fields)} types")
-        layout = cls.LAYOUT = Layout(cls.__name__, fields, names)
-
-        def encode(self) -> bytes:
-            return layout.pack(layout.values(self))
-
-        def decode(cls, data: bytes):
-            return cls(*layout.unpack(data))
-
-        cls.encode = encode
-        cls.decode = classmethod(decode)
+        layout = cls.LAYOUT = Layout(cls.__name__, fields, names, record=True)
+        if "encode" not in vars(cls):
+            cls.encode = layout.encode
+        cls.decode = classmethod(layout.decode)
         return cls
 
     return declare
@@ -401,23 +450,20 @@ def decode(key: int | str, data: bytes, pos: int = 0, reply: bool = False) -> tu
     if message is None:
         raise MalformedRequest(f"unknown message {key!r}")
     layout = message.reply if reply else message.request
-    return () if layout is None else tuple(layout.unpack(data, pos))
+    return () if layout is None else layout.unpack(data, pos)
 
 
 def call(channel, code: int, *values: Any, expect: int | None = None) -> tuple:
     """Send code's request; return its reply's values. expect: the only reply code accepted."""
-    frame = channel.request(Frame(code, encode(code, *values)))
+    frame = channel.request(Frame(code, (SCHEMA[code].request or _NOTHING).pack(values)))
     if expect is not None and frame.msg_type != expect:
         raise ProtocolError(f"expected {SCHEMA[expect].name}, got {frame.msg_type}")
     return open_reply(frame, code)
 
 
-OK = pack_fields(b"ok")  # the status field of every ok reply
-
-
 def reply(code: int, *values: Any, msg_type: int | None = None) -> Frame:
     """The ok reply to code's request; msg_type overrides the frame's code."""
-    return Frame(code if msg_type is None else msg_type, OK + encode(code, *values, reply=True))
+    return Frame(code if msg_type is None else msg_type, OK + (SCHEMA[code].reply or _NOTHING).pack(values))
 
 
 # The record types import this module's primitives; the package imports

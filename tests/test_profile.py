@@ -297,6 +297,17 @@ def test_export_import_roundtrip():
     assert back.versions == p.versions
 
 
+def test_renumbered_entry_encodes_its_new_version():
+    early = LogEntry("info", 1, "bob", op_set(b"y"), 3)
+    late = LogEntry("info", 1, "alice", op_set(b"x"), 5)
+    stale = late.encode()  # cached, at version 1
+    merged = merge_logs([late], [early])
+    assert [(e.author, e.version) for e in merged] == [("bob", 1), ("alice", 2)]
+    assert merged[1].digest() == late.digest()
+    assert merged[1].encode() == LogEntry("info", 2, "alice", op_set(b"x"), 5).encode() != stale
+    assert decode_entries(encode_entries(merged)) == merged
+
+
 def test_canonical_text_import_rebuilds_tree():
     p = make_profile()
     p.apply_update("olive", "share_board", op_add("p1", b"hello"), timestamp=2)

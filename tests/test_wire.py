@@ -1,4 +1,7 @@
+import io
 import os
+import struct
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,7 @@ from friendmesh.sentinel import Complaint
 @given(st.integers(min_value=0, max_value=255), st.binary(max_size=4096))
 def test_frame_roundtrip(msg_type, payload):
     frame = wire.Frame(msg_type, payload)
-    assert wire.decode_frame(frame.encode()) == frame
+    assert wire.frame_from_stream(io.BytesIO(frame.encode()).read) == frame
 
 
 def test_frame_header_layout():
@@ -23,14 +26,6 @@ def test_frame_header_layout():
     assert raw[:4] == (3).to_bytes(4, "big")
     assert raw[4] == 21
     assert raw[5:] == b"abc"
-
-
-def test_decode_rejects_length_mismatch():
-    raw = wire.Frame(1, b"xy").encode()
-    with pytest.raises(MalformedRequest):
-        wire.decode_frame(raw + b"z")
-    with pytest.raises(MalformedRequest):
-        wire.decode_frame(raw[:-1])
 
 
 @given(st.lists(st.binary(max_size=300), max_size=12))
@@ -257,6 +252,16 @@ def test_record_bytes_are_pinned(fixed_crypto, tmp_path):
     assert got == GOLDEN
 
 
+def _profiles() -> list[profile.Profile]:
+    grown = profile.Profile("alice")
+    grown.apply_update("alice", "info", profile.op_set(b"hi"), timestamp=10)
+    grown.apply_update("alice", "events", profile.op_add("e1", b"x"), timestamp=11)
+    return [profile.Profile("bob"), grown]
+
+
+PROFILES = _profiles()
+
+
 def value_of(t):
     """A strategy for values of field type t."""
     if isinstance(t, wire.many):
@@ -271,6 +276,8 @@ def value_of(t):
         return st.lists(value_of(MirrorEntry), max_size=3)
     if t is profile._ENTRIES:
         return st.lists(value_of(LogEntry), max_size=3)
+    if t is profile.VECTOR:
+        return st.sampled_from(PROFILES)
     return {
         wire.STR: st.text(max_size=12),
         wire.INT: st.integers(-(2**64), 2**64),
@@ -325,3 +332,163 @@ def test_record_decoders_raise_only_malformed_request(data):
             decode(data)
         except MalformedRequest:
             pass
+
+
+# -- the generated codec against the field loop it replaced ---------------------------
+#
+# reference_pack and reference_unpack are the generic loop that Layout.pack and
+# Layout.unpack ran before each layout generated its own code, kept as the
+# reference the generated functions must agree with. A nested record is packed
+# and read by the reference too.
+
+
+def _reference_types(fields: tuple) -> tuple[list, object, list]:
+    tail = None
+    if fields and isinstance(fields[-1], wire.many):
+        fields, tail = fields[:-1], fields[-1].type
+    types, spreads = [], []  # spreads: (value index, record type, field count)
+    for i, t in enumerate(fields):
+        if isinstance(t, wire.spread):
+            spreads.append((i, t.type, len(t.type.LAYOUT.fields)))
+            types.extend(t.type.LAYOUT.fields)
+        else:
+            types.append(t)
+    return types, tail, spreads
+
+
+def _reference_encode(t, value) -> bytes:
+    if isinstance(t, type):  # a record
+        return reference_pack(t.LAYOUT.fields, t.LAYOUT.values(value))
+    return t.encode(value)
+
+
+def _reference_decode(t, field: bytes):
+    if isinstance(t, type):
+        return t(*reference_unpack(t.LAYOUT.fields, field))
+    return t.decode(field)
+
+
+def reference_pack(fields: tuple, values) -> bytes:
+    types, tail, spreads = _reference_types(fields)
+    if len(values) != len(fields):
+        raise TypeError(f"{len(fields)} values expected, got {len(values)}")
+    values = list(values)
+    for i, cls, _ in reversed(spreads):
+        values[i:i + 1] = cls.LAYOUT.values(values[i])
+    pairs = zip(types, values)
+    if tail is not None:
+        pairs = chain(pairs, zip(repeat(tail), values[-1]))
+    parts = []
+    try:
+        for t, value in pairs:
+            field = _reference_encode(t, value)
+            parts.append(struct.pack(">H", len(field)))
+            parts.append(field)
+    except struct.error as exc:
+        raise MalformedRequest("field exceeds 65535 bytes") from exc
+    return b"".join(parts)
+
+
+def reference_unpack(fields: tuple, data: bytes) -> list:
+    types, tail, spreads = _reference_types(fields)
+    values, pos, n = [], 0, len(data)
+    try:
+        for t in types:
+            end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+            if end > n:
+                raise MalformedRequest("truncated field")
+            values.append(_reference_decode(t, data[pos + 2:end]))
+            pos = end
+        if tail is not None:
+            rest = []
+            while pos < n:
+                end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+                if end > n:
+                    raise MalformedRequest("truncated field")
+                rest.append(_reference_decode(tail, data[pos + 2:end]))
+                pos = end
+            values.append(rest)
+    except (ValueError, IndexError) as exc:
+        raise MalformedRequest(f"{len(types)} fields expected") from exc
+    if pos != n:
+        raise MalformedRequest(f"more than {len(types)} fields")
+    for i, cls, count in spreads:
+        values[i:i + count] = [cls(*values[i:i + count])]
+    return values
+
+
+# Every layout: each schema request and reply, each record's and its views,
+# the module-level ones, and each list_of field as (fields, its encode, its decode).
+SCHEMA_LAYOUTS = {
+    f"{message.name}.{side}": layout
+    for message in wire.SCHEMA.values()
+    for side, layout in (("request", message.request), ("reply", message.reply))
+    if layout is not None
+}
+ALL_LAYOUTS = {**SCHEMA_LAYOUTS, **{layout.name: layout for layout in LAYOUTS}}
+CODECS = {
+    name: (layout.fields, layout.pack, layout.unpack) for name, layout in ALL_LAYOUTS.items()
+} | {
+    "mirror_table": ((wire.many(MirrorEntry),), lambda v: records.MIRROR_TABLE.encode(v[0]),
+                     lambda data: [records.MIRROR_TABLE.decode(data)]),
+    "entries": ((wire.many(LogEntry),), lambda v: profile._ENTRIES.encode(v[0]),
+                lambda data: [profile._ENTRIES.decode(data)]),
+}
+
+
+def test_every_schema_layout_is_covered():
+    assert len(SCHEMA_LAYOUTS) == sum(
+        (m.request is not None) + (m.reply is not None) for m in wire.SCHEMA.values()
+    )
+    assert len(ALL_LAYOUTS) == len(SCHEMA_LAYOUTS) + len(LAYOUTS)
+
+
+@pytest.mark.parametrize("name", CODECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_pack_matches_the_reference(name, data):
+    fields, pack, _ = CODECS[name]
+    values = data.draw(st.tuples(*[value_of(t) for t in fields]))
+    assert pack(values) == reference_pack(fields, values)
+    if name in ALL_LAYOUTS:
+        for wrong in (values + (None,), values[:-1]):
+            if len(wrong) != len(values):
+                with pytest.raises(TypeError):
+                    pack(wrong)
+
+
+def _read(unpack, data):
+    try:
+        return tuple(unpack(data))
+    except MalformedRequest:
+        return MalformedRequest
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=HOSTILE)
+def test_generated_unpack_matches_the_reference_on_hostile_input(data):
+    for fields, _, unpack in CODECS.values():
+        assert _read(unpack, data) == _read(lambda d: reference_unpack(fields, d), data)
+
+
+# Per layout, the index of each value that can carry a field over 65535 bytes:
+# a STR or RAW field, or a many(STR) or many(RAW) tail.
+OVERSIZED = {
+    name: [i for i, t in enumerate(layout.fields)
+           if t in (wire.STR, wire.RAW) or (isinstance(t, wire.many) and t.type in (wire.STR, wire.RAW))]
+    for name, layout in ALL_LAYOUTS.items()
+}
+
+
+@pytest.mark.parametrize("name", [name for name, where in OVERSIZED.items() if where])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_generated_pack_refuses_a_field_over_65535_bytes(name, data):
+    layout = ALL_LAYOUTS[name]
+    values = list(data.draw(st.tuples(*[value_of(t) for t in layout.fields])))
+    for i in OVERSIZED[name]:
+        t = layout.fields[i]
+        big = "x" * 65536 if wire.STR in (t, getattr(t, "type", None)) else b"x" * 65536
+        changed = values[:i] + [[big] if isinstance(t, wire.many) else big] + values[i + 1:]
+        with pytest.raises(MalformedRequest):
+            layout.pack(changed)
