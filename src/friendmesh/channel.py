@@ -22,7 +22,6 @@ when a re-admission replaces that session or the relay evicts it.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -71,14 +70,9 @@ class Channel(Protocol):
 
 
 class Endpoint(Protocol):
-    """A node's view of the network: open channels, read the clock."""
-
-    rng: random.Random
+    """A node's view of the network: open channels."""
 
     def connect(self, addr: str) -> Channel:
-        ...
-
-    def now_ms(self) -> int:
         ...
 
     def local_addr(self) -> str:

@@ -8,7 +8,7 @@ node at or clockwise after k.
 
 RingNode is a pure state machine over a pluggable transport, so the same
 code runs against an in-process node table, the deterministic simulator,
-or real sockets. Rows are PeerRows in a store.RendezvousStore, which the
+or real sockets. Rows are PeerRows in a store.MemoryStore, which the
 node reads and writes directly; each row carries the identifier it was
 registered under so join/leave moves exactly the affected arc, and every
 row received from another server is verified before it is stored or
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
 from .records import PeerRow
-from .store import MemoryStore, RendezvousStore
+from .store import MemoryStore
 
 BITS_FULL = 128
 SUCCESSOR_LIST_LEN = 4
@@ -116,7 +116,7 @@ class RingNode:
         addr: str,
         transport: RingTransport,
         bits: int = BITS_FULL,
-        store: RendezvousStore | None = None,
+        store: MemoryStore | None = None,
         verify_row: Callable[[PeerRow], bool] | None = None,
         successor_list_len: int = SUCCESSOR_LIST_LEN,
     ):

@@ -10,18 +10,12 @@ silently.
 """
 from __future__ import annotations
 
-import random
 import socket
 import threading
-import time
 
 from .channel import Service, SessionContext
 from .errors import PeerUnreachable, ProtocolError
 from .wire import Frame, frame_from_stream
-
-
-def now_ms() -> int:
-    return int(time.monotonic() * 1000)
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -87,16 +81,11 @@ class TcpChannel:
 
 
 class TcpEndpoint:
-    def __init__(self, local_addr: str = "127.0.0.1:0", rng: random.Random | None = None):
+    def __init__(self, local_addr: str = "127.0.0.1:0"):
         self._local = local_addr
-        # Secrets are drawn from it: a CSPRNG unless the simulator injects its own.
-        self.rng = rng or random.SystemRandom()
 
     def connect(self, addr: str) -> TcpChannel:
         return TcpChannel(addr)
-
-    def now_ms(self) -> int:
-        return now_ms()
 
     def local_addr(self) -> str:
         return self._local

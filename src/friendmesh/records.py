@@ -4,7 +4,8 @@ Each record's wire layout is declared once, with wire.record over its
 fields in order; its encode() and decode() come from that declaration. A
 RegistrationRecord carries its signed digest spread over two fields
 (digest, signature), and the rendezvous app kind register reuses its
-layout.
+layout. A server's sqlite file (store.SqliteStore) holds PeerRows,
+FriendshipRequestRecords and RelayRecords in their layouts too.
 
 The signed digest covers the canonical payload, a view of the record's
 layout: IP, port, protocol, relay address, relay port, passphrase,
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import identity
 from .identity import Certificate, SignedDigest
-from .wire import FLAG, IDENT, INT, RAW, STR, Field, Layout, list_of, record, spread
+from .wire import FLAG, IDENT, INT, RAW, STR, list_of, record, spread
 
 
 @record(STR, STR, INT, STR, STR, STR, INT, STR, RAW, spread(SignedDigest), INT)
@@ -80,7 +81,8 @@ def verify_registration_record(record: RegistrationRecord, cert: Certificate) ->
 @record(RegistrationRecord, RAW, IDENT, FLAG)
 @dataclass(frozen=True)
 class PeerRow:
-    """A stored registration: the record plus its owner certificate and ring id."""
+    """A stored registration: the record, its owner certificate, ring id and
+    replica flag. Ring replication and handoff carry it as it is."""
 
     record: RegistrationRecord
     certificate: bytes
@@ -97,23 +99,6 @@ class PeerRow:
         return verify_registration_record(self.record, cert)
 
 
-# A row as ring replication carries it: ring id and replica flag around the row.
-_RING_ROW = Layout("ring_row", (IDENT, PeerRow, FLAG))
-
-
-def encode_ring_row(row: PeerRow) -> bytes:
-    return _RING_ROW.pack((row.ring_id, row, row.replica))
-
-
-def decode_ring_row(data: bytes) -> PeerRow:
-    ring_id, row, replica = _RING_ROW.unpack(data)
-    return replace(row, ring_id=ring_id, replica=replica)
-
-
-# Message field type (wire.SCHEMA).
-RING_ROW = Field(encode_ring_row, decode_ring_row)
-
-
 @record(STR, STR)
 @dataclass
 class MirrorEntry:
@@ -125,6 +110,7 @@ class MirrorEntry:
 MIRROR_TABLE = list_of(MirrorEntry, "mirror_table")
 
 
+@record(STR, INT, INT, INT, INT)
 @dataclass
 class RelayRecord:
     address: str

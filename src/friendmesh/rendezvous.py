@@ -31,7 +31,7 @@ from .identity import Certificate
 from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
 from .sentinel import Complaint, ComplaintLedger
-from .store import MemoryStore, RendezvousStore, SqliteStore, evict_stale_relays, select_relay
+from .store import MemoryStore, SqliteStore, evict_stale_relays, select_relay
 from .wire import Frame
 
 
@@ -79,7 +79,7 @@ class RendezvousServer:
         config: RendezvousConfig | None = None,
         ca_public_key: bytes = b"",
         ca_algorithm: str = identity.DEFAULT_ALGORITHM,
-        store: RendezvousStore | None = None,
+        store: MemoryStore | None = None,
         endpoint: Endpoint | None = None,
         rng: random.Random | None = None,
         clock: Callable[[], int] | None = None,
@@ -208,7 +208,8 @@ class RendezvousServer:
             hint = self._registered_count_estimate(accused)
         if self.ledger.adjudicate(accused, hint) != "evict":
             return
-        if self.ring is not None and accused not in self.ring.evicted:
+        # A server never evicts itself, so it never records doing so.
+        if self.ring is not None and accused != self.addr and accused not in self.ring.evicted:
             self.ring.evict(accused)
             now = self.clock()
             self.evictions.append((now, accused))

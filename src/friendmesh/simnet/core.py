@@ -291,13 +291,9 @@ class SimEndpoint:
     def __init__(self, net: SimNet, host: SimHost):
         self.net = net
         self.host = host
-        self.rng = net.rng
 
     def connect(self, addr: str) -> SimChannel:
         return self.net.connect(self.host, addr)
-
-    def now_ms(self) -> int:
-        return self.net.now
 
     def local_addr(self) -> str:
         return self.host.addr

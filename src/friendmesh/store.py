@@ -1,240 +1,143 @@
 """Rendezvous server state: peers, friendship requests, relay servers.
 
-Two interchangeable backends with one contract: a sqlite database (the
-real server) and a dict-backed store (the deterministic simulator and
-plain chord ring nodes). Peer rows are keyed by (username, ring id); the
-chord ring reads and writes them here directly when it places, replicates
-and hands over rows. Lookups are keyed strictly by passphrase; usernames
-are a separate namespace used only for friendship requests and
-replication bookkeeping.
+One implementation of the contract, MemoryStore: dicts behind one lock,
+so the thread-per-connection servers may share it. The deterministic
+simulator and plain chord ring nodes use it as it is. SqliteStore is a
+MemoryStore that also persists: every change is written through to one
+table of (kind, key, value) rows, where value is the record's declared
+layout (records.py), and committed at once. Opening the file reads the
+table back in insertion order; sqlite is never read after that.
+
+Peer rows are keyed by (username, ring id); the chord ring reads and
+writes them here directly when it places, replicates and hands over
+rows. Lookups are keyed strictly by passphrase; usernames are a separate
+namespace used only for friendship requests and replication bookkeeping.
 """
 from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Protocol
 
-from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
-from .identity import SignedDigest
+from .records import FriendshipRequestRecord, PeerRow, RelayRecord
 
-
-class RendezvousStore(Protocol):
-    def upsert_peer(self, row: PeerRow) -> None:
-        """Insert or replace by (username, ring id); a replica never
-        replaces a primary row, a primary replaces either."""
-    def peer_by_passphrase(self, passphrase: str) -> PeerRow | None: ...
-    def peer_by_username(self, username: str) -> PeerRow | None: ...
-    def peer_rows(self) -> list[PeerRow]: ...
-    def remove_peer(self, username: str, ring_id: int) -> None: ...
-    def put_friend_request(self, request: FriendshipRequestRecord) -> None: ...
-    def pop_friend_requests(self, target: str) -> list[FriendshipRequestRecord]: ...
-    def upsert_relay(self, relay: RelayRecord) -> None: ...
-    def relay_rows(self) -> list[RelayRecord]: ...
-    def remove_relay(self, address: str, port: int) -> None: ...
+# Per kind of record: its class and the key it is stored under.
+_KINDS = {
+    "peer": (PeerRow, lambda row: (row.record.username, row.ring_id)),
+    "request": (FriendshipRequestRecord, lambda r: (r.target_username, r.requester_username)),
+    "relay": (RelayRecord, lambda r: (r.address, r.port)),
+}
 
 
 class MemoryStore:
     def __init__(self) -> None:
-        self._peers: dict[tuple[str, int], PeerRow] = {}
-        self._requests: dict[tuple[str, str], FriendshipRequestRecord] = {}
-        self._relays: dict[tuple[str, int], RelayRecord] = {}
-
-    def upsert_peer(self, row: PeerRow) -> None:
-        key = (row.record.username, row.ring_id)
-        if row.replica:
-            existing = self._peers.get(key)
-            if existing is not None and not existing.replica:
-                return  # a primary row never downgrades to replica
-        self._peers[key] = row
-
-    def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
-        for row in self._peers.values():
-            if row.record.passphrase == passphrase:
-                return row
-        return None
-
-    def peer_by_username(self, username: str) -> PeerRow | None:
-        for row in self._peers.values():
-            if row.record.username == username:
-                return row
-        return None
-
-    def peer_rows(self) -> list[PeerRow]:
-        return list(self._peers.values())
-
-    def remove_peer(self, username: str, ring_id: int) -> None:
-        self._peers.pop((username, ring_id), None)
-
-    def put_friend_request(self, request: FriendshipRequestRecord) -> None:
-        self._requests[(request.target_username, request.requester_username)] = request
-
-    def pop_friend_requests(self, target: str) -> list[FriendshipRequestRecord]:
-        delivered = [r for (t, _), r in sorted(self._requests.items()) if t == target]
-        for request in delivered:
-            self._requests.pop((request.target_username, request.requester_username), None)
-        return delivered
-
-    def upsert_relay(self, relay: RelayRecord) -> None:
-        self._relays[(relay.address, relay.port)] = relay
-
-    def relay_rows(self) -> list[RelayRecord]:
-        return list(self._relays.values())
-
-    def remove_relay(self, address: str, port: int) -> None:
-        self._relays.pop((address, port), None)
-
-
-class SqliteStore:
-    """Same contract over the three relational tables.
-
-    Serialized on one lock: table mutations are atomic with respect to
-    each other and safe under the thread-per-connection servers.
-    """
-
-    def __init__(self, db_url: str = ":memory:"):
         self._lock = threading.Lock()
-        self._db = sqlite3.connect(db_url, check_same_thread=False)
-        self._db.executescript(
-            """
-            CREATE TABLE IF NOT EXISTS peers (
-                username TEXT NOT NULL,
-                ip TEXT, port INTEGER, nat_kind TEXT, protocol TEXT,
-                relay_address TEXT, relay_port INTEGER,
-                passphrase TEXT, encrypted_mirror_list BLOB,
-                digest BLOB, signature BLOB, certificate BLOB,
-                ring_id TEXT NOT NULL DEFAULT '0', replica INTEGER DEFAULT 0,
-                last_refresh INTEGER DEFAULT 0,
-                PRIMARY KEY (username, ring_id)
-            );
-            CREATE TABLE IF NOT EXISTS friendship_requests (
-                target_username TEXT NOT NULL,
-                requester_username TEXT NOT NULL,
-                sealed_passphrase BLOB,
-                PRIMARY KEY (target_username, requester_username)
-            );
-            CREATE TABLE IF NOT EXISTS relay_servers (
-                address TEXT NOT NULL, port INTEGER NOT NULL,
-                capacity INTEGER, load INTEGER, last_update INTEGER,
-                PRIMARY KEY (address, port)
-            );
-            """
-        )
+        self._tables: dict[str, dict] = {kind: {} for kind in _KINDS}
+        self._peers: dict[tuple[str, int], PeerRow] = self._tables["peer"]
+        self._requests: dict[tuple[str, str], FriendshipRequestRecord] = self._tables["request"]
+        self._relays: dict[tuple[str, int], RelayRecord] = self._tables["relay"]
+
+    def _changed(self, kind: str, *records, removed: bool = False) -> None:
+        """Called with the lock held after each change: records stored, or removed."""
 
     def upsert_peer(self, row: PeerRow) -> None:
-        rec = row.record
+        """Insert or replace by (username, ring id); a replica never
+        replaces a primary row, a primary replaces either."""
+        key = (row.record.username, row.ring_id)
         with self._lock:
-            # A primary row never downgrades to replica.
-            self._db.execute(
-                "INSERT INTO peers VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
-                " ON CONFLICT(username, ring_id) DO UPDATE SET"
-                " ip=excluded.ip, port=excluded.port, nat_kind=excluded.nat_kind,"
-                " protocol=excluded.protocol, relay_address=excluded.relay_address,"
-                " relay_port=excluded.relay_port, passphrase=excluded.passphrase,"
-                " encrypted_mirror_list=excluded.encrypted_mirror_list,"
-                " digest=excluded.digest, signature=excluded.signature,"
-                " certificate=excluded.certificate, replica=excluded.replica,"
-                " last_refresh=excluded.last_refresh"
-                " WHERE excluded.replica = 0 OR peers.replica = 1",
-                (
-                    rec.username, rec.ip, rec.port, rec.nat_kind, rec.protocol,
-                    rec.relay_address, rec.relay_port, rec.passphrase,
-                    rec.encrypted_mirror_list, rec.signed_digest.digest,
-                    rec.signed_digest.signature, row.certificate,
-                    format(row.ring_id, "x"), int(row.replica), rec.last_refresh,
-                ),
-            )
-            self._db.commit()
-
-    @staticmethod
-    def _row_to_peer(raw) -> PeerRow:
-        record = RegistrationRecord(
-            username=raw[0], ip=raw[1], port=raw[2], nat_kind=raw[3], protocol=raw[4],
-            relay_address=raw[5], relay_port=raw[6], passphrase=raw[7],
-            encrypted_mirror_list=raw[8],
-            signed_digest=SignedDigest(digest=raw[9], signature=raw[10]),
-            last_refresh=raw[14],
-        )
-        return PeerRow(
-            record=record, certificate=raw[11], ring_id=int(raw[12], 16), replica=bool(raw[13])
-        )
+            if row.replica:
+                existing = self._peers.get(key)
+                if existing is not None and not existing.replica:
+                    return
+            self._peers[key] = row
+            self._changed("peer", row)
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
         with self._lock:
-            cur = self._db.execute("SELECT * FROM peers WHERE passphrase = ?", (passphrase,))
-            raw = cur.fetchone()
-        return self._row_to_peer(raw) if raw else None
+            for row in self._peers.values():
+                if row.record.passphrase == passphrase:
+                    return row
+        return None
 
     def peer_by_username(self, username: str) -> PeerRow | None:
         with self._lock:
-            cur = self._db.execute("SELECT * FROM peers WHERE username = ?", (username,))
-            raw = cur.fetchone()
-        return self._row_to_peer(raw) if raw else None
+            for row in self._peers.values():
+                if row.record.username == username:
+                    return row
+        return None
 
     def peer_rows(self) -> list[PeerRow]:
         with self._lock:
-            cur = self._db.execute("SELECT * FROM peers ORDER BY username, ring_id")
-            rows = cur.fetchall()
-        return [self._row_to_peer(raw) for raw in rows]
+            return list(self._peers.values())
 
     def remove_peer(self, username: str, ring_id: int) -> None:
         with self._lock:
-            self._db.execute(
-                "DELETE FROM peers WHERE username = ? AND ring_id = ?",
-                (username, format(ring_id, "x")),
-            )
-            self._db.commit()
+            row = self._peers.pop((username, ring_id), None)
+            if row is not None:
+                self._changed("peer", row, removed=True)
 
     def put_friend_request(self, request: FriendshipRequestRecord) -> None:
         with self._lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO friendship_requests VALUES (?,?,?)",
-                (request.target_username, request.requester_username, request.sealed_passphrase),
-            )
-            self._db.commit()
+            self._requests[(request.target_username, request.requester_username)] = request
+            self._changed("request", request)
 
     def pop_friend_requests(self, target: str) -> list[FriendshipRequestRecord]:
         with self._lock:
-            cur = self._db.execute(
-                "SELECT target_username, requester_username, sealed_passphrase"
-                " FROM friendship_requests WHERE target_username = ? ORDER BY requester_username",
-                (target,),
-            )
-            delivered = [
-                FriendshipRequestRecord(
-                    target_username=raw[0], requester_username=raw[1], sealed_passphrase=raw[2]
-                )
-                for raw in cur.fetchall()
-            ]
-            self._db.execute("DELETE FROM friendship_requests WHERE target_username = ?", (target,))
-            self._db.commit()
+            delivered = [r for (t, _), r in sorted(self._requests.items()) if t == target]
+            for request in delivered:
+                del self._requests[(target, request.requester_username)]
+            if delivered:
+                self._changed("request", *delivered, removed=True)
         return delivered
 
     def upsert_relay(self, relay: RelayRecord) -> None:
         with self._lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO relay_servers VALUES (?,?,?,?,?)",
-                (relay.address, relay.port, relay.capacity, relay.load, relay.last_update),
-            )
-            self._db.commit()
+            self._relays[(relay.address, relay.port)] = relay
+            self._changed("relay", relay)
 
     def relay_rows(self) -> list[RelayRecord]:
         with self._lock:
-            cur = self._db.execute("SELECT * FROM relay_servers")
-            rows = cur.fetchall()
-        return [
-            RelayRecord(address=r[0], port=r[1], capacity=r[2], load=r[3], last_update=r[4])
-            for r in rows
-        ]
+            return list(self._relays.values())
 
     def remove_relay(self, address: str, port: int) -> None:
         with self._lock:
-            self._db.execute(
-                "DELETE FROM relay_servers WHERE address = ? AND port = ?", (address, port)
+            relay = self._relays.pop((address, port), None)
+            if relay is not None:
+                self._changed("relay", relay, removed=True)
+
+
+class SqliteStore(MemoryStore):
+    """A MemoryStore whose every change is also committed to a sqlite file."""
+
+    def __init__(self, db_url: str):
+        super().__init__()
+        self._db = sqlite3.connect(db_url, check_same_thread=False)
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS records"
+            " (kind TEXT NOT NULL, key TEXT NOT NULL, value BLOB NOT NULL, PRIMARY KEY (kind, key))"
+        )
+        # rowid order is insertion order: an update keeps its row's place.
+        for kind, value in self._db.execute("SELECT kind, value FROM records ORDER BY rowid"):
+            cls, key_of = _KINDS[kind]
+            record = cls.decode(value)
+            self._tables[kind][key_of(record)] = record
+
+    def _changed(self, kind: str, *records, removed: bool = False) -> None:
+        key_of = _KINDS[kind][1]
+        if removed:
+            self._db.executemany(
+                "DELETE FROM records WHERE kind = ? AND key = ?",
+                [(kind, repr(key_of(r))) for r in records],
             )
-            self._db.commit()
+        else:
+            self._db.executemany(
+                "INSERT INTO records VALUES (?, ?, ?)"
+                " ON CONFLICT (kind, key) DO UPDATE SET value = excluded.value",
+                [(kind, repr(key_of(r)), r.encode()) for r in records],
+            )
+        self._db.commit()
 
 
-def evict_stale_relays(store: RendezvousStore, now: int, age_ms: int) -> list[RelayRecord]:
+def evict_stale_relays(store: MemoryStore, now: int, age_ms: int) -> list[RelayRecord]:
     """Drop relays whose updates stopped arriving; returns the removals."""
     removed = []
     for relay in store.relay_rows():
@@ -244,7 +147,7 @@ def evict_stale_relays(store: RendezvousStore, now: int, age_ms: int) -> list[Re
     return removed
 
 
-def select_relay(store: RendezvousStore, now: int, age_ms: int) -> RelayRecord | None:
+def select_relay(store: MemoryStore, now: int, age_ms: int) -> RelayRecord | None:
     """Least load/capacity ratio among live relays; ties go lexicographic."""
     evict_stale_relays(store, now, age_ms)
     best: RelayRecord | None = None

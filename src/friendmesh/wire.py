@@ -470,7 +470,7 @@ def reply(code: int, *values: Any, msg_type: int | None = None) -> Frame:
 # this module first, so those exist by the time these lines run.
 from .identity import Certificate  # noqa: E402
 from .profile import VECTOR  # noqa: E402
-from .records import MIRROR_TABLE, RING_ROW, FriendshipRequestRecord, RegistrationRecord  # noqa: E402
+from .records import MIRROR_TABLE, FriendshipRequestRecord, PeerRow, RegistrationRecord  # noqa: E402
 from .sentinel import Complaint  # noqa: E402
 
 # Each line: code = (code, name, request fields, reply fields after "ok").
@@ -502,8 +502,8 @@ RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR, many(STR)))
 # candidate predecessor -> the notified node's predecessor or "", successors
 # after the notify: stabilize takes its successor's state from this reply
 RING_NOTIFY = _define(34, "ring_notify", (STR,), (STR, many(STR)))
-RING_REPLICATE = _define(35, "ring_replicate", (RING_ROW,), (FLAG,))  # -> accepted
-RING_TRANSFER = _define(36, "ring_transfer", (STR, many(RING_ROW)), (INT,))  # departing or "" -> accepted
+RING_REPLICATE = _define(35, "ring_replicate", (PeerRow,), (FLAG,))  # -> accepted
+RING_TRANSFER = _define(36, "ring_transfer", (STR, many(PeerRow)), (INT,))  # departing or "" -> accepted
 BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 
 MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstance(code, int)}

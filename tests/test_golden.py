@@ -1,17 +1,12 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were last re-recorded, on purpose, when a RING_CLOSEST answer
-came to carry the answering server's successor list and a lookup to end at
-the first server whose list covers the key. The scenarios on rings of more
-than two servers changed: their ring replies are longer, their lookups
-take fewer hops, and every time after the ring's build moved earlier.
-churn and island_partition, on 2-server rings where a list holds one
-server and no hop is saved, are unchanged. In each scenario the
-detections, evictions, replica states and key owners are those of before
-but for their times. s1_sybil's peers meet its 100 joining sybil servers at
-other moments, as the joins take fewer frames: one locate fewer and one
-pull fewer fail. Any change to a wire byte, a message count, a timestamp
-or an event in any scenario changes a hash.
+The hashes were last re-recorded, on purpose, when ring_replicate and
+ring_transfer came to carry each PeerRow as its own layout, without a
+second copy of its ring id and replica flag around it. In every scenario
+the trace differs from the one before only in the sizes of those two
+requests, each row about 38 bytes shorter: no frame, time or event moved.
+Any change to a wire byte, a message count, a timestamp or an event in any
+scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -34,16 +29,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "af0b87127181c4f6e4a97503726714db6c8ab0e95f5b3b1e6e563e025a2f2d39",
-    "churn": "579b110334b15bfdfdad86beb7eeb13cc0930e931494b7e5a4c2d082c69eb7cb",
-    "e1_eclipse": "83b933d96e4d7f366ffaab01291ff12ce9898bb617e7b96c5add6b7abe786225",
-    "eviction": "c6f36acfcd5a8265e72c2ac23efcca80bfbf8acc96805db6e6216423e12e9932",
-    "island_partition": "f0a6fc3586436a2e57691504a7ab34d956ecd855b09f667d2112a2d5587e80d5",
-    "r1_drop": "8b8cc44e31a4cbfb4a0f380255b7d6aeac0c149eb6486126677996813c97268c",
-    "r2_misroute": "9e9dcc88d46da03d8950bf7a5ab15fa0559fa8b50316f63ae923a72a7ee492e2",
-    "r3_claim_key": "4534f39310cef09908b50ee69fd1cf86b69eb218fea7707051a46a9bf645d3ed",
-    "s1_sybil": "7ffff1193bf78e7c73bf6a99497c22196ff3960e738898fd024b5f261b99ff22",
-    "t1_falsify": "2a3337b0498eff2aca0c103eb3aa909a49a9d9ace7b6ba83afe76bf7811fd234",
+    "baseline": "5a1b64c78b57c324a58bdd4d1de23224506cfabdaf835e8065df15fc6ae545a8",
+    "churn": "f785a5968b28b84fdec50e81399a47f628cc2bc63e4c24d3737ed33fe10bd3f9",
+    "e1_eclipse": "8eaea3f0d06ba73df43b95649c18882464d60f13ebae99744c9f65ccb92ef510",
+    "eviction": "879b3faa568e666ee39427e54efbbe5c33deb31431605878b2223ddef5d3e1c4",
+    "island_partition": "faeaaf9da3445dec0c5b41cbec8e9a3082063395c8168a70e63fd47e54b29aa2",
+    "r1_drop": "a0f83c68e162db14bfde53c36ae473f6d1e2ddc4b86a9b3addb8a5bbd9ebd803",
+    "r2_misroute": "021577a33083d04cb5db1b74d8fc799437955f59e1aa1fbd3f8fd7555100cac1",
+    "r3_claim_key": "2f501dfda9ead1b3ebc637d3b257d8f93c810afe62906ea9edb9a9ddd37827ae",
+    "s1_sybil": "4e915dcf466dabdbf301bb447ab0c27b094ab5ae46c29eda65614fc974aa3f33",
+    "t1_falsify": "006451d2551a609c77a70a0f78a36114031f5ff0bd8eef12d71e8fe857285b70",
 }
 
 

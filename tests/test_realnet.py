@@ -60,7 +60,7 @@ def make_real_peer(ca_server, rv_server, username):
         rng=random.Random(username),
     )
     listener = TcpServer(peer).start()
-    peer.endpoint = TcpEndpoint(local_addr=listener.addr, rng=peer.rng)
+    peer.endpoint = TcpEndpoint(local_addr=listener.addr)
     return peer, listener
 
 
@@ -183,7 +183,7 @@ def test_kept_sessions_over_tcp(ca_world, monkeypatch):
         # Bob moves: the kept channel no longer matches his record.
         bob_srv.stop()
         bob_srv = TcpServer(bob).start()
-        bob.endpoint = TcpEndpoint(local_addr=bob_srv.addr, rng=bob.rng)
+        bob.endpoint = TcpEndpoint(local_addr=bob_srv.addr)
         bob.bootstrap()
         alice.pull_friend_profile("bob")
         assert dialed == [bob_srv.addr]
@@ -221,5 +221,5 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
     wire.call(DirectChannel(relay), wire.IS_SERVER, cert, expect=wire.CHALLENGE)
     assert draws[3:] == [8]  # challenge nonce
-    for component in (endpoint, peer, rendezvous, relay):
+    for component in (peer, rendezvous, relay):
         assert type(component.rng) is random.SystemRandom

@@ -1,9 +1,13 @@
+import itertools
 import random
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
-from friendmesh import identity, records, rvclient, secure, store, wire
+from friendmesh import identity, records, rvclient, secure, sentinel, store, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import HandshakeError, IntegrityError, MalformedRequest, NotFound
@@ -344,7 +348,8 @@ def test_no_relay_available(server):
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_store_contract_equivalence(backend, ca, tmp_path):
-    st = store.MemoryStore() if backend == "memory" else store.SqliteStore(str(tmp_path / "db.sqlite"))
+    path = str(tmp_path / "db.sqlite")
+    st = store.MemoryStore() if backend == "memory" else store.SqliteStore(path)
     pair, cert = make_user(ca, f"store-user-{backend}")
     record = make_record(pair, cert, passphrase=f"store-phrase-{backend}")
     row = PeerRow(record=record, certificate=cert.encode(), ring_id=7, replica=False)
@@ -376,6 +381,60 @@ def test_store_contract_equivalence(backend, ca, tmp_path):
     assert st.relay_rows() == [relay]
     st.remove_relay("10.0.2.1", 7300)
     assert st.relay_rows() == []
+
+    # A reopened file holds what the store held; what it dropped stays gone.
+    other = replace(replica, record=replace(record, username="other"), ring_id=9)
+    for peer in (row, replica, other, replace(other, ring_id=10)):
+        st.upsert_peer(peer)
+    st.remove_peer("other", 10)
+    st.put_friend_request(req)
+    st.put_friend_request(FriendshipRequestRecord("t2", "r", b"blob2"))
+    assert len(st.pop_friend_requests("t2")) == 1
+    st.upsert_relay(replace(relay, port=7301))
+    st.upsert_relay(relay)
+    st.remove_relay("10.0.2.1", 7301)
+    reopen = (lambda: st) if backend == "memory" else (lambda: store.SqliteStore(path))
+    st = reopen()
+    assert st.peer_rows() == [row, other]
+    st.upsert_peer(replica)  # the reopened primary still outranks a replica
+    assert st.peer_rows() == [row, other]
+    assert st.relay_rows() == [relay]
+    assert st.pop_friend_requests("t2") == []
+    assert st.pop_friend_requests("t") == [req]
+    assert reopen().pop_friend_requests("t") == []
+
+    if backend == "memory":
+        # Writers and a scanning reader share one store: nothing sees a dict
+        # change size under its iteration.
+        for i in range(2000):
+            st.upsert_peer(replace(other, ring_id=100 + i))
+        errors = []
+        stop = threading.Event()
+
+        def churn():
+            try:
+                for i in itertools.count(10**6):
+                    if stop.is_set():
+                        return
+                    st.upsert_peer(replace(other, ring_id=i))
+                    st.remove_peer("other", i)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        writer = threading.Thread(target=churn)
+        writer.start()
+        try:
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline and not errors:
+                st.peer_by_passphrase("no such phrase")
+        finally:
+            stop.set()
+            writer.join(timeout=5)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert errors == []
 
 
 def test_need_to_know_no_plaintext_secrets(server, ca):
@@ -412,8 +471,9 @@ def test_every_stored_record_verifies(server, ca):
 
 
 def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
-    # Accepting one RING_REPLICATE costs one PeerRow.decode: the row is
-    # decoded off the wire, verified and stored without re-encoding.
+    # Accepting one RING_REPLICATE costs one PeerRow.decode: the row, which
+    # travels as its own layout, is decoded off the wire, verified and
+    # stored without re-encoding.
     server = RendezvousServer(
         addr="10.0.0.2:7200",
         config=RendezvousConfig(ring_enabled=True),
@@ -432,13 +492,13 @@ def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
         return real_decode(cls, data)
 
     monkeypatch.setattr(records.PeerRow, "decode", classmethod(counting_decode))
-    ring_row = wire.pack_fields(b"2a", row.encode(), b"1")
+    replica = replace(row, replica=True)
     reply = DirectChannel(server).request(
-        wire.Frame(wire.RING_REPLICATE, wire.pack_fields(ring_row))
+        wire.Frame(wire.RING_REPLICATE, wire.pack_fields(replica.encode()))
     )
     assert wire.open_reply(reply) == [b"1"]
     assert len(decodes) == 1
-    assert server.store.peer_rows() == [replace(row, replica=True)]
+    assert server.store.peer_rows() == [replica]
 
 
 @pytest.mark.parametrize("ring", [False, True])
@@ -465,6 +525,28 @@ def test_register_verifies_row_once(ca, clock, monkeypatch, ring):
     rvclient.register_peer(secure_client(server, pair, cert), make_record(pair, cert))
     assert checks == [cert.username]
     assert [row.record.username for row in server.store.peer_rows()] == [cert.username]
+
+
+def test_server_never_records_evicting_itself(ca, clock):
+    # Complaints about a ring server that reach that server pass its
+    # threshold like any others, but it evicts nobody and records nothing.
+    events = []
+    server = RendezvousServer(
+        addr="10.0.0.5:7200",
+        config=RendezvousConfig(ring_enabled=True, complaint_threshold=3),
+        ca_public_key=ca.public_key,
+        endpoint=object(),  # a one-node ring spreads complaints to nobody
+        clock=clock,
+        rng=random.Random(1),
+        on_event=lambda kind, **fields: events.append(kind),
+    )
+    for i in range(5):
+        pair, cert = make_user(ca, f"self-accuser-{i}")
+        assert server.handle_complaint(sentinel.make_complaint(server.addr, cert, pair.private_key, 0))
+    assert server.ledger.distinct_complainants(server.addr) == 5
+    assert server.evictions == []
+    assert "eviction" not in events
+    assert server.ring.evicted == set()
 
 
 @pytest.mark.parametrize("code", [wire.CHORD_LOOKUP, wire.RING_CLOSEST], ids=["chord_lookup", "ring_closest"])

@@ -10,7 +10,7 @@ from friendmesh import identity, profile, records, rvclient, secure, sentinel, w
 from friendmesh.errors import MalformedRequest, NotFound
 from friendmesh.identity import Certificate, KeyPair, SessionKey, SignedDigest
 from friendmesh.profile import LogEntry
-from friendmesh.records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord
+from friendmesh.records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord, RelayRecord
 from friendmesh.sentinel import Complaint
 
 
@@ -86,14 +86,14 @@ def test_reply_status_convention():
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
-    FriendshipRequestRecord, Complaint, LogEntry,
+    FriendshipRequestRecord, RelayRecord, Complaint, LogEntry,
 ]
 LAYOUTS = [cls.LAYOUT for cls in RECORDS] + [
     identity._CERT_SIGNED, identity._SEALED, secure._KEY_REPLY, secure._TRANSCRIPT, identity._CERT_REQUEST,
-    identity._CERT_REQUEST_BODY, records._CANONICAL, records._RING_ROW, sentinel._COMPLAINT_SIGNED,
+    identity._CERT_REQUEST_BODY, records._CANONICAL, sentinel._COMPLAINT_SIGNED,
     profile._DIGESTED, profile._EXPORT, rvclient._REQUEST_BLOB,
 ]
-FIELDS = [records.RING_ROW, records.MIRROR_TABLE, profile._ENTRIES]
+FIELDS = [records.MIRROR_TABLE, profile._ENTRIES]
 
 GOLDEN = {
     'signed_digest': '0004010101010003736967',
@@ -111,14 +111,10 @@ GOLDEN = {
         '70000831302e302e302e39000437333030000670687261736500076d6972726f7273000401010101'
         '00037369670004313233340004636572740003616263000131'
     ),
-    'ring_row': (
-        '0003616263006900590005616c696365000831302e302e302e31000437353030000966756c6c5f63'
-        '6f6e650003756470000831302e302e302e39000437333030000670687261736500076d6972726f72'
-        '7300040101010100037369670004313233340004636572740003616263000131000131'
-    ),
     'mirror_entry': '0003626f62000a626f622d706872617365',
     'mirror_table': '00090003626f6200027031000b00056361726f6c00027032',
     'friendship_request': '00056361726f6c0005616c6963650004626c6f62',
+    'relay_record': '000831302e302e302e39000437333030000138000133000431323334',
     'certificate': '0005616c696365000350554200026361000765632d703235360003534947',
     'certificate_signed': '0005616c696365000350554200026361000765632d70323536',
     'session_key': '00106b6b6b6b6b6b6b6b6b6b6b6b6b6b6b6b000b6165732d3132382d67636d',
@@ -209,11 +205,11 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "registration_record": rec.encode(),
         "canonical_payload": rec.canonical_payload(),
         "peer_row": row.encode(),
-        "ring_row": records.RING_ROW.encode(row),
         "mirror_entry": MirrorEntry("bob", "bob-phrase").encode(),
         "mirror_table": records.MIRROR_TABLE.encode([MirrorEntry("bob", "p1"),
                                                      MirrorEntry("carol", "p2")]),
         "friendship_request": FriendshipRequestRecord("carol", "alice", b"blob").encode(),
+        "relay_record": RelayRecord("10.0.0.9", 7300, 8, 3, 1234).encode(),
         "certificate": cert.encode(),
         "certificate_signed": cert.signed_bytes(),
         "session_key": SessionKey(b"k" * 16).encode(),
@@ -270,8 +266,6 @@ def value_of(t):
         return value_of(t.type)
     if isinstance(t, type):  # a record
         return st.builds(t, *[value_of(f) for f in t.LAYOUT.fields])
-    if t is records.RING_ROW:
-        return value_of(PeerRow)
     if t is records.MIRROR_TABLE:
         return st.lists(value_of(MirrorEntry), max_size=3)
     if t is profile._ENTRIES:
@@ -303,7 +297,7 @@ def test_record_roundtrip(cls, data):
     assert cls.decode(value.encode()) == value
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["ring_row", "mirror_table", "entries"])
+@pytest.mark.parametrize("field", FIELDS, ids=["mirror_table", "entries"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_record_field_roundtrip(field, data):
