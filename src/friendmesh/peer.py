@@ -222,20 +222,21 @@ class Peer:
                     break
             except PeerUnreachable:
                 continue
-        if not got:
-            # Degraded: outbound-only operation.
-            self.on_event("no_relay", peer=self.username)
-            state.relay_endpoint = None
-            return
-        relay_addr = f"{got[0]}:{got[1]}"
-        self._mux = MuxService(self)
-        self._relay_channel = self.endpoint.connect(relay_addr)
-        interval, token = admit_as_server(
-            self._relay_channel, state.certificate, state.keypair.private_key, self._mux
-        )
-        state.relay_endpoint = got
-        state.relay_token = token
-        state.relay_interval_ms = interval
+        if got:
+            self._mux = MuxService(self)
+            try:
+                self._relay_channel = self.endpoint.connect(f"{got[0]}:{got[1]}")
+                state.relay_interval_ms, state.relay_token = admit_as_server(
+                    self._relay_channel, state.certificate, state.keypair, self.ca_public_key,
+                    self._mux, rng=self.rng,
+                )
+                state.relay_endpoint = got
+                return
+            except ProtocolError:  # the relay is down, full or refusing
+                self._close_relay_channel()
+        # Degraded: outbound-only operation.
+        self.on_event("no_relay", peer=self.username)
+        state.relay_endpoint = None
 
     def _bootstrap_servers(self) -> list[str]:
         return list(self.config.rendezvous_addrs)

@@ -518,46 +518,6 @@ class Profile:
     def import_log(cls, data: bytes) -> "Profile":
         return cls.replay(*_EXPORT.unpack(data))
 
-    @classmethod
-    def canonical_decode(cls, text: bytes) -> "Profile":
-        """Rebuild a profile from its canonical text form.
-
-        The tree is reconstructed through a synthesized log (history is not
-        part of the text form), so the result replays and re-encodes to the
-        same text.
-        """
-        lines = text.decode("utf-8").splitlines()
-        if not lines or not lines[0].startswith("profile owner="):
-            raise MalformedRequest("not a canonical profile encoding")
-        owner = lines[0].split("owner=", 1)[1]
-        profile = cls(owner)
-        for line in lines[1:]:
-            if line.startswith("component "):
-                continue  # versions re-derive from the synthesized ops
-            if not line.startswith("element "):
-                raise MalformedRequest(f"unparseable line: {line!r}")
-            body = line[len("element "):]
-            path, _, rest = body.partition(" ")
-            content = b""
-            perms: list[tuple[str, set[str]]] = []
-            for part in rest.split(" ") if rest else []:
-                if part.startswith("content="):
-                    content = bytes.fromhex(part[len("content="):])
-                elif part.startswith("perm="):
-                    for chunk in part[len("perm="):].split(";"):
-                        tag, _, members = chunk.partition(":")
-                        names = {"r": "read", "w": "write", "n": "no_access"}
-                        perms.append((names[tag], {m for m in members.split(",") if m}))
-            if "/" in path:
-                parent, _, child = path.rpartition("/")
-                profile.apply_update(owner, parent, op_add(child, content), timestamp=0)
-            elif content:
-                profile.apply_update(owner, path, op_set(content), timestamp=0)
-            for set_name, members in perms:
-                if members:
-                    profile.apply_update(owner, path, op_perm(set_name, members), timestamp=0)
-        return profile
-
 
 def merge_logs(*logs: list[LogEntry]) -> list[LogEntry]:
     """Deterministic merge: content-dedup, order by (timestamp, author,

@@ -1,24 +1,30 @@
 """The relay server: admission, liveness, opaque bidirectional forwarding.
 
-A peer that must receive connections through the relay authenticates with
-a sealed-timestamp challenge, keeps the connection open and answers muxed
-frames on it; clients open a bridge naming the target and every later
-frame is copied verbatim with a 4-byte stream id prepended on the relay
-leg only. The relay holds no session keys and never decrypts anything it
-forwards.
+A peer that must receive connections through the relay is admitted over
+the one handshake of secure.py, as a rendezvous client is: the relay holds
+no certificate and answers the hello with a bare session key sealed to the
+peer. The peer then calls the app kind admit, which issues a liveness
+token and takes the connection over; a full relay refuses the hello and
+admit of a peer it holds no session for. The peer keeps that connection
+open and answers muxed frames on it. Clients open a bridge naming the
+target, and every later frame is copied verbatim with a 4-byte stream id
+prepended on the relay leg only. The relay holds the key of each admission
+session, never the key of a session it forwards, and never decrypts
+anything it forwards.
 """
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import identity, rvclient, wire
+from . import identity, rvclient, secure, wire
 from .channel import Channel, Endpoint, ReverseSession, Service, Session, SessionContext
 from .config import RelayConfig
 from .errors import MalformedRequest, PeerUnreachable, ProtocolError
-from .identity import Certificate
+from .identity import Certificate, KeyPair
 from .wire import Frame
 
 KEEPALIVE_GRACE = 3  # ping intervals a relayed peer may stay silent before eviction
@@ -126,16 +132,23 @@ class RelayServer:
         return username not in self.sessions and len(self.sessions) >= self.config.max_connections
 
     def open_session(self, ctx: SessionContext) -> "RelayConnSession":
-        return RelayConnSession(self)
+        return RelayConnSession(self, ctx)
 
 
 class RelayConnSession:
     """One inbound connection: either a server-peer admission or a client bridge."""
 
-    def __init__(self, server: RelayServer):
+    def __init__(self, server: RelayServer, ctx: SessionContext):
         self.server = server
-        self._challenge: bytes | None = None
-        self._cert: Certificate | None = None
+        self._ctx = ctx
+        # The handshake and APP_DATA of an admission, with no certificate of
+        # the relay's own; admit is the one app kind. Capacity gates both the
+        # hello and admit, so a full relay refuses a newcomer before it
+        # seals a key, and once more if it filled up since.
+        self._secure = secure.ResponderSession(
+            None, None, server.ca_public_key, lambda username: not server.full_for(username),
+            functools.partial(secure.dispatch_app, self), rng=server.rng,
+        )
         self._bridge: RelaySession | None = None
         self._stream_id: bytes | None = None
 
@@ -143,54 +156,35 @@ class RelayConnSession:
         code = frame.msg_type
         handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
         if handler is None:
+            # A bridge forwards the client's handshake and app frames verbatim.
             if self._bridge is not None:
                 return self._forward(frame, ctx)
-            return wire.err_reply(code, "malformed_request", "no bridge open")
-        # Refusals that come before the request is read.
-        if code == wire.CHALLENGE_REPLY and (self._challenge is None or self._cert is None):
-            return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "no challenge outstanding")
+            return self._secure.handle(frame, ctx)
         try:
             values = wire.decode(code, frame.payload)
         except MalformedRequest:
             return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
         return handler(ctx, *values)
 
-    def handle_is_server(self, ctx: SessionContext, cert: Certificate) -> Frame:
+    def _on_admit(self, sender: Certificate) -> tuple:
+        """Serve the sender over this connection from the reply on, in place
+        of any session it held; -> keepalive interval ms, liveness token."""
         server = self.server
-        if not identity.verify_certificate(cert, server.ca_public_key):
-            return wire.err_reply(wire.CHALLENGE, "auth_error", "bad certificate")
-        if server.full_for(cert.username):
-            return wire.err_reply(wire.CHALLENGE, "reject", "capacity reached")
-        self._cert = cert
-        # Fresh timestamp + nonce: a replayed reply can never match.
-        self._challenge = wire.pack_fields(
-            wire.pack_int(server.clock()), server.rng.randbytes(8)
-        )
-        sealed = identity.seal(cert.public_key, self._challenge)
-        return wire.reply(wire.IS_SERVER, sealed, msg_type=wire.CHALLENGE)
-
-    def handle_challenge_reply(self, ctx: SessionContext, value: bytes) -> Frame:
-        server = self.server
-        if value != self._challenge:
-            return wire.err_reply(wire.CHALLENGE_REPLY, "auth_error", "challenge mismatch")
-        if ctx.reverse_service is None:
-            return wire.err_reply(wire.CHALLENGE_REPLY, "malformed_request", "no mux attached")
-        # Others may have been admitted since the challenge went out.
-        if server.full_for(self._cert.username):
-            return wire.err_reply(wire.CHALLENGE_REPLY, "reject", "capacity reached")
-        server._drop(self._cert.username, evicted=False)  # a re-admission replaces the session
+        reverse = self._ctx.reverse_service
+        if reverse is None:
+            raise MalformedRequest("no mux attached")
+        server._drop(sender.username, evicted=False)  # a re-admission replaces the session
         token = server.rng.randbytes(16)
         session = RelaySession(
-            username=self._cert.username,
-            session=ctx.reverse_service.open_session(ctx),
+            username=sender.username,
+            session=reverse.open_session(self._ctx),
             token=token,
             last_alive=server.clock(),
         )
-        server.sessions[self._cert.username] = session
-        server._by_token[token] = self._cert.username
+        server.sessions[sender.username] = session
+        server._by_token[token] = sender.username
         server.admitted += 1
-        self._challenge = None
-        return wire.reply(wire.CHALLENGE_REPLY, server.config.ping_interval_ms, token)
+        return server.config.ping_interval_ms, token
 
     def handle_server_is_alive(self, ctx: SessionContext, token: bytes) -> Frame:
         server = self.server
@@ -225,7 +219,6 @@ class RelayConnSession:
 # malformed_request under the request's code. A keepalive is never
 # refused: it only ever refreshes a live session.
 _MALFORMED_REPLY = {
-    wire.IS_SERVER: wire.err_reply(wire.CHALLENGE, "malformed_request"),
     wire.SERVER_IS_ALIVE: wire.ok_reply(wire.SERVER_IS_ALIVE),
 }
 
@@ -269,17 +262,19 @@ class MuxSession:
 def admit_as_server(
     channel: Channel,
     cert: Certificate,
-    private_key: bytes,
+    keys: KeyPair,
+    ca_public_key: bytes,
     mux: MuxService,
+    rng: random.Random | None = None,
 ) -> tuple[int, bytes]:
-    """Client-side admission: prove key ownership, attach the mux, go live.
+    """Client-side admission: the one handshake, then admit with the mux
+    attached, so the relay's requests are served from its reply on.
 
     Returns (keepalive interval ms, liveness token).
     """
-    (sealed,) = wire.call(channel, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
-    value = identity.open_sealed(private_key, sealed)
+    session = secure.connect_secure(channel, cert, keys, ca_public_key, rng=rng)
     channel.attach_reverse(mux)
-    return wire.call(channel, wire.CHALLENGE_REPLY, value)
+    return session.call("admit")
 
 
 def send_keepalive(channel: Channel, token: bytes) -> None:

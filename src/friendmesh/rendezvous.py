@@ -353,10 +353,10 @@ class RendezvousSession:
     def handle_chord_lookup(self, ctx: SessionContext, ident: int) -> Frame:
         server = self.server
         if server.ring is None:
-            return wire.reply(wire.CHORD_LOOKUP, server.addr, 0, msg_type=wire.CHORD_REPLY)
+            return wire.reply(wire.CHORD_LOOKUP, server.addr, 0)
         result = server.ring.find_successor(self._on_ring(ident))
         server.on_event("chord_lookup", node=server.addr, hops=result.hops)
-        return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops, msg_type=wire.CHORD_REPLY)
+        return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops)
 
     def handle_complaint(self, ctx: SessionContext, complaint: Complaint) -> Frame:
         self.server.handle_complaint(complaint)

@@ -81,7 +81,7 @@ def relay_update(channel: Channel, port: int, load: int, capacity: int) -> None:
 
 
 def chord_lookup(channel: Channel, ident: int) -> tuple[str, int]:
-    return wire.call(channel, wire.CHORD_LOOKUP, ident, expect=wire.CHORD_REPLY)
+    return wire.call(channel, wire.CHORD_LOOKUP, ident)
 
 
 def submit_complaint(channel: Channel, complaint_bytes: bytes) -> None:

@@ -1,7 +1,7 @@
 """TLS-like secure sessions between certified endpoints.
 
-One handshake opens every session, a friend channel and a rendezvous
-session alike, in one round trip:
+One handshake opens every session, a friend channel, a rendezvous
+session and a relay admission alike, in one round trip:
 
 - The initiator presents its certificate and a fresh 16-byte nonce in the
   clear (REGISTER_PEER).
@@ -10,15 +10,15 @@ session alike, in one round trip:
   initiator's public key: the session key, the responder's certificate
   and its signature over the transcript (the hello as sent, the session
   key, the certificate). An observer so never learns who answered.
-- A rendezvous server holds no certificate: it leaves those two fields
-  empty, and its client's end has peer_cert None. An initiator that names
-  the user it expects refuses such an answer.
+- A rendezvous server or a relay holds no certificate: it leaves those two
+  fields empty, and its client's end has peer_cert None. An initiator that
+  names the user it expects refuses such an answer.
 
 The responder's fresh key means a replayed hello opens a new session, in
 which replayed app frames do not decrypt; the signature covers the
-initiator's nonce, so a replayed answer does not verify. The rendezvous
-server is not authenticated, and no key is ephemeral: a leaked long-term
-key opens every recorded session.
+initiator's nonce, so a replayed answer does not verify. Rendezvous
+servers and relays are not authenticated, and no key is ephemeral: a
+leaked long-term key opens every recorded session.
 
 Every session ends in a SecureChannel, and from then on every request is an
 APP_DATA frame whose plaintext is pack(kind) and then that kind's fields
@@ -26,7 +26,7 @@ APP_DATA frame whose plaintext is pack(kind) and then that kind's fields
 b"ok" or an error code, then the fields. The frame code so names neither
 the operation nor its outcome; frame lengths still differ, as nothing is
 padded. ResponderSession serves the hello and APP_DATA for the peer
-responder and the rendezvous server alike.
+responder, the rendezvous server and the relay alike.
 
 Sessions are meant to be kept across requests. One stays established
 while it is in step: every reply so far authenticated under its key, an
@@ -92,7 +92,8 @@ def dispatch_app(service, body: bytes, sender: Certificate) -> bytes:
 
 class SecureChannel:
     """The client's end of an established session: to a friend (peer_cert
-    is the friend's certificate) or to a rendezvous server (peer_cert None)."""
+    is the friend's certificate), or to a rendezvous server or a relay
+    (peer_cert None)."""
 
     def __init__(self, channel: Channel, cipher: SessionCipher, peer_cert: Certificate | None,
                  session_key: SessionKey):
@@ -185,10 +186,7 @@ def connect_secure(
     over this transcript; given expected_username, it must carry that
     user's, so a rendezvous server's answer is refused."""
     hello = wire.encode(wire.REGISTER_PEER, my_cert, identity.random_bytes(NONCE_LEN, rng))
-    reply = channel.request(Frame(wire.REGISTER_PEER, hello))
-    if reply.msg_type != wire.SESSION_KEY:
-        raise HandshakeError(f"expected session_key, got {reply.msg_type}")
-    (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
+    (sealed,) = wire.open_reply(channel.request(Frame(wire.REGISTER_PEER, hello)), wire.REGISTER_PEER)
     try:
         session_key, cert, signature = _KEY_REPLY.unpack(identity.open_sealed(my_keys.private_key, sealed))
         peer_cert = Certificate.decode(cert) if cert else None
@@ -209,8 +207,9 @@ def connect_secure(
 
 class ResponderSession:
     """The responder side of the handshake plus encrypted app traffic: a
-    peer's, or a rendezvous server's with no certificate (my_cert and my_keys
-    None). The session key comes from rng, the OS CSPRNG when it is None."""
+    peer's, or a rendezvous server's or a relay's with no certificate
+    (my_cert and my_keys None). The session key comes from rng, the OS
+    CSPRNG when it is None."""
 
     def __init__(
         self,
@@ -239,23 +238,23 @@ class ResponderSession:
 
     def _on_hello(self, frame: Frame) -> Frame:
         if self._cipher is not None:  # one handshake per channel: a kept one is never re-keyed
-            return wire.err_reply(wire.SESSION_KEY, "handshake_error", "already established")
+            return wire.err_reply(wire.REGISTER_PEER, "handshake_error", "already established")
         try:
             peer_cert, nonce = wire.decode(wire.REGISTER_PEER, frame.payload)
         except MalformedRequest:
-            return wire.err_reply(wire.SESSION_KEY, "malformed_request")
+            return wire.err_reply(wire.REGISTER_PEER, "malformed_request")
         if len(nonce) != NONCE_LEN:
-            return wire.err_reply(wire.SESSION_KEY, "malformed_request", "bad nonce")
+            return wire.err_reply(wire.REGISTER_PEER, "malformed_request", "bad nonce")
         if not identity.verify_certificate(peer_cert, self._ca_pub):
-            return wire.err_reply(wire.SESSION_KEY, "auth_error", "bad certificate")
+            return wire.err_reply(wire.REGISTER_PEER, "auth_error", "bad certificate")
         # Admission before anything about this endpoint is revealed.
         if not self._admission(peer_cert.username):
-            return wire.err_reply(wire.SESSION_KEY, "auth_error", "not authorized")
+            return wire.err_reply(wire.REGISTER_PEER, "auth_error", "not authorized")
         session_key = identity.generate_session_key(rng=self._rng)
         sealed = seal_key_reply(peer_cert.public_key, frame.payload, session_key, self._cert, self._keys)
         self._peer_cert = peer_cert
         self._cipher = SessionCipher(session_key, direction=1)
-        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
+        return wire.reply(wire.REGISTER_PEER, sealed)
 
     def _on_app(self, frame: Frame) -> Frame:
         """The app handler's answer, or the ProtocolError it raised, goes back

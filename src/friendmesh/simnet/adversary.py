@@ -23,7 +23,6 @@ from ..wire import Frame
 
 @dataclass
 class AdversaryScript:
-    role: str = "rendezvous"
     behaviors: list[str] = field(default_factory=list)
     targets: list[str] = field(default_factory=list)  # corrupted node addrs
     victims: list[str] | None = None  # usernames; None = everyone
@@ -94,12 +93,10 @@ class AdversarySession:
             if "drop_lookups" in behaviors:
                 return None  # refuse to forward: silence
             if victim_hit and "claim_key" in behaviors:
-                return wire.reply(
-                    wire.CHORD_LOOKUP, wrapper.self_addr, 0, msg_type=wire.CHORD_REPLY
-                )
+                return wire.reply(wire.CHORD_LOOKUP, wrapper.self_addr, 0)
             if victim_hit and "misroute" in behaviors:
                 decoy = wrapper.script.accomplice or DEAD_ADDR
-                return wire.reply(wire.CHORD_LOOKUP, decoy, 0, msg_type=wire.CHORD_REPLY)
+                return wire.reply(wire.CHORD_LOOKUP, decoy, 0)
         if frame.msg_type == wire.RING_CLOSEST and "drop_lookups" in behaviors:
             return None
         if frame.msg_type in (wire.RING_STATE, wire.RING_CLOSEST) and "eclipse_attempt" in behaviors:

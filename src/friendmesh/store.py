@@ -5,8 +5,11 @@ so the thread-per-connection servers may share it. The deterministic
 simulator and plain chord ring nodes use it as it is. SqliteStore is a
 MemoryStore that also persists: every change is written through to one
 table of (kind, key, value) rows, where value is the record's declared
-layout (records.py), and committed at once. Opening the file reads the
-table back in insertion order; sqlite is never read after that.
+layout (records.py), and committed before the call that made it returns.
+The change queues its statements under the store's lock and commits them
+after releasing it, so a lookup on another thread never waits for the
+disk. Opening the file reads the table back in insertion order; sqlite is
+never read after that.
 
 Peer rows are keyed by (username, ring id); the chord ring reads and
 writes them here directly when it places, replicates and hands over
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from collections import deque
 
 from .records import FriendshipRequestRecord, PeerRow, RelayRecord
 
@@ -39,6 +43,10 @@ class MemoryStore:
     def _changed(self, kind: str, *records, removed: bool = False) -> None:
         """Called with the lock held after each change: records stored, or removed."""
 
+    def _commit(self) -> None:
+        """Called after each change once the lock is released; the change
+        is durable when it returns."""
+
     def upsert_peer(self, row: PeerRow) -> None:
         """Insert or replace by (username, ring id); a replica never
         replaces a primary row, a primary replaces either."""
@@ -50,6 +58,7 @@ class MemoryStore:
                     return
             self._peers[key] = row
             self._changed("peer", row)
+        self._commit()
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
         with self._lock:
@@ -74,11 +83,13 @@ class MemoryStore:
             row = self._peers.pop((username, ring_id), None)
             if row is not None:
                 self._changed("peer", row, removed=True)
+        self._commit()
 
     def put_friend_request(self, request: FriendshipRequestRecord) -> None:
         with self._lock:
             self._requests[(request.target_username, request.requester_username)] = request
             self._changed("request", request)
+        self._commit()
 
     def pop_friend_requests(self, target: str) -> list[FriendshipRequestRecord]:
         with self._lock:
@@ -87,12 +98,14 @@ class MemoryStore:
                 del self._requests[(target, request.requester_username)]
             if delivered:
                 self._changed("request", *delivered, removed=True)
+        self._commit()
         return delivered
 
     def upsert_relay(self, relay: RelayRecord) -> None:
         with self._lock:
             self._relays[(relay.address, relay.port)] = relay
             self._changed("relay", relay)
+        self._commit()
 
     def relay_rows(self) -> list[RelayRecord]:
         with self._lock:
@@ -103,6 +116,7 @@ class MemoryStore:
             relay = self._relays.pop((address, port), None)
             if relay is not None:
                 self._changed("relay", relay, removed=True)
+        self._commit()
 
 
 class SqliteStore(MemoryStore):
@@ -120,21 +134,31 @@ class SqliteStore(MemoryStore):
             cls, key_of = _KINDS[kind]
             record = cls.decode(value)
             self._tables[kind][key_of(record)] = record
+        # (statement, rows) per change, in the order the store lock saw them
+        self._queued: deque[tuple[str, list[tuple]]] = deque()
+        self._file_lock = threading.Lock()  # held while the file is written
 
     def _changed(self, kind: str, *records, removed: bool = False) -> None:
         key_of = _KINDS[kind][1]
         if removed:
-            self._db.executemany(
+            self._queued.append((
                 "DELETE FROM records WHERE kind = ? AND key = ?",
                 [(kind, repr(key_of(r))) for r in records],
-            )
+            ))
         else:
-            self._db.executemany(
+            self._queued.append((
                 "INSERT INTO records VALUES (?, ?, ?)"
                 " ON CONFLICT (kind, key) DO UPDATE SET value = excluded.value",
                 [(kind, repr(key_of(r)), r.encode()) for r in records],
-            )
-        self._db.commit()
+            ))
+
+    def _commit(self) -> None:
+        # Whoever holds the file lock writes every change queued so far, so
+        # once this thread holds it, its own change is written and committed.
+        with self._file_lock:
+            while self._queued:
+                self._db.executemany(*self._queued.popleft())
+            self._db.commit()
 
 
 def evict_stale_relays(store: MemoryStore, now: int, age_ms: int) -> list[RelayRecord]:

@@ -14,13 +14,17 @@ code from errors.py.
 The schema at the end of this module declares every message layout once:
 each message code (1-21 the public protocol, 32-38 ring and bridging
 plumbing) and each app kind with the typed fields of its request and of
-its reply after the status field. An app kind is an operation on an
-established secure session (secure.py), a friend's or a rendezvous
-server's: the plaintext inside APP_DATA is pack(kind) and then the
-request's fields, and a reply's plaintext is laid out as a plain reply. A field type has encode(value) -> bytes and
-decode(bytes) -> value: STR, INT (strict decimal), IDENT (hexadecimal),
-RAW, FLAG, a record class, list_of(T) (one field holding zero or more T
-fields) or another codec. The last type of a layout may be many(T): zero
+its reply after the status field, and the frame code that reply and any
+refusal travel under: the request's own, but for a handshake hello
+(answered as session_key), a chord lookup (as chord_reply) and an app
+kind (inside app_data). An app kind is an operation on an established
+secure session (secure.py), a friend's, a rendezvous server's or a
+relay's: the plaintext inside APP_DATA is pack(kind) and then the
+request's fields, and a reply's plaintext is laid out as a plain reply.
+A field type has encode(value) -> bytes and decode(bytes) -> value:
+STR, INT (strict decimal), IDENT (hexadecimal), RAW, FLAG, a record
+class, list_of(T) (one field holding zero or more T fields) or another
+codec. The last type of a layout may be many(T): zero
 or more T fields, carried as one list value. A layout of None is a payload
 the schema does not read: ciphertext, a request served whatever it
 carries, or a code that only names a reply.
@@ -159,7 +163,10 @@ def ok_reply(msg_type: int, *fields: bytes) -> Frame:
 
 
 def err_reply(msg_type: int, code: str, message: str = "") -> Frame:
-    return Frame(msg_type, pack_fields(code.encode("ascii"), message.encode("utf-8")))
+    """The refusal of a msg_type request, under the reply code SCHEMA declares for it."""
+    declared = SCHEMA.get(msg_type)
+    reply_code = msg_type if declared is None else declared.reply_code
+    return Frame(reply_code, pack_fields(code.encode("ascii"), message.encode("utf-8")))
 
 
 def read_field(data: bytes, pos: int = 0) -> tuple[bytes, int]:
@@ -180,8 +187,11 @@ def open_reply(frame: Frame, key: int | str | None = None) -> list[bytes] | tupl
     """Unpack a reply; raise the reported error unless status is ok.
 
     Returns the fields after the status field, or, given the request's
-    SCHEMA key, the values its reply layout reads from them.
+    SCHEMA key, the values its reply layout reads from them; then a reply
+    under another frame code than the key's reply code is a ProtocolError.
     """
+    if key is not None and frame.msg_type != SCHEMA[key].reply_code:
+        raise ProtocolError(f"{SCHEMA[key].name}: reply under frame code {frame.msg_type}")
     data = frame.payload
     if data.startswith(OK):
         return unpack_fields(data)[1:] if key is None else decode(key, data, len(OK), reply=True)
@@ -418,23 +428,26 @@ class Message(NamedTuple):
     name: str
     request: Layout | None  # None: not read
     reply: Layout | None
+    reply_code: int  # the frame code its replies and refusals travel under
 
 
 SCHEMA: dict[int | str, Message] = {}
 _NOTHING = Layout("nothing", ())
 
 
-def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None) -> int | str:
+def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None,
+            reply_code: int | None = None) -> int | str:
     SCHEMA[key] = Message(
         name,
         None if request is None else Layout(name, request),
         None if reply is None else Layout(name, reply),
+        key if reply_code is None else reply_code,
     )
     return key
 
 
 def _app(kind: str, request: tuple, reply: tuple) -> None:
-    _define(kind, kind, request, reply)
+    _define(kind, kind, request, reply, reply_code=APP_DATA)
 
 
 def encode(key: int | str, *values: Any, reply: bool = False) -> bytes:
@@ -453,17 +466,15 @@ def decode(key: int | str, data: bytes, pos: int = 0, reply: bool = False) -> tu
     return () if layout is None else layout.unpack(data, pos)
 
 
-def call(channel, code: int, *values: Any, expect: int | None = None) -> tuple:
-    """Send code's request; return its reply's values. expect: the only reply code accepted."""
-    frame = channel.request(Frame(code, (SCHEMA[code].request or _NOTHING).pack(values)))
-    if expect is not None and frame.msg_type != expect:
-        raise ProtocolError(f"expected {SCHEMA[expect].name}, got {frame.msg_type}")
-    return open_reply(frame, code)
+def call(channel, code: int, *values: Any) -> tuple:
+    """Send code's request; return its reply's values."""
+    return open_reply(channel.request(Frame(code, (SCHEMA[code].request or _NOTHING).pack(values))), code)
 
 
-def reply(code: int, *values: Any, msg_type: int | None = None) -> Frame:
-    """The ok reply to code's request; msg_type overrides the frame's code."""
-    return Frame(code if msg_type is None else msg_type, OK + (SCHEMA[code].reply or _NOTHING).pack(values))
+def reply(code: int, *values: Any) -> Frame:
+    """The ok reply to code's request, under the reply code SCHEMA declares."""
+    message = SCHEMA[code]
+    return Frame(message.reply_code, OK + (message.reply or _NOTHING).pack(values))
 
 
 # The record types import this module's primitives; the package imports
@@ -473,26 +484,23 @@ from .profile import VECTOR  # noqa: E402
 from .records import MIRROR_TABLE, FriendshipRequestRecord, PeerRow, RegistrationRecord  # noqa: E402
 from .sentinel import Complaint  # noqa: E402
 
-# Each line: code = (code, name, request fields, reply fields after "ok").
-# A comment names the fields; "(as X)" is the reply's frame code when it
-# differs from the request's.
+# Each line: code = (code, name, request fields, reply fields after "ok"),
+# and the reply's frame code where it differs from the request's.
+# A comment names the fields.
 RELAY_REGISTER = _define(1, "relay_register", (INT, INT), (INT,))  # port, capacity -> refresh ms
 RELAY_UPDATE = _define(2, "relay_update", (INT, INT, INT), ())  # port, load, capacity
 REQUEST_RELAY = _define(3, "request_relay", None, (STR, INT))  # -> host, port
 NO_RELAY_AVAILABLE = _define(4, "no_relay_available", None, None)  # the reply to 3 when none
-IS_SERVER = _define(5, "is_server", (Certificate,), (RAW,))  # -> sealed challenge (as 6)
-CHALLENGE = _define(6, "challenge", None, None)
-CHALLENGE_REPLY = _define(7, "challenge_reply", (RAW,), (INT, RAW))  # opened -> ping ms, token
 SERVER_IS_ALIVE = _define(8, "server_is_alive", (RAW,), ())  # token
 # The one handshake (secure.py): certificate, nonce -> the session key
-# reply sealed to the initiator (as 10)
-REGISTER_PEER = _define(9, "register_peer", (Certificate, RAW), (RAW,))
+# reply sealed to the initiator
+REGISTER_PEER = _define(9, "register_peer", (Certificate, RAW), (RAW,), reply_code=10)
 SESSION_KEY = _define(10, "session_key", None, None)  # only names the reply to 9
 # 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
-# passphrase_blob below; 12 and 14 are unused.
+# passphrase_blob below; 5-7, 12 and 14 are unused.
 # The CA's one exchange: sealed certificate request -> sealed certificate
 CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))
-CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT))  # -> successor, hops (as 19)
+CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT), reply_code=19)  # -> successor, hops
 CHORD_REPLY = _define(19, "chord_reply", None, None)
 COMPLAINT = _define(20, "complaint", (spread(Complaint),), ())  # the complaint's fields
 APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app request or reply
@@ -515,6 +523,11 @@ _app("register", RegistrationRecord.LAYOUT.fields[1:-1], (many(FriendshipRequest
 _app("locate", (STR,), (RegistrationRecord, RAW))  # passphrase -> record, owner certificate
 _app("friend_request", (STR,), (RAW,))  # username -> certificate
 _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user
+
+# The relay app kind, on a relay session: -> keepalive interval ms, token.
+# The relay then takes the connection over (channel.py) to forward bridged
+# clients' frames to the admitted peer.
+_app("admit", (), (INT, RAW))
 
 # Peer app kinds, each on a friend channel. Log entries travel as
 # profile.encode_entries() bytes: the peer counts their size, and decodes

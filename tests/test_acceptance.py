@@ -411,7 +411,7 @@ def test_criterion_6_opacity_and_transparency():
     )
     relay_tap = _Tap(MuxService(responder_service("relay")))
     admit_ch = DirectChannel(relay, remote_addr=relay.addr, local_addr="srv:2")
-    admit_as_server(admit_ch, scert, skeys.private_key, relay_tap)
+    admit_as_server(admit_ch, scert, skeys, ca.public_key, relay_tap)
     bridge = DirectChannel(relay, remote_addr=relay.addr, local_addr="cli:2")
     wire.open_reply(bridge.request(wire.Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"acc6-server"))))
     relayed = secure.connect_secure(bridge, ccert, ckeys, ca.public_key)

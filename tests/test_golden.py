@@ -1,19 +1,24 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The hashes were last re-recorded, on purpose, when ring_replicate and
-ring_transfer came to carry each PeerRow as its own layout, without a
-second copy of its ring id and replica flag around it. In every scenario
-the trace differs from the one before only in the sizes of those two
-requests, each row about 38 bytes shorter: no frame, time or event moved.
-Any change to a wire byte, a message count, a timestamp or an event in any
-scenario changes a hash.
+The baseline hash was last re-recorded, on purpose, when a relay came to
+admit a peer with the one handshake (register_peer, then the app kind
+admit) in place of the sealed challenge (is_server, challenge,
+challenge_reply). Baseline is the one scenario that admits anyone: its
+trace differs from the one before only in the 12 lines of its 3
+admissions, each exchange renamed and resized, with the same times and
+line count. The other hashes were last re-recorded when ring_replicate and
+ring_transfer came to carry each PeerRow as its own layout. Any change to
+a wire byte, a message count, a timestamp or an event in any scenario
+changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
 evicted addresses in order, each replica's final digest and the key
 owners. A change that moves frames but no outcome re-records hashes only;
 one that moves an outcome shows it as a diff of named values. Rewrite the
-file with `PYTHONPATH=src python tests/test_golden.py`.
+file with `PYTHONPATH=src python tests/test_golden.py`, which also prints
+each scenario's trace hash now beside the pinned one and marks those that
+moved; TRACE_SHA256 is edited by hand.
 """
 import functools
 import hashlib
@@ -29,7 +34,7 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "5a1b64c78b57c324a58bdd4d1de23224506cfabdaf835e8065df15fc6ae545a8",
+    "baseline": "48d23339e4e4f250c6a56902d48f30ff91c46e46d442d3ca5f44aef022efc53b",
     "churn": "f785a5968b28b84fdec50e81399a47f628cc2bc63e4c24d3737ed33fe10bd3f9",
     "e1_eclipse": "8eaea3f0d06ba73df43b95649c18882464d60f13ebae99744c9f65ccb92ef510",
     "eviction": "879b3faa568e666ee39427e54efbbe5c33deb31431605878b2223ddef5d3e1c4",
@@ -81,5 +86,9 @@ def test_scenario_outcomes_unchanged(name):
 
 
 if __name__ == "__main__":
-    pinned = {name: run(name)[1] for name in sorted(TRACE_SHA256)}
+    pinned = {}
+    for name in sorted(TRACE_SHA256):
+        digest, pinned[name] = run(name)
+        moved = "" if digest == TRACE_SHA256[name] else "  MOVED"
+        print(f"{name:<17} now {digest}  pinned {TRACE_SHA256[name]}{moved}")
     OUTCOMES.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")

@@ -184,14 +184,14 @@ def test_relay_serves_after_any_frame(ca, user, data, admitted):
     )
     conn = Conn(server, remote="10.0.7.1:6000")
     mux = MuxService(FuncService(lambda frame, ctx: None))
-    token = admit_as_server(conn, cert, pair.private_key, mux)[1] if admitted else None
+    token = admit_as_server(conn, cert, pair, ca.public_key, mux)[1] if admitted else None
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
         conn.send(code, payload)
     if token is not None:
         wire.open_reply(conn.request(Frame(wire.SERVER_IS_ALIVE, wire.pack_fields(token))))
     else:
         fresh = Conn(server, remote="10.0.7.2:6000")
-        assert admit_as_server(fresh, cert, pair.private_key, mux)[0] > 0
+        assert admit_as_server(fresh, cert, pair, ca.public_key, mux)[0] > 0
 
 
 @FUZZ
@@ -470,7 +470,7 @@ def test_tcp_server_survives_any_byte_stream(loopback, served, stream, target):
     assert served.get(timeout=5) is None
 
 
-def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, user, monkeypatch):
+def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, ca, user, monkeypatch):
     # The relay's end of a taken-over connection announces too large a
     # frame: the relayed peer's serving thread ends without raising.
     pair, cert = user
@@ -479,7 +479,7 @@ def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, us
     monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
     before = set(threading.enumerate())
     channel = TcpChannel(loopback["relay", "tcp"].addr)
-    admit_as_server(channel, cert, pair.private_key, MuxService(FuncService(lambda f, c: None)))
+    admit_as_server(channel, cert, pair, ca.public_key, MuxService(FuncService(lambda f, c: None)))
     assert served.get(timeout=5) is None  # the relay's serve loop hands the connection over
     relay.sessions[cert.username].session._sock.sendall(OVERSIZED)
     for thread in set(threading.enumerate()) - before:
@@ -488,14 +488,12 @@ def test_reverse_serving_client_survives_an_oversized_frame(loopback, served, us
     assert escaped == []
 
 
-def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, served, user):
+def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, served, ca, user):
     pair, cert = user
     server = loopback["relay", "tcp"]
-    # Admitted by hand, so the test holds the relayed peer's end of the connection.
+    # Admitted with no mux attached, so the test holds the relayed peer's end of the connection.
     admitted = TcpChannel(server.addr)
-    (sealed,) = wire.call(admitted, wire.IS_SERVER, cert, expect=wire.CHALLENGE)
-    value = identity.open_sealed(pair.private_key, sealed)
-    wire.call(admitted, wire.CHALLENGE_REPLY, value)
+    secure.connect_secure(admitted, cert, pair, ca.public_key).call("admit")
     assert served.get(timeout=5) is None
     admitted._sock.sendall(OVERSIZED)  # the reply to the next forwarded frame
     bridge = TcpChannel(server.addr)

@@ -235,7 +235,7 @@ def test_sign_empty_payload_rejected():
 def answer_with(build):
     """A channel whose responder answers a hello with build(hello) sealed."""
     def handle(frame, ctx):
-        return wire.reply(wire.REGISTER_PEER, build(frame.payload), msg_type=wire.SESSION_KEY)
+        return wire.reply(wire.REGISTER_PEER, build(frame.payload))
 
     return DirectChannel(FuncService(handle))
 

@@ -39,6 +39,26 @@ def test_natted_peer_admitted_at_relay_before_registration():
     assert "user01" in relay.sessions
 
 
+@pytest.mark.parametrize("relay_state", ["down", "full"])
+def test_peer_its_relay_cannot_admit_registers_outbound_only(relay_state):
+    # The directory still lists the relay: the peer degrades as when it
+    # lists none, and registers all the same.
+    world = small_world(nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    (relay_addr, relay), = world.relays.items()
+    if relay_state == "down":
+        world.sim.set_down(relay_addr, True)
+    else:
+        relay._drop("user01", evicted=False)
+        relay.config.max_connections = 0
+    mark = len(world.sim.trace)
+    peer.bootstrap()
+    assert any(" EV no_relay peer=user01" in line for line in world.sim.trace[mark:])
+    assert peer.state.relay_endpoint is None and peer._relay_channel is None
+    assert peer.build_record().relay_address == ""
+    assert peer.state.registered_at
+
+
 def test_global_mode_registers_at_both_dual_hash_successors():
     # Oracle ring successor check on an 8-server ring.
     world = small_world(seed=12, n_rendezvous=8, global_mode=True)

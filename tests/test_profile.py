@@ -308,21 +308,6 @@ def test_renumbered_entry_encodes_its_new_version():
     assert decode_entries(encode_entries(merged)) == merged
 
 
-def test_canonical_text_import_rebuilds_tree():
-    p = make_profile()
-    p.apply_update("olive", "share_board", op_add("p1", b"hello"), timestamp=2)
-    p.apply_update("olive", "share_board/p1", op_add("c1", b"nested"), timestamp=3)
-    p.apply_update("olive", "info", op_set(b"bio"), timestamp=4)
-    p.apply_update("olive", "events", op_perm("read", ["rita", "sam"]), timestamp=5)
-    text = p.canonical_encode()
-    rebuilt = Profile.canonical_decode(text)
-    assert rebuilt.canonical_encode() == Profile.canonical_decode(rebuilt.canonical_encode()).canonical_encode()
-    assert rebuilt.element("share_board/p1/c1").content == b"nested"
-    assert rebuilt.element("info").content == b"bio"
-    assert rebuilt.check_permission("rita", "events", "read")
-    assert not rebuilt.check_permission("zed", "events", "read")
-
-
 # -- strict op decoding ----------------------------------------------------------------
 
 

@@ -117,7 +117,7 @@ def test_relay_bridge_over_tcp(ca_world):
 
         admit_channel = TcpChannel(relay_srv.addr)
         interval, token = admit_as_server(
-            admit_channel, srv_cert, srv_keys.private_key, MuxService(_Responder())
+            admit_channel, srv_cert, srv_keys, ca.public_key, MuxService(_Responder())
         )
         assert token
 
@@ -200,7 +200,7 @@ def test_kept_sessions_over_tcp(ca_world, monkeypatch):
 
 def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     # Real mode injects no rng, so passphrases, friend keys, session keys and
-    # relay challenges come from os.urandom, not from Mersenne Twister.
+    # relay tokens come from os.urandom, not from Mersenne Twister.
     draws = []
     real_randbytes = random.SystemRandom.randbytes
 
@@ -219,7 +219,7 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     secure.connect_secure(DirectChannel(rendezvous), cert, pair, ca.public_key)
     assert draws[2:] == [16]  # session key
     relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
-    wire.call(DirectChannel(relay), wire.IS_SERVER, cert, expect=wire.CHALLENGE)
-    assert draws[3:] == [8]  # challenge nonce
+    admit_as_server(DirectChannel(relay), cert, pair, ca.public_key, MuxService(FuncService(lambda f, c: None)))
+    assert draws[3:] == [16, 16]  # session key, token
     for component in (peer, rendezvous, relay):
         assert type(component.rng) is random.SystemRandom

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from friendmesh import identity, relay, secure, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RelayConfig
-from friendmesh.errors import AuthError, PeerUnreachable
+from friendmesh.errors import AuthError, IntegrityError, PeerUnreachable
 from friendmesh.relay import MuxService, RelayServer, admit_as_server, send_keepalive
 from friendmesh.wire import Frame
 
@@ -55,6 +56,7 @@ class TapMux:
     def __init__(self, inner):
         self.inner = inner
         self.seen = bytearray()
+        self.codes = []
 
     def open_session(self, ctx):
         outer = self
@@ -64,6 +66,7 @@ class TapMux:
                 self.session = session
 
             def handle(self, frame, ctx_):
+                outer.codes.append(frame.msg_type)
                 outer.seen += frame.payload
                 reply = self.session.handle(frame, ctx_)
                 if reply is not None:
@@ -92,8 +95,24 @@ def admit(server, ca, name, mux=None, user=None):
     pair, cert = user or make_user(ca, name)
     mux = mux or MuxService(make_responder_service(ca, cert, pair))
     channel = DirectChannel(server, remote_addr=server.addr, local_addr=f"10.0.7.{name[-1]}:6000")
-    interval, token = admit_as_server(channel, cert, pair.private_key, mux)
+    interval, token = admit_as_server(channel, cert, pair, ca.public_key, mux)
     return pair, cert, token, interval
+
+
+class Recorder:
+    """A channel that records every request it carries and its reply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.frames = []  # (request, reply)
+
+    def request(self, frame):
+        reply = self.inner.request(frame)
+        self.frames.append((frame, reply))
+        return reply
+
+    def attach_reverse(self, service):
+        self.inner.attach_reverse(service)
 
 
 def test_admit_valid_peer(server, ca):
@@ -104,30 +123,46 @@ def test_admit_valid_peer(server, ca):
 
 
 def test_replayed_challenge_reply_rejected(server, ca):
+    # The challenge is the session key sealed to the peer, and admit,
+    # encrypted under it, the reply. A replayed hello gets a fresh key, so
+    # the replayed admit does not decrypt and admits no one.
     pair, cert = make_user(ca, "srv-replay")
     mux = MuxService(make_responder_service(ca, cert, pair))
-    ch1 = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.8:6000")
-    reply = ch1.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
-    (sealed,) = wire.open_reply(reply)
-    old_value = identity.open_sealed(pair.private_key, sealed)
+    tap = Recorder(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.8:6000"))
+    admit_as_server(tap, cert, pair, ca.public_key, mux)
+    (hello, key_reply), (admit_request, _) = tap.frames
+    replay = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.9:6000")
+    replay.attach_reverse(mux)
+    fresh = replay.request(hello)
+    assert fresh.msg_type == wire.SESSION_KEY and fresh.payload != key_reply.payload
+    with pytest.raises(IntegrityError):
+        wire.open_reply(replay.request(admit_request))
+    assert server.admitted == 1 and list(server.sessions) == ["srv-replay"]
 
-    # A second admission gets a fresh challenge; replaying the old value fails.
-    ch2 = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.9:6000")
-    ch2.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
-    ch2.attach_reverse(mux)
+
+@pytest.mark.parametrize("forgery", ["other_ca", "renamed"])
+def test_uncertified_or_forged_certificate_refused(server, ca, forgery):
+    if forgery == "other_ca":
+        pair = identity.generate_keypair("ec-p256")
+        cert = identity.CAState("otherca", identity.generate_keypair("ec-p256")).issue("srv-x1", pair.public_key)
+    else:
+        pair, issued = make_user(ca, "srv-x2")
+        cert = dataclasses.replace(issued, username="srv-x9")  # the CA signed another name
+    channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.7:6000")
     with pytest.raises(AuthError):
-        wire.open_reply(ch2.request(Frame(wire.CHALLENGE_REPLY, wire.pack_fields(old_value))))
+        admit_as_server(channel, cert, pair, ca.public_key, MuxService(make_responder_service(ca, cert, pair)))
+    assert server.sessions == {} and server.admitted == 0
 
 
 def test_capacity_reached_rejected(server, ca):
     admit(server, ca, "cap-a1")
     admit(server, ca, "cap-b2")
+    # The hello is refused: the relay seals no key for a newcomer it cannot take.
     pair, cert = make_user(ca, "cap-c3")
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.5:6000")
-    reply = channel.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
-    with pytest.raises(Exception) as err:
-        wire.open_reply(reply)
-    assert "capacity" in str(err.value)
+    with pytest.raises(AuthError):
+        secure.connect_secure(channel, cert, pair, ca.public_key)
+    assert sorted(server.sessions) == ["cap-a1", "cap-b2"] and server.admitted == 2
 
 
 def test_full_relay_readmits_a_peer_it_holds(server, ca):
@@ -139,25 +174,21 @@ def test_full_relay_readmits_a_peer_it_holds(server, ca):
     _, _, token, _ = admit(server, ca, "full-a1", user=first)
     assert token != old_token
     assert server.load == 2
-    with pytest.raises(Exception) as err:
+    with pytest.raises(AuthError):
         admit(server, ca, "full-c3")
-    assert "capacity" in str(err.value)
     assert sorted(server.sessions) == ["full-a1", "full-b2"]
 
 
 def test_capacity_checked_again_at_the_challenge_reply(server, ca):
-    # The relay filled up between a newcomer's challenge and its reply.
+    # The relay filled up between a newcomer's handshake and its admit.
     pair, cert = make_user(ca, "late-c3")
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.6:6000")
-    reply = channel.request(Frame(wire.IS_SERVER, wire.pack_fields(cert.encode())))
-    (sealed,) = wire.open_reply(reply)
-    value = identity.open_sealed(pair.private_key, sealed)
+    session = secure.connect_secure(channel, cert, pair, ca.public_key)
     admit(server, ca, "late-a1")
     admit(server, ca, "late-b2")
     channel.attach_reverse(MuxService(make_responder_service(ca, cert, pair)))
-    with pytest.raises(Exception) as err:
-        wire.open_reply(channel.request(Frame(wire.CHALLENGE_REPLY, wire.pack_fields(value))))
-    assert "capacity" in str(err.value)
+    with pytest.raises(AuthError):
+        session.call("admit")
     assert sorted(server.sessions) == ["late-a1", "late-b2"]
 
 
@@ -212,9 +243,9 @@ def test_readmission_retires_the_old_token_and_closes_the_old_session(server, ca
     pair, cert = make_user(ca, "readmit-1")
     first, second = ClosedCount(), ClosedCount()
     old_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
-    interval, old_token = admit_as_server(old_channel, cert, pair.private_key, first)
+    interval, old_token = admit_as_server(old_channel, cert, pair, ca.public_key, first)
     new_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6001")
-    admit_as_server(new_channel, cert, pair.private_key, second)
+    admit_as_server(new_channel, cert, pair, ca.public_key, second)
     assert (first.closes, second.closes) == (1, 0)
     assert len(server.sessions) == server.admitted - server.evicted - server.closed == 1
     # The old token refreshes nothing: the new session, silent since its
@@ -240,7 +271,7 @@ def test_bridge_handshake_and_opacity(server, ca):
 
     tap = TapMux(MuxService(make_responder_service(ca, scert, spair, app)))
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
-    admit_as_server(channel, scert, spair.private_key, tap)
+    admit_as_server(channel, scert, spair, ca.public_key, tap)
 
     cpair, ccert = make_user(ca, "brg-cli")
     client_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.1:5000")
@@ -256,6 +287,21 @@ def test_bridge_handshake_and_opacity(server, ca):
     seen = bytes(tap.seen)
     assert marker not in seen
     assert sc.session_key.key not in seen
+
+
+def test_bridged_handshake_reaches_the_relayed_peer_not_the_relay(server, ca):
+    # The bridge is checked before the relay's own admission session: a
+    # bridged client's hello and app frames go to the relayed peer verbatim.
+    spair, scert = make_user(ca, "fwd-srv")
+    tap = TapMux(MuxService(make_responder_service(ca, scert, spair)))
+    admit_as_server(DirectChannel(server, local_addr="10.0.7.3:6000"), scert, spair, ca.public_key, tap)
+    cpair, ccert = make_user(ca, "fwd-cli")
+    bridge = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.6:5000")
+    wire.call(bridge, wire.BRIDGE_OPEN, "fwd-srv")
+    sc = secure.connect_secure(bridge, ccert, cpair, ca.public_key, expected_username="fwd-srv")
+    assert sc.request_app("post", b"x") == [secure.pack_app("post", b"x")]  # echoed
+    assert tap.codes == [wire.REGISTER_PEER, wire.APP_DATA]
+    assert bridge._session._secure._cipher is None  # the relay keyed no session here
 
 
 def test_bridge_to_unknown_or_evicted_session(server, ca, clock):
@@ -295,7 +341,7 @@ def test_bridge_transparency_matches_direct(server, ca):
 
     mux = MuxService(make_responder_service(ca, scert, spair, make_app("relay")))
     admit_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.4:6000")
-    admit_as_server(admit_ch, scert, spair.private_key, mux)
+    admit_as_server(admit_ch, scert, spair, ca.public_key, mux)
     relay_ch = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.5:5000")
     wire.open_reply(relay_ch.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"tr-srv"))))
     relayed = secure.connect_secure(relay_ch, ccert, cpair, ca.public_key)

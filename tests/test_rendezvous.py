@@ -437,6 +437,45 @@ def test_store_contract_equivalence(backend, ca, tmp_path):
         assert errors == []
 
 
+def test_sqlite_store_commits_outside_the_store_lock(ca, tmp_path):
+    # While a register's commit waits on the disk, a lookup on another
+    # thread completes; the register returns once its change is committed.
+    path = str(tmp_path / "db.sqlite")
+    st = store.SqliteStore(path)
+    committing, release = threading.Event(), threading.Event()
+
+    class HeldCommit:
+        def __init__(self, db):
+            self.db = db
+
+        def executemany(self, *args):
+            return self.db.executemany(*args)
+
+        def commit(self):
+            committing.set()
+            release.wait(timeout=5)
+            self.db.commit()
+
+    st._db = HeldCommit(st._db)
+    pair, cert = make_user(ca, "held-user")
+    row = PeerRow(record=make_record(pair, cert, passphrase="held-phrase"), certificate=cert.encode(), ring_id=7)
+    writer = threading.Thread(target=st.upsert_peer, args=(row,))
+    writer.start()
+    found = []
+    try:
+        assert committing.wait(timeout=5)
+        reader = threading.Thread(target=lambda: found.append(st.peer_by_passphrase("held-phrase")))
+        reader.start()
+        reader.join(timeout=2)
+        assert not reader.is_alive() and found == [row]
+        assert writer.is_alive()  # its change is not committed yet
+    finally:
+        release.set()
+        writer.join(timeout=5)
+    assert not writer.is_alive()
+    assert store.SqliteStore(path).peer_rows() == [row]
+
+
 def test_need_to_know_no_plaintext_secrets(server, ca):
     # After arbitrary operations the server state never holds a plaintext
     # mirror list or a friend's plaintext passphrase.
@@ -549,9 +588,15 @@ def test_server_never_records_evicting_itself(ca, clock):
     assert server.ring.evicted == set()
 
 
-@pytest.mark.parametrize("code", [wire.CHORD_LOOKUP, wire.RING_CLOSEST], ids=["chord_lookup", "ring_closest"])
-def test_off_ring_identifier_refused(ca, clock, code):
-    # An id outside Z_{2^bits} is refused, not routed as its residue.
+def ring_closest(channel, ident):
+    return wire.call(channel, wire.RING_CLOSEST, ident)
+
+
+@pytest.mark.parametrize("lookup", [rvclient.chord_lookup, ring_closest], ids=["chord_lookup", "ring_closest"])
+def test_off_ring_identifier_refused(ca, clock, lookup):
+    # An id outside Z_{2^bits} is refused, not routed as its residue. The
+    # refusal travels under the frame code of the reply (chord_reply for a
+    # chord lookup), so the client's call raises its coded error.
     server = RendezvousServer(
         addr="10.0.0.4:7200",
         config=RendezvousConfig(ring_enabled=True),
@@ -562,6 +607,6 @@ def test_off_ring_identifier_refused(ca, clock, code):
     )
     top = (1 << server.ring.bits) - 1
     channel = DirectChannel(server)
-    wire.open_reply(channel.request(wire.Frame(code, wire.pack_fields(wire.pack_ident(top)))))
+    lookup(channel, top)
     with pytest.raises(MalformedRequest):
-        wire.open_reply(channel.request(wire.Frame(code, wire.pack_fields(wire.pack_ident(top + 1)))))
+        lookup(channel, top + 1)

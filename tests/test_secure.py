@@ -125,7 +125,7 @@ def test_friend_handshake_refuses_a_rendezvous_style_answer(ca):
 
     def answer(frame, ctx):
         sealed = seal_key_reply(icert.public_key, frame.payload, key, None, None)
-        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
+        return wire.reply(wire.REGISTER_PEER, sealed)
 
     with pytest.raises(HandshakeError):
         connect_secure(
@@ -151,7 +151,7 @@ def test_session_key_for_another_cipher_gets_a_coded_reply(ca):
 
     def answer(frame, ctx):
         sealed = seal_key_reply(icert.public_key, frame.payload, odd, rcert, rpair)
-        return wire.reply(wire.REGISTER_PEER, sealed, msg_type=wire.SESSION_KEY)
+        return wire.reply(wire.REGISTER_PEER, sealed)
 
     with pytest.raises(HandshakeError):
         connect_secure(DirectChannel(FuncService(answer)), icert, ipair, ca.public_key)
