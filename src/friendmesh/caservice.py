@@ -3,34 +3,25 @@ from __future__ import annotations
 
 from . import identity, wire
 from .channel import Channel, SessionContext
-from .errors import ProtocolError
 from .identity import CAState, Certificate, KeyPair
 from .wire import Frame
 
 
 class CAService:
-    """Serves sealed certificate requests over cert_reply frames."""
+    """Serves sealed certificate requests over cert_reply frames, by
+    wire.serve; it keeps no per-connection state, so it is its own session."""
 
     def __init__(self, ca: CAState):
         self.ca = ca
 
-    def open_session(self, ctx: SessionContext) -> "CASession":
-        return CASession(self.ca)
-
-
-class CASession:
-    def __init__(self, ca: CAState):
-        self.ca = ca
+    def open_session(self, ctx: SessionContext) -> "CAService":
+        return self
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame:
-        if frame.msg_type != wire.CERT_REPLY:
-            return wire.err_reply(frame.msg_type, "malformed_request", "unexpected message")
-        try:
-            (request,) = wire.decode(wire.CERT_REPLY, frame.payload)
-            sealed_reply = self.ca.handle_request(request)
-        except ProtocolError as exc:
-            return wire.err_reply(wire.CERT_REPLY, exc.code)
-        return wire.reply(wire.CERT_REPLY, sealed_reply)
+        return wire.serve(self, frame, ctx)
+
+    def _on_cert_reply(self, ctx: SessionContext, request: bytes) -> tuple:
+        return (self.ca.handle_request(request),)
 
 
 def request_certificate(

@@ -31,6 +31,8 @@ runs on every request, so a revoked friend's open channel is refused too.
 """
 from __future__ import annotations
 
+import base64
+import json
 import random
 import time
 from contextlib import closing
@@ -52,7 +54,7 @@ from .errors import (
 )
 from .identity import Certificate, KeyPair
 from .nat import NatType, Route, connect_strategy, needs_relay, stun_classify, wire_nat_kind
-from .profile import MirrorReplica, Profile, decode_entries, encode_entries
+from .profile import MirrorReplica, Profile, decode_entries, encode_entries, op_perm
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
 from .secure import SecureChannel
@@ -611,7 +613,7 @@ class Peer:
         self._close_kept(ex_friend)
         state.passphrase = identity.generate_passphrase(self.rng)
         state.friend_key = identity.generate_friend_key(self.rng)
-        self._ungrant_friend(ex_friend)
+        self._grant_friend(ex_friend, granted=False)
         self.reregister()
         for friend in sorted(state.friend_list):
             self._queue_for(friend, ("passphrase_update", state.passphrase, state.friend_key))
@@ -628,20 +630,12 @@ class Peer:
         ("private_messages", "write"),
     )
 
-    def _grant_friend(self, username: str) -> None:
-        from .profile import op_perm
-
+    def _grant_friend(self, username: str, granted: bool = True) -> None:
+        """Give a friend these grants, or (granted False) no access to the same components."""
         for component, mode in self._FRIEND_GRANTS:
+            mode = mode if granted else "no_access"
             self.profile.apply_update(
                 self.username, component, op_perm(mode, {username}), timestamp=self.clock()
-            )
-
-    def _ungrant_friend(self, username: str) -> None:
-        from .profile import op_perm
-
-        for component, _ in self._FRIEND_GRANTS:
-            self.profile.apply_update(
-                self.username, component, op_perm("no_access", {username}), timestamp=self.clock()
             )
 
     def _queue_for(self, friend: str, message: tuple) -> None:
@@ -907,9 +901,6 @@ class Peer:
 
 def save_state(peer: Peer, path: str) -> None:
     """Persist everything a later CLI invocation needs, JSON with base64 blobs."""
-    import base64
-    import json
-
     def b64(data: bytes) -> str:
         return base64.b64encode(data).decode("ascii")
 
@@ -944,15 +935,21 @@ def save_state(peer: Peer, path: str) -> None:
             for name, entry in state.friend_list.items()
         },
         "profile_log": b64(peer.profile.export_log()),
+        # Each queued app message as its kind and its request's packed fields.
+        "queued_updates": {
+            friend: [[kind, b64(wire.encode(kind, *values))] for kind, *values in queue]
+            for friend, queue in state.queued_updates.items()
+        },
+        "replicas": {
+            owner: {"allowed_users": sorted(replica.allowed_users), "log": b64(replica.profile.export_log())}
+            for owner, replica in peer.replicas.items()
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def load_state(peer: Peer, path: str) -> None:
-    import base64
-    import json
-
     def unb64(text: str) -> bytes:
         return base64.b64decode(text) if text else b""
 
@@ -994,6 +991,15 @@ def load_state(peer: Peer, path: str) -> None:
     }
     if doc.get("profile_log"):
         peer.profile = Profile.import_log(unb64(doc["profile_log"]))
+    # Absent from a file written before they were saved.
+    state.queued_updates = {
+        friend: [(kind, *wire.decode(kind, unb64(data))) for kind, data in queue]
+        for friend, queue in doc.get("queued_updates", {}).items()
+    }
+    peer.replicas = {
+        owner: MirrorReplica(owner, Profile.import_log(unb64(replica["log"])), set(replica["allowed_users"]))
+        for owner, replica in doc.get("replicas", {}).items()
+    }
 
 
 class _Probe:

@@ -6,11 +6,13 @@ no certificate and answers the hello with a bare session key sealed to the
 peer. The peer then calls the app kind admit, which issues a liveness
 token and takes the connection over; a full relay refuses the hello and
 admit of a peer it holds no session for. The peer keeps that connection
-open and answers muxed frames on it. Clients open a bridge naming the
-target, and every later frame is copied verbatim with a 4-byte stream id
+open and answers muxed frames on it, and refreshes its session with
+plaintext keepalives. Clients open a bridge naming the target, and every
+later handshake and app frame is copied verbatim with a 4-byte stream id
 prepended on the relay leg only. The relay holds the key of each admission
 session, never the key of a session it forwards, and never decrypts
-anything it forwards.
+anything it forwards. Keepalives and bridge_open are plain requests served
+by wire.serve; a malformed one is refused as malformed_request.
 """
 from __future__ import annotations
 
@@ -153,18 +155,14 @@ class RelayConnSession:
         self._stream_id: bytes | None = None
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        code = frame.msg_type
-        handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
-        if handler is None:
-            # A bridge forwards the client's handshake and app frames verbatim.
-            if self._bridge is not None:
-                return self._forward(frame, ctx)
-            return self._secure.handle(frame, ctx)
-        try:
-            values = wire.decode(code, frame.payload)
-        except MalformedRequest:
-            return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
-        return handler(ctx, *values)
+        # The handshake and APP_DATA: a bridge forwards the client's
+        # verbatim, else they are an admission's.
+        if frame.msg_type in (wire.REGISTER_PEER, wire.APP_DATA):
+            return (self._secure.handle if self._bridge is None else self._forward)(frame, ctx)
+        return wire.serve(self, frame, ctx)
+
+    # Handlers (wire.SCHEMA): the app kind admit gets the session's client
+    # certificate, the plain requests the connection's SessionContext.
 
     def _on_admit(self, sender: Certificate) -> tuple:
         """Serve the sender over this connection from the reply on, in place
@@ -186,22 +184,22 @@ class RelayConnSession:
         server.admitted += 1
         return server.config.ping_interval_ms, token
 
-    def handle_server_is_alive(self, ctx: SessionContext, token: bytes) -> Frame:
+    def _on_server_is_alive(self, ctx: SessionContext, token: bytes) -> tuple:
         server = self.server
         username = server._by_token.get(token)
         if username in server.sessions:
             # No resurrection: only live sessions refresh.
             server.sessions[username].last_alive = server.clock()
-        return wire.reply(wire.SERVER_IS_ALIVE)
+        return ()
 
-    def handle_bridge_open(self, ctx: SessionContext, username: str) -> Frame:
+    def _on_bridge_open(self, ctx: SessionContext, username: str) -> tuple | Frame:
         session = self.server.sessions.get(username)
         if session is None:
             return wire.err_reply(wire.BRIDGE_OPEN, "peer_unreachable", "no such session")
         session.streams += 1
         self._bridge = session
         self._stream_id = session.streams.to_bytes(4, "big")
-        return wire.reply(wire.BRIDGE_OPEN)
+        return ()
 
     def _forward(self, frame: Frame, ctx: SessionContext) -> Frame:
         """Copy verbatim; the stream id travels only on the relay leg."""
@@ -213,14 +211,6 @@ class RelayConnSession:
         if reply is None:
             return wire.err_reply(frame.msg_type, "peer_unreachable")
         return Frame(reply.msg_type, reply.payload[4:])
-
-
-# Requests whose malformed form gets its own reply rather than a
-# malformed_request under the request's code. A keepalive is never
-# refused: it only ever refreshes a live session.
-_MALFORMED_REPLY = {
-    wire.SERVER_IS_ALIVE: wire.ok_reply(wire.SERVER_IS_ALIVE),
-}
 
 
 class MuxService:

@@ -11,7 +11,9 @@ with a bare session key sealed to the client) and served by the same
 secure.ResponderSession as a friend channel: the app kinds register,
 locate, friend_request and passphrase_blob each travel as an APP_DATA
 frame, so no frame code names the operation. Relay directory, chord
-lookup, complaints and server-to-server ring traffic are plain; record
+lookup, complaints and server-to-server ring traffic are plain frames,
+served by wire.serve. Either way a request reaches the session's
+_on_<name> handler and the handler returns the reply values. Record
 integrity rests on owner signatures, never on the servers.
 """
 from __future__ import annotations
@@ -235,24 +237,11 @@ class RendezvousSession:
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         if frame.msg_type in (wire.REGISTER_PEER, wire.APP_DATA):
             return self._secure.handle(frame, ctx)
-        try:
-            return self._dispatch(frame, ctx)
-        except ProtocolError as exc:
-            return wire.err_reply(frame.msg_type, exc.code)
+        return wire.serve(self, frame, ctx)
 
-    def _dispatch(self, frame: Frame, ctx: SessionContext) -> Frame | None:
-        code = frame.msg_type
-        handler = getattr(self, f"handle_{wire.MSG_NAMES.get(code)}", None)
-        if handler is None:
-            return wire.err_reply(code, "malformed_request", "unexpected message")
-        try:
-            values = wire.decode(code, frame.payload)
-        except MalformedRequest:
-            return _MALFORMED_REPLY.get(code) or wire.err_reply(code, "malformed_request")
-        return handler(ctx, *values)
-
-    # App handlers, one per rendezvous app kind: (the session's client
-    # certificate, *request values) -> reply values.
+    # Handlers, one per app kind and plain request (wire.SCHEMA): (the
+    # session's client certificate for an app kind, the connection's
+    # SessionContext for a plain request, *request values) -> reply values.
 
     # -- peer registration -------------------------------------------------------------
 
@@ -329,39 +318,39 @@ class RendezvousSession:
 
     # -- relay directory ----------------------------------------------------------------------
 
-    def handle_relay_register(self, ctx: SessionContext, port: int, capacity: int) -> Frame:
-        self.handle_relay_update(ctx, port, 0, capacity)
-        return wire.reply(wire.RELAY_REGISTER, self.server.config.refresh_interval_ms)
+    def _on_relay_register(self, ctx: SessionContext, port: int, capacity: int) -> tuple:
+        self._on_relay_update(ctx, port, 0, capacity)
+        return (self.server.config.refresh_interval_ms,)
 
-    def handle_relay_update(self, ctx: SessionContext, port: int, load: int, capacity: int) -> Frame:
+    def _on_relay_update(self, ctx: SessionContext, port: int, load: int, capacity: int) -> tuple:
         relay = RelayRecord(host_of(ctx.remote_addr), port, capacity, load, self.server.clock())
         self.server.store.upsert_relay(relay)
-        return wire.reply(wire.RELAY_UPDATE)
+        return ()
 
-    def handle_request_relay(self, ctx: SessionContext) -> Frame:
+    def _on_request_relay(self, ctx: SessionContext) -> tuple | Frame:
         # Deliberately plaintext: carries nothing sensitive.
         now = self.server.clock()
         best = select_relay(self.server.store, now, self.server.config.age_ms)
         if best is None:
-            return Frame(wire.NO_RELAY_AVAILABLE)
+            return Frame(wire.NO_RELAY_AVAILABLE)  # a reply of its own code, with no status
         # Optimistic load bump keeps assignments balanced between updates.
         self.server.store.upsert_relay(replace(best, load=best.load + 1))
-        return wire.reply(wire.REQUEST_RELAY, best.address, best.port)
+        return best.address, best.port
 
     # -- chord ------------------------------------------------------------------------------------
 
-    def handle_chord_lookup(self, ctx: SessionContext, ident: int) -> Frame:
+    def _on_chord_lookup(self, ctx: SessionContext, ident: int) -> tuple:
         server = self.server
         if server.ring is None:
-            return wire.reply(wire.CHORD_LOOKUP, server.addr, 0)
-        result = server.ring.find_successor(self._on_ring(ident))
+            return server.addr, 0
+        result = server.ring.find_successor(self._ring_id(ident))
         server.on_event("chord_lookup", node=server.addr, hops=result.hops)
-        return wire.reply(wire.CHORD_LOOKUP, result.addr, result.hops)
+        return result.addr, result.hops
 
-    def handle_complaint(self, ctx: SessionContext, complaint: Complaint) -> Frame:
+    def _on_complaint(self, ctx: SessionContext, complaint: Complaint) -> tuple:
         self.server.handle_complaint(complaint)
         # Invalid complaints are dropped without telling the sender why.
-        return wire.reply(wire.COMPLAINT)
+        return ()
 
     # -- ring maintenance ---------------------------------------------------------------------------
 
@@ -370,33 +359,26 @@ class RendezvousSession:
             raise MalformedRequest("ring not enabled")
         return self.server.ring
 
-    def _on_ring(self, ident: int) -> int:
+    def _ring_id(self, ident: int) -> int:
         """A requested id, refused if the ring's id space does not hold it."""
         if ident >= 1 << self._ring().bits:
             raise MalformedRequest("identifier off the ring")
         return ident
 
-    def handle_ring_state(self, ctx: SessionContext) -> Frame:
+    def _on_ring_state(self, ctx: SessionContext) -> tuple:
         pred, succs = self._ring().state()
-        return wire.reply(wire.RING_STATE, pred or "", succs)
+        return pred or "", succs
 
-    def handle_ring_closest(self, ctx: SessionContext, ident: int) -> Frame:
-        closest, succs = self._ring().local_query(self._on_ring(ident))
-        return wire.reply(wire.RING_CLOSEST, closest, succs[0], succs[1:])
+    def _on_ring_closest(self, ctx: SessionContext, ident: int) -> tuple:
+        closest, succs = self._ring().local_query(self._ring_id(ident))
+        return closest, succs[0], succs[1:]
 
-    def handle_ring_notify(self, ctx: SessionContext, candidate: str) -> Frame:
+    def _on_ring_notify(self, ctx: SessionContext, candidate: str) -> tuple:
         pred, succs = self._ring().notified(candidate)
-        return wire.reply(wire.RING_NOTIFY, pred or "", succs)
+        return pred or "", succs
 
-    def handle_ring_replicate(self, ctx: SessionContext, row: PeerRow) -> Frame:
-        return wire.reply(wire.RING_REPLICATE, self._ring().accept_replica(row))
+    def _on_ring_replicate(self, ctx: SessionContext, row: PeerRow) -> tuple:
+        return (self._ring().accept_replica(row),)
 
-    def handle_ring_transfer(self, ctx: SessionContext, departing: str, rows: list[PeerRow]) -> Frame:
-        return wire.reply(wire.RING_TRANSFER, self._ring().accept_transfer(rows, departing or None))
-
-
-# Requests whose malformed form gets its own reply rather than a
-# malformed_request under the request's code.
-_MALFORMED_REPLY = {
-    wire.RELAY_REGISTER: wire.err_reply(wire.RELAY_REGISTER, "reject"),
-}
+    def _on_ring_transfer(self, ctx: SessionContext, departing: str, rows: list[PeerRow]) -> tuple:
+        return (self._ring().accept_transfer(rows, departing or None),)

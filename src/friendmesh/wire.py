@@ -29,6 +29,13 @@ or more T fields, carried as one list value. A layout of None is a payload
 the schema does not read: ciphertext, a request served whatever it
 carries, or a code that only names a reply.
 
+A request is served by name: serve(handler, frame, who) answers a plain
+frame with handler._on_<name>(who, *request values) -> reply values, who
+being the connection's SessionContext, and secure.dispatch_app an app kind
+the same way, who being the sender's certificate. Each name is declared
+once, so one object serves both from one _on_ namespace and a plain frame
+never reaches an app kind's handler.
+
 Records (certificates, registration rows, complaints, log entries, ...)
 declare their layout once too, with @record(field types) over their
 dataclass fields in order. The class gets LAYOUT, encode() and decode()
@@ -437,6 +444,9 @@ _NOTHING = Layout("nothing", ())
 
 def _define(key: int | str, name: str, request: tuple | None, reply: tuple | None,
             reply_code: int | None = None) -> int | str:
+    # One name, one message: a plain code never reaches a handler of an app kind.
+    if key in SCHEMA or any(message.name == name for message in SCHEMA.values()):
+        raise ValueError(f"message {key!r} ({name}) declared twice")
     SCHEMA[key] = Message(
         name,
         None if request is None else Layout(name, request),
@@ -475,6 +485,24 @@ def reply(code: int, *values: Any) -> Frame:
     """The ok reply to code's request, under the reply code SCHEMA declares."""
     message = SCHEMA[code]
     return Frame(message.reply_code, OK + (message.reply or _NOTHING).pack(values))
+
+
+def serve(handler, frame: Frame, who: Any) -> Frame:
+    """Serve a plain request by handler._on_<name>(who, *request values).
+
+    The handler returns the reply values, sent as code's ok reply, or a
+    Frame sent as it is. A code it has no method for, a payload that does
+    not decode and a ProtocolError it raises are refused with a coded error.
+    """
+    code = frame.msg_type
+    method = getattr(handler, f"_on_{MSG_NAMES.get(code)}", None)
+    if method is None:
+        return err_reply(code, "malformed_request", "unexpected message")
+    try:
+        values = method(who, *decode(code, frame.payload))
+    except ProtocolError as exc:
+        return err_reply(code, exc.code)
+    return values if isinstance(values, Frame) else reply(code, *values)
 
 
 # The record types import this module's primitives; the package imports

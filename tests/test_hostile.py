@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import example
 from hypothesis import strategies as st
 
-from friendmesh import chord, identity, rvclient, secure, wire
+from friendmesh import chord, errors, identity, rvclient, secure, wire
 from friendmesh.caservice import CAService, request_certificate
 from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RelayConfig, RendezvousConfig
@@ -102,6 +102,14 @@ def payloads(cert):
 
 
 CODES = st.one_of(st.integers(0, 40), st.integers(0, 255))
+
+
+def assert_coded(reply):
+    """A reply to a plain frame carries ok or an error code a client
+    reads as its own error class; no_relay_available carries no status."""
+    if reply is not None and reply.msg_type != wire.NO_RELAY_AVAILABLE:
+        status = wire.read_field(reply.payload)[0].decode("ascii", "replace")
+        assert status == "ok" or status in errors._BY_CODE, (reply, status)
 FRESH = itertools.count()
 # The kinds a rendezvous session serves, and kinds it does not.
 RENDEZVOUS_KINDS = ["register", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
@@ -155,7 +163,7 @@ def test_rendezvous_serves_after_any_frame(rendezvous, user, data, established):
     conn = Conn(rendezvous)
     session = secure.connect_secure(conn, cert, pair, rendezvous.ca_public_key) if established else None
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
-        conn.send(code, payload)
+        assert_coded(conn.send(code, payload))
         if session is not None:
             # Session-encrypted: any kind with any fields, decrypted in sequence.
             kind = data.draw(st.sampled_from(RENDEZVOUS_KINDS))
@@ -186,7 +194,7 @@ def test_relay_serves_after_any_frame(ca, user, data, admitted):
     mux = MuxService(FuncService(lambda frame, ctx: None))
     token = admit_as_server(conn, cert, pair, ca.public_key, mux)[1] if admitted else None
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
-        conn.send(code, payload)
+        assert_coded(conn.send(code, payload))
     if token is not None:
         wire.open_reply(conn.request(Frame(wire.SERVER_IS_ALIVE, wire.pack_fields(token))))
     else:
@@ -200,10 +208,24 @@ def test_ca_serves_after_any_frame(ca, user, data):
     pair, cert = user
     conn = Conn(CAService(ca))
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
-        conn.send(code, payload)
+        assert_coded(conn.send(code, payload))
     name = f"fresh-user-{next(FRESH)}"  # the CA issues each name once
     issued = request_certificate(conn, name, pair, ca.public_key)
     assert issued.username == name
+
+
+@pytest.mark.parametrize("code, payload", [
+    (wire.RELAY_REGISTER, wire.pack_fields(b"7300")),
+    (wire.RELAY_REGISTER, wire.pack_fields(b"port", b"4")),
+    (wire.SERVER_IS_ALIVE, b""),
+    (wire.SERVER_IS_ALIVE, wire.pack_fields(b"token", b"more")),
+], ids=["relay_register_short", "relay_register_not_int", "keepalive_empty", "keepalive_long"])
+def test_malformed_plain_request_is_refused_as_malformed(rendezvous, ca, code, payload):
+    server = rendezvous if code == wire.RELAY_REGISTER else RelayServer("10.0.3.1:7300", ca_public_key=ca.public_key)
+    reply = Conn(server).send(code, payload)
+    assert reply.msg_type == code
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(reply)
 
 
 @pytest.mark.parametrize("subject_key", [b"junk", b"\x04" + b"\x01" * 64], ids=["short", "off_curve"])

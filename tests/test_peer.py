@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from friendmesh.errors import AuthError, NotFound, StorageAttack, Unavailable
 from friendmesh.nat import NatType
+from friendmesh.peer import Peer, load_state, save_state
 from friendmesh.profile import Profile, encode_vector, op_add, op_set
 from friendmesh.simnet.adversary import AdversaryScript
 from friendmesh.simnet.scenario import Scenario, SimConfig
@@ -497,6 +500,93 @@ def test_passphrase_rotation_queued_for_offline_friend():
     assert not owner.state.queued_updates.get("user02")
     record, _ = world.peers["user02"].locate_friend("user00")
     assert record.passphrase == owner.state.passphrase
+
+
+def restart(world, peer, path):
+    """Save the peer's state, and serve its address from a new Peer loaded
+    from it; the restart ends every connection the address held."""
+    save_state(peer, str(path))
+    restarted = Peer(peer.config, peer.endpoint, peer.ca_public_key, clock=peer.clock)
+    load_state(restarted, str(path))
+    addr = peer.endpoint.local_addr()
+    world.sim.set_down(addr, True)
+    world.sim.set_service(addr, restarted)
+    world.sim.set_down(addr, False)
+    return restarted
+
+
+def test_state_file_round_trips_every_saved_field(tmp_path):
+    world = small_world(
+        seed=21,
+        n_peers=4,
+        nat_assignment={"user00": "symmetric"},
+        friendships=[["user00", "user01"], ["user00", "user02"], ["user00", "user03"]],
+        mirrors=[["user00", "user01"], ["user01", "user00"]],
+    )
+    peer = world.peers["user00"]
+    peer.profile.apply_update("user00", "share_board", op_add("p", b"kept"), timestamp=1)
+    world.sim.set_down(world.peers["user02"].endpoint.local_addr(), True)
+    peer.revoke_friend("user03")
+    peer._queue_for("user02", ("note_bad_server", "10.0.0.9:7200"))
+    peer.state.pending_outgoing.add("user09")
+    peer.state.pending_incoming["user08"] = "a passphrase"
+    assert peer.state.relay_endpoint and peer.state.mirror_table and peer.replicas["user01"]
+    assert len(peer.state.queued_updates["user02"]) == 2
+
+    restarted = restart(world, peer, tmp_path / "state.json")
+    assert restarted.state == peer.state  # every PeerState field
+    # A profile reads back replayed: the same entries and tree, the log in replay order.
+    for loaded, saved in [(restarted.profile, peer.profile),
+                          (restarted.replicas["user01"].profile, peer.replicas["user01"].profile)]:
+        assert set(loaded.log) == set(saved.log) and len(loaded.log) == len(saved.log)
+        assert loaded.canonical_encode() == saved.canonical_encode()
+    (owner, replica), = restarted.replicas.items()
+    assert owner == replica.owner == "user01"
+    assert replica.allowed_users == peer.replicas["user01"].allowed_users
+
+    # A file written before queues and replicas were saved loads with neither.
+    path = tmp_path / "state.json"
+    doc = json.loads(path.read_text())
+    del doc["queued_updates"], doc["replicas"]
+    path.write_text(json.dumps(doc))
+    load_state(restarted, str(path))
+    assert restarted.state.queued_updates == {} and restarted.replicas == {}
+
+
+def test_passphrase_update_queued_before_a_restart_is_delivered_after_it(tmp_path):
+    world = small_world(
+        seed=20,
+        n_peers=3,
+        friendships=[["user00", "user01"], ["user00", "user02"]],
+    )
+    owner, offline = world.peers["user00"], world.peers["user02"]
+    world.sim.set_down(offline.endpoint.local_addr(), True)
+    owner.revoke_friend("user01")
+    restarted = restart(world, owner, tmp_path / "state.json")
+    assert restarted.state.queued_updates.get("user02")
+    world.sim.set_down(offline.endpoint.local_addr(), False)
+    restarted.tick()
+    assert not restarted.state.queued_updates.get("user02")
+    assert offline.state.friend_list["user00"].passphrase == owner.state.passphrase
+    record, _ = offline.locate_friend("user00")
+    assert record.passphrase == owner.state.passphrase
+
+
+def test_mirror_serves_its_replica_after_a_restart(tmp_path):
+    world = small_world(
+        seed=15,
+        n_peers=3,
+        friendships=[["user00", "user01"], ["user00", "user02"]],
+        mirrors=[["user00", "user01"]],
+    )
+    owner = world.peers["user00"]
+    mirror = restart(world, world.peers["user01"], tmp_path / "state.json")
+    owner.profile.apply_update("user00", "share_board", op_add("p1", b"after restart"), timestamp=1)
+    owner.sync_mirrors()
+    assert mirror.replicas["user00"].profile.canonical_encode() == owner.profile.canonical_encode()
+    world.sim.set_down(owner.endpoint.local_addr(), True)
+    view = world.peers["user02"].pull_friend_profile("user00")
+    assert view.element("share_board/p1").content == b"after restart"
 
 
 # -- profile over channels ------------------------------------------------------------

@@ -78,6 +78,68 @@ def test_reply_status_convention():
         wire.open_reply(err)
 
 
+# -- serving requests by name ----------------------------------------------------------
+
+
+class RingHandler:
+    """Serves two plain requests, one by raising."""
+
+    def _on_ring_state(self, who, *values):
+        assert values == ()
+        return who, ["b:2", "c:3"]
+
+    def _on_ring_notify(self, who, candidate):
+        raise NotFound(candidate)
+
+    def _on_request_relay(self, who):
+        return wire.Frame(wire.NO_RELAY_AVAILABLE)
+
+
+def test_serve_answers_with_the_handler_reply_values():
+    reply = wire.serve(RingHandler(), wire.Frame(wire.RING_STATE), "a:1")
+    assert reply == wire.reply(wire.RING_STATE, "a:1", ["b:2", "c:3"])
+    assert wire.open_reply(reply, wire.RING_STATE) == ("a:1", ["b:2", "c:3"])
+    # A frame the handler returns goes out as it is.
+    reply = wire.serve(RingHandler(), wire.Frame(wire.REQUEST_RELAY, b"anything"), None)
+    assert reply == wire.Frame(wire.NO_RELAY_AVAILABLE)
+
+
+@pytest.mark.parametrize("frame, refusal", [
+    (wire.Frame(wire.RING_CLOSEST, wire.pack_fields(b"ff")), ("malformed_request", "unexpected message")),
+    (wire.Frame(99), ("malformed_request", "unexpected message")),
+    (wire.Frame(wire.RING_NOTIFY, b"\x00"), ("malformed_request",)),
+    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1", b"y:2")), ("malformed_request",)),
+    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1")), ("not_found",)),
+], ids=["no_handler", "undeclared_code", "truncated", "extra_field", "handler_raises"])
+def test_serve_refuses_with_a_coded_error(frame, refusal):
+    assert wire.serve(RingHandler(), frame, None) == wire.err_reply(frame.msg_type, *refusal)
+
+
+@pytest.mark.parametrize("key, name", [
+    (200, "register"), (201, "ring_state"), ("ring_state", "ring_state"), (wire.RING_STATE, "fresh"),
+], ids=["app_kind_name", "plain_name", "name_as_app_kind", "code"])
+def test_define_refuses_a_message_declared_twice(key, name):
+    # A plain code named as an app kind would hand a plain frame to a
+    # handler written for a certified sender.
+    before = dict(wire.SCHEMA)
+    with pytest.raises(ValueError):
+        wire._define(key, name, (), ())
+    assert wire.SCHEMA == before
+
+
+def test_every_handler_names_a_schema_entry():
+    from friendmesh.caservice import CAService
+    from friendmesh.peer import Peer
+    from friendmesh.relay import RelayConnSession
+    from friendmesh.rendezvous import RendezvousSession
+
+    names = {message.name for message in wire.SCHEMA.values()}
+    for cls in (RendezvousSession, RelayConnSession, CAService, Peer):
+        handlers = [attr[len("_on_"):] for attr in dir(cls) if attr.startswith("_on_")]
+        assert handlers, cls
+        assert set(handlers) <= names, (cls, set(handlers) - names)
+
+
 # -- record layouts ------------------------------------------------------------------
 #
 # GOLDEN holds the bytes of one fixed instance of every record layout, as the
