@@ -31,9 +31,11 @@ Public-key work that repeats is done once per process:
 
 Fresh material is not cached: the ephemeral key inside a sealed blob, and
 handshake and complaint signatures, are new on every use, so an entry
-for them would only cost memory. The caches are sized to the identities
-one process serves (a simulated world of a few hundred users); a miss
-costs what the check cost before.
+for them would only cost memory. A registration record's signature is not
+fresh: a peer signs its record once per content and re-sends it on each
+re-registration, so a holder that verified it once hits the table. The
+caches are sized to the identities one process serves (a simulated world
+of a few hundred users); a miss costs what the check cost before.
 """
 from __future__ import annotations
 

@@ -14,16 +14,22 @@ requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
 or else the one the server sent.
 
+A peer's own record is signed once per content: while its address, NAT
+kind, relay, passphrase, mirror table, friend key and signing key stay as
+they were, a re-registration sends the record it signed before.
+
 Every secure channel a peer opens, to a rendezvous server or to a user,
 comes from one opener, and the ones it reuses sit in one keep, by (friend,
 or "" for a rendezvous server; address dialled): at most one per server and
-one per friend, so a warm operation costs no handshake. Every friend
-operation still locates the friend and verifies the record it gets; a kept
-channel is used only while that record routes to it. A channel is dropped
-once it falls out of step (a transport or crypto failure); a kept one that
-finds its peer unreachable, as after a restart, or fails the friend's queue
-flush, is replaced once by a new one. Mirror channels are never kept.
-close() ends all of them and the relay admission channel.
+one per friend, so a warm operation costs no handshake. The sentinel's
+reachability probe of a friend runs on that friend's kept channel too, so
+a re-registration costs it no handshake and leaves the channel warm. Every
+friend operation still locates the friend and verifies the record it gets;
+a kept channel is used only while that record routes to it. A channel is
+dropped once it falls out of step (a transport or crypto failure); a kept
+one that finds its peer unreachable, as after a restart, or fails the
+friend's queue flush, is replaced once by a new one. Mirror channels are
+never kept. close() ends all of them and the relay admission channel.
 
 Inbound channels are admitted only for friends, friend requesters,
 requested friends, or users allowed on a hosted replica, and the check
@@ -136,6 +142,8 @@ class Peer:
         self._witness: str | None = None  # last verified-correct server
         # Kept secure channels, by (friend, or "" for a rendezvous server; address dialled).
         self._kept: dict[tuple[str, str], SecureChannel] = {}
+        # The last signed record, with the inputs it was built from; not saved.
+        self._signed: tuple[tuple, RegistrationRecord] | None = None
 
     def close(self) -> None:
         """Close every kept channel and the relay admission channel."""
@@ -281,20 +289,24 @@ class Peer:
         raise Unavailable("no bootstrap server reachable")
 
     def _verify_targets(self, x_addr: str, y: str, z: str) -> VerificationOutcome:
-        friend_name = sorted(self.state.friend_list)[0]
-        entry = self.state.friend_list[friend_name]
-        probe = _Probe(self, exclude={x_addr})
-        return sentinel.verify_registration_targets(
-            probe,
-            x_addr,
-            y,
-            z,
-            friend_name,
-            entry.passphrase,
-            Certificate.decode(entry.certificate),
-            self.my_ids(),
-            dual_hash(friend_name, self.ring_bits),
-        )
+        """The sentinel's check of (y, z) through each friend in name order,
+        each with a fresh probe, until one is conclusive."""
+        outcome = VerificationOutcome(status=sentinel.INCONCLUSIVE)
+        for friend_name, entry in sorted(self.state.friend_list.items()):
+            outcome = sentinel.verify_registration_targets(
+                _Probe(self, exclude={x_addr}),
+                x_addr,
+                y,
+                z,
+                friend_name,
+                entry.passphrase,
+                Certificate.decode(entry.certificate),
+                self.my_ids(),
+                dual_hash(friend_name, self.ring_bits),
+            )
+            if outcome.status != sentinel.INCONCLUSIVE:
+                break
+        return outcome
 
     def _chord_lookup(self, server: str, ident: int) -> str:
         with closing(self.endpoint.connect(server)) as channel:
@@ -302,24 +314,32 @@ class Peer:
             return addr
 
     def build_record(self) -> RegistrationRecord:
+        """The signed registration record: the last one built while every
+        input is unchanged, so a record is signed once per content. Its
+        mirror-list ciphertext is reused only with the same plaintext and
+        key, so no nonce is used for a second message."""
         state = self.state
-        enc_mirrors = identity.friend_key_encrypt(
-            state.friend_key, MIRROR_TABLE.encode(state.mirror_table)
-        )
-        relay_addr = state.relay_endpoint[0] if state.relay_endpoint else ""
-        relay_port = state.relay_endpoint[1] if state.relay_endpoint else 0
-        return make_registration_record(
+        relay_address, relay_port = state.relay_endpoint or ("", 0)
+        fields = dict(
             username=self.username,
             ip=state.mapped_ip,
             port=state.mapped_port,
             nat_kind=wire_nat_kind(state.nat_type),
             protocol="tcp",
-            relay_address=relay_addr,
+            relay_address=relay_address,
             relay_port=relay_port,
             passphrase=state.passphrase,
-            encrypted_mirror_list=enc_mirrors,
-            private_key=state.keypair.private_key,
         )
+        mirrors = MIRROR_TABLE.encode(state.mirror_table)
+        inputs = (fields, mirrors, state.friend_key, state.keypair.private_key)
+        if self._signed is None or self._signed[0] != inputs:
+            record = make_registration_record(
+                **fields,
+                encrypted_mirror_list=identity.friend_key_encrypt(state.friend_key, mirrors),
+                private_key=state.keypair.private_key,
+            )
+            self._signed = (inputs, record)
+        return self._signed[1]
 
     def _rendezvous(self, server: str, fn: Callable[[SecureChannel], T]) -> T:
         """Run fn on the kept session to a rendezvous server, or on a new one."""
@@ -1021,9 +1041,13 @@ class _Probe:
             return None
 
     def try_connect(self, record: RegistrationRecord) -> bool:
+        # On the friend's kept channel, which stays kept for the friend
+        # operations that follow. _keep closes the friend's channels kept
+        # under other addresses; a server serving a stale signed record can
+        # already cause that close through _with_friend's locate.
+        addr, relayed = self.peer._route(record)
         try:
-            with closing(self.peer._open_route(record, record.username)) as channel:
-                channel.call("ping")
+            self.peer._keep((record.username, addr), lambda channel: channel.call("ping"), relayed)
             return True
         except ProtocolError:
             return False

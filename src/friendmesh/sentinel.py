@@ -62,6 +62,9 @@ class RegistrationProbe(Protocol):
         ...
 
     def try_connect(self, record: RegistrationRecord) -> bool:
+        """True when the record's owner, authenticated by a secure channel,
+        answers a ping at the address the record routes to. The channel may
+        be one already held for that owner."""
         ...
 
     def next_alternate(self) -> str | None:

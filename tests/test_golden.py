@@ -6,10 +6,14 @@ admit) in place of the sealed challenge (is_server, challenge,
 challenge_reply). Baseline is the one scenario that admits anyone: its
 trace differs from the one before only in the 12 lines of its 3
 admissions, each exchange renamed and resized, with the same times and
-line count. The other hashes were last re-recorded when ring_replicate and
-ring_transfer came to carry each PeerRow as its own layout. Any change to
-a wire byte, a message count, a timestamp or an event in any scenario
-changes a hash.
+line count. r1_drop, r2_misroute and r3_claim_key were last re-recorded
+when the sentinel's reachability probe came to run on the friend's kept
+channel: each trace loses one handshake (a register_peer hello and its
+session_key reply), because a later operation on that friend reuses the
+probe's channel, and keeps every event. The other hashes were last
+re-recorded when ring_replicate and ring_transfer came to carry each
+PeerRow as its own layout. Any change to a wire byte, a message count, a
+timestamp or an event in any scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -39,9 +43,9 @@ TRACE_SHA256 = {
     "e1_eclipse": "8eaea3f0d06ba73df43b95649c18882464d60f13ebae99744c9f65ccb92ef510",
     "eviction": "879b3faa568e666ee39427e54efbbe5c33deb31431605878b2223ddef5d3e1c4",
     "island_partition": "faeaaf9da3445dec0c5b41cbec8e9a3082063395c8168a70e63fd47e54b29aa2",
-    "r1_drop": "a0f83c68e162db14bfde53c36ae473f6d1e2ddc4b86a9b3addb8a5bbd9ebd803",
-    "r2_misroute": "021577a33083d04cb5db1b74d8fc799437955f59e1aa1fbd3f8fd7555100cac1",
-    "r3_claim_key": "2f501dfda9ead1b3ebc637d3b257d8f93c810afe62906ea9edb9a9ddd37827ae",
+    "r1_drop": "1e09b9e14ef278782a4ec65fd00c2736e849b38b5e44448fd18524b60856d587",
+    "r2_misroute": "133431f7040eccd5eb51dc4d830e0f6477aa74de5a8daff7acc8b283cb48ec2f",
+    "r3_claim_key": "579cde49ac641ccdf174dcb62c35e0786c5754622157ec474a75deec12c9befe",
     "s1_sybil": "4e915dcf466dabdbf301bb447ab0c27b094ab5ae46c29eda65614fc974aa3f33",
     "t1_falsify": "006451d2551a609c77a70a0f78a36114031f5ff0bd8eef12d71e8fe857285b70",
 }

@@ -923,3 +923,206 @@ def test_a_kept_channel_that_fails_the_queue_flush_is_replaced():
     reader.pull_friend_profile("user00")
     assert reader._kept[key] is not kept
     assert not reader.state.queued_updates.get("user00")
+
+
+# -- registration reuses what the peer holds --------------------------------------------
+
+
+def ring_world(**kw):
+    """A small global world whose re-registrations run the sentinel's check."""
+    defaults = dict(seed=41, n_rendezvous=4, n_peers=3, global_mode=True)
+    defaults.update(kw)
+    return small_world(**defaults)
+
+
+@pytest.fixture
+def handshakes(monkeypatch):
+    """Secure channels opened by connect_secure, as a list of expected usernames."""
+    from friendmesh import secure
+
+    opened = []
+    real = secure.connect_secure
+
+    def counted(*args, **kw):
+        opened.append(kw.get("expected_username"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(secure, "connect_secure", counted)
+    return opened
+
+
+@pytest.fixture
+def outcomes(monkeypatch):
+    """The sentinel outcome of each registration check a peer runs."""
+    seen = []
+    real = Peer._verify_targets
+
+    def recorded(self, *args):
+        outcome = real(self, *args)
+        seen.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(Peer, "_verify_targets", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("nat", ["public", "symmetric"])
+def test_a_warm_rebootstrap_does_no_handshake(handshakes, outcomes, nat):
+    # user01 is user00's first friend, reached directly or through its relay.
+    world = ring_world(nat_assignment={"user01": nat})
+    peer = world.peers["user00"]
+    peer.bootstrap()
+    assert ("user01", peer._route(peer.locate_friend("user01")[0])[0]) in peer._kept
+    handshakes.clear()
+    peer.bootstrap()
+    assert handshakes == []
+    assert [o.status for o in outcomes] == ["verified", "verified"]
+
+
+def test_a_pull_after_the_first_bootstrap_does_no_handshake(handshakes):
+    world = ring_world()
+    peer = world.peers["user00"]
+    peer.close()  # nothing kept: the bootstrap starts cold
+    peer.bootstrap()
+    assert "user01" in handshakes  # the probe's one handshake to the friend
+    handshakes.clear()
+    peer.pull_friend_profile("user01")
+    assert handshakes == []
+
+
+def test_after_the_friend_restarts_the_probe_verifies_on_a_fresh_channel(handshakes, outcomes):
+    world = ring_world()
+    peer, friend = world.peers["user00"], world.peers["user01"]
+    peer.bootstrap()
+    key = ("user01", friend.endpoint.local_addr())
+    kept = peer._kept[key]
+    world.sim.set_down(key[1], True)
+    world.sim.set_down(key[1], False)
+    handshakes.clear()
+    peer.bootstrap()
+    assert outcomes[-1].status == "verified"
+    assert handshakes == ["user01"]
+    assert peer._kept[key] is not kept and peer._kept[key].established
+
+
+def test_the_probe_of_a_downed_friend_fails():
+    from friendmesh.peer import _Probe
+
+    world = ring_world()
+    peer, friend = world.peers["user00"], world.peers["user01"]
+    peer.bootstrap()  # the friend's channel is kept
+    record, _server = peer.locate_friend("user01")
+    probe = _Probe(peer, exclude=set())
+    assert probe.try_connect(record)
+    world.sim.set_down(friend.endpoint.local_addr(), True)
+    assert not probe.try_connect(record)
+
+
+def test_registration_verifies_through_a_later_friend_when_the_first_is_down(outcomes):
+    # user00's friends are user01 (first in name order) and user02.
+    world = ring_world(friendships=[["user00", "user01"], ["user00", "user02"]])
+    peer = world.peers["user00"]
+    world.sim.set_down(world.peers["user01"].endpoint.local_addr(), True)
+    peer.bootstrap()
+    assert outcomes[-1].status == "verified"
+    assert peer.state.registered_at
+
+
+def test_registration_fails_as_before_when_every_friend_is_down(outcomes):
+    world = ring_world(friendships=[["user00", "user01"], ["user00", "user02"]])
+    peer = world.peers["user00"]
+    for name in ("user01", "user02"):
+        world.sim.set_down(world.peers[name].endpoint.local_addr(), True)
+    with pytest.raises(Unavailable):
+        peer.bootstrap()
+    assert outcomes and {o.status for o in outcomes} == {"inconclusive"}
+
+
+@pytest.fixture
+def sent_records(monkeypatch):
+    """Every record a peer sends in a register request."""
+    from friendmesh import rvclient
+
+    sent = []
+    real = rvclient.register_peer
+    monkeypatch.setattr(rvclient, "register_peer",
+                        lambda session, record: sent.append(record) or real(session, record))
+    return sent
+
+
+def test_an_unchanged_rebootstrap_resends_the_record_unsigned_again(monkeypatch, sent_records):
+    from friendmesh import identity
+    from friendmesh.records import RegistrationRecord
+
+    world = ring_world()
+    peer = world.peers["user00"]
+    sent_records.clear()
+    peer.bootstrap()
+    first = [RegistrationRecord.LAYOUT.values(r) for r in sent_records]
+    assert first
+    sent_records.clear()
+    signs = []
+    real_sign = identity.sign
+    monkeypatch.setattr(identity, "sign", lambda *args: signs.append(args) or real_sign(*args))
+    peer.bootstrap()
+    assert [RegistrationRecord.LAYOUT.values(r) for r in sent_records] == first
+    assert signs == []
+
+
+def test_each_input_change_signs_a_new_record_that_verifies(sent_records):
+    from friendmesh.records import verify_registration_record
+
+    world = ring_world(friendships=[["user00", "user01"], ["user00", "user02"]])
+    peer = world.peers["user00"]
+    cert = peer.state.certificate
+
+    def new_record_after(change):
+        before = peer.build_record()
+        assert peer.build_record() is before
+        change()
+        after = peer.build_record()
+        assert after.signed_digest != before.signed_digest
+        assert verify_registration_record(after, cert)
+        return after
+
+    def revoke():
+        sent_records.clear()
+        peer.revoke_friend("user02")
+        assert sent_records and {r.signed_digest for r in sent_records} == {
+            peer.build_record().signed_digest}
+
+    after = new_record_after(revoke)
+    assert after.passphrase == peer.state.passphrase
+    new_record_after(lambda: peer.add_mirror("user01"))
+
+    def move_relay():
+        peer.state.relay_endpoint = ("10.9.9.9", 7300)
+    assert new_record_after(move_relay).relay_address == "10.9.9.9"
+
+    def move_address():
+        peer.state.mapped_port += 1
+    assert new_record_after(move_address).port == peer.state.mapped_port
+
+
+def test_a_reused_record_still_fails_verification_when_any_signed_field_is_altered():
+    from dataclasses import replace
+
+    from friendmesh.records import verify_registration_record
+
+    world = ring_world()
+    peer = world.peers["user00"]
+    record = peer.build_record()
+    assert peer.build_record() is record
+    cert = peer.state.certificate
+    assert verify_registration_record(record, cert)
+    mutations = {
+        "ip": "6.6.6.6",
+        "port": 6666,
+        "protocol": "udp",
+        "relay_address": "6.6.6.1",
+        "relay_port": 1,
+        "passphrase": "stolen",
+        "encrypted_mirror_list": b"\xff",
+    }
+    for name, bad in mutations.items():
+        assert not verify_registration_record(replace(record, **{name: bad}), cert), name
