@@ -160,8 +160,8 @@ def cmd_peer(args) -> int:
             print(f"registered at: {', '.join(peer.state.registered_at)}")
         elif action == "locate":
             record, server = peer.locate_friend(args.target)
-            print(f"{args.target} @ {record.ip}:{record.port} nat={record.nat_kind}"
-                  f" relay={record.relay_address or '-'} via {server}")
+            addr, relayed = record.route
+            print(f"{args.target} @ {addr or 'no route'}{' (relay)' if relayed else ''} via {server}")
         elif action == "connect":
             channel, served_by = peer.connect_friend(args.target)
             channel.call("ping")

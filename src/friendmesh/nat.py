@@ -1,11 +1,16 @@
-"""NAT classification and connectability rules.
+"""NAT classification, and whether a NAT needs a relay.
 
 Classification runs the three-probe decision tree against a dual-homed
 probe server: mapped-equals-local, reply-from-alternate-address, and
 mapped-stability across destinations with an alternate-port tiebreak.
 Only this minimal subset of the standard is implemented. The simulator
 probes through `simnet.core.SimStunProbes`; a peer given no probes, as a
-CLI peer is, registers as public.
+CLI peer is, classifies itself as public.
+
+The NAT type never leaves the peer. A peer whose NAT needs a relay
+registers port 0 and its relay's endpoint, or no route at all when it got
+no relay; any other peer registers its mapped address. A caller reads the
+route from those signed fields alone (records.RegistrationRecord.route).
 """
 from __future__ import annotations
 
@@ -21,25 +26,6 @@ class NatType(enum.Enum):
     ADDRESS_RESTRICTED = "address_restricted"
     PORT_RESTRICTED = "port_restricted"
     SYMMETRIC = "symmetric"
-
-
-class Route(enum.Enum):
-    DIRECT = "direct"
-    RELAY = "relay"
-    UNREACHABLE = "unreachable"
-
-
-# The three wire kinds a registration record may carry.
-WIRE_NAT_KINDS = ("public", "full_cone", "non_full_cone")
-
-
-def wire_nat_kind(nat: NatType) -> str:
-    """Collapse the five classification outcomes to the three wire kinds."""
-    if nat is NatType.PUBLIC:
-        return "public"
-    if nat is NatType.FULL_CONE:
-        return "full_cone"
-    return "non_full_cone"
 
 
 def needs_relay(nat: NatType) -> bool:
@@ -83,15 +69,3 @@ def stun_classify(probes: StunProbes) -> NatType:
     if probes.probe(server=0, change_port=True) is not None:
         return NatType.ADDRESS_RESTRICTED
     return NatType.PORT_RESTRICTED
-
-
-def connect_strategy(nat_kind: str, has_relay: bool) -> Route:
-    """Pick the route for reaching the owner of a record of one of the three
-    wire kinds. Total and deterministic. A public or full-cone owner is
-    dialled at its recorded address. A non-full-cone owner admits no
-    unsolicited inbound traffic, so it is reached through its relay."""
-    if nat_kind in ("public", "full_cone"):
-        return Route.DIRECT
-    if nat_kind == "non_full_cone" and has_relay:
-        return Route.RELAY
-    return Route.UNREACHABLE

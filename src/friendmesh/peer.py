@@ -4,18 +4,20 @@ A peer signs up once with the CA, classifies its NAT, obtains and keeps a
 relay when it cannot accept inbound traffic, registers its signed
 connection record (at one server locally, at both dual-hash successors
 globally, with the sentinel verification run first once a friend exists),
-and from then on locates friends by passphrase, connects direct (public
-or full-cone owners) or through the owner's relay, falls back to their
-mirrors in preference order, and replicates its own profile to mirrors it
-appointed.
+and from then on locates friends by passphrase, connects through the one
+route the owner signed (records.RegistrationRecord.route), falls back to
+their mirrors in preference order, and replicates its own profile to
+mirrors it appointed. A peer whose NAT needs a relay registers port 0, so
+its record routes to its relay, or nowhere when it got none; a relay that
+refuses its keepalive has dropped it, and the next tick re-admits it.
 
 A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
 or else the one the server sent.
 
-A peer's own record is signed once per content: while its address, NAT
-kind, relay, passphrase, mirror table, friend key and signing key stay as
+A peer's own record is signed once per content: while its address,
+relay, passphrase, mirror table, friend key and signing key stay as
 they were, a re-registration sends the record it signed before.
 
 Every secure channel a peer opens, to a rendezvous server or to a user,
@@ -59,7 +61,7 @@ from .errors import (
     Unavailable,
 )
 from .identity import Certificate, KeyPair
-from .nat import NatType, Route, connect_strategy, needs_relay, stun_classify, wire_nat_kind
+from .nat import NatType, needs_relay, stun_classify
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries, op_perm
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server, send_keepalive
@@ -323,8 +325,7 @@ class Peer:
         fields = dict(
             username=self.username,
             ip=state.mapped_ip,
-            port=state.mapped_port,
-            nat_kind=wire_nat_kind(state.nat_type),
+            port=0 if needs_relay(state.nat_type) else state.mapped_port,
             protocol="tcp",
             relay_address=relay_address,
             relay_port=relay_port,
@@ -513,18 +514,8 @@ class Peer:
         cert = Certificate.decode(entry.certificate) if entry.certificate else None
         return self._locate(friend_username, entry.passphrase, cert)
 
-    def _route(self, record: RegistrationRecord | None) -> tuple[str, bool]:
-        """The address to dial for the record's owner ("" for none), and
-        whether it is their relay's."""
-        route = connect_strategy(record.nat_kind, record.has_relay) if record else Route.UNREACHABLE
-        if route is Route.DIRECT:
-            return f"{record.ip}:{record.port}", False
-        if route is Route.RELAY:
-            return f"{record.relay_address}:{record.relay_port}", True
-        return "", False
-
     def _open_route(self, record: RegistrationRecord, expected: str) -> SecureChannel:
-        addr, relayed = self._route(record)
+        addr, relayed = record.route
         return self._open((expected, addr), relayed)
 
     def connect_friend(self, friend_username: str) -> tuple[SecureChannel, str]:
@@ -555,7 +546,7 @@ class Peer:
                 )
             except ProtocolError:
                 pass
-        addr, relayed = self._route(record)
+        addr, relayed = record.route if record is not None else ("", False)
         return self._keep(
             (friend, addr),
             lambda channel: fn(channel, friend),
@@ -779,8 +770,15 @@ class Peer:
                 relay_addr = f"{state.relay_endpoint[0]}:{state.relay_endpoint[1]}"
                 with closing(self.endpoint.connect(relay_addr)) as channel:
                     send_keepalive(channel, state.relay_token)
+            except NotFound:
+                # The relay dropped the session: be admitted again, and
+                # re-register only if that moved the relay.
+                before = state.relay_endpoint
+                self._obtain_relay()
+                if state.relay_endpoint != before:
+                    self.reregister()
             except ProtocolError:
-                pass
+                pass  # the relay is unreachable: the next tick tries again
         self.flush_queues()
         self.maybe_file_complaints()
 
@@ -1045,7 +1043,7 @@ class _Probe:
         # operations that follow. _keep closes the friend's channels kept
         # under other addresses; a server serving a stale signed record can
         # already cause that close through _with_friend's locate.
-        addr, relayed = self.peer._route(record)
+        addr, relayed = record.route
         try:
             self.peer._keep((record.username, addr), lambda channel: channel.call("ping"), relayed)
             return True

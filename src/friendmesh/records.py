@@ -10,8 +10,10 @@ FriendshipRequestRecords and RelayRecords in their layouts too.
 The signed digest covers the canonical payload, a view of the record's
 layout: IP, port, protocol, relay address, relay port, passphrase,
 encrypted mirror list, each field 2-byte length prefixed, integers as
-ASCII decimal. The NAT kind travels with the record but is outside the
-digest.
+ASCII decimal. Every field but the username (bound by the certificate)
+and last_refresh (set by the server) is inside it, so a record routes
+only through what its owner signed: to its relay when it names one, else
+to ip:port when the port is non-zero, else nowhere.
 """
 from __future__ import annotations
 
@@ -22,13 +24,12 @@ from .identity import Certificate, SignedDigest
 from .wire import FLAG, IDENT, INT, RAW, STR, list_of, record, spread
 
 
-@record(STR, STR, INT, STR, STR, STR, INT, STR, RAW, spread(SignedDigest), INT)
+@record(STR, STR, INT, STR, STR, INT, STR, RAW, spread(SignedDigest), INT)
 @dataclass(frozen=True)
 class RegistrationRecord:
     username: str
     ip: str
-    port: int
-    nat_kind: str  # public | full_cone | non_full_cone
+    port: int  # 0 when the owner accepts no inbound connection
     protocol: str  # tcp | udp
     relay_address: str  # empty when none
     relay_port: int  # 0 when none
@@ -41,8 +42,14 @@ class RegistrationRecord:
         return _CANONICAL.encode(self)
 
     @property
-    def has_relay(self) -> bool:
-        return bool(self.relay_address)
+    def route(self) -> tuple[str, bool]:
+        """The address to dial for the owner ("" for none), and whether it
+        is their relay's."""
+        if self.relay_address:
+            return f"{self.relay_address}:{self.relay_port}", True
+        if self.port:
+            return f"{self.ip}:{self.port}", False
+        return "", False
 
 
 # What the owner's signed digest covers.
@@ -55,7 +62,6 @@ def make_registration_record(
     username: str,
     ip: str,
     port: int,
-    nat_kind: str,
     protocol: str,
     relay_address: str,
     relay_port: int,
@@ -64,7 +70,7 @@ def make_registration_record(
     private_key: bytes,
 ) -> RegistrationRecord:
     unsigned = RegistrationRecord(
-        username, ip, port, nat_kind, protocol, relay_address, relay_port, passphrase,
+        username, ip, port, protocol, relay_address, relay_port, passphrase,
         encrypted_mirror_list, SignedDigest(b"", b""),
     )
     signed = identity.sign_record(unsigned.canonical_payload(), private_key)

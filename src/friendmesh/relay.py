@@ -7,11 +7,12 @@ peer. The peer then calls the app kind admit, which issues a liveness
 token and takes the connection over; a full relay refuses the hello and
 admit of a peer it holds no session for. The peer keeps that connection
 open and answers muxed frames on it, and refreshes its session with
-plaintext keepalives. Clients open a bridge naming the target, and every
-later handshake and app frame is copied verbatim with a 4-byte stream id
-prepended on the relay leg only. The relay holds the key of each admission
-session, never the key of a session it forwards, and never decrypts
-anything it forwards. Keepalives and bridge_open are plain requests served
+plaintext keepalives; a keepalive whose token names no live session is
+refused as not_found, so a dropped peer learns it. Clients open a bridge
+naming the target, and every later handshake and app frame is copied
+verbatim with a 4-byte stream id prepended on the relay leg only. The
+relay holds the key of each admission session, never the key of a session
+it forwards, and never decrypts anything it forwards. Keepalives and bridge_open are plain requests served
 by wire.serve; a malformed one is refused as malformed_request.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 from . import identity, rvclient, secure, wire
 from .channel import Channel, Endpoint, ReverseSession, Service, Session, SessionContext
 from .config import RelayConfig
-from .errors import MalformedRequest, PeerUnreachable, ProtocolError
+from .errors import MalformedRequest, NotFound, PeerUnreachable, ProtocolError
 from .identity import Certificate, KeyPair
 from .wire import Frame
 
@@ -186,10 +187,12 @@ class RelayConnSession:
 
     def _on_server_is_alive(self, ctx: SessionContext, token: bytes) -> tuple:
         server = self.server
-        username = server._by_token.get(token)
-        if username in server.sessions:
-            # No resurrection: only live sessions refresh.
-            server.sessions[username].last_alive = server.clock()
+        session = server.sessions.get(server._by_token.get(token))
+        if session is None:
+            # No resurrection: the holder of a dropped session is told so,
+            # and must be admitted again.
+            raise NotFound("no live session")
+        session.last_alive = server.clock()
         return ()
 
     def _on_bridge_open(self, ctx: SessionContext, username: str) -> tuple | Frame:

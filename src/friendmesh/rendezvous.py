@@ -30,7 +30,6 @@ from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import IntegrityError, MalformedRequest, NotFound, ProtocolError
 from .identity import Certificate
-from .nat import WIRE_NAT_KINDS
 from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
 from .sentinel import Complaint, ComplaintLedger
 from .store import MemoryStore, SqliteStore, evict_stale_relays, select_relay
@@ -249,8 +248,6 @@ class RendezvousSession:
         server = self.server
         # values: the record's fields less username and last_refresh (wire.SCHEMA["register"])
         record = RegistrationRecord(sender.username, *values, server.clock())
-        if record.nat_kind not in WIRE_NAT_KINDS:
-            raise MalformedRequest(f"unknown nat kind {record.nat_kind}")
         row = PeerRow(
             record=record,
             certificate=sender.encode(),

@@ -9,7 +9,9 @@ layout (records.py), and committed before the call that made it returns.
 The change queues its statements under the store's lock and commits them
 after releasing it, so a lookup on another thread never waits for the
 disk. Opening the file reads the table back in insertion order; sqlite is
-never read after that.
+never read after that. A peer row that no longer decodes, as one written
+in an older record layout, is deleted on open: a registration is soft
+state its owner re-sends. Any other row that does not decode is an error.
 
 Peer rows are keyed by (username, ring id); the chord ring reads and
 writes them here directly when it places, replicates and hands over
@@ -22,6 +24,7 @@ import sqlite3
 import threading
 from collections import deque
 
+from .errors import MalformedRequest
 from .records import FriendshipRequestRecord, PeerRow, RelayRecord
 
 # Per kind of record: its class and the key it is stored under.
@@ -130,10 +133,19 @@ class SqliteStore(MemoryStore):
             " (kind TEXT NOT NULL, key TEXT NOT NULL, value BLOB NOT NULL, PRIMARY KEY (kind, key))"
         )
         # rowid order is insertion order: an update keeps its row's place.
-        for kind, value in self._db.execute("SELECT kind, value FROM records ORDER BY rowid"):
+        stale = []
+        for kind, key, value in self._db.execute("SELECT kind, key, value FROM records ORDER BY rowid"):
             cls, key_of = _KINDS[kind]
-            record = cls.decode(value)
+            try:
+                record = cls.decode(value)
+            except MalformedRequest:
+                if kind != "peer":
+                    raise
+                stale.append(("peer", key))  # a registration its owner re-sends
+                continue
             self._tables[kind][key_of(record)] = record
+        self._db.executemany("DELETE FROM records WHERE kind = ? AND key = ?", stale)
+        self._db.commit()
         # (statement, rows) per change, in the order the store lock saw them
         self._queued: deque[tuple[str, list[tuple]]] = deque()
         self._file_lock = threading.Lock()  # held while the file is written

@@ -16,7 +16,7 @@ from friendmesh.records import PeerRow, RegistrationRecord
 def peer_row(username, ring_id, value=b"v", replica=False):
     """A stored row for user `username`; `value` rides in its certificate field."""
     record = RegistrationRecord(
-        username=username, ip="10.9.9.9", port=7500, nat_kind="public", protocol="tcp",
+        username=username, ip="10.9.9.9", port=7500, protocol="tcp",
         relay_address="", relay_port=0, passphrase=f"{username}-phrase",
         encrypted_mirror_list=b"", signed_digest=SignedDigest(digest=b"", signature=b""),
     )

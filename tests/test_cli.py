@@ -8,8 +8,10 @@ from friendmesh import cli, identity
 from friendmesh.caservice import CAService
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import ProtocolError
+from friendmesh.identity import SignedDigest
 from friendmesh.netio import TcpServer
 from friendmesh.peer import Peer
+from friendmesh.records import RegistrationRecord
 from friendmesh.rendezvous import RendezvousServer
 from friendmesh.simnet import cli as sim_cli
 
@@ -108,6 +110,19 @@ def test_peer_cli_error_paths(tmp_path, capsys, live_servers):
     capsys.readouterr()
     assert cli.main(peer_args("carol", tmp_path, ca_srv, rv_srv, ca_pub, "locate", "ghost")) == 1
     assert "not_found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relay,shown", [
+    (("", 0), "bob @ 10.0.0.1:7500 via rv"),
+    (("10.0.0.9", 7300), "bob @ 10.0.0.9:7300 (relay) via rv"),
+])
+def test_peer_cli_locate_prints_the_route(tmp_path, capsys, live_servers, monkeypatch, relay, shown):
+    ca_srv, rv_srv, ca_pub = live_servers
+    record = RegistrationRecord("bob", "10.0.0.1", 7500 if not relay[0] else 0, "tcp", *relay,
+                                "phrase", b"", SignedDigest(b"", b""))
+    monkeypatch.setattr(Peer, "locate_friend", lambda self, name: (record, "rv"))
+    assert cli.main(peer_args("erin", tmp_path, ca_srv, rv_srv, ca_pub, "locate", "bob")) == 0
+    assert capsys.readouterr().out.strip() == shown
 
 
 def test_profile_cli_local_post_and_read(tmp_path, capsys, live_servers):

@@ -1,19 +1,12 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-The baseline hash was last re-recorded, on purpose, when a relay came to
-admit a peer with the one handshake (register_peer, then the app kind
-admit) in place of the sealed challenge (is_server, challenge,
-challenge_reply). Baseline is the one scenario that admits anyone: its
-trace differs from the one before only in the 12 lines of its 3
-admissions, each exchange renamed and resized, with the same times and
-line count. r1_drop, r2_misroute and r3_claim_key were last re-recorded
-when the sentinel's reachability probe came to run on the friend's kept
-channel: each trace loses one handshake (a register_peer hello and its
-session_key reply), because a later operation on that friend reuses the
-probe's channel, and keeps every event. The other hashes were last
-re-recorded when ring_replicate and ring_transfer came to carry each
-PeerRow as its own layout. Any change to a wire byte, a message count, a
-timestamp or an event in any scenario changes a hash.
+Every hash was last re-recorded, on purpose, when the registration record
+lost its unsigned NAT kind and a peer that needs a relay came to register
+port 0. Each trace keeps its lines, times and events; only the sizes of
+the frames that carry a record shrink: 8 bytes for a public owner's, 11
+for a full-cone owner's, 18 or 19 for a relayed owner's. Any change to a
+wire byte, a message count, a timestamp or an event in any scenario
+changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -38,16 +31,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "48d23339e4e4f250c6a56902d48f30ff91c46e46d442d3ca5f44aef022efc53b",
-    "churn": "f785a5968b28b84fdec50e81399a47f628cc2bc63e4c24d3737ed33fe10bd3f9",
-    "e1_eclipse": "8eaea3f0d06ba73df43b95649c18882464d60f13ebae99744c9f65ccb92ef510",
-    "eviction": "879b3faa568e666ee39427e54efbbe5c33deb31431605878b2223ddef5d3e1c4",
-    "island_partition": "faeaaf9da3445dec0c5b41cbec8e9a3082063395c8168a70e63fd47e54b29aa2",
-    "r1_drop": "1e09b9e14ef278782a4ec65fd00c2736e849b38b5e44448fd18524b60856d587",
-    "r2_misroute": "133431f7040eccd5eb51dc4d830e0f6477aa74de5a8daff7acc8b283cb48ec2f",
-    "r3_claim_key": "579cde49ac641ccdf174dcb62c35e0786c5754622157ec474a75deec12c9befe",
-    "s1_sybil": "4e915dcf466dabdbf301bb447ab0c27b094ab5ae46c29eda65614fc974aa3f33",
-    "t1_falsify": "006451d2551a609c77a70a0f78a36114031f5ff0bd8eef12d71e8fe857285b70",
+    "baseline": "9ae477ae8daf5b54eaea5d3fcc41e10f8cda0404f1fc244ae37e6fd209a0b328",
+    "churn": "cd73f7bdddd1f9829052b785ed74dbecc27458c1751944e10e949c2eda7f8966",
+    "e1_eclipse": "940d3f316ff476a405984771041d1033a63dcacb8938849fdf04134fcbdd974b",
+    "eviction": "20dc82664630531e8932cf5c2f3142b476798d0591ce991b00e6cf328ae95b7e",
+    "island_partition": "86f80a07ea49bd36ea2698494057dff9192674c9d2be1132bac960de603e2ab6",
+    "r1_drop": "90362f50a16b924b1fcf7c3e56e6f49030730b411058d8d906c4d45aeeb3880e",
+    "r2_misroute": "b85bb087e4968998b844401a52aab09c0e43a6c694f338a3d3a990d392c7f5ac",
+    "r3_claim_key": "ba75665333b567b1da708fbffffe589ea8676c14041c6c1a355e0b5b5fdde07d",
+    "s1_sybil": "f354295a0d3bd4f7077679d21c209513f6c569ffd5692f3eea4a9e8b2a96db17",
+    "t1_falsify": "896ad0a2705d2dca895150384080da148ffdd87bb637fff55ce883e82ce81f66",
 }
 
 

@@ -7,6 +7,7 @@ import random
 import socket
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from friendmesh.errors import (
 )
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import TcpChannel, TcpServer
-from friendmesh.records import make_registration_record
+from friendmesh.records import _CANONICAL, RegistrationRecord, make_registration_record
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.relay import send_keepalive
 from friendmesh.rendezvous import RendezvousServer, WireRingTransport
@@ -351,7 +352,7 @@ def test_locate_peer_rejects_short_reply(ca, user):
     # A server that answers a located record without its certificate.
     pair, cert = user
     record = make_registration_record(
-        username="hostile-user", ip="10.0.5.5", port=7500, nat_kind="public", protocol="tcp",
+        username="hostile-user", ip="10.0.5.5", port=7500, protocol="tcp",
         relay_address="", relay_port=0, passphrase="hostile-phrase",
         encrypted_mirror_list=b"\x01", private_key=pair.private_key,
     )
@@ -369,6 +370,53 @@ def test_locate_peer_rejects_short_reply(ca, user):
     session = secure.connect_secure(DirectChannel(FuncService(handle)), cert, pair, ca.public_key)
     with pytest.raises(ProtocolError):
         rvclient.locate_peer(session, "hostile-phrase")
+
+
+# Every field of a registration record a server could rewrite to steer a
+# connection: all but the username (bound by the certificate), the
+# signature and last_refresh (the server's own).
+STEERING_FIELDS = [
+    name for name in RegistrationRecord.LAYOUT.names
+    if name not in ("username", "signed_digest", "last_refresh")
+]
+
+
+def rewritten(value):
+    """A different value of the same type: a redirect, not a corruption."""
+    if isinstance(value, bytes):
+        return value + b"\x00"
+    if isinstance(value, int):
+        return value + 1
+    return value + "0"
+
+
+def test_every_field_that_steers_a_connection_is_signed():
+    assert set(STEERING_FIELDS) <= set(_CANONICAL.names)
+
+
+@pytest.mark.parametrize("field_name", STEERING_FIELDS)
+def test_a_rewritten_record_field_is_detected_as_tampering(field_name, monkeypatch):
+    # A 4-server global world: user04's md5 server rewrites one field of its
+    # stored row and serves it to locates by user04's passphrase.
+    world = Scenario(SimConfig(seed=13, n_rendezvous=4, n_peers=5, global_mode=True))
+    pairs = sorted((chord.node_ident(a, 128), a) for a in world.servers)
+    md5_home, sha1_home = (
+        next((a for i, a in pairs if i >= ident), pairs[0][1])
+        for ident in chord.dual_hash("user04").both()
+    )
+    assert md5_home != sha1_home
+    store = world.servers[md5_home].store
+    passphrase = world.peers["user04"].state.passphrase
+    (row,) = [r for r in store.peer_rows() if r.record.username == "user04"]
+    record = row.record
+    bad = replace(row, record=replace(record, **{field_name: rewritten(getattr(record, field_name))}))
+    store.upsert_peer(bad)
+    monkeypatch.setattr(store, "peer_by_passphrase", lambda p: bad if p == passphrase else None)
+    reader = world.peers["user03"]
+    located, server = reader.locate_friend("user04")
+    assert server == sha1_home
+    assert located.canonical_payload() == record.canonical_payload()
+    assert ("note_bad_server", md5_home) in reader.state.queued_updates["user04"]
 
 
 def forged_plain_reply(ca, cert, pair, reply):
@@ -391,7 +439,7 @@ def test_forged_plain_reply_is_not_taken_as_authenticated(ca, user, status):
     # clear: neither its record nor its refusal is believed.
     pair, cert = user
     record = make_registration_record(
-        username="forged-user", ip="10.0.5.6", port=7501, nat_kind="public", protocol="tcp",
+        username="forged-user", ip="10.0.5.6", port=7501, protocol="tcp",
         relay_address="", relay_port=0, passphrase="forged-phrase",
         encrypted_mirror_list=b"\x01", private_key=pair.private_key,
     )
@@ -424,10 +472,17 @@ LOOPBACK_FUZZ = settings(
 )
 OVERSIZED = struct.pack(">IB", wire.MAX_FRAME_PAYLOAD + 1, wire.RING_STATE)
 
-# One valid request per service, answered ok whatever came before.
+
+def refused_keepalive(channel):
+    with pytest.raises(NotFound):
+        send_keepalive(channel, bytes(16))  # no live session holds this token
+
+
+# One valid request per service, answered whatever came before: ok, or the
+# relay's coded refusal of a token it never issued.
 VALID = {
     "rendezvous": lambda channel: wire.call(channel, wire.RELAY_UPDATE, 7300, 0, 4),
-    "relay": lambda channel: send_keepalive(channel, bytes(16)),
+    "relay": refused_keepalive,
 }
 
 
@@ -522,7 +577,7 @@ def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, se
     wire.call(bridge, wire.BRIDGE_OPEN, cert.username)
     with pytest.raises(PeerUnreachable):
         wire.open_reply(bridge.request(Frame(wire.APP_DATA, b"hello")))
-    send_keepalive(bridge, bytes(16))  # the bridge's connection still serves
+    refused_keepalive(bridge)  # the bridge's connection still serves
     bridge.close()
     admitted.close()
     assert served.get(timeout=5) is None

@@ -127,7 +127,7 @@ def test_unknown_algorithm_verifies_false(ca):
     signature = identity.sign(pair.private_key, b"data")
     assert identity.verify(pair.public_key, b"data", signature)
     record = make_registration_record(
-        username="algo-check", ip="10.0.0.9", port=7000, nat_kind="public", protocol="tcp",
+        username="algo-check", ip="10.0.0.9", port=7000, protocol="tcp",
         relay_address="", relay_port=0, passphrase="p" * 32, encrypted_mirror_list=b"",
         private_key=pair.private_key,
     )

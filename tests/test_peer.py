@@ -27,7 +27,8 @@ def test_public_peer_has_no_relay_fields():
     record = peer.build_record()
     assert record.relay_address == ""
     assert record.relay_port == 0
-    assert record.nat_kind == "public"
+    assert record.route == (f"{record.ip}:{record.port}", False)
+    assert record.port == peer.state.mapped_port != 0
 
 
 def test_natted_peer_admitted_at_relay_before_registration():
@@ -36,7 +37,8 @@ def test_natted_peer_admitted_at_relay_before_registration():
     assert peer.state.nat_type is NatType.SYMMETRIC
     assert peer.state.relay_endpoint is not None
     record = peer.build_record()
-    assert record.nat_kind == "non_full_cone"
+    assert record.port == 0
+    assert record.route == (f"{record.relay_address}:{record.relay_port}", True)
     assert record.relay_address
     relay = world.relays[f"{record.relay_address}:{record.relay_port}"]
     assert "user01" in relay.sessions
@@ -58,8 +60,19 @@ def test_peer_its_relay_cannot_admit_registers_outbound_only(relay_state):
     peer.bootstrap()
     assert any(" EV no_relay peer=user01" in line for line in world.sim.trace[mark:])
     assert peer.state.relay_endpoint is None and peer._relay_channel is None
-    assert peer.build_record().relay_address == ""
+    record = peer.build_record()
+    assert record.relay_address == "" and record.port == 0
+    assert record.route == ("", False)
     assert peer.state.registered_at
+    # A friend finds no route in the record, and never dials the NAT's
+    # mapped address, which would refuse.
+    friend = world.peers["user00"]
+    dialled = []
+    connect = friend.endpoint.connect
+    friend.endpoint.connect = lambda addr: dialled.append(addr) or connect(addr)
+    with pytest.raises(Unavailable):
+        friend.connect_friend("user01")
+    assert f"{peer.state.mapped_ip}:{peer.state.mapped_port}" not in dialled
 
 
 def test_global_mode_registers_at_both_dual_hash_successors():
@@ -151,6 +164,40 @@ def test_relayed_peer_that_is_down_does_not_answer_through_its_relay():
     with pytest.raises(PeerUnreachable):
         channel.request_app("ping")
     channel.close()
+
+
+def test_a_peer_its_relay_dropped_is_readmitted_at_the_next_tick(monkeypatch):
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    (relay,) = world.relays.values()
+    relay._drop("user01", evicted=True)  # as eviction does
+    reregistered = []
+    real = peer.reregister
+    monkeypatch.setattr(peer, "reregister", lambda: reregistered.append(1) or real())
+    peer.tick()
+    assert "user01" in relay.sessions
+    assert reregistered == []  # the same relay: the registered record still routes to it
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    channel.close()
+
+
+def test_a_readmission_at_another_relay_reregisters():
+    world = small_world(n_peers=2, n_relays=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    old = f"{peer.state.relay_endpoint[0]}:{peer.state.relay_endpoint[1]}"
+    world.relays[old]._drop("user01", evicted=True)
+    world.relays[old].config.max_connections = 0  # the old relay now refuses it
+    mark = len(world.sim.trace)
+    peer.tick()
+    new = f"{peer.state.relay_endpoint[0]}:{peer.state.relay_endpoint[1]}"
+    assert new != old and "user01" in world.relays[new].sessions
+    record, _server = world.peers["user00"].locate_friend("user01")
+    assert record.route == (new, True)
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01"
+    channel.close()
+    assert not any(" EV no_relay " in line for line in world.sim.trace[mark:])
 
 
 def test_storage_attack_surfaced_when_all_paths_lie():
@@ -972,7 +1019,7 @@ def test_a_warm_rebootstrap_does_no_handshake(handshakes, outcomes, nat):
     world = ring_world(nat_assignment={"user01": nat})
     peer = world.peers["user00"]
     peer.bootstrap()
-    assert ("user01", peer._route(peer.locate_friend("user01")[0])[0]) in peer._kept
+    assert ("user01", peer.locate_friend("user01")[0].route[0]) in peer._kept
     handshakes.clear()
     peer.bootstrap()
     assert handshakes == []

@@ -6,7 +6,7 @@ import pytest
 from friendmesh import identity, relay, secure, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RelayConfig
-from friendmesh.errors import AuthError, IntegrityError, PeerUnreachable
+from friendmesh.errors import AuthError, IntegrityError, NotFound, PeerUnreachable
 from friendmesh.relay import MuxService, RelayServer, admit_as_server, send_keepalive
 from friendmesh.wire import Frame
 
@@ -208,9 +208,10 @@ def test_silence_evicts_and_no_resurrection(server, ca, clock):
     server.tick()
     assert server.load == 0
     assert server.evicted == 1
-    # Keepalive after eviction is ignored.
+    # A keepalive after eviction is refused, and revives nothing.
     channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.2:6002")
-    send_keepalive(channel, token)
+    with pytest.raises(NotFound):
+        send_keepalive(channel, token)
     server.tick()
     assert server.load == 0
 
@@ -251,7 +252,8 @@ def test_readmission_retires_the_old_token_and_closes_the_old_session(server, ca
     # The old token refreshes nothing: the new session, silent since its
     # admission, is evicted on time, and its connection closed.
     clock.advance(interval * 2)
-    send_keepalive(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6002"), old_token)
+    with pytest.raises(NotFound):
+        send_keepalive(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6002"), old_token)
     clock.advance(interval + 1)
     server.tick()
     assert server.load == 0

@@ -65,7 +65,7 @@ def make_record(pair, cert, passphrase="PASS-" + "X" * 20, ip="10.0.5.5", port=7
         username=cert.username,
         ip=ip,
         port=port,
-        nat_kind="public",
+       
         protocol="tcp",
         relay_address="",
         relay_port=0,
@@ -109,7 +109,6 @@ def test_register_tampered_port_rejected(server, ca):
         username=record.username,
         ip=record.ip,
         port=record.port + 1,
-        nat_kind=record.nat_kind,
         protocol=record.protocol,
         relay_address=record.relay_address,
         relay_port=record.relay_port,
@@ -474,6 +473,50 @@ def test_sqlite_store_commits_outside_the_store_lock(ca, tmp_path):
         writer.join(timeout=5)
     assert not writer.is_alive()
     assert store.SqliteStore(path).peer_rows() == [row]
+
+
+# A PeerRow as a server wrote it while the registration record still carried
+# a NAT kind ("full_cone", after the port); the rest is today's layout.
+OLD_LAYOUT_PEER_ROW = wire.pack_fields(
+    wire.pack_fields(b"alice", b"10.0.0.1", b"7500", b"full_cone", b"udp", b"10.0.0.9", b"7300",
+                     b"phrase", b"mirrors", b"\x01" * 4, b"sig", b"1234"),
+    b"cert", b"abc", b"1",
+)
+
+
+def sqlite_file(path, *rows):
+    import sqlite3
+
+    db = sqlite3.connect(path)
+    db.execute("CREATE TABLE records (kind TEXT NOT NULL, key TEXT NOT NULL, value BLOB NOT NULL,"
+               " PRIMARY KEY (kind, key))")
+    db.executemany("INSERT INTO records VALUES (?, ?, ?)", rows)
+    db.commit()
+    return db
+
+
+def test_sqlite_store_drops_a_peer_row_of_an_older_layout(tmp_path):
+    # A registration is soft state its owner re-sends: the restarted server
+    # opens, forgets the row, and keeps everything else.
+    path = str(tmp_path / "db.sqlite")
+    relay = RelayRecord(address="10.0.2.1", port=7300, capacity=4, load=1, last_update=5)
+    db = sqlite_file(
+        path,
+        ("peer", repr(("alice", 0xABC)), OLD_LAYOUT_PEER_ROW),
+        ("relay", repr(("10.0.2.1", 7300)), relay.encode()),
+    )
+    st = store.SqliteStore(path)
+    assert st.peer_rows() == [] and st.relay_rows() == [relay]
+    assert db.execute("SELECT kind FROM records").fetchall() == [("relay",)]
+    db.close()
+
+
+@pytest.mark.parametrize("kind", ["request", "relay"])
+def test_sqlite_store_refuses_a_malformed_row_of_other_kinds(tmp_path, kind):
+    path = str(tmp_path / "db.sqlite")
+    sqlite_file(path, (kind, "key", b"\x00\x01x")).close()
+    with pytest.raises(MalformedRequest):
+        store.SqliteStore(path)
 
 
 def test_need_to_know_no_plaintext_secrets(server, ca):

@@ -35,7 +35,7 @@ def make_record(pair, cert, **kw):
         username=cert.username,
         ip="10.0.5.5",
         port=7500,
-        nat_kind="public",
+       
         protocol="tcp",
         relay_address="",
         relay_port=0,

@@ -1,15 +1,9 @@
 import pytest
 
 from friendmesh.errors import NetworkUnreachable
-from friendmesh.nat import (
-    WIRE_NAT_KINDS,
-    NatType,
-    Route,
-    connect_strategy,
-    needs_relay,
-    stun_classify,
-    wire_nat_kind,
-)
+from friendmesh.identity import SignedDigest
+from friendmesh.nat import NatType, needs_relay, stun_classify
+from friendmesh.records import RegistrationRecord
 
 
 class FakeProbes:
@@ -67,28 +61,24 @@ def test_stun_no_reply():
         stun_classify(FakeProbes("dead"))
 
 
-def test_wire_nat_kinds():
-    assert wire_nat_kind(NatType.PUBLIC) == "public"
-    assert wire_nat_kind(NatType.FULL_CONE) == "full_cone"
+def test_needs_relay():
     for t in (NatType.ADDRESS_RESTRICTED, NatType.PORT_RESTRICTED, NatType.SYMMETRIC):
-        assert wire_nat_kind(t) == "non_full_cone"
         assert needs_relay(t)
     assert not needs_relay(NatType.PUBLIC)
     assert not needs_relay(NatType.FULL_CONE)
 
 
-def test_connect_strategy_table():
-    assert connect_strategy("public", False) is Route.DIRECT
-    assert connect_strategy("non_full_cone", True) is Route.RELAY
-    assert connect_strategy("non_full_cone", False) is Route.UNREACHABLE
-    assert connect_strategy("full_cone", False) is Route.DIRECT
-    assert connect_strategy(wire_nat_kind(NatType.PORT_RESTRICTED), True) is Route.RELAY
-    assert connect_strategy("no_such_kind", True) is Route.UNREACHABLE
+def test_record_route():
+    """A record routes to its relay when it names one, else to ip:port when
+    the port is non-zero, else nowhere."""
 
+    def route(port, relay_address="", relay_port=0):
+        return RegistrationRecord(
+            "alice", "7.7.7.7", port, "tcp", relay_address, relay_port, "pw", b"",
+            SignedDigest(b"", b""),
+        ).route
 
-def test_connect_strategy_total_and_deterministic():
-    for kind in (*WIRE_NAT_KINDS, ""):
-        for has_relay in (False, True):
-            first = connect_strategy(kind, has_relay)
-            assert first is connect_strategy(kind, has_relay)
-            assert isinstance(first, Route)
+    assert route(7500) == ("7.7.7.7:7500", False)  # direct
+    assert route(0, "10.0.0.9", 7300) == ("10.0.0.9:7300", True)  # relay
+    assert route(0) == ("", False)  # none: an outbound-only owner
+    assert route(7500, "10.0.0.9", 7300) == ("10.0.0.9:7300", True)  # the relay wins over a port

@@ -145,6 +145,9 @@ def test_every_handler_names_a_schema_entry():
 # GOLDEN holds the bytes of one fixed instance of every record layout, as the
 # hand-written encoders produced them before the layouts were declared. The
 # handshake's hello and sealed key reply are pinned as they were declared.
+# registration_record, peer_row and registration_made were re-recorded when
+# the registration record lost its unsigned NAT kind; canonical_payload, what
+# the owner signs, did not move.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -160,18 +163,17 @@ FIELDS = [records.MIRROR_TABLE, profile._ENTRIES]
 GOLDEN = {
     'signed_digest': '0004010101010003736967',
     'registration_record': (
-        '0005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e65000375647000'
-        '0831302e302e302e39000437333030000670687261736500076d6972726f72730004010101010003'
-        '736967000431323334'
+        '0005616c696365000831302e302e302e310004373530300003756470000831302e302e302e390004'
+        '37333030000670687261736500076d6972726f72730004010101010003736967000431323334'
     ),
     'canonical_payload': (
         '000831302e302e302e310004373530300003756470000831302e302e302e39000437333030000670'
         '687261736500076d6972726f7273'
     ),
     'peer_row': (
-        '00590005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e6500037564'
-        '70000831302e302e302e39000437333030000670687261736500076d6972726f7273000401010101'
-        '00037369670004313233340004636572740003616263000131'
+        '004e0005616c696365000831302e302e302e310004373530300003756470000831302e302e302e39'
+        '000437333030000670687261736500076d6972726f72730004010101010003736967000431323334'
+        '0004636572740003616263000131'
     ),
     'mirror_entry': '0003626f62000a626f622d706872617365',
     'mirror_table': '00090003626f6200027031000b00056361726f6c00027032',
@@ -227,9 +229,9 @@ GOLDEN = {
         '6365000350554200026361000765632d703235360003534947'
     ),
     'registration_made': (
-        '0005616c696365000831302e302e302e31000437353030000966756c6c5f636f6e65000375647000'
-        '00000130000670687261736500016d00209974ed8b9e307cdb99f2eb63d88dc7713abd720d6bafd5'
-        'c9d94f9dd727e56bca000553ccab9913000130'
+        '0005616c696365000831302e302e302e310004373530300003756470000000013000067068726173'
+        '6500016d00209974ed8b9e307cdb99f2eb63d88dc7713abd720d6bafd5c9d94f9dd727e56bca0005'
+        '53ccab9913000130'
     ),
 }
 
@@ -252,7 +254,7 @@ def fixed_crypto(monkeypatch):
 
 def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     sd = SignedDigest(b"\x01" * 4, b"sig")
-    rec = RegistrationRecord("alice", "10.0.0.1", 7500, "full_cone", "udp", "10.0.0.9", 7300,
+    rec = RegistrationRecord("alice", "10.0.0.1", 7500, "udp", "10.0.0.9", 7300,
                              "phrase", b"mirrors", sd, last_refresh=1234)
     row = PeerRow(rec, b"cert", ring_id=0xABC, replica=True)
     cert = Certificate("alice", b"PUB", "ca", "ec-p256", b"SIG")
@@ -300,7 +302,7 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     out["issued_certificate"] = ca.issue("alice", b"PUB").encode()
     out["complaint_made"] = sentinel.make_complaint("10.0.0.2:7200", cert, b"PRIV", 99).encode()
     out["registration_made"] = records.make_registration_record(
-        "alice", "10.0.0.1", 7500, "full_cone", "udp", "", 0, "phrase", b"m", b"PRIV"
+        "alice", "10.0.0.1", 7500, "udp", "", 0, "phrase", b"m", b"PRIV"
     ).encode()
     return out
 
