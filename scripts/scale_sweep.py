@@ -17,6 +17,8 @@ records:
 - msgs_per_op: frames on the simulated wire per operation;
 - ring_maint_per_server_s: ring frames sent by upkeep, per server per
   virtual second of the timed phase;
+- ring_hops_per_lookup: ring hops per CHORD_LOOKUP a peer sent in the
+  timed phase, read from the servers' `EV chord_lookup hops=` events;
 - peak_rss_mb, and the operations attempted and failed.
 
 The grid goes to --out (BENCH_scale.json) as JSON. perfbench/ is only
@@ -62,6 +64,8 @@ def run_cell(seed: int, servers: int, peers: int, rounds: int) -> dict:
     traffic = world.traffic(mark)
     world.check_final()
     frames = sum(c[0] for c in traffic["classes"].values())
+    hops = [int(line.split(" hops=", 1)[1].split()[0])
+            for line in world.sim.trace[mark:] if " EV chord_lookup " in line]
     return {
         "servers": servers, "peers": peers, "relays": relays_for(peers),
         "setup_s": round(setup_s, 3),
@@ -69,6 +73,7 @@ def run_cell(seed: int, servers: int, peers: int, rounds: int) -> dict:
         "virtual_s_per_op": round(virtual_s / rec.ops, 4),
         "msgs_per_op": round(frames / rec.ops, 2),
         "ring_maint_per_server_s": round(traffic["maint"] / servers / virtual_s, 3),
+        "ring_hops_per_lookup": round(sum(hops) / len(hops), 3) if hops else 0.0,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "attempted": rec.ops + rec.failed, "failed": rec.failed,
     }

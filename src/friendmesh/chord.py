@@ -18,9 +18,15 @@ The predecessor, the successor list and the fingers hold (id, address)
 entries, so an address is hashed once, when it enters the table: beyond
 its own and its bootstrap's, a node hashes only new addresses that remote
 messages hand it. Routing reads an
-index of the distinct live fingers and successors sorted by clockwise
-distance from the node, rebuilt after the table or the evicted set
-changes: closest_preceding is a bisect over it.
+index of the distinct live fingers, successors and learned servers sorted
+by clockwise distance from the node, rebuilt after the table or the evicted
+set changes: closest_preceding is a bisect over it. The learned servers
+are the last LEARNED_LEN servers that answered one of this node's lookup
+queries (an address only named inside an answer is never learned), so on
+a ring of up to that many servers a lookup soon asks a node whose
+successor list covers the key: one hop (Gupta, Liskov and Rodrigues,
+NSDI 2004, with entries taken from lookup traffic as in Rhea et al.,
+USENIX ATC 2004).
 
 A ring query is answered with the closest preceding entry and the successor
 list, and a lookup (a joiner's too) ends at the first node whose list, read
@@ -40,6 +46,9 @@ from .store import MemoryStore
 
 BITS_FULL = 128
 SUCCESSOR_LIST_LEN = 4
+# Servers that answered this node's lookups, kept as routing candidates;
+# the one that answered least recently is dropped first.
+LEARNED_LEN = 128
 
 
 def ident_md5(name: str, bits: int = BITS_FULL) -> int:
@@ -132,13 +141,15 @@ class RingNode:
         self._pred: Entry | None = None
         self._fingers: list[Entry | None] = [None] * bits
         self._finger_cursor = 0  # the finger fix_finger resolves next
+        # Servers that answered a lookup query, least recent first.
+        self._learned: dict[str, Entry] = {}
         # The predecessor notified since the last check_predecessor.
         self._pred_heard = False
         self.evicted: set[str] = set()
         self.alive = True
-        # (addr -> ident over fingers and successors, sorted clockwise
-        # distances of the live candidates, their entries). Set to None when
-        # fingers, successors or evicted change; rebuilt at the next read.
+        # (addr -> ident over fingers, successors and learned servers, sorted
+        # clockwise distances of the live candidates, their entries). Set to
+        # None when any of those or evicted change; rebuilt at the next read.
         self._index: tuple[dict[str, int], list[int], list[Entry]] | None = None
 
     # -- table ---------------------------------------------------------------
@@ -146,11 +157,11 @@ class RingNode:
     def _routing(self) -> tuple[dict[str, int], list[int], list[Entry]]:
         if self._index is None:
             ids: dict[str, int] = {}
-            for entry in chain(self._fingers, self._succ):
+            for entry in chain(self._fingers, self._succ, self._learned.values()):
                 if entry is not None and entry[1] not in ids:
                     ids[entry[1]] = entry[0]
-            # One candidate per distance: the first in finger-then-successor
-            # order, which is the one a linear scan would keep on a tie.
+            # One candidate per distance: the first in finger, successor,
+            # learned order, which is the one a linear scan would keep on a tie.
             # Distance 0 is this node, or an id colliding with it.
             first: dict[int, Entry] = {}
             size = 1 << self.bits
@@ -180,6 +191,14 @@ class RingNode:
             self._fingers[i] = entry
             self._index = None
 
+    def _learn(self, entry: Entry) -> None:
+        """Keep a server that answered a query, as the most recent."""
+        if self._learned.pop(entry[1], None) is None:
+            self._index = None
+            if len(self._learned) >= LEARNED_LEN:
+                del self._learned[next(iter(self._learned))]
+        self._learned[entry[1]] = entry
+
     # -- local views ---------------------------------------------------------
 
     @property
@@ -188,7 +207,7 @@ class RingNode:
 
     def contacts(self) -> set[str]:
         """Every address among the successors and fingers, evicted ones too."""
-        return set(self._routing()[0])
+        return {e[1] for e in chain(self._fingers, self._succ) if e is not None}
 
     def successor(self) -> str:
         return next((s for _, s in self._succ if s not in self.evicted), self.addr)
@@ -258,6 +277,7 @@ class RingNode:
                     self.note_dead(node)
                     stuck_at = None
                     break
+                self._learn((node_id, node))
                 closest, chain = self._entry(closest_addr), self._chain(succs)
             if stuck_at is None and node == self.addr:
                 break
@@ -468,6 +488,8 @@ class RingNode:
 
     def note_dead(self, addr: str) -> None:
         self._set_successors([e for e in self._succ if e[1] != addr] or [self._self])
+        if self._learned.pop(addr, None) is not None:
+            self._index = None
         for i, entry in enumerate(self._fingers):
             if entry is not None and entry[1] == addr:
                 self._set_finger(i, None)

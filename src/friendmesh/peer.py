@@ -650,8 +650,12 @@ class Peer:
             )
 
     def _queue_for(self, friend: str, message: tuple) -> None:
-        """Queue an app message, (kind, *values), for the friend's next channel."""
-        self.state.queued_updates.setdefault(friend, []).append(message)
+        """Queue an app message, (kind, *values), for the friend's next
+        channel, unless the same message is already queued: each kind
+        queued is idempotent, so a second copy would only be sent twice."""
+        queue = self.state.queued_updates.setdefault(friend, [])
+        if message not in queue:
+            queue.append(message)
 
     def flush_queues(self) -> None:
         """Deliver queued updates to every friend currently reachable."""

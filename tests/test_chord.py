@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friendmesh import chord
@@ -194,6 +194,7 @@ def walk_to_immediate_successor(nodes, start, key):
 
 @settings(deadline=None, max_examples=40)
 @given(size=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
+@example(size=9, seed=3)  # a bound read after the lookup saw the learned routes
 def test_successor_list_ends_lookups_no_later_than_the_immediate_successor(size, seed):
     rng = random.Random(seed)
     addrs = [f"10.4.{seed % 250}.{i}:7{i:03d}" for i in range(size)]
@@ -204,9 +205,12 @@ def test_successor_list_ends_lookups_no_later_than_the_immediate_successor(size,
         # Half the keys inside the arc the start node's own list covers.
         offset = rng.randrange(1, arc + 1) if rng.random() < 0.5 else rng.randrange(2**128)
         key = (start.ident + offset) % 2**128
+        # The bound reads the table the lookup routes by, before the lookup
+        # learns the servers that answer it.
+        bound = walk_to_immediate_successor(nodes, start.addr, key)
         result = start.find_successor(key)
         assert result.addr == oracle_successor(addrs, key, 128)
-        assert result.hops <= walk_to_immediate_successor(nodes, start.addr, key)
+        assert result.hops <= bound
         if 0 < (key - start.ident) % 2**128 <= arc:
             assert result.hops == 0
 
@@ -326,8 +330,9 @@ def test_crashed_node_leaves_no_successor_list_of_a_small_ring():
 
 
 def scan_closest(node, ident):
-    """Reference: scan fingers, then successors, hashing every address."""
-    candidates = [f[1] for f in node._fingers if f] + [s for _, s in node._succ]
+    """Reference: scan fingers, successors, then learned servers, hashing
+    every address."""
+    candidates = [f[1] for f in node._fingers if f] + [s for _, s in node._succ] + list(node._learned)
     best, best_id = node.addr, node.ident
     for addr in candidates:
         if addr in node.evicted or addr == node.addr:
@@ -342,7 +347,7 @@ def scan_closest(node, ident):
 
 def assert_routes_like_scan(node):
     size = 1 << node.bits
-    entries = [e for e in node._fingers if e] + node._succ
+    entries = [e for e in node._fingers if e] + node._succ + list(node._learned.values())
     assert all(ident == node_ident(addr, node.bits) for ident, addr in entries)
     # Ids off the ring reach closest_preceding from remote queries.
     probes = [-(2**130), -size // 2, size + size // 3, 2**130 + 7]
@@ -397,6 +402,7 @@ def routing_tables(draw):
         "fingers": draw(st.dictionaries(slot, st.none() | st.sampled_from(POOL), max_size=12)),
         "successors": draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=6)),
         "evicted": draw(st.sets(st.sampled_from(POOL), max_size=5)),
+        "learned": draw(st.lists(st.sampled_from(POOL), max_size=6)),
         "live": draw(st.sets(st.sampled_from(POOL), min_size=1)),
         "actions": draw(st.lists(
             st.tuples(st.sampled_from(["note_dead", "evict"]), st.sampled_from(POOL))
@@ -417,6 +423,8 @@ def test_routing_index_matches_linear_scan(table):
         node._fingers[i] = None if addr is None else (node_ident(addr, bits), addr)
     node._succ = [(node_ident(a, bits), a) for a in table["successors"]]
     node.evicted |= table["evicted"] - {node.addr}
+    for addr in table["learned"]:
+        node._learn((node_ident(addr, bits), addr))
     node._index = None
     assert_routes_like_scan(node)
     for action, addr in table["actions"]:
@@ -448,17 +456,106 @@ def test_routing_hashes_only_remote_answers(monkeypatch):
         bound = (chord.SUCCESSOR_LIST_LEN + 1) * result.hops
         assert len(hashed) <= bound, (len(hashed), result.hops)
     # On a converged ring, stabilize and notify reuse the ids the tables
-    # hold, and a round with fix_fingers sends 159 messages: per node one
-    # notify, whose reply is the successor's state, then the fingers (267
-    # when a lookup ended only at a node's immediate successor). No
-    # check_predecessor pings: every predecessor notified during the round
-    # before (299 when each check pinged).
+    # hold, and a round with fix_fingers sends 115 messages: per node one
+    # notify, whose reply is the successor's state, then the fingers, whose
+    # lookups route through the servers that answered the 300 above (159
+    # when only fingers and successors routed, 267 when a lookup ended only
+    # at a node's immediate successor). No check_predecessor pings: every
+    # predecessor notified during the round before (299 when each check
+    # pinged).
     hashed.clear()
     chord.stabilize_all(nodes, rounds=1, fix=False)
     assert hashed == []
     before = transport.messages
     chord.stabilize_all(nodes, rounds=1)
-    assert transport.messages - before == 159
+    assert transport.messages - before == 115
+
+
+# -- routes learned from answers ---------------------------------------------------
+
+
+class RecordingTransport(chord.DirectTransport):
+    """Keeps the address of every node that answered a query, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.answered = []
+
+    def query(self, addr, ident):
+        answer = super().query(addr, ident)
+        self.answered.append(addr)
+        return answer
+
+
+def test_learned_servers_stay_under_the_cap_least_recent_dropped_first(monkeypatch):
+    monkeypatch.setattr(chord, "LEARNED_LEN", 3)
+    addrs = [f"10.6.5.{i}:7{i:03d}" for i in range(32)]
+    nodes, transport = chord.build_ring(addrs, transport=RecordingTransport())
+    start = nodes[addrs[0]]
+    start._learned.clear()
+    start._index = None
+    transport.answered.clear()
+    rng = random.Random(5)
+    for _ in range(100):
+        start.find_successor(rng.randrange(2**128))
+        assert len(start._learned) <= 3
+    # Only the start node's queries were answered since the clear.
+    recent = list(dict.fromkeys(reversed(transport.answered)))[:3]
+    assert list(start._learned) == recent[::-1]
+    assert all(entry == (node_ident(a, 128), a) for a, entry in start._learned.items())
+
+
+def test_an_address_named_only_inside_an_answer_is_never_learned():
+    addrs = [f"10.6.6.{i}:7{i:03d}" for i in range(16)]
+    nodes, transport = chord.build_ring(addrs)
+    fake = "10.66.0.0:9000"
+    liar = nodes[addrs[5]]
+    liar.local_query = lambda ident: (liar.addr, [fake])
+    rng = random.Random(6)
+    for start in (nodes[a] for a in addrs if a != liar.addr):
+        for _ in range(40):
+            start.find_successor(rng.randrange(2**128))
+        assert fake not in start._learned
+        assert fake not in start._routing()[0]
+        assert fake not in start.contacts()
+    assert any(liar.addr in nodes[a]._learned for a in addrs)
+
+
+@pytest.mark.parametrize("action", ["note_dead", "evict"])
+def test_note_dead_and_evict_drop_a_learned_server(action):
+    addrs = [f"10.6.7.{i}:7{i:03d}" for i in range(24)]
+    nodes, _ = chord.build_ring(addrs)
+    start = nodes[addrs[0]]
+    rng = random.Random(7)
+    for _ in range(50):
+        start.find_successor(rng.randrange(2**128))
+    table = start.contacts()
+    learned_only = [a for a in start._learned if a not in table]
+    assert learned_only
+    victim = learned_only[0]
+    assert victim in start._routing()[0]
+    getattr(start, action)(victim)
+    assert victim not in start._learned
+    assert victim not in start._routing()[0]
+    assert all(victim != entry[1] for entry in start._routing()[2])
+
+
+def test_a_second_pass_over_the_same_keys_takes_at_most_one_hop():
+    rng = random.Random(64)
+    addrs = [f"10.1.{i}.{rng.randrange(250)}:7{i:03d}" for i in range(64)]
+    nodes, _ = chord.build_ring(addrs)
+    start = nodes[addrs[0]]
+    keys = [rng.randrange(2**128) for _ in range(300)]
+    first = [start.find_successor(key) for key in keys]
+    assert max(r.hops for r in first) > 1
+    contacts = start.contacts()
+    for key in keys:
+        result = start.find_successor(key)
+        assert result.addr == oracle_successor(addrs, key, 128)
+        assert result.hops <= 1
+    # The complaint fan-out is still the successors and fingers only.
+    assert start.contacts() == contacts
+    assert set(start._learned) - contacts
 
 
 # -- periodic upkeep ---------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Golden replay gate: the trace of every committed scenario, byte for byte.
 
-Every hash was last re-recorded, on purpose, when the registration record
+Every hash was re-recorded, on purpose, when the registration record
 lost its unsigned NAT kind and a peer that needs a relay came to register
-port 0. Each trace keeps its lines, times and events; only the sizes of
-the frames that carry a record shrink: 8 bytes for a public owner's, 11
-for a full-cone owner's, 18 or 19 for a relayed owner's. Any change to a
-wire byte, a message count, a timestamp or an event in any scenario
-changes a hash.
+port 0. Each trace kept its lines, times and events; only the sizes of
+the frames that carry a record shrank: 8 bytes for a public owner's, 11
+for a full-cone owner's, 18 or 19 for a relayed owner's. s1_sybil's was
+re-recorded again when a ring node came to route through the servers that
+answered its lookups: its 100 sybils make the one ring large enough for
+lookups to take fewer hops, and one more locate meets a sybil that owns
+the key but holds no row. Any change to a wire byte, a message count, a
+timestamp or an event in any scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -39,7 +42,7 @@ TRACE_SHA256 = {
     "r1_drop": "90362f50a16b924b1fcf7c3e56e6f49030730b411058d8d906c4d45aeeb3880e",
     "r2_misroute": "b85bb087e4968998b844401a52aab09c0e43a6c694f338a3d3a990d392c7f5ac",
     "r3_claim_key": "ba75665333b567b1da708fbffffe589ea8676c14041c6c1a355e0b5b5fdde07d",
-    "s1_sybil": "f354295a0d3bd4f7077679d21c209513f6c569ffd5692f3eea4a9e8b2a96db17",
+    "s1_sybil": "5c8381df456f2f90c8f2490fedd40c393a32d1e427c039c49701798af5948a4b",
     "t1_falsify": "896ad0a2705d2dca895150384080da148ffdd87bb637fff55ce883e82ce81f66",
 }
 

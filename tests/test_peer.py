@@ -215,6 +215,23 @@ def test_storage_attack_surfaced_when_all_paths_lie():
     assert world.peers["user00"].state.queued_updates.get("user01")
 
 
+def test_a_tampered_record_met_twice_queues_one_note():
+    # The one server rewrote user01's stored port: every locate of user01
+    # meets the same tampered record, and the owner needs one note of it.
+    from dataclasses import replace
+
+    world = small_world()
+    (server_addr, server), = world.servers.items()
+    (row,) = [r for r in server.store.peer_rows() if r.record.username == "user01"]
+    server.store.upsert_peer(replace(row, record=replace(row.record, port=row.record.port + 1)))
+    reader = world.peers["user00"]
+    with pytest.raises(Unavailable):
+        reader.connect_friend("user01")
+    with pytest.raises(StorageAttack):
+        reader.locate_friend("user01")
+    assert reader.state.queued_updates["user01"] == [("note_bad_server", server_addr)]
+
+
 def test_one_honest_dual_path_still_serves():
     # MD5-path server lies, SHA-1-path honest: verified record via the
     # honest path, notification queued for the friend.
