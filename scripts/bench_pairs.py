@@ -14,8 +14,12 @@ For each end-to-end metric of BASE's BENCHMARK.json it records each side's
 median and quartiles (`statistics.quantiles(values, n=4)`), the pairs the
 change won, the ties and every run's value, and writes them under the
 workload's name in BENCH_<slug>.json in the current directory, keeping
-the other workloads already in that file. It stops with an error if a run
-fails, fails its checks or prints no result.
+the other workloads already in that file. Beside them, under "reference",
+it keeps each run's `perfbench reference:` line from stderr (the unscaled
+host p50 per operation kind, the reference block's quartiles and the host
+setup times), so a timing change can be told from a change in the scaling.
+It stops with an error if a run fails, fails its checks or prints no
+result.
 """
 from __future__ import annotations
 
@@ -29,7 +33,11 @@ import sys
 SIDES = ("base", "change")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+REFERENCE = "perfbench reference: "
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """The run's result line and its reference figures."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
@@ -39,7 +47,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     if not result.get("correct"):
         raise RuntimeError(f"{checkout}: {workload} seed {seed} failed its checks")
-    return result
+    reference = [line for line in proc.stderr.splitlines() if line.startswith(REFERENCE)]
+    if not reference:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} printed no reference figures")
+    return result, json.loads(reference[-1][len(REFERENCE):])
 
 
 def summarise(metric: dict, runs: dict[str, list[dict]]) -> dict:
@@ -75,10 +86,13 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    references: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_once(checkouts[side], args.workload, seed, seconds))
+            result, reference = run_once(checkouts[side], args.workload, seed, seconds)
+            runs[side].append(result)
+            references[side].append(reference)
         print(f"{args.workload} pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
 
     entry = {
@@ -87,6 +101,7 @@ def main(argv=None) -> int:
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
         "metrics": {m["name"]: summarise(m, runs) for m in spec["end_to_end"]},
+        "reference": references,
     }
     path = f"BENCH_{args.slug}.json"
     report = {}

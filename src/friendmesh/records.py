@@ -11,9 +11,10 @@ The signed digest covers the canonical payload, a view of the record's
 layout: IP, port, protocol, relay address, relay port, passphrase,
 encrypted mirror list, each field 2-byte length prefixed, integers as
 ASCII decimal. Every field but the username (bound by the certificate)
-and last_refresh (set by the server) is inside it, so a record routes
-only through what its owner signed: to its relay when it names one, else
-to ip:port when the port is non-zero, else nowhere.
+is inside it, so a record routes only through what its owner signed: to
+its relay when it names one, else to ip:port when the port is non-zero,
+else nowhere. A server adds nothing to the record, so a re-registration
+of the same signed record stores a row equal to the one it replaces.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .identity import Certificate, SignedDigest
 from .wire import FLAG, IDENT, INT, RAW, STR, list_of, record, spread
 
 
-@record(STR, STR, INT, STR, STR, INT, STR, RAW, spread(SignedDigest), INT)
+@record(STR, STR, INT, STR, STR, INT, STR, RAW, spread(SignedDigest))
 @dataclass(frozen=True)
 class RegistrationRecord:
     username: str
@@ -36,7 +37,6 @@ class RegistrationRecord:
     passphrase: str
     encrypted_mirror_list: bytes
     signed_digest: SignedDigest
-    last_refresh: int = 0
 
     def canonical_payload(self) -> bytes:
         return _CANONICAL.encode(self)

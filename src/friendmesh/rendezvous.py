@@ -246,8 +246,9 @@ class RendezvousSession:
 
     def _on_register(self, sender: Certificate, *values) -> tuple:
         server = self.server
-        # values: the record's fields less username and last_refresh (wire.SCHEMA["register"])
-        record = RegistrationRecord(sender.username, *values, server.clock())
+        # values: the record's fields less the username (wire.SCHEMA["register"]),
+        # so an unchanged re-registration builds a row equal to the stored one
+        record = RegistrationRecord(sender.username, *values)
         row = PeerRow(
             record=record,
             certificate=sender.encode(),

@@ -19,7 +19,7 @@ def register_peer(
     session: SecureChannel, record: RegistrationRecord
 ) -> list[FriendshipRequestRecord]:
     """Submit the signed registration payload; returns pending friendship requests."""
-    fields = RegistrationRecord.LAYOUT.values(record)[1:-1]  # less username and last_refresh
+    fields = RegistrationRecord.LAYOUT.values(record)[1:]  # less the username: the certificate's
     (pending,) = session.call("register", *fields)
     return pending
 

@@ -2,16 +2,21 @@
 
 One implementation of the contract, MemoryStore: dicts behind one lock,
 so the thread-per-connection servers may share it. The deterministic
-simulator and plain chord ring nodes use it as it is. SqliteStore is a
-MemoryStore that also persists: every change is written through to one
-table of (kind, key, value) rows, where value is the record's declared
-layout (records.py), and committed before the call that made it returns.
-The change queues its statements under the store's lock and commits them
-after releasing it, so a lookup on another thread never waits for the
-disk. Opening the file reads the table back in insertion order; sqlite is
-never read after that. A peer row that no longer decodes, as one written
-in an older record layout, is deleted on open: a registration is soft
-state its owner re-sends. Any other row that does not decode is an error.
+simulator and plain chord ring nodes use it as it is. A call that changes
+nothing (a row equal to the stored one, a replica over a primary, a
+removal of an absent key, a pop that finds nothing) changes no table and
+so writes nothing.
+
+SqliteStore is a MemoryStore that also persists: every change is written
+through to one table of (kind, key, value) rows, where value is the
+record's declared layout (records.py), and every change a call made or
+saw is committed before the call returns. The change queues its
+statements under the store's lock and commits them after releasing it,
+so a lookup on another thread never waits for the disk. Opening the file
+reads the table back in insertion order; sqlite is never read after that.
+A peer row that no longer decodes, as one written in an older record
+layout, is deleted on open: a registration is soft state its owner
+re-sends. Any other row that does not decode is an error.
 
 Peer rows are keyed by (username, ring id); the chord ring reads and
 writes them here directly when it places, replicates and hands over
@@ -47,20 +52,19 @@ class MemoryStore:
         """Called with the lock held after each change: records stored, or removed."""
 
     def _commit(self) -> None:
-        """Called after each change once the lock is released; the change
-        is durable when it returns."""
+        """Called after each call once the lock is released; every change
+        made so far, by this call or one it saw, is durable when it returns."""
 
     def upsert_peer(self, row: PeerRow) -> None:
         """Insert or replace by (username, ring id); a replica never
-        replaces a primary row, a primary replaces either."""
+        replaces a primary row, a primary replaces either, and an equal
+        row changes nothing."""
         key = (row.record.username, row.ring_id)
         with self._lock:
-            if row.replica:
-                existing = self._peers.get(key)
-                if existing is not None and not existing.replica:
-                    return
-            self._peers[key] = row
-            self._changed("peer", row)
+            existing = self._peers.get(key)
+            if existing != row and (existing is None or existing.replica or not row.replica):
+                self._peers[key] = row
+                self._changed("peer", row)
         self._commit()
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
@@ -89,9 +93,11 @@ class MemoryStore:
         self._commit()
 
     def put_friend_request(self, request: FriendshipRequestRecord) -> None:
+        key = (request.target_username, request.requester_username)
         with self._lock:
-            self._requests[(request.target_username, request.requester_username)] = request
-            self._changed("request", request)
+            if self._requests.get(key) != request:
+                self._requests[key] = request
+                self._changed("request", request)
         self._commit()
 
     def pop_friend_requests(self, target: str) -> list[FriendshipRequestRecord]:
@@ -105,9 +111,11 @@ class MemoryStore:
         return delivered
 
     def upsert_relay(self, relay: RelayRecord) -> None:
+        key = (relay.address, relay.port)
         with self._lock:
-            self._relays[(relay.address, relay.port)] = relay
-            self._changed("relay", relay)
+            if self._relays.get(key) != relay:
+                self._relays[key] = relay
+                self._changed("relay", relay)
         self._commit()
 
     def relay_rows(self) -> list[RelayRecord]:
@@ -166,7 +174,8 @@ class SqliteStore(MemoryStore):
 
     def _commit(self) -> None:
         # Whoever holds the file lock writes every change queued so far, so
-        # once this thread holds it, its own change is written and committed.
+        # once this thread holds it, every change this call made or saw is
+        # written and committed. With nothing queued, commit() sends nothing.
         with self._file_lock:
             while self._queued:
                 self._db.executemany(*self._queued.popleft())

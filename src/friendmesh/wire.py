@@ -545,9 +545,9 @@ BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstance(code, int)}
 
 # Rendezvous app kinds, each on a rendezvous session.
-# The RegistrationRecord's fields in order, less username and last_refresh
-# (the signed digest spread as two) -> pending friendship requests
-_app("register", RegistrationRecord.LAYOUT.fields[1:-1], (many(FriendshipRequestRecord),))
+# The RegistrationRecord's fields in order, less the username (the
+# certificate's; the signed digest spread as two) -> pending friendship requests
+_app("register", RegistrationRecord.LAYOUT.fields[1:], (many(FriendshipRequestRecord),))
 _app("locate", (STR,), (RegistrationRecord, RAW))  # passphrase -> record, owner certificate
 _app("friend_request", (STR,), (RAW,))  # username -> certificate
 _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user

@@ -185,9 +185,9 @@ def test_criterion_3_tamper_detection():
         "passphrase": lambda r: r.passphrase[:-1] + ("A" if r.passphrase[-1] != "A" else "B"),
         "encrypted_mirror_list": lambda r: r.encrypted_mirror_list + b"\x00",
     }
-    # Every field but the username (the certificate's), the signature and
-    # last_refresh (the server's): each steers a connection or a lookup.
-    unbound = {"username", "signed_digest", "last_refresh"}
+    # Every field but the username (the certificate's) and the signature:
+    # each steers a connection or a lookup.
+    unbound = {"username", "signed_digest"}
     assert set(mutations) == set(RegistrationRecord.LAYOUT.names) - unbound
     missed = 0
     total = 0

@@ -8,8 +8,13 @@ for a full-cone owner's, 18 or 19 for a relayed owner's. s1_sybil's was
 re-recorded again when a ring node came to route through the servers that
 answered its lookups: its 100 sybils make the one ring large enough for
 lookups to take fewer hops, and one more locate meets a sybil that owns
-the key but holds no row. Any change to a wire byte, a message count, a
-timestamp or an event in any scenario changes a hash.
+the key but holds no row. Every hash was last re-recorded when the
+registration record lost the server's last_refresh stamp: again each trace
+kept its lines, times and events, and only the locate replies and the
+ring_replicate and ring_transfer frames shrank, by 5 or 6 bytes per record
+(the stamp's decimal digits and their length prefix). Any change to a wire
+byte, a message count, a timestamp or an event in any scenario changes a
+hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -34,16 +39,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "9ae477ae8daf5b54eaea5d3fcc41e10f8cda0404f1fc244ae37e6fd209a0b328",
-    "churn": "cd73f7bdddd1f9829052b785ed74dbecc27458c1751944e10e949c2eda7f8966",
-    "e1_eclipse": "940d3f316ff476a405984771041d1033a63dcacb8938849fdf04134fcbdd974b",
-    "eviction": "20dc82664630531e8932cf5c2f3142b476798d0591ce991b00e6cf328ae95b7e",
-    "island_partition": "86f80a07ea49bd36ea2698494057dff9192674c9d2be1132bac960de603e2ab6",
-    "r1_drop": "90362f50a16b924b1fcf7c3e56e6f49030730b411058d8d906c4d45aeeb3880e",
-    "r2_misroute": "b85bb087e4968998b844401a52aab09c0e43a6c694f338a3d3a990d392c7f5ac",
-    "r3_claim_key": "ba75665333b567b1da708fbffffe589ea8676c14041c6c1a355e0b5b5fdde07d",
-    "s1_sybil": "5c8381df456f2f90c8f2490fedd40c393a32d1e427c039c49701798af5948a4b",
-    "t1_falsify": "896ad0a2705d2dca895150384080da148ffdd87bb637fff55ce883e82ce81f66",
+    "baseline": "396f842d81b1e315ff711ba897facf686472076fa50d0aac83a12ce22f5fd654",
+    "churn": "cf7ad7f92b4aca16919b2ea9b4cd9a895544ffca9d2b97d2da9183135c6e0fed",
+    "e1_eclipse": "1433043133f243d54433079957f2494541ce3a4084ce60bcc2ddb29e6c695e23",
+    "eviction": "7edfaaa6d407be71d3e7872e7fd2cc51a45c4fcc2ca4343065bc8841e495e616",
+    "island_partition": "19a4133a71340591d234c709f3f2aa2d926870c18e8db604c393635b178f8dec",
+    "r1_drop": "2c003b2cf9eaa6713dacd45750ac99884a623959fa2865240f67e9e0fd80cd69",
+    "r2_misroute": "234c9deb163b5671f4d8fef4e385ae9018f2c220dbcc005fa4d3abf3b6e6dc33",
+    "r3_claim_key": "bfebb153a9bacbc54ddca0505e4a05e31287b1ee8771e8f56dc97abcf5c16a26",
+    "s1_sybil": "58cbc118bc9feaf53ec9dde8d4347f79f5b25bb9d51cbfd168f95ebad942753b",
+    "t1_falsify": "e4600894fff3896c345655f814247f470c4a3ff20fb084e19e894d3680a6e493",
 }
 
 

@@ -373,11 +373,11 @@ def test_locate_peer_rejects_short_reply(ca, user):
 
 
 # Every field of a registration record a server could rewrite to steer a
-# connection: all but the username (bound by the certificate), the
-# signature and last_refresh (the server's own).
+# connection: all but the username (bound by the certificate) and the
+# signature.
 STEERING_FIELDS = [
     name for name in RegistrationRecord.LAYOUT.names
-    if name not in ("username", "signed_digest", "last_refresh")
+    if name not in ("username", "signed_digest")
 ]
 
 

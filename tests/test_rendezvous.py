@@ -475,13 +475,136 @@ def test_sqlite_store_commits_outside_the_store_lock(ca, tmp_path):
     assert store.SqliteStore(path).peer_rows() == [row]
 
 
-# A PeerRow as a server wrote it while the registration record still carried
-# a NAT kind ("full_cone", after the port); the rest is today's layout.
-OLD_LAYOUT_PEER_ROW = wire.pack_fields(
-    wire.pack_fields(b"alice", b"10.0.0.1", b"7500", b"full_cone", b"udp", b"10.0.0.9", b"7300",
-                     b"phrase", b"mirrors", b"\x01" * 4, b"sig", b"1234"),
-    b"cert", b"abc", b"1",
-)
+def writes(st):
+    """What st writes from now on, as a list that grows: ("changed", kind)
+    per table change and ("sql", statement) per statement sent to sqlite."""
+    seen = []
+    changed = st._changed
+
+    def spy(kind, *records, removed=False):
+        seen.append(("changed", kind))
+        changed(kind, *records, removed=removed)
+
+    st._changed = spy
+    if isinstance(st, store.SqliteStore):
+        st._db.set_trace_callback(lambda sql: seen.append(("sql", sql)))
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_store_call_that_changes_nothing_writes_nothing(backend, ca, tmp_path):
+    path = str(tmp_path / "db.sqlite")
+    st = store.MemoryStore() if backend == "memory" else store.SqliteStore(path)
+    pair, cert = make_user(ca, f"noop-user-{backend}")
+    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=7)
+    request = FriendshipRequestRecord("t", "r", b"blob")
+    relay = RelayRecord(address="10.0.2.1", port=7300, capacity=4, load=1, last_update=5)
+    st.upsert_peer(row)
+    st.put_friend_request(request)
+    st.upsert_relay(relay)
+
+    seen = writes(st)
+    st.upsert_peer(PeerRow.decode(row.encode()))  # equal, not the same object
+    st.upsert_peer(replace(row, replica=True))  # a replica over a primary
+    st.put_friend_request(FriendshipRequestRecord("t", "r", b"blob"))
+    st.upsert_relay(replace(relay))
+    assert st.pop_friend_requests("nobody") == []
+    st.remove_peer(row.record.username, 8)
+    st.remove_peer("nobody", 7)
+    st.remove_relay("10.0.2.1", 7301)
+    assert seen == []
+    assert st.peer_rows() == [row] and st.relay_rows() == [relay]
+
+    st.upsert_relay(replace(relay, load=2))  # a real change is still written
+    assert seen[0] == ("changed", "relay")
+    assert (("sql", "COMMIT") in seen) == (backend == "sqlite")
+
+
+def test_an_unchanged_reregistration_writes_nothing_to_the_file(ca, clock, tmp_path):
+    path = str(tmp_path / "db.sqlite")
+    server = RendezvousServer(
+        addr="10.0.0.1:7200", config=RendezvousConfig(), ca_public_key=ca.public_key,
+        store=store.SqliteStore(path), clock=clock, rng=random.Random(1),
+    )
+    pair, cert = make_user(ca, "file-alice")
+    first = make_record(pair, cert, passphrase="file-alice-1")
+    session = secure_client(server, pair, cert)
+    rvclient.register_peer(session, first)
+    rpair, rcert = make_user(ca, "file-bob")
+    rvclient.register_peer(secure_client(server, rpair, rcert), make_record(rpair, rcert, passphrase="file-bob-1"))
+    rvclient.relay_register(relay_channel(server, "10.0.2.1:9000"), 7300, 10)
+
+    seen = writes(server.store)
+    clock.advance(60_000)  # the owner's refresh, a minute on: the same signed record
+    assert rvclient.register_peer(session, first) == []
+    assert rvclient.register_peer(secure_client(server, pair, cert), first) == []
+    assert seen == []
+
+    def commits():
+        return [sql for kind, sql in seen if kind == "sql" and sql == "COMMIT"]
+
+    second = make_record(pair, cert, passphrase="file-alice-2")
+    assert rvclient.register_peer(session, second) == []
+    assert commits() == ["COMMIT"]
+    rclient = secure_client(server, rpair, rcert)
+    target = rvclient.friend_request(rclient, "file-alice")
+    rvclient.submit_passphrase_blob(rclient, rvclient.seal_request_blob(target, "file-bob", "file-bob-1"))
+    rvclient.relay_update(relay_channel(server, "10.0.2.1:9000"), 7300, 3, 10)
+    del seen[:]
+    (delivered,) = rvclient.register_peer(session, second)  # the same row; a request popped
+    assert delivered.requester_username == "file-bob"
+    assert [w for w in seen if w[0] == "changed"] == [("changed", "request")]
+    assert commits() == ["COMMIT"]
+    rvclient.friend_request(rclient, "file-alice")
+    rvclient.submit_passphrase_blob(rclient, rvclient.seal_request_blob(target, "file-bob", "file-bob-2"))
+
+    # The reopened file holds exactly what the server acknowledged.
+    reopened = store.SqliteStore(path)
+    assert reopened._tables == server.store._tables
+    assert reopened.peer_rows() == server.store.peer_rows()  # in the same order
+    assert reopened.peer_by_username("file-alice").record == second
+    assert reopened.relay_rows()[0].load == 3
+    assert [r.requester_username for r in reopened.pop_friend_requests("file-alice")] == ["file-bob"]
+
+
+def test_an_unchanged_upsert_returns_once_an_equal_change_is_committed(ca, tmp_path):
+    # A call that changes nothing must still not return while the equal
+    # change it found, made by another thread, is not yet committed.
+    path = str(tmp_path / "db.sqlite")
+    st = store.SqliteStore(path)
+    pair, cert = make_user(ca, "equal-user")
+    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=7)
+    writers = [threading.Thread(target=st.upsert_peer, args=(row,)) for _ in range(2)]
+    with st._file_lock:  # the file is busy: the first writer's change waits, queued
+        writers[0].start()
+        deadline = time.monotonic() + 5
+        while not st.peer_rows() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        writers[1].start()
+        writers[1].join(timeout=0.5)
+        assert writers[1].is_alive()
+    for writer in writers:
+        writer.join(timeout=5)
+    assert not any(writer.is_alive() for writer in writers)
+    assert store.SqliteStore(path).peer_rows() == [row]
+
+
+# PeerRows as a server wrote them in older record layouts; the rest is
+# today's layout. One from while the registration record still carried a NAT
+# kind ("full_cone", after the port) and the server's last_refresh stamp; one
+# from while it carried only the stamp ("1234", its last field).
+OLD_LAYOUT_PEER_ROWS = {
+    "nat_kind": wire.pack_fields(
+        wire.pack_fields(b"alice", b"10.0.0.1", b"7500", b"full_cone", b"udp", b"10.0.0.9", b"7300",
+                         b"phrase", b"mirrors", b"\x01" * 4, b"sig", b"1234"),
+        b"cert", b"abc", b"1",
+    ),
+    "last_refresh": wire.pack_fields(
+        wire.pack_fields(b"alice", b"10.0.0.1", b"7500", b"udp", b"10.0.0.9", b"7300",
+                         b"phrase", b"mirrors", b"\x01" * 4, b"sig", b"1234"),
+        b"cert", b"abc", b"1",
+    ),
+}
 
 
 def sqlite_file(path, *rows):
@@ -495,19 +618,23 @@ def sqlite_file(path, *rows):
     return db
 
 
-def test_sqlite_store_drops_a_peer_row_of_an_older_layout(tmp_path):
+@pytest.mark.parametrize("layout", sorted(OLD_LAYOUT_PEER_ROWS))
+def test_sqlite_store_drops_a_peer_row_of_an_older_layout(tmp_path, layout):
     # A registration is soft state its owner re-sends: the restarted server
     # opens, forgets the row, and keeps everything else.
     path = str(tmp_path / "db.sqlite")
     relay = RelayRecord(address="10.0.2.1", port=7300, capacity=4, load=1, last_update=5)
+    request = FriendshipRequestRecord("alice", "bob", b"blob")
     db = sqlite_file(
         path,
-        ("peer", repr(("alice", 0xABC)), OLD_LAYOUT_PEER_ROW),
+        ("peer", repr(("alice", 0xABC)), OLD_LAYOUT_PEER_ROWS[layout]),
         ("relay", repr(("10.0.2.1", 7300)), relay.encode()),
+        ("request", repr(("alice", "bob")), request.encode()),
     )
     st = store.SqliteStore(path)
     assert st.peer_rows() == [] and st.relay_rows() == [relay]
-    assert db.execute("SELECT kind FROM records").fetchall() == [("relay",)]
+    assert db.execute("SELECT kind FROM records").fetchall() == [("relay",), ("request",)]
+    assert st.pop_friend_requests("alice") == [request]
     db.close()
 
 

@@ -146,8 +146,9 @@ def test_every_handler_names_a_schema_entry():
 # hand-written encoders produced them before the layouts were declared. The
 # handshake's hello and sealed key reply are pinned as they were declared.
 # registration_record, peer_row and registration_made were re-recorded when
-# the registration record lost its unsigned NAT kind; canonical_payload, what
-# the owner signs, did not move.
+# the registration record lost its unsigned NAT kind, and again when it lost
+# the server's last_refresh stamp (its last field, and the 6 bytes of it
+# inside peer_row); canonical_payload, what the owner signs, did not move.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -164,16 +165,16 @@ GOLDEN = {
     'signed_digest': '0004010101010003736967',
     'registration_record': (
         '0005616c696365000831302e302e302e310004373530300003756470000831302e302e302e390004'
-        '37333030000670687261736500076d6972726f72730004010101010003736967000431323334'
+        '37333030000670687261736500076d6972726f72730004010101010003736967'
     ),
     'canonical_payload': (
         '000831302e302e302e310004373530300003756470000831302e302e302e39000437333030000670'
         '687261736500076d6972726f7273'
     ),
     'peer_row': (
-        '004e0005616c696365000831302e302e302e310004373530300003756470000831302e302e302e39'
-        '000437333030000670687261736500076d6972726f72730004010101010003736967000431323334'
-        '0004636572740003616263000131'
+        '00480005616c696365000831302e302e302e310004373530300003756470000831302e302e302e39'
+        '000437333030000670687261736500076d6972726f72730004010101010003736967000463657274'
+        '0003616263000131'
     ),
     'mirror_entry': '0003626f62000a626f622d706872617365',
     'mirror_table': '00090003626f6200027031000b00056361726f6c00027032',
@@ -231,7 +232,7 @@ GOLDEN = {
     'registration_made': (
         '0005616c696365000831302e302e302e310004373530300003756470000000013000067068726173'
         '6500016d00209974ed8b9e307cdb99f2eb63d88dc7713abd720d6bafd5c9d94f9dd727e56bca0005'
-        '53ccab9913000130'
+        '53ccab9913'
     ),
 }
 
@@ -255,7 +256,7 @@ def fixed_crypto(monkeypatch):
 def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     sd = SignedDigest(b"\x01" * 4, b"sig")
     rec = RegistrationRecord("alice", "10.0.0.1", 7500, "udp", "10.0.0.9", 7300,
-                             "phrase", b"mirrors", sd, last_refresh=1234)
+                             "phrase", b"mirrors", sd)
     row = PeerRow(rec, b"cert", ring_id=0xABC, replica=True)
     cert = Certificate("alice", b"PUB", "ca", "ec-p256", b"SIG")
     complaint = Complaint("10.0.0.2:7200", "alice", 99, b"csig", b"ccert")
