@@ -18,7 +18,7 @@ frames from it. Over TCP the serve loop stops once the current reply is
 out, and the client starts answering after that reply. A relay does this
 once, when it admits a server-peer. Either end's close() ends the takeover:
 the server-peer's of its channel, or the relay's of the session it opened,
-when a re-admission replaces that session or the relay evicts it.
+when the peer re-admits or the leg stops answering; both then read closed.
 """
 from __future__ import annotations
 
@@ -52,12 +52,15 @@ class ReverseSession(Session, Protocol):
     """A session opened on ctx.reverse_service: it writes requests down the
     taken-over connection, and close() ends that connection."""
 
+    closed: bool  # the connection ended, at either end
+
     def close(self) -> None:
         ...
 
 
 class Channel(Protocol):
     remote_addr: str
+    closed: bool  # the connection ended, at either end
 
     def request(self, frame: Frame) -> Frame:
         ...
@@ -85,6 +88,8 @@ class DirectChannel:
     Unit tests use it to drive servers without a network; the simulator
     builds on the same idea with clocks, loss and adversaries in between.
     """
+
+    closed = False  # in process, nothing ends the connection
 
     def __init__(self, service: Service, remote_addr: str = "server:0", local_addr: str = "client:0"):
         self.remote_addr = remote_addr

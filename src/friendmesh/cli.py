@@ -3,7 +3,7 @@
 Servers (run until interrupted, calling their periodic upkeep: the
 rendezvous server every stabilization period, the relay every ping or
 rendezvous update interval, whichever is longer, and a serving peer every
-relay interval, or 2 s when it is not relayed):
+2 s):
     friendmesh ca --port 7100 --name myca --state ca.log --key ca.key
     friendmesh rendezvous --port 7200 --db rv.sqlite --ca-cert ca.pub
     friendmesh relay --port 7300 --rendezvous 127.0.0.1:7200 --ca-cert ca.pub
@@ -190,8 +190,8 @@ def cmd_peer(args) -> int:
             listener = TcpServer(peer, host="127.0.0.1", port=args.port).start()
             peer.endpoint = TcpEndpoint(local_addr=listener.addr)
             print(f"peer {peer.username} serving on {listener.addr}")
-            # Relay keepalives (when relayed), queued writes and complaints.
-            _run_upkeep("peer", peer.tick, peer.state.relay_interval_ms or 2000)
+            # Queued writes, complaints, and a re-admission once a relay leg closed.
+            _run_upkeep("peer", peer.tick, 2000)
             listener.stop()
     except ProtocolError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

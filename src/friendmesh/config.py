@@ -3,8 +3,8 @@
 Field sets mirror what each component reads: ports, addresses, the
 rendezvous database path, timing and ring settings. Every field is read by
 its component; fixed protocol choices (the session cipher, the complaint
-freshness of 10 stabilization periods, the relay's keepalive grace) are
-constants of the code, not settings. The CLI runners take key and
+freshness of 10 stabilization periods, the relayed peer's mux stream cap)
+are constants of the code, not settings. The CLI runners take key and
 certificate files from their arguments; the simulator injects keys and
 state directly.
 """
@@ -36,7 +36,7 @@ class RelayConfig:
     rendezvous_port: int = 7200
     port: int = 7300
     max_connections: int = 32
-    ping_interval_ms: int = 2000
+    ping_interval_ms: int = 2000  # least time between two probes of one leg, sent only when full
 
 
 @dataclass

@@ -6,7 +6,9 @@ over one way (see channel.py): on the client, attach_reverse() starts
 answering frames after the next reply, and close() ends that; on the
 server, opening a session on ctx.reverse_service ends the serve loop once
 the current reply is out. Bytes that are not a frame end the connection
-silently.
+silently. A taken-over connection reads closed once its end is read, and
+the client's socket sends TCP keepalives: they keep a NAT's mapping, and
+find a vanished server with no frame of the protocol.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import threading
 from .channel import Service, SessionContext
 from .errors import PeerUnreachable, ProtocolError
 from .wire import Frame, frame_from_stream
+
+KEEPALIVE_IDLE_S = 600  # idle seconds before a taken-over socket's first TCP keepalive
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -39,6 +43,7 @@ class TcpChannel:
         self._lock = threading.Lock()
         self._reverse: Service | None = None
         self._serving = False
+        self.closed = False
 
     def request(self, frame: Frame) -> Frame:
         with self._lock:
@@ -57,6 +62,9 @@ class TcpChannel:
     def _start_reverse(self) -> None:
         self._serving = True
         self._sock.settimeout(None)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+        if hasattr(socket, "TCP_KEEPIDLE"):
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_KEEPIDLE, KEEPALIVE_IDLE_S)
         ctx = SessionContext(remote_addr=self.remote_addr)
         session = self._reverse.open_session(ctx)
 
@@ -68,11 +76,13 @@ class TcpChannel:
                     if reply is not None:
                         self._sock.sendall(reply.encode())
             except (ProtocolError, OSError):
+                self.closed = True
                 self._sock.close()  # the connection ended, or carried bytes that are not a frame
 
         threading.Thread(target=loop, daemon=True).start()
 
     def close(self) -> None:
+        self.closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)  # also wakes a reverse loop blocked reading
         except OSError:
@@ -160,6 +170,14 @@ class _SocketReverse:
     def open_session(self, ctx: SessionContext) -> "_SocketReverse":
         self.taken = True
         return self
+
+    @property
+    def closed(self) -> bool:
+        """The client ended the connection: its end reads without blocking."""
+        try:
+            return self._sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+        except OSError as exc:
+            return not isinstance(exc, BlockingIOError)  # nothing to read yet, or a broken socket
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         with self._lock:

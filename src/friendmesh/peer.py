@@ -8,8 +8,10 @@ and from then on locates friends by passphrase, connects through the one
 route the owner signed (records.RegistrationRecord.route), falls back to
 their mirrors in preference order, and replicates its own profile to
 mirrors it appointed. A peer whose NAT needs a relay registers port 0, so
-its record routes to its relay, or nowhere when it got none; a relay that
-refuses its keepalive has dropped it, and the next tick re-admits it.
+its record routes to its relay, or nowhere when it got none. It holds its
+admission connection (the leg) open with no periodic frame; a tick re-admits
+once the leg reads closed, or while it has none, re-registering only if the
+relay moved.
 
 A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
@@ -64,7 +66,7 @@ from .identity import Certificate, KeyPair
 from .nat import NatType, needs_relay, stun_classify
 from .profile import MirrorReplica, Profile, decode_entries, encode_entries, op_perm
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
-from .relay import MuxService, admit_as_server, send_keepalive
+from .relay import MuxService, admit_as_server
 from .secure import SecureChannel
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
 
@@ -101,8 +103,6 @@ class PeerState:
     mapped_ip: str = ""
     mapped_port: int = 0
     relay_endpoint: tuple[str, int] | None = None
-    relay_token: bytes = b""
-    relay_interval_ms: int = 0
     registered_at: list[str] = field(default_factory=list)
 
 
@@ -139,7 +139,6 @@ class Peer:
         self.replicas: dict[str, MirrorReplica] = {}
         self.notifications = NotificationBook(threshold=config.notification_threshold)
         self.ring_bits = 128
-        self._mux: MuxService | None = None
         self._relay_channel: Channel | None = None  # kept open: the relay serves us over it
         self._witness: str | None = None  # last verified-correct server
         # Kept secure channels, by (friend, or "" for a rendezvous server; address dialled).
@@ -195,13 +194,12 @@ class Peer:
             host, _, port = self.endpoint.local_addr().rpartition(":")
             mapped = (host, int(port) if port.isdigit() else self.config.port)
         state.mapped_ip, state.mapped_port = mapped[0], int(mapped[1])
-        if needs_relay(state.nat_type):
-            self._obtain_relay()
-        else:
+        if not needs_relay(state.nat_type):
             # NAT may have improved since the last run: drop stale relay state.
             self._close_relay_channel()
             state.relay_endpoint = None
-            state.relay_token = b""
+        elif self._relay_channel is None or self._relay_channel.closed:
+            self._obtain_relay()  # an open leg is kept
         targets = self._registration_targets()
         record = self.build_record()
         registered = []
@@ -235,13 +233,10 @@ class Peer:
             except PeerUnreachable:
                 continue
         if got:
-            self._mux = MuxService(self)
             try:
                 self._relay_channel = self.endpoint.connect(f"{got[0]}:{got[1]}")
-                state.relay_interval_ms, state.relay_token = admit_as_server(
-                    self._relay_channel, state.certificate, state.keypair, self.ca_public_key,
-                    self._mux, rng=self.rng,
-                )
+                admit_as_server(self._relay_channel, state.certificate, state.keypair,
+                                self.ca_public_key, MuxService(self), rng=self.rng)
                 state.relay_endpoint = got
                 return
             except ProtocolError:  # the relay is down, full or refusing
@@ -768,21 +763,14 @@ class Peer:
     # ------------------------------------------------------------------ periodic upkeep
 
     def tick(self) -> None:
-        state = self.state
-        if state.relay_endpoint is not None and state.relay_token:
-            try:
-                relay_addr = f"{state.relay_endpoint[0]}:{state.relay_endpoint[1]}"
-                with closing(self.endpoint.connect(relay_addr)) as channel:
-                    send_keepalive(channel, state.relay_token)
-            except NotFound:
-                # The relay dropped the session: be admitted again, and
-                # re-register only if that moved the relay.
-                before = state.relay_endpoint
-                self._obtain_relay()
-                if state.relay_endpoint != before:
-                    self.reregister()
-            except ProtocolError:
-                pass  # the relay is unreachable: the next tick tries again
+        """Re-admit once the relay leg reads closed, or while a needed relay
+        is missing; flush queues; file complaints."""
+        leg = self._relay_channel
+        if needs_relay(self.state.nat_type) and (leg is None or leg.closed):
+            before = self.state.relay_endpoint
+            self._obtain_relay()
+            if self.state.relay_endpoint != before:
+                self.reregister()
         self.flush_queues()
         self.maybe_file_complaints()
 
@@ -941,8 +929,6 @@ def save_state(peer: Peer, path: str) -> None:
         "mapped_ip": state.mapped_ip,
         "mapped_port": state.mapped_port,
         "relay_endpoint": list(state.relay_endpoint) if state.relay_endpoint else None,
-        "relay_token": b64(state.relay_token),
-        "relay_interval_ms": state.relay_interval_ms,
         "registered_at": state.registered_at,
         "mirror_table": [[m.username, m.passphrase] for m in state.mirror_table],
         "pending_outgoing": sorted(state.pending_outgoing),
@@ -995,8 +981,6 @@ def load_state(peer: Peer, path: str) -> None:
     state.mapped_ip = doc["mapped_ip"]
     state.mapped_port = doc["mapped_port"]
     state.relay_endpoint = tuple(doc["relay_endpoint"]) if doc["relay_endpoint"] else None
-    state.relay_token = unb64(doc["relay_token"])
-    state.relay_interval_ms = doc["relay_interval_ms"]
     state.registered_at = list(doc["registered_at"])
     state.mirror_table = [MirrorEntry(u, p) for u, p in doc["mirror_table"]]
     state.pending_outgoing = set(doc["pending_outgoing"])

@@ -1,18 +1,20 @@
-"""The relay server: admission, liveness, opaque bidirectional forwarding.
+"""The relay server: admission, the held leg, opaque bidirectional forwarding.
 
 A peer that must receive connections through the relay is admitted over
 the one handshake of secure.py, as a rendezvous client is: the relay holds
 no certificate and answers the hello with a bare session key sealed to the
-peer. The peer then calls the app kind admit, which issues a liveness
-token and takes the connection over; a full relay refuses the hello and
-admit of a peer it holds no session for. The peer keeps that connection
-open and answers muxed frames on it, and refreshes its session with
-plaintext keepalives; a keepalive whose token names no live session is
-refused as not_found, so a dropped peer learns it. Clients open a bridge
-naming the target, and every later handshake and app frame is copied
-verbatim with a 4-byte stream id prepended on the relay leg only. The
-relay holds the key of each admission session, never the key of a session
-it forwards, and never decrypts anything it forwards. Keepalives and bridge_open are plain requests served
+peer. The peer then calls the app kind admit, and the relay takes the
+connection over: the peer holds it open (the leg) and answers muxed frames
+on it. A session lives as long as its leg, with no periodic frame: it ends
+when the peer re-admits, when the leg closes, or when a frame sent down it
+gets no answer (the relay then closes the leg, which the peer reads). A
+full relay refuses a newcomer's hello and admit, after probing the legs
+it has not heard from within a ping interval, once each. Clients open a
+bridge naming the target, and every later handshake and app frame is
+copied verbatim with a 4-byte stream id prepended on the leg only; stream
+0 is the leg itself, which the peer's mux echoes. The relay holds the key
+of each admission session, never the key of a session it forwards, and
+never decrypts anything it forwards. bridge_open is a plain request served
 by wire.serve; a malformed one is refused as malformed_request.
 """
 from __future__ import annotations
@@ -20,25 +22,27 @@ from __future__ import annotations
 import functools
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
 from . import identity, rvclient, secure, wire
 from .channel import Channel, Endpoint, ReverseSession, Service, Session, SessionContext
 from .config import RelayConfig
-from .errors import MalformedRequest, NotFound, PeerUnreachable, ProtocolError
+from .errors import MalformedRequest, ProtocolError
 from .identity import Certificate, KeyPair
 from .wire import Frame
 
-KEEPALIVE_GRACE = 3  # ping intervals a relayed peer may stay silent before eviction
+LEG_STREAM = bytes(4)  # the stream id of the leg itself; a bridge's streams count from 1
+LEG_PROBE = Frame(wire.APP_DATA, LEG_STREAM)
+MUX_STREAMS = 64  # stream sessions a relayed peer keeps, the least recently used dropped first
 
 
 @dataclass
 class RelaySession:
     username: str
-    session: ReverseSession  # the server-peer's mux face, on the connection it keeps open
-    token: bytes
-    last_alive: int
+    session: ReverseSession  # the server-peer's mux face, on the leg it keeps open
+    heard: int  # when the leg last answered: the admission, a forward or a probe
     streams: int = 0
 
 
@@ -62,7 +66,6 @@ class RelayServer:
         self.rng = rng or random.SystemRandom()
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.sessions: dict[str, RelaySession] = {}
-        self._by_token: dict[bytes, str] = {}
         self.admitted = 0
         self.evicted = 0
         self.closed = 0
@@ -70,69 +73,71 @@ class RelayServer:
 
     # -- rendezvous registration -------------------------------------------------
 
+    def _rendezvous(self) -> Channel:
+        return self.endpoint.connect(f"{self.config.rendezvous_addr}:{self.config.rendezvous_port}")
+
     def register_with_rendezvous(self) -> int:
         if self.endpoint is None:
             raise ProtocolError("no endpoint configured")
-        target = f"{self.config.rendezvous_addr}:{self.config.rendezvous_port}"
-        channel = self.endpoint.connect(target)
-        try:
+        with closing(self._rendezvous()) as channel:
             self.update_interval_ms = rvclient.relay_register(
                 channel, self.config.port, self.config.max_connections
             )
-        finally:
-            channel.close()
         return self.update_interval_ms
 
     def send_update(self) -> None:
         if self.endpoint is None or self.update_interval_ms is None:
             return
-        target = f"{self.config.rendezvous_addr}:{self.config.rendezvous_port}"
         try:
-            channel = self.endpoint.connect(target)
-        except PeerUnreachable:
-            return
-        try:
-            rvclient.relay_update(
-                channel, self.config.port, len(self.sessions), self.config.max_connections
-            )
+            with closing(self._rendezvous()) as channel:
+                rvclient.relay_update(
+                    channel, self.config.port, len(self.sessions), self.config.max_connections
+                )
         except ProtocolError:
-            pass
-        finally:
-            channel.close()
+            pass  # unreachable or refused: the next tick sends another
 
     # -- liveness ---------------------------------------------------------------
 
     def tick(self) -> None:
-        """Evict sessions whose keepalives stopped; push a rendezvous update."""
-        now = self.clock()
-        horizon = self.config.ping_interval_ms * KEEPALIVE_GRACE
-        for username in sorted(self.sessions):
-            session = self.sessions[username]
-            if now - session.last_alive > horizon:
-                self._drop(username, evicted=True)
+        """Drop the sessions whose leg closed; push a rendezvous update."""
+        for username, held in list(self.sessions.items()):  # connection threads admit meanwhile
+            if held.session.closed:
+                self._drop(username, evicted=False, held=held)
         self.send_update()
 
-    def _drop(self, username: str, evicted: bool) -> None:
-        """End a session: its token refreshes nothing more and the
-        connection it took over is closed."""
-        session = self.sessions.pop(username, None)
-        if session is None:
-            return
-        self._by_token.pop(session.token, None)
+    def _heard(self, held: RelaySession, reply: Frame | None) -> Frame | None:
+        """Note the answer to a frame sent down held's leg: none drops it."""
+        if reply is None:
+            self._drop(held.username, evicted=True, held=held)
+        else:
+            held.heard = self.clock()
+        return reply
+
+    def _drop(self, username: str, evicted: bool, held: RelaySession | None = None) -> None:
+        """End username's session, if it is still held when given, and close its leg."""
+        session = self.sessions.get(username)
+        if session is None or (held is not None and held is not session):
+            return  # gone, or replaced by a re-admission since
+        del self.sessions[username]
         session.session.close()
         if evicted:
             self.evicted += 1
         else:
             self.closed += 1
 
-    @property
-    def load(self) -> int:
-        return len(self.sessions)
-
     def full_for(self, username: str) -> bool:
-        """No room for username: it holds no session and every slot is taken.
-        A re-admission replaces the peer's own session, so it always fits."""
-        return username not in self.sessions and len(self.sessions) >= self.config.max_connections
+        """No room for username: it holds no session, and every slot is held
+        by a leg that answers, probed least recently heard first. A
+        re-admission replaces the peer's own session, so it always fits."""
+        if username in self.sessions:
+            return False
+        now = self.clock()
+        idle = [s for s in list(self.sessions.values()) if now - s.heard >= self.config.ping_interval_ms]
+        for held in sorted(idle, key=lambda s: (s.heard, s.username)):
+            if len(self.sessions) < self.config.max_connections:
+                break
+            self._heard(held, held.session.handle(LEG_PROBE, None))
+        return len(self.sessions) >= self.config.max_connections
 
     def open_session(self, ctx: SessionContext) -> "RelayConnSession":
         return RelayConnSession(self, ctx)
@@ -167,32 +172,16 @@ class RelayConnSession:
 
     def _on_admit(self, sender: Certificate) -> tuple:
         """Serve the sender over this connection from the reply on, in place
-        of any session it held; -> keepalive interval ms, liveness token."""
+        of any session it held: the session lives as long as this leg."""
         server = self.server
         reverse = self._ctx.reverse_service
         if reverse is None:
             raise MalformedRequest("no mux attached")
         server._drop(sender.username, evicted=False)  # a re-admission replaces the session
-        token = server.rng.randbytes(16)
-        session = RelaySession(
-            username=sender.username,
-            session=reverse.open_session(self._ctx),
-            token=token,
-            last_alive=server.clock(),
+        server.sessions[sender.username] = RelaySession(
+            sender.username, reverse.open_session(self._ctx), server.clock()
         )
-        server.sessions[sender.username] = session
-        server._by_token[token] = sender.username
         server.admitted += 1
-        return server.config.ping_interval_ms, token
-
-    def _on_server_is_alive(self, ctx: SessionContext, token: bytes) -> tuple:
-        server = self.server
-        session = server.sessions.get(server._by_token.get(token))
-        if session is None:
-            # No resurrection: the holder of a dropped session is told so,
-            # and must be admitted again.
-            raise NotFound("no live session")
-        session.last_alive = server.clock()
         return ()
 
     def _on_bridge_open(self, ctx: SessionContext, username: str) -> tuple | Frame:
@@ -205,12 +194,13 @@ class RelayConnSession:
         return ()
 
     def _forward(self, frame: Frame, ctx: SessionContext) -> Frame:
-        """Copy verbatim; the stream id travels only on the relay leg."""
+        """Copy verbatim; the stream id travels only on the relay leg. A leg
+        that gives no answer ends its session."""
         bridge = self._bridge
-        if bridge.username not in self.server.sessions:
+        if self.server.sessions.get(bridge.username) is not bridge:
             return wire.err_reply(frame.msg_type, "peer_unreachable", "session gone")
         muxed = Frame(frame.msg_type, self._stream_id + frame.payload)
-        reply = bridge.session.handle(muxed, ctx)
+        reply = self.server._heard(bridge, bridge.session.handle(muxed, ctx))
         if reply is None:
             return wire.err_reply(frame.msg_type, "peer_unreachable")
         return Frame(reply.msg_type, reply.payload[4:])
@@ -227,24 +217,28 @@ class MuxService:
         return MuxSession(self)
 
     def stream_session(self, stream_id: bytes, ctx: SessionContext) -> Session:
-        session = self._streams.get(stream_id)
-        if session is None:
-            session = self._inner.open_session(ctx)
-            self._streams[stream_id] = session
+        session = self._streams.pop(stream_id, None) or self._inner.open_session(ctx)
+        self._streams[stream_id] = session  # the most recently used last
+        if len(self._streams) > MUX_STREAMS:
+            del self._streams[next(iter(self._streams))]
         return session
 
 
 class MuxSession:
+    closed = False  # in process, the relay's reverse session holds no connection
+
     def __init__(self, service: MuxService):
         self._service = service
 
     def close(self) -> None:
-        pass  # in process, the relay's reverse session holds no connection
+        pass
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         if len(frame.payload) < 4:
             return wire.err_reply(frame.msg_type, "malformed_request", "missing stream id")
         stream_id, inner_payload = frame.payload[:4], frame.payload[4:]
+        if stream_id == LEG_STREAM:
+            return frame  # the relay's probe of the leg itself
         session = self._service.stream_session(stream_id, ctx)
         reply = session.handle(Frame(frame.msg_type, inner_payload), ctx)
         if reply is None:
@@ -259,16 +253,10 @@ def admit_as_server(
     ca_public_key: bytes,
     mux: MuxService,
     rng: random.Random | None = None,
-) -> tuple[int, bytes]:
+) -> None:
     """Client-side admission: the one handshake, then admit with the mux
-    attached, so the relay's requests are served from its reply on.
-
-    Returns (keepalive interval ms, liveness token).
-    """
+    attached, so the relay's requests are served from its reply on. The
+    session lasts as long as the channel stays open."""
     session = secure.connect_secure(channel, cert, keys, ca_public_key, rng=rng)
     channel.attach_reverse(mux)
-    return session.call("admit")
-
-
-def send_keepalive(channel: Channel, token: bytes) -> None:
-    wire.call(channel, wire.SERVER_IS_ALIVE, token)
+    session.call("admit")

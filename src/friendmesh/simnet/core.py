@@ -29,15 +29,17 @@ costs the caller a timeout and is retried; exhaustion raises
 peer_unreachable. A request is handled once: after the callee has
 answered, a retry makes it resend the reply it already has.
 
-A connection does not outlive a restart of either end: taking a host down
-starts a new incarnation, and a channel opened in an earlier one raises
-peer_unreachable, as a TCP connection is reset by the crash of its peer.
+A connection does not outlive a close or a restart at either end: taking a
+host down starts a new incarnation, and a channel opened in an earlier one
+reads closed and raises peer_unreachable, as a TCP connection is reset by
+the crash of its peer. A relay's leg reads closed at both ends alike.
 """
 from __future__ import annotations
 
 import heapq
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from ..channel import Service, SessionContext
@@ -196,7 +198,12 @@ class SimChannel:
         self.remote_addr = dst.addr
         self.ctx = SessionContext(remote_addr=src.addr)
         self.session = dst.service.open_session(self.ctx)
-        self._incarnations = (src.incarnation, dst.incarnation)  # None: not pinned
+        self._incarnations = (src.incarnation, dst.incarnation)
+        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed or self._incarnations != (self.src.incarnation, self.dst.incarnation)
 
     def _latency(self) -> int:
         link = self.net.link
@@ -209,9 +216,8 @@ class SimChannel:
 
     def request(self, frame: Frame) -> Frame:
         net, src, dst, link = self.net, self.src, self.dst, self.net.link
-        pin = self._incarnations
-        if pin is not None and pin != (src.incarnation, dst.incarnation):
-            raise PeerUnreachable(f"connection to {dst.addr} was reset")
+        if self.closed:
+            raise PeerUnreachable(f"connection to {dst.addr} was closed or reset")
         if net.now < src.clock:
             net.now = src.clock
         reply = None  # once answered, a retry resends this instead of handling again
@@ -244,21 +250,11 @@ class SimChannel:
             src.clock = net.now
 
     def attach_reverse(self, service: Service) -> None:
-        self.ctx.reverse_service = _ReverseLeg(self, service)
+        # The client's side of the connection, for the server to take over.
+        self.ctx.reverse_service = SimpleNamespace(open_session=lambda ctx: _ReverseChannel(self, service))
 
     def close(self) -> None:
-        pass
-
-
-class _ReverseLeg:
-    """The client's side of a connection, for the server to take over."""
-
-    def __init__(self, channel: SimChannel, service: Service):
-        self._channel = channel
-        self._service = service
-
-    def open_session(self, ctx: SessionContext) -> "_ReverseChannel":
-        return _ReverseChannel(self._channel, self._service)
+        self._closed = True
 
 
 class _ReverseChannel(SimChannel):
@@ -266,8 +262,8 @@ class _ReverseChannel(SimChannel):
 
     Every frame the server sends down the taken-over connection is a
     request from the server's host to the client's, like any other. A
-    failed request answers None. The leg is not pinned to the client's
-    incarnation: a restarted client keeps answering on it.
+    failed request answers None. It is the client's channel: a close or a
+    restart at either end ends both.
     """
 
     def __init__(self, forward: SimChannel, service: Service):
@@ -276,7 +272,12 @@ class _ReverseChannel(SimChannel):
         self.remote_addr = self.dst.addr
         self.ctx = SessionContext(remote_addr=self.src.addr)
         self.session = service.open_session(self.ctx)
-        self._incarnations = None
+        self._forward = forward
+
+    closed = property(lambda self: self._forward.closed)
+
+    def close(self) -> None:
+        self._forward.close()
 
     def handle(self, frame: Frame, ctx: SessionContext) -> Frame | None:
         try:

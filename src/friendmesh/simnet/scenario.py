@@ -2,10 +2,10 @@
 
 A scenario builds a complete world (CA, rendezvous ring, relays, peers),
 establishes friendships and mirrors synchronously, then schedules the
-periodic workload: posts, pulls, mirror syncs, keepalives, stabilization,
-partitions, churn and adversary activation. All times in the config are
-offsets from workload start; identical config and seed reproduce a
-byte-identical trace.
+periodic workload: posts, pulls, mirror syncs, peer and relay upkeep,
+stabilization, partitions, churn and adversary activation. All times in
+the config are offsets from workload start; identical config and seed
+reproduce a byte-identical trace.
 """
 from __future__ import annotations
 

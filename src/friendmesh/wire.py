@@ -519,13 +519,12 @@ RELAY_REGISTER = _define(1, "relay_register", (INT, INT), (INT,))  # port, capac
 RELAY_UPDATE = _define(2, "relay_update", (INT, INT, INT), ())  # port, load, capacity
 REQUEST_RELAY = _define(3, "request_relay", None, (STR, INT))  # -> host, port
 NO_RELAY_AVAILABLE = _define(4, "no_relay_available", None, None)  # the reply to 3 when none
-SERVER_IS_ALIVE = _define(8, "server_is_alive", (RAW,), ())  # token
 # The one handshake (secure.py): certificate, nonce -> the session key
 # reply sealed to the initiator
 REGISTER_PEER = _define(9, "register_peer", (Certificate, RAW), (RAW,), reply_code=10)
 SESSION_KEY = _define(10, "session_key", None, None)  # only names the reply to 9
 # 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
-# passphrase_blob below; 5-7, 12 and 14 are unused.
+# passphrase_blob below; 5-8, 12 and 14 are unused.
 # The CA's one exchange: sealed certificate request -> sealed certificate
 CERT_REPLY = _define(16, "cert_reply", (RAW,), (RAW,))
 CHORD_LOOKUP = _define(18, "chord_lookup", (IDENT,), (STR, INT), reply_code=19)  # -> successor, hops
@@ -552,10 +551,10 @@ _app("locate", (STR,), (RegistrationRecord, RAW))  # passphrase -> record, owner
 _app("friend_request", (STR,), (RAW,))  # username -> certificate
 _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user
 
-# The relay app kind, on a relay session: -> keepalive interval ms, token.
-# The relay then takes the connection over (channel.py) to forward bridged
-# clients' frames to the admitted peer.
-_app("admit", (), (INT, RAW))
+# The relay app kind, on a relay session. The relay then takes the
+# connection over (channel.py) to forward bridged clients' frames to the
+# admitted peer, for as long as the connection stays open.
+_app("admit", (), ())
 
 # Peer app kinds, each on a friend channel. Log entries travel as
 # profile.encode_entries() bytes: the peer counts their size, and decodes

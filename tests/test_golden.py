@@ -12,9 +12,14 @@ the key but holds no row. Every hash was last re-recorded when the
 registration record lost the server's last_refresh stamp: again each trace
 kept its lines, times and events, and only the locate replies and the
 ring_replicate and ring_transfer frames shrank, by 5 or 6 bytes per record
-(the stamp's decimal digits and their length prefix). Any change to a wire
-byte, a message count, a timestamp or an event in any scenario changes a
-hash.
+(the stamp's decimal digits and their length prefix). baseline's was
+re-recorded once more when a relayed peer's liveness became its held leg:
+its three relayed peers no longer send server_is_alive each tick, so the
+trace lost those 45 requests and their replies, the 3 admit replies lost
+their 24 bytes of interval and token, and the times after the first
+keepalive moved, as every exchange draws its latency from one generator.
+Its outcomes did not move. Any change to a wire byte, a message count, a
+timestamp or an event in any scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -39,7 +44,7 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "396f842d81b1e315ff711ba897facf686472076fa50d0aac83a12ce22f5fd654",
+    "baseline": "c206217e5e1555daa33a5de80d76edc8f96122aa2fb0bf3f2712c4da4fa13ed9",
     "churn": "cf7ad7f92b4aca16919b2ea9b4cd9a895544ffca9d2b97d2da9183135c6e0fed",
     "e1_eclipse": "1433043133f243d54433079957f2494541ce3a4084ce60bcc2ddb29e6c695e23",
     "eviction": "7edfaaa6d407be71d3e7872e7fd2cc51a45c4fcc2ca4343065bc8841e495e616",

@@ -24,8 +24,7 @@ from friendmesh.errors import (
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import TcpChannel, TcpServer
 from friendmesh.records import _CANONICAL, RegistrationRecord, make_registration_record
-from friendmesh.relay import MuxService, RelayServer, admit_as_server
-from friendmesh.relay import send_keepalive
+from friendmesh.relay import LEG_PROBE, MuxService, RelayServer, admit_as_server
 from friendmesh.rendezvous import RendezvousServer, WireRingTransport
 from friendmesh.simnet.scenario import Scenario, SimConfig
 from friendmesh.wire import Frame
@@ -193,14 +192,14 @@ def test_relay_serves_after_any_frame(ca, user, data, admitted):
     )
     conn = Conn(server, remote="10.0.7.1:6000")
     mux = MuxService(FuncService(lambda frame, ctx: None))
-    token = admit_as_server(conn, cert, pair, ca.public_key, mux)[1] if admitted else None
+    if admitted:
+        admit_as_server(conn, cert, pair, ca.public_key, mux)
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=5)):
         assert_coded(conn.send(code, payload))
-    if token is not None:
-        wire.open_reply(conn.request(Frame(wire.SERVER_IS_ALIVE, wire.pack_fields(token))))
-    else:
-        fresh = Conn(server, remote="10.0.7.2:6000")
-        assert admit_as_server(fresh, cert, pair, ca.public_key, mux)[0] > 0
+    if not admitted:
+        admit_as_server(Conn(server, remote="10.0.7.2:6000"), cert, pair, ca.public_key, mux)
+    # The connection still serves, and the session is held.
+    wire.call(conn, wire.BRIDGE_OPEN, cert.username)
 
 
 @FUZZ
@@ -218,15 +217,106 @@ def test_ca_serves_after_any_frame(ca, user, data):
 @pytest.mark.parametrize("code, payload", [
     (wire.RELAY_REGISTER, wire.pack_fields(b"7300")),
     (wire.RELAY_REGISTER, wire.pack_fields(b"port", b"4")),
-    (wire.SERVER_IS_ALIVE, b""),
-    (wire.SERVER_IS_ALIVE, wire.pack_fields(b"token", b"more")),
-], ids=["relay_register_short", "relay_register_not_int", "keepalive_empty", "keepalive_long"])
+    (wire.BRIDGE_OPEN, b""),
+    (wire.BRIDGE_OPEN, wire.pack_fields(b"someone", b"more")),
+], ids=["relay_register_short", "relay_register_not_int", "bridge_open_empty", "bridge_open_long"])
 def test_malformed_plain_request_is_refused_as_malformed(rendezvous, ca, code, payload):
     server = rendezvous if code == wire.RELAY_REGISTER else RelayServer("10.0.3.1:7300", ca_public_key=ca.public_key)
     reply = Conn(server).send(code, payload)
     assert reply.msg_type == code
     with pytest.raises(MalformedRequest):
         wire.open_reply(reply)
+
+
+@pytest.mark.parametrize("payload", [b"", bytes(16), wire.pack_fields(bytes(16))], ids=["empty", "raw", "token"])
+@pytest.mark.parametrize("service", ["rendezvous", "relay", "ca"])
+def test_the_retired_keepalive_code_is_refused_as_malformed(rendezvous, ca, service, payload):
+    # Code 8 was the relay keepalive; no service serves it now.
+    server = {"rendezvous": rendezvous, "relay": RelayServer("10.0.3.1:7300", ca_public_key=ca.public_key),
+              "ca": CAService(ca)}[service]
+    conn = Conn(server)
+    reply = conn.send(8, payload)
+    assert_coded(reply)
+    assert reply.msg_type == 8
+    with pytest.raises(MalformedRequest):
+        wire.open_reply(reply)
+    assert conn.send(8, payload) == reply  # and it keeps serving
+
+
+# -- (b2) a full relay probes the legs it holds before refusing a newcomer ----------
+
+
+class Clock:
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self):
+        return self.now
+
+
+class Leg:
+    """A relayed peer's end of its leg: counts the relay's probes, and
+    answers them unless the peer is down."""
+
+    closed = False
+
+    def __init__(self, down=False):
+        self.down, self.probes = down, 0
+
+    def open_session(self, ctx):
+        return self
+
+    def handle(self, frame, ctx):
+        self.probes += frame == LEG_PROBE
+        return None if self.down else frame
+
+    def close(self):
+        self.closed = True
+
+
+def full_relay(ca, legs):
+    """A relay filled by one peer per leg, the i-th at time i; -> the relay,
+    its clock, the peers' names."""
+    clock = Clock()
+    server = RelayServer("10.0.3.1:7300", RelayConfig(max_connections=len(legs), ping_interval_ms=1000),
+                         ca.public_key, rng=random.Random(5), clock=clock)
+    names = [f"held-{next(FRESH)}" for _ in legs]
+    for i, (name, leg) in enumerate(zip(names, legs)):
+        clock.now = i
+        pair = identity.generate_keypair("ec-p256")
+        admit_as_server(Conn(server), ca.issue(name, pair.public_key), pair, ca.public_key, leg)
+    return server, clock, names
+
+
+def test_a_full_relay_whose_peers_all_answer_probes_each_leg_at_most_once_per_interval(ca, user):
+    pair, cert = user
+    legs = [Leg(), Leg()]
+    server, clock, names = full_relay(ca, legs)
+    # Heard from within the interval: refused with no probe at all.
+    with pytest.raises(errors.AuthError):
+        secure.connect_secure(Conn(server), cert, pair, ca.public_key)
+    assert [leg.probes for leg in legs] == [0, 0]
+    clock.now = 1001
+    for _ in range(3):  # each hello is refused; only the first probes
+        with pytest.raises(errors.AuthError):
+            secure.connect_secure(Conn(server), cert, pair, ca.public_key)
+        assert [leg.probes for leg in legs] == [1, 1]
+    clock.now = 2001
+    with pytest.raises(errors.AuthError):
+        secure.connect_secure(Conn(server), cert, pair, ca.public_key)
+    assert [leg.probes for leg in legs] == [2, 2]
+    assert list(server.sessions) == names and server.evicted == 0
+
+
+def test_a_full_relay_with_one_downed_peer_admits_the_newcomer(ca, user):
+    pair, cert = user
+    legs = [Leg(), Leg(down=True), Leg()]
+    server, clock, names = full_relay(ca, legs)
+    clock.now = 1002
+    admit_as_server(Conn(server), cert, pair, ca.public_key, Leg())
+    assert list(server.sessions) == [names[0], names[2], cert.username]
+    assert server.evicted == 1 and legs[1].closed
+    assert [leg.probes for leg in legs] == [1, 1, 0]  # least recently heard first, until a slot freed
 
 
 @pytest.mark.parametrize("subject_key", [b"junk", b"\x04" + b"\x01" * 64], ids=["short", "off_curve"])
@@ -473,16 +563,16 @@ LOOPBACK_FUZZ = settings(
 OVERSIZED = struct.pack(">IB", wire.MAX_FRAME_PAYLOAD + 1, wire.RING_STATE)
 
 
-def refused_keepalive(channel):
-    with pytest.raises(NotFound):
-        send_keepalive(channel, bytes(16))  # no live session holds this token
+def refused_bridge(channel):
+    with pytest.raises(PeerUnreachable):
+        wire.call(channel, wire.BRIDGE_OPEN, "nobody")  # the relay holds no such session
 
 
 # One valid request per service, answered whatever came before: ok, or the
-# relay's coded refusal of a token it never issued.
+# relay's coded refusal of a bridge to a peer it does not hold.
 VALID = {
     "rendezvous": lambda channel: wire.call(channel, wire.RELAY_UPDATE, 7300, 0, 4),
-    "relay": refused_keepalive,
+    "relay": refused_bridge,
 }
 
 
@@ -577,7 +667,7 @@ def test_relay_survives_a_relayed_peer_answering_an_oversized_frame(loopback, se
     wire.call(bridge, wire.BRIDGE_OPEN, cert.username)
     with pytest.raises(PeerUnreachable):
         wire.open_reply(bridge.request(Frame(wire.APP_DATA, b"hello")))
-    refused_keepalive(bridge)  # the bridge's connection still serves
+    refused_bridge(bridge)  # the bridge's connection still serves
     bridge.close()
     admitted.close()
     assert served.get(timeout=5) is None

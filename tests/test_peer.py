@@ -52,10 +52,11 @@ def test_peer_its_relay_cannot_admit_registers_outbound_only(relay_state):
     peer = world.peers["user01"]
     (relay_addr, relay), = world.relays.items()
     if relay_state == "down":
-        world.sim.set_down(relay_addr, True)
+        world.sim.set_down(relay_addr, True)  # a restart: the leg is reset
     else:
-        relay._drop("user01", evicted=False)
+        relay._drop("user01", evicted=False)  # the relay ends the session and closes the leg
         relay.config.max_connections = 0
+    assert peer._relay_channel.closed
     mark = len(world.sim.trace)
     peer.bootstrap()
     assert any(" EV no_relay peer=user01" in line for line in world.sim.trace[mark:])
@@ -170,12 +171,14 @@ def test_a_peer_its_relay_dropped_is_readmitted_at_the_next_tick(monkeypatch):
     world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
     peer = world.peers["user01"]
     (relay,) = world.relays.values()
-    relay._drop("user01", evicted=True)  # as eviction does
+    leg = peer._relay_channel
+    relay._drop("user01", evicted=True)  # as when a frame down the leg gets no answer
+    assert leg.closed  # the relay's close reads at the peer's end
     reregistered = []
     real = peer.reregister
     monkeypatch.setattr(peer, "reregister", lambda: reregistered.append(1) or real())
     peer.tick()
-    assert "user01" in relay.sessions
+    assert "user01" in relay.sessions and peer._relay_channel is not leg
     assert reregistered == []  # the same relay: the registered record still routes to it
     channel, served_by = world.peers["user00"].connect_friend("user01")
     assert served_by == "user01" and channel.request_app("ping") == []
@@ -186,8 +189,9 @@ def test_a_readmission_at_another_relay_reregisters():
     world = small_world(n_peers=2, n_relays=2, nat_assignment={"user01": "symmetric"})
     peer = world.peers["user01"]
     old = f"{peer.state.relay_endpoint[0]}:{peer.state.relay_endpoint[1]}"
-    world.relays[old]._drop("user01", evicted=True)
+    world.relays[old]._drop("user01", evicted=True)  # closes the leg
     world.relays[old].config.max_connections = 0  # the old relay now refuses it
+    assert peer._relay_channel.closed
     mark = len(world.sim.trace)
     peer.tick()
     new = f"{peer.state.relay_endpoint[0]}:{peer.state.relay_endpoint[1]}"
@@ -198,6 +202,80 @@ def test_a_readmission_at_another_relay_reregisters():
     assert served_by == "user01"
     channel.close()
     assert not any(" EV no_relay " in line for line in world.sim.trace[mark:])
+
+
+def test_a_peer_whose_readmission_failed_is_admitted_at_a_later_tick():
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    (addr, relay), = world.relays.items()
+    world.sim.set_down(addr, True)  # a relay restart resets the leg
+    peer.tick()
+    assert peer.state.relay_endpoint is None and peer._relay_channel is None
+    world.sim.set_down(addr, False)
+    peer.tick()
+    host, port = addr.rsplit(":", 1)
+    assert peer.state.relay_endpoint == (host, int(port))
+    record, _server = world.peers["user00"].locate_friend("user01")
+    assert record.route == (addr, True)  # re-registered: the relay came back into the record
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    channel.close()
+
+
+def relay_frames(world, operation) -> int:
+    """Frames to or from a relay while operation runs."""
+    mark = len(world.sim.trace)
+    operation()
+    return sum(" MSG " in line and any(f" {addr} " in line for addr in world.relays)
+               for line in world.sim.trace[mark:])
+
+
+def test_a_relayed_peer_with_an_open_leg_sends_no_frame_at_a_tick():
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+
+    def ten_ticks():
+        for _ in range(10):
+            world.sim.now += 2000
+            peer.tick()
+
+    assert relay_frames(world, ten_ticks) == 0
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    channel.close()
+
+
+def test_a_rebootstrap_keeps_the_open_leg(monkeypatch):
+    from friendmesh import identity
+
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    leg = peer._relay_channel
+    signs = []
+    real_sign = identity.sign
+    monkeypatch.setattr(identity, "sign", lambda *args: signs.append(args) or real_sign(*args))
+    assert relay_frames(world, peer.bootstrap) == 0
+    assert signs == [] and peer._relay_channel is leg
+    (relay,) = world.relays.values()
+    assert relay.admitted == 1
+
+
+def test_a_relayed_peer_that_restarted_is_readmitted_at_its_next_tick():
+    # The leg is pinned to both ends' incarnations, as every channel is.
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    (relay,) = world.relays.values()
+    addr = peer.endpoint.local_addr()
+    world.sim.set_down(addr, True)
+    world.sim.set_down(addr, False)
+    assert peer._relay_channel.closed
+    relay.tick()
+    assert "user01" not in relay.sessions and relay.closed == 1  # the relay reads the end too
+    peer.tick()
+    assert "user01" in relay.sessions and relay.admitted == 2
+    channel, served_by = world.peers["user00"].connect_friend("user01")
+    assert served_by == "user01" and channel.request_app("ping") == []
+    channel.close()
 
 
 def test_storage_attack_surfaced_when_all_paths_lie():
@@ -617,6 +695,21 @@ def test_state_file_round_trips_every_saved_field(tmp_path):
     assert restarted.state.queued_updates == {} and restarted.replicas == {}
 
 
+def test_a_state_file_keeps_no_relay_token_and_one_that_holds_it_still_loads(tmp_path):
+    world = small_world(n_peers=2, nat_assignment={"user01": "symmetric"})
+    peer = world.peers["user01"]
+    path = tmp_path / "state.json"
+    save_state(peer, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["relay_endpoint"] and "relay_token" not in doc and "relay_interval_ms" not in doc
+    # A file in the former layout, with the keepalive token and interval.
+    doc.update(relay_token="AAECAwQFBgcICQoLDA0ODw==", relay_interval_ms=2000)
+    path.write_text(json.dumps(doc))
+    loaded = Peer(peer.config, peer.endpoint, peer.ca_public_key)
+    load_state(loaded, str(path))
+    assert loaded.state == peer.state
+
+
 def test_passphrase_update_queued_before_a_restart_is_delivered_after_it(tmp_path):
     world = small_world(
         seed=20,
@@ -820,7 +913,7 @@ def test_failed_routes_close_their_channels(open_sim_channels):
     world.peers["user02"].state.friend_list.pop("user00")
     with pytest.raises(Unavailable):
         alice.connect_friend("user02")
-    # A bridge the relay refuses.
+    # A bridge the relay refuses: it dropped user01's session and closed its leg.
     relay = world.relays[next(iter(world.relays))]
     relay._drop("user01", evicted=True)
     with pytest.raises(Unavailable):

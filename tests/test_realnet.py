@@ -1,6 +1,8 @@
 """Honest-path suite over real loopback sockets: identical component code,
 the real TCP carrier."""
 import random
+import socket
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ from friendmesh.config import PeerConfig, RelayConfig, RendezvousConfig
 from friendmesh.netio import TcpChannel, TcpEndpoint, TcpServer
 from friendmesh.peer import Peer
 from friendmesh.profile import op_add
-from friendmesh.relay import MuxService, RelayServer, admit_as_server
+from friendmesh.relay import LEG_PROBE, MuxService, RelayServer, admit_as_server
 from friendmesh.rendezvous import RendezvousServer
 from friendmesh.wire import Frame
 
@@ -116,10 +118,8 @@ def test_relay_bridge_over_tcp(ca_world):
                 )
 
         admit_channel = TcpChannel(relay_srv.addr)
-        interval, token = admit_as_server(
-            admit_channel, srv_cert, srv_keys, ca.public_key, MuxService(_Responder())
-        )
-        assert token
+        admit_as_server(admit_channel, srv_cert, srv_keys, ca.public_key, MuxService(_Responder()))
+        assert list(relay.sessions) == ["relayed-srv"]
 
         cli_keys = identity.generate_keypair("ec-p256")
         cli_cert = ca.issue("relayed-cli", cli_keys.public_key)
@@ -199,8 +199,8 @@ def test_kept_sessions_over_tcp(ca_world, monkeypatch):
 
 
 def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
-    # Real mode injects no rng, so passphrases, friend keys, session keys and
-    # relay tokens come from os.urandom, not from Mersenne Twister.
+    # Real mode injects no rng, so passphrases, friend keys and session keys
+    # come from os.urandom, not from Mersenne Twister.
     draws = []
     real_randbytes = random.SystemRandom.randbytes
 
@@ -220,6 +220,82 @@ def test_components_without_an_rng_draw_secrets_from_a_csprng(monkeypatch):
     assert draws[2:] == [16]  # session key
     relay = RelayServer("127.0.0.1:2", ca_public_key=ca.public_key)
     admit_as_server(DirectChannel(relay), cert, pair, ca.public_key, MuxService(FuncService(lambda f, c: None)))
-    assert draws[3:] == [16, 16]  # session key, token
+    assert draws[3:] == [16]  # session key
     for component in (peer, rendezvous, relay):
         assert type(component.rng) is random.SystemRandom
+
+
+class SymmetricNat:
+    """Probe answers of a symmetric NAT: a peer behind it needs a relay."""
+
+    def local_endpoint(self):
+        return ("192.168.0.2", 7500)
+
+    def probe(self, server=0, change_address=False, change_port=False):
+        return None if change_address or change_port else ("127.0.0.1", 40000 + server)
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+@pytest.fixture()
+def relayed(ca_world):
+    """A relay registered at the rendezvous server, and a bootstrapped peer
+    behind a symmetric NAT that it serves."""
+    ca, ca_server, rv, rv_server = ca_world
+    relay = RelayServer(
+        addr="pending",
+        config=RelayConfig(rendezvous_addr=rv_server.host, rendezvous_port=rv_server.port),
+        ca_public_key=ca.public_key,
+        endpoint=TcpEndpoint(),
+    )
+    relay_srv = TcpServer(relay).start()
+    relay.addr, relay.config.port = relay_srv.addr, relay_srv.port
+    relay.register_with_rendezvous()
+    peer, peer_srv = make_real_peer(ca_server, rv_server, "natted")
+    peer.probes = SymmetricNat()
+    try:
+        peer.bootstrap()
+        yield relay, relay_srv, peer
+    finally:
+        peer.close()
+        peer_srv.stop()
+        relay_srv.stop()
+
+
+@pytest.mark.parametrize("how", ["dropped", "replaced"])
+def test_a_leg_the_relay_closed_reads_closed_and_one_tick_readmits(relayed, how):
+    relay, relay_srv, peer = relayed
+    leg = peer._relay_channel
+    assert list(relay.sessions) == ["natted"] and not leg.closed
+    assert peer.build_record().route == (relay_srv.addr, True)
+    assert leg._sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+    other = TcpChannel(relay_srv.addr)
+    try:
+        if how == "dropped":
+            relay._drop("natted", evicted=True)
+        else:  # another admission under the same name replaces the session
+            state = peer.state
+            admit_as_server(other, state.certificate, state.keypair, peer.ca_public_key, MuxService(peer))
+        wait_until(lambda: leg.closed)  # the reverse loop read the end
+        peer.tick()
+        assert peer._relay_channel is not leg and not peer._relay_channel.closed
+        assert relay.admitted == (2 if how == "dropped" else 3)
+        assert relay.sessions["natted"].session.handle(LEG_PROBE, None) == LEG_PROBE  # the new leg serves
+        peer.tick()
+        assert relay.admitted == (2 if how == "dropped" else 3)  # an open leg: no re-admission
+    finally:
+        other.close()
+
+
+def test_a_leg_its_peer_closed_is_dropped_at_the_relays_next_tick(relayed):
+    relay, relay_srv, peer = relayed
+    relay.tick()
+    assert list(relay.sessions) == ["natted"]
+    peer.close()
+    wait_until(lambda: relay.tick() or not relay.sessions)
+    assert relay.closed == 1 and relay.evicted == 0

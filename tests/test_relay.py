@@ -6,8 +6,8 @@ import pytest
 from friendmesh import identity, relay, secure, wire
 from friendmesh.channel import DirectChannel
 from friendmesh.config import RelayConfig
-from friendmesh.errors import AuthError, IntegrityError, NotFound, PeerUnreachable
-from friendmesh.relay import MuxService, RelayServer, admit_as_server, send_keepalive
+from friendmesh.errors import AuthError, IntegrityError, PeerUnreachable, ProtocolError
+from friendmesh.relay import MUX_STREAMS, MuxService, RelayServer, admit_as_server
 from friendmesh.wire import Frame
 
 
@@ -73,7 +73,9 @@ class TapMux:
                     outer.seen += reply.payload
                 return reply
 
-            def closed(self, ctx_):
+            closed = False  # the leg stays open
+
+            def close(self):
                 pass
 
         return _Tap(self.inner.open_session(ctx))
@@ -95,8 +97,8 @@ def admit(server, ca, name, mux=None, user=None):
     pair, cert = user or make_user(ca, name)
     mux = mux or MuxService(make_responder_service(ca, cert, pair))
     channel = DirectChannel(server, remote_addr=server.addr, local_addr=f"10.0.7.{name[-1]}:6000")
-    interval, token = admit_as_server(channel, cert, pair, ca.public_key, mux)
-    return pair, cert, token, interval
+    admit_as_server(channel, cert, pair, ca.public_key, mux)
+    return pair, cert
 
 
 class Recorder:
@@ -116,10 +118,8 @@ class Recorder:
 
 
 def test_admit_valid_peer(server, ca):
-    _, _, token, interval = admit(server, ca, "srv-a1")
-    assert interval == 1000
-    assert server.load == 1
-    assert token
+    admit(server, ca, "srv-a1")
+    assert list(server.sessions) == ["srv-a1"]
 
 
 def test_replayed_challenge_reply_rejected(server, ca):
@@ -169,11 +169,11 @@ def test_full_relay_readmits_a_peer_it_holds(server, ca):
     first = make_user(ca, "full-a1")
     admit(server, ca, "full-a1", user=first)
     admit(server, ca, "full-b2")
-    old_token = server.sessions["full-a1"].token
+    old = server.sessions["full-a1"]
     # A re-admission replaces the peer's own session, so it fits a full relay.
-    _, _, token, _ = admit(server, ca, "full-a1", user=first)
-    assert token != old_token
-    assert server.load == 2
+    admit(server, ca, "full-a1", user=first)
+    assert server.sessions["full-a1"] is not old
+    assert len(server.sessions) == 2
     with pytest.raises(AuthError):
         admit(server, ca, "full-c3")
     assert sorted(server.sessions) == ["full-a1", "full-b2"]
@@ -192,40 +192,11 @@ def test_capacity_checked_again_at_the_challenge_reply(server, ca):
     assert sorted(server.sessions) == ["late-a1", "late-b2"]
 
 
-def test_keepalive_keeps_session_alive(server, ca, clock):
-    _, _, token, interval = admit(server, ca, "ka-a1")
-    for _ in range(10):
-        clock.advance(interval)
-        channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.2:6001")
-        send_keepalive(channel, token)
-        server.tick()
-    assert server.load == 1
-
-
-def test_silence_evicts_and_no_resurrection(server, ca, clock):
-    _, _, token, interval = admit(server, ca, "ka-b2")
-    clock.advance(interval * 3 + 1)
-    server.tick()
-    assert server.load == 0
-    assert server.evicted == 1
-    # A keepalive after eviction is refused, and revives nothing.
-    channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.2:6002")
-    with pytest.raises(NotFound):
-        send_keepalive(channel, token)
-    server.tick()
-    assert server.load == 0
-
-
-def test_liveness_accounting(server, ca, clock):
-    _, _, _, interval = admit(server, ca, "acct-1")
-    admit(server, ca, "acct-2")
-    clock.advance(interval * 3 + 1)
-    server.tick()
-    assert len(server.sessions) == server.admitted - server.evicted - server.closed
-
-
 class ClosedCount:
-    """A reverse service whose sessions answer nothing and count closes."""
+    """A reverse service whose sessions answer nothing and count closes: a
+    leg whose peer is gone."""
+
+    closed = False
 
     def __init__(self):
         self.closes = 0
@@ -240,24 +211,80 @@ class ClosedCount:
         self.closes += 1
 
 
-def test_readmission_retires_the_old_token_and_closes_the_old_session(server, ca, clock):
-    pair, cert = make_user(ca, "readmit-1")
-    first, second = ClosedCount(), ClosedCount()
-    old_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
-    interval, old_token = admit_as_server(old_channel, cert, pair, ca.public_key, first)
-    new_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6001")
-    admit_as_server(new_channel, cert, pair, ca.public_key, second)
-    assert (first.closes, second.closes) == (1, 0)
-    assert len(server.sessions) == server.admitted - server.evicted - server.closed == 1
-    # The old token refreshes nothing: the new session, silent since its
-    # admission, is evicted on time, and its connection closed.
-    clock.advance(interval * 2)
-    with pytest.raises(NotFound):
-        send_keepalive(DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6002"), old_token)
-    clock.advance(interval + 1)
+def bridge(server, username, local="10.0.8.9:5000"):
+    """A client connection with a bridge open to username."""
+    channel = DirectChannel(server, remote_addr=server.addr, local_addr=local)
+    wire.call(channel, wire.BRIDGE_OPEN, username)
+    return channel
+
+
+def test_an_open_leg_keeps_its_session_with_no_frames(server, ca, clock):
+    pair, cert = make_user(ca, "ka-a1")
+    tap = TapMux(MuxService(make_responder_service(ca, cert, pair)))
+    admit(server, ca, "ka-a1", mux=tap, user=(pair, cert))
+    for _ in range(10):
+        clock.advance(server.config.ping_interval_ms)
+        server.tick()
+    assert len(server.sessions) == 1
+    assert tap.codes == []  # nothing went down the leg
+
+
+def test_silence_evicts_and_no_resurrection(server, ca, clock):
+    # The leg stops answering: the first frame forwarded down it gets no
+    # answer, and the session ends with its leg closed.
+    leg = ClosedCount()
+    admit(server, ca, "ka-b2", mux=leg)
+    client = bridge(server, "ka-b2")
+    with pytest.raises(PeerUnreachable):
+        wire.open_reply(client.request(Frame(wire.APP_DATA, b"hello")))
+    assert len(server.sessions) == 0
+    assert server.evicted == 1
+    assert leg.closes == 1
+    # The session is not revived: a bridge to it is refused, and ticks change nothing.
+    with pytest.raises(PeerUnreachable):
+        bridge(server, "ka-b2", local="10.0.8.9:5001")
+    clock.advance(server.config.ping_interval_ms)
     server.tick()
-    assert server.load == 0
-    assert second.closes == 1
+    assert len(server.sessions) == 0
+
+
+def test_liveness_accounting(server, ca):
+    user = make_user(ca, "acct-1")
+    admit(server, ca, "acct-1", user=user)
+    admit(server, ca, "acct-2", mux=ClosedCount())
+    admit(server, ca, "acct-1", user=user)  # replaced
+    with pytest.raises(PeerUnreachable):
+        wire.open_reply(bridge(server, "acct-2").request(Frame(wire.APP_DATA, b"x")))  # evicted
+    assert (server.admitted, server.closed, server.evicted) == (3, 1, 1)
+    assert len(server.sessions) == server.admitted - server.evicted - server.closed
+
+
+def test_readmission_retires_the_old_token_and_closes_the_old_session(server, ca):
+    # The old session's leg is closed, and a bridge opened on the old session
+    # reaches nothing: it neither drops nor uses the new one.
+    pair, cert = make_user(ca, "readmit-1")
+    first = ClosedCount()
+    old_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6000")
+    admit_as_server(old_channel, cert, pair, ca.public_key, first)
+    stale = bridge(server, "readmit-1")
+    tap = TapMux(MuxService(make_responder_service(ca, cert, pair)))
+    new_channel = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.7.3:6001")
+    admit_as_server(new_channel, cert, pair, ca.public_key, tap)
+    assert first.closes == 1
+    assert len(server.sessions) == server.admitted - server.evicted - server.closed == 1
+    with pytest.raises(PeerUnreachable):
+        wire.open_reply(stale.request(Frame(wire.APP_DATA, b"late")))
+    assert tap.codes == [] and server.evicted == 0 and len(server.sessions) == 1
+
+
+def test_a_leg_closed_by_its_peer_is_dropped_at_the_next_tick(server, ca):
+    leg = ClosedCount()
+    admit(server, ca, "gone-1", mux=leg)
+    server.tick()
+    assert len(server.sessions) == 1
+    leg.closed = True  # the peer closed its end
+    server.tick()
+    assert len(server.sessions) == 0 and server.closed == 1
 
 
 def test_bridge_handshake_and_opacity(server, ca):
@@ -311,9 +338,9 @@ def test_bridge_to_unknown_or_evicted_session(server, ca, clock):
     with pytest.raises(PeerUnreachable):
         wire.open_reply(client_ch.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"ghost"))))
 
-    _, _, _, interval = admit(server, ca, "evict-9")
-    clock.advance(interval * 3 + 1)
-    server.tick()
+    admit(server, ca, "evict-9", mux=ClosedCount())
+    with pytest.raises(PeerUnreachable):  # the leg gives no answer: evicted
+        wire.open_reply(bridge(server, "evict-9").request(Frame(wire.APP_DATA, b"x")))
     late = DirectChannel(server, remote_addr=server.addr, local_addr="10.0.8.3:5000")
     with pytest.raises(PeerUnreachable):
         wire.open_reply(late.request(Frame(wire.BRIDGE_OPEN, wire.pack_fields(b"evict-9"))))
@@ -353,3 +380,24 @@ def test_bridge_transparency_matches_direct(server, ca):
     relay_replies = [relayed.request_app("msg", p) for p in payloads]
     assert direct_replies == relay_replies
     assert transcripts["direct"] == transcripts["relay"]
+
+
+def test_stream_sessions_stay_under_the_cap_least_recently_used_dropped_first(server, ca):
+    spair, scert = make_user(ca, "mux-srv")
+    mux = MuxService(make_responder_service(ca, scert, spair))
+    admit(server, ca, "mux-srv", mux=mux, user=(spair, scert))
+    cpair, ccert = make_user(ca, "mux-cli")
+
+    def connect(i):
+        channel = bridge(server, "mux-srv", local=f"10.0.8.{i % 250}:{5000 + i}")
+        return secure.connect_secure(channel, ccert, cpair, ca.public_key, expected_username="mux-srv")
+
+    first, second = connect(0), connect(1)
+    for i in range(2, 100):
+        newest = connect(i)
+        assert first.request_app("ping") == [secure.pack_app("ping")]  # used: kept
+    assert len(mux._streams) <= MUX_STREAMS
+    assert newest.request_app("ping") == [secure.pack_app("ping")]
+    assert first.request_app("ping") == [secure.pack_app("ping")]
+    with pytest.raises(ProtocolError):
+        second.request_app("ping")  # the least recently used stream was dropped
