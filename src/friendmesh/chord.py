@@ -30,7 +30,7 @@ USENIX ATC 2004).
 
 A ring query is answered with the closest preceding entry and the successor
 list, and a lookup (a joiner's too) ends at the first node whose list, read
-up to successor_list_len, covers the key (Stoica et al., SIGCOMM 2001).
+up to SUCCESSOR_LIST_LEN, covers the key (Stoica et al., SIGCOMM 2001).
 """
 from __future__ import annotations
 
@@ -127,7 +127,6 @@ class RingNode:
         bits: int = BITS_FULL,
         store: MemoryStore | None = None,
         verify_row: Callable[[PeerRow], bool] | None = None,
-        successor_list_len: int = SUCCESSOR_LIST_LEN,
     ):
         self.addr = addr
         self.bits = bits
@@ -135,7 +134,6 @@ class RingNode:
         self.transport = transport
         self.store = store if store is not None else MemoryStore()
         self.verify_row = verify_row or (lambda row: True)
-        self.successor_list_len = successor_list_len
         self._self: Entry = (self.ident, addr)
         self._succ: list[Entry] = [self._self]
         self._pred: Entry | None = None
@@ -160,12 +158,12 @@ class RingNode:
             for entry in chain(self._fingers, self._succ, self._learned.values()):
                 if entry is not None and entry[1] not in ids:
                     ids[entry[1]] = entry[0]
-            # One candidate per distance: the first in finger, successor,
-            # learned order, which is the one a linear scan would keep on a tie.
-            # Distance 0 is this node, or an id colliding with it.
+            # One candidate per distance: of the addresses sharing an id, the
+            # smallest, whatever order the tables hold them in. Distance 0 is
+            # this node, or an id colliding with it.
             first: dict[int, Entry] = {}
             size = 1 << self.bits
-            for addr, ident in ids.items():
+            for addr, ident in sorted(ids.items()):
                 dist = (ident - self.ident) % size
                 if dist and addr not in self.evicted:
                     first.setdefault(dist, (ident, addr))
@@ -286,9 +284,9 @@ class RingNode:
         raise LookupFailed(f"no route to successor of {ident:x}")
 
     def _chain(self, addrs: list[str]) -> Iterator[Entry]:
-        """A remote answer's successors up to successor_list_len; the walk
+        """A remote answer's successors up to SUCCESSOR_LIST_LEN; the walk
         hashes only the addresses it reads."""
-        return (self._entry(addr) for addr in addrs[: self.successor_list_len])
+        return (self._entry(addr) for addr in addrs[:SUCCESSOR_LIST_LEN])
 
     def _walk(self, node: Entry, chain: Iterable[Entry], ident: int) -> tuple[Entry | None, Entry | None]:
         """(The first link of node's successor chain whose arc covers ident,
@@ -388,7 +386,7 @@ class RingNode:
         chain_addrs = [succ[1]] + [s for s in succ_list if s not in self.evicted]
         if not lapped:
             chain_addrs += [s for _, s in self._succ if s not in self.evicted]
-        kept = list(dict.fromkeys(chain_addrs))[: self.successor_list_len]
+        kept = list(dict.fromkeys(chain_addrs))[:SUCCESSOR_LIST_LEN]
         self._set_successors([succ if addr == succ[1] else self._entry(addr) for addr in kept])
 
     def _first_live_successor(self) -> Entry | None:

@@ -115,6 +115,7 @@ def cmd_relay(args) -> int:
     )
     listener = TcpServer(relay, host=args.bind, port=args.port).start()
     relay.addr = listener.addr
+    config.port = listener.port  # the port it registers, bound when --port is 0
     interval = relay.register_with_rendezvous()
     print(f"relay on {listener.addr}, rendezvous update interval {interval} ms")
     _run_upkeep("relay", relay.tick, max(interval, config.ping_interval_ms))

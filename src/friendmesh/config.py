@@ -4,9 +4,12 @@ Field sets mirror what each component reads: ports, addresses, the
 rendezvous database path, timing and ring settings. Every field is read by
 its component; fixed protocol choices (the session cipher, the complaint
 freshness of 10 stabilization periods, the relayed peer's mux stream cap)
-are constants of the code, not settings. The CLI runners take key and
-certificate files from their arguments; the simulator injects keys and
-state directly.
+are constants of the code, not settings. A rendezvous server evicts a ring
+member once complaint_threshold distinct peers registered with it have
+filed fresh signed complaints: r = 3 on every server unless a scenario
+sets another, a fixed count, so adjudication sends no ring traffic. The
+CLI runners take key and certificate files from their arguments; the
+simulator injects keys and state directly.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ class RendezvousConfig:
     age_ms: int = 6000  # 3 x refresh interval
     ring_bits: int = 128
     ring_enabled: bool = False
-    complaint_threshold: int | None = None  # None = max(3, ceil(0.2 * registered))
+    complaint_threshold: int = 3  # distinct registered complainants that evict a server
     stabilization_period_ms: int = 2000
 
     @property

@@ -901,13 +901,6 @@ class Peer:
         profile = self._profile_for(owner, peer)
         return (profile.apply_update(peer, path, op, timestamp=self.clock()),)
 
-    def _on_read(self, sender: Certificate, owner: str, path: str) -> tuple:
-        peer = sender.username
-        profile = self._profile_for(owner, peer)
-        if peer != profile.owner and not profile.check_permission(peer, path, "read"):
-            raise AuthError(f"{peer} may not read {path}")
-        return (profile.element(path).content,)
-
 
 def save_state(peer: Peer, path: str) -> None:
     """Persist everything a later CLI invocation needs, JSON with base64 blobs."""

@@ -125,10 +125,6 @@ class RelayRecord:
     load: int = 0
     last_update: int = 0
 
-    @property
-    def endpoint(self) -> str:
-        return f"{self.address}:{self.port}"
-
 
 @record(STR, STR, RAW)
 @dataclass(frozen=True)

@@ -188,26 +188,8 @@ class RendezvousServer:
             except ProtocolError:
                 continue
 
-    def _registered_count_estimate(self, accused: str) -> int:
-        count = 0
-        for row in self.store.peer_rows():
-            try:
-                ids = dual_hash(row.record.username, self.config.ring_bits)
-            except MalformedRequest:
-                continue
-            if self.ring is not None:
-                try:
-                    if any(self.ring.find_successor(i).addr == accused for i in ids.both()):
-                        count += 1
-                except ProtocolError:
-                    continue
-        return count
-
     def _adjudicate(self, accused: str) -> None:
-        hint = None
-        if self.ledger.threshold is None:
-            hint = self._registered_count_estimate(accused)
-        if self.ledger.adjudicate(accused, hint) != "evict":
+        if self.ledger.adjudicate(accused) != "evict":
             return
         # A server never evicts itself, so it never records doing so.
         if self.ring is not None and accused != self.addr and accused not in self.ring.evicted:

@@ -8,7 +8,6 @@ registrants have signed complaints against it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Protocol
 
@@ -25,6 +24,7 @@ STORAGE_ATTACK = "storage_attack"
 VERIFIED = "verified"
 SUSPECT = "suspect"
 INCONCLUSIVE = "inconclusive"
+MAX_RESTARTS = 4  # passes of the witness search; a failed pass restarts through an alternate
 
 
 def check_peer_record(record: RegistrationRecord, cert: Certificate) -> str:
@@ -100,7 +100,6 @@ def verify_registration_targets(
     friend_cert: Certificate,
     my_ids: DualId,
     friend_ids: DualId,
-    max_restarts: int = 4,
 ) -> VerificationOutcome:
     """Check whether (y, z) really own the caller's identifiers.
 
@@ -112,7 +111,7 @@ def verify_registration_targets(
     when every earlier one failed. Requires at least one friend, by
     construction.
     """
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         witness: str | None = None
         for server in _witness_candidates(probe, (y_addr, z_addr), friend_ids):
             fetched = None
@@ -217,7 +216,7 @@ RegisteredCheck = Callable[[str, str], bool]
 class ComplaintLedger:
     """Per-accused set of distinct valid complainants with latest timestamps."""
 
-    def __init__(self, threshold: int | None = None):
+    def __init__(self, threshold: int):
         self.threshold = threshold
         self._by_accused: dict[str, dict[str, int]] = {}
 
@@ -245,16 +244,9 @@ class ComplaintLedger:
     def distinct_complainants(self, accused: str) -> int:
         return len(self._by_accused.get(accused, {}))
 
-    def effective_threshold(self, accused: str, registered_count: int | None = None) -> int:
-        if self.threshold is not None:
-            return self.threshold
-        base = registered_count if registered_count is not None else 0
-        return max(3, math.ceil(0.2 * base))
-
-    def adjudicate(self, accused: str, registered_count: int | None = None) -> str:
+    def adjudicate(self, accused: str) -> str:
         """'evict' iff distinct valid registered complainants meet the threshold."""
-        needed = self.effective_threshold(accused, registered_count)
-        return "evict" if self.distinct_complainants(accused) >= needed else "retain"
+        return "evict" if self.distinct_complainants(accused) >= self.threshold else "retain"
 
 
 @dataclass

@@ -569,4 +569,3 @@ _app("sync_vec", (STR,), (VECTOR,))  # owner -> version vector
 _app("sync_push", (STR, RAW, STR), ())  # owner, entries, allowed users ("": keep them)
 _app("pull", (STR, VECTOR), (RAW,))  # owner, version vector -> entries
 _app("op", (STR, STR, RAW), (INT,))  # owner, path, operation -> version
-_app("read", (STR, STR), (RAW,))  # owner, path -> content

@@ -331,7 +331,7 @@ def test_crashed_node_leaves_no_successor_list_of_a_small_ring():
 
 def scan_closest(node, ident):
     """Reference: scan fingers, successors, then learned servers, hashing
-    every address."""
+    every address. Of candidates sharing an id, the smallest address wins."""
     candidates = [f[1] for f in node._fingers if f] + [s for _, s in node._succ] + list(node._learned)
     best, best_id = node.addr, node.ident
     for addr in candidates:
@@ -339,7 +339,9 @@ def scan_closest(node, ident):
             continue
         cand_id = node_ident(addr, node.bits)
         if two_branch_interval(cand_id, node.ident, ident) and (
-            best == node.addr or two_branch_interval(cand_id, best_id, ident)
+            best == node.addr
+            or two_branch_interval(cand_id, best_id, ident)
+            or (cand_id == best_id and addr < best)
         ):
             best, best_id = addr, cand_id
     return best
@@ -414,6 +416,13 @@ def routing_tables(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(routing_tables())
+# Two learned servers share id 22 at 6 bits; fix_fingers re-learns the
+# live one, which moves it to the most recent end of the learned table.
+@example({
+    "bits": 6, "self": "10.7.0.7:7000", "fingers": {}, "successors": ["10.7.0.6:7000"],
+    "evicted": {"10.7.0.6:7000"}, "learned": ["10.7.0.20:7000", "10.7.0.35:7000"],
+    "live": {"10.7.0.20:7000"}, "actions": [("fix_fingers", None)],
+})
 def test_routing_index_matches_linear_scan(table):
     # At 6 bits every address shares its id with two others, the node's
     # own included, so ties and the full circle are exercised.

@@ -12,6 +12,7 @@ from friendmesh.identity import SignedDigest
 from friendmesh.netio import TcpServer
 from friendmesh.peer import Peer
 from friendmesh.records import RegistrationRecord
+from friendmesh.relay import RelayServer
 from friendmesh.rendezvous import RendezvousServer
 from friendmesh.simnet import cli as sim_cli
 
@@ -161,14 +162,15 @@ def test_ca_cert_refuses_the_ca_private_key_file(tmp_path, capsys, live_servers)
     assert not os.path.exists(tmp_path / "mallory.json")
 
 
-@pytest.mark.parametrize("command", ["rendezvous", "peer"])
-def test_cli_servers_run_their_upkeep(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", ["rendezvous", "peer", "relay"])
+def test_cli_servers_run_their_upkeep(tmp_path, monkeypatch, capsys, live_servers, command):
     # The serving loop calls tick() once per period, and a ProtocolError
     # from one tick does not stop the next.
     ca_pub = str(tmp_path / "ca.pub")
     with open(ca_pub, "wb") as fh:
         fh.write(identity.generate_keypair("ec-p256").public_key)
-    service = RendezvousServer if command == "rendezvous" else Peer
+    _, rv_srv, _ = live_servers
+    service = {"rendezvous": RendezvousServer, "peer": Peer, "relay": RelayServer}[command]
     ticks = []
 
     def failing_tick(self):
@@ -187,9 +189,20 @@ def test_cli_servers_run_their_upkeep(tmp_path, monkeypatch, command):
     if command == "rendezvous":
         argv = ["rendezvous", "--port", "0", "--db", str(tmp_path / "rv.sqlite"),
                 "--ca-cert", ca_pub, "--ring"]
-    else:
+    elif command == "peer":
         argv = ["peer", "serve", "--username", "erin", "--state", str(tmp_path / "erin.json"),
                 "--ca-cert", ca_pub, "--port", "0"]
+    else:
+        argv = ["relay", "--port", "0", "--rendezvous", rv_srv.addr, "--ca-cert", ca_pub,
+                "--ping-interval", "2500"]
     assert cli.main(argv) == 0
     assert len(ticks) == 2
-    assert sleeps == [2.0, 2.0, 2.0]  # stabilization period; an unrelayed peer's 2 s
+    # The stabilization period; an unrelayed peer's 2 s; for a relay, the
+    # longer of its probe spacing and the update interval its rendezvous
+    # server answered at registration (2 s).
+    period = 2.5 if command == "relay" else 2.0
+    assert sleeps == [period] * 3
+    if command == "relay":
+        # It registered, before its first tick, the port it listens on.
+        [record] = rv_srv.service.store.relay_rows()
+        assert f"relay on 127.0.0.1:{record.port}," in capsys.readouterr().out

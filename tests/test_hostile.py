@@ -40,7 +40,6 @@ APP_ARITY = {
     "sync_push": 3,
     "pull": 2,
     "op": 3,
-    "read": 2,
 }
 
 FUZZ = settings(
@@ -134,6 +133,17 @@ def test_app_kind_with_wrong_field_count_is_malformed(friends, kind):
         with pytest.raises(MalformedRequest):
             channel.request_app(kind, *[b""] * count)
         assert channel.request_app("ping") == []
+    channel.close()
+
+
+def test_a_friends_read_request_is_refused_and_the_channel_still_serves(friends):
+    # Friends get content only by pull; read is no kind a peer serves.
+    alice, _ = friends
+    channel, served_by = alice.connect_friend("user01")
+    assert served_by == "user01"
+    with pytest.raises(MalformedRequest):
+        channel.request_app("read", b"user01", b"info")
+    assert channel.request_app("ping") == []
     channel.close()
 
 
@@ -348,7 +358,7 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
     for code, payload in data.draw(st.lists(st.tuples(CODES, payloads(cert)), max_size=4)):
         conn.send(code, payload)
         if channel is not None:
-            kind = data.draw(st.sampled_from(sorted(APP_ARITY) + ["", "err", "nope"]))
+            kind = data.draw(st.sampled_from(sorted(APP_ARITY) + ["", "err", "nope", "read"]))
             fields = data.draw(st.lists(field_values(cert), max_size=4))
             try:
                 channel.request_app(kind, *fields)
@@ -385,14 +395,14 @@ def test_ring_query_rejects_short_reply():
 
 def test_ring_answer_listing_many_addresses_costs_at_most_a_list_of_hashes(monkeypatch):
     # The node a lookup asks first answers with itself as closest and a list
-    # of 1,000 addresses. The first successor_list_len are unreachable and
+    # of 1,000 addresses. The first SUCCESSOR_LIST_LEN are unreachable and
     # lie just past it, so no arc among them covers the key; every later one
     # would, were the walk to read it. The answering node stays the first
     # hop of every restart, so the lookup can only give up.
     addrs = [f"10.6.4.{i}:7{i:03d}" for i in range(16)]
     nodes, transport = chord.build_ring(addrs)
     start = nodes[addrs[0]]
-    span = start.successor_list_len
+    span = chord.SUCCESSOR_LIST_LEN
     size = 1 << 128
     real = chord.node_ident
     pool = {a: real(a) for a in (f"10.66.{i // 250}.{i % 250}:9000" for i in range(3000))}

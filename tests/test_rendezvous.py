@@ -9,6 +9,7 @@ import pytest
 
 from friendmesh import identity, records, rvclient, secure, sentinel, store, wire
 from friendmesh.channel import DirectChannel
+from friendmesh.chord import dual_hash
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import HandshakeError, IntegrityError, MalformedRequest, NotFound
 from friendmesh.records import (
@@ -19,6 +20,7 @@ from friendmesh.records import (
     verify_registration_record,
 )
 from friendmesh.rendezvous import RendezvousServer
+from friendmesh.simnet.core import SimNet
 
 
 class Clock:
@@ -756,6 +758,58 @@ def test_server_never_records_evicting_itself(ca, clock):
     assert server.evictions == []
     assert "eviction" not in events
     assert server.ring.evicted == set()
+
+
+def test_a_cli_servers_adjudication_evicts_at_the_third_complainant_with_no_frame(ca, monkeypatch):
+    # Servers built as the CLI builds them, with no threshold given, on a
+    # simulated ring of 6 that holds registrations. The accused is evicted
+    # ring-wide at the 3rd distinct complainant registered with it, and
+    # adjudicating a complaint sends no frame: the threshold is a count,
+    # not an estimate of the accused's registrants.
+    sim = SimNet(seed=5)
+    servers = {}
+    for i in range(6):
+        addr = f"10.2.0.{i + 1}:7200"
+        host = sim.add_host(addr)
+        servers[addr] = RendezvousServer(
+            addr, RendezvousConfig(ring_enabled=True), ca.public_key,
+            endpoint=host.endpoint(), clock=sim.now_ms, rng=random.Random(i),
+        )
+        sim.set_service(addr, servers[addr])
+    addrs = sorted(servers)
+    for addr in addrs[1:]:
+        servers[addr].join_ring(addrs[0])
+        for _ in range(3):
+            for server in servers.values():
+                server.tick()
+    for server in servers.values():
+        server.ring.fix_fingers()
+    by_owner = {}
+    for i in range(18):
+        pair, cert = make_user(ca, f"cli-adj-{i}")
+        owner = servers[addrs[0]].ring.find_successor(dual_hash(cert.username).id_md5).addr
+        rvclient.register_peer(secure_client(servers[owner], pair, cert), make_record(pair, cert))
+        by_owner.setdefault(owner, []).append((pair, cert))
+    accused, registrants = max(by_owner.items(), key=lambda item: len(item[1]))
+    assert len(registrants) >= 3
+    assert all(server.store.peer_rows() for server in servers.values())
+    frames = []
+    adjudicate = RendezvousServer._adjudicate
+
+    def counting(server, accused):
+        before = len(sim.trace)
+        adjudicate(server, accused)
+        frames.append(sum(" MSG " in line for line in sim.trace[before:]))
+
+    monkeypatch.setattr(RendezvousServer, "_adjudicate", counting)
+    judges = [addr for addr in addrs if addr != accused]
+    channel = DirectChannel(servers[judges[0]])
+    for n, (pair, cert) in enumerate(registrants[:3], start=1):
+        complaint = sentinel.make_complaint(accused, cert, pair.private_key, sim.now_ms())
+        rvclient.submit_complaint(channel, complaint.encode())
+        evicted = [addr for addr in judges if accused in servers[addr].ring.evicted]
+        assert evicted == (judges if n == 3 else []), n
+    assert frames == [0] * (3 * len(judges))
 
 
 def ring_closest(channel, ident):

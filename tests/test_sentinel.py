@@ -168,13 +168,6 @@ def test_ledger_rejects_non_registered_complainants(ca):
     assert ledger.adjudicate(accused) == "retain"
 
 
-def test_ledger_auto_threshold_formula():
-    ledger = ComplaintLedger(threshold=None)
-    assert ledger.effective_threshold("x", registered_count=0) == 3
-    assert ledger.effective_threshold("x", registered_count=10) == 3
-    assert ledger.effective_threshold("x", registered_count=40) == 8
-
-
 def test_notification_book_threshold():
     book = NotificationBook(threshold=3)
     accused = "10.0.0.9:7200"
