@@ -6,9 +6,9 @@ Run from anywhere; the program is imported from the src/ next to this
 script. Each figure is the minimum over --repeat runs of timeit.repeat,
 in microseconds per call:
 
-- encode_entries / decode_entries: profile.encode_entries of 50 log
-  entries, each encoded for the first time, and decoding the result;
-- encode_entries_again: the same 50 entries encoded a second time;
+- pack_entries / unpack_entries: a pull reply's fields carrying 50 log
+  entries, each encoded for the first time, and reading the result;
+- pack_entries_again: the same 50 entries packed a second time;
 - digests: the digests of 50 log entries, each computed for the first time;
 - certificate_encode / certificate_decode, peer_row_encode / peer_row_decode;
 - ring_closest_reply / ring_closest_open: one RING_CLOSEST reply frame,
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     successors = [f"10.0.{i}.1:7200" for i in range(4)]
     reply = wire.reply(wire.RING_CLOSEST, "10.0.9.1:7200", successors[0], successors[1:])
     entries = fresh_entries()
-    encoded = profile.encode_entries(entries)
+    encoded = wire.encode("pull", entries, reply=True)
     env = {
         "profile": profile, "wire": wire, "Certificate": Certificate, "PeerRow": PeerRow,
         "cert": cert, "cert_bytes": cert.encode(), "row": row, "row_bytes": row.encode(),
@@ -67,9 +67,9 @@ def main(argv=None) -> int:
     # A batch of fresh entries per call, so no encoding or digest is cached.
     cold = "batches = [fresh_entries() for _ in range(200)]"
     figures = {
-        "encode_entries": figure("profile.encode_entries(batches.pop())", 200, cold),
-        "encode_entries_again": figure("profile.encode_entries(entries)", 200),
-        "decode_entries": figure("profile.decode_entries(encoded)", 200),
+        "pack_entries": figure("wire.encode('pull', batches.pop(), reply=True)", 200, cold),
+        "pack_entries_again": figure("wire.encode('pull', entries, reply=True)", 200),
+        "unpack_entries": figure("wire.decode('pull', encoded, reply=True)", 200),
         "digests": figure("for e in batches.pop(): e.digest()", 200, cold),
         "certificate_encode": figure("cert.encode()", 20000),
         "certificate_decode": figure("Certificate.decode(cert_bytes)", 20000),

@@ -82,7 +82,6 @@ def cmd_rendezvous(args) -> int:
     config = RendezvousConfig(
         port=args.port,
         db_url=args.db,
-        age_ms=args.age,
         refresh_interval_ms=args.refresh_interval,
         ring_enabled=bool(args.join or args.ring),
     )
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     rv_p.add_argument("--bind", default="127.0.0.1")
     rv_p.add_argument("--db", default="rendezvous.sqlite")
     rv_p.add_argument("--ca-cert", default="ca.pub", type=_ca_public_key, help=_CA_CERT_HELP)
-    rv_p.add_argument("--age", type=int, default=6000)
     rv_p.add_argument("--refresh-interval", type=int, default=2000)
     rv_p.add_argument("--ring", action="store_true", help="enable the server ring")
     rv_p.add_argument("--join", default=None, help="bootstrap ring node address")

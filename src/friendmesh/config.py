@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 class RendezvousConfig:
     port: int = 7200
     db_url: str = ":memory:"  # sqlite path, or :memory:
-    refresh_interval_ms: int = 2000  # must stay below age_ms
-    age_ms: int = 6000  # 3 x refresh interval
+    refresh_interval_ms: int = 2000  # how often a relay reports its load
     ring_bits: int = 128
     ring_enabled: bool = False
     complaint_threshold: int = 3  # distinct registered complainants that evict a server
     stabilization_period_ms: int = 2000
+
+    @property
+    def age_ms(self) -> int:
+        """How long a relay's last report keeps it selectable: 3 refresh intervals."""
+        return 3 * self.refresh_interval_ms
 
     @property
     def freshness_ms(self) -> int:

@@ -5,11 +5,10 @@ There is one key algorithm, ec-p256 (NIST P-256):
   - a private key is its 32-byte scalar, a public key its 65-byte
     uncompressed point;
   - signatures are ECDSA over SHA-256 in fixed 64-byte raw form (r || s);
-  - sealing is hybrid: the payload goes under a fresh AES-256-GCM data key,
-    and only that key is wrapped to the receiver (ECDH with an ephemeral
-    key, HKDF-SHA256, AES-GCM), so payload size is unbounded. The size of
-    every ciphertext and signature is a pure function of the plaintext
-    length.
+  - sealing is ECIES-style: each seal draws an ephemeral key, and the
+    payload goes under AES-256-GCM with the key HKDF-SHA256 derives from
+    its ECDH with the receiver's key. The size of every ciphertext and
+    signature is a pure function of the plaintext length.
 
 Certificates, certificate requests, key files and session keys still carry
 the strings "ec-p256" and "aes-128-gcm", so their bytes stay as they were.
@@ -135,38 +134,34 @@ def generate_keypair(algorithm_id: str = DEFAULT_ALGORITHM) -> KeyPair:
     return KeyPair(_point(key.public_key()), private, algorithm_id)
 
 
-# A sealed blob: the wrapped data key, the nonce, the ciphertext.
+# A sealed blob: the ephemeral point, the nonce, the ciphertext.
 _SEALED = Layout("sealed", (RAW, RAW, RAW))
 
 
-def _wrap_key(pub: bytes, dek: bytes) -> bytes:
-    """The ephemeral point, a nonce, and dek under the key ECDH agreed.
+def _seal_key(shared: bytes) -> bytes:
+    return HKDF(hashes.SHA256(), 32, None, b"seal").derive(shared)
+
+
+def _agree(pub: bytes) -> tuple[bytes, bytes]:
+    """A fresh ephemeral point, and the key it agrees with pub by ECDH.
 
     Apart from seal so that a test can fake it and pin sealed layouts."""
     eph = ec.generate_private_key(_CURVE)
-    shared = eph.exchange(ec.ECDH(), _public_key(pub))
-    kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
-    nonce = os.urandom(12)
-    return _point(eph.public_key()) + nonce + AESGCM(kek).encrypt(nonce, dek, None)
+    return _point(eph.public_key()), _seal_key(eph.exchange(ec.ECDH(), _public_key(pub)))
 
 
 def seal(pub: bytes, data: bytes) -> bytes:
-    """Hybrid-seal data so only the holder of the private key can read it."""
-    dek = os.urandom(32)
-    wrapped = _wrap_key(pub, dek)
+    """Seal data so only the holder of the private key can read it."""
+    point, key = _agree(pub)
     nonce = os.urandom(12)
-    ct = AESGCM(dek).encrypt(nonce, data, None)
-    return _SEALED.pack((wrapped, nonce, ct))
+    return _SEALED.pack((point, nonce, AESGCM(key).encrypt(nonce, data, None)))
 
 
 def open_sealed(priv: bytes, blob: bytes) -> bytes:
-    wrapped, nonce, ct = _SEALED.unpack(blob)
+    point, nonce, ct = _SEALED.unpack(blob)
     try:
-        eph = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, wrapped[:65])  # fresh: not cached
-        shared = _private_key(priv).exchange(ec.ECDH(), eph)
-        kek = HKDF(hashes.SHA256(), 32, None, b"seal-kek").derive(shared)
-        dek = AESGCM(kek).decrypt(wrapped[65:77], wrapped[77:], None)
-        return AESGCM(dek).decrypt(nonce, ct, None)
+        eph = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, point)  # fresh: not cached
+        return AESGCM(_seal_key(_private_key(priv).exchange(ec.ECDH(), eph))).decrypt(nonce, ct, None)
     except Exception as exc:
         raise IntegrityError("sealed payload failed to open") from exc
 

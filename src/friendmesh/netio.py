@@ -23,13 +23,16 @@ KEEPALIVE_IDLE_S = 600  # idle seconds before a taken-over socket's first TCP ke
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+    """n bytes, joined once: a frame costs time linear in its size (a
+    one-part join returns that part as it is)."""
+    parts = []
+    while n:
+        chunk = sock.recv(n)
         if not chunk:
             raise PeerUnreachable("connection closed")
-        buf += chunk
-    return buf
+        parts.append(chunk)
+        n -= len(chunk)
+    return b"".join(parts)
 
 
 class TcpChannel:

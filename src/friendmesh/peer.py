@@ -64,7 +64,7 @@ from .errors import (
 )
 from .identity import Certificate, KeyPair
 from .nat import NatType, needs_relay, stun_classify
-from .profile import MirrorReplica, Profile, decode_entries, encode_entries, op_perm
+from .profile import LogEntry, MirrorReplica, Profile, op_perm
 from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
 from .relay import MuxService, admit_as_server
 from .secure import SecureChannel
@@ -326,7 +326,7 @@ class Peer:
             relay_port=relay_port,
             passphrase=state.passphrase,
         )
-        mirrors = MIRROR_TABLE.encode(state.mirror_table)
+        mirrors = MIRROR_TABLE.pack((state.mirror_table,))
         inputs = (fields, mirrors, state.friend_key, state.keypair.private_key)
         if self._signed is None or self._signed[0] != inputs:
             record = make_registration_record(
@@ -536,7 +536,7 @@ class Peer:
             record = None
         if record is not None and entry.friend_key:
             try:
-                entry.mirror_table = MIRROR_TABLE.decode(
+                (entry.mirror_table,) = MIRROR_TABLE.unpack(
                     identity.friend_key_decrypt(entry.friend_key, record.encrypted_mirror_list)
                 )
             except ProtocolError:
@@ -682,12 +682,8 @@ class Peer:
             raise NotFound(friend_username)
 
         def seed(channel: SecureChannel, served_by: str) -> None:
-            channel.call(
-                "mirror_init",
-                self.username,
-                ",".join(sorted(self.state.friend_list)),
-                encode_entries(self.profile.log),
-            )
+            allowed = ",".join(sorted(self.state.friend_list))
+            channel.call("mirror_init", self.username, allowed, self.profile.log)
 
         # Only the friend themself can take the replica, not one of their mirrors.
         self._with_friend(friend_username, seed, mirrors=False)
@@ -724,18 +720,17 @@ class Peer:
         owner, mine = self.username, self.profile
         ((their_vector, their_digests),) = channel.call("sync_vec", owner)
         missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
-        allowed = ",".join(sorted(self.state.friend_list))
-        pushed = encode_entries(missing)
-        channel.call("sync_push", owner, pushed, allowed)
+        channel.call("sync_push", owner, ",".join(sorted(self.state.friend_list)), missing)
+        pushed = sum(2 + len(entry.encode()) for entry in missing)  # encodings the push kept
         pulled, changed = self._pull(channel, owner, mine)
-        self.on_event("sync", peer=self.username, owner=owner, bytes=len(pushed) + pulled)
+        self.on_event("sync", peer=self.username, owner=owner, bytes=pushed + pulled)
         return changed
 
     def _pull(self, channel: SecureChannel, owner: str, into: Profile) -> tuple[int, bool]:
         """Merge owner's entries that into lacks; returns their encoded size
         and whether into changed."""
         (entries,) = channel.call("pull", owner, into)
-        return len(entries), into.merge_entries(decode_entries(entries))
+        return channel.reply_size, into.merge_entries(entries)
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
@@ -852,12 +847,12 @@ class Peer:
         return ()
 
     def _on_mirror_init(self, sender: Certificate, owner: str, allowed: str,
-                        entries: bytes) -> tuple:
+                        entries: list[LogEntry]) -> tuple:
         if owner != sender.username:
             raise AuthError("only the owner may seed a replica")
         self.replicas[owner] = MirrorReplica(
             owner=owner,
-            profile=Profile.replay(owner, decode_entries(entries)),
+            profile=Profile.replay(owner, entries),
             allowed_users={u for u in allowed.split(",") if u},
         )
         self.on_event("replica_seeded", peer=self.username, owner=owner)
@@ -866,10 +861,9 @@ class Peer:
     def _on_sync_vec(self, sender: Certificate, owner: str) -> tuple:
         return (self._profile_for(owner, sender.username),)
 
-    def _on_sync_push(self, sender: Certificate, owner: str, pushed: bytes,
-                      allowed: str) -> tuple:
+    def _on_sync_push(self, sender: Certificate, owner: str, allowed: str,
+                      entries: list[LogEntry]) -> tuple:
         peer = sender.username
-        entries = decode_entries(pushed)
         if owner == peer:
             replica = self.replicas.get(owner)
             if replica is None:
@@ -891,7 +885,7 @@ class Peer:
         versions, digests = vector
         profile = self._profile_for(owner, peer)
         trusted = peer == owner or (owner in ("", self.username) and self._is_my_mirror(peer))
-        return (encode_entries(profile.pull_updates(peer, versions, digests, filtered=not trusted)),)
+        return (profile.pull_updates(peer, versions, digests, filtered=not trusted),)
 
     def _is_my_mirror(self, username: str) -> bool:
         return any(m.username == username for m in self.state.mirror_table)

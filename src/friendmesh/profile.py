@@ -32,8 +32,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import AccessDenied, InvalidPath, MalformedRequest
-from .wire import INT, RAW, STR, Field, Layout, list_of, many, pack_fields, pack_int, pack_str
-from .wire import record, unpack_fields, unpack_int, unpack_str
+from .wire import INT, RAW, STR, Field, Layout, many, pack_fields, pack_str, record, unpack_fields, unpack_str
 
 COMPONENTS = ("info", "share_board", "events", "groups", "private_messages")
 
@@ -538,43 +537,27 @@ def reconcile(owner: str, *logs: list[LogEntry]) -> Profile:
 # -- wire forms for sync ------------------------------------------------------------
 
 
+# A version vector: each component's name, version and prefix digest (b""
+# at version 0), in COMPONENTS order.
+_VECTOR = Layout("vector", (STR, INT, RAW) * len(COMPONENTS))
+
+
 def encode_vector(profile: Profile) -> bytes:
-    fields: list[bytes] = []
+    values = []
     for component in COMPONENTS:
         version = profile.versions[component]
-        fields.append(pack_str(component))
-        fields.append(pack_int(version))
-        fields.append(profile.prefix_digest(component, version) if version else b"")
-    return pack_fields(*fields)
+        values += (component, version, profile.prefix_digest(component, version) if version else b"")
+    return _VECTOR.pack(values)
 
 
 def decode_vector(data: bytes) -> tuple[dict[str, int], dict[str, bytes]]:
-    fields = unpack_fields(data)
-    if len(fields) % 3:
-        raise MalformedRequest("bad vector encoding")
-    vector: dict[str, int] = {}
-    digests: dict[str, bytes] = {}
-    for i in range(0, len(fields), 3):
-        name = unpack_str(fields[i])
-        vector[name] = unpack_int(fields[i + 1])
-        digests[name] = fields[i + 2]
-    return vector, digests
+    values = _VECTOR.unpack(data)
+    names = values[0::3]
+    return dict(zip(names, values[1::3])), dict(zip(names, values[2::3]))
 
 
 # A profile export: the owner, then every log entry.
 _EXPORT = Layout("profile_export", (STR, many(LogEntry)))
-
-# Log entries as one field: a pull's or a sync's batch.
-_ENTRIES = list_of(LogEntry, "entries")
-
-
-def encode_entries(entries: Iterable[LogEntry]) -> bytes:
-    return _ENTRIES.encode(entries)
-
-
-def decode_entries(data: bytes) -> list[LogEntry]:
-    return _ENTRIES.decode(data)
-
 
 # Message field type (wire.SCHEMA): sent from the profile it describes,
 # read back as (versions, prefix digests).

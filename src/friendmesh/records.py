@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from . import identity
 from .identity import Certificate, SignedDigest
-from .wire import FLAG, IDENT, INT, RAW, STR, list_of, record, spread
+from .wire import FLAG, IDENT, INT, RAW, STR, Layout, many, record, spread
 
 
 @record(STR, STR, INT, STR, STR, INT, STR, RAW, spread(SignedDigest))
@@ -112,8 +112,8 @@ class MirrorEntry:
     passphrase: str
 
 
-# Message field type (wire.SCHEMA): a peer's mirrors, in preference order.
-MIRROR_TABLE = list_of(MirrorEntry, "mirror_table")
+# A peer's mirrors, in preference order, as its registration record seals them.
+MIRROR_TABLE = Layout("mirror_table", (many(MirrorEntry),))
 
 
 @record(STR, INT, INT, INT, INT)

@@ -101,6 +101,7 @@ class SecureChannel:
         self._cipher: SessionCipher | None = cipher
         self.peer_cert = peer_cert
         self.session_key = session_key
+        self.reply_size = 0  # bytes of the last ok reply's fields after its status
 
     @property
     def remote_addr(self) -> str:
@@ -124,7 +125,9 @@ class SecureChannel:
             _raise_if_unreachable(reply)
             raise
         self._cipher = cipher
-        return wire.open_reply(Frame(wire.APP_DATA, plain), key)
+        values = wire.open_reply(Frame(wire.APP_DATA, plain), key)
+        self.reply_size = len(plain) - len(wire.OK)
+        return values
 
     def request_app(self, kind: str, *fields: bytes) -> list[bytes]:
         return self._exchange(pack_app(kind, *fields))

@@ -23,10 +23,10 @@ relay's: the plaintext inside APP_DATA is pack(kind) and then the
 request's fields, and a reply's plaintext is laid out as a plain reply.
 A field type has encode(value) -> bytes and decode(bytes) -> value:
 STR, INT (strict decimal), IDENT (hexadecimal), RAW, FLAG, a record
-class, list_of(T) (one field holding zero or more T fields) or another
-codec. The last type of a layout may be many(T): zero
-or more T fields, carried as one list value. A layout of None is a payload
-the schema does not read: ciphertext, a request served whatever it
+class or another codec. The last type of a layout may be many(T): zero or
+more T fields, carried as one list value, so a batch (log entries, a mirror
+table) is bounded by the frame, not by one field. A layout of None is a
+payload the schema does not read: ciphertext, a request served whatever it
 carries, or a code that only names a reply.
 
 A request is served by name: serve(handler, frame, who) answers a plain
@@ -415,19 +415,6 @@ def record(*fields):
     return declare
 
 
-def list_of(t, name: str) -> Field:
-    """A field type: one field holding zero or more t fields, as a list."""
-    layout = Layout(name, (many(t),))
-
-    def encode(items) -> bytes:
-        return layout.pack((items,))
-
-    def decode(data: bytes) -> list:
-        return layout.unpack(data)[0]
-
-    return Field(encode, decode)
-
-
 # -- the message schema ---------------------------------------------------------
 
 
@@ -508,8 +495,8 @@ def serve(handler, frame: Frame, who: Any) -> Frame:
 # The record types import this module's primitives; the package imports
 # this module first, so those exist by the time these lines run.
 from .identity import Certificate  # noqa: E402
-from .profile import VECTOR  # noqa: E402
-from .records import MIRROR_TABLE, FriendshipRequestRecord, PeerRow, RegistrationRecord  # noqa: E402
+from .profile import VECTOR, LogEntry  # noqa: E402
+from .records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord  # noqa: E402
 from .sentinel import Complaint  # noqa: E402
 
 # Each line: code = (code, name, request fields, reply fields after "ok"),
@@ -556,16 +543,15 @@ _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's
 # admitted peer, for as long as the connection stays open.
 _app("admit", (), ())
 
-# Peer app kinds, each on a friend channel. Log entries travel as
-# profile.encode_entries() bytes: the peer counts their size, and decodes
-# them once it knows the sender.
+# Peer app kinds, each on a friend channel. A batch of log entries or a
+# mirror table is its layout's tail, decoded before the handler runs.
 _app("ping", (), ())
 # passphrase, friend key, mirror table -> friend key, mirror table
-_app("friend_accept", (STR, RAW, MIRROR_TABLE), (RAW, MIRROR_TABLE))
+_app("friend_accept", (STR, RAW, many(MirrorEntry)), (RAW, many(MirrorEntry)))
 _app("passphrase_update", (STR, RAW), ())  # passphrase, friend key (b"": keep the old one)
 _app("note_bad_server", (STR,), ())  # accused server
-_app("mirror_init", (STR, STR, RAW), ())  # owner, allowed users, entries
+_app("mirror_init", (STR, STR, many(LogEntry)), ())  # owner, allowed users, entries
 _app("sync_vec", (STR,), (VECTOR,))  # owner -> version vector
-_app("sync_push", (STR, RAW, STR), ())  # owner, entries, allowed users ("": keep them)
-_app("pull", (STR, VECTOR), (RAW,))  # owner, version vector -> entries
+_app("sync_push", (STR, STR, many(LogEntry)), ())  # owner, allowed users ("": keep them), entries
+_app("pull", (STR, VECTOR), (many(LogEntry),))  # owner, version vector -> entries
 _app("op", (STR, STR, RAW), (INT,))  # owner, path, operation -> version

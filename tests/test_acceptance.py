@@ -11,7 +11,7 @@ from friendmesh.channel import DirectChannel
 from friendmesh.chord import dual_hash, node_ident
 from friendmesh.errors import AuthError, NotFound, StorageAttack, Unavailable
 from friendmesh.identity import SignedDigest
-from friendmesh.profile import Profile, encode_entries, encode_vector, op_add, op_perm
+from friendmesh.profile import Profile, encode_vector, op_add, op_perm
 from friendmesh.records import PeerRow, RegistrationRecord, make_registration_record
 from friendmesh.relay import MuxService, RelayServer, admit_as_server
 from friendmesh.secure import pack_app
@@ -493,7 +493,7 @@ def test_criterion_8_pull_minimality():
     request = pack_app("pull", b"olive", encode_vector(reader))
     batch = host.pull_updates("rita", vector, digests)
     assert batch == []
-    reply = wire.OK + wire.encode("pull", encode_entries(batch), reply=True)
+    reply = wire.OK + wire.encode("pull", batch, reply=True)
     per_element = (len(request) + len(reply)) / len(COMPONENTS)
     assert per_element <= 64, per_element
 
@@ -505,7 +505,7 @@ def test_criterion_8_pull_minimality():
     delta = host.pull_updates("rita", behind_vector, behind_digests)
     assert len(delta) == 2
     serialized = sum(len(e.encode()) for e in delta)
-    transferred = len(wire.OK + wire.encode("pull", encode_entries(delta), reply=True))
+    transferred = len(wire.OK + wire.encode("pull", delta, reply=True))
     assert transferred <= 1.5 * serialized, (transferred, serialized)
     verdict(8, f"up-to-date pull {per_element:.1f} B/element (<=64); "
                f"2-entry delta {transferred} B <= 1.5x{serialized} B")

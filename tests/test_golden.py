@@ -18,8 +18,17 @@ its three relayed peers no longer send server_is_alive each tick, so the
 trace lost those 45 requests and their replies, the 3 admit replies lost
 their 24 bytes of interval and token, and the times after the first
 keepalive moved, as every exchange draws its latency from one generator.
-Its outcomes did not move. Any change to a wire byte, a message count, a
-timestamp or an event in any scenario changes a hash.
+Its outcomes did not move. Every hash was re-recorded again when a batch
+of log entries or a mirror table became its message's last fields and a
+seal lost its wrapped data key. Each trace kept its lines, times and events
+(each pull and sync event its bytes), and only two kinds of frame shrank:
+app_data frames carrying a batch (pull replies, sync_push and mirror_init
+requests, friend_accept both ways) by 2 bytes, the batch's own length
+prefix, and frames carrying a sealed blob (session_key, cert_reply both
+ways, passphrase_blob requests and the register replies that deliver them)
+by 60. In baseline 457 app_data frames lost 2 bytes, and 86 session_key,
+32 cert_reply and 32 app_data frames lost 60. Any change to a wire byte, a
+message count, a timestamp or an event in any scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -44,16 +53,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "c206217e5e1555daa33a5de80d76edc8f96122aa2fb0bf3f2712c4da4fa13ed9",
-    "churn": "cf7ad7f92b4aca16919b2ea9b4cd9a895544ffca9d2b97d2da9183135c6e0fed",
-    "e1_eclipse": "1433043133f243d54433079957f2494541ce3a4084ce60bcc2ddb29e6c695e23",
-    "eviction": "7edfaaa6d407be71d3e7872e7fd2cc51a45c4fcc2ca4343065bc8841e495e616",
-    "island_partition": "19a4133a71340591d234c709f3f2aa2d926870c18e8db604c393635b178f8dec",
-    "r1_drop": "2c003b2cf9eaa6713dacd45750ac99884a623959fa2865240f67e9e0fd80cd69",
-    "r2_misroute": "234c9deb163b5671f4d8fef4e385ae9018f2c220dbcc005fa4d3abf3b6e6dc33",
-    "r3_claim_key": "bfebb153a9bacbc54ddca0505e4a05e31287b1ee8771e8f56dc97abcf5c16a26",
-    "s1_sybil": "58cbc118bc9feaf53ec9dde8d4347f79f5b25bb9d51cbfd168f95ebad942753b",
-    "t1_falsify": "e4600894fff3896c345655f814247f470c4a3ff20fb084e19e894d3680a6e493",
+    "baseline": "5615868d2a4ab1e33e5e46a894738c0affce6f8ad5c1b8823e08041e3520a9bd",
+    "churn": "791a2a3e87db52fdcc389ee332280e189547c3a4659f240721d09eb290ae844d",
+    "e1_eclipse": "208ce14bea5bdb7ce953c79458f341ef2f547c4072a061fdd9053d357494e8d1",
+    "eviction": "3078a02a7bb625f752efe8ed877466a07632f079da561cd33a5bad9847e56725",
+    "island_partition": "50e765a1337cb4e87f410b22a4a7d15b7e51232e0d790edac6b96562c1e99137",
+    "r1_drop": "60298dabe2f89f82fcfe841449b0457b03abfae8dd712c49a22523f64236d063",
+    "r2_misroute": "9fe30c55ec3736286574c3079486a0bfa599bb9eeef016e49b62ac0e59cc3213",
+    "r3_claim_key": "f14e3961bac6aed6318cca947148859d0b20a0d1447f29d8155e2bdbc74e8f95",
+    "s1_sybil": "ecbd54b06b2b3847fbfe8de9c849ed694b54052c1c29163336706838dcd5e745",
+    "t1_falsify": "5ac40b79c36c98de4fadd24ad2345e61c342f6bcac485ad6306e2d4ee0895ab4",
 }
 
 

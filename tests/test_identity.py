@@ -56,7 +56,7 @@ def test_unsupported_algorithm_rejected():
 
 def test_large_payload_hybrid_seal():
     pair = identity.generate_keypair("ec-p256")
-    data = bytes(range(256)) * 40  # far beyond one key-wrap block
+    data = bytes(range(256)) * 40  # 10 KiB under the one AEAD layer
     blob = identity.seal(pair.public_key, data)
     assert identity.open_sealed(pair.private_key, blob) == data
 

@@ -524,6 +524,24 @@ def test_mirror_serves_replica_reads():
     assert view.element("share_board/p1").content == b"from owner"
 
 
+def test_a_50000_entry_history_is_pulled_and_mirrored_whole():
+    # 2.7 MB of entries: a batch is bounded by the frame, not by one
+    # field's 65,535 bytes.
+    world = small_world(
+        seed=15,
+        n_peers=3,
+        friendships=[["user00", "user01"], ["user00", "user02"]],
+        mirrors=[["user00", "user01"]],
+    )
+    owner = world.peers["user00"]
+    for i in range(50_000):
+        owner.profile.apply_update("user00", "share_board", op_add(f"p{i}", b"x"), timestamp=i + 2)
+    expected = owner.profile.state_digest()
+    assert world.peers["user02"].pull_friend_profile("user00").state_digest() == expected
+    owner.sync_mirrors()
+    assert world.peers["user01"].replicas["user00"].profile.state_digest() == expected
+
+
 # -- friendship lifecycle ----------------------------------------------------------
 
 
@@ -906,7 +924,7 @@ def test_failed_routes_close_their_channels(open_sim_channels):
     world = small_world(seed=32, nat_assignment={"user01": "symmetric"})
     alice = world.peers["user00"]
     # A queued update the friend refuses.
-    alice._queue_for("user01", ("mirror_init", "user02", "", b""))
+    alice._queue_for("user01", ("mirror_init", "user02", "", []))
     with pytest.raises(Unavailable):
         alice.connect_friend("user01")
     # A handshake the friend refuses.

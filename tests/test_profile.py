@@ -4,16 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendmesh import identity
+from friendmesh import identity, wire
 from friendmesh.errors import AccessDenied, InvalidPath, MalformedRequest, ProtocolError
 from friendmesh.profile import (
     COMPONENTS,
     LogEntry,
     PermissionTable,
     Profile,
-    decode_entries,
     decode_vector,
-    encode_entries,
     encode_vector,
     merge_logs,
     op_add,
@@ -23,6 +21,12 @@ from friendmesh.profile import (
     reconcile,
 )
 from friendmesh.wire import pack_fields, pack_int, pack_str
+
+
+def over_the_wire(entries):
+    """entries as a pull reply carries them, read back."""
+    (received,) = wire.decode("pull", wire.encode("pull", entries, reply=True), reply=True)
+    return received
 
 
 def make_profile(owner="olive"):
@@ -305,7 +309,7 @@ def test_renumbered_entry_encodes_its_new_version():
     assert [(e.author, e.version) for e in merged] == [("bob", 1), ("alice", 2)]
     assert merged[1].digest() == late.digest()
     assert merged[1].encode() == LogEntry("info", 2, "alice", op_set(b"x"), 5).encode() != stale
-    assert decode_entries(encode_entries(merged)) == merged
+    assert over_the_wire(merged) == merged
 
 
 # -- strict op decoding ----------------------------------------------------------------
@@ -522,7 +526,7 @@ def delta_work(history, monkeypatch, delta=10):
     for i in range(history - 1):
         owner.apply_update("olive", "share_board", op_add(f"p{i}", b"x"), timestamp=2 + i)
     reader = Profile("olive")
-    reader.merge_entries(decode_entries(encode_entries(owner.pull_updates("rita", {}, None))))
+    reader.merge_entries(over_the_wire(owner.pull_updates("rita", {}, None)))
     for i in range(delta):
         owner.apply_update("olive", "share_board", op_add(f"d{i}", b"y"), timestamp=history + 2 + i)
 
@@ -541,7 +545,7 @@ def delta_work(history, monkeypatch, delta=10):
     monkeypatch.setattr(Profile, "_apply_op", counting_apply)
     vector, digests = decode_vector(encode_vector(reader))
     batch = owner.pull_updates("rita", vector, digests)
-    assert reader.merge_entries(decode_entries(encode_entries(batch)))
+    assert reader.merge_entries(over_the_wire(batch))
     monkeypatch.undo()
     assert len(batch) == delta and reader.log == owner.log
     return counts

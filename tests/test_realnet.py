@@ -34,6 +34,18 @@ def test_tcp_carrier_roundtrip():
         server.stop()
 
 
+def test_a_multi_megabyte_frame_roundtrips_over_tcp():
+    # Larger than any one recv returns, so both ends read it in parts.
+    server = TcpServer(echo_service()).start()
+    try:
+        channel = TcpChannel(server.addr)
+        payload = bytes(range(256)) * (5 * 4096)  # 5 MiB
+        assert channel.request(Frame(wire.APP_DATA, payload)) == Frame(wire.APP_DATA, payload)
+        channel.close()
+    finally:
+        server.stop()
+
+
 @pytest.fixture()
 def ca_world(tmp_path):
     ca = identity.CAState("loop-ca", identity.generate_keypair("ec-p256"))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import struct
@@ -149,6 +150,10 @@ def test_every_handler_names_a_schema_entry():
 # the registration record lost its unsigned NAT kind, and again when it lost
 # the server's last_refresh stamp (its last field, and the 6 bytes of it
 # inside peer_row); canonical_payload, what the owner signs, did not move.
+# seal, key_reply, cert_request and passphrase_blob were re-recorded when a
+# seal came to encrypt its payload under the ECDH-derived key itself: the
+# sealed blob lost its wrapped data key (60 bytes under real keys; 32 here,
+# where the faked agreement returns no ciphertext of a key).
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -157,9 +162,8 @@ RECORDS = [
 LAYOUTS = [cls.LAYOUT for cls in RECORDS] + [
     identity._CERT_SIGNED, identity._SEALED, secure._KEY_REPLY, secure._TRANSCRIPT, identity._CERT_REQUEST,
     identity._CERT_REQUEST_BODY, records._CANONICAL, sentinel._COMPLAINT_SIGNED,
-    profile._DIGESTED, profile._EXPORT, rvclient._REQUEST_BLOB,
+    profile._DIGESTED, profile._EXPORT, profile._VECTOR, records.MIRROR_TABLE, rvclient._REQUEST_BLOB,
 ]
-FIELDS = [records.MIRROR_TABLE, profile._ENTRIES]
 
 GOLDEN = {
     'signed_digest': '0004010101010003736967',
@@ -199,29 +203,26 @@ GOLDEN = {
         '023131'
     ),
     'seal': (
-        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
-        '020202020202020202020202001463b7bd2888de28273466cf0f6b9473e852bf1539'
+        '000457505542000c0101010101010101010101010014c37e2ed9e9020c609064066f12854f340401'
+        'fc38'
     ),
     'hello': (
         '001e0005616c696365000350554200026361000765632d70323536000353494700106e6e6e6e6e6e'
         '6e6e6e6e6e6e6e6e6e6e'
     ),
     'key_reply': (
-        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
-        '020202020202020202020202005807c9c959213caa96b8a7d7a337cca9d9c9deba84ebbaec14aeaa'
-        'd1c940d6131c1a7f0037680ecf86244b52eacf721e7ba816bfd7a03fbe0bbb71868463371ec333e4'
-        '94b1f5f6b07b15d116d0892ba690b29f3e709293a1e8'
+        '000457505542000c0101010101010101010101010058a7005aa848f11869eaac92ee959839776c09'
+        'dd74923a39ed38fa7de79fc00acdc90e3c0bca2db3deffaada67d5d06a48603597ad2b2e97c7d177'
+        '9facb030f5088244d75f6625b74ff3bba127d5f4346feca98824d9db8245'
     ),
     'cert_request': (
-        '005d0026574341505542010101010101010101010101010101010101010101010101010101010101'
-        '0101000c020202020202020202020202002507d3a8252334a4fdd09ce98a5ca0a7d18fc5e3dadda7'
-        '48fa19830160f3daa1b469fa6d8dfc000232310020916fc69f7d89857d861e2a15849fcec8a8368d'
-        '4b0d9d04f664da5324ebf64740'
+        '003d0006574341505542000c0101010101010101010101010025a71a3bd44af916028297acc7fef4'
+        '377f2a12842aa45b4f685a4d757f53425119be9f89f7fb000232310020916fc69f7d89857d861e2a'
+        '15849fcec8a8368d4b0d9d04f664da5324ebf64740'
     ),
     'passphrase_blob': (
-        '0024575055420101010101010101010101010101010101010101010101010101010101010101000c'
-        '020202020202020202020202001f07d3a8252334a4fdd5bcd4ba3dd4a70352213d115025883e4b7d'
-        'd9234c8b43'
+        '000457505542000c010101010101010101010101001fa71a3bd44af9160287b791f79f80374d0b19'
+        '9a75d4a8486f735b3a4249e2c2'
     ),
     'key_file': '0003505542000450524956000765632d70323536',
     'issued_certificate': '0005616c696365000350554200026361000765632d70323536000553d7a607d6',
@@ -247,7 +248,7 @@ def fixed_crypto(monkeypatch):
         return bytes([counter[0]]) * n
 
     monkeypatch.setattr(os, "urandom", urandom)
-    monkeypatch.setattr(identity, "_wrap_key", lambda pub, key: b"W" + pub + key)
+    monkeypatch.setattr(identity, "_agree", lambda pub: (b"W" + pub, b"K" * 32))
     monkeypatch.setattr(identity, "sign", lambda priv, data: b"S" + identity.sha256(priv + data)[:4])
     monkeypatch.setattr(identity, "check_public_key", lambda pub: pub)  # placeholder keys
     return counter
@@ -271,8 +272,7 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "canonical_payload": rec.canonical_payload(),
         "peer_row": row.encode(),
         "mirror_entry": MirrorEntry("bob", "bob-phrase").encode(),
-        "mirror_table": records.MIRROR_TABLE.encode([MirrorEntry("bob", "p1"),
-                                                     MirrorEntry("carol", "p2")]),
+        "mirror_table": records.MIRROR_TABLE.pack(([MirrorEntry("bob", "p1"), MirrorEntry("carol", "p2")],)),
         "friendship_request": FriendshipRequestRecord("carol", "alice", b"blob").encode(),
         "relay_record": RelayRecord("10.0.0.9", 7300, 8, 3, 1234).encode(),
         "certificate": cert.encode(),
@@ -282,7 +282,7 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "complaint_signed": complaint.signed_bytes(),
         "log_entry": e1.encode(),
         "log_entry_digest": e1.digest(),
-        "entries": profile.encode_entries([e1, e2]),
+        "entries": wire.encode("pull", [e1, e2], reply=True),
         "export_log": p.export_log(),
     }
     hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert, b"n" * secure.NONCE_LEN)
@@ -331,10 +331,6 @@ def value_of(t):
         return value_of(t.type)
     if isinstance(t, type):  # a record
         return st.builds(t, *[value_of(f) for f in t.LAYOUT.fields])
-    if t is records.MIRROR_TABLE:
-        return st.lists(value_of(MirrorEntry), max_size=3)
-    if t is profile._ENTRIES:
-        return st.lists(value_of(LogEntry), max_size=3)
     if t is profile.VECTOR:
         return st.sampled_from(PROFILES)
     return {
@@ -362,20 +358,7 @@ def test_record_roundtrip(cls, data):
     assert cls.decode(value.encode()) == value
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=["mirror_table", "entries"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_record_field_roundtrip(field, data):
-    value = data.draw(value_of(field))
-    assert field.decode(field.encode(value)) == value
-
-
-DECODERS = (
-    [cls.decode for cls in RECORDS]
-    + [layout.unpack for layout in LAYOUTS]
-    + [field.decode for field in FIELDS]
-    + [profile.decode_entries]
-)
+DECODERS = [cls.decode for cls in RECORDS] + [layout.unpack for layout in LAYOUTS]
 # Arbitrary bytes, and well-framed fields of arbitrary content.
 HOSTILE = st.one_of(
     st.binary(max_size=200),
@@ -477,7 +460,7 @@ def reference_unpack(fields: tuple, data: bytes) -> list:
 
 
 # Every layout: each schema request and reply, each record's and its views,
-# the module-level ones, and each list_of field as (fields, its encode, its decode).
+# and the module-level ones, as (fields, its pack, its unpack).
 SCHEMA_LAYOUTS = {
     f"{message.name}.{side}": layout
     for message in wire.SCHEMA.values()
@@ -485,14 +468,7 @@ SCHEMA_LAYOUTS = {
     if layout is not None
 }
 ALL_LAYOUTS = {**SCHEMA_LAYOUTS, **{layout.name: layout for layout in LAYOUTS}}
-CODECS = {
-    name: (layout.fields, layout.pack, layout.unpack) for name, layout in ALL_LAYOUTS.items()
-} | {
-    "mirror_table": ((wire.many(MirrorEntry),), lambda v: records.MIRROR_TABLE.encode(v[0]),
-                     lambda data: [records.MIRROR_TABLE.decode(data)]),
-    "entries": ((wire.many(LogEntry),), lambda v: profile._ENTRIES.encode(v[0]),
-                lambda data: [profile._ENTRIES.decode(data)]),
-}
+CODECS = {name: (layout.fields, layout.pack, layout.unpack) for name, layout in ALL_LAYOUTS.items()}
 
 
 def test_every_schema_layout_is_covered():
@@ -531,23 +507,38 @@ def test_generated_unpack_matches_the_reference_on_hostile_input(data):
 
 
 # Per layout, the index of each value that can carry a field over 65535 bytes:
-# a STR or RAW field, or a many(STR) or many(RAW) tail.
+# a STR or RAW field, or a many tail of them or of records that hold one.
+def _oversizable(t) -> bool:
+    if isinstance(t, wire.many):
+        t = t.type
+        if isinstance(t, type):  # a record
+            return any(u in (wire.STR, wire.RAW) for u in t.LAYOUT.fields)
+    return t in (wire.STR, wire.RAW)
+
+
 OVERSIZED = {
-    name: [i for i, t in enumerate(layout.fields)
-           if t in (wire.STR, wire.RAW) or (isinstance(t, wire.many) and t.type in (wire.STR, wire.RAW))]
-    for name, layout in ALL_LAYOUTS.items()
+    name: [i for i, t in enumerate(layout.fields) if _oversizable(t)] for name, layout in ALL_LAYOUTS.items()
 }
+
+
+def _big(t, data):
+    """A value of field type t that carries a field over 65535 bytes."""
+    if isinstance(t, wire.many):
+        return [_big(t.type, data)]
+    if isinstance(t, type):  # a record: its first STR or RAW field made big
+        name, u = next((n, u) for n, u in zip(t.LAYOUT.names, t.LAYOUT.fields) if u in (wire.STR, wire.RAW))
+        return dataclasses.replace(data.draw(value_of(t)), **{name: _big(u, data)})
+    return "x" * 65536 if t is wire.STR else b"x" * 65536
 
 
 @pytest.mark.parametrize("name", [name for name, where in OVERSIZED.items() if where])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_generated_pack_refuses_a_field_over_65535_bytes(name, data):
+    # A batch tail is bounded only by the frame, but each of its entries is one field.
     layout = ALL_LAYOUTS[name]
     values = list(data.draw(st.tuples(*[value_of(t) for t in layout.fields])))
     for i in OVERSIZED[name]:
-        t = layout.fields[i]
-        big = "x" * 65536 if wire.STR in (t, getattr(t, "type", None)) else b"x" * 65536
-        changed = values[:i] + [[big] if isinstance(t, wire.many) else big] + values[i + 1:]
+        changed = values[:i] + [_big(layout.fields[i], data)] + values[i + 1:]
         with pytest.raises(MalformedRequest):
             layout.pack(changed)
