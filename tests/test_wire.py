@@ -460,7 +460,8 @@ def reference_unpack(fields: tuple, data: bytes) -> list:
 
 
 # Every layout: each schema request and reply, each record's and its views,
-# and the module-level ones, as (fields, its pack, its unpack).
+# and the module-level ones, as (fields, its pack, its unpack); and a batch of
+# log entries as wire.encode and wire.decode carry it by message name.
 SCHEMA_LAYOUTS = {
     f"{message.name}.{side}": layout
     for message in wire.SCHEMA.values()
@@ -468,7 +469,12 @@ SCHEMA_LAYOUTS = {
     if layout is not None
 }
 ALL_LAYOUTS = {**SCHEMA_LAYOUTS, **{layout.name: layout for layout in LAYOUTS}}
-CODECS = {name: (layout.fields, layout.pack, layout.unpack) for name, layout in ALL_LAYOUTS.items()}
+CODECS = {
+    name: (layout.fields, layout.pack, layout.unpack) for name, layout in ALL_LAYOUTS.items()
+} | {
+    "entries": ((wire.many(LogEntry),), lambda v: wire.encode("pull", *v, reply=True),
+                lambda data: wire.decode("pull", data, reply=True)),
+}
 
 
 def test_every_schema_layout_is_covered():
