@@ -16,7 +16,9 @@ relay moved.
 A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
-or else the one the server sent.
+or else the one the server sent. Each server is first asked of the
+configured server preceding its id on the ring, then, only when neither
+record verifies, of the peer's registration servers (see _servers_for).
 
 A peer's own record is signed once per content: while its address,
 relay, passphrase, mirror table, friend key and signing key stay as
@@ -45,6 +47,7 @@ import base64
 import json
 import random
 import time
+from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
@@ -52,7 +55,7 @@ from typing import Callable, Iterator, TypeVar
 
 from . import caservice, identity, rvclient, secure, sentinel, wire
 from .channel import Channel, Endpoint, FuncService, SessionContext
-from .chord import DualId, dual_hash
+from .chord import DualId, dual_hash, node_ident
 from .config import PeerConfig
 from .errors import (
     AuthError,
@@ -83,7 +86,7 @@ class FriendEntry:
     username: str
     passphrase: str
     friend_key: bytes = b""
-    certificate: bytes = b""
+    certificate: Certificate | None = None  # decoded once; saved as its encoding
     mirror_table: list[MirrorEntry] = field(default_factory=list)
 
 
@@ -145,6 +148,9 @@ class Peer:
         self._kept: dict[tuple[str, str], SecureChannel] = {}
         # The last signed record, with the inputs it was built from; not saved.
         self._signed: tuple[tuple, RegistrationRecord] | None = None
+        # ((the configured servers, ring_bits), their sorted ring ids, their
+        # addresses in that order); rebuilt when the configuration changes.
+        self._ring: tuple[tuple, list[int], list[str]] | None = None
 
     def close(self) -> None:
         """Close every kept channel and the relay admission channel."""
@@ -290,6 +296,8 @@ class Peer:
         each with a fresh probe, until one is conclusive."""
         outcome = VerificationOutcome(status=sentinel.INCONCLUSIVE)
         for friend_name, entry in sorted(self.state.friend_list.items()):
+            if entry.certificate is None:
+                continue  # nothing to check a witness's record against
             outcome = sentinel.verify_registration_targets(
                 _Probe(self, exclude={x_addr}),
                 x_addr,
@@ -297,7 +305,7 @@ class Peer:
                 z,
                 friend_name,
                 entry.passphrase,
-                Certificate.decode(entry.certificate),
+                entry.certificate,
                 self.my_ids(),
                 dual_hash(friend_name, self.ring_bits),
             )
@@ -446,17 +454,30 @@ class Peer:
     # ------------------------------------------------------------------ locate / connect
 
     def _servers_for(self, username: str) -> Iterator[str]:
-        """The servers that hold username's record, each resolved through
-        the ring only when asked for: the md5 server first, the sha1 server
-        once the caller moves past it. A server is named once."""
+        """The servers that hold username's record, each resolved only when
+        the caller asks for the next: the md5 server, then the sha1 server.
+        Each id is first asked of the configured server that precedes it on
+        the ring, which answers from its own successor list with no ring
+        hop. Only a caller still asking after both (no record verified) gets
+        the servers that the peer's registration servers, or else the first
+        bootstrap server that answers, name for each id: a lying or stale
+        preceding server costs lookups, not the locate. No (server, id) is
+        asked twice, and a server is named once."""
         if not self.config.global_mode:
             yield from self._bootstrap_servers()[:1]
             return
-        ids = dual_hash(username, self.ring_bits)
+        ids = dual_hash(username, self.ring_bits).both()
         vias = self.state.registered_at or self._bootstrap_servers()
+        # Each round asks its id of the first of its servers that answers.
+        rounds = [(ident, self._preceding_server(ident)) for ident in ids]
+        rounds += [(ident, vias) for ident in ids]
+        asked: set[tuple[str, int]] = set()
         named: set[str] = set()
-        for ident in ids.both():
-            for via in vias:
+        for ident, servers in rounds:
+            for via in servers:
+                if (via, ident) in asked:
+                    continue
+                asked.add((via, ident))
                 try:
                     server = self._chord_lookup(via, ident)
                 except ProtocolError:
@@ -465,6 +486,17 @@ class Peer:
                     named.add(server)
                     yield server
                 break
+
+    def _preceding_server(self, ident: int) -> list[str]:
+        """The configured rendezvous server whose ring id most closely
+        precedes ident, as a list of one, or none when none is configured.
+        The servers' ids are hashed once per server list."""
+        addrs = tuple(self.config.rendezvous_addrs)
+        if self._ring is None or self._ring[0] != (addrs, self.ring_bits):
+            ring = sorted((node_ident(addr, self.ring_bits), addr) for addr in set(addrs))
+            self._ring = ((addrs, self.ring_bits), [i for i, _ in ring], [a for _, a in ring])
+        _, ring_ids, ring_addrs = self._ring
+        return [ring_addrs[bisect_left(ring_ids, ident) - 1]] if ring_addrs else []
 
     def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
         try:
@@ -506,8 +538,7 @@ class Peer:
         entry = self.state.friend_list.get(friend_username)
         if entry is None:
             raise NotFound(f"{friend_username} is not a friend")
-        cert = Certificate.decode(entry.certificate) if entry.certificate else None
-        return self._locate(friend_username, entry.passphrase, cert)
+        return self._locate(friend_username, entry.passphrase, entry.certificate)
 
     def _open_route(self, record: RegistrationRecord, expected: str) -> SecureChannel:
         addr, relayed = record.route
@@ -594,7 +625,7 @@ class Peer:
         try:
             record, _server = self._locate(requester, passphrase)
             with closing(self._open_route(record, requester)) as channel:
-                entry.certificate = channel.peer_cert.encode()
+                entry.certificate = channel.peer_cert
                 entry.friend_key, entry.mirror_table = channel.call(
                     "friend_accept", self.state.passphrase, self.state.friend_key,
                     self.state.mirror_table,
@@ -824,7 +855,7 @@ class Peer:
             username=peer,
             passphrase=passphrase,
             friend_key=friend_key,
-            certificate=sender.encode(),
+            certificate=sender,
             mirror_table=mirror_table,
         )
         self._grant_friend(peer)
@@ -924,7 +955,7 @@ def save_state(peer: Peer, path: str) -> None:
             name: {
                 "passphrase": entry.passphrase,
                 "friend_key": b64(entry.friend_key),
-                "certificate": b64(entry.certificate),
+                "certificate": b64(entry.certificate.encode()) if entry.certificate else "",
                 "mirror_table": [[m.username, m.passphrase] for m in entry.mirror_table],
             }
             for name, entry in state.friend_list.items()
@@ -977,7 +1008,7 @@ def load_state(peer: Peer, path: str) -> None:
             username=name,
             passphrase=entry["passphrase"],
             friend_key=unb64(entry["friend_key"]),
-            certificate=unb64(entry["certificate"]),
+            certificate=Certificate.decode(unb64(entry["certificate"])) if entry["certificate"] else None,
             mirror_table=[MirrorEntry(u, p) for u, p in entry["mirror_table"]],
         )
         for name, entry in doc["friend_list"].items()

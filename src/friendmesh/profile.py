@@ -32,7 +32,9 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import AccessDenied, InvalidPath, MalformedRequest
-from .wire import INT, RAW, STR, Field, Layout, many, pack_fields, pack_str, record, unpack_fields, unpack_str
+from .wire import (
+    INT, MAX_FIELD, RAW, STR, Field, Layout, many, pack_fields, pack_str, record, unpack_fields, unpack_str,
+)
 
 COMPONENTS = ("info", "share_board", "events", "groups", "private_messages")
 
@@ -104,6 +106,8 @@ class LogEntry:
 
 
 _ENCODE = LogEntry.LAYOUT.encode
+# The most decimal digits a version takes: a signed 64-bit count.
+_VERSION_DIGITS = 19
 # What a log entry's digest covers: every field but the version.
 _DIGESTED = LogEntry.LAYOUT.view("path", "author", "op", "timestamp")
 
@@ -358,10 +362,15 @@ class Profile:
         component = self.component_of(element_path)
         if author != self.owner and not self.check_permission(author, element_path, WRITE):
             raise AccessDenied(f"{author} may not write {element_path}")
-        self._apply_op(element_path, _decode_op(element_path, op), create_missing=False)
+        step = _decode_op(element_path, op)
         version = self.versions[component] + 1
-        self.versions[component] = version
         entry = LogEntry(path=element_path, version=version, author=author, op=op, timestamp=timestamp)
+        # A batch carries each entry as one field, whatever version a merge
+        # renumbers it to: an entry that could outgrow one is refused here.
+        if len(entry.encode()) - len(str(version)) + _VERSION_DIGITS > MAX_FIELD:
+            raise MalformedRequest(f"log entry at {element_path} exceeds one field")
+        self._apply_op(element_path, step, create_missing=False)
+        self.versions[component] = version
         self.log.append(entry)
         self._components[component].append(entry)
         return version

@@ -27,8 +27,19 @@ requests, friend_accept both ways) by 2 bytes, the batch's own length
 prefix, and frames carrying a sealed blob (session_key, cert_reply both
 ways, passphrase_blob requests and the register replies that deliver them)
 by 60. In baseline 457 app_data frames lost 2 bytes, and 86 session_key,
-32 cert_reply and 32 app_data frames lost 60. Any change to a wire byte, a
-message count, a timestamp or an event in any scenario changes a hash.
+32 cert_reply and 32 app_data frames lost 60. Every hash was re-recorded
+again when a peer came to ask each lookup first of the configured server
+preceding the key, which answers from its own successor list: lookups
+reach other servers, ring_closest hops mostly vanish and every later time
+moves. Detections and evictions did not move. r2_misroute's
+locates_failed went 0 -> 10: the accomplice that claims the victim's keys
+precedes both, so peers now ask it first and read its empty answer before
+the fallback through their registration servers finds the record
+(pulls_ok did not move). In s1_sybil one locate that ended at two sybils holding no row now
+falls back to a registration server, which names a server still holding
+the row: locates_ok 50 -> 51 and pulls ok/failed 46/2 -> 47/1.
+Any change to a wire byte, a message count, a timestamp or an event in
+any scenario changes a hash.
 
 Beside the hashes, golden_outcomes.json pins what each scenario came to,
 without times: locates and pulls ok and failed, the detection count, the
@@ -53,16 +64,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "5615868d2a4ab1e33e5e46a894738c0affce6f8ad5c1b8823e08041e3520a9bd",
-    "churn": "791a2a3e87db52fdcc389ee332280e189547c3a4659f240721d09eb290ae844d",
-    "e1_eclipse": "208ce14bea5bdb7ce953c79458f341ef2f547c4072a061fdd9053d357494e8d1",
-    "eviction": "3078a02a7bb625f752efe8ed877466a07632f079da561cd33a5bad9847e56725",
-    "island_partition": "50e765a1337cb4e87f410b22a4a7d15b7e51232e0d790edac6b96562c1e99137",
-    "r1_drop": "60298dabe2f89f82fcfe841449b0457b03abfae8dd712c49a22523f64236d063",
-    "r2_misroute": "9fe30c55ec3736286574c3079486a0bfa599bb9eeef016e49b62ac0e59cc3213",
-    "r3_claim_key": "f14e3961bac6aed6318cca947148859d0b20a0d1447f29d8155e2bdbc74e8f95",
-    "s1_sybil": "ecbd54b06b2b3847fbfe8de9c849ed694b54052c1c29163336706838dcd5e745",
-    "t1_falsify": "5ac40b79c36c98de4fadd24ad2345e61c342f6bcac485ad6306e2d4ee0895ab4",
+    "baseline": "18a1c1c3a749cf2a3ded509ce1fd81287c1577271cfd0b679f719d15c64ac142",
+    "churn": "7e5bf6c7baeccbab3bddff01d8211105afbb08eecd730633187e7355abcd25bf",
+    "e1_eclipse": "c29add1ef0cad82ecbcb33e50f729b93dcd4e188ceb4e3e4f1b90ac19fc029ff",
+    "eviction": "2472c6e4f2d4a2b18f8766d2829ebe9182e7915c074d4ae7d6a1c7512542c838",
+    "island_partition": "47f13e1a6a137d7895dd64db2ba847faf346d7e80c8fb0d4a67fa242596e8358",
+    "r1_drop": "e3bbdad1464e23b6717dce5f17e6c5d7d571658fb7b9bca6f48f196785117b30",
+    "r2_misroute": "3aefc780500d4dc1620ded6a9d4ba4756c5657804d78d5c2ae8db21f72710646",
+    "r3_claim_key": "09bf92d2c7627414b801d52a9dec031467901027327a2427953fb89a8abe1dce",
+    "s1_sybil": "e6cdb818224b39a70d52b455b2d3967e6a0a7d0d1961e611ea6572ad03bcb8c9",
+    "t1_falsify": "6e0bb49f5ea0b79296be206d4afed4da59a17dc181f2c2369f0a25c6258a3293",
 }
 
 

@@ -528,6 +528,28 @@ def test_a_rewritten_record_field_is_detected_as_tampering(field_name, monkeypat
     assert ("note_bad_server", md5_home) in reader.state.queued_updates["user04"]
 
 
+def test_a_misrouting_preceding_server_costs_one_lookup_per_id_not_the_locate(monkeypatch):
+    # A 16-server global world where the servers preceding user04's two ids
+    # answer its lookups with a dead address: the locate falls back to the
+    # reader's registration servers, one more lookup per id at most.
+    from friendmesh.simnet.adversary import AdversaryScript
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=16, n_peers=5, global_mode=True))
+    ring = sorted((chord.node_ident(a, 128), a) for a in world.servers)
+    ids = chord.dual_hash("user04").both()
+    liars = [([a for i, a in ring if i < ident] or [ring[-1][1]])[-1] for ident in ids]
+    reader = world.peers["user03"]
+    assert not set(liars) & set(reader.state.registered_at)
+    world.spawn_adversary(AdversaryScript(behaviors=["misroute"], targets=liars, victims=["user04"]))
+    lookups = []
+    real = reader._chord_lookup
+    monkeypatch.setattr(reader, "_chord_lookup",
+                        lambda server, ident: lookups.append((server, ident)) or real(server, ident))
+    record, server = reader.locate_friend("user04")
+    assert (record.username, server) == ("user04", next(a for i, a in ring if i >= ids[0]))
+    assert lookups == list(zip(liars, ids)) + [(reader.state.registered_at[0], ids[0])]
+
+
 def forged_plain_reply(ca, cert, pair, reply):
     """A rendezvous session whose server answers every request with the
     plain reply given, not encrypted under the session key."""

@@ -397,9 +397,34 @@ def test_locate_raises_storage_attack_when_both_servers_tamper(monkeypatch):
     world.spawn_adversary(
         AdversaryScript(behaviors=["falsify_record"], targets=list(homes), victims=["user04"])
     )
+    mark = len(world.sim.trace)
     with pytest.raises(StorageAttack):
         reader.locate_friend("user04")
-    assert lookups == [ids.id_md5, ids.id_sha1]
+    # Neither preceding server's answer gave a record that verifies, so each
+    # id is asked once more through the reader's registration servers. They
+    # name the same two servers, so no record is fetched twice.
+    assert lookups == [ids.id_md5, ids.id_sha1, ids.id_md5, ids.id_sha1]
+    reported = [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+    assert [line.rsplit("server=", 1)[1] for line in reported] == list(homes)
+
+
+def test_a_locate_asks_the_server_preceding_the_key_and_takes_no_ring_hop():
+    # On 16 servers a successor list (4 long) does not cover the ring, so a
+    # lookup through user03's registration server walks it; the configured
+    # server preceding user04's md5 id answers from its own successor list.
+    from friendmesh.chord import dual_hash, node_ident
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=16, n_peers=5, global_mode=True))
+    ring = sorted((node_ident(a, 128), a) for a in world.servers)
+    md5 = dual_hash("user04").id_md5
+    mark = len(world.sim.trace)
+    record, server = world.peers["user03"].locate_friend("user04")
+    assert (record.username, server) == ("user04", next(a for ident, a in ring if ident >= md5))
+    lines = world.sim.trace[mark:]
+    assert [line for line in lines if " ring_closest " in line] == []
+    lookups = [line.split(" EV ")[1] for line in lines if " EV chord_lookup " in line]
+    preceding = ([a for ident, a in ring if ident < md5] or [ring[-1][1]])[-1]
+    assert lookups == [f"chord_lookup hops=0 node={preceding}"]
 
 
 def test_friend_request_falls_back_to_bootstrap_servers_when_no_lookup_resolves(monkeypatch):
@@ -774,6 +799,25 @@ def test_friend_write_and_pull_roundtrip():
     assert version >= 1
     view = writer.pull_friend_profile("user00")
     assert view.element("share_board/c1").content == b"hi there"
+
+
+def test_a_write_whose_log_entry_outgrows_one_field_is_refused_before_it_applies():
+    # The op fits one field; its log entry (path, version, author, op,
+    # timestamp) would not, and every later pull and sync would then fail.
+    from friendmesh.errors import MalformedRequest
+
+    world = small_world(seed=15, n_peers=3, friendships=[["user00", "user01"], ["user00", "user02"]],
+                        mirrors=[["user00", "user02"]])
+    owner, writer = world.peers["user00"], world.peers["user01"]
+    log = list(owner.profile.log)
+    with pytest.raises(MalformedRequest):
+        writer.write_to_friend("user00", "share_board", op_add("big", b"x" * 65500))
+    assert owner.profile.log == log and owner.profile.element("share_board").children == {}
+    view = writer.pull_friend_profile("user00")
+    assert view.element("share_board").children == {}
+    owner.sync_mirrors()
+    replica = world.peers["user02"].replicas["user00"].profile
+    assert replica.canonical_encode() == owner.profile.canonical_encode()
 
 
 def test_pull_respects_permissions():
