@@ -12,7 +12,11 @@ or real sockets. Rows are PeerRows in a store.MemoryStore, which the
 node reads and writes directly; each row carries the identifier it was
 registered under so join/leave moves exactly the affected arc, and every
 row received from another server is verified before it is stored or
-re-replicated.
+re-replicated, unless the store already holds those very bytes: they were
+verified when stored. A row moves between servers only when it or its
+replica holder changed: a node remembers which successor last accepted
+each primary row's replica, and pushes an unchanged row again only when
+its first live successor is another one.
 
 The predecessor, the successor list and the fingers hold (id, address)
 entries, so an address is hashed once, when it enters the table: beyond
@@ -145,6 +149,9 @@ class RingNode:
         self._pred_heard = False
         self.evicted: set[str] = set()
         self.alive = True
+        # (username, ring id) of a primary row -> the successor that last
+        # accepted its replica; dropped when the row is handed over.
+        self._replicated: dict[tuple[str, int], str] = {}
         # (addr -> ident over fingers, successors and learned servers, sorted
         # clockwise distances of the live candidates, their entries). Set to
         # None when any of those or evicted change; rebuilt at the next read.
@@ -437,6 +444,7 @@ class RingNode:
         for row in moving:
             self.store.remove_peer(row.record.username, row.ring_id)
             self.store.upsert_peer(replace(row, replica=True))
+            self._replicated.pop((row.record.username, row.ring_id), None)
 
     def fix_finger(self) -> bool:
         """Resolve the finger at the cursor and every later finger its answer
@@ -512,36 +520,56 @@ class RingNode:
     # -- rows ------------------------------------------------------------------
 
     def put_primary(self, row: PeerRow) -> bool:
-        """Store a row this node owns and push a replica to the successor."""
-        if not self.verify_row(row):
+        """Store a row this node owns and push a replica to the successor.
+
+        A row moves between servers only when it or its replica holder
+        changed: a row equal to the stored primary is not verified again,
+        as the same bytes passed verify_row when they were stored, and its
+        replica is pushed only when the first live successor is not the one
+        that last accepted it."""
+        row = replace(row, replica=False)
+        if not self._known_or_verified(row):
             return False
-        self.store.upsert_peer(replace(row, replica=False))
-        self.replicate_out(row)
+        self.replicate_out(row, self.store.upsert_peer(row))
         return True
 
-    def replicate_out(self, row: PeerRow) -> None:
+    def _known_or_verified(self, row: PeerRow) -> bool:
+        """True for a row equal to the stored one, whose bytes passed
+        verify_row when they were stored, else verify_row's answer."""
+        return self.store.holds_peer(row) or self.verify_row(row)
+
+    def replicate_out(self, row: PeerRow, changed: bool) -> None:
+        """Push row's replica to the first live successor, unless the row is
+        unchanged and that successor already accepted it."""
         succ = self.successor()
-        if succ == self.addr:
+        key = (row.record.username, row.ring_id)
+        if succ == self.addr or (not changed and self._replicated.get(key) == succ):
             return
         try:
-            self.transport.replicate(succ, replace(row, replica=True))
+            accepted = self.transport.replicate(succ, replace(row, replica=True))
         except PeerUnreachable:
             self.note_dead(succ)
+            accepted = False
+        if accepted:
+            self._replicated[key] = succ
+        else:
+            self._replicated.pop(key, None)
 
     def accept_replica(self, row: PeerRow) -> bool:
         """Verify before replicating; invalid rows are never stored or forwarded."""
-        if not self.verify_row(row):
+        row = replace(row, replica=True)
+        if not self._known_or_verified(row):
             return False
-        self.store.upsert_peer(replace(row, replica=True))
+        self.store.upsert_peer(row)
         return True
 
     def accept_transfer(self, rows: list[PeerRow], departing: str | None) -> int:
         accepted = 0
         for row in rows:
-            if not self.verify_row(row):
+            row = replace(row, replica=False)
+            if not self._known_or_verified(row):
                 continue
-            self.store.upsert_peer(replace(row, replica=False))
-            self.replicate_out(row)
+            self.replicate_out(row, self.store.upsert_peer(row))
             accepted += 1
         if departing is not None:
             self.note_dead(departing)

@@ -15,6 +15,11 @@ lookup, complaints and server-to-server ring traffic are plain frames,
 served by wire.serve. Either way a request reaches the session's
 _on_<name> handler and the handler returns the reply values. Record
 integrity rests on owner signatures, never on the servers.
+
+A row moves between servers only when it or its replica holder changed:
+an unchanged re-registration, which builds a row equal to the stored one,
+is neither verified again nor pushed again to a successor that already
+accepted its replica (chord.RingNode.put_primary).
 """
 from __future__ import annotations
 
@@ -237,11 +242,12 @@ class RendezvousSession:
             ring_id=self._owned_ring_id(record.username),
             replica=False,
         )
-        # One signature check either way: the ring verifies what it stores.
+        # At most one signature check either way, and none for a row equal
+        # to the stored one: the ring verifies what it stores.
         if server.ring is not None:
             stored = server.ring.put_primary(row)
         else:
-            stored = server._verify_row(row)
+            stored = server.store.holds_peer(row) or server._verify_row(row)
             if stored:
                 server.store.upsert_peer(row)
         if not stored:

@@ -5,7 +5,8 @@ so the thread-per-connection servers may share it. The deterministic
 simulator and plain chord ring nodes use it as it is. A call that changes
 nothing (a row equal to the stored one, a replica over a primary, a
 removal of an absent key, a pop that finds nothing) changes no table and
-so writes nothing.
+so writes nothing, and upsert_peer says whether it stored the row, so the
+ring pushes again only a row that changed.
 
 SqliteStore is a MemoryStore that also persists: every change is written
 through to one table of (kind, key, value) rows, where value is the
@@ -55,17 +56,24 @@ class MemoryStore:
         """Called after each call once the lock is released; every change
         made so far, by this call or one it saw, is durable when it returns."""
 
-    def upsert_peer(self, row: PeerRow) -> None:
+    def upsert_peer(self, row: PeerRow) -> bool:
         """Insert or replace by (username, ring id); a replica never
         replaces a primary row, a primary replaces either, and an equal
-        row changes nothing."""
+        row changes nothing. True when the row was stored."""
         key = (row.record.username, row.ring_id)
         with self._lock:
             existing = self._peers.get(key)
-            if existing != row and (existing is None or existing.replica or not row.replica):
+            stored = existing != row and (existing is None or existing.replica or not row.replica)
+            if stored:
                 self._peers[key] = row
                 self._changed("peer", row)
         self._commit()
+        return stored
+
+    def holds_peer(self, row: PeerRow) -> bool:
+        """True when the row stored under row's (username, ring id) equals it."""
+        with self._lock:
+            return self._peers.get((row.record.username, row.ring_id)) == row
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
         with self._lock:

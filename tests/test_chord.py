@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -745,6 +746,82 @@ def test_replicate_verified_before_storing():
     assert succ.accept_replica(peer_row("alice", node.ident, b"good-record", replica=True))
     copies = [r for r in succ.store.peer_rows() if r.record.username == "alice"]
     assert len(copies) == 1
+
+
+def counting_replicates(transport):
+    """Wrap transport.replicate; returns the list of (successor, username)
+    it appends each push to."""
+    pushes = []
+    real = transport.replicate
+
+    def replicate(addr, row):
+        pushes.append((addr, row.record.username))
+        return real(addr, row)
+
+    transport.replicate = replicate
+    return pushes
+
+
+def test_an_unchanged_row_is_pushed_to_a_successor_that_joined_since():
+    # A node joins between the owner and its successor; once the ring has
+    # stabilized, the next unchanged registration puts the replica on it,
+    # and the one after that sends nothing.
+    addrs = [f"10.5.1.{i}:7{i:03d}" for i in range(4)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    owner = nodes[addrs[0]]
+    old_succ = owner.successor()
+    row = peer_row("alice", owner.ident)
+    assert owner.put_primary(row)
+    pushes = counting_replicates(transport)
+    assert owner.put_primary(row) and pushes == []
+
+    joiner = next(
+        a for a in (f"10.5.2.{i}:7000" for i in range(1000))
+        if in_interval(node_ident(a), owner.ident, nodes[old_succ].ident)
+    )
+    nodes[joiner] = chord.RingNode(joiner, transport, bits=128)
+    transport.add(nodes[joiner])
+    nodes[joiner].join(addrs[0])
+    chord.stabilize_all(nodes)
+    assert owner.successor() == joiner
+    assert not nodes[joiner].store.peer_rows()
+
+    assert owner.put_primary(row)
+    assert pushes == [(joiner, "alice")]
+    assert nodes[joiner].store.peer_rows() == [replace(row, replica=True)]
+    assert owner.put_primary(row)
+    assert pushes == [(joiner, "alice")]
+
+
+@pytest.mark.parametrize("failure", ["unreachable", "refused"])
+def test_a_push_that_failed_is_not_remembered(failure):
+    # The successor is down, or refuses the row, at the first push: the
+    # next unchanged registration pushes to it again, and once it has
+    # accepted, the one after that sends nothing.
+    addrs = [f"10.5.3.{i}:7{i:03d}" for i in range(4)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    owner = nodes[addrs[0]]
+    succ = nodes[owner.successor()]
+    pushes = counting_replicates(transport)
+    row = peer_row("alice", owner.ident)
+    if failure == "unreachable":
+        succ.alive = False
+        assert owner.put_primary(row)
+        succ.alive = True
+        chord.stabilize_all(nodes)
+        assert owner.successor() == succ.addr
+    else:
+        succ.verify_row = lambda row: False
+        assert owner.put_primary(row)
+        succ.verify_row = lambda row: True
+    assert pushes == [(succ.addr, "alice")]
+    assert not succ.store.peer_rows()
+
+    assert owner.put_primary(row)
+    assert pushes == [(succ.addr, "alice")] * 2
+    assert succ.store.peer_rows() == [replace(row, replica=True)]
+    assert owner.put_primary(row)
+    assert len(pushes) == 2
 
 
 def test_lookup_failed_when_every_route_lies():

@@ -23,7 +23,8 @@ from friendmesh.errors import (
 )
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import TcpChannel, TcpServer
-from friendmesh.records import _CANONICAL, RegistrationRecord, make_registration_record
+from friendmesh import records
+from friendmesh.records import _CANONICAL, PeerRow, RegistrationRecord, make_registration_record
 from friendmesh.relay import LEG_PROBE, MuxService, RelayServer, admit_as_server
 from friendmesh.rendezvous import RendezvousServer, WireRingTransport
 from friendmesh.simnet.scenario import Scenario, SimConfig
@@ -497,6 +498,68 @@ def rewritten(value):
     if isinstance(value, int):
         return value + 1
     return value + "0"
+
+
+@pytest.mark.parametrize("via, tamper", [
+    ("ring_replicate", "signature"), ("ring_replicate", "certificate"),
+    ("ring_transfer", "signature"), ("ring_transfer", "certificate"),
+    ("register", "signature"),
+])
+def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, monkeypatch, via, tamper):
+    # A server skips verification only for a row equal to the one it
+    # stores, so a row that differs in one byte is checked and refused, and
+    # the stored row stays: one with a flipped signature byte, or one with
+    # another user's certificate under the same (username, ring id). A
+    # registration carries its sender's certificate, so it is tampered by
+    # its signature alone, on a server without a ring.
+    pair, cert = user
+    record = make_registration_record(
+        username="hostile-user", ip="10.0.5.5", port=7500, protocol="tcp",
+        relay_address="", relay_port=0, passphrase="hostile-stored",
+        encrypted_mirror_list=b"\x01", private_key=pair.private_key,
+    )
+    if tamper == "signature":
+        signature = bytearray(record.signed_digest.signature)
+        signature[-1] ^= 1
+        bad_record = replace(record, signed_digest=replace(record.signed_digest, signature=bytes(signature)))
+        certificate = cert.encode()
+    else:
+        bad_record = record
+        certificate = ca.issue(f"hostile-other-{via}", identity.generate_keypair("ec-p256").public_key).encode()
+    server = RendezvousServer(
+        addr="10.0.0.9:7200",
+        config=RendezvousConfig(ring_enabled=via != "register"),
+        ca_public_key=ca.public_key,
+        endpoint=object(),  # a one-node ring dials nobody
+        clock=lambda: 0,
+        rng=random.Random(3),
+    )
+    good = PeerRow(record, cert.encode(), ring_id=0 if via == "register" else 5,
+                   replica=via == "ring_replicate")
+    bad = replace(good, record=bad_record, certificate=certificate)
+    if via == "register":
+        session = secure.connect_secure(DirectChannel(server), cert, pair, ca.public_key)
+
+        def send(row):
+            try:
+                rvclient.register_peer(session, row.record)
+            except IntegrityError:
+                return False
+            return True
+    else:
+        def send(row):
+            values = (row,) if via == "ring_replicate" else ("", [row])
+            return bool(wire.call(DirectChannel(server), getattr(wire, via.upper()), *values)[0])
+
+    assert send(good)
+    checks = []
+    real_verified = records.PeerRow.verified
+    monkeypatch.setattr(records.PeerRow, "verified",
+                        lambda row, key: checks.append(row) or real_verified(row, key))
+    assert send(good) and checks == []  # the same bytes again: not verified
+    assert not send(bad)
+    assert checks == [bad]
+    assert server.store.peer_rows() == [good]
 
 
 def test_every_field_that_steers_a_connection_is_signed():

@@ -354,19 +354,21 @@ def test_store_contract_equivalence(backend, ca, tmp_path):
     pair, cert = make_user(ca, f"store-user-{backend}")
     record = make_record(pair, cert, passphrase=f"store-phrase-{backend}")
     row = PeerRow(record=record, certificate=cert.encode(), ring_id=7, replica=False)
-    st.upsert_peer(row)
+    assert st.upsert_peer(row) is True  # upsert_peer says whether it stored the row
     assert st.peer_by_passphrase(f"store-phrase-{backend}") == row
     assert st.peer_by_username(f"store-user-{backend}") == row
     assert st.peer_by_passphrase(f"store-user-{backend}") is None
     assert st.peer_rows() == [row]
+    assert st.upsert_peer(PeerRow.decode(row.encode())) is False  # an equal row
+    assert st.holds_peer(row) and not st.holds_peer(replace(row, ring_id=8))
     replica = replace(row, replica=True)
-    st.upsert_peer(replica)  # a replica never downgrades a primary
-    assert st.peer_rows() == [row]
+    assert st.upsert_peer(replica) is False  # a replica never downgrades a primary
+    assert st.peer_rows() == [row] and not st.holds_peer(replica)
     st.remove_peer(f"store-user-{backend}", 7)
-    assert st.peer_rows() == []
+    assert st.peer_rows() == [] and not st.holds_peer(row)
     st.upsert_peer(replica)
     assert st.peer_rows() == [replica]
-    st.upsert_peer(row)  # a primary upgrades a replica
+    assert st.upsert_peer(row) is True  # a primary upgrades a replica
     assert st.peer_rows() == [row]
     st.remove_peer(f"store-user-{backend}", 7)
     assert st.peer_rows() == []
@@ -760,15 +762,12 @@ def test_server_never_records_evicting_itself(ca, clock):
     assert server.ring.evicted == set()
 
 
-def test_a_cli_servers_adjudication_evicts_at_the_third_complainant_with_no_frame(ca, monkeypatch):
-    # Servers built as the CLI builds them, with no threshold given, on a
-    # simulated ring of 6 that holds registrations. The accused is evicted
-    # ring-wide at the 3rd distinct complainant registered with it, and
-    # adjudicating a complaint sends no frame: the threshold is a count,
-    # not an estimate of the accused's registrants.
+def sim_ring(ca, count):
+    """`count` ring servers, built as the CLI builds them, joined and
+    stabilized on a simulated network: (the network, address -> server)."""
     sim = SimNet(seed=5)
     servers = {}
-    for i in range(6):
+    for i in range(count):
         addr = f"10.2.0.{i + 1}:7200"
         host = sim.add_host(addr)
         servers[addr] = RendezvousServer(
@@ -784,6 +783,48 @@ def test_a_cli_servers_adjudication_evicts_at_the_third_complainant_with_no_fram
                 server.tick()
     for server in servers.values():
         server.ring.fix_fingers()
+    return sim, servers
+
+
+def test_an_unchanged_reregistration_at_a_ring_server_is_neither_verified_nor_pushed(ca, monkeypatch):
+    # On a simulated ring of 3, a re-registration of the same signed record
+    # sends no ring_replicate frame and checks no signature. A changed
+    # record is verified by the owner and the successor and pushed once.
+    sim, servers = sim_ring(ca, 3)
+    pair, cert = make_user(ca, "unchanged-user")
+    owner = servers[sorted(servers)[0]].ring.find_successor(dual_hash(cert.username).id_md5).addr
+    session = secure_client(servers[owner], pair, cert)
+    record = make_record(pair, cert)
+    rvclient.register_peer(session, record)
+    successor = servers[servers[owner].ring.successor()]
+    assert [row.replica for row in successor.store.peer_rows()] == [True]
+    checks = []
+    real_verified = records.PeerRow.verified
+    monkeypatch.setattr(records.PeerRow, "verified",
+                        lambda row, key: checks.append(row.replica) or real_verified(row, key))
+
+    def pushes(register):
+        before = len(sim.trace)
+        register()
+        return [line.split()[3:5] for line in sim.trace[before:] if " MSG req " in line
+                and line.split()[5] == "ring_replicate"]
+
+    assert pushes(lambda: rvclient.register_peer(session, record)) == []
+    assert checks == []
+    changed = make_record(pair, cert, passphrase="PASS-" + "Y" * 20)
+    assert pushes(lambda: rvclient.register_peer(session, changed)) == [[owner, successor.addr]]
+    assert checks == [False, True]
+    assert [row.record for row in successor.store.peer_rows()] == [changed]
+
+
+def test_a_cli_servers_adjudication_evicts_at_the_third_complainant_with_no_frame(ca, monkeypatch):
+    # Servers built as the CLI builds them, with no threshold given, on a
+    # simulated ring of 6 that holds registrations. The accused is evicted
+    # ring-wide at the 3rd distinct complainant registered with it, and
+    # adjudicating a complaint sends no frame: the threshold is a count,
+    # not an estimate of the accused's registrants.
+    sim, servers = sim_ring(ca, 6)
+    addrs = sorted(servers)
     by_owner = {}
     for i in range(18):
         pair, cert = make_user(ca, f"cli-adj-{i}")
