@@ -16,9 +16,11 @@ relay moved.
 A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
-or else the one the server sent. Each server is first asked of the
-configured server preceding its id on the ring, then, only when neither
-record verifies, of the peer's registration servers (see _servers_for).
+or else the one the server sent. A server sends that certificate only when
+asked, and the peer asks only when it holds none. Each server is first
+asked of the configured server preceding its id on the ring, then, only
+when neither record verifies, of the peer's registration servers (see
+_servers_for).
 
 A peer's own record is signed once per content: while its address,
 relay, passphrase, mirror table, friend key and signing key stay as
@@ -36,6 +38,11 @@ dropped once it falls out of step (a transport or crypto failure); a kept
 one that finds its peer unreachable, as after a restart, or fails the
 friend's queue flush, is replaced once by a new one. Mirror channels are
 never kept. close() ends all of them and the relay admission channel.
+
+A peer reconciles its profile with a mirror in two exchanges: it asks for
+the replica's version vector (sync_vec), then pushes the entries the
+replica lacks together with its own vector (sync_push), and the mirror,
+once it has merged the push, answers the entries the owner lacks.
 
 Inbound channels are admitted only for friends, friend requesters,
 requested friends, or users allowed on a hosted replica, and the check
@@ -498,32 +505,36 @@ class Peer:
         _, ring_ids, ring_addrs = self._ring
         return [ring_addrs[bisect_left(ring_ids, ident) - 1]] if ring_addrs else []
 
-    def _fetch_record(self, server: str, passphrase: str) -> tuple[RegistrationRecord, bytes] | None:
+    def _fetch_record(self, server: str, passphrase: str,
+                      with_certificate: bool) -> tuple[RegistrationRecord, bytes] | None:
+        """The server's record under passphrase, and its owner's certificate
+        as sent (b"" unless with_certificate); None when it has none."""
         try:
-            return self._rendezvous(server, lambda session: rvclient.locate_peer(session, passphrase))
+            return self._rendezvous(
+                server, lambda session: rvclient.locate_peer(session, passphrase, with_certificate)
+            )
         except NotFound:
             return None
 
     def _locate(self, username: str, passphrase: str,
                 cert: Certificate | None = None) -> tuple[RegistrationRecord, str]:
         """username's first record, with its server, that verifies against
-        cert, or else against the certificate the server sent: the md5
-        server's first, then the sha1 server's. A record that fails, or
-        whose certificate does not decode, is reported: an event, and a note
-        queued for its owner, which reaches them if they are a friend."""
+        cert, or else, only when cert is None, against the certificate the
+        server is asked to send, once the CA's signature on it checks: the
+        md5 server's first, then the sha1 server's. A record that fails, or
+        whose sent certificate does not decode or check, is reported: an
+        event, and a note queued for its owner, which reaches them if they
+        are a friend."""
         attack_seen = False
         for server in self._servers_for(username):
             try:
-                fetched = self._fetch_record(server, passphrase)
+                fetched = self._fetch_record(server, passphrase, with_certificate=cert is None)
             except ProtocolError:
                 continue
             if fetched is None:
                 continue
             record, cert_bytes = fetched
-            try:
-                check_cert = cert or Certificate.decode(cert_bytes)
-            except ProtocolError:
-                check_cert = None
+            check_cert = cert or self._sent_certificate(cert_bytes)
             if check_cert is not None and check_peer_record(record, check_cert) == sentinel.OK:
                 return record, server
             attack_seen = True
@@ -532,6 +543,14 @@ class Peer:
         if attack_seen:
             raise StorageAttack(f"all located records for {username} failed verification")
         raise NotFound(f"{username} offline or rotated passphrase")
+
+    def _sent_certificate(self, data: bytes) -> Certificate | None:
+        """The certificate a server sent, when it decodes and the CA signed it."""
+        try:
+            sent = Certificate.decode(data)
+        except ProtocolError:
+            return None
+        return sent if identity.verify_certificate(sent, self.ca_public_key) else None
 
     def locate_friend(self, friend_username: str) -> tuple[RegistrationRecord, str]:
         """Try both dual-hash paths; verify each record before trusting it."""
@@ -747,34 +766,31 @@ class Peer:
 
     def _sync_over(self, channel: SecureChannel) -> bool:
         """Bidirectional reconcile of this peer's profile with a mirror over
-        one channel; True when the pull changed the local copy."""
+        one channel, in two exchanges; True when the mirror's answer changed
+        the local copy."""
         owner, mine = self.username, self.profile
         ((their_vector, their_digests),) = channel.call("sync_vec", owner)
         missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
-        channel.call("sync_push", owner, ",".join(sorted(self.state.friend_list)), missing)
+        # The vector is encoded as the request is packed, before any merge here.
+        (entries,) = channel.call("sync_push", owner, ",".join(sorted(self.state.friend_list)),
+                                  mine, missing)
         pushed = sum(2 + len(entry.encode()) for entry in missing)  # encodings the push kept
-        pulled, changed = self._pull(channel, owner, mine)
-        self.on_event("sync", peer=self.username, owner=owner, bytes=pushed + pulled)
-        return changed
-
-    def _pull(self, channel: SecureChannel, owner: str, into: Profile) -> tuple[int, bool]:
-        """Merge owner's entries that into lacks; returns their encoded size
-        and whether into changed."""
-        (entries,) = channel.call("pull", owner, into)
-        return channel.reply_size, into.merge_entries(entries)
+        self.on_event("sync", peer=self.username, owner=owner, bytes=pushed + channel.reply_size)
+        return mine.merge_entries(entries)
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
         local = into if into is not None else Profile(friend_username)
 
         def pull(channel: SecureChannel, served_by: str) -> None:
-            pulled, _ = self._pull(channel, friend_username, local)
+            (entries,) = channel.call("pull", friend_username, local)
+            local.merge_entries(entries)
             self.on_event(
                 "pull",
                 peer=self.username,
                 owner=friend_username,
                 served_by=served_by,
-                bytes=pulled,
+                bytes=channel.reply_size,
             )
 
         self._with_friend(friend_username, pull)
@@ -827,7 +843,14 @@ class Peer:
 
     # ------------------------------------------------------------------ app handler
 
+    # App kinds that only the owner they name first may send: each carries
+    # a batch of log entries, decoded only after that owner is checked.
+    _OWNER_ONLY = ("mirror_init", "sync_push")
+
     def _handle_app(self, body: bytes, sender: Certificate) -> bytes:
+        kind, pos = secure.read_app_kind(body)
+        if kind in self._OWNER_ONLY and wire.read_field(body, pos)[0] != sender.username.encode():
+            raise AuthError("only the owner may seed or push its replica")
         return secure.dispatch_app(self, body, sender)
 
     def _profile_for(self, owner: str, requester: str) -> Profile:
@@ -879,8 +902,7 @@ class Peer:
 
     def _on_mirror_init(self, sender: Certificate, owner: str, allowed: str,
                         entries: list[LogEntry]) -> tuple:
-        if owner != sender.username:
-            raise AuthError("only the owner may seed a replica")
+        # owner is the sender's own name (_handle_app).
         self.replicas[owner] = MirrorReplica(
             owner=owner,
             profile=Profile.replay(owner, entries),
@@ -892,24 +914,17 @@ class Peer:
     def _on_sync_vec(self, sender: Certificate, owner: str) -> tuple:
         return (self._profile_for(owner, sender.username),)
 
-    def _on_sync_push(self, sender: Certificate, owner: str, allowed: str,
+    def _on_sync_push(self, sender: Certificate, owner: str, allowed: str, vector: tuple,
                       entries: list[LogEntry]) -> tuple:
-        peer = sender.username
-        if owner == peer:
-            replica = self.replicas.get(owner)
-            if replica is None:
-                raise NotFound(f"no replica for {owner}")
-            replica.profile.merge_entries(entries)
-            if allowed:
-                replica.allowed_users = {u for u in allowed.split(",") if u}
-        elif owner in ("", self.username):
-            # A mirror returning entries collected while this peer was away.
-            if not self._is_my_mirror(peer):
-                raise AuthError("not one of this peer's mirrors")
-            self.profile.merge_entries(entries)
-        else:
-            raise AuthError("cannot push for a third party")
-        return ()
+        # owner is the sender's own name (_handle_app): a push is to its replica.
+        replica = self.replicas.get(owner)
+        if replica is None:
+            raise NotFound(f"no replica for {owner}")
+        replica.profile.merge_entries(entries)
+        if allowed:
+            replica.allowed_users = {u for u in allowed.split(",") if u}
+        versions, digests = vector
+        return (replica.profile.pull_updates(owner, versions, digests, filtered=False),)
 
     def _on_pull(self, sender: Certificate, owner: str, vector: tuple) -> tuple:
         peer = sender.username
@@ -1036,13 +1051,15 @@ class _Probe:
     def locate(self, via_addr: str, ident: int) -> str:
         return self.peer._chord_lookup(via_addr, ident)
 
-    def fetch_record(self, server_addr: str, passphrase: str):
+    def fetch_record(self, server_addr: str, passphrase: str) -> RegistrationRecord | None:
+        # The sentinel checks the record against the friend certificate it holds.
         try:
-            return self.peer._fetch_record(server_addr, passphrase)
+            fetched = self.peer._fetch_record(server_addr, passphrase, with_certificate=False)
         except PeerUnreachable:
             raise
         except ProtocolError:
             return None
+        return None if fetched is None else fetched[0]
 
     def try_connect(self, record: RegistrationRecord) -> bool:
         # On the friend's kept channel, which stays kept for the friend

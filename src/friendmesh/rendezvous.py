@@ -16,6 +16,10 @@ served by wire.serve. Either way a request reaches the session's
 _on_<name> handler and the handler returns the reply values. Record
 integrity rests on owner signatures, never on the servers.
 
+A locate answers the owner's certificate only when the locator asks for
+it: a locator that already holds it (every friend locate) gets the record
+alone, about 160 bytes less.
+
 A row moves between servers only when it or its replica holder changed:
 an unchanged re-registration, which builds a row equal to the stored one,
 is neither verified again nor pushed again to a successor that already
@@ -267,7 +271,7 @@ class RendezvousSession:
 
     # -- lookup -------------------------------------------------------------------------
 
-    def _on_locate(self, sender: Certificate, passphrase: str) -> tuple:
+    def _on_locate(self, sender: Certificate, passphrase: str, with_certificate: bool) -> tuple:
         row = self.server.store.peer_by_passphrase(passphrase)
         self.server.on_event(
             "locate",
@@ -277,7 +281,7 @@ class RendezvousSession:
         )
         if row is None:
             raise NotFound("no record under that passphrase")
-        return row.record, row.certificate
+        return row.record, row.certificate if with_certificate else b""
 
     # -- friendship requests ---------------------------------------------------------------
 

@@ -25,10 +25,12 @@ def register_peer(
 
 
 def locate_peer(
-    session: SecureChannel, passphrase: str
+    session: SecureChannel, passphrase: str, with_certificate: bool = True
 ) -> tuple[RegistrationRecord, bytes]:
-    """Exact-passphrase lookup; raises NotFound when no row matches."""
-    return session.call("locate", passphrase)
+    """Exact-passphrase lookup: the record and, when asked for, its owner's
+    certificate as the server holds it (b"" when not asked for). Raises
+    NotFound when no row matches."""
+    return session.call("locate", passphrase, with_certificate)
 
 
 def friend_request(session: SecureChannel, target_username: str) -> Certificate:

@@ -56,9 +56,10 @@ class RegistrationProbe(Protocol):
         """Ask via_addr which server owns ident; it may lie."""
         ...
 
-    def fetch_record(
-        self, server_addr: str, passphrase: str
-    ) -> tuple[RegistrationRecord, bytes] | None:
+    def fetch_record(self, server_addr: str, passphrase: str) -> RegistrationRecord | None:
+        """The record server_addr holds under passphrase, None when it holds
+        none. The friend's certificate, which the record is checked against,
+        is the caller's own, so the server is not asked for one."""
         ...
 
     def try_connect(self, record: RegistrationRecord) -> bool:
@@ -114,14 +115,12 @@ def verify_registration_targets(
     for _ in range(MAX_RESTARTS):
         witness: str | None = None
         for server in _witness_candidates(probe, (y_addr, z_addr), friend_ids):
-            fetched = None
             try:
-                fetched = probe.fetch_record(server, friend_passphrase)
+                record = probe.fetch_record(server, friend_passphrase)
             except PeerUnreachable:
                 continue
-            if fetched is None:
+            if record is None:
                 continue
-            record, _cert_bytes = fetched
             if check_peer_record(record, friend_cert) != OK:
                 continue
             if probe.try_connect(record):

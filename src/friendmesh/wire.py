@@ -534,7 +534,9 @@ MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstanc
 # The RegistrationRecord's fields in order, less the username (the
 # certificate's; the signed digest spread as two) -> pending friendship requests
 _app("register", RegistrationRecord.LAYOUT.fields[1:], (many(FriendshipRequestRecord),))
-_app("locate", (STR,), (RegistrationRecord, RAW))  # passphrase -> record, owner certificate
+# passphrase, whether the owner's certificate is wanted -> record, that
+# certificate or b"" (a locator that holds it asks for none)
+_app("locate", (STR, FLAG), (RegistrationRecord, RAW))
 _app("friend_request", (STR,), (RAW,))  # username -> certificate
 _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user
 
@@ -544,14 +546,21 @@ _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's
 _app("admit", (), ())
 
 # Peer app kinds, each on a friend channel. A batch of log entries or a
-# mirror table is its layout's tail, decoded before the handler runs.
+# mirror table is its layout's tail, decoded before the handler runs. The
+# owner named first in mirror_init and sync_push must be the sender, which
+# a peer checks before it decodes the batch (peer.Peer._handle_app).
 _app("ping", (), ())
 # passphrase, friend key, mirror table -> friend key, mirror table
 _app("friend_accept", (STR, RAW, many(MirrorEntry)), (RAW, many(MirrorEntry)))
 _app("passphrase_update", (STR, RAW), ())  # passphrase, friend key (b"": keep the old one)
 _app("note_bad_server", (STR,), ())  # accused server
 _app("mirror_init", (STR, STR, many(LogEntry)), ())  # owner, allowed users, entries
-_app("sync_vec", (STR,), (VECTOR,))  # owner -> version vector
-_app("sync_push", (STR, STR, many(LogEntry)), ())  # owner, allowed users ("": keep them), entries
-_app("pull", (STR, VECTOR), (many(LogEntry),))  # owner, version vector -> entries
+# A mirror sync is two exchanges: the owner asks for its replica's vector,
+# then pushes what the replica lacks with its own vector and gets back,
+# once the push is merged, what the owner lacks.
+_app("sync_vec", (STR,), (VECTOR,))  # owner -> the replica's version vector
+# owner, allowed users ("": keep them), the owner's version vector, entries
+# -> entries the owner lacks
+_app("sync_push", (STR, STR, VECTOR, many(LogEntry)), (many(LogEntry),))
+_app("pull", (STR, VECTOR), (many(LogEntry),))  # a reader's read: owner, version vector -> entries
 _app("op", (STR, STR, RAW), (INT,))  # owner, path, operation -> version

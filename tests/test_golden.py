@@ -81,16 +81,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "b81a18c905e95f4683d159e20244c5d0a656b7af067759e7515a1fdafb9ed792",
-    "churn": "514a7910a2a27ef75fd073e75f8c37f7b60b790bedf48a8d1ec27c13c80166ab",
-    "e1_eclipse": "bfeb479a3fc69ea045d1256a39061924889129fa0718d7e5e3cc45844576e35e",
-    "eviction": "684ad616a402cb9de3e271bfcbe44d9c1615ad5910c54fa2770fb25f95de2eaf",
-    "island_partition": "dbcbc4b268581b940dd6af323d5f004155f96f5a90203e007d3a5100ba38a324",
-    "r1_drop": "d412930a4c1e2627a07b804d5e226d37cfb00b61b4f180464878325657820a66",
-    "r2_misroute": "be38c03128df65cac4d28a343c225287c5083831e7e3d2a4b87137b9ebaefdeb",
-    "r3_claim_key": "7443106092257615a70f46cf90fdea04943c82a3ebbc5acc923d38060c53dbe9",
-    "s1_sybil": "2b9489b6a2ba649e86c30c35236a635b050a31c863064961e515505ca0545488",
-    "t1_falsify": "8529e13b10bc88b0a9cc84568d114d0ab1b8a4ea1b541dcd23083f91e2e2838f",
+    "baseline": "de8ee2d5d5fef02da32b0c4bd3c7129a292369eb715ed2aa73c1c5c02d86d76d",
+    "churn": "d084018a86586c84febd9276102700df1a65a1eb23f3b7bcaa6a7e0d977d814d",
+    "e1_eclipse": "91b567a4cda94101f577a24d9a2d66d298e9cdf647ab4d5466caf809f998c441",
+    "eviction": "d8e9ce57e67e6f04cf041fedc745acdf7f1e4d97cf7a006f06fba1af5deaced2",
+    "island_partition": "9b2b1b26852a782099b77d8c8558389752a4429eed3f979be4f66ae3b048f9a6",
+    "r1_drop": "de783eda0812c00d7694d115761bdf891a11d8f9485560fd3711aa9f1faf7a6c",
+    "r2_misroute": "1a65d043dee9d11dae4f37ded7069697eaa188a4cafe5d83e66300b77ccb0775",
+    "r3_claim_key": "667e36bab2e23eec1614f412f845a3322200ba0911a8fec39ea6c654ead76e82",
+    "s1_sybil": "ba75368a611298165d4248f5f3125b80923e71b3bf75bd243ce5e68234146a5d",
+    "t1_falsify": "4b76ef31493f51d9913998132a54653351d8fca21d0368972fa7c64afbf1f721",
 }
 
 

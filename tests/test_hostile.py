@@ -23,6 +23,7 @@ from friendmesh.errors import (
 )
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import TcpChannel, TcpServer
+from friendmesh.profile import LogEntry, Profile, encode_vector
 from friendmesh import records
 from friendmesh.records import _CANONICAL, PeerRow, RegistrationRecord, make_registration_record
 from friendmesh.relay import LEG_PROBE, MuxService, RelayServer, admit_as_server
@@ -41,11 +42,14 @@ APP_ARITY = {
     "note_bad_server": 1,
     "mirror_init": 2,
     "sync_vec": 1,
-    "sync_push": 2,
+    "sync_push": 3,
     "pull": 2,
     "op": 3,
 }
 BATCH_KINDS = {"friend_accept", "mirror_init", "sync_push"}
+# Kinds whose first field names the owner, who alone may send them: a peer
+# refuses any other sender before it reads the rest.
+OWNER_ONLY = {"mirror_init", "sync_push"}
 
 FUZZ = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -134,15 +138,37 @@ def test_app_kind_with_wrong_field_count_is_malformed(friends, kind):
     channel, served_by = alice.connect_friend("user01")
     assert served_by == "user01"
     counts = [APP_ARITY[kind] + 1] + ([APP_ARITY[kind] - 1] if APP_ARITY[kind] else [])
+    # The sender's own name as the owner, so the codec is what answers.
+    first = [b"user00"] if kind in OWNER_ONLY else []
     for count in counts:
         with pytest.raises(MalformedRequest):
-            channel.request_app(kind, *[b""] * count)
+            channel.request_app(kind, *(first + [b""] * count)[:count])
         assert channel.request_app("ping") == []
     if kind in BATCH_KINDS:
-        # An empty batch is well-formed: the handler, not the codec, refuses it.
+        # An empty batch is well-formed: a check, not the codec, refuses it.
         with pytest.raises(errors.AuthError):
             channel.request_app(kind, *[b""] * APP_ARITY[kind])
         assert channel.request_app("ping") == []
+    channel.close()
+
+
+@pytest.mark.parametrize("kind", sorted(OWNER_ONLY))
+def test_a_batch_for_another_owner_is_refused_before_any_entry_is_decoded(friends, monkeypatch, kind):
+    # About 4 MiB of log entries from an admitted friend, naming user02 as
+    # the owner: the peer refuses it without decoding one entry.
+    alice, _ = friends
+    entry = alice.profile.log[0].encode()
+    entries = [entry] * (4 * 1024 * 1024 // (2 + len(entry)))
+    head = [b"user02", b""] + ([encode_vector(Profile("user02"))] if kind == "sync_push" else [])
+    decodes = []
+    real = LogEntry.decode.__func__
+    monkeypatch.setattr(LogEntry, "decode", classmethod(lambda cls, data: decodes.append(1) or real(cls, data)))
+    channel, served_by = alice.connect_friend("user01")
+    assert served_by == "user01"
+    with pytest.raises(errors.AuthError):
+        channel.request_app(kind, *head, *entries)
+    assert decodes == []
+    assert channel.request_app("ping") == []
     channel.close()
 
 

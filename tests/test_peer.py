@@ -619,6 +619,159 @@ def test_accept_verifies_the_requester_record_and_falls_through_to_sha1():
     assert b.state.friend_list["user00"].friend_key == a.state.friend_key
 
 
+@pytest.fixture
+def located(monkeypatch):
+    """Every locate answer a peer gets: (user, certificate asked for, certificate sent)."""
+    from friendmesh import rvclient
+
+    answers = []
+    real = rvclient.locate_peer
+
+    def recorded(session, passphrase, with_certificate=True):
+        record, cert = real(session, passphrase, with_certificate)
+        answers.append((record.username, with_certificate, cert))
+        return record, cert
+
+    monkeypatch.setattr(rvclient, "locate_peer", recorded)
+    return answers
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The certificate each located record is verified against, in order."""
+    from friendmesh import peer as peer_module
+
+    certs = []
+    real = peer_module.check_peer_record
+    monkeypatch.setattr(peer_module, "check_peer_record",
+                        lambda record, cert: certs.append(cert) or real(record, cert))
+    return certs
+
+
+def test_accept_asks_for_the_requester_certificate_and_verifies_against_it(located, checked):
+    world = small_world(seed=16, n_peers=3, friendships=[])
+    a, b = world.peers["user00"], world.peers["user01"]
+    a.send_friend_request("user01")
+    b.reregister()
+    located.clear()
+    b.accept_friend("user00")
+    assert located == [("user00", True, a.state.certificate.encode())]
+    assert checked == [a.state.certificate]
+    # Now a friend: the certificate is held and not asked for again.
+    b.locate_friend("user00")
+    assert located[1:] == [("user00", False, b"")]
+    assert checked[1] is b.state.friend_list["user00"].certificate
+
+
+def test_the_mirror_fallback_asks_for_the_mirror_certificate(located, checked):
+    world = small_world(seed=14, n_peers=4,
+                        friendships=[["user00", "user01"], ["user00", "user03"]],
+                        mirrors=[["user00", "user01"]])
+    world.peers["user00"].sync_mirrors()
+    world.sim.set_down(world.peers["user00"].endpoint.local_addr(), True)
+    reader = world.peers["user03"]
+    located.clear()
+    channel, served_by = reader.connect_friend("user00")
+    channel.close()
+    mirror_cert = world.peers["user01"].state.certificate
+    assert served_by == "user01"
+    assert located == [("user00", False, b""), ("user01", True, mirror_cert.encode())]
+    assert checked[-1] == mirror_cert
+
+
+def locate_reply_size(world, locate) -> int:
+    """The size of the one reply frame a warm locate gets."""
+    mark = len(world.sim.trace)
+    locate()
+    replies = [int(line.split()[-1]) for line in world.sim.trace[mark:] if " MSG rep " in line]
+    assert len(replies) == 1
+    return replies[0]
+
+
+def test_a_friend_locate_reply_is_one_certificate_shorter(checked):
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    owner, reader = world.peers["user00"], world.peers["user01"]
+    held = reader.state.friend_list["user00"].certificate
+    reader.locate_friend("user00")  # the session to the server is kept from here on
+    friend = locate_reply_size(world, lambda: reader.locate_friend("user00"))
+    assert checked[-1] is held
+    asking = locate_reply_size(world, lambda: reader._locate("user00", owner.state.passphrase))
+    assert checked[-1] == held and checked[-1] is not held  # the one the server sent
+    assert friend == asking - len(held.encode())
+
+
+@pytest.mark.parametrize("answer", ["empty", "another_user"])
+def test_a_wrong_certificate_for_a_locator_without_one_is_a_storage_attack(monkeypatch, answer):
+    # user01 accepts user00, so holds no certificate of theirs: user00's md5
+    # server answers the locate with none, or with user02's. The record
+    # fails against it and the locate falls through to the sha1 server.
+    from friendmesh.rendezvous import RendezvousSession
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True, friendships=[]))
+    a, b = world.peers["user00"], world.peers["user01"]
+    md5_home, sha1_home = homes(world, "user00")
+    assert md5_home != sha1_home
+    wrong = b"" if answer == "empty" else world.peers["user02"].state.certificate.encode()
+    real = RendezvousSession._on_locate
+
+    def lying(self, sender, passphrase, with_certificate):
+        record, cert = real(self, sender, passphrase, with_certificate)
+        return record, wrong if self.server.addr == md5_home else cert
+
+    monkeypatch.setattr(RendezvousSession, "_on_locate", lying)
+    a.send_friend_request("user01")
+    b.reregister()
+    mark = len(world.sim.trace)
+    b.accept_friend("user00")
+    assert "user01" in a.state.friend_list
+    reported = [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+    assert [line.rsplit("server=", 1)[1] for line in reported] == [md5_home]
+    # A certificate sent unasked changes nothing: the friend locate verifies
+    # against the held one at the md5 server.
+    mark = len(world.sim.trace)
+    record, server = b.locate_friend("user00")
+    assert (record.username, server) == ("user00", md5_home)
+    assert not [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+
+
+def test_a_record_under_a_certificate_no_ca_signed_is_a_storage_attack(monkeypatch):
+    # user00's md5 server answers user01's accept with a record signed by a
+    # key of its own, under a certificate naming user00 that no CA signed.
+    from dataclasses import replace
+
+    from friendmesh import identity
+    from friendmesh.records import make_registration_record
+    from friendmesh.rendezvous import RendezvousSession
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True, friendships=[]))
+    a, b = world.peers["user00"], world.peers["user01"]
+    md5_home, sha1_home = homes(world, "user00")
+    assert md5_home != sha1_home
+    keys = identity.generate_keypair()
+    forged_cert = replace(a.state.certificate, public_key=keys.public_key)
+    real = RendezvousSession._on_locate
+
+    def forging(self, sender, passphrase, with_certificate):
+        record, cert = real(self, sender, passphrase, with_certificate)
+        if self.server.addr != md5_home:
+            return record, cert
+        forged = make_registration_record(
+            username="user00", ip="10.66.6.6", port=7777, protocol="tcp", relay_address="",
+            relay_port=0, passphrase=passphrase, encrypted_mirror_list=record.encrypted_mirror_list,
+            private_key=keys.private_key,
+        )
+        return forged, forged_cert.encode()
+
+    monkeypatch.setattr(RendezvousSession, "_on_locate", forging)
+    a.send_friend_request("user01")
+    b.reregister()
+    mark = len(world.sim.trace)
+    b.accept_friend("user00")
+    assert "user01" in a.state.friend_list
+    reported = [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+    assert [line.rsplit("server=", 1)[1] for line in reported] == [md5_home]
+
+
 def test_declined_request_leaks_nothing():
     world = small_world(seed=17, n_peers=3, friendships=[])
     a, b = world.peers["user00"], world.peers["user01"]
@@ -896,6 +1049,32 @@ def test_mirror_writeback_to_owner():
     assert owner.profile.element("share_board/away").content == b"missed you"
 
 
+def test_a_sync_converges_both_sides_in_two_exchanges():
+    # The mirror holds a write the owner lacks, and the owner one the mirror lacks.
+    world = small_world(
+        seed=23,
+        n_peers=3,
+        friendships=[["user00", "user01"], ["user00", "user02"]],
+        mirrors=[["user00", "user01"]],
+    )
+    owner, mirror = world.peers["user00"], world.peers["user01"]
+    owner.sync_mirrors()
+    world.sim.set_down(owner.endpoint.local_addr(), True)
+    world.peers["user02"].write_to_friend("user00", "share_board", op_add("away", b"at the mirror"))
+    world.sim.set_down(owner.endpoint.local_addr(), False)
+    owner.profile.apply_update("user00", "share_board", op_add("home", b"at the owner"),
+                               timestamp=world.sim.now + 1)
+    mark = len(world.sim.trace)
+    owner.sync_mirrors()
+    app_frames = [line for line in world.sim.trace[mark:]
+                  if " app_data " in line and mirror.endpoint.local_addr() in line]
+    assert len(app_frames) == 4  # sync_vec and sync_push, each with its reply
+    replica = mirror.replicas["user00"].profile
+    assert owner.profile.element("share_board/away").content == b"at the mirror"
+    assert replica.element("share_board/home").content == b"at the owner"
+    assert owner.profile.canonical_encode() == replica.canonical_encode()
+
+
 # -- channel lifetime ------------------------------------------------------------
 
 
@@ -1036,7 +1215,7 @@ def test_warm_operations_message_counts():
         "locate": (lambda: reader.locate_friend("user00"), 2),
         "pull": (lambda: reader.pull_friend_profile("user00"), 4),
         "write": (lambda: reader.write_to_friend("user00", "share_board", op_add("w", b"x")), 4),
-        "sync": (owner.sync_mirrors, 8),
+        "sync": (owner.sync_mirrors, 6),
     }
     for operation, _ in operations.values():
         operation()

@@ -100,6 +100,11 @@ def test_register_then_locate(server, ca):
     found, cert_bytes = rvclient.locate_peer(qclient, "k3q-alice-phrase")
     assert found.username == "reg-alice"
     assert verify_registration_record(found, identity.Certificate.decode(cert_bytes))
+    # A locator that holds the certificate asks for none and gets none.
+    assert rvclient.locate_peer(qclient, "k3q-alice-phrase", with_certificate=False) == (found, b"")
+    # The flag is part of the request: a locate without it is malformed.
+    with pytest.raises(MalformedRequest):
+        qclient.request_app("locate", b"k3q-alice-phrase")
 
 
 def test_register_tampered_port_rejected(server, ca):

@@ -221,7 +221,7 @@ class ScriptedRing:
         record = self.friend_record
         if server in self.falsifiers:
             record = type(record)(**{**record.__dict__, "ip": "6.6.6.6"})
-        return record, self.friend_cert.encode()
+        return record
 
     def try_connect(self, record):
         return record.ip in self.connect_ok
