@@ -17,7 +17,14 @@ A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
 or else the one the server sent. A server sends that certificate only when
-asked, and the peer asks only when it holds none. Each server is first
+asked, and the peer asks only when it holds none. A locate is conditional
+too: the peer keeps, in memory only, the last record it verified for each
+user it located (a friend, a mirror, a requester, or a friend the
+sentinel's probe located), and names it by its tag; a server whose record
+has that tag answers "unchanged" and sends none, and the peer verifies the
+held record against this locate's certificate as it would a sent one. So
+every locate still reaches the same servers in the same order and still
+verifies what it uses. Each server is first
 asked of the configured server preceding its id on the ring, then, only
 when neither record verifies, of the peer's registration servers (see
 _servers_for).
@@ -155,6 +162,10 @@ class Peer:
         self._kept: dict[tuple[str, str], SecureChannel] = {}
         # The last signed record, with the inputs it was built from; not saved.
         self._signed: tuple[tuple, RegistrationRecord] | None = None
+        # The last record verified for each user located, by username; a
+        # locate names it by its tag, and a server sends no record that has
+        # it. Not saved.
+        self._held: dict[str, RegistrationRecord] = {}
         # ((the configured servers, ring_bits), their sorted ring ids, their
         # addresses in that order); rebuilt when the configuration changes.
         self._ring: tuple[tuple, list[int], list[str]] | None = None
@@ -306,7 +317,7 @@ class Peer:
             if entry.certificate is None:
                 continue  # nothing to check a witness's record against
             outcome = sentinel.verify_registration_targets(
-                _Probe(self, exclude={x_addr}),
+                _Probe(self, entry, exclude={x_addr}),
                 x_addr,
                 y,
                 z,
@@ -505,16 +516,28 @@ class Peer:
         _, ring_ids, ring_addrs = self._ring
         return [ring_addrs[bisect_left(ring_ids, ident) - 1]] if ring_addrs else []
 
-    def _fetch_record(self, server: str, passphrase: str,
+    def _fetch_record(self, server: str, username: str, passphrase: str,
                       with_certificate: bool) -> tuple[RegistrationRecord, bytes] | None:
-        """The server's record under passphrase, and its owner's certificate
-        as sent (b"" unless with_certificate); None when it has none."""
+        """The server's record under passphrase, or the one held for username
+        when the server answers that it is unchanged, and its owner's
+        certificate as sent (b"" unless with_certificate); None when it has
+        none."""
+        held = self._held.get(username)
         try:
             return self._rendezvous(
-                server, lambda session: rvclient.locate_peer(session, passphrase, with_certificate)
+                server,
+                lambda session: rvclient.locate_peer(session, passphrase, with_certificate, held),
             )
         except NotFound:
             return None
+
+    def _hold(self, record: RegistrationRecord, cert: Certificate) -> bool:
+        """Whether record verifies against cert; one that does is held as
+        its owner's, for the next locate of that user to name."""
+        if check_peer_record(record, cert) != sentinel.OK:
+            return False
+        self._held[cert.username] = record
+        return True
 
     def _locate(self, username: str, passphrase: str,
                 cert: Certificate | None = None) -> tuple[RegistrationRecord, str]:
@@ -528,14 +551,15 @@ class Peer:
         attack_seen = False
         for server in self._servers_for(username):
             try:
-                fetched = self._fetch_record(server, passphrase, with_certificate=cert is None)
+                fetched = self._fetch_record(server, username, passphrase,
+                                             with_certificate=cert is None)
             except ProtocolError:
                 continue
             if fetched is None:
                 continue
             record, cert_bytes = fetched
             check_cert = cert or self._sent_certificate(cert_bytes)
-            if check_cert is not None and check_peer_record(record, check_cert) == sentinel.OK:
+            if check_cert is not None and self._hold(record, check_cert):
                 return record, server
             attack_seen = True
             self.on_event("storage_attack_detected", peer=self.username, server=server, owner=username)
@@ -602,12 +626,16 @@ class Peer:
 
     def _with_mirror(self, friend: str, fn: Callable[[SecureChannel, str], T]) -> T:
         """fn(channel, mirror) on a channel, not kept, to the first of the
-        friend's mirrors that a verified record routes to."""
+        friend's mirrors that a verified record routes to. A mirror that is
+        also a friend is located with that friend's certificate."""
         for mirror in self.state.friend_list[friend].mirror_table:
             if mirror.username == self.username:
                 continue
+            known = self.state.friend_list.get(mirror.username)
             try:
-                record, _server = self._locate(mirror.username, mirror.passphrase)
+                record, _server = self._locate(
+                    mirror.username, mirror.passphrase, known.certificate if known else None
+                )
                 channel = self._open_route(record, mirror.username)
             except ProtocolError:
                 continue
@@ -662,6 +690,7 @@ class Peer:
         if ex_friend not in state.friend_list:
             raise NotFound(ex_friend)
         del state.friend_list[ex_friend]
+        self._held.pop(ex_friend, None)
         state.pending_incoming.pop(ex_friend, None)
         state.pending_outgoing.discard(ex_friend)
         state.mirror_table = [m for m in state.mirror_table if m.username != ex_friend]
@@ -1042,24 +1071,32 @@ def load_state(peer: Peer, path: str) -> None:
 
 
 class _Probe:
-    """sentinel.RegistrationProbe over a live peer."""
+    """sentinel.RegistrationProbe over a live peer, locating one friend."""
 
-    def __init__(self, peer: Peer, exclude: set[str]):
+    def __init__(self, peer: Peer, friend: FriendEntry, exclude: set[str]):
         self.peer = peer
+        self.friend = friend
         self._alternates = [s for s in peer._bootstrap_servers() if s not in exclude]
 
     def locate(self, via_addr: str, ident: int) -> str:
         return self.peer._chord_lookup(via_addr, ident)
 
     def fetch_record(self, server_addr: str, passphrase: str) -> RegistrationRecord | None:
-        # The sentinel checks the record against the friend certificate it holds.
+        # The sentinel checks the record against the friend certificate it
+        # holds; the peer holds one that verifies for its next locate.
         try:
-            fetched = self.peer._fetch_record(server_addr, passphrase, with_certificate=False)
+            fetched = self.peer._fetch_record(
+                server_addr, self.friend.username, passphrase, with_certificate=False
+            )
         except PeerUnreachable:
             raise
         except ProtocolError:
             return None
-        return None if fetched is None else fetched[0]
+        if fetched is None:
+            return None
+        record, _cert = fetched
+        self.peer._hold(record, self.friend.certificate)
+        return record
 
     def try_connect(self, record: RegistrationRecord) -> bool:
         # On the friend's kept channel, which stays kept for the friend

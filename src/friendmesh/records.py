@@ -52,6 +52,13 @@ class RegistrationRecord:
         return "", False
 
 
+def record_tag(encoding: bytes) -> bytes:
+    """The tag a conditional locate names a held record by: 16 bytes of
+    sha256 over the record's encoding, the bytes a server would send. Not
+    the signed digest, which a server that rewrites a field can keep."""
+    return identity.sha256(encoding)[:16]
+
+
 # What the owner's signed digest covers.
 _CANONICAL = RegistrationRecord.LAYOUT.view(
     "ip", "port", "protocol", "relay_address", "relay_port", "passphrase", "encrypted_mirror_list"

@@ -18,7 +18,13 @@ integrity rests on owner signatures, never on the servers.
 
 A locate answers the owner's certificate only when the locator asks for
 it: a locator that already holds it (every friend locate) gets the record
-alone, about 160 bytes less.
+alone, about 160 bytes less. A locate is also conditional, as an HTTP
+request with If-None-Match is: the locator names the record it holds by
+its tag (records.record_tag, a hash of the bytes a server sends), and a
+row whose record has that tag is answered "unchanged", with no record,
+about 200 bytes less again. So the size of a reply, which already shows
+whether the locator asked for the certificate, now also shows whether it
+held the current record; neither is padded.
 
 A row moves between servers only when it or its replica holder changed:
 an unchanged re-registration, which builds a row equal to the stored one,
@@ -39,7 +45,7 @@ from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import IntegrityError, MalformedRequest, NotFound, ProtocolError
 from .identity import Certificate
-from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord
+from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord, record_tag
 from .sentinel import Complaint, ComplaintLedger
 from .store import MemoryStore, SqliteStore, evict_stale_relays, select_relay
 from .wire import Frame
@@ -271,7 +277,8 @@ class RendezvousSession:
 
     # -- lookup -------------------------------------------------------------------------
 
-    def _on_locate(self, sender: Certificate, passphrase: str, with_certificate: bool) -> tuple:
+    def _on_locate(self, sender: Certificate, passphrase: str, tag: bytes,
+                   with_certificate: bool) -> tuple:
         row = self.server.store.peer_by_passphrase(passphrase)
         self.server.on_event(
             "locate",
@@ -281,7 +288,9 @@ class RendezvousSession:
         )
         if row is None:
             raise NotFound("no record under that passphrase")
-        return row.record, row.certificate if with_certificate else b""
+        record = row.record.encode()
+        unchanged = tag != b"" and tag == record_tag(record)
+        return b"" if unchanged else record, row.certificate if with_certificate else b""
 
     # -- friendship requests ---------------------------------------------------------------
 

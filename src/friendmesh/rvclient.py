@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from . import identity, wire
 from .channel import Channel
-from .errors import ProtocolError
+from .errors import MalformedRequest, ProtocolError
 from .identity import Certificate, KeyPair
-from .records import FriendshipRequestRecord, RegistrationRecord
+from .records import FriendshipRequestRecord, RegistrationRecord, record_tag
 from .secure import SecureChannel
 from .wire import Frame
 
@@ -25,12 +25,22 @@ def register_peer(
 
 
 def locate_peer(
-    session: SecureChannel, passphrase: str, with_certificate: bool = True
+    session: SecureChannel, passphrase: str, with_certificate: bool = True,
+    held: RegistrationRecord | None = None,
 ) -> tuple[RegistrationRecord, bytes]:
-    """Exact-passphrase lookup: the record and, when asked for, its owner's
-    certificate as the server holds it (b"" when not asked for). Raises
-    NotFound when no row matches."""
-    return session.call("locate", passphrase, with_certificate)
+    """Exact-passphrase lookup, conditional on the record the caller holds
+    (held): the server's record, or held itself when the server answers that
+    its record has held's tag, and, when asked for, its owner's certificate
+    as the server holds it (b"" when not asked for). Raises NotFound when no
+    row matches, and MalformedRequest on a record that does not decode or on
+    "unchanged" when nothing was held."""
+    tag = b"" if held is None else record_tag(held.encode())
+    record, certificate = session.call("locate", passphrase, tag, with_certificate)
+    if record:
+        return RegistrationRecord.decode(record), certificate
+    if held is None:
+        raise MalformedRequest("locate: unchanged, but no record is held")
+    return held, certificate
 
 
 def friend_request(session: SecureChannel, target_username: str) -> Certificate:

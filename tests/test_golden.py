@@ -55,6 +55,15 @@ one decimal digit shorter, so the pull replies carrying five of them
 sybils join at the earlier start, the ring's own upkeep among them came
 out differently (ring_closest 3282 -> 3270, ring_notify 5966 -> 5978,
 ring_state 1298 -> 1306 lines). No outcome moved.
+Every hash was re-recorded again when a locate came to name, by its tag,
+the record its locator holds, and a server to send no record that has
+it. Each trace kept its lines, times and events, and only locate frames
+moved: each locate request grew by the tag field, 2 bytes when the
+locator held no record of the user and 18 when it did, and each reply
+answering "unchanged" lost its record, 218 to 349 bytes. In baseline
+318 of 350 locate requests carried a tag and 316 replies came back
+unchanged; in t1_falsify 48 carried one and 33 came back unchanged, the
+falsified rows being sent, and detected, as before.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -81,16 +90,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "de8ee2d5d5fef02da32b0c4bd3c7129a292369eb715ed2aa73c1c5c02d86d76d",
-    "churn": "d084018a86586c84febd9276102700df1a65a1eb23f3b7bcaa6a7e0d977d814d",
-    "e1_eclipse": "91b567a4cda94101f577a24d9a2d66d298e9cdf647ab4d5466caf809f998c441",
-    "eviction": "d8e9ce57e67e6f04cf041fedc745acdf7f1e4d97cf7a006f06fba1af5deaced2",
-    "island_partition": "9b2b1b26852a782099b77d8c8558389752a4429eed3f979be4f66ae3b048f9a6",
-    "r1_drop": "de783eda0812c00d7694d115761bdf891a11d8f9485560fd3711aa9f1faf7a6c",
-    "r2_misroute": "1a65d043dee9d11dae4f37ded7069697eaa188a4cafe5d83e66300b77ccb0775",
-    "r3_claim_key": "667e36bab2e23eec1614f412f845a3322200ba0911a8fec39ea6c654ead76e82",
-    "s1_sybil": "ba75368a611298165d4248f5f3125b80923e71b3bf75bd243ce5e68234146a5d",
-    "t1_falsify": "4b76ef31493f51d9913998132a54653351d8fca21d0368972fa7c64afbf1f721",
+    "baseline": "ca9642a5d0a669891ff3ae97916010b78100218cf0527e67258159ed156b0c8c",
+    "churn": "49b3fe7f708f74b4e0fc4ceca319c2f5f7cc1dfbbfc759dba78d5c8b9fcaac44",
+    "e1_eclipse": "2f7dbf56452f58305b48e66a6f0d120f1ab468dc9c7669e4a9ea5d3a11ca8c60",
+    "eviction": "4bb160840e317761ac91c9a8927e3aff6d1ffdf3f2915bd148d6c6acc1e6b87c",
+    "island_partition": "03a865e70c1f7b250d1e84644a811a1e16d1e3dfcd2ab4dfc45568be06fdaa05",
+    "r1_drop": "4deb6315a6a14458a8e57a6c9a2a76fc21f387c93c7b4b49d71ad8e0c7c0ce55",
+    "r2_misroute": "6294eac40d9fc385135107b0849666d0e3c897a31c5ba3ff2e2502445f456138",
+    "r3_claim_key": "c3789d97821e40aca8313cde7e433ee6bc61ed984f7a3042dc00ad9c2c28ad13",
+    "s1_sybil": "ed7c67bacb16579703d44c470fc45d8479c7404631fd1e486d2d51f530f60594",
+    "t1_falsify": "5a7d4f49b972fed5ef62db3cda46529796527ce475a7432103196ebfe76577ab",
 }
 
 

@@ -484,14 +484,17 @@ def test_ring_answer_listing_many_addresses_costs_at_most_a_list_of_hashes(monke
         assert not set(hashed) & set(traps)
 
 
-def test_locate_peer_rejects_short_reply(ca, user):
-    # A server that answers a located record without its certificate.
-    pair, cert = user
-    record = make_registration_record(
+def hostile_record(pair):
+    return make_registration_record(
         username="hostile-user", ip="10.0.5.5", port=7500, protocol="tcp",
         relay_address="", relay_port=0, passphrase="hostile-phrase",
         encrypted_mirror_list=b"\x01", private_key=pair.private_key,
     )
+
+
+def scripted_session(ca, cert, pair, *fields):
+    """A rendezvous session whose server answers every app request, under
+    the session key, with an ok reply of the fields given."""
     key = identity.generate_session_key(rng=random.Random(5))
     server_cipher = SessionCipher(key, direction=1)
 
@@ -500,12 +503,57 @@ def test_locate_peer_rejects_short_reply(ca, user):
             sealed = secure.seal_key_reply(cert.public_key, frame.payload, key, None, None)
             return wire.ok_reply(wire.SESSION_KEY, sealed)
         server_cipher.decrypt(frame.payload)
-        inner = wire.pack_fields(b"ok", record.encode())
-        return Frame(wire.APP_DATA, server_cipher.encrypt(inner))
+        return Frame(wire.APP_DATA, server_cipher.encrypt(wire.pack_fields(b"ok", *fields)))
 
-    session = secure.connect_secure(DirectChannel(FuncService(handle)), cert, pair, ca.public_key)
+    return secure.connect_secure(DirectChannel(FuncService(handle)), cert, pair, ca.public_key)
+
+
+def test_locate_peer_rejects_short_reply(ca, user):
+    # A server that answers a located record alone, with no certificate field.
+    pair, cert = user
+    session = scripted_session(ca, cert, pair, hostile_record(pair).encode())
     with pytest.raises(ProtocolError):
         rvclient.locate_peer(session, "hostile-phrase")
+
+
+def malformed_records(pair):
+    """A record field no record decodes from: cut short, overlong, with a
+    field that is not UTF-8, or the valid encoding with bytes changed."""
+    good = hostile_record(pair).encode()
+    fixed = st.sampled_from([
+        b"\x00", good[:-1], good + b"\x00", b"\x00\x02\xff\xfe" + good[14:],
+        wire.pack_fields(*[b"x"] * 10),
+    ])
+    flipped = st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)).map(
+        lambda flip: good[:flip[0]] + bytes([good[flip[0]] ^ flip[1]]) + good[flip[0] + 1:]
+    )
+    return st.one_of(fixed, flipped, st.binary(min_size=1, max_size=64))
+
+
+@FUZZ
+@given(data=st.data())
+@example(data=None)
+def test_a_malformed_record_in_a_locate_reply_is_a_protocol_error(ca, user, data):
+    pair, cert = user
+    field = b"\x00" if data is None else data.draw(malformed_records(pair))
+    session = scripted_session(ca, cert, pair, field, b"")
+    held = hostile_record(pair)
+    try:
+        record, _cert = rvclient.locate_peer(session, "hostile-phrase", False, held)
+    except ProtocolError:
+        return
+    # A changed byte can still leave a record that decodes; its signature
+    # then fails, as the locating peer checks.
+    assert record.encode() == field
+
+
+def test_unchanged_with_no_record_held_is_a_protocol_error(ca, user):
+    pair, cert = user
+    session = scripted_session(ca, cert, pair, b"", b"")
+    with pytest.raises(errors.MalformedRequest):
+        rvclient.locate_peer(session, "hostile-phrase")
+    held = hostile_record(pair)
+    assert rvclient.locate_peer(session, "hostile-phrase", False, held) == (held, b"")
 
 
 # Every field of a registration record a server could rewrite to steer a

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -627,8 +628,8 @@ def located(monkeypatch):
     answers = []
     real = rvclient.locate_peer
 
-    def recorded(session, passphrase, with_certificate=True):
-        record, cert = real(session, passphrase, with_certificate)
+    def recorded(session, passphrase, with_certificate=True, held=None):
+        record, cert = real(session, passphrase, with_certificate, held)
         answers.append((record.username, with_certificate, cert))
         return record, cert
 
@@ -679,6 +680,23 @@ def test_the_mirror_fallback_asks_for_the_mirror_certificate(located, checked):
     assert checked[-1] == mirror_cert
 
 
+def test_the_mirror_fallback_asks_for_no_certificate_of_a_mirror_that_is_a_friend(located, checked):
+    # As above, but user03 is a friend of the mirror user01 too.
+    world = small_world(seed=14, n_peers=4,
+                        friendships=[["user00", "user01"], ["user00", "user03"],
+                                     ["user01", "user03"]],
+                        mirrors=[["user00", "user01"]])
+    world.peers["user00"].sync_mirrors()
+    world.sim.set_down(world.peers["user00"].endpoint.local_addr(), True)
+    reader = world.peers["user03"]
+    located.clear()
+    channel, served_by = reader.connect_friend("user00")
+    channel.close()
+    assert served_by == "user01"
+    assert located == [("user00", False, b""), ("user01", False, b"")]
+    assert checked[-1] is reader.state.friend_list["user01"].certificate
+
+
 def locate_reply_size(world, locate) -> int:
     """The size of the one reply frame a warm locate gets."""
     mark = len(world.sim.trace)
@@ -700,6 +718,123 @@ def test_a_friend_locate_reply_is_one_certificate_shorter(checked):
     assert friend == asking - len(held.encode())
 
 
+def test_a_warm_friend_locate_reply_carries_no_record(checked):
+    import random
+
+    from friendmesh import identity, wire
+
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    reader = world.peers["user01"]
+    record, _server = reader.locate_friend("user00")  # held, and the session kept, from here on
+    warm = locate_reply_size(world, lambda: reader.locate_friend("user00"))
+    assert checked[-1] is reader.state.friend_list["user00"].certificate  # verified all the same
+    # The reply answering "unchanged", with no record and no certificate.
+    cipher = identity.SessionCipher(identity.generate_session_key(random.Random(1)), direction=1)
+    unchanged = len(cipher.encrypt(wire.ok_reply(wire.APP_DATA, b"", b"").payload))
+    assert warm <= unchanged
+    reader._held.clear()
+    assert locate_reply_size(world, lambda: reader.locate_friend("user00")) == (
+        warm + len(record.encode())
+    )
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """Every located row a server answers: (server, tag asked with, record sent or b"")."""
+    from friendmesh.rendezvous import RendezvousSession
+
+    answers = []
+    real = RendezvousSession._on_locate
+
+    def recorded(self, sender, passphrase, tag, with_certificate):
+        record, cert = real(self, sender, passphrase, tag, with_certificate)
+        answers.append((self.server.addr, tag, record))
+        return record, cert
+
+    monkeypatch.setattr(RendezvousSession, "_on_locate", recorded)
+    return answers
+
+
+@pytest.mark.parametrize("held", ["none", "another_user"])
+def test_unchanged_for_a_record_the_locator_does_not_hold_is_a_failed_locate(monkeypatch, held):
+    # The one server answers every locate "unchanged". user00 holds no
+    # record of user01, or holds only user02's: the locate fails with a
+    # code, and nothing is adopted, reported or queued.
+    import copy
+
+    from friendmesh.rendezvous import RendezvousSession
+
+    world = small_world(seed=25, n_peers=3,
+                        friendships=[["user00", "user01"], ["user00", "user02"]])
+    reader = world.peers["user00"]
+    reader._held.clear()
+    if held == "another_user":
+        reader.locate_friend("user02")
+    before = (dict(reader._held), copy.deepcopy(reader.state))
+    real = RendezvousSession._on_locate
+    monkeypatch.setattr(RendezvousSession, "_on_locate",
+                        lambda self, *args: (b"", real(self, *args)[1]))
+    mark = len(world.sim.trace)
+    with pytest.raises(NotFound) as failed:
+        reader.locate_friend("user01")
+    assert failed.value.code == "not_found"
+    assert (dict(reader._held), reader.state) == before
+    assert not [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+
+
+def test_a_falsified_row_is_sent_to_a_locator_that_holds_the_record(served):
+    # user01 holds user00's record, then user00's md5 server starts
+    # rewriting it: the tag misses, the rewritten record is sent and
+    # reported, and the locate ends at the sha1 server.
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True,
+                               friendships=[["user00", "user01"]]))
+    reader = world.peers["user01"]
+    md5_home, sha1_home = homes(world, "user00")
+    assert md5_home != sha1_home
+    held, _server = reader.locate_friend("user00")
+    world.spawn_adversary(
+        AdversaryScript(behaviors=["falsify_record"], targets=[md5_home], victims=["user00"])
+    )
+    served.clear()
+    mark = len(world.sim.trace)
+    record, server = reader.locate_friend("user00")
+    assert (record, server) == (held, sha1_home)
+    (md5_tag, md5_sent), (sha1_tag, sha1_sent) = [(tag, sent) for _, tag, sent in served]
+    assert md5_tag == sha1_tag != b""
+    assert md5_sent and sha1_sent == b""  # the rewritten record was sent; sha1's is unchanged
+    reported = [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
+    assert [line.rsplit("server=", 1)[1] for line in reported] == [md5_home]
+    assert reader._held["user00"] == held
+
+
+def test_a_locator_holds_one_record_per_user_in_memory_only(served, tmp_path):
+    world = small_world(seed=19, n_peers=3,
+                        friendships=[["user00", "user01"], ["user00", "user02"]])
+    owner, reader = world.peers["user00"], world.peers["user01"]
+    for _ in range(2):
+        reader.locate_friend("user00")
+    assert list(reader._held) == ["user00"]
+    owner.locate_friend("user01")
+    owner.locate_friend("user02")
+    assert sorted(owner._held) == ["user01", "user02"]
+    # A rotated passphrase misses the tag: the new record is sent, and
+    # replaces the one held.
+    owner.revoke_friend("user02")
+    assert list(owner._held) == ["user01"]  # the ex-friend's record is dropped
+    served.clear()
+    record, _server = reader.locate_friend("user00")
+    assert record.passphrase == owner.state.passphrase
+    assert [sent for _, _, sent in served] == [record.encode()]
+    assert reader._held == {"user00": record}
+    # The state file carries no held record.
+    save_state(reader, str(tmp_path / "state.json"))
+    saved = (tmp_path / "state.json").read_text()
+    assert base64.b64encode(record.encode()).decode() not in saved  # as save_state writes a blob
+    restarted = Peer(reader.config, reader.endpoint, reader.ca_public_key)
+    load_state(restarted, str(tmp_path / "state.json"))
+    assert restarted._held == {}
+
+
 @pytest.mark.parametrize("answer", ["empty", "another_user"])
 def test_a_wrong_certificate_for_a_locator_without_one_is_a_storage_attack(monkeypatch, answer):
     # user01 accepts user00, so holds no certificate of theirs: user00's md5
@@ -714,8 +849,8 @@ def test_a_wrong_certificate_for_a_locator_without_one_is_a_storage_attack(monke
     wrong = b"" if answer == "empty" else world.peers["user02"].state.certificate.encode()
     real = RendezvousSession._on_locate
 
-    def lying(self, sender, passphrase, with_certificate):
-        record, cert = real(self, sender, passphrase, with_certificate)
+    def lying(self, sender, passphrase, tag, with_certificate):
+        record, cert = real(self, sender, passphrase, tag, with_certificate)
         return record, wrong if self.server.addr == md5_home else cert
 
     monkeypatch.setattr(RendezvousSession, "_on_locate", lying)
@@ -740,7 +875,7 @@ def test_a_record_under_a_certificate_no_ca_signed_is_a_storage_attack(monkeypat
     from dataclasses import replace
 
     from friendmesh import identity
-    from friendmesh.records import make_registration_record
+    from friendmesh.records import RegistrationRecord, make_registration_record
     from friendmesh.rendezvous import RendezvousSession
 
     world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True, friendships=[]))
@@ -751,16 +886,17 @@ def test_a_record_under_a_certificate_no_ca_signed_is_a_storage_attack(monkeypat
     forged_cert = replace(a.state.certificate, public_key=keys.public_key)
     real = RendezvousSession._on_locate
 
-    def forging(self, sender, passphrase, with_certificate):
-        record, cert = real(self, sender, passphrase, with_certificate)
+    def forging(self, sender, passphrase, tag, with_certificate):
+        record, cert = real(self, sender, passphrase, tag, with_certificate)
         if self.server.addr != md5_home:
             return record, cert
         forged = make_registration_record(
             username="user00", ip="10.66.6.6", port=7777, protocol="tcp", relay_address="",
-            relay_port=0, passphrase=passphrase, encrypted_mirror_list=record.encrypted_mirror_list,
+            relay_port=0, passphrase=passphrase,
+            encrypted_mirror_list=RegistrationRecord.decode(record).encrypted_mirror_list,
             private_key=keys.private_key,
         )
-        return forged, forged_cert.encode()
+        return forged.encode(), forged_cert.encode()
 
     monkeypatch.setattr(RendezvousSession, "_on_locate", forging)
     a.send_friend_request("user01")
@@ -1410,7 +1546,7 @@ def test_the_probe_of_a_downed_friend_fails():
     peer, friend = world.peers["user00"], world.peers["user01"]
     peer.bootstrap()  # the friend's channel is kept
     record, _server = peer.locate_friend("user01")
-    probe = _Probe(peer, exclude=set())
+    probe = _Probe(peer, peer.state.friend_list["user01"], exclude=set())
     assert probe.try_connect(record)
     world.sim.set_down(friend.endpoint.local_addr(), True)
     assert not probe.try_connect(record)

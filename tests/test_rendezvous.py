@@ -107,6 +107,28 @@ def test_register_then_locate(server, ca):
         qclient.request_app("locate", b"k3q-alice-phrase")
 
 
+def test_a_locate_naming_the_current_record_gets_no_record(server, ca):
+    pair, cert = make_user(ca, "reg-hana")
+    client = secure_client(server, pair, cert)
+    first = make_record(pair, cert, passphrase="hana-phrase", ip="10.0.5.5")
+    rvclient.register_peer(client, first)
+    qpair, qcert = make_user(ca, "reg-ivan")
+    qclient = secure_client(server, qpair, qcert)
+    tag = records.record_tag(first.encode())
+    assert qclient.call("locate", "hana-phrase", tag, False) == (b"", b"")
+    # Another tag, none, or the signed digest gets the record; the
+    # certificate comes when asked.
+    for other in (b"", tag[:-1], bytes(16), first.signed_digest.digest[:16]):
+        assert qclient.call("locate", "hana-phrase", other, False) == (first.encode(), b"")
+    assert qclient.call("locate", "hana-phrase", tag, True) == (b"", cert.encode())
+    # A re-registration under the same passphrase with another address:
+    # the held record's tag misses, and the new record is sent.
+    second = make_record(pair, cert, passphrase="hana-phrase", ip="10.0.6.6")
+    rvclient.register_peer(client, second)
+    assert rvclient.locate_peer(qclient, "hana-phrase", False, held=first) == (second, b"")
+    assert rvclient.locate_peer(qclient, "hana-phrase", False, held=second) == (second, b"")
+
+
 def test_register_tampered_port_rejected(server, ca):
     # Mutation oracle: server must reject any record whose digest fails.
     pair, cert = make_user(ca, "reg-carol")
