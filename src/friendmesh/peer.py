@@ -19,12 +19,13 @@ first that verifies against the user's certificate, the one the peer holds
 or else the one the server sent. A server sends that certificate only when
 asked, and the peer asks only when it holds none. A locate is conditional
 too: the peer keeps, in memory only, the last record it verified for each
-user it located (a friend, a mirror, a requester, or a friend the
-sentinel's probe located), and names it by its tag; a server whose record
-has that tag answers "unchanged" and sends none, and the peer verifies the
-held record against this locate's certificate as it would a sent one. So
-every locate still reaches the same servers in the same order and still
-verifies what it uses. Each server is first
+user it located (a friend, a mirror or a requester; the sentinel's probe
+names a friend's but holds none), and names it by its tag; a server whose
+record has that tag answers "unchanged" with a proof of having it in place
+of the record, and the peer verifies the held record against this
+locate's certificate as it would a sent one. So every locate still
+reaches the same servers in the same order and still verifies what it
+uses. Each server is first
 asked of the configured server preceding its id on the ring, then, only
 when neither record verifies, of the peer's registration servers (see
 _servers_for).
@@ -163,8 +164,8 @@ class Peer:
         # The last signed record, with the inputs it was built from; not saved.
         self._signed: tuple[tuple, RegistrationRecord] | None = None
         # The last record verified for each user located, by username; a
-        # locate names it by its tag, and a server sends no record that has
-        # it. Not saved.
+        # locate names it by its tag, and a server whose record has it sends
+        # the record's proof in place of the record. Not saved.
         self._held: dict[str, RegistrationRecord] = {}
         # ((the configured servers, ring_bits), their sorted ring ids, their
         # addresses in that order); rebuilt when the configuration changes.
@@ -317,7 +318,7 @@ class Peer:
             if entry.certificate is None:
                 continue  # nothing to check a witness's record against
             outcome = sentinel.verify_registration_targets(
-                _Probe(self, entry, exclude={x_addr}),
+                _Probe(self, {x_addr}, self._held.get(friend_name)),
                 x_addr,
                 y,
                 z,
@@ -516,13 +517,11 @@ class Peer:
         _, ring_ids, ring_addrs = self._ring
         return [ring_addrs[bisect_left(ring_ids, ident) - 1]] if ring_addrs else []
 
-    def _fetch_record(self, server: str, username: str, passphrase: str,
-                      with_certificate: bool) -> tuple[RegistrationRecord, bytes] | None:
-        """The server's record under passphrase, or the one held for username
-        when the server answers that it is unchanged, and its owner's
-        certificate as sent (b"" unless with_certificate); None when it has
-        none."""
-        held = self._held.get(username)
+    def _fetch_record(self, server: str, passphrase: str, with_certificate: bool,
+                      held: RegistrationRecord | None) -> tuple[RegistrationRecord, bytes] | None:
+        """The server's record under passphrase, or held when the server
+        answers "unchanged" with held's proof, and its owner's certificate
+        as sent (b"" unless with_certificate); None when it has none."""
         try:
             return self._rendezvous(
                 server,
@@ -530,14 +529,6 @@ class Peer:
             )
         except NotFound:
             return None
-
-    def _hold(self, record: RegistrationRecord, cert: Certificate) -> bool:
-        """Whether record verifies against cert; one that does is held as
-        its owner's, for the next locate of that user to name."""
-        if check_peer_record(record, cert) != sentinel.OK:
-            return False
-        self._held[cert.username] = record
-        return True
 
     def _locate(self, username: str, passphrase: str,
                 cert: Certificate | None = None) -> tuple[RegistrationRecord, str]:
@@ -551,15 +542,16 @@ class Peer:
         attack_seen = False
         for server in self._servers_for(username):
             try:
-                fetched = self._fetch_record(server, username, passphrase,
-                                             with_certificate=cert is None)
+                fetched = self._fetch_record(server, passphrase, cert is None,
+                                             self._held.get(username))
             except ProtocolError:
                 continue
             if fetched is None:
                 continue
             record, cert_bytes = fetched
             check_cert = cert or self._sent_certificate(cert_bytes)
-            if check_cert is not None and self._hold(record, check_cert):
+            if check_cert is not None and check_peer_record(record, check_cert) == sentinel.OK:
+                self._held[username] = record
                 return record, server
             attack_seen = True
             self.on_event("storage_attack_detected", peer=self.username, server=server, owner=username)
@@ -1071,32 +1063,28 @@ def load_state(peer: Peer, path: str) -> None:
 
 
 class _Probe:
-    """sentinel.RegistrationProbe over a live peer, locating one friend."""
+    """sentinel.RegistrationProbe over a live peer, its fetches conditional
+    on the friend's record a locate last verified (held). A server
+    answers "unchanged" only with that record's proof, so one without the
+    row makes no witness by echoing the tag."""
 
-    def __init__(self, peer: Peer, friend: FriendEntry, exclude: set[str]):
+    def __init__(self, peer: Peer, exclude: set[str], held: RegistrationRecord | None):
         self.peer = peer
-        self.friend = friend
+        self.held = held
         self._alternates = [s for s in peer._bootstrap_servers() if s not in exclude]
 
     def locate(self, via_addr: str, ident: int) -> str:
         return self.peer._chord_lookup(via_addr, ident)
 
     def fetch_record(self, server_addr: str, passphrase: str) -> RegistrationRecord | None:
-        # The sentinel checks the record against the friend certificate it
-        # holds; the peer holds one that verifies for its next locate.
+        # The sentinel checks the record against the friend certificate it holds.
         try:
-            fetched = self.peer._fetch_record(
-                server_addr, self.friend.username, passphrase, with_certificate=False
-            )
+            fetched = self.peer._fetch_record(server_addr, passphrase, False, self.held)
         except PeerUnreachable:
             raise
         except ProtocolError:
             return None
-        if fetched is None:
-            return None
-        record, _cert = fetched
-        self.peer._hold(record, self.friend.certificate)
-        return record
+        return None if fetched is None else fetched[0]
 
     def try_connect(self, record: RegistrationRecord) -> bool:
         # On the friend's kept channel, which stays kept for the friend

@@ -52,11 +52,15 @@ class RegistrationRecord:
         return "", False
 
 
-def record_tag(encoding: bytes) -> bytes:
-    """The tag a conditional locate names a held record by: 16 bytes of
-    sha256 over the record's encoding, the bytes a server would send. Not
-    the signed digest, which a server that rewrites a field can keep."""
-    return identity.sha256(encoding)[:16]
+def record_tag(encoding: bytes) -> tuple[bytes, bytes]:
+    """A held record's tag and proof: the two 16-byte halves of sha256 over
+    the record's encoding, the bytes a server would send. A conditional
+    locate names the record by its tag; a server answers "unchanged" with
+    the proof, which the tag does not reveal, so only a server that has the
+    bytes can answer it. Not the signed digest, which a server that
+    rewrites a field can keep."""
+    digest = identity.sha256(encoding)
+    return digest[:16], digest[16:]
 
 
 # What the owner's signed digest covers.

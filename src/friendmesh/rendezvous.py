@@ -20,11 +20,22 @@ A locate answers the owner's certificate only when the locator asks for
 it: a locator that already holds it (every friend locate) gets the record
 alone, about 160 bytes less. A locate is also conditional, as an HTTP
 request with If-None-Match is: the locator names the record it holds by
-its tag (records.record_tag, a hash of the bytes a server sends), and a
-row whose record has that tag is answered "unchanged", with no record,
-about 200 bytes less again. So the size of a reply, which already shows
-whether the locator asked for the certificate, now also shows whether it
-held the current record; neither is padded.
+its tag (records.record_tag, half of a hash of the bytes a server sends),
+and a row whose record has that tag is answered "unchanged" with the
+other half, the proof, in place of the record: 16 bytes for about 200. So
+the size of a reply, which already shows whether the locator asked for
+the certificate, now also shows whether it held the current record;
+neither is padded.
+
+The proof is what keeps "unchanged" from being cheaper to fake than a
+record. A locator uses its held record only on the proof, which the tag
+it sent does not reveal, so a server that dropped or never had the row
+cannot answer "unchanged" by echoing the tag: its locate fails and falls
+through, and a sentinel probe takes no such server as a witness. As
+before, what a server must produce is the record's bytes; one that has
+them, stored or fetched from another server, can answer with an old
+record, then as now. A nonce in the request would add nothing against
+such a server, so the proof is a fixed function of the bytes.
 
 A row moves between servers only when it or its replica holder changed:
 an unchanged re-registration, which builds a row equal to the stored one,
@@ -289,8 +300,11 @@ class RendezvousSession:
         if row is None:
             raise NotFound("no record under that passphrase")
         record = row.record.encode()
-        unchanged = tag != b"" and tag == record_tag(record)
-        return b"" if unchanged else record, row.certificate if with_certificate else b""
+        if tag:
+            held_tag, proof = record_tag(record)
+            if tag == held_tag:
+                record = proof  # "unchanged"
+        return record, row.certificate if with_certificate else b""
 
     # -- friendship requests ---------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import identity, wire
 from .channel import Channel
-from .errors import MalformedRequest, ProtocolError
+from .errors import ProtocolError
 from .identity import Certificate, KeyPair
 from .records import FriendshipRequestRecord, RegistrationRecord, record_tag
 from .secure import SecureChannel
@@ -29,18 +29,16 @@ def locate_peer(
     held: RegistrationRecord | None = None,
 ) -> tuple[RegistrationRecord, bytes]:
     """Exact-passphrase lookup, conditional on the record the caller holds
-    (held): the server's record, or held itself when the server answers that
-    its record has held's tag, and, when asked for, its owner's certificate
-    as the server holds it (b"" when not asked for). Raises NotFound when no
-    row matches, and MalformedRequest on a record that does not decode or on
-    "unchanged" when nothing was held."""
-    tag = b"" if held is None else record_tag(held.encode())
+    (held): the server's record, or held itself when the server answers
+    "unchanged" with held's proof, and, when asked for, its owner's
+    certificate as the server holds it (b"" when not asked for). Raises
+    NotFound when no row matches, and MalformedRequest on a reply that is
+    neither the proof nor a record that decodes."""
+    tag, proof = (b"", None) if held is None else record_tag(held.encode())
     record, certificate = session.call("locate", passphrase, tag, with_certificate)
-    if record:
-        return RegistrationRecord.decode(record), certificate
-    if held is None:
-        raise MalformedRequest("locate: unchanged, but no record is held")
-    return held, certificate
+    if record == proof:
+        return held, certificate
+    return RegistrationRecord.decode(record), certificate
 
 
 def friend_request(session: SecureChannel, target_username: str) -> Certificate:

@@ -536,8 +536,8 @@ MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstanc
 _app("register", RegistrationRecord.LAYOUT.fields[1:], (many(FriendshipRequestRecord),))
 # passphrase, the tag of the record the locator holds (records.record_tag;
 # b"" for none), whether the owner's certificate is wanted -> the record's
-# encoding, or b"" when it has that tag (unchanged), and that certificate
-# or b"" (a locator that holds it asks for none)
+# encoding, or its proof when it has that tag (unchanged), and that
+# certificate or b"" (a locator that holds it asks for none)
 _app("locate", (STR, RAW, FLAG), (RAW, RAW))
 _app("friend_request", (STR,), (RAW,))  # username -> certificate
 _app("passphrase_blob", (RAW,), ())  # sealed blob for the last friend_request's user

@@ -56,14 +56,15 @@ sybils join at the earlier start, the ring's own upkeep among them came
 out differently (ring_closest 3282 -> 3270, ring_notify 5966 -> 5978,
 ring_state 1298 -> 1306 lines). No outcome moved.
 Every hash was re-recorded again when a locate came to name, by its tag,
-the record its locator holds, and a server to send no record that has
-it. Each trace kept its lines, times and events, and only locate frames
-moved: each locate request grew by the tag field, 2 bytes when the
-locator held no record of the user and 18 when it did, and each reply
-answering "unchanged" lost its record, 218 to 349 bytes. In baseline
-318 of 350 locate requests carried a tag and 316 replies came back
-unchanged; in t1_falsify 48 carried one and 33 came back unchanged, the
-falsified rows being sent, and detected, as before.
+the record its locator holds, and a server to answer "unchanged" for a
+record that has it, with a 16-byte proof in place of the record. Each
+trace kept its lines, times and events, and only locate frames moved:
+each locate request grew by the tag field, 2 bytes when the locator held
+no record of the user and 18 when it did, and each reply answering
+"unchanged" shrank by its record less the proof, 202 to 333 bytes. In
+baseline 318 of 350 locate requests carried a tag and 316 replies came
+back unchanged; in t1_falsify 48 carried one and 33 came back unchanged,
+the falsified rows being sent, and detected, as before.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -90,16 +91,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "ca9642a5d0a669891ff3ae97916010b78100218cf0527e67258159ed156b0c8c",
-    "churn": "49b3fe7f708f74b4e0fc4ceca319c2f5f7cc1dfbbfc759dba78d5c8b9fcaac44",
-    "e1_eclipse": "2f7dbf56452f58305b48e66a6f0d120f1ab468dc9c7669e4a9ea5d3a11ca8c60",
-    "eviction": "4bb160840e317761ac91c9a8927e3aff6d1ffdf3f2915bd148d6c6acc1e6b87c",
-    "island_partition": "03a865e70c1f7b250d1e84644a811a1e16d1e3dfcd2ab4dfc45568be06fdaa05",
-    "r1_drop": "4deb6315a6a14458a8e57a6c9a2a76fc21f387c93c7b4b49d71ad8e0c7c0ce55",
-    "r2_misroute": "6294eac40d9fc385135107b0849666d0e3c897a31c5ba3ff2e2502445f456138",
-    "r3_claim_key": "c3789d97821e40aca8313cde7e433ee6bc61ed984f7a3042dc00ad9c2c28ad13",
-    "s1_sybil": "ed7c67bacb16579703d44c470fc45d8479c7404631fd1e486d2d51f530f60594",
-    "t1_falsify": "5a7d4f49b972fed5ef62db3cda46529796527ce475a7432103196ebfe76577ab",
+    "baseline": "352f70652aa31ca5965073cce49550f91786b171362e8510b40dfe4743eeac6c",
+    "churn": "681a74da235e0c901eab2bba5ad4cd23b7ab729dc421331ac9e1f61328200ebe",
+    "e1_eclipse": "e1ce8f044d603809632b037ff9f4109c603a267cb19bb2df8df0209f07c367b1",
+    "eviction": "bca4e361d8922237419ffdf1fcbb01060d0f021835ca2cdba6c50b496f5d45c0",
+    "island_partition": "686e161ee01826107dd06e7ace8bb6e2a6d07e0a246516d68a7fd603c180eddf",
+    "r1_drop": "c7364391ad0cc52facb27a2705535e00d97a1836d6f495560e8be0a96e2602a3",
+    "r2_misroute": "a76f88177709457a9a48f2bc726edd0f48054596f1e314a78be058ecafe3aba1",
+    "r3_claim_key": "8aeba537ae6b1c97ddb0c9e73ef40a45cb608eab54f65bc71347b7d0f768e76f",
+    "s1_sybil": "b432d6eb5604a41811540871885183b7cbc16d5d2145f3b6d64faec3d5678fcf",
+    "t1_falsify": "b3b67b01efc92a3b3032fe78dc0c079a22a37b3df131237e47edb22ca8546ef5",
 }
 
 

@@ -547,12 +547,23 @@ def test_a_malformed_record_in_a_locate_reply_is_a_protocol_error(ca, user, data
     assert record.encode() == field
 
 
-def test_unchanged_with_no_record_held_is_a_protocol_error(ca, user):
+def test_unchanged_without_the_held_record_proof_is_a_protocol_error(ca, user):
+    # A server without the row answers "unchanged": with nothing, by echoing
+    # the tag the locator sent, or with another record's proof. Whether or
+    # not a record is held, no record is taken; only the held record's own
+    # proof gets it.
     pair, cert = user
-    session = scripted_session(ca, cert, pair, b"", b"")
-    with pytest.raises(errors.MalformedRequest):
-        rvclient.locate_peer(session, "hostile-phrase")
     held = hostile_record(pair)
+    tag, proof = records.record_tag(held.encode())
+    other = replace(held, ip="10.0.6.6")
+    for answer in (b"", tag, records.record_tag(other.encode())[1], bytes(16)):
+        session = scripted_session(ca, cert, pair, answer, b"")
+        for holding in (None, held):
+            with pytest.raises(errors.MalformedRequest):
+                rvclient.locate_peer(session, "hostile-phrase", False, holding)
+    session = scripted_session(ca, cert, pair, proof, b"")
+    with pytest.raises(errors.MalformedRequest):
+        rvclient.locate_peer(session, "hostile-phrase")  # a proof is no record
     assert rvclient.locate_peer(session, "hostile-phrase", False, held) == (held, b"")
 
 

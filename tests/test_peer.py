@@ -728,13 +728,14 @@ def test_a_warm_friend_locate_reply_carries_no_record(checked):
     record, _server = reader.locate_friend("user00")  # held, and the session kept, from here on
     warm = locate_reply_size(world, lambda: reader.locate_friend("user00"))
     assert checked[-1] is reader.state.friend_list["user00"].certificate  # verified all the same
-    # The reply answering "unchanged", with no record and no certificate.
+    # The reply answering "unchanged", with the 16-byte proof in place of
+    # the record and no certificate.
     cipher = identity.SessionCipher(identity.generate_session_key(random.Random(1)), direction=1)
-    unchanged = len(cipher.encrypt(wire.ok_reply(wire.APP_DATA, b"", b"").payload))
+    unchanged = len(cipher.encrypt(wire.ok_reply(wire.APP_DATA, bytes(16), b"").payload))
     assert warm <= unchanged
     reader._held.clear()
     assert locate_reply_size(world, lambda: reader.locate_friend("user00")) == (
-        warm + len(record.encode())
+        warm + len(record.encode()) - 16
     )
 
 
@@ -786,6 +787,8 @@ def test_a_falsified_row_is_sent_to_a_locator_that_holds_the_record(served):
     # user01 holds user00's record, then user00's md5 server starts
     # rewriting it: the tag misses, the rewritten record is sent and
     # reported, and the locate ends at the sha1 server.
+    from friendmesh.records import RegistrationRecord, record_tag
+
     world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True,
                                friendships=[["user00", "user01"]]))
     reader = world.peers["user01"]
@@ -801,10 +804,43 @@ def test_a_falsified_row_is_sent_to_a_locator_that_holds_the_record(served):
     assert (record, server) == (held, sha1_home)
     (md5_tag, md5_sent), (sha1_tag, sha1_sent) = [(tag, sent) for _, tag, sent in served]
     assert md5_tag == sha1_tag != b""
-    assert md5_sent and sha1_sent == b""  # the rewritten record was sent; sha1's is unchanged
+    # The rewritten record was sent; sha1's is unchanged, and proved so.
+    assert RegistrationRecord.decode(md5_sent).ip == "6.6.6.6"
+    assert sha1_sent == record_tag(held.encode())[1]
     reported = [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
     assert [line.rsplit("server=", 1)[1] for line in reported] == [md5_home]
     assert reader._held["user00"] == held
+
+
+@pytest.mark.parametrize("answer", ["nothing", "the_tag"])
+def test_a_server_without_the_row_answering_unchanged_is_passed_over(monkeypatch, answer):
+    # user01 holds user00's record; user00's md5 server then has no row
+    # and answers "unchanged" all the same, with nothing or by echoing the
+    # tag. The locate takes nothing from it and ends at the sha1 server,
+    # which proves it has the record.
+    from friendmesh.rendezvous import RendezvousSession
+
+    world = Scenario(SimConfig(seed=13, n_rendezvous=8, n_peers=3, global_mode=True,
+                               friendships=[["user00", "user01"]]))
+    reader = world.peers["user01"]
+    md5_home, sha1_home = homes(world, "user00")
+    assert md5_home != sha1_home
+    held, server = reader.locate_friend("user00")
+    assert server == md5_home
+    tags = []
+    real = RendezvousSession._on_locate
+
+    def echoing(self, sender, passphrase, tag, with_certificate):
+        if self.server.addr != md5_home:
+            return real(self, sender, passphrase, tag, with_certificate)
+        tags.append(tag)
+        return (b"" if answer == "nothing" else tag), b""
+
+    monkeypatch.setattr(RendezvousSession, "_on_locate", echoing)
+    mark = len(world.sim.trace)
+    assert reader.locate_friend("user00") == (held, sha1_home)
+    assert tags and tags[0] != b""  # the locate named the held record
+    assert not [line for line in world.sim.trace[mark:] if " EV storage_attack_detected" in line]
 
 
 def test_a_locator_holds_one_record_per_user_in_memory_only(served, tmp_path):
@@ -1546,10 +1582,45 @@ def test_the_probe_of_a_downed_friend_fails():
     peer, friend = world.peers["user00"], world.peers["user01"]
     peer.bootstrap()  # the friend's channel is kept
     record, _server = peer.locate_friend("user01")
-    probe = _Probe(peer, peer.state.friend_list["user01"], exclude=set())
+    probe = _Probe(peer, set(), peer._held.get("user01"))
     assert probe.try_connect(record)
     world.sim.set_down(friend.endpoint.local_addr(), True)
     assert not probe.try_connect(record)
+
+
+@pytest.mark.parametrize("answer", ["nothing", "the_tag"])
+def test_a_server_without_the_row_answering_unchanged_is_no_witness(monkeypatch, outcomes, answer):
+    # user00 holds its friend user01's record. The first server the
+    # sentinel's probe asks for it answers "unchanged" without having the
+    # row, with nothing or by echoing the tag: it is not taken as the
+    # witness, and the check rests on a server that proves it has the row.
+    from friendmesh.peer import _Probe
+    from friendmesh.rendezvous import RendezvousSession
+
+    world = ring_world(n_rendezvous=8)
+    peer = world.peers["user00"]
+    md5_home, sha1_home = homes(world, "user01")
+    assert md5_home != sha1_home
+    peer.locate_friend("user01")  # held from here on
+    probed, tags = [], []
+    real_fetch, real = _Probe.fetch_record, RendezvousSession._on_locate
+
+    def fetch(self, server_addr, passphrase):
+        probed.append(server_addr)
+        return real_fetch(self, server_addr, passphrase)
+
+    def echoing(self, sender, passphrase, tag, with_certificate):
+        if self.server.addr not in probed[:1]:
+            return real(self, sender, passphrase, tag, with_certificate)
+        tags.append(tag)
+        return (b"" if answer == "nothing" else tag), b""
+
+    monkeypatch.setattr(_Probe, "fetch_record", fetch)
+    monkeypatch.setattr(RendezvousSession, "_on_locate", echoing)
+    peer.bootstrap()
+    assert probed[0] == md5_home and tags and tags[0] != b""
+    assert outcomes[-1].status == "verified"
+    assert outcomes[-1].witness == sha1_home
 
 
 def test_registration_verifies_through_a_later_friend_when_the_first_is_down(outcomes):

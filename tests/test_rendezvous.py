@@ -114,13 +114,13 @@ def test_a_locate_naming_the_current_record_gets_no_record(server, ca):
     rvclient.register_peer(client, first)
     qpair, qcert = make_user(ca, "reg-ivan")
     qclient = secure_client(server, qpair, qcert)
-    tag = records.record_tag(first.encode())
-    assert qclient.call("locate", "hana-phrase", tag, False) == (b"", b"")
-    # Another tag, none, or the signed digest gets the record; the
+    tag, proof = records.record_tag(first.encode())
+    assert qclient.call("locate", "hana-phrase", tag, False) == (proof, b"")
+    # Another tag, none, the proof or the signed digest gets the record; the
     # certificate comes when asked.
-    for other in (b"", tag[:-1], bytes(16), first.signed_digest.digest[:16]):
+    for other in (b"", tag[:-1], bytes(16), proof, first.signed_digest.digest[:16]):
         assert qclient.call("locate", "hana-phrase", other, False) == (first.encode(), b"")
-    assert qclient.call("locate", "hana-phrase", tag, True) == (b"", cert.encode())
+    assert qclient.call("locate", "hana-phrase", tag, True) == (proof, cert.encode())
     # A re-registration under the same passphrase with another address:
     # the held record's tag misses, and the new record is sent.
     second = make_record(pair, cert, passphrase="hana-phrase", ip="10.0.6.6")
