@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     cert = Certificate("alice", b"P" * 65, "friendmesh-ca", "ec-p256", b"S" * 72)
     record = RegistrationRecord("alice", "10.0.0.1", 7500, "tcp", "10.0.0.9", 7300,
                                 "phrase-0123456789", b"m" * 48, SignedDigest(b"d" * 32, b"s" * 72))
-    row = PeerRow(record, cert.encode(), ring_id=2**159 + 12345, replica=False)
+    row = PeerRow(record, cert, ring_id=2**159 + 12345, replica=False)
     successors = [f"10.0.{i}.1:7200" for i in range(4)]
     reply = wire.reply(wire.RING_CLOSEST, "10.0.9.1:7200", successors[0], successors[1:])
     entries = fresh_entries()

@@ -15,8 +15,11 @@ records:
   perfbench's per-round reference blocks included;
 - virtual_s_per_op: virtual time the timed phase spans, per operation;
 - msgs_per_op: frames on the simulated wire per operation;
+- bytes_per_op: payload bytes of those frames per operation;
 - ring_maint_per_server_s: ring frames sent by upkeep, per server per
   virtual second of the timed phase;
+- ring_maint_bytes_per_server_s: the payload bytes of those frames, per
+  server per virtual second;
 - ring_hops_per_lookup: ring hops per CHORD_LOOKUP a peer sent in the
   timed phase, read from the servers' `EV chord_lookup hops=` events;
 - peak_rss_mb, and the operations attempted and failed.
@@ -64,6 +67,10 @@ def run_cell(seed: int, servers: int, peers: int, rounds: int) -> dict:
     traffic = world.traffic(mark)
     world.check_final()
     frames = sum(c[0] for c in traffic["classes"].values())
+    sent = sum(c[1] for c in traffic["classes"].values())
+    # The ring frames of the upkeep spans, as traffic() counts them, by size.
+    upkeep = (line.split() for a, b in world.upkeep_spans for line in world.sim.trace[a:b])
+    maint_bytes = sum(int(p[6]) for p in upkeep if p[1] == "MSG" and p[5].startswith("ring_"))
     hops = [int(line.split(" hops=", 1)[1].split()[0])
             for line in world.sim.trace[mark:] if " EV chord_lookup " in line]
     return {
@@ -72,7 +79,9 @@ def run_cell(seed: int, servers: int, peers: int, rounds: int) -> dict:
         "host_ms_per_op": round(host_s * 1000 / rec.ops, 3),
         "virtual_s_per_op": round(virtual_s / rec.ops, 4),
         "msgs_per_op": round(frames / rec.ops, 2),
+        "bytes_per_op": round(sent / rec.ops, 1),
         "ring_maint_per_server_s": round(traffic["maint"] / servers / virtual_s, 3),
+        "ring_maint_bytes_per_server_s": round(maint_bytes / servers / virtual_s, 1),
         "ring_hops_per_lookup": round(sum(hops) / len(hops), 3) if hops else 0.0,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "attempted": rec.ops + rec.failed, "failed": rec.failed,

@@ -16,7 +16,16 @@ re-replicated, unless the store already holds those very bytes: they were
 verified when stored. A row moves between servers only when it or its
 replica holder changed: a node remembers which successor last accepted
 each primary row's replica, and pushes an unchanged row again only when
-its first live successor is another one.
+its first live successor is another one, or when that successor adopts
+the node as its predecessor. A notify's reply says so, and a node that
+adopted its notifier may hold none of the notifier's rows, as after a
+restart at the same address: every primary row goes to it, in one push.
+
+Stabilization is one notify per period, and conditional: the notify names,
+by an 8-byte tag (state_tag), the state the node last took from its
+successor, and a successor whose state after the notify has that tag
+answers "unchanged" in place of its predecessor and successor list. On a
+converged ring every reply is "unchanged".
 
 The predecessor, the successor list and the fingers hold (id, address)
 entries, so an address is hashed once, when it enters the table: beyond
@@ -47,6 +56,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
 from .records import PeerRow
 from .store import MemoryStore
+from .wire import pack_fields
 
 BITS_FULL = 128
 SUCCESSOR_LIST_LEN = 4
@@ -98,15 +108,33 @@ def in_interval(x: int, lo: int, hi: int, inc_lo: bool = False, inc_hi: bool = F
     return (above and below) if lo < hi else (above or below)
 
 
+# A node's state as a notify reply gives it: its predecessor (None for
+# none) and its successors.
+State = tuple[str | None, list[str]]
+
+
+def state_tag(state: State) -> bytes:
+    """8 bytes of sha256 over a state's addresses, each length-prefixed. A
+    notifier names the state it last took from its successor by this tag,
+    and a successor whose state has it answers "unchanged". The tag looks
+    for change between honest nodes: a lying successor can lie about its
+    state anyway, so 8 bytes are enough."""
+    pred, succs = state
+    return hashlib.sha256(pack_fields(*(a.encode() for a in (pred or "", *succs)))).digest()[:8]
+
+
 class RingTransport(Protocol):
     """Remote queries RingNode makes; every call counts as one message."""
 
-    def get_state(self, addr: str) -> tuple[str | None, list[str]]: ...
+    def get_state(self, addr: str) -> State: ...
     # The closest preceding entry and the successor list, never empty.
     def query(self, addr: str, ident: int) -> tuple[str, list[str]]: ...
-    # The notified node's state after the notify, as get_state gives it.
-    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]: ...
-    def replicate(self, addr: str, row: PeerRow) -> bool: ...
+    # Whether the notify made candidate the notified node's predecessor, and
+    # that node's state after it, as get_state gives it but with at least
+    # one successor, or None ("unchanged") when that state has the tag.
+    def notify(self, addr: str, candidate: str, tag: bytes) -> tuple[bool, State | None]: ...
+    # Whether each row was accepted as a replica.
+    def replicate(self, addr: str, rows: list[PeerRow]) -> list[bool]: ...
     def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None: ...
 
 
@@ -152,6 +180,8 @@ class RingNode:
         # (username, ring id) of a primary row -> the successor that last
         # accepted its replica; dropped when the row is handed over.
         self._replicated: dict[tuple[str, int], str] = {}
+        # (successor, tag, state) of the last state a notify reply sent.
+        self._taken: tuple[str, bytes, State] | None = None
         # (addr -> ident over fingers, successors and learned servers, sorted
         # clockwise distances of the live candidates, their entries). Set to
         # None when any of those or evicted change; rebuilt at the next read.
@@ -217,7 +247,7 @@ class RingNode:
     def successor(self) -> str:
         return next((s for _, s in self._succ if s not in self.evicted), self.addr)
 
-    def state(self) -> tuple[str | None, list[str]]:
+    def state(self) -> State:
         pred = self.predecessor
         if pred in self.evicted:
             pred = None
@@ -368,7 +398,7 @@ class RingNode:
                     self._set_successors([self._self])
                     return
             try:
-                pred_of_succ, succ_list = self.transport.notify(succ[1], self.addr)
+                pred_of_succ, succ_list = self._notify(succ[1])
                 break
             except PeerUnreachable:
                 self.note_dead(succ[1])
@@ -379,7 +409,7 @@ class RingNode:
                 # it hands over during the notify are replicated back to it.
                 self._set_successors([closer] + self._succ)
                 try:
-                    _, probe_list = self.transport.notify(pred_of_succ, self.addr)
+                    _, probe_list = self._notify(pred_of_succ)
                     succ, succ_list = closer, probe_list
                 except PeerUnreachable:
                     self.note_dead(pred_of_succ)
@@ -396,15 +426,34 @@ class RingNode:
         kept = list(dict.fromkeys(chain_addrs))[:SUCCESSOR_LIST_LEN]
         self._set_successors([succ if addr == succ[1] else self._entry(addr) for addr in kept])
 
+    def _notify(self, addr: str) -> State:
+        """Notify addr that this node may be its predecessor, naming the
+        state last taken from addr; addr's state after the notify. When
+        addr adopted this node, every primary row goes to it as a replica."""
+        taken = self._taken if self._taken is not None and self._taken[0] == addr else None
+        adopted, state = self.transport.notify(addr, self.addr, taken[1] if taken else b"")
+        if state is None:
+            if taken is None:
+                raise MalformedRequest("unchanged: the notify named no state")
+            state = taken[2]
+        else:
+            self._taken = (addr, state_tag(state), state)
+        if adopted:
+            self._push(addr, [row for row in self.store.peer_rows() if not row.replica])
+        return state
+
     def _first_live_successor(self) -> Entry | None:
         for entry in self._succ:
             if entry[1] != self.addr and entry[1] not in self.evicted:
                 return entry
         return None
 
-    def notified(self, candidate: str) -> tuple[str | None, list[str]]:
+    def notified(self, candidate: str, tag: bytes) -> tuple[bool, State | None]:
         """Handle a notify: adopt a closer predecessor, hand over its arc.
-        Returns the state after it, which the notifier stabilizes on."""
+        Returns whether the candidate was adopted, and the state after it,
+        which the notifier stabilizes on, with this node as its successor
+        when it has none, or None when that state has the tag."""
+        adopted = False
         if candidate != self.addr and candidate not in self.evicted:
             cand = self._entry(candidate)
             if self._first_live_successor() is None:  # alone: the notifier is the ring
@@ -421,10 +470,13 @@ class RingNode:
                 old = self._pred
             if old is None or old[1] in self.evicted or in_interval(cand[0], old[0], self.ident):
                 self._pred = cand
+                adopted = True
                 self._handoff_to_predecessor(cand)
             if self.predecessor == candidate:
                 self._pred_heard = True
-        return self.state()
+        pred, succs = self.state()
+        state = (pred, succs or [self.addr])
+        return adopted, None if tag and state_tag(state) == tag else state
 
     def _handoff_to_predecessor(self, cand: Entry) -> None:
         cand_id, candidate = cand
@@ -542,18 +594,28 @@ class RingNode:
         """Push row's replica to the first live successor, unless the row is
         unchanged and that successor already accepted it."""
         succ = self.successor()
-        key = (row.record.username, row.ring_id)
-        if succ == self.addr or (not changed and self._replicated.get(key) == succ):
+        if succ == self.addr or (
+            not changed and self._replicated.get((row.record.username, row.ring_id)) == succ
+        ):
+            return
+        self._push(succ, [row])
+
+    def _push(self, succ: str, rows: list[PeerRow]) -> None:
+        """Push rows to succ as replicas, in one message, and remember
+        which it accepted."""
+        if not rows:
             return
         try:
-            accepted = self.transport.replicate(succ, replace(row, replica=True))
+            accepted = self.transport.replicate(succ, [replace(row, replica=True) for row in rows])
         except PeerUnreachable:
             self.note_dead(succ)
-            accepted = False
-        if accepted:
-            self._replicated[key] = succ
-        else:
-            self._replicated.pop(key, None)
+            accepted = []
+        for i, row in enumerate(rows):
+            key = (row.record.username, row.ring_id)
+            if i < len(accepted) and accepted[i]:
+                self._replicated[key] = succ
+            else:
+                self._replicated.pop(key, None)
 
     def accept_replica(self, row: PeerRow) -> bool:
         """Verify before replicating; invalid rows are never stored or forwarded."""
@@ -597,7 +659,7 @@ class DirectTransport:
             raise PeerUnreachable(addr)
         return node
 
-    def get_state(self, addr: str) -> tuple[str | None, list[str]]:
+    def get_state(self, addr: str) -> State:
         self.messages += 1
         return self._node(addr).state()
 
@@ -605,13 +667,14 @@ class DirectTransport:
         self.messages += 1
         return self._node(addr).local_query(ident)
 
-    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]:
+    def notify(self, addr: str, candidate: str, tag: bytes) -> tuple[bool, State | None]:
         self.messages += 1
-        return self._node(addr).notified(candidate)
+        return self._node(addr).notified(candidate, tag)
 
-    def replicate(self, addr: str, row: PeerRow) -> bool:
+    def replicate(self, addr: str, rows: list[PeerRow]) -> list[bool]:
         self.messages += 1
-        return self._node(addr).accept_replica(row)
+        node = self._node(addr)
+        return [node.accept_replica(row) for row in rows]
 
     def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None:
         self.messages += 1

@@ -32,7 +32,9 @@ _servers_for).
 
 A peer's own record is signed once per content: while its address,
 relay, passphrase, mirror table, friend key and signing key stay as
-they were, a re-registration sends the record it signed before.
+they were, a re-registration sends the record it signed before. To a
+server that accepted that record last it sends only the record's tag, a
+refresh, and the record itself only when the server refuses the refresh.
 
 Every secure channel a peer opens, to a rendezvous server or to a user,
 comes from one opener, and the ones it reuses sit in one keep, by (friend,
@@ -83,7 +85,13 @@ from .errors import (
 from .identity import Certificate, KeyPair
 from .nat import NatType, needs_relay, stun_classify
 from .profile import LogEntry, MirrorReplica, Profile, op_perm
-from .records import MIRROR_TABLE, MirrorEntry, RegistrationRecord, make_registration_record
+from .records import (
+    MIRROR_TABLE,
+    MirrorEntry,
+    RegistrationRecord,
+    make_registration_record,
+    record_tag,
+)
 from .relay import MuxService, admit_as_server
 from .secure import SecureChannel
 from .sentinel import NotificationBook, VerificationOutcome, check_peer_record
@@ -167,6 +175,10 @@ class Peer:
         # locate names it by its tag, and a server whose record has it sends
         # the record's proof in place of the record. Not saved.
         self._held: dict[str, RegistrationRecord] = {}
+        # The tag (records.record_tag) of the record each rendezvous server
+        # last accepted from this peer, by address; a re-registration of that
+        # record is a refresh naming it. Not saved.
+        self._accepted: dict[str, bytes] = {}
         # ((the configured servers, ring_bits), their sorted ring ids, their
         # addresses in that order); rebuilt when the configuration changes.
         self._ring: tuple[tuple, list[int], list[str]] | None = None
@@ -451,7 +463,11 @@ class Peer:
                 channel.close()
 
     def _register_at(self, server: str, record: RegistrationRecord) -> None:
-        pending = self._rendezvous(server, lambda session: rvclient.register_peer(session, record))
+        tag = record_tag(record.encode())[0]
+        accepted = tag if self._accepted.get(server) == tag else b""
+        pending = self._rendezvous(
+            server, lambda session: rvclient.register_peer(session, record, accepted))
+        self._accepted[server] = tag
         for request in pending:
             passphrase = rvclient.open_request_blob(self.state.keypair, request)
             if passphrase is not None:

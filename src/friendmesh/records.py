@@ -95,25 +95,23 @@ def verify_registration_record(record: RegistrationRecord, cert: Certificate) ->
     return identity.verify_record(record.canonical_payload(), record.signed_digest, cert.public_key)
 
 
-@record(RegistrationRecord, RAW, IDENT, FLAG)
+@record(RegistrationRecord, Certificate, IDENT, FLAG)
 @dataclass(frozen=True)
 class PeerRow:
     """A stored registration: the record, its owner certificate, ring id and
-    replica flag. Ring replication and handoff carry it as it is."""
+    replica flag. Ring replication and handoff carry it as it is. The
+    certificate is held decoded, as the row is built from the session's or
+    read off the wire, and travels and is saved as its encoding."""
 
     record: RegistrationRecord
-    certificate: bytes
+    certificate: Certificate
     ring_id: int = 0
     replica: bool = False
 
     def verified(self, ca_public_key: bytes) -> bool:
-        try:
-            cert = Certificate.decode(self.certificate)
-        except Exception:
+        if not identity.verify_certificate(self.certificate, ca_public_key):
             return False
-        if not identity.verify_certificate(cert, ca_public_key):
-            return False
-        return verify_registration_record(self.record, cert)
+        return verify_registration_record(self.record, self.certificate)
 
 
 @record(STR, STR)

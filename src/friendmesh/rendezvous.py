@@ -9,8 +9,8 @@ A peer's exchanges run on a session over one connection, opened by the
 one handshake of secure.py (the server holds no certificate, so it answers
 with a bare session key sealed to the client) and served by the same
 secure.ResponderSession as a friend channel: the app kinds register,
-locate, friend_request and passphrase_blob each travel as an APP_DATA
-frame, so no frame code names the operation. Relay directory, chord
+refresh, locate, friend_request and passphrase_blob each travel as an
+APP_DATA frame, so no frame code names the operation. Relay directory, chord
 lookup, complaints and server-to-server ring traffic are plain frames,
 served by wire.serve. Either way a request reaches the session's
 _on_<name> handler and the handler returns the reply values. Record
@@ -41,6 +41,24 @@ A row moves between servers only when it or its replica holder changed:
 an unchanged re-registration, which builds a row equal to the stored one,
 is neither verified again nor pushed again to a successor that already
 accepted its replica (chord.RingNode.put_primary).
+
+An unchanged re-registration need not send the record either. The peer
+keeps the tag of the record each server last accepted from it, and a
+re-registration of that record is a refresh naming it by the tag: 16
+bytes for about 200. The server serves it as the register that sends the
+record when the row under the sender's name and owned ring id holds a
+record with that tag under the session's certificate (a replica is
+promoted, as register promotes it), and refuses it not_found otherwise:
+the peer then sends the record on the same session
+(rvclient.register_peer). The tag is no secret: only the owner's session
+reaches its row, and a refresh stores nothing that the register of the
+same record would not. As with a locate, a refresh's size shows that the
+record did not change; it is not padded.
+
+Stabilization is conditional in the same way: a ring_notify names, by a
+short tag, the state the notifier last took from this node, and is
+answered "unchanged" when the state after the notify has that tag
+(chord.RingNode.stabilize).
 """
 from __future__ import annotations
 
@@ -87,12 +105,12 @@ class WireRingTransport:
         closest, succ, more = self._call(addr, wire.RING_CLOSEST, ident)
         return closest, [succ, *more]
 
-    def notify(self, addr: str, candidate: str) -> tuple[str | None, list[str]]:
-        pred, succs = self._call(addr, wire.RING_NOTIFY, candidate)
-        return pred or None, succs
+    def notify(self, addr: str, candidate: str, tag: bytes) -> tuple[bool, chord.State | None]:
+        adopted, pred, succs = self._call(addr, wire.RING_NOTIFY, candidate, tag)
+        return adopted, (pred or None, succs) if succs else None
 
-    def replicate(self, addr: str, row: PeerRow) -> bool:
-        (accepted,) = self._call(addr, wire.RING_REPLICATE, row)
+    def replicate(self, addr: str, rows: list[PeerRow]) -> list[bool]:
+        (accepted,) = self._call(addr, wire.RING_REPLICATE, rows)
         return accepted
 
     def transfer(self, addr: str, rows: list[PeerRow], departing: str | None) -> None:
@@ -253,16 +271,22 @@ class RendezvousSession:
     # -- peer registration -------------------------------------------------------------
 
     def _on_register(self, sender: Certificate, *values) -> tuple:
-        server = self.server
         # values: the record's fields less the username (wire.SCHEMA["register"]),
         # so an unchanged re-registration builds a row equal to the stored one
         record = RegistrationRecord(sender.username, *values)
-        row = PeerRow(
-            record=record,
-            certificate=sender.encode(),
-            ring_id=self._owned_ring_id(record.username),
-            replica=False,
-        )
+        return self._registered(PeerRow(record, sender, self._owned_ring_id(sender.username)))
+
+    def _on_refresh(self, sender: Certificate, tag: bytes) -> tuple:
+        # Served as _on_register, from the row that holds the tagged record
+        # under the session's certificate (a replica is promoted).
+        row = self.server.store.peer(sender.username, self._owned_ring_id(sender.username))
+        if row is None or row.certificate != sender or record_tag(row.record.encode())[0] != tag:
+            raise NotFound("no such record held; register it")
+        return self._registered(row)
+
+    def _registered(self, row: PeerRow) -> tuple:
+        """Store a registration's row as primary; the reply: the requests pending for its owner."""
+        server = self.server
         # At most one signature check either way, and none for a row equal
         # to the stored one: the ring verifies what it stores.
         if server.ring is not None:
@@ -273,8 +297,9 @@ class RendezvousSession:
                 server.store.upsert_peer(row)
         if not stored:
             raise IntegrityError("registration record failed verification")
-        server.on_event("peer_registered", node=server.addr, username=record.username)
-        return (server.store.pop_friend_requests(record.username),)
+        username = row.record.username
+        server.on_event("peer_registered", node=server.addr, username=username)
+        return (server.store.pop_friend_requests(username),)
 
     def _owned_ring_id(self, username: str) -> int:
         server = self.server
@@ -304,7 +329,7 @@ class RendezvousSession:
             held_tag, proof = record_tag(record)
             if tag == held_tag:
                 record = proof  # "unchanged"
-        return record, row.certificate if with_certificate else b""
+        return record, row.certificate.encode() if with_certificate else b""
 
     # -- friendship requests ---------------------------------------------------------------
 
@@ -315,7 +340,7 @@ class RendezvousSession:
         self._friend_target = None if row is None else target
         if row is None:
             raise NotFound(f"no user {target}")
-        return (row.certificate,)
+        return (row.certificate.encode(),)
 
     def _on_passphrase_blob(self, sender: Certificate, blob: bytes) -> tuple:
         target, self._friend_target = self._friend_target, None
@@ -386,12 +411,14 @@ class RendezvousSession:
         closest, succs = self._ring().local_query(self._ring_id(ident))
         return closest, succs[0], succs[1:]
 
-    def _on_ring_notify(self, ctx: SessionContext, candidate: str) -> tuple:
-        pred, succs = self._ring().notified(candidate)
-        return pred or "", succs
+    def _on_ring_notify(self, ctx: SessionContext, candidate: str, tag: bytes) -> tuple:
+        adopted, state = self._ring().notified(candidate, tag)
+        pred, succs = state or (None, [])  # "unchanged" names no successor
+        return adopted, pred or "", succs
 
-    def _on_ring_replicate(self, ctx: SessionContext, row: PeerRow) -> tuple:
-        return (self._ring().accept_replica(row),)
+    def _on_ring_replicate(self, ctx: SessionContext, rows: list[PeerRow]) -> tuple:
+        ring = self._ring()
+        return ([ring.accept_replica(row) for row in rows],)
 
     def _on_ring_transfer(self, ctx: SessionContext, departing: str, rows: list[PeerRow]) -> tuple:
         return (self._ring().accept_transfer(rows, departing or None),)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import identity, wire
 from .channel import Channel
-from .errors import ProtocolError
+from .errors import MalformedRequest, NotFound, ProtocolError
 from .identity import Certificate, KeyPair
 from .records import FriendshipRequestRecord, RegistrationRecord, record_tag
 from .secure import SecureChannel
@@ -16,9 +16,19 @@ from .wire import Frame
 
 
 def register_peer(
-    session: SecureChannel, record: RegistrationRecord
+    session: SecureChannel, record: RegistrationRecord, accepted: bytes = b""
 ) -> list[FriendshipRequestRecord]:
-    """Submit the signed registration payload; returns pending friendship requests."""
+    """Submit the signed registration payload; returns pending friendship
+    requests. accepted is record's tag (records.record_tag) when the server
+    last accepted this very record from the caller: a refresh then names the
+    record by it, and the record is sent only when the server refuses that,
+    holding another record or none, or not knowing refresh."""
+    if accepted:
+        try:
+            (pending,) = session.call("refresh", accepted)
+            return pending
+        except (NotFound, MalformedRequest):
+            pass
     fields = RegistrationRecord.LAYOUT.values(record)[1:]  # less the username: the certificate's
     (pending,) = session.call("register", *fields)
     return pending

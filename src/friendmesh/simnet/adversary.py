@@ -79,9 +79,15 @@ class AdversarySession:
             if scripted is not NO_ACTION:
                 return scripted
             if frame.msg_type == wire.RING_NOTIFY and "eclipse_attempt" in script.behaviors:
-                # The notify is taken; the state its reply carries is poisoned.
-                self.inner.handle(frame, ctx)
-                return wire.reply(wire.RING_NOTIFY, wrapper.attacker_addrs[0], wrapper.attacker_addrs)
+                # The notify is taken, and whether it adopted the notifier is
+                # told truly; the state its reply carries is poisoned, and
+                # never "unchanged".
+                try:
+                    adopted = wire.open_reply(self.inner.handle(frame, ctx), wire.RING_NOTIFY)[0]
+                except ProtocolError:
+                    adopted = False
+                return wire.reply(wire.RING_NOTIFY, adopted, wrapper.attacker_addrs[0],
+                                  wrapper.attacker_addrs)
         return self.inner.handle(frame, ctx)
 
     def _scripted_reply(self, frame: Frame):

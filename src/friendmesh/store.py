@@ -72,8 +72,12 @@ class MemoryStore:
 
     def holds_peer(self, row: PeerRow) -> bool:
         """True when the row stored under row's (username, ring id) equals it."""
+        return self.peer(row.record.username, row.ring_id) == row
+
+    def peer(self, username: str, ring_id: int) -> PeerRow | None:
+        """The row stored under (username, ring id), if any."""
         with self._lock:
-            return self._peers.get((row.record.username, row.ring_id)) == row
+            return self._peers.get((username, ring_id))
 
     def peer_by_passphrase(self, passphrase: str) -> PeerRow | None:
         with self._lock:

@@ -521,10 +521,14 @@ APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app request o
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
 # -> closest preceding, the successor list: its first entry, then the rest
 RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR, many(STR)))
-# candidate predecessor -> the notified node's predecessor or "", successors
-# after the notify: stabilize takes its successor's state from this reply
-RING_NOTIFY = _define(34, "ring_notify", (STR,), (STR, many(STR)))
-RING_REPLICATE = _define(35, "ring_replicate", (PeerRow,), (FLAG,))  # -> accepted
+# candidate predecessor, the tag of the state the notifier last took from
+# this node (chord.state_tag; b"" for none) -> whether the notify made the
+# candidate the predecessor, then the notified node's predecessor or "" and
+# successors after the notify; stabilize takes its successor's state from
+# this reply. A state names at least one successor (the node itself when it
+# has none), so a reply naming none is "unchanged": the state has the tag.
+RING_NOTIFY = _define(34, "ring_notify", (STR, RAW), (FLAG, STR, many(STR)))
+RING_REPLICATE = _define(35, "ring_replicate", (many(PeerRow),), (many(FLAG),))  # -> accepted, per row
 RING_TRANSFER = _define(36, "ring_transfer", (STR, many(PeerRow)), (INT,))  # departing or "" -> accepted
 BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 
@@ -534,6 +538,10 @@ MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstanc
 # The RegistrationRecord's fields in order, less the username (the
 # certificate's; the signed digest spread as two) -> pending friendship requests
 _app("register", RegistrationRecord.LAYOUT.fields[1:], (many(FriendshipRequestRecord),))
+# the tag (records.record_tag) of the record the server last accepted from
+# the sender -> as register; refused not_found unless the sender's row holds
+# that record
+_app("refresh", (RAW,), (many(FriendshipRequestRecord),))
 # passphrase, the tag of the record the locator holds (records.record_tag;
 # b"" for none), whether the owner's certificate is wanted -> the record's
 # encoding, or its proof when it has that tag (unchanged), and that

@@ -754,18 +754,18 @@ def counting_replicates(transport):
     pushes = []
     real = transport.replicate
 
-    def replicate(addr, row):
-        pushes.append((addr, row.record.username))
-        return real(addr, row)
+    def replicate(addr, rows):
+        pushes.extend((addr, row.record.username) for row in rows)
+        return real(addr, rows)
 
     transport.replicate = replicate
     return pushes
 
 
 def test_an_unchanged_row_is_pushed_to_a_successor_that_joined_since():
-    # A node joins between the owner and its successor; once the ring has
-    # stabilized, the next unchanged registration puts the replica on it,
-    # and the one after that sends nothing.
+    # A node joins between the owner and its successor. It adopts the owner
+    # as its predecessor while the ring stabilizes, and the owner pushes its
+    # rows to it then, so the unchanged registrations after that send nothing.
     addrs = [f"10.5.1.{i}:7{i:03d}" for i in range(4)]
     nodes, transport = chord.build_ring(addrs, bits=128)
     owner = nodes[addrs[0]]
@@ -784,11 +784,10 @@ def test_an_unchanged_row_is_pushed_to_a_successor_that_joined_since():
     nodes[joiner].join(addrs[0])
     chord.stabilize_all(nodes)
     assert owner.successor() == joiner
-    assert not nodes[joiner].store.peer_rows()
-
-    assert owner.put_primary(row)
     assert pushes == [(joiner, "alice")]
     assert nodes[joiner].store.peer_rows() == [replace(row, replica=True)]
+
+    assert owner.put_primary(row)
     assert owner.put_primary(row)
     assert pushes == [(joiner, "alice")]
 
@@ -822,6 +821,87 @@ def test_a_push_that_failed_is_not_remembered(failure):
     assert succ.store.peer_rows() == [replace(row, replica=True)]
     assert owner.put_primary(row)
     assert len(pushes) == 2
+
+
+def test_a_successor_restarted_empty_at_its_address_is_refilled_within_one_period():
+    # The owner's successor restarts with an empty store at the same address
+    # and joins again. Within one stabilization period it adopts the owner
+    # as its predecessor, and the owner pushes it every primary row in one
+    # message, with no registration: before, the owner still took that
+    # address for the holder of each unchanged row and never pushed it.
+    addrs = [f"10.5.7.{i}:7{i:03d}" for i in range(4)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    owner = nodes[addrs[0]]
+    rows = [peer_row(name, owner.ident) for name in ("alice", "bob")]
+    for row in rows:
+        assert owner.put_primary(row)
+    succ = owner.successor()
+    assert {r.record.username for r in nodes[succ].store.peer_rows()} == {"alice", "bob"}
+
+    nodes[succ] = chord.RingNode(succ, transport, bits=128)
+    transport.add(nodes[succ])
+    nodes[succ].join(next(a for a in addrs if a not in (succ, owner.addr)))
+    pushes = counting_replicates(transport)
+    before = transport.messages
+    chord.stabilize_all(nodes, rounds=1, fix=False)
+    assert owner.successor() == succ
+    assert nodes[succ].store.peer_rows() == [replace(row, replica=True) for row in rows]
+    assert pushes == [(succ, "alice"), (succ, "bob")]
+    assert transport.messages - before == len(nodes) + 1  # a notify each, and the push
+
+
+def test_a_converged_ring_answers_every_notify_unchanged():
+    # Each node names the state it last took from its successor, which has
+    # not changed: every reply is "unchanged", and no node adopts another.
+    addrs = [f"10.5.8.{i}:7{i:03d}" for i in range(16)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    answers = []
+    real = transport.notify
+
+    def notify(addr, candidate, tag):
+        answers.append((tag, *real(addr, candidate, tag)))
+        return answers[-1][1:]
+
+    transport.notify = notify
+    states = {addr: node.state() for addr, node in nodes.items()}
+    chord.stabilize_all(nodes, rounds=1, fix=False)
+    assert len(answers) == len(nodes)
+    assert all(len(tag) == 8 and (adopted, state) == (False, None) for tag, adopted, state in answers)
+    assert {addr: node.state() for addr, node in nodes.items()} == states
+
+
+def test_a_successor_answers_unchanged_only_to_its_current_state_tag():
+    addrs = [f"10.5.9.{i}:7{i:03d}" for i in range(4)]
+    nodes, _ = chord.build_ring(addrs, bits=128)
+    node = nodes[addrs[0]]
+    pred = node.predecessor
+    current = node.state()
+    assert node.notified(pred, chord.state_tag(current)) == (False, None)
+    for tag in (b"", bytes(8), chord.state_tag((None, current[1])),
+                chord.state_tag((pred, current[1][:-1])), chord.state_tag(current) + b"\x00"):
+        assert node.notified(pred, tag) == (False, current)
+
+
+def test_unchanged_to_a_notify_that_named_no_state_is_refused():
+    # The successor answers "unchanged" when the notifier holds no state of
+    # its: the reply is refused, and the successor list stays as it was.
+    addrs = [f"10.5.10.{i}:7{i:03d}" for i in range(4)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    node = nodes[addrs[0]]
+    before = node.state()
+
+    class Unchanged:
+        def notify(self, addr, candidate, tag):
+            return False, None
+
+        def __getattr__(self, name):
+            return getattr(transport, name)
+
+    node.transport = Unchanged()
+    node._taken = None  # as after a restart
+    with pytest.raises(MalformedRequest):
+        node.stabilize()
+    assert node.state() == before
 
 
 def test_lookup_failed_when_every_route_lies():

@@ -65,6 +65,22 @@ no record of the user and 18 when it did, and each reply answering
 baseline 318 of 350 locate requests carried a tag and 316 replies came
 back unchanged; in t1_falsify 48 carried one and 33 came back unchanged,
 the falsified rows being sent, and detected, as before.
+Every hash was re-recorded again when an unchanged re-registration came
+to name its record by tag (refresh) and a notify the state it last took
+from its successor, and a node adopted as its successor's predecessor
+came to push that successor its primary rows in one ring_replicate. In
+nine scenarios each trace kept its lines, times and events, and only
+three kinds of frame moved: each refresh request shrank by its record
+less the tag, 193 to 202 bytes (22 in baseline); each ring_notify request
+grew by its tag field, 2 bytes without a tag and 10 with one; and each
+ring_notify reply grew by 3 bytes (the adopted flag) when it sent the
+state, or shrank by 25 to 70 when it answered "unchanged" (82 of 95 in
+baseline). No refresh was refused. In s1_sybil, whose sybils join after
+the peers registered, 23 more ring_replicate exchanges carried the rows
+of the nodes the sybils adopted as predecessors, every later time moved,
+and the ring's own upkeep came out differently (ring_notify 2989 -> 2979,
+ring_state 653 -> 668, ring_closest 1635 -> 1638 exchanges). No outcome
+moved.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -91,16 +107,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "352f70652aa31ca5965073cce49550f91786b171362e8510b40dfe4743eeac6c",
-    "churn": "681a74da235e0c901eab2bba5ad4cd23b7ab729dc421331ac9e1f61328200ebe",
-    "e1_eclipse": "e1ce8f044d603809632b037ff9f4109c603a267cb19bb2df8df0209f07c367b1",
-    "eviction": "bca4e361d8922237419ffdf1fcbb01060d0f021835ca2cdba6c50b496f5d45c0",
-    "island_partition": "686e161ee01826107dd06e7ace8bb6e2a6d07e0a246516d68a7fd603c180eddf",
-    "r1_drop": "c7364391ad0cc52facb27a2705535e00d97a1836d6f495560e8be0a96e2602a3",
-    "r2_misroute": "a76f88177709457a9a48f2bc726edd0f48054596f1e314a78be058ecafe3aba1",
-    "r3_claim_key": "8aeba537ae6b1c97ddb0c9e73ef40a45cb608eab54f65bc71347b7d0f768e76f",
-    "s1_sybil": "b432d6eb5604a41811540871885183b7cbc16d5d2145f3b6d64faec3d5678fcf",
-    "t1_falsify": "b3b67b01efc92a3b3032fe78dc0c079a22a37b3df131237e47edb22ca8546ef5",
+    "baseline": "5fbbf7bcc2ae5ab51beb15b4f228439b6d9a6adc6073eb66abc2d3189402fce0",
+    "churn": "ab48c7ad5d0f9eab3d88c5bd555cbac3ca48e647551adc68c173247f555f7785",
+    "e1_eclipse": "ff50afad74050bc3565f74812a4446ea6939758d0cbc057635e431bdd61ea9f5",
+    "eviction": "e65a3ef19cbfbb43457dee59013e846e0a1164ac0061dc4305e938a57eadcb99",
+    "island_partition": "6c49f65ee7f76b0755b42f13de76414e426fd2d56fe1027f4636939a72cb58b4",
+    "r1_drop": "1ce75fb26d7bdb6384aaa4ff880c09151eba15468da13a9e0cfc9f9a0b3821ed",
+    "r2_misroute": "865e06609ca492e497949e17bac35533166288be3d3ecac6ec3b32c529e7e9b3",
+    "r3_claim_key": "0a1c9855cbe28507d8252c52c229157011d4c1ceef67c8137248288723da688e",
+    "s1_sybil": "592128572326bf0c5f2880bedf30774961c1a58c3ad6630a2a06345b7c2587d8",
+    "t1_falsify": "ccf8e543c99fd6f3447f24fca1c70e6a445261a488203d6ce05542e85f4990aa",
 }
 
 

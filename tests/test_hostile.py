@@ -120,7 +120,7 @@ def assert_coded(reply):
         assert status == "ok" or status in errors._BY_CODE, (reply, status)
 FRESH = itertools.count()
 # The kinds a rendezvous session serves, and kinds it does not.
-RENDEZVOUS_KINDS = ["register", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
+RENDEZVOUS_KINDS = ["register", "refresh", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
 
 
 # -- (a) app kinds with one field too few or too many -----------------------------
@@ -429,6 +429,45 @@ def test_ring_query_rejects_short_reply():
             WireRingTransport(OneServiceEndpoint(short)).query("10.0.0.5:7200", 42)
 
 
+NOTIFY_FIELDS = st.one_of(
+    st.sampled_from([b"", b"0", b"1", b"10.0.0.5:7200", b"10.0.0.1:7200", b"\xff\xfe", b"t" * 8]),
+    st.binary(max_size=24),
+)
+
+
+@FUZZ
+@given(fields=st.lists(NOTIFY_FIELDS, max_size=4))
+def test_a_ring_notify_with_any_fields_gets_a_coded_reply(rendezvous, fields):
+    # Any candidate and tag, or any other field count: ok or a coded error.
+    assert_coded(Conn(rendezvous).send(wire.RING_NOTIFY, wire.pack_fields(*fields)))
+    wire.open_reply(Conn(rendezvous).request(Frame(wire.RING_STATE)))
+
+
+@FUZZ
+@given(fields=st.lists(NOTIFY_FIELDS, max_size=5), held=st.booleans())
+def test_a_notify_reply_with_any_fields_costs_stabilize_a_protocol_error_at_most(fields, held):
+    # A successor answering any fields: the notifier either reads a state,
+    # or "unchanged" to a notify that named one, or raises a ProtocolError;
+    # it keeps a successor list either way.
+    succ = "10.0.0.5:7200"
+    service = FuncService(lambda frame, ctx: wire.ok_reply(frame.msg_type, *fields))
+    node = chord.RingNode("10.0.0.1:7200", WireRingTransport(OneServiceEndpoint(service)))
+    node._set_successors([(chord.node_ident(succ), succ)])
+    if held:
+        node._taken = (succ, b"t" * 8, (None, [succ]))
+    try:
+        adopted, state = node.transport.notify(succ, node.addr, b"t" * 8)
+    except ProtocolError:
+        pass
+    else:
+        assert isinstance(adopted, bool) and (state is None or state[1])
+    try:
+        node.stabilize()
+    except ProtocolError:
+        pass
+    assert node.state()[1]
+
+
 def test_ring_answer_listing_many_addresses_costs_at_most_a_list_of_hashes(monkeypatch):
     # The node a lookup asks first answers with itself as closest and a list
     # of 1,000 addresses. The first SUCCESSOR_LIST_LEN are unreachable and
@@ -607,10 +646,10 @@ def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, m
         signature = bytearray(record.signed_digest.signature)
         signature[-1] ^= 1
         bad_record = replace(record, signed_digest=replace(record.signed_digest, signature=bytes(signature)))
-        certificate = cert.encode()
+        certificate = cert
     else:
         bad_record = record
-        certificate = ca.issue(f"hostile-other-{via}", identity.generate_keypair("ec-p256").public_key).encode()
+        certificate = ca.issue(f"hostile-other-{via}", identity.generate_keypair("ec-p256").public_key)
     server = RendezvousServer(
         addr="10.0.0.9:7200",
         config=RendezvousConfig(ring_enabled=via != "register"),
@@ -619,7 +658,7 @@ def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, m
         clock=lambda: 0,
         rng=random.Random(3),
     )
-    good = PeerRow(record, cert.encode(), ring_id=0 if via == "register" else 5,
+    good = PeerRow(record, cert, ring_id=0 if via == "register" else 5,
                    replica=via == "ring_replicate")
     bad = replace(good, record=bad_record, certificate=certificate)
     if via == "register":
@@ -633,8 +672,9 @@ def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, m
             return True
     else:
         def send(row):
-            values = (row,) if via == "ring_replicate" else ("", [row])
-            return bool(wire.call(DirectChannel(server), getattr(wire, via.upper()), *values)[0])
+            if via == "ring_replicate":
+                return wire.call(DirectChannel(server), wire.RING_REPLICATE, [row]) == ([True],)
+            return bool(wire.call(DirectChannel(server), wire.RING_TRANSFER, "", [row])[0])
 
     assert send(good)
     checks = []
@@ -645,6 +685,100 @@ def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, m
     assert not send(bad)
     assert checks == [bad]
     assert server.store.peer_rows() == [good]
+
+
+# -- refresh: an unchanged re-registration named by its record's tag ---------------------
+
+
+def refresh_server(ca, ring=False):
+    return RendezvousServer(
+        addr="10.0.0.8:7200",
+        config=RendezvousConfig(ring_enabled=ring),
+        ca_public_key=ca.public_key,
+        endpoint=object() if ring else None,  # a one-node ring dials nobody
+        clock=lambda: 0,
+        rng=random.Random(3),
+    )
+
+
+def counted_session(server, cert, pair):
+    """A session to server, and the list of app kinds it sends, in order."""
+    session = secure.connect_secure(DirectChannel(server), cert, pair, server.ca_public_key)
+    kinds = []
+    real = session.call
+    session.call = lambda kind, *values: kinds.append(kind) or real(kind, *values)
+    return session, kinds
+
+
+def user_record(pair, cert, passphrase="hostile-phrase"):
+    return make_registration_record(
+        username=cert.username, ip="10.0.5.5", port=7500, protocol="tcp",
+        relay_address="", relay_port=0, passphrase=passphrase,
+        encrypted_mirror_list=b"\x01", private_key=pair.private_key,
+    )
+
+
+@pytest.mark.parametrize("case", ["another_user", "wrong_tag", "older_record", "restarted_empty"])
+def test_a_refresh_of_a_record_the_server_does_not_hold_is_refused_then_registered(ca, user, case):
+    # The refresh is refused with not_found and stores nothing: from another
+    # user's session, with a tag of no record, with the tag of the user's
+    # record before the one the server holds, or at a server restarted
+    # empty. The registration then sends the record, once, on the same
+    # session, and its row is stored.
+    pair, cert = user
+    record = user_record(pair, cert)
+    server = refresh_server(ca)
+    session, kinds = counted_session(server, cert, pair)
+    rvclient.register_peer(session, record)
+    tag = records.record_tag(record.encode())[0]
+    if case == "another_user":
+        pair = identity.generate_keypair("ec-p256")
+        cert = ca.issue("hostile-refresher", pair.public_key)
+        session, kinds = counted_session(server, cert, pair)
+        record = user_record(pair, cert)
+    elif case == "wrong_tag":
+        tag = bytes(16)
+    elif case == "older_record":
+        rvclient.register_peer(session, user_record(pair, cert, passphrase="hostile-newer"))
+    else:
+        server = refresh_server(ca)
+        session, kinds = counted_session(server, cert, pair)
+    before = server.store.peer_rows()
+    with pytest.raises(NotFound):
+        session.call("refresh", tag)
+    assert session.established
+    assert server.store.peer_rows() == before
+    kinds.clear()
+    rvclient.register_peer(session, record, tag)
+    assert kinds == ["refresh", "register"]
+    assert server.store.peer(cert.username, 0) == PeerRow(record, cert)
+
+
+def test_a_refresh_promotes_a_row_held_as_a_replica(ca, user):
+    # As a register of the same record would: the replica row becomes the
+    # primary one, with no record sent.
+    pair, cert = user
+    record = user_record(pair, cert)
+    server = refresh_server(ca, ring=True)
+    ring_id = chord.dual_hash(cert.username, server.config.ring_bits).id_md5
+    server.store.upsert_peer(PeerRow(record, cert, ring_id, replica=True))
+    session, kinds = counted_session(server, cert, pair)
+    rvclient.register_peer(session, record, records.record_tag(record.encode())[0])
+    assert kinds == ["refresh"]
+    assert server.store.peer_rows() == [PeerRow(record, cert, ring_id, replica=False)]
+
+
+def test_a_server_that_does_not_know_refresh_gets_the_record(ca, user, monkeypatch):
+    from friendmesh.rendezvous import RendezvousSession
+
+    pair, cert = user
+    record = user_record(pair, cert)
+    server = refresh_server(ca)
+    monkeypatch.delattr(RendezvousSession, "_on_refresh")
+    session, kinds = counted_session(server, cert, pair)
+    rvclient.register_peer(session, record, records.record_tag(record.encode())[0])
+    assert kinds == ["refresh", "register"]
+    assert server.store.peer_rows() == [PeerRow(record, cert)]
 
 
 def test_every_field_that_steers_a_connection_is_signed():

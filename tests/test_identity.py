@@ -132,10 +132,10 @@ def test_unknown_algorithm_verifies_false(ca):
         private_key=pair.private_key,
     )
     assert verify_registration_record(record, cert)
-    assert PeerRow(record, cert.encode()).verified(ca.public_key)
+    assert PeerRow(record, cert).verified(ca.public_key)
     renamed = replace(cert, algorithm_id="ec-p257")
     assert not identity.verify_certificate(renamed, ca.public_key)
-    assert not PeerRow(record, renamed.encode()).verified(ca.public_key)
+    assert not PeerRow(record, renamed).verified(ca.public_key)
 
 
 def test_certificate_for_another_algorithm_does_not_verify(ca):

@@ -1645,33 +1645,69 @@ def test_registration_fails_as_before_when_every_friend_is_down(outcomes):
 
 @pytest.fixture
 def sent_records(monkeypatch):
-    """Every record a peer sends in a register request."""
+    """Every record a peer registers, sent in a register request or named
+    by a refresh, with the tag it was refreshed by (b"" when sent)."""
     from friendmesh import rvclient
 
     sent = []
     real = rvclient.register_peer
-    monkeypatch.setattr(rvclient, "register_peer",
-                        lambda session, record: sent.append(record) or real(session, record))
+
+    def recorded(session, record, accepted=b""):
+        sent.append((record, accepted))
+        return real(session, record, accepted)
+
+    monkeypatch.setattr(rvclient, "register_peer", recorded)
     return sent
 
 
 def test_an_unchanged_rebootstrap_resends_the_record_unsigned_again(monkeypatch, sent_records):
+    # The same record goes to each server again, unsigned again, and as a
+    # refresh naming it by its tag: each server accepted it last time.
     from friendmesh import identity
-    from friendmesh.records import RegistrationRecord
+    from friendmesh.records import RegistrationRecord, record_tag
 
     world = ring_world()
     peer = world.peers["user00"]
     sent_records.clear()
     peer.bootstrap()
-    first = [RegistrationRecord.LAYOUT.values(r) for r in sent_records]
+    first = [RegistrationRecord.LAYOUT.values(r) for r, _ in sent_records]
     assert first
     sent_records.clear()
     signs = []
     real_sign = identity.sign
     monkeypatch.setattr(identity, "sign", lambda *args: signs.append(args) or real_sign(*args))
     peer.bootstrap()
-    assert [RegistrationRecord.LAYOUT.values(r) for r in sent_records] == first
+    assert [RegistrationRecord.LAYOUT.values(r) for r, _ in sent_records] == first
     assert signs == []
+    assert [accepted for _, accepted in sent_records] == [
+        record_tag(r.encode())[0] for r, _ in sent_records]
+
+
+def test_a_warm_reregistration_is_a_refresh_of_pinned_size():
+    # A re-registration of the record the server accepted last sends its
+    # 16-byte tag, not the record, and gets the same reply as a register.
+    # Its size shows that the record did not change: it is not padded.
+    import random
+
+    from friendmesh import identity, secure, wire
+
+    world = small_world(seed=24, n_peers=1)
+    peer = world.peers["user00"]
+    peer.reregister()  # the server's session is kept from here on
+    mark = len(world.sim.trace)
+    peer.reregister()
+    frames = [line.split()[2::4] for line in world.sim.trace[mark:] if " MSG " in line]
+    assert frames == [["req", "43"], ["rep", "20"]]
+    # Those are the refresh's sealed plaintexts: the kind and the tag, and
+    # the ok status with no pending request. The register it replaces
+    # sends the record's fields less the username, 210 bytes here, in place
+    # of the tag's 18, under a kind one letter longer.
+    cipher = identity.SessionCipher(identity.generate_session_key(random.Random(1)), direction=1)
+    assert len(cipher.encrypt(secure.pack_app("refresh") + wire.encode("refresh", bytes(16)))) == 43
+    assert len(cipher.encrypt(wire.OK + wire.encode("refresh", [], reply=True))) == 20
+    record = peer.build_record()
+    register = secure.pack_app("register") + wire.encode("register", *record.LAYOUT.values(record)[1:])
+    assert len(cipher.encrypt(register)) == 236
 
 
 def test_each_input_change_signs_a_new_record_that_verifies(sent_records):
@@ -1693,7 +1729,7 @@ def test_each_input_change_signs_a_new_record_that_verifies(sent_records):
     def revoke():
         sent_records.clear()
         peer.revoke_friend("user02")
-        assert sent_records and {r.signed_digest for r in sent_records} == {
+        assert sent_records and {r.signed_digest for r, _ in sent_records} == {
             peer.build_record().signed_digest}
 
     after = new_record_after(revoke)

@@ -380,7 +380,7 @@ def test_store_contract_equivalence(backend, ca, tmp_path):
     st = store.MemoryStore() if backend == "memory" else store.SqliteStore(path)
     pair, cert = make_user(ca, f"store-user-{backend}")
     record = make_record(pair, cert, passphrase=f"store-phrase-{backend}")
-    row = PeerRow(record=record, certificate=cert.encode(), ring_id=7, replica=False)
+    row = PeerRow(record=record, certificate=cert, ring_id=7, replica=False)
     assert st.upsert_peer(row) is True  # upsert_peer says whether it stored the row
     assert st.peer_by_passphrase(f"store-phrase-{backend}") == row
     assert st.peer_by_username(f"store-user-{backend}") == row
@@ -488,7 +488,7 @@ def test_sqlite_store_commits_outside_the_store_lock(ca, tmp_path):
 
     st._db = HeldCommit(st._db)
     pair, cert = make_user(ca, "held-user")
-    row = PeerRow(record=make_record(pair, cert, passphrase="held-phrase"), certificate=cert.encode(), ring_id=7)
+    row = PeerRow(record=make_record(pair, cert, passphrase="held-phrase"), certificate=cert, ring_id=7)
     writer = threading.Thread(target=st.upsert_peer, args=(row,))
     writer.start()
     found = []
@@ -527,7 +527,7 @@ def test_a_store_call_that_changes_nothing_writes_nothing(backend, ca, tmp_path)
     path = str(tmp_path / "db.sqlite")
     st = store.MemoryStore() if backend == "memory" else store.SqliteStore(path)
     pair, cert = make_user(ca, f"noop-user-{backend}")
-    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=7)
+    row = PeerRow(record=make_record(pair, cert), certificate=cert, ring_id=7)
     request = FriendshipRequestRecord("t", "r", b"blob")
     relay = RelayRecord(address="10.0.2.1", port=7300, capacity=4, load=1, last_update=5)
     st.upsert_peer(row)
@@ -604,7 +604,7 @@ def test_an_unchanged_upsert_returns_once_an_equal_change_is_committed(ca, tmp_p
     path = str(tmp_path / "db.sqlite")
     st = store.SqliteStore(path)
     pair, cert = make_user(ca, "equal-user")
-    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=7)
+    row = PeerRow(record=make_record(pair, cert), certificate=cert, ring_id=7)
     writers = [threading.Thread(target=st.upsert_peer, args=(row,)) for _ in range(2)]
     with st._file_lock:  # the file is busy: the first writer's change waits, queued
         writers[0].start()
@@ -723,7 +723,7 @@ def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
         rng=random.Random(1),
     )
     pair, cert = make_user(ca, "gate-user")
-    row = PeerRow(record=make_record(pair, cert), certificate=cert.encode(), ring_id=42)
+    row = PeerRow(record=make_record(pair, cert), certificate=cert, ring_id=42)
     decodes = []
     real_decode = records.PeerRow.decode.__func__
 
@@ -739,6 +739,36 @@ def test_ring_replicate_decodes_row_once(ca, clock, monkeypatch):
     assert wire.open_reply(reply) == [b"1"]
     assert len(decodes) == 1
     assert server.store.peer_rows() == [replica]
+
+
+def test_a_rows_certificate_is_decoded_once_per_arrival(ca, clock, monkeypatch):
+    # A registration's row holds the session's certificate, decoded by the
+    # handshake, and a replica's is decoded with the row off the wire:
+    # verifying either row decodes nothing.
+    server = RendezvousServer(
+        addr="10.0.0.2:7200",
+        config=RendezvousConfig(ring_enabled=True),
+        ca_public_key=ca.public_key,
+        endpoint=object(),  # a one-node ring replicates to nobody
+        clock=clock,
+        rng=random.Random(1),
+    )
+    pair, cert = make_user(ca, "decode-user")
+    client = secure_client(server, pair, cert)
+    decodes = []
+    real_decode = identity.Certificate.decode.__func__
+    monkeypatch.setattr(identity.Certificate, "decode",
+                        classmethod(lambda cls, data: decodes.append(data) or real_decode(cls, data)))
+    rvclient.register_peer(client, make_record(pair, cert))
+    assert decodes == []
+    assert [row.certificate for row in server.store.peer_rows()] == [cert]
+
+    other_pair, other = make_user(ca, "decode-other")
+    replica = PeerRow(record=make_record(other_pair, other), certificate=other, ring_id=42, replica=True)
+    frame = wire.Frame(wire.RING_REPLICATE, wire.encode(wire.RING_REPLICATE, [replica]))
+    assert wire.open_reply(DirectChannel(server).request(frame), wire.RING_REPLICATE) == ([True],)
+    assert decodes == [other.encode()]
+    assert server.store.peer("decode-other", 42) == replica
 
 
 @pytest.mark.parametrize("ring", [False, True])

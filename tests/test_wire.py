@@ -89,7 +89,7 @@ class RingHandler:
         assert values == ()
         return who, ["b:2", "c:3"]
 
-    def _on_ring_notify(self, who, candidate):
+    def _on_ring_notify(self, who, candidate, tag):
         raise NotFound(candidate)
 
     def _on_request_relay(self, who):
@@ -109,8 +109,8 @@ def test_serve_answers_with_the_handler_reply_values():
     (wire.Frame(wire.RING_CLOSEST, wire.pack_fields(b"ff")), ("malformed_request", "unexpected message")),
     (wire.Frame(99), ("malformed_request", "unexpected message")),
     (wire.Frame(wire.RING_NOTIFY, b"\x00"), ("malformed_request",)),
-    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1", b"y:2")), ("malformed_request",)),
-    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1")), ("not_found",)),
+    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1", b"", b"y:2")), ("malformed_request",)),
+    (wire.Frame(wire.RING_NOTIFY, wire.pack_fields(b"x:1", b"")), ("not_found",)),
 ], ids=["no_handler", "undeclared_code", "truncated", "extra_field", "handler_raises"])
 def test_serve_refuses_with_a_coded_error(frame, refusal):
     assert wire.serve(RingHandler(), frame, None) == wire.err_reply(frame.msg_type, *refusal)
@@ -150,6 +150,9 @@ def test_every_handler_names_a_schema_entry():
 # the registration record lost its unsigned NAT kind, and again when it lost
 # the server's last_refresh stamp (its last field, and the 6 bytes of it
 # inside peer_row); canonical_payload, what the owner signs, did not move.
+# peer_row's instance came to carry the certificate pinned below, not the
+# bytes b"cert", when a row came to hold its certificate decoded: the row's
+# layout is as it was, with the certificate's encoding in that field.
 # seal, key_reply, cert_request and passphrase_blob were re-recorded when a
 # seal came to encrypt its payload under the ECDH-derived key itself: the
 # sealed blob lost its wrapped data key (60 bytes under real keys; 32 here,
@@ -177,7 +180,8 @@ GOLDEN = {
     ),
     'peer_row': (
         '00480005616c696365000831302e302e302e310004373530300003756470000831302e302e302e39'
-        '000437333030000670687261736500076d6972726f72730004010101010003736967000463657274'
+        '000437333030000670687261736500076d6972726f72730004010101010003736967001e0005616c'
+        '696365000350554200026361000765632d703235360003534947'
         '0003616263000131'
     ),
     'mirror_entry': '0003626f62000a626f622d706872617365',
@@ -258,8 +262,8 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     sd = SignedDigest(b"\x01" * 4, b"sig")
     rec = RegistrationRecord("alice", "10.0.0.1", 7500, "udp", "10.0.0.9", 7300,
                              "phrase", b"mirrors", sd)
-    row = PeerRow(rec, b"cert", ring_id=0xABC, replica=True)
     cert = Certificate("alice", b"PUB", "ca", "ec-p256", b"SIG")
+    row = PeerRow(rec, cert, ring_id=0xABC, replica=True)
     complaint = Complaint("10.0.0.2:7200", "alice", 99, b"csig", b"ccert")
     e1 = LogEntry("share_board", 3, "alice", b"op", 77)
     e2 = LogEntry("info", 1, "bob", b"", -5)
@@ -517,8 +521,8 @@ def test_generated_unpack_matches_the_reference_on_hostile_input(data):
 def _oversizable(t) -> bool:
     if isinstance(t, wire.many):
         t = t.type
-        if isinstance(t, type):  # a record
-            return any(u in (wire.STR, wire.RAW) for u in t.LAYOUT.fields)
+    if isinstance(t, type):  # a record, in a batch or as one field
+        return any(_oversizable(u) for u in t.LAYOUT.fields)
     return t in (wire.STR, wire.RAW)
 
 
@@ -531,8 +535,8 @@ def _big(t, data):
     """A value of field type t that carries a field over 65535 bytes."""
     if isinstance(t, wire.many):
         return [_big(t.type, data)]
-    if isinstance(t, type):  # a record: its first STR or RAW field made big
-        name, u = next((n, u) for n, u in zip(t.LAYOUT.names, t.LAYOUT.fields) if u in (wire.STR, wire.RAW))
+    if isinstance(t, type):  # a record: its first field that can carry one made big
+        name, u = next((n, u) for n, u in zip(t.LAYOUT.names, t.LAYOUT.fields) if _oversizable(u))
         return dataclasses.replace(data.draw(value_of(t)), **{name: _big(u, data)})
     return "x" * 65536 if t is wire.STR else b"x" * 65536
 
