@@ -626,12 +626,19 @@ class RingNode:
         return True
 
     def accept_transfer(self, rows: list[PeerRow], departing: str | None) -> int:
+        """Take rows over as primaries. Rows a departing node hands over are
+        pushed to this node's successor one by one; rows a successor hands
+        over while it adopts this node (departing None) are not: that
+        successor keeps replica copies, and this node pushes it every
+        primary row once the notify's reply says it was adopted."""
         accepted = 0
         for row in rows:
             row = replace(row, replica=False)
             if not self._known_or_verified(row):
                 continue
-            self.replicate_out(row, self.store.upsert_peer(row))
+            changed = self.store.upsert_peer(row)
+            if departing is not None:
+                self.replicate_out(row, changed)
             accepted += 1
         if departing is not None:
             self.note_dead(departing)

@@ -39,7 +39,9 @@ refresh, and the record itself only when the server refuses the refresh.
 Every secure channel a peer opens, to a rendezvous server or to a user,
 comes from one opener, and the ones it reuses sit in one keep, by (friend,
 or "" for a rendezvous server; address dialled): at most one per server and
-one per friend, so a warm operation costs no handshake. The sentinel's
+one per friend, so a warm operation costs no handshake, and a cold one
+to a friend sends no certificate: each friend holds the other's
+(secure.py). The sentinel's
 reachability probe of a friend runs on that friend's kept channel too, so
 a re-registration costs it no handshake and leaves the channel warm. Every
 friend operation still locates the friend and verifies the record it gets;
@@ -207,7 +209,15 @@ class Peer:
             self.admission_gate,
             self._handle_app,
             rng=self.rng,
+            held=self._friend_certificate,
         )
+
+    def _friend_certificate(self, tag: bytes) -> Certificate | None:
+        """The certificate a friend's hello names by its tag, when held."""
+        for entry in self.state.friend_list.values():
+            if entry.certificate is not None and secure.certificate_tag(entry.certificate) == tag:
+                return entry.certificate
+        return None
 
     def admission_gate(self, username: str) -> bool:
         """A friend, a friend requester, a requested friend, or a user
@@ -382,10 +392,24 @@ class Peer:
 
     def _open(self, key: tuple[str, str], relayed: bool = False) -> SecureChannel:
         """A new secure channel to key's address: to the user key names, through
-        the relay at that address when relayed, or to a rendezvous server."""
+        the relay at that address when relayed, or to a rendezvous server.
+        A friend whose certificate this peer holds holds this peer's, so
+        neither side sends its certificate; when the friend's answer does
+        not check against the held one, as after the friend's certificate
+        changed, the peer dials once more and sends its own."""
         expected, addr = key
         if not addr:
             raise Unavailable(f"no route to {expected}")
+        entry = self.state.friend_list.get(expected)
+        held = entry.certificate if entry is not None else None
+        if held is not None:
+            try:
+                return self._dial(addr, expected, relayed, held)
+            except secure.StaleCertificate:
+                pass
+        return self._dial(addr, expected, relayed, None)
+
+    def _dial(self, addr: str, expected: str, relayed: bool, held: Certificate | None) -> SecureChannel:
         channel = self.endpoint.connect(addr)
         try:
             if relayed:
@@ -397,6 +421,7 @@ class Peer:
                 self.ca_public_key,
                 expected_username=expected or None,
                 rng=self.rng,
+                held=held,
             )
         except ProtocolError:
             channel.close()

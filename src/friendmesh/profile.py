@@ -546,23 +546,22 @@ def reconcile(owner: str, *logs: list[LogEntry]) -> Profile:
 # -- wire forms for sync ------------------------------------------------------------
 
 
-# A version vector: each component's name, version and prefix digest (b""
-# at version 0), in COMPONENTS order.
-_VECTOR = Layout("vector", (STR, INT, RAW) * len(COMPONENTS))
+# A version vector: each component's version and prefix digest (b"" at
+# version 0), in COMPONENTS order, which names them.
+_VECTOR = Layout("vector", (INT, RAW) * len(COMPONENTS))
 
 
 def encode_vector(profile: Profile) -> bytes:
     values = []
     for component in COMPONENTS:
         version = profile.versions[component]
-        values += (component, version, profile.prefix_digest(component, version) if version else b"")
+        values += (version, profile.prefix_digest(component, version) if version else b"")
     return _VECTOR.pack(values)
 
 
 def decode_vector(data: bytes) -> tuple[dict[str, int], dict[str, bytes]]:
     values = _VECTOR.unpack(data)
-    names = values[0::3]
-    return dict(zip(names, values[1::3])), dict(zip(names, values[2::3]))
+    return dict(zip(COMPONENTS, values[0::2])), dict(zip(COMPONENTS, values[1::2]))
 
 
 # A profile export: the owner, then every log entry.

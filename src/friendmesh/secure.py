@@ -3,14 +3,30 @@
 One handshake opens every session, a friend channel, a rendezvous
 session and a relay admission alike, in one round trip:
 
-- The initiator presents its certificate and a fresh 16-byte nonce in the
-  clear (REGISTER_PEER).
-- The responder checks the certificate and admission, generates the
-  session key itself and answers SESSION_KEY with one blob sealed to the
+- The initiator's hello (REGISTER_PEER) names its certificate and carries
+  a fresh 16-byte nonce, in the clear. It names the certificate by the
+  certificate's encoding, or, when the initiator dials a friend, by that
+  encoding's 16-byte tag (certificate_tag): friends hold each other's
+  certificates (peer.FriendEntry.certificate).
+- The responder takes the certificate from the hello, or looks the tag up
+  among the certificates it holds, checks admission, generates the session
+  key itself and answers SESSION_KEY with one blob sealed to the
   initiator's public key: the session key, the responder's certificate
   and its signature over the transcript (the hello as sent, the session
-  key, the certificate). An observer so never learns who answered.
-- A rendezvous server or a relay holds no certificate: it leaves those two
+  key, the certificate's encoding). An answer to a tag hello leaves the
+  certificate out: a tag hello says the initiator holds it, and checks
+  the signature against the one it holds. An observer so never learns who
+  answered, and a friend hello does not show the initiator's username; it
+  shows a tag that anyone holding the initiator's certificate (a
+  rendezvous server hands certificates out) can match.
+- A responder that holds no certificate with the hello's tag refuses it
+  not_found, before it reveals anything about itself, and the initiator
+  sends its certificate once, on the same channel. A rendezvous server or
+  a relay holds no certificate, so a tag hello to one always comes to
+  that. An initiator whose friend's certificate changed meets a signature
+  that does not check against the one it holds (StaleCertificate), and
+  the peer dials once more with its certificate (peer.Peer._open).
+- A rendezvous server or a relay leaves the certificate and signature
   fields empty, and its client's end has peer_cert None. An initiator that
   names the user it expects refuses such an answer.
 
@@ -51,13 +67,17 @@ from .errors import (
     HandshakeError,
     IntegrityError,
     MalformedRequest,
+    NotFound,
     PeerUnreachable,
     ProtocolError,
 )
 from .identity import Certificate, KeyPair, SessionCipher, SessionKey
+from .records import record_tag
 from .wire import RAW, Frame, Layout
 
 AdmissionGate = Callable[[str], bool]
+# The certificate a responder holds whose tag (certificate_tag) is given, or None.
+HeldCertificates = Callable[[bytes], Certificate | None]
 # App handler: (plaintext body, peer certificate) -> the reply's packed fields
 # after its status. A ProtocolError it raises is answered with its code.
 AppHandler = Callable[[bytes, Certificate], bytes]
@@ -152,13 +172,26 @@ def _raise_if_unreachable(reply: Frame) -> None:
 
 
 NONCE_LEN = 16
+TAG_LEN = 16
+
+
+class StaleCertificate(HandshakeError):
+    """The answer to a tag hello does not check against the responder's
+    certificate the initiator holds: it may have changed."""
+
+
+def certificate_tag(cert: Certificate) -> bytes:
+    """The 16-byte tag a hello names a held certificate by: the first half
+    of sha256 over its encoding, as records.record_tag names a record."""
+    return record_tag(cert.encode())[0]
 
 # The answer to a hello, sealed to the initiator: the session key, the
-# responder's certificate and its signature over the transcript (both b""
-# from a rendezvous server).
+# responder's certificate (b"" in the answer to a tag hello) and its
+# signature over the transcript (both b"" from a rendezvous server).
 _KEY_REPLY = Layout("key_reply", (SessionKey, RAW, RAW))
-# What that signature covers: a label, the hello as sent (certificate and
-# nonce), the session key and the responder's certificate.
+# What that signature covers: a label, the hello as sent (the initiator's
+# certificate or its tag, and the nonce), the session key and the
+# responder's certificate, also when the answer leaves it out.
 _TRANSCRIPT = Layout("transcript", (RAW, RAW, SessionKey, RAW))
 
 
@@ -167,13 +200,15 @@ def _transcript(hello: bytes, session_key: SessionKey, cert: bytes) -> bytes:
 
 
 def seal_key_reply(peer_pub: bytes, hello: bytes, session_key: SessionKey,
-                   my_cert: Certificate | None, my_keys: KeyPair | None) -> bytes:
-    """The sealed answer to hello, signed when the responder holds a certificate."""
+                   my_cert: Certificate | None, my_keys: KeyPair | None,
+                   send_cert: bool = True) -> bytes:
+    """The sealed answer to hello, signed when the responder holds a
+    certificate, which it carries unless send_cert is off."""
     cert = signature = b""
     if my_cert is not None:
         cert = my_cert.encode()
         signature = identity.sign(my_keys.private_key, _transcript(hello, session_key, cert))
-    return identity.seal(peer_pub, _KEY_REPLY.pack((session_key, cert, signature)))
+    return identity.seal(peer_pub, _KEY_REPLY.pack((session_key, cert if send_cert else b"", signature)))
 
 
 def connect_secure(
@@ -183,36 +218,60 @@ def connect_secure(
     ca_public_key: bytes,
     expected_username: str | None = None,
     rng: random.Random | None = None,
+    held: Certificate | None = None,
 ) -> SecureChannel:
     """Run the initiator side of the handshake on a channel. An answer that
     carries a certificate must carry a CA-verified one and its signature
     over this transcript; given expected_username, it must carry that
-    user's, so a rendezvous server's answer is refused."""
-    hello = wire.encode(wire.REGISTER_PEER, my_cert, identity.random_bytes(NONCE_LEN, rng))
+    user's, so a rendezvous server's answer is refused.
+
+    held is the responder's certificate when the initiator holds it and
+    the responder holds the initiator's, as friends do: the hello names
+    the initiator's certificate by its tag, and an answer without a
+    certificate must carry held's signature. A not_found refusal of that
+    hello is followed by one hello carrying the certificate."""
+    if held is not None:
+        try:
+            return _handshake(channel, certificate_tag(my_cert), my_keys, ca_public_key,
+                              expected_username, rng, held)
+        except NotFound:
+            pass  # the responder holds no certificate with that tag
+    return _handshake(channel, my_cert.encode(), my_keys, ca_public_key, expected_username, rng, None)
+
+
+def _handshake(channel: Channel, named: bytes, my_keys: KeyPair, ca_public_key: bytes,
+               expected_username: str | None, rng: random.Random | None,
+               held: Certificate | None) -> SecureChannel:
+    """One hello naming the initiator's certificate by named (its encoding,
+    or its tag when held is the responder's certificate), and its answer."""
+    hello = wire.encode(wire.REGISTER_PEER, named, identity.random_bytes(NONCE_LEN, rng))
     (sealed,) = wire.open_reply(channel.request(Frame(wire.REGISTER_PEER, hello)), wire.REGISTER_PEER)
     try:
         session_key, cert, signature = _KEY_REPLY.unpack(identity.open_sealed(my_keys.private_key, sealed))
-        peer_cert = Certificate.decode(cert) if cert else None
+        peer_cert = Certificate.decode(cert) if cert else held
         cipher = SessionCipher(session_key, direction=0)
     except ProtocolError as exc:
         raise HandshakeError("session key failed to open") from exc
     if peer_cert is None:
         if expected_username is not None:
             raise HandshakeError("responder presented no certificate")
-    elif not identity.verify_certificate(peer_cert, ca_public_key):
+    elif cert and not identity.verify_certificate(peer_cert, ca_public_key):
         raise AuthError("responder certificate failed CA verification")
     elif expected_username is not None and peer_cert.username != expected_username:
         raise AuthError(f"responder is {peer_cert.username!r}, expected {expected_username!r}")
-    elif not identity.verify(peer_cert.public_key, _transcript(hello, session_key, cert), signature):
-        raise HandshakeError("responder signature does not cover this hello")
+    elif not identity.verify(peer_cert.public_key, _transcript(hello, session_key, cert or held.encode()),
+                             signature):
+        raise (HandshakeError if cert else StaleCertificate)("responder signature does not cover this hello")
     return SecureChannel(channel, cipher, peer_cert, session_key)
 
 
 class ResponderSession:
     """The responder side of the handshake plus encrypted app traffic: a
     peer's, or a rendezvous server's or a relay's with no certificate
-    (my_cert and my_keys None). The session key comes from rng, the OS
-    CSPRNG when it is None."""
+    (my_cert and my_keys None). held looks a tag hello's certificate up
+    among those the responder holds; without it every tag hello is
+    refused. The session key comes from rng, the OS CSPRNG when it is
+    None."""
 
     def __init__(
         self,
@@ -222,6 +281,7 @@ class ResponderSession:
         admission: AdmissionGate,
         app_handler: AppHandler,
         rng: random.Random | None = None,
+        held: HeldCertificates = lambda tag: None,
     ):
         self._cert = my_cert
         self._keys = my_keys
@@ -229,6 +289,7 @@ class ResponderSession:
         self._admission = admission
         self._app_handler = app_handler
         self._rng = rng
+        self._held = held
         self._peer_cert: Certificate | None = None
         self._cipher: SessionCipher | None = None
 
@@ -243,18 +304,24 @@ class ResponderSession:
         if self._cipher is not None:  # one handshake per channel: a kept one is never re-keyed
             return wire.err_reply(wire.REGISTER_PEER, "handshake_error", "already established")
         try:
-            peer_cert, nonce = wire.decode(wire.REGISTER_PEER, frame.payload)
+            named, nonce = wire.decode(wire.REGISTER_PEER, frame.payload)
+            tagged = len(named) == TAG_LEN
+            peer_cert = self._held(named) if tagged else Certificate.decode(named)
         except MalformedRequest:
             return wire.err_reply(wire.REGISTER_PEER, "malformed_request")
         if len(nonce) != NONCE_LEN:
             return wire.err_reply(wire.REGISTER_PEER, "malformed_request", "bad nonce")
-        if not identity.verify_certificate(peer_cert, self._ca_pub):
+        # A tag, and admission, are checked before anything about this
+        # endpoint is revealed; a held certificate was verified when taken.
+        if peer_cert is None:
+            return wire.err_reply(wire.REGISTER_PEER, "not_found", "no certificate with that tag")
+        if not tagged and not identity.verify_certificate(peer_cert, self._ca_pub):
             return wire.err_reply(wire.REGISTER_PEER, "auth_error", "bad certificate")
-        # Admission before anything about this endpoint is revealed.
         if not self._admission(peer_cert.username):
             return wire.err_reply(wire.REGISTER_PEER, "auth_error", "not authorized")
         session_key = identity.generate_session_key(rng=self._rng)
-        sealed = seal_key_reply(peer_cert.public_key, frame.payload, session_key, self._cert, self._keys)
+        sealed = seal_key_reply(peer_cert.public_key, frame.payload, session_key, self._cert, self._keys,
+                                send_cert=not tagged)
         self._peer_cert = peer_cert
         self._cipher = SessionCipher(session_key, direction=1)
         return wire.reply(wire.REGISTER_PEER, sealed)

@@ -2,7 +2,7 @@
 
     friendmesh-sim run <scenario.json> [--seed N] [--trace out.trace]
     friendmesh-sim replay <trace>
-    friendmesh-sim report <trace>
+    friendmesh-sim report <trace>   (adds frames and bytes per message type)
 
 A trace file starts with one `#config {canonical json}` line followed by
 the event records, so a trace alone is enough to reproduce itself.
@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ..errors import ConfigError
-from .metrics import metric_records, metrics_from_trace, summary_table
+from .metrics import metric_records, metrics_from_trace, summary_table, type_table
 from .scenario import SimConfig, run_scenario
 
 
@@ -62,6 +62,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(record)
     print()
     print(summary_table(metrics))
+    print()
+    print(type_table(metrics))
     return 0
 
 

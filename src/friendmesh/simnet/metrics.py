@@ -25,6 +25,10 @@ class Metrics:
     partition_windows: list[tuple[int, int]] = field(default_factory=list)
     replica_states: list[tuple[int, str, str, str]] = field(default_factory=list)
     key_owners: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # Per message type, as a MSG line names it (a reply by its own code):
+    # frames, and their payload bytes.
+    type_frames: dict[str, int] = field(default_factory=dict)
+    type_bytes: dict[str, int] = field(default_factory=dict)
 
     @property
     def lookup_success_rate(self) -> float | None:
@@ -77,8 +81,11 @@ def metrics_from_trace(trace: str) -> Metrics:
         t = int(parts[0])
         metrics.duration_ms = max(metrics.duration_ms, t)
         kind = parts[1]
-        if kind == "MSG":
+        if kind == "MSG":  # t MSG req|rep src dst type payload-bytes
             metrics.messages += 1
+            name = parts[5]
+            metrics.type_frames[name] = metrics.type_frames.get(name, 0) + 1
+            metrics.type_bytes[name] = metrics.type_bytes.get(name, 0) + int(parts[6])
             continue
         name = parts[2]
         fields = _fields(parts[3:])
@@ -166,4 +173,17 @@ def summary_table(metrics: Metrics) -> str:
     ]
     width = max(len(label) for label, _ in rows)
     lines = [f"{label.ljust(width)}  {value}" for label, value in rows]
+    return "\n".join(lines)
+
+
+def type_table(metrics: Metrics) -> str:
+    """Frames and payload bytes per message type, most bytes first."""
+    rows = sorted(metrics.type_frames, key=lambda name: (-metrics.type_bytes[name], name))
+    width = max([len(name) for name in rows] + [len("message type")])
+    lines = [f"{'message type'.ljust(width)}  {'frames':>8}  {'bytes':>10}  {'B/frame':>8}"]
+    for name in rows:
+        frames, size = metrics.type_frames[name], metrics.type_bytes[name]
+        lines.append(f"{name.ljust(width)}  {frames:>8}  {size:>10}  {size / frames:>8.1f}")
+    frames, size = sum(metrics.type_frames.values()), sum(metrics.type_bytes.values())
+    lines.append(f"{'total'.ljust(width)}  {frames:>8}  {size:>10}  {size / frames if frames else 0:>8.1f}")
     return "\n".join(lines)

@@ -494,7 +494,6 @@ def serve(handler, frame: Frame, who: Any) -> Frame:
 
 # The record types import this module's primitives; the package imports
 # this module first, so those exist by the time these lines run.
-from .identity import Certificate  # noqa: E402
 from .profile import VECTOR, LogEntry  # noqa: E402
 from .records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord  # noqa: E402
 from .sentinel import Complaint  # noqa: E402
@@ -506,9 +505,10 @@ RELAY_REGISTER = _define(1, "relay_register", (INT, INT), (INT,))  # port, capac
 RELAY_UPDATE = _define(2, "relay_update", (INT, INT, INT), ())  # port, load, capacity
 REQUEST_RELAY = _define(3, "request_relay", None, (STR, INT))  # -> host, port
 NO_RELAY_AVAILABLE = _define(4, "no_relay_available", None, None)  # the reply to 3 when none
-# The one handshake (secure.py): certificate, nonce -> the session key
-# reply sealed to the initiator
-REGISTER_PEER = _define(9, "register_peer", (Certificate, RAW), (RAW,), reply_code=10)
+# The one handshake (secure.py): the initiator's certificate, or its 16-byte
+# tag (secure.certificate_tag) to a responder that holds it, and a nonce ->
+# the session key reply sealed to the initiator
+REGISTER_PEER = _define(9, "register_peer", (RAW, RAW), (RAW,), reply_code=10)
 SESSION_KEY = _define(10, "session_key", None, None)  # only names the reply to 9
 # 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
 # passphrase_blob below; 5-8, 12 and 14 are unused.

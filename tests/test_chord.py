@@ -792,6 +792,36 @@ def test_an_unchanged_row_is_pushed_to_a_successor_that_joined_since():
     assert pushes == [(joiner, "alice")]
 
 
+def test_a_join_handoff_costs_one_replicate_back():
+    # The successor hands a joiner the rows of its arc and keeps replica
+    # copies. The joiner, adopted, sends them back in the one push that
+    # follows the notify's reply, and not once more per row as it takes
+    # them over.
+    addrs = [f"10.5.8.{i}:7{i:03d}" for i in range(4)]
+    nodes, transport = chord.build_ring(addrs, bits=128)
+    succ = nodes[addrs[0]]
+    pred = nodes[succ.predecessor]
+    joiner = next(  # its id and the two below it fall in the successor's arc
+        a for a in (f"10.5.9.{i}:7000" for i in range(1000))
+        if all(in_interval(node_ident(a) - i, pred.ident, succ.ident) for i in range(3))
+    )
+    rows = [peer_row(f"user{i}", node_ident(joiner) - i) for i in range(3)]
+    for row in rows:
+        assert succ.put_primary(row)
+    pushes = []
+    real = transport.replicate
+    transport.replicate = lambda addr, batch: pushes.append((addr, len(batch))) or real(addr, batch)
+    nodes[joiner] = chord.RingNode(joiner, transport, bits=128)
+    transport.add(nodes[joiner])
+    nodes[joiner].join(addrs[0])
+    chord.stabilize_all(nodes)
+    assert succ.predecessor == joiner
+    assert [push for push in pushes if push[0] == succ.addr] == [(succ.addr, 3)]
+    by_id = lambda rows: sorted(rows, key=lambda row: row.ring_id)  # noqa: E731
+    assert by_id(nodes[joiner].store.peer_rows()) == by_id(rows)
+    assert by_id(succ.store.peer_rows()) == by_id(replace(row, replica=True) for row in rows)
+
+
 @pytest.mark.parametrize("failure", ["unreachable", "refused"])
 def test_a_push_that_failed_is_not_remembered(failure):
     # The successor is down, or refuses the row, at the first push: the

@@ -31,7 +31,9 @@ def test_sim_cli_run_replay_report(tmp_path, capsys):
     assert "replay ok" in capsys.readouterr().out
 
     assert sim_cli.main(["report", str(trace)]) == 0
-    assert "pulls ok / failed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pulls ok / failed" in out
+    assert "message type" in out and "\nregister_peer " in out
 
 
 def test_sim_cli_replay_detects_tampering(tmp_path, capsys):

@@ -81,6 +81,22 @@ of the nodes the sybils adopted as predecessors, every later time moved,
 and the ring's own upkeep came out differently (ring_notify 2989 -> 2979,
 ring_state 653 -> 668, ring_closest 1635 -> 1638 exchanges). No outcome
 moved.
+Every hash was re-recorded again when a friend's hello came to name the
+initiator's certificate by its 16-byte tag and the answer to leave the
+responder's certificate out, a version vector lost its component names,
+and a row a successor hands to its new predecessor stopped coming back to
+it in a push of its own. In nine scenarios each trace kept its lines,
+times and events, and only three kinds of frame shrank: each friend hello
+by its certificate less the tag, 142 to 145 bytes (38 in baseline, 6 of
+them the copies a relay forwards), each answer to one by the responder's
+certificate, 158 to 161 bytes, and each app_data frame carrying a version
+vector (pull, sync_vec's reply, sync_push) by 53 bytes (416 in baseline).
+No friend hello was refused. In s1_sybil, whose sybils join after the
+peers registered, the 15 ring_replicate exchanges that carried handed-over
+rows back to the node that handed them over vanished, every later time
+moved, and the ring's own upkeep came out differently (ring_replicate
+46 -> 34, ring_notify 2979 -> 2994, ring_state 668 -> 653, ring_closest
+1638 -> 1636 exchanges). No outcome moved.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -107,16 +123,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "5fbbf7bcc2ae5ab51beb15b4f228439b6d9a6adc6073eb66abc2d3189402fce0",
-    "churn": "ab48c7ad5d0f9eab3d88c5bd555cbac3ca48e647551adc68c173247f555f7785",
-    "e1_eclipse": "ff50afad74050bc3565f74812a4446ea6939758d0cbc057635e431bdd61ea9f5",
-    "eviction": "e65a3ef19cbfbb43457dee59013e846e0a1164ac0061dc4305e938a57eadcb99",
-    "island_partition": "6c49f65ee7f76b0755b42f13de76414e426fd2d56fe1027f4636939a72cb58b4",
-    "r1_drop": "1ce75fb26d7bdb6384aaa4ff880c09151eba15468da13a9e0cfc9f9a0b3821ed",
-    "r2_misroute": "865e06609ca492e497949e17bac35533166288be3d3ecac6ec3b32c529e7e9b3",
-    "r3_claim_key": "0a1c9855cbe28507d8252c52c229157011d4c1ceef67c8137248288723da688e",
-    "s1_sybil": "592128572326bf0c5f2880bedf30774961c1a58c3ad6630a2a06345b7c2587d8",
-    "t1_falsify": "ccf8e543c99fd6f3447f24fca1c70e6a445261a488203d6ce05542e85f4990aa",
+    "baseline": "87b21447526b541ba7cccc9ede2c212bf9dcee2079c0ec0d9addd98138ee3433",
+    "churn": "c4f96cf1b2a7d6013f5a56a9c0ffa72e3fd711d846458d6e81d2a3cc69628a4e",
+    "e1_eclipse": "f71a435951ee37e8afaedce35b1b687158b32a2cb808186e067ed24c8b87051e",
+    "eviction": "b212a3809fef62cf47e5f7df5bf294727db23f6b6a02526eddfe230597b4e255",
+    "island_partition": "c4c86b61d914f12efd3538af74a9d58fc1be526aa149d889371efbc1882c931c",
+    "r1_drop": "73ea0d7e7621a0fe0179c9b5b934c3c3d740570a9b24cc6f367f249de22ceb80",
+    "r2_misroute": "0391e33c19d275c5aec4f282b93d46adda26521244f1ccb6264cd9e9e5faa7f8",
+    "r3_claim_key": "6b451f07ed374f56b5cb5373c388b433829a6a24359b878bcf0e6332b3afba3f",
+    "s1_sybil": "675bad5b85cd361fc3b0d71db7cf3735cb03b4f761f66685b69fdaec2c8c5a08",
+    "t1_falsify": "7e2c885a1822646a715194f6f745cf4bf65600196dada8c388f7a688fceff8c9",
 }
 
 

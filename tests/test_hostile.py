@@ -407,6 +407,80 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
         assert channel.request_app("ping") == []
 
 
+def hello_names(cert, friend_cert):
+    """What a hello's first field may hold: a certificate or its tag, the
+    tag of a certificate the responder holds or does not, 16 bytes that tag
+    nothing, and bytes that are neither."""
+    encoded = cert.encode()
+    return st.one_of(
+        st.sampled_from([
+            b"", encoded, encoded[:-1], encoded + b"x", secure.certificate_tag(cert),
+            secure.certificate_tag(friend_cert), friend_cert.encode(),
+        ]),
+        st.binary(min_size=16, max_size=16),
+        st.binary(max_size=200),
+    )
+
+
+@FUZZ
+@given(data=st.data())
+def test_any_hello_name_gets_a_coded_answer_and_the_responder_serves_on(friends, ca, user, rendezvous, data):
+    # A peer (which holds its friends' certificates), a rendezvous server and
+    # a relay (which hold none) answer a hello whatever its first field
+    # names: a sealed key or a coded refusal, never an exception.
+    alice, bob = friends
+    stranger = user[1]
+    relay = RelayServer(addr="10.0.3.2:7300", config=RelayConfig(max_connections=4),
+                        ca_public_key=ca.public_key, rng=random.Random(5), clock=lambda: 0)
+    service = data.draw(st.sampled_from([bob, rendezvous, relay]))
+    names = hello_names(stranger, alice.state.certificate)
+    for named, nonce in data.draw(st.lists(
+            st.tuples(names, st.one_of(st.just(b"n" * secure.NONCE_LEN), st.binary(max_size=20))),
+            min_size=1, max_size=4)):
+        reply = Conn(service).send(wire.REGISTER_PEER, wire.pack_fields(named, nonce))
+        assert reply is not None and reply.msg_type == wire.SESSION_KEY
+        assert_coded(reply)
+    if service is bob:
+        cert, keys = alice.state.certificate, alice.state.keypair
+        channel = secure.connect_secure(Conn(bob), cert, keys, ca.public_key, expected_username="user01",
+                                        held=bob.state.certificate)
+        assert channel.request_app("ping") == []
+
+
+@pytest.mark.parametrize("responder", ["peer", "rendezvous", "relay"])
+def test_a_hello_naming_a_certificate_the_responder_does_not_hold_is_refused_not_found(
+        friends, ca, user, rendezvous, responder):
+    # Refused before the responder seals anything: the answer is plain.
+    alice, bob = friends
+    service = {
+        "peer": bob,
+        "rendezvous": rendezvous,
+        "relay": RelayServer(addr="10.0.3.3:7300", config=RelayConfig(max_connections=4),
+                             ca_public_key=ca.public_key, rng=random.Random(6), clock=lambda: 0),
+    }[responder]
+    tags = [secure.certificate_tag(user[1]), bytes(16)]
+    if responder != "peer":
+        tags.append(secure.certificate_tag(alice.state.certificate))  # a server holds none
+    for tag in tags:
+        reply = Conn(service).send(wire.REGISTER_PEER, wire.pack_fields(tag, b"n" * secure.NONCE_LEN))
+        assert reply.msg_type == wire.SESSION_KEY
+        with pytest.raises(NotFound):
+            wire.open_reply(reply)
+
+
+@pytest.mark.parametrize("count", [0, 9, 11, 15])
+def test_a_version_vector_with_the_wrong_field_count_is_malformed(friends, count):
+    # Two fields per component: 10. Fifteen is a vector that still names
+    # its components.
+    alice, _ = friends
+    channel, _ = alice.connect_friend("user01")
+    for kind, head in (("pull", [b"user01"]), ("sync_push", [b"user00", b""])):
+        with pytest.raises(MalformedRequest):
+            channel.request_app(kind, *head, wire.pack_fields(*[b""] * count))
+    assert channel.request_app("ping") == []
+    channel.close()
+
+
 # -- (c) a client facing a hostile reply ----------------------------------------------
 
 

@@ -1767,3 +1767,112 @@ def test_a_reused_record_still_fails_verification_when_any_signed_field_is_alter
     }
     for name, bad in mutations.items():
         assert not verify_registration_record(replace(record, **{name: bad}), cert), name
+
+
+# -- friend handshakes ----------------------------------------------------------------
+
+
+def handshake_frames(world, mark: int) -> list[list[str]]:
+    """The hello and answer frames on the simulated wire since trace line
+    mark, as [type, payload bytes]."""
+    return [line.split()[5:7] for line in world.sim.trace[mark:]
+            if " MSG " in line and line.split()[5] in ("register_peer", "session_key")]
+
+
+def counted_connects(monkeypatch, peer) -> list[str]:
+    connects = []
+    real = peer.endpoint.connect
+    monkeypatch.setattr(peer.endpoint, "connect", lambda addr: connects.append(addr) or real(addr))
+    return connects
+
+
+def test_a_friend_handshake_carries_no_certificate_of_pinned_size():
+    # Friends hold each other's certificates: the hello names the dialler's
+    # by its tag (36 bytes with the nonce, against 178 with the
+    # certificate), and the answer leaves the responder's out (206 bytes,
+    # against 364). A rendezvous session's hello still carries it.
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    reader = world.peers["user01"]
+    reader._close_kept("user00")  # the next friend operation opens a new channel
+    mark = len(world.sim.trace)
+    reader.pull_friend_profile("user00")
+    assert handshake_frames(world, mark) == [["register_peer", "36"], ["session_key", "206"]]
+    assert reader._kept[("user00", reader.locate_friend("user00")[0].route[0])].peer_cert == (
+        reader.state.friend_list["user00"].certificate
+    )
+    reader.close()
+    mark = len(world.sim.trace)
+    reader.reregister()
+    assert handshake_frames(world, mark) == [["register_peer", "178"], ["session_key", "142"]]
+
+
+def friend_route(world, name) -> tuple[str, bool]:
+    return world.peers[name].build_record().route
+
+
+def test_a_revoked_friends_tag_hello_costs_one_hello_with_the_certificate(monkeypatch):
+    # user01 revoked user00, which still holds user01 as a friend: its tag
+    # hello is refused not_found, and its hello with the certificate, on the
+    # same connection, by admission.
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    alice = world.peers["user00"]
+    route = friend_route(world, "user01")
+    world.peers["user01"].revoke_friend("user00")
+    connects = counted_connects(monkeypatch, alice)
+    mark = len(world.sim.trace)
+    with pytest.raises(AuthError):
+        alice._open(("user01", route[0]), route[1])
+    assert connects == [route[0]]
+    frames = handshake_frames(world, mark)
+    assert [kind for kind, _ in frames] == ["register_peer", "session_key"] * 2
+    assert frames[0][1] == "36" and frames[2][1] == "178"
+
+
+def test_a_friend_whose_certificate_changed_is_dialled_once_more_with_the_certificate(monkeypatch):
+    # The friend answers the tag hello under its new key: the answer does
+    # not check against the certificate held, and the peer dials again with
+    # its own certificate, which the friend answers with its new one.
+    from dataclasses import replace
+
+    from friendmesh import identity
+
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    alice, bob = world.peers["user00"], world.peers["user01"]
+    route = friend_route(world, "user01")
+    pair = identity.generate_keypair()
+    unsigned = replace(bob.state.certificate, public_key=pair.public_key, signature=b"")
+    bob.state.keypair = pair
+    bob.state.certificate = replace(
+        unsigned, signature=identity.sign(world.ca.keypair.private_key, unsigned.signed_bytes()))
+    connects = counted_connects(monkeypatch, alice)
+    mark = len(world.sim.trace)
+    channel = alice._open(("user01", route[0]), route[1])
+    assert connects == [route[0]] * 2
+    assert [size for kind, size in handshake_frames(world, mark) if kind == "register_peer"] == ["36", "178"]
+    assert channel.peer_cert == bob.state.certificate
+    assert channel.call("ping") == ()
+    channel.close()
+
+
+def test_a_friends_address_answering_as_a_server_costs_one_connection(monkeypatch):
+    # Its refusal of the tag hello and its bare key for the full one are no
+    # sign of a changed certificate: the peer does not dial again.
+    from friendmesh import identity, secure, wire
+    from friendmesh.channel import DirectChannel, FuncService
+    from friendmesh.errors import HandshakeError
+
+    world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
+    alice = world.peers["user00"]
+    hellos = []
+
+    def answer(frame, ctx):
+        hellos.append(len(frame.payload))
+        if len(wire.decode(wire.REGISTER_PEER, frame.payload)[0]) == secure.TAG_LEN:
+            return wire.err_reply(wire.REGISTER_PEER, "not_found")
+        return wire.reply(wire.REGISTER_PEER, secure.seal_key_reply(
+            alice.state.certificate.public_key, frame.payload, identity.generate_session_key(), None, None))
+
+    monkeypatch.setattr(alice.endpoint, "connect", lambda addr: DirectChannel(FuncService(answer)))
+    with pytest.raises(HandshakeError):
+        alice._open(("user01", "10.9.9.9:7000"))
+    assert hellos == [36, 178]

@@ -413,7 +413,6 @@ def check_against_reference(profile, vectors):
         field
         for c in COMPONENTS
         for field in (
-            pack_str(c),
             pack_int(profile.versions[c]),
             ref_prefix_digest(profile.log, c, profile.versions[c]) if profile.versions[c] else b"",
         )

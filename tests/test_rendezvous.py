@@ -266,7 +266,7 @@ def test_established_session_is_not_rekeyed(server, ca):
     # and leaves the session in step.
     pair, cert = make_user(ca, "kept-gina")
     client = secure_client(server, pair, cert)
-    hello = wire.encode(wire.REGISTER_PEER, cert, b"n" * secure.NONCE_LEN)
+    hello = wire.encode(wire.REGISTER_PEER, cert.encode(), b"n" * secure.NONCE_LEN)
     again = client._channel.request(wire.Frame(wire.REGISTER_PEER, hello))
     with pytest.raises(HandshakeError):
         wire.open_reply(again)

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from friendmesh import identity, secure, wire
 from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RendezvousConfig
-from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest
+from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest, NotFound
 from friendmesh.rendezvous import RendezvousServer
-from friendmesh.secure import ResponderSession, connect_secure, seal_key_reply
+from friendmesh.secure import ResponderSession, certificate_tag, connect_secure, seal_key_reply
 from friendmesh.wire import Frame
 
 
@@ -20,16 +22,21 @@ def user(ca, name):
 
 
 class ResponderService:
-    def __init__(self, ca, cert, pair, admission=lambda u: True, captured=None):
+    def __init__(self, ca, cert, pair, admission=lambda u: True, captured=None, holds=()):
         self.args = (cert, pair, ca.public_key)
         self.admission = admission
         self.captured = captured
+        self.holds = list(holds)  # the certificates it holds, as a peer holds its friends'
         self.sessions = []
+
+    def held(self, tag):
+        return next((cert for cert in self.holds if certificate_tag(cert) == tag), None)
 
     def open_session(self, ctx):
         session = ResponderSession(
             *self.args, self.admission,
             lambda body, u: wire.pack_fields(*secure.unpack_app(body)[1]),
+            held=self.held,
         )
         self.sessions.append(session)
         if self.captured is None:
@@ -277,3 +284,143 @@ def test_replayed_responder_reply_fails_the_nonce_bound_signature(ca):
     forger = DirectChannel(FuncService(lambda frame, ctx: next(replies)))
     with pytest.raises(HandshakeError):
         connect_secure(forger, icert, ipair, ca.public_key, expected_username="hs-replay2-resp")
+
+
+# -- friends that hold each other's certificates ---------------------------------------
+
+
+def open_reply_blob(reply, pair):
+    """The key reply inside a hello's answer: session key, certificate, signature."""
+    (sealed,) = wire.open_reply(reply, wire.REGISTER_PEER)
+    return secure._KEY_REPLY.unpack(identity.open_sealed(pair.private_key, sealed))
+
+
+def reissued(ca, cert):
+    """Another CA-signed certificate for cert's user, under a new key. The
+    CA issues one per user; this stands for one whose state was reset."""
+    pair = identity.generate_keypair("ec-p256")
+    unsigned = replace(cert, public_key=pair.public_key, signature=b"")
+    return pair, replace(unsigned, signature=identity.sign(ca.keypair.private_key, unsigned.signed_bytes()))
+
+
+def test_a_friend_handshake_sends_no_certificate_either_way(ca):
+    # The hello names the initiator's certificate by its 16-byte tag: 36
+    # bytes with the nonce. The answer's certificate field is empty, and
+    # its signature, over the responder's certificate, checks against the
+    # one the initiator holds.
+    ipair, icert = user(ca, "hs-kk-init")
+    rpair, rcert = user(ca, "hs-kk-resp")
+    tap = Recorder(DirectChannel(ResponderService(ca, rcert, rpair, holds=[icert])))
+    sc = connect_secure(tap, icert, ipair, ca.public_key, expected_username="hs-kk-resp", held=rcert)
+    assert sc.peer_cert == rcert
+    assert sc.request_app("op", b"x") == [b"x"]
+    (hello, answer), _ = tap.frames
+    assert len(hello.payload) == 36
+    assert wire.decode(wire.REGISTER_PEER, hello.payload)[0] == certificate_tag(icert)
+    session_key, cert, signature = open_reply_blob(answer, ipair)
+    assert cert == b"" and len(signature) == 64
+    assert session_key == sc.session_key
+    # 158 bytes shorter than the answer that carries the certificate.
+    full = Recorder(DirectChannel(ResponderService(ca, rcert, rpair)))
+    connect_secure(full, icert, ipair, ca.public_key)
+    assert len(full.frames[0][1].payload) - len(answer.payload) == len(rcert.encode())
+
+
+def test_no_field_of_a_friend_handshake_names_either_side_in_the_clear(ca):
+    ipair, icert = user(ca, "hs-kk-quiet-init")
+    rpair, rcert = user(ca, "hs-kk-quiet-resp")
+    captured = bytearray()
+    service = ResponderService(ca, rcert, rpair, captured=captured, holds=[icert])
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, held=rcert)
+    sc.request_app("m", b"x")
+    transcript = bytes(captured)
+    for name, cert in (("hs-kk-quiet-init", icert), ("hs-kk-quiet-resp", rcert)):
+        assert name.encode() not in transcript
+        assert cert.encode() not in transcript
+    assert certificate_tag(rcert) not in transcript  # would name the responder
+    assert certificate_tag(icert) in transcript  # the hello's one name
+
+
+@pytest.mark.parametrize("case", ["not_held", "revoked", "initiator_changed"])
+def test_a_tag_the_responder_does_not_hold_costs_one_hello_with_the_certificate(ca, case):
+    # The responder refuses a tag it holds no certificate for with a coded
+    # error, before it seals anything; the initiator sends its certificate
+    # once, on the same channel, and admission decides as for any hello.
+    ipair, icert = user(ca, f"hs-kk-{case}")
+    rpair, rcert = user(ca, f"hs-kk-{case}-resp")
+    holds, admitted = {
+        "not_held": ([], True),  # a friend that never learned the certificate
+        "revoked": ([], False),  # the friend revoked the initiator
+        "initiator_changed": ([icert], True),  # holds the initiator's old certificate
+    }[case]
+    if case == "initiator_changed":
+        ipair, icert = reissued(ca, icert)
+    service = ResponderService(ca, rcert, rpair, admission=lambda u: admitted, holds=holds)
+    tap = Recorder(DirectChannel(service))
+    if admitted:
+        sc = connect_secure(tap, icert, ipair, ca.public_key, expected_username=rcert.username, held=rcert)
+        assert sc.request_app("m", b"x") == [b"x"]
+    else:
+        with pytest.raises(AuthError):
+            connect_secure(tap, icert, ipair, ca.public_key, held=rcert)
+    (tag_hello, refusal), (hello, answer) = tap.frames[:2]
+    assert len(tap.frames) == (3 if admitted else 2)
+    assert len(service.sessions) == 1  # one connection
+    assert refusal.msg_type == wire.SESSION_KEY
+    with pytest.raises(NotFound):
+        wire.open_reply(refusal)
+    assert wire.decode(wire.REGISTER_PEER, tag_hello.payload)[0] == certificate_tag(icert)
+    assert wire.decode(wire.REGISTER_PEER, hello.payload)[0] == icert.encode()
+
+
+def test_a_friend_whose_certificate_changed_fails_the_held_signature(ca):
+    # The responder's answer to a tag hello is signed under its new key and
+    # covers its new certificate: the initiator, checking it against the
+    # old one it holds, refuses the session (a peer then dials once more
+    # with its certificate, and the answer carries the new one).
+    ipair, icert = user(ca, "hs-kk-stale")
+    _, old_rcert = user(ca, "hs-kk-moved")
+    rpair, rcert = reissued(ca, old_rcert)
+    service = ResponderService(ca, rcert, rpair, holds=[icert])
+    with pytest.raises(secure.StaleCertificate):
+        connect_secure(DirectChannel(service), icert, ipair, ca.public_key,
+                       expected_username="hs-kk-moved", held=old_rcert)
+    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, expected_username="hs-kk-moved")
+    assert sc.peer_cert == rcert
+
+
+def test_only_the_named_friends_key_opens_the_answer_to_a_tag_hello(ca):
+    # Anyone may send the tag of a friend's certificate, which servers hand
+    # out; the answer is sealed to that certificate's key.
+    ipair, icert = user(ca, "hs-kk-named")
+    rpair, rcert = user(ca, "hs-kk-named-resp")
+    mallory = identity.generate_keypair("ec-p256")
+    service = ResponderService(ca, rcert, rpair, holds=[icert])
+    with pytest.raises(HandshakeError):
+        connect_secure(DirectChannel(service), icert, mallory, ca.public_key, held=rcert)
+
+
+def test_a_replayed_tag_hello_opens_a_new_session_its_app_frames_do_not_decrypt_in(ca):
+    ipair, icert = user(ca, "hs-kk-replay-init")
+    rpair, rcert = user(ca, "hs-kk-replay-resp")
+    served = []
+
+    class Counting:
+        def open_session(self, ctx):
+            return ResponderSession(
+                rcert, rpair, ca.public_key, lambda u: True,
+                lambda body, u: served.append(body) or b"",
+                held=lambda tag: icert if tag == certificate_tag(icert) else None,
+            )
+
+    tap = Recorder(DirectChannel(Counting()))
+    sc = connect_secure(tap, icert, ipair, ca.public_key, held=rcert)
+    sc.request_app("op", b"owner", b"path", b"operation")
+    assert len(served) == 1
+    (hello, answer), (app, _) = tap.frames
+    replay = DirectChannel(Counting())
+    fresh = replay.request(hello)
+    assert open_reply_blob(fresh, ipair)[0] != open_reply_blob(answer, ipair)[0]
+    with pytest.raises(IntegrityError):
+        wire.open_reply(replay.request(app))
+    assert len(served) == 1

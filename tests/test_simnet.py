@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from friendmesh.chord import dual_hash, node_ident
 from friendmesh.errors import ConfigError
-from friendmesh.simnet.metrics import metric_records, metrics_from_trace, summary_table
+from friendmesh.simnet.metrics import metric_records, metrics_from_trace, summary_table, type_table
 from friendmesh.simnet.scenario import (
     Scenario,
     SimConfig,
@@ -170,6 +170,34 @@ def test_metrics_records_and_table():
     assert any(r.startswith("metric messages=") for r in records)
     table = summary_table(metrics)
     assert "availability" in table
+
+
+def test_frames_and_bytes_per_message_type_come_from_the_msg_lines():
+    trace = "\n".join([
+        "#config {}",
+        "0000000001 MSG req 10.0.0.1:1 10.0.0.2:2 register_peer 36",
+        "0000000002 MSG rep 10.0.0.2:2 10.0.0.1:1 session_key 206",
+        "0000000003 MSG req 10.0.0.1:1 10.0.0.2:2 app_data 100",
+        "0000000004 MSG rep 10.0.0.2:2 10.0.0.1:1 app_data 50",
+        "0000000005 EV pull_ok owner=a reader=b",
+    ])
+    m = metrics_from_trace(trace)
+    assert m.messages == 4
+    assert m.type_frames == {"register_peer": 1, "session_key": 1, "app_data": 2}
+    assert m.type_bytes == {"register_peer": 36, "session_key": 206, "app_data": 150}
+    rows = [line.split() for line in type_table(m).splitlines()]
+    assert rows == [
+        ["message", "type", "frames", "bytes", "B/frame"],
+        ["session_key", "1", "206", "206.0"],
+        ["app_data", "2", "150", "75.0"],
+        ["register_peer", "1", "36", "36.0"],
+        ["total", "4", "392", "98.0"],
+    ]
+    _, run = run_scenario(SimConfig(seed=4, duration_ms=5000, n_peers=3))
+    m = metrics_from_trace(run)
+    sizes = [int(line.split()[6]) for line in run.splitlines() if " MSG " in line]
+    assert sum(m.type_frames.values()) == m.messages == len(sizes)
+    assert sum(m.type_bytes.values()) == sum(sizes)
 
 
 # -- partitions ----------------------------------------------------------------------

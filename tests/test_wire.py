@@ -157,6 +157,10 @@ def test_every_handler_names_a_schema_entry():
 # seal came to encrypt its payload under the ECDH-derived key itself: the
 # sealed blob lost its wrapped data key (60 bytes under real keys; 32 here,
 # where the faked agreement returns no ciphertext of a key).
+# tag_hello and tag_key_reply, a friend's hello naming its certificate by
+# its tag and the answer that leaves the responder's certificate out, were
+# added when friends came to stop sending each other certificates; the
+# certificate-carrying hello and key_reply did not move.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -218,6 +222,11 @@ GOLDEN = {
         '000457505542000c0101010101010101010101010058a7005aa848f11869eaac92ee959839776c09'
         'dd74923a39ed38fa7de79fc00acdc90e3c0bca2db3deffaada67d5d06a48603597ad2b2e97c7d177'
         '9facb030f5088244d75f6625b74ff3bba127d5f4346feca98824d9db8245'
+    ),
+    'tag_hello': '001018dfc0ce18306820ab54df75a10dd61400106e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e',
+    'tag_key_reply': (
+        '000457505542000c010101010101010101010101003aa7005aa848f11869eaac92ee959839776c09'
+        'dd74923a39ed38fa7de79fc00acdc90e220bca1f77a57d62a58a9c6a86c5e492ef947a889f61f8a9'
     ),
     'cert_request': (
         '003d0006574341505542000c0101010101010101010101010025a71a3bd44af916028297acc7fef4'
@@ -289,11 +298,16 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "entries": wire.encode("pull", [e1, e2], reply=True),
         "export_log": p.export_log(),
     }
-    hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert, b"n" * secure.NONCE_LEN)
+    hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert.encode(), b"n" * secure.NONCE_LEN)
+    tag_hello = out["tag_hello"] = wire.encode(
+        wire.REGISTER_PEER, secure.certificate_tag(cert), b"n" * secure.NONCE_LEN
+    )
     keys = KeyPair(b"PUB", b"PRIV", "ec-p256")
     for name, make in [
         ("seal", lambda: identity.seal(b"PUB", b"data")),
         ("key_reply", lambda: secure.seal_key_reply(b"PUB", hello, SessionKey(b"k" * 16), cert, keys)),
+        ("tag_key_reply", lambda: secure.seal_key_reply(
+            b"PUB", tag_hello, SessionKey(b"k" * 16), cert, keys, send_cert=False)),
         ("cert_request", lambda: identity.build_cert_request("alice", b"PUB", b"CAPUB")),
         ("passphrase_blob", lambda: rvclient.seal_request_blob(cert, "alice", "phrase")),
     ]:
