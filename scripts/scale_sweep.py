@@ -7,8 +7,11 @@ perfbench/simworld.py (its SimWorld with ring_scale's NAT share, chords and
 mirrors, and one relay per 50 peers, at least one), plays --rounds rounds
 of ring_scale's mix with perfbench's round driver, and runs the world's
 final checks, with every chord answer checked against the oracle. Each
-cell runs in a fresh process, so its peak RSS is its own. Per cell it
-records:
+cell runs RUNS times, each in a fresh process, so its peak RSS is its
+own. The host columns (setup_s, host_ms_per_op, peak_rss_mb) swing from
+run to run, and each is recorded as the median, min and max of the runs;
+every other column is deterministic, and the sweep stops with an error
+when the runs of a cell disagree on one. Per cell it records:
 
 - setup_s: host seconds to build the world;
 - host_ms_per_op: host time of the timed phase per operation, upkeep and
@@ -34,12 +37,15 @@ import json
 import os
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+RUNS = 3  # runs per cell
+HOST = ("setup_s", "host_ms_per_op", "peak_rss_mb")  # the columns that depend on the host
 
 
 def relays_for(peers: int) -> int:
@@ -88,6 +94,21 @@ def run_cell(seed: int, servers: int, peers: int, rounds: int) -> dict:
     }
 
 
+def combine(runs: list[dict]) -> dict:
+    """One cell from its runs: each host column as the median, min and max
+    of the runs, every other column as the runs agree on it."""
+    cell = {}
+    for name, value in runs[0].items():
+        values = [run[name] for run in runs]
+        if name in HOST:
+            cell[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+        elif values.count(value) != len(values):
+            raise RuntimeError(f"{runs[0]['servers']} x {runs[0]['peers']}: runs disagree on {name}: {values}")
+        else:
+            cell[name] = value
+    return cell
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -107,14 +128,17 @@ def main(argv=None) -> int:
             cmd = [sys.executable, os.path.abspath(__file__),
                    "--seed", str(args.seed), "--rounds", str(args.rounds),
                    "--cell", f"{servers},{peers}"]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                print(proc.stderr[-2000:], file=sys.stderr)
-                return 1
-            cell = json.loads(proc.stdout.strip().splitlines()[-1])
+            runs = []
+            for _ in range(RUNS):
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    print(proc.stderr[-2000:], file=sys.stderr)
+                    return 1
+                runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            cell = combine(runs)
             print(json.dumps(cell), file=sys.stderr)
             cells.append(cell)
-    report = {"seed": args.seed, "rounds": args.rounds, "mix": "ring_scale",
+    report = {"seed": args.seed, "rounds": args.rounds, "runs_per_cell": RUNS, "mix": "ring_scale",
               "relays": "one per 50 peers, at least one", "cells": cells}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

@@ -21,11 +21,12 @@ the node as its predecessor. A notify's reply says so, and a node that
 adopted its notifier may hold none of the notifier's rows, as after a
 restart at the same address: every primary row goes to it, in one push.
 
-Stabilization is one notify per period, and conditional: the notify names,
-by an 8-byte tag (state_tag), the state the node last took from its
-successor, and a successor whose state after the notify has that tag
-answers "unchanged" in place of its predecessor and successor list. On a
-converged ring every reply is "unchanged".
+Stabilization is one notify per period, and conditional, by the held-bytes
+rule (records.record_tag): the notify names, by an 8-byte tag (state_tag),
+the state the node last took from its successor, and a successor whose
+state after the notify has that tag answers "unchanged" in place of its
+predecessor and successor list. On a converged ring every reply is
+"unchanged".
 
 The predecessor, the successor list and the fingers hold (id, address)
 entries, so an address is hashed once, when it enters the table: beyond
@@ -54,7 +55,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import JoinFailed, LookupFailed, MalformedRequest, PeerUnreachable
-from .records import PeerRow
+from .records import PeerRow, record_tag
 from .store import MemoryStore
 from .wire import pack_fields
 
@@ -114,13 +115,12 @@ State = tuple[str | None, list[str]]
 
 
 def state_tag(state: State) -> bytes:
-    """8 bytes of sha256 over a state's addresses, each length-prefixed. A
-    notifier names the state it last took from its successor by this tag,
-    and a successor whose state has it answers "unchanged". The tag looks
-    for change between honest nodes: a lying successor can lie about its
-    state anyway, so 8 bytes are enough."""
+    """The first 8 bytes of the tag (records.record_tag) of a state's
+    addresses, each length-prefixed. The tag looks for change between
+    honest nodes: a lying successor can lie about its state anyway, so 8
+    bytes are enough."""
     pred, succs = state
-    return hashlib.sha256(pack_fields(*(a.encode() for a in (pred or "", *succs)))).digest()[:8]
+    return record_tag(pack_fields(*(a.encode() for a in (pred or "", *succs))))[0][:8]
 
 
 class RingTransport(Protocol):

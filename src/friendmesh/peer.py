@@ -17,31 +17,30 @@ A user is located one way, whether a friend, a friend's mirror or a friend
 requester: the record from the md5 server, else the sha1 server's, the
 first that verifies against the user's certificate, the one the peer holds
 or else the one the server sent. A server sends that certificate only when
-asked, and the peer asks only when it holds none. A locate is conditional
-too: the peer keeps, in memory only, the last record it verified for each
-user it located (a friend, a mirror or a requester; the sentinel's probe
-names a friend's but holds none), and names it by its tag; a server whose
-record has that tag answers "unchanged" with a proof of having it in place
-of the record, and the peer verifies the held record against this
-locate's certificate as it would a sent one. So every locate still
-reaches the same servers in the same order and still verifies what it
-uses. Each server is first
+asked, and the peer asks only when it holds none. Locates, registrations
+and friend hellos follow the held-bytes rule (records.record_tag): the
+peer keeps, in memory only, the last record it verified for each user it
+located (a friend, a mirror or a requester; the sentinel's probe names a
+friend's but holds none) and the tag of the record each server last
+accepted from it, and names those by their tags. A held record is
+verified against the locate's certificate as a sent one would be, so
+every locate still reaches the same servers in the same order and still
+verifies what it uses. Each server is first
 asked of the configured server preceding its id on the ring, then, only
 when neither record verifies, of the peer's registration servers (see
 _servers_for).
 
 A peer's own record is signed once per content: while its address,
 relay, passphrase, mirror table, friend key and signing key stay as
-they were, a re-registration sends the record it signed before. To a
-server that accepted that record last it sends only the record's tag, a
-refresh, and the record itself only when the server refuses the refresh.
+they were, a re-registration sends the record it signed before, or only
+its tag to a server that accepted that record last.
 
 Every secure channel a peer opens, to a rendezvous server or to a user,
 comes from one opener, and the ones it reuses sit in one keep, by (friend,
 or "" for a rendezvous server; address dialled): at most one per server and
 one per friend, so a warm operation costs no handshake, and a cold one
 to a friend sends no certificate: each friend holds the other's
-(secure.py). The sentinel's
+(secure.py), so one connection carries the hello. The sentinel's
 reachability probe of a friend runs on that friend's kept channel too, so
 a re-registration costs it no handshake and leaves the channel warm. Every
 friend operation still locates the friend and verifies the record it gets;
@@ -179,7 +178,7 @@ class Peer:
         self._held: dict[str, RegistrationRecord] = {}
         # The tag (records.record_tag) of the record each rendezvous server
         # last accepted from this peer, by address; a re-registration of that
-        # record is a refresh naming it. Not saved.
+        # record names it by the tag. Not saved.
         self._accepted: dict[str, bytes] = {}
         # ((the configured servers, ring_bits), their sorted ring ids, their
         # addresses in that order); rebuilt when the configuration changes.
@@ -215,7 +214,7 @@ class Peer:
     def _friend_certificate(self, tag: bytes) -> Certificate | None:
         """The certificate a friend's hello names by its tag, when held."""
         for entry in self.state.friend_list.values():
-            if entry.certificate is not None and secure.certificate_tag(entry.certificate) == tag:
+            if entry.certificate is not None and record_tag(entry.certificate.encode())[0] == tag:
                 return entry.certificate
         return None
 
@@ -394,22 +393,11 @@ class Peer:
         """A new secure channel to key's address: to the user key names, through
         the relay at that address when relayed, or to a rendezvous server.
         A friend whose certificate this peer holds holds this peer's, so
-        neither side sends its certificate; when the friend's answer does
-        not check against the held one, as after the friend's certificate
-        changed, the peer dials once more and sends its own."""
+        neither side sends its certificate."""
         expected, addr = key
         if not addr:
             raise Unavailable(f"no route to {expected}")
         entry = self.state.friend_list.get(expected)
-        held = entry.certificate if entry is not None else None
-        if held is not None:
-            try:
-                return self._dial(addr, expected, relayed, held)
-            except secure.StaleCertificate:
-                pass
-        return self._dial(addr, expected, relayed, None)
-
-    def _dial(self, addr: str, expected: str, relayed: bool, held: Certificate | None) -> SecureChannel:
         channel = self.endpoint.connect(addr)
         try:
             if relayed:
@@ -421,7 +409,7 @@ class Peer:
                 self.ca_public_key,
                 expected_username=expected or None,
                 rng=self.rng,
-                held=held,
+                held=entry.certificate if entry is not None else None,
             )
         except ProtocolError:
             channel.close()

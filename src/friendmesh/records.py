@@ -3,9 +3,11 @@
 Each record's wire layout is declared once, with wire.record over its
 fields in order; its encode() and decode() come from that declaration. A
 RegistrationRecord carries its signed digest spread over two fields
-(digest, signature), and the rendezvous app kind register reuses its
-layout. A server's sqlite file (store.SqliteStore) holds PeerRows,
-FriendshipRequestRecords and RelayRecords in their layouts too.
+(digest, signature), and the rendezvous app kind register carries a view
+of its layout (REGISTERED). A server's sqlite file (store.SqliteStore)
+holds PeerRows, FriendshipRequestRecords and RelayRecords in their
+layouts too. record_tag states the one rule of every conditional
+exchange: bytes the other side holds are named, not sent.
 
 The signed digest covers the canonical payload, a view of the record's
 layout: IP, port, protocol, relay address, relay port, passphrase,
@@ -52,21 +54,49 @@ class RegistrationRecord:
         return "", False
 
 
+TAG_LEN = 16
+
+
 def record_tag(encoding: bytes) -> tuple[bytes, bytes]:
-    """A held record's tag and proof: the two 16-byte halves of sha256 over
-    the record's encoding, the bytes a server would send. A conditional
-    locate names the record by its tag; a server answers "unchanged" with
-    the proof, which the tag does not reveal, so only a server that has the
-    bytes can answer it. Not the signed digest, which a server that
-    rewrites a field can keep."""
+    """The tag and the proof of an encoding: the two TAG_LEN-byte halves of
+    sha256 over the bytes as they travel (not a signed digest, which a
+    server that rewrites a field can keep).
+
+    The held-bytes rule, the one rule of every conditional exchange (RFC
+    9110 section 13, If-None-Match): bytes the other side already holds
+    are named by their tag, not sent.
+
+    - a locate names the record the locator holds, and a server whose
+      record has the tag answers "unchanged" with the proof in place of
+      the record; the tag does not reveal the proof, so only a server
+      that has the bytes can answer so (rvclient.locate_peer);
+    - a register names the record the server last accepted from the peer,
+      and a server whose row under the peer's name holds that record
+      under the session's certificate serves it as the register that
+      sends the record (rendezvous.RendezvousSession._on_register);
+    - a friend's hello names the initiator's certificate, which the
+      friend holds, and the answer leaves out the responder's, which the
+      initiator holds, but signs over it (secure.connect_secure);
+    - a ring notify names the state the notifier last took from its
+      successor, by the tag's first 8 bytes, and a successor whose state
+      has it answers "unchanged" (chord.state_tag).
+
+    Where the tag does not match, the bytes go after all, once: a locate's
+    or a notify's reply carries them, and a register or a hello, whose tag
+    stands in for bytes the receiver needs, is refused not_found and sent
+    again with the bytes on the same session. A tag is no secret, and
+    nothing is padded, so a frame's size shows whether bytes were held."""
     digest = identity.sha256(encoding)
-    return digest[:16], digest[16:]
+    return digest[:TAG_LEN], digest[TAG_LEN:]
 
 
 # What the owner's signed digest covers.
 _CANONICAL = RegistrationRecord.LAYOUT.view(
     "ip", "port", "protocol", "relay_address", "relay_port", "passphrase", "encrypted_mirror_list"
 )
+# What a register sends of the record: every field but the username, the
+# session certificate's.
+REGISTERED = RegistrationRecord.LAYOUT.view(*RegistrationRecord.LAYOUT.names[1:])
 
 
 def make_registration_record(

@@ -9,8 +9,8 @@ A peer's exchanges run on a session over one connection, opened by the
 one handshake of secure.py (the server holds no certificate, so it answers
 with a bare session key sealed to the client) and served by the same
 secure.ResponderSession as a friend channel: the app kinds register,
-refresh, locate, friend_request and passphrase_blob each travel as an
-APP_DATA frame, so no frame code names the operation. Relay directory, chord
+locate, friend_request and passphrase_blob each travel as an APP_DATA
+frame, so no frame code names the operation. Relay directory, chord
 lookup, complaints and server-to-server ring traffic are plain frames,
 served by wire.serve. Either way a request reaches the session's
 _on_<name> handler and the handler returns the reply values. Record
@@ -18,47 +18,26 @@ integrity rests on owner signatures, never on the servers.
 
 A locate answers the owner's certificate only when the locator asks for
 it: a locator that already holds it (every friend locate) gets the record
-alone, about 160 bytes less. A locate is also conditional, as an HTTP
-request with If-None-Match is: the locator names the record it holds by
-its tag (records.record_tag, half of a hash of the bytes a server sends),
-and a row whose record has that tag is answered "unchanged" with the
-other half, the proof, in place of the record: 16 bytes for about 200. So
-the size of a reply, which already shows whether the locator asked for
-the certificate, now also shows whether it held the current record;
-neither is padded.
-
-The proof is what keeps "unchanged" from being cheaper to fake than a
-record. A locator uses its held record only on the proof, which the tag
-it sent does not reveal, so a server that dropped or never had the row
-cannot answer "unchanged" by echoing the tag: its locate fails and falls
-through, and a sentinel probe takes no such server as a witness. As
-before, what a server must produce is the record's bytes; one that has
-them, stored or fetched from another server, can answer with an old
-record, then as now. A nonce in the request would add nothing against
-such a server, so the proof is a fixed function of the bytes.
+alone, about 160 bytes less. Register, locate and ring_notify follow the
+held-bytes rule (records.record_tag): a register names the record this
+server last accepted from the peer by its tag, a locate the record the
+locator holds, and a notify the state the notifier last took from this
+node, and none of those bytes is sent again while they have the tag. A
+tagged register is served exactly as the register of the record the
+row holds under the sender's name, owned ring id and certificate (a
+replica is promoted), and refused not_found otherwise. The tag is no
+secret: only the owner's session reaches its row, and it stores nothing
+the register of the same record would not. An "unchanged" locate
+carries the record's proof, which the tag does not reveal, so a server
+that dropped or never had the row cannot answer it by echoing the tag,
+and a sentinel probe takes no such server as a witness. As before, what a
+server must produce is the record's bytes; one that has them can answer
+with an old record, then as now.
 
 A row moves between servers only when it or its replica holder changed:
 an unchanged re-registration, which builds a row equal to the stored one,
 is neither verified again nor pushed again to a successor that already
 accepted its replica (chord.RingNode.put_primary).
-
-An unchanged re-registration need not send the record either. The peer
-keeps the tag of the record each server last accepted from it, and a
-re-registration of that record is a refresh naming it by the tag: 16
-bytes for about 200. The server serves it as the register that sends the
-record when the row under the sender's name and owned ring id holds a
-record with that tag under the session's certificate (a replica is
-promoted, as register promotes it), and refuses it not_found otherwise:
-the peer then sends the record on the same session
-(rvclient.register_peer). The tag is no secret: only the owner's session
-reaches its row, and a refresh stores nothing that the register of the
-same record would not. As with a locate, a refresh's size shows that the
-record did not change; it is not padded.
-
-Stabilization is conditional in the same way: a ring_notify names, by a
-short tag, the state the notifier last took from this node, and is
-answered "unchanged" when the state after the notify has that tag
-(chord.RingNode.stabilize).
 """
 from __future__ import annotations
 
@@ -74,7 +53,9 @@ from .chord import RingNode, dual_hash
 from .config import RendezvousConfig
 from .errors import IntegrityError, MalformedRequest, NotFound, ProtocolError
 from .identity import Certificate
-from .records import FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord, record_tag
+from .records import (
+    REGISTERED, TAG_LEN, FriendshipRequestRecord, PeerRow, RegistrationRecord, RelayRecord, record_tag,
+)
 from .sentinel import Complaint, ComplaintLedger
 from .store import MemoryStore, SqliteStore, evict_stale_relays, select_relay
 from .wire import Frame
@@ -270,17 +251,16 @@ class RendezvousSession:
 
     # -- peer registration -------------------------------------------------------------
 
-    def _on_register(self, sender: Certificate, *values) -> tuple:
-        # values: the record's fields less the username (wire.SCHEMA["register"]),
-        # so an unchanged re-registration builds a row equal to the stored one
-        record = RegistrationRecord(sender.username, *values)
-        return self._registered(PeerRow(record, sender, self._owned_ring_id(sender.username)))
-
-    def _on_refresh(self, sender: Certificate, tag: bytes) -> tuple:
-        # Served as _on_register, from the row that holds the tagged record
-        # under the session's certificate (a replica is promoted).
-        row = self.server.store.peer(sender.username, self._owned_ring_id(sender.username))
-        if row is None or row.certificate != sender or record_tag(row.record.encode())[0] != tag:
+    def _on_register(self, sender: Certificate, registered: bytes) -> tuple:
+        # registered: the record's fields less the username (records.REGISTERED),
+        # or the tag of the record the server last accepted from the sender,
+        # served from the row that holds it under the session's certificate
+        ring_id = self._owned_ring_id(sender.username)
+        if len(registered) != TAG_LEN:
+            record = RegistrationRecord(sender.username, *REGISTERED.unpack(registered))
+            return self._registered(PeerRow(record, sender, ring_id))
+        row = self.server.store.peer(sender.username, ring_id)
+        if row is None or row.certificate != sender or record_tag(row.record.encode())[0] != registered:
             raise NotFound("no such record held; register it")
         return self._registered(row)
 

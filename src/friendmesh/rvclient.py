@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from . import identity, wire
 from .channel import Channel
-from .errors import MalformedRequest, NotFound, ProtocolError
+from .errors import NotFound, ProtocolError
 from .identity import Certificate, KeyPair
-from .records import FriendshipRequestRecord, RegistrationRecord, record_tag
+from .records import REGISTERED, FriendshipRequestRecord, RegistrationRecord, record_tag
 from .secure import SecureChannel
 from .wire import Frame
 
@@ -20,18 +20,15 @@ def register_peer(
 ) -> list[FriendshipRequestRecord]:
     """Submit the signed registration payload; returns pending friendship
     requests. accepted is record's tag (records.record_tag) when the server
-    last accepted this very record from the caller: a refresh then names the
-    record by it, and the record is sent only when the server refuses that,
-    holding another record or none, or not knowing refresh."""
+    last accepted this very record from the caller: the register then names
+    the record by it, and sends the record only when the server refuses
+    that not_found, holding another record or none."""
     if accepted:
         try:
-            (pending,) = session.call("refresh", accepted)
-            return pending
-        except (NotFound, MalformedRequest):
+            return session.call("register", accepted)[0]
+        except NotFound:
             pass
-    fields = RegistrationRecord.LAYOUT.values(record)[1:]  # less the username: the certificate's
-    (pending,) = session.call("register", *fields)
-    return pending
+    return session.call("register", REGISTERED.encode(record))[0]
 
 
 def locate_peer(

@@ -6,8 +6,8 @@ session and a relay admission alike, in one round trip:
 - The initiator's hello (REGISTER_PEER) names its certificate and carries
   a fresh 16-byte nonce, in the clear. It names the certificate by the
   certificate's encoding, or, when the initiator dials a friend, by that
-  encoding's 16-byte tag (certificate_tag): friends hold each other's
-  certificates (peer.FriendEntry.certificate).
+  encoding's tag, by the held-bytes rule (records.record_tag): friends
+  hold each other's certificates (peer.FriendEntry.certificate).
 - The responder takes the certificate from the hello, or looks the tag up
   among the certificates it holds, checks admission, generates the session
   key itself and answers SESSION_KEY with one blob sealed to the
@@ -23,9 +23,9 @@ session and a relay admission alike, in one round trip:
   not_found, before it reveals anything about itself, and the initiator
   sends its certificate once, on the same channel. A rendezvous server or
   a relay holds no certificate, so a tag hello to one always comes to
-  that. An initiator whose friend's certificate changed meets a signature
-  that does not check against the one it holds (StaleCertificate), and
-  the peer dials once more with its certificate (peer.Peer._open).
+  that. An answer that does not check against the certificate the
+  initiator holds fails as any other bad signature does: the CA issues
+  one certificate per user, so a friend's does not change.
 - A rendezvous server or a relay leaves the certificate and signature
   fields empty, and its client's end has peer_cert None. An initiator that
   names the user it expects refuses such an answer.
@@ -72,11 +72,11 @@ from .errors import (
     ProtocolError,
 )
 from .identity import Certificate, KeyPair, SessionCipher, SessionKey
-from .records import record_tag
+from .records import TAG_LEN, record_tag
 from .wire import RAW, Frame, Layout
 
 AdmissionGate = Callable[[str], bool]
-# The certificate a responder holds whose tag (certificate_tag) is given, or None.
+# The certificate a responder holds whose tag (records.record_tag) is given, or None.
 HeldCertificates = Callable[[bytes], Certificate | None]
 # App handler: (plaintext body, peer certificate) -> the reply's packed fields
 # after its status. A ProtocolError it raises is answered with its code.
@@ -172,18 +172,6 @@ def _raise_if_unreachable(reply: Frame) -> None:
 
 
 NONCE_LEN = 16
-TAG_LEN = 16
-
-
-class StaleCertificate(HandshakeError):
-    """The answer to a tag hello does not check against the responder's
-    certificate the initiator holds: it may have changed."""
-
-
-def certificate_tag(cert: Certificate) -> bytes:
-    """The 16-byte tag a hello names a held certificate by: the first half
-    of sha256 over its encoding, as records.record_tag names a record."""
-    return record_tag(cert.encode())[0]
 
 # The answer to a hello, sealed to the initiator: the session key, the
 # responder's certificate (b"" in the answer to a tag hello) and its
@@ -232,7 +220,7 @@ def connect_secure(
     hello is followed by one hello carrying the certificate."""
     if held is not None:
         try:
-            return _handshake(channel, certificate_tag(my_cert), my_keys, ca_public_key,
+            return _handshake(channel, record_tag(my_cert.encode())[0], my_keys, ca_public_key,
                               expected_username, rng, held)
         except NotFound:
             pass  # the responder holds no certificate with that tag
@@ -261,7 +249,7 @@ def _handshake(channel: Channel, named: bytes, my_keys: KeyPair, ca_public_key: 
         raise AuthError(f"responder is {peer_cert.username!r}, expected {expected_username!r}")
     elif not identity.verify(peer_cert.public_key, _transcript(hello, session_key, cert or held.encode()),
                              signature):
-        raise (HandshakeError if cert else StaleCertificate)("responder signature does not cover this hello")
+        raise HandshakeError("responder signature does not cover this hello")
     return SecureChannel(channel, cipher, peer_cert, session_key)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Protocol
 
 from . import identity
 from .chord import DualId
-from .errors import PeerUnreachable
+from .errors import PeerUnreachable, ProtocolError
 from .identity import Certificate
 from .records import RegistrationRecord, verify_registration_record
 from .wire import INT, RAW, STR, record
@@ -199,7 +199,7 @@ def verify_complaint(
         return False
     try:
         cert = Certificate.decode(complaint.certificate)
-    except Exception:
+    except ProtocolError:
         return False
     if cert.username != complaint.complainant:
         return False

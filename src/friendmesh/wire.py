@@ -495,7 +495,7 @@ def serve(handler, frame: Frame, who: Any) -> Frame:
 # The record types import this module's primitives; the package imports
 # this module first, so those exist by the time these lines run.
 from .profile import VECTOR, LogEntry  # noqa: E402
-from .records import FriendshipRequestRecord, MirrorEntry, PeerRow, RegistrationRecord  # noqa: E402
+from .records import FriendshipRequestRecord, MirrorEntry, PeerRow  # noqa: E402
 from .sentinel import Complaint  # noqa: E402
 
 # Each line: code = (code, name, request fields, reply fields after "ok"),
@@ -505,9 +505,9 @@ RELAY_REGISTER = _define(1, "relay_register", (INT, INT), (INT,))  # port, capac
 RELAY_UPDATE = _define(2, "relay_update", (INT, INT, INT), ())  # port, load, capacity
 REQUEST_RELAY = _define(3, "request_relay", None, (STR, INT))  # -> host, port
 NO_RELAY_AVAILABLE = _define(4, "no_relay_available", None, None)  # the reply to 3 when none
-# The one handshake (secure.py): the initiator's certificate, or its 16-byte
-# tag (secure.certificate_tag) to a responder that holds it, and a nonce ->
-# the session key reply sealed to the initiator
+# The one handshake (secure.py): the initiator's certificate, or its tag
+# (records.record_tag) to a responder that holds it, and a nonce -> the
+# session key reply sealed to the initiator
 REGISTER_PEER = _define(9, "register_peer", (RAW, RAW), (RAW,), reply_code=10)
 SESSION_KEY = _define(10, "session_key", None, None)  # only names the reply to 9
 # 11, 13, 15 and 17 are the app kinds register, locate, friend_request and
@@ -521,8 +521,8 @@ APP_DATA = _define(21, "app_data", None, None)  # ciphertext of an app request o
 RING_STATE = _define(32, "ring_state", None, (STR, many(STR)))  # -> predecessor or "", successors
 # -> closest preceding, the successor list: its first entry, then the rest
 RING_CLOSEST = _define(33, "ring_closest", (IDENT,), (STR, STR, many(STR)))
-# candidate predecessor, the tag of the state the notifier last took from
-# this node (chord.state_tag; b"" for none) -> whether the notify made the
+# candidate predecessor, the 8-byte tag of the state the notifier last took
+# from this node (chord.state_tag; b"" for none) -> whether the notify made the
 # candidate the predecessor, then the notified node's predecessor or "" and
 # successors after the notify; stabilize takes its successor's state from
 # this reply. A state names at least one successor (the node itself when it
@@ -535,13 +535,11 @@ BRIDGE_OPEN = _define(38, "bridge_open", (STR,), ())  # target username
 MSG_NAMES = {code: message.name for code, message in SCHEMA.items() if isinstance(code, int)}
 
 # Rendezvous app kinds, each on a rendezvous session.
-# The RegistrationRecord's fields in order, less the username (the
-# certificate's; the signed digest spread as two) -> pending friendship requests
-_app("register", RegistrationRecord.LAYOUT.fields[1:], (many(FriendshipRequestRecord),))
-# the tag (records.record_tag) of the record the server last accepted from
-# the sender -> as register; refused not_found unless the sender's row holds
-# that record
-_app("refresh", (RAW,), (many(FriendshipRequestRecord),))
+# the record's fields less the username, the certificate's, as one field
+# (records.REGISTERED), or the tag (records.record_tag) of the record the
+# server last accepted from the sender, refused not_found unless the
+# sender's row holds it -> pending friendship requests
+_app("register", (RAW,), (many(FriendshipRequestRecord),))
 # passphrase, the tag of the record the locator holds (records.record_tag;
 # b"" for none), whether the owner's certificate is wanted -> the record's
 # encoding, or its proof when it has that tag (unchanged), and that

@@ -97,6 +97,17 @@ rows back to the node that handed them over vanished, every later time
 moved, and the ring's own upkeep came out differently (ring_replicate
 46 -> 34, ring_notify 2979 -> 2994, ring_state 668 -> 653, ring_closest
 1638 -> 1636 exchanges). No outcome moved.
+Every hash was re-recorded again when the refresh app kind folded into
+register, whose one field carries the record's fields packed, or the tag
+of the record the server last accepted. scripts/trace_diff.py, run on
+the two checkouts, reads: every trace kept its lines and times (0 added,
+0 removed), and only register requests moved, each an app_data request: +2
+bytes for one that sends the record (the packed fields' own length
+prefix) and +1 for one that sends the tag (the kind's name is one letter
+longer than refresh's). Baseline: 25 frames +2 B and 22 +1 B; churn 10
+and 9; e1_eclipse 4 and 4; eviction 10 and 12; island_partition 14 and
+8; r1_drop 3 and 4; r2_misroute 4 and 5; r3_claim_key 4 and 5; s1_sybil
+8 and 8; t1_falsify 4 and 4. No outcome moved.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -123,16 +134,16 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "87b21447526b541ba7cccc9ede2c212bf9dcee2079c0ec0d9addd98138ee3433",
-    "churn": "c4f96cf1b2a7d6013f5a56a9c0ffa72e3fd711d846458d6e81d2a3cc69628a4e",
-    "e1_eclipse": "f71a435951ee37e8afaedce35b1b687158b32a2cb808186e067ed24c8b87051e",
-    "eviction": "b212a3809fef62cf47e5f7df5bf294727db23f6b6a02526eddfe230597b4e255",
-    "island_partition": "c4c86b61d914f12efd3538af74a9d58fc1be526aa149d889371efbc1882c931c",
-    "r1_drop": "73ea0d7e7621a0fe0179c9b5b934c3c3d740570a9b24cc6f367f249de22ceb80",
-    "r2_misroute": "0391e33c19d275c5aec4f282b93d46adda26521244f1ccb6264cd9e9e5faa7f8",
-    "r3_claim_key": "6b451f07ed374f56b5cb5373c388b433829a6a24359b878bcf0e6332b3afba3f",
-    "s1_sybil": "675bad5b85cd361fc3b0d71db7cf3735cb03b4f761f66685b69fdaec2c8c5a08",
-    "t1_falsify": "7e2c885a1822646a715194f6f745cf4bf65600196dada8c388f7a688fceff8c9",
+    "baseline": "bdb227c48c0caa4617017867c4afc13c3e261353e0beb325b50655b0d452d22c",
+    "churn": "9e739aa073163d7a3df27a820e22b9197652f328cd2e66a544b619ad704156ca",
+    "e1_eclipse": "9d8468a5520457f95fc6482b9fc21e6997672ee6f4edfb8a13f6395363a89332",
+    "eviction": "73a5acb6faa7f35de68e755267283d67d20cafaa60fde26e0e035f2932819281",
+    "island_partition": "8128f44a6f03b39e924740009d922fe0d44df39a6ce1513014db7aed7d28ee99",
+    "r1_drop": "297e45bd16da8610c75ca131a974401f96a81db5698ae4d4a5a261ee5509857e",
+    "r2_misroute": "0dcae4a9004e45eade670ceecc2a2c43e348acb7f2ce7679f8e60037b2373309",
+    "r3_claim_key": "2840780db1c2cc6b8f40dfe8e8e20ed8f909aff1e75585f43436de7ae271f537",
+    "s1_sybil": "54d78c633ad8d6438c7e3333d539b8bba5915b2a336809d139ed48f3a94023d1",
+    "t1_falsify": "3639b352b67e6c1dcd500a1a05c0a7f6edc8d03309b06b6f7f71464c4aee77cd",
 }
 
 

@@ -120,7 +120,7 @@ def assert_coded(reply):
         assert status == "ok" or status in errors._BY_CODE, (reply, status)
 FRESH = itertools.count()
 # The kinds a rendezvous session serves, and kinds it does not.
-RENDEZVOUS_KINDS = ["register", "refresh", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
+RENDEZVOUS_KINDS = ["register", "locate", "friend_request", "passphrase_blob", "ping", "", "nope"]
 
 
 # -- (a) app kinds with one field too few or too many -----------------------------
@@ -407,6 +407,11 @@ def test_peer_responder_serves_after_any_frame(friends, data, established):
         assert channel.request_app("ping") == []
 
 
+def certificate_tag(cert):
+    """The tag a friend's hello names a certificate by."""
+    return records.record_tag(cert.encode())[0]
+
+
 def hello_names(cert, friend_cert):
     """What a hello's first field may hold: a certificate or its tag, the
     tag of a certificate the responder holds or does not, 16 bytes that tag
@@ -414,8 +419,8 @@ def hello_names(cert, friend_cert):
     encoded = cert.encode()
     return st.one_of(
         st.sampled_from([
-            b"", encoded, encoded[:-1], encoded + b"x", secure.certificate_tag(cert),
-            secure.certificate_tag(friend_cert), friend_cert.encode(),
+            b"", encoded, encoded[:-1], encoded + b"x", certificate_tag(cert),
+            certificate_tag(friend_cert), friend_cert.encode(),
         ]),
         st.binary(min_size=16, max_size=16),
         st.binary(max_size=200),
@@ -458,9 +463,9 @@ def test_a_hello_naming_a_certificate_the_responder_does_not_hold_is_refused_not
         "relay": RelayServer(addr="10.0.3.3:7300", config=RelayConfig(max_connections=4),
                              ca_public_key=ca.public_key, rng=random.Random(6), clock=lambda: 0),
     }[responder]
-    tags = [secure.certificate_tag(user[1]), bytes(16)]
+    tags = [certificate_tag(user[1]), bytes(16)]
     if responder != "peer":
-        tags.append(secure.certificate_tag(alice.state.certificate))  # a server holds none
+        tags.append(certificate_tag(alice.state.certificate))  # a server holds none
     for tag in tags:
         reply = Conn(service).send(wire.REGISTER_PEER, wire.pack_fields(tag, b"n" * secure.NONCE_LEN))
         assert reply.msg_type == wire.SESSION_KEY
@@ -761,7 +766,7 @@ def test_a_row_differing_from_the_stored_one_is_verified_and_refused(ca, user, m
     assert server.store.peer_rows() == [good]
 
 
-# -- refresh: an unchanged re-registration named by its record's tag ---------------------
+# -- a tagged register: an unchanged re-registration named by its record's tag ------------
 
 
 def refresh_server(ca, ring=False):
@@ -776,12 +781,19 @@ def refresh_server(ca, ring=False):
 
 
 def counted_session(server, cert, pair):
-    """A session to server, and the list of app kinds it sends, in order."""
+    """A session to server, and what each register on it named the record
+    by, in order: "tag" or "record"."""
     session = secure.connect_secure(DirectChannel(server), cert, pair, server.ca_public_key)
-    kinds = []
+    forms = []
     real = session.call
-    session.call = lambda kind, *values: kinds.append(kind) or real(kind, *values)
-    return session, kinds
+
+    def call(kind, *values):
+        assert kind == "register"
+        forms.append("tag" if len(values[0]) == records.TAG_LEN else "record")
+        return real(kind, *values)
+
+    session.call = call
+    return session, forms
 
 
 def user_record(pair, cert, passphrase="hostile-phrase"):
@@ -794,21 +806,21 @@ def user_record(pair, cert, passphrase="hostile-phrase"):
 
 @pytest.mark.parametrize("case", ["another_user", "wrong_tag", "older_record", "restarted_empty"])
 def test_a_refresh_of_a_record_the_server_does_not_hold_is_refused_then_registered(ca, user, case):
-    # The refresh is refused with not_found and stores nothing: from another
-    # user's session, with a tag of no record, with the tag of the user's
-    # record before the one the server holds, or at a server restarted
-    # empty. The registration then sends the record, once, on the same
-    # session, and its row is stored.
+    # A register naming a record by its tag is refused with not_found and
+    # stores nothing: from another user's session, with a tag of no record,
+    # with the tag of the user's record before the one the server holds, or
+    # at a server restarted empty. The registration then sends the record,
+    # once, on the same session, and its row is stored.
     pair, cert = user
     record = user_record(pair, cert)
     server = refresh_server(ca)
-    session, kinds = counted_session(server, cert, pair)
+    session, forms = counted_session(server, cert, pair)
     rvclient.register_peer(session, record)
     tag = records.record_tag(record.encode())[0]
     if case == "another_user":
         pair = identity.generate_keypair("ec-p256")
         cert = ca.issue("hostile-refresher", pair.public_key)
-        session, kinds = counted_session(server, cert, pair)
+        session, forms = counted_session(server, cert, pair)
         record = user_record(pair, cert)
     elif case == "wrong_tag":
         tag = bytes(16)
@@ -816,43 +828,108 @@ def test_a_refresh_of_a_record_the_server_does_not_hold_is_refused_then_register
         rvclient.register_peer(session, user_record(pair, cert, passphrase="hostile-newer"))
     else:
         server = refresh_server(ca)
-        session, kinds = counted_session(server, cert, pair)
+        session, forms = counted_session(server, cert, pair)
     before = server.store.peer_rows()
     with pytest.raises(NotFound):
-        session.call("refresh", tag)
+        session.call("register", tag)
     assert session.established
     assert server.store.peer_rows() == before
-    kinds.clear()
+    forms.clear()
     rvclient.register_peer(session, record, tag)
-    assert kinds == ["refresh", "register"]
+    assert forms == ["tag", "record"]
     assert server.store.peer(cert.username, 0) == PeerRow(record, cert)
 
 
 def test_a_refresh_promotes_a_row_held_as_a_replica(ca, user):
-    # As a register of the same record would: the replica row becomes the
-    # primary one, with no record sent.
+    # As a register sending the same record would: the replica row becomes
+    # the primary one, with no record sent.
     pair, cert = user
     record = user_record(pair, cert)
     server = refresh_server(ca, ring=True)
     ring_id = chord.dual_hash(cert.username, server.config.ring_bits).id_md5
     server.store.upsert_peer(PeerRow(record, cert, ring_id, replica=True))
-    session, kinds = counted_session(server, cert, pair)
+    session, forms = counted_session(server, cert, pair)
     rvclient.register_peer(session, record, records.record_tag(record.encode())[0])
-    assert kinds == ["refresh"]
+    assert forms == ["tag"]
     assert server.store.peer_rows() == [PeerRow(record, cert, ring_id, replica=False)]
 
 
-def test_a_server_that_does_not_know_refresh_gets_the_record(ca, user, monkeypatch):
-    from friendmesh.rendezvous import RendezvousSession
+def register_fields(record, other):
+    """What a register's one field may hold, by case: nothing, around a
+    tag's length, the packed record cut short or followed by a byte, and
+    the tag of another user's record the server holds."""
+    packed = records.REGISTERED.encode(record)
+    return {
+        "empty": b"",
+        "15_bytes": bytes(15),
+        "16_bytes": bytes(16),
+        "17_bytes": bytes(17),
+        "truncated": packed[:-1],
+        "over_long": packed + b"\x00",
+        "another_users_tag": records.record_tag(other.encode())[0],
+    }
 
+
+@pytest.fixture(scope="module")
+def other_user(ca):
+    """Another user, and the record of theirs a server holds."""
+    pair = identity.generate_keypair("ec-p256")
+    cert = ca.issue("hostile-other", pair.public_key)
+    return pair, cert, user_record(pair, cert, passphrase="hostile-other-phrase")
+
+
+def register_answer(ca, user, record, other_user, field) -> str:
+    """Send field as the user's register at a server holding other_user's
+    row: "refused" when a coded error came back and nothing changed,
+    "stored" when the row stored is the one the register of record stores.
+    Either way the session then registers record."""
     pair, cert = user
-    record = user_record(pair, cert)
+    other_pair, other_cert, other_record = other_user
     server = refresh_server(ca)
-    monkeypatch.delattr(RendezvousSession, "_on_refresh")
-    session, kinds = counted_session(server, cert, pair)
-    rvclient.register_peer(session, record, records.record_tag(record.encode())[0])
-    assert kinds == ["refresh", "register"]
-    assert server.store.peer_rows() == [PeerRow(record, cert)]
+    rvclient.register_peer(counted_session(server, other_cert, other_pair)[0], other_record)
+    session, _ = counted_session(server, cert, pair)
+    try:
+        session.call("register", field)
+    except ProtocolError as exc:
+        assert exc.code in errors._BY_CODE
+        assert server.store.peer_rows() == [PeerRow(other_record, other_cert)]
+        answer = "refused"
+    else:
+        assert len(server.store.peer_rows()) == 2
+        assert server.store.peer(cert.username, 0) == PeerRow(record, cert)
+        answer = "stored"
+    assert session.established
+    rvclient.register_peer(session, record)
+    assert server.store.peer(cert.username, 0) == PeerRow(record, cert)
+    return answer
+
+
+@pytest.mark.parametrize("case", ["empty", "15_bytes", "16_bytes", "17_bytes", "truncated", "over_long",
+                                  "another_users_tag"])
+def test_a_register_field_that_is_no_tag_of_the_row_nor_a_record_is_refused(ca, user, other_user, case):
+    record = user_record(*user)
+    field = register_fields(record, other_user[2])[case]
+    assert register_answer(ca, user, record, other_user, field) == "refused"
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_register_field_of_any_bytes_gets_a_coded_error_or_the_valid_row(ca, user, other_user, data):
+    record = user_record(*user)
+    packed = records.REGISTERED.encode(record)
+    cut = data.draw(st.integers(0, len(packed)))
+    field = data.draw(st.one_of(
+        st.just(packed),
+        st.binary(max_size=40),
+        st.sampled_from(sorted(register_fields(record, other_user[2]).values())),
+        st.binary(max_size=4).map(lambda extra: packed[:cut] + extra),
+        st.integers(0, len(packed) - 1).map(lambda i: packed[:i] + bytes([packed[i] ^ 1]) + packed[i + 1:]),
+    ))
+    try:
+        carries_record = RegistrationRecord(record.username, *records.REGISTERED.unpack(field)) == record
+    except MalformedRequest:
+        carries_record = False
+    assert register_answer(ca, user, record, other_user, field) == ("stored" if carries_record else "refused")
 
 
 def test_every_field_that_steers_a_connection_is_signed():

@@ -1645,8 +1645,8 @@ def test_registration_fails_as_before_when_every_friend_is_down(outcomes):
 
 @pytest.fixture
 def sent_records(monkeypatch):
-    """Every record a peer registers, sent in a register request or named
-    by a refresh, with the tag it was refreshed by (b"" when sent)."""
+    """Every record a peer registers, with the tag a register named it by
+    first (b"" when it sent the record)."""
     from friendmesh import rvclient
 
     sent = []
@@ -1661,8 +1661,8 @@ def sent_records(monkeypatch):
 
 
 def test_an_unchanged_rebootstrap_resends_the_record_unsigned_again(monkeypatch, sent_records):
-    # The same record goes to each server again, unsigned again, and as a
-    # refresh naming it by its tag: each server accepted it last time.
+    # The same record goes to each server again, unsigned again, and named
+    # by its tag: each server accepted it last time.
     from friendmesh import identity
     from friendmesh.records import RegistrationRecord, record_tag
 
@@ -1684,12 +1684,13 @@ def test_an_unchanged_rebootstrap_resends_the_record_unsigned_again(monkeypatch,
 
 
 def test_a_warm_reregistration_is_a_refresh_of_pinned_size():
-    # A re-registration of the record the server accepted last sends its
-    # 16-byte tag, not the record, and gets the same reply as a register.
-    # Its size shows that the record did not change: it is not padded.
+    # A re-registration of the record the server accepted last is a register
+    # naming the record by its 16-byte tag, and gets the same reply as one
+    # sending the record. Its size shows that the record did not change: it
+    # is not padded.
     import random
 
-    from friendmesh import identity, secure, wire
+    from friendmesh import identity, records, secure, wire
 
     world = small_world(seed=24, n_peers=1)
     peer = world.peers["user00"]
@@ -1697,17 +1698,17 @@ def test_a_warm_reregistration_is_a_refresh_of_pinned_size():
     mark = len(world.sim.trace)
     peer.reregister()
     frames = [line.split()[2::4] for line in world.sim.trace[mark:] if " MSG " in line]
-    assert frames == [["req", "43"], ["rep", "20"]]
-    # Those are the refresh's sealed plaintexts: the kind and the tag, and
-    # the ok status with no pending request. The register it replaces
-    # sends the record's fields less the username, 210 bytes here, in place
-    # of the tag's 18, under a kind one letter longer.
+    assert frames == [["req", "44"], ["rep", "20"]]
+    # Those are the register's sealed plaintexts: the kind and the tag, and
+    # the ok status with no pending request. The register that sends the
+    # record carries its fields less the username in the one field, 210
+    # bytes here, in place of the tag's 16.
     cipher = identity.SessionCipher(identity.generate_session_key(random.Random(1)), direction=1)
-    assert len(cipher.encrypt(secure.pack_app("refresh") + wire.encode("refresh", bytes(16)))) == 43
-    assert len(cipher.encrypt(wire.OK + wire.encode("refresh", [], reply=True))) == 20
+    assert len(cipher.encrypt(secure.pack_app("register") + wire.encode("register", bytes(16)))) == 44
+    assert len(cipher.encrypt(wire.OK + wire.encode("register", [], reply=True))) == 20
     record = peer.build_record()
-    register = secure.pack_app("register") + wire.encode("register", *record.LAYOUT.values(record)[1:])
-    assert len(cipher.encrypt(register)) == 236
+    register = secure.pack_app("register") + wire.encode("register", records.REGISTERED.encode(record))
+    assert len(cipher.encrypt(register)) == 238
 
 
 def test_each_input_change_signs_a_new_record_that_verifies(sent_records):
@@ -1828,13 +1829,15 @@ def test_a_revoked_friends_tag_hello_costs_one_hello_with_the_certificate(monkey
     assert frames[0][1] == "36" and frames[2][1] == "178"
 
 
-def test_a_friend_whose_certificate_changed_is_dialled_once_more_with_the_certificate(monkeypatch):
-    # The friend answers the tag hello under its new key: the answer does
-    # not check against the certificate held, and the peer dials again with
-    # its own certificate, which the friend answers with its new one.
+def test_a_friend_whose_certificate_changed_fails_on_one_connection(monkeypatch):
+    # The friend answers the tag hello under a new key: the answer does not
+    # check against the certificate held, and the open fails as for any
+    # bad signature, with no second dial. The CA issues one certificate per
+    # user, so this stands for a friend whose state was reset.
     from dataclasses import replace
 
     from friendmesh import identity
+    from friendmesh.errors import HandshakeError
 
     world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]])
     alice, bob = world.peers["user00"], world.peers["user01"]
@@ -1846,18 +1849,17 @@ def test_a_friend_whose_certificate_changed_is_dialled_once_more_with_the_certif
         unsigned, signature=identity.sign(world.ca.keypair.private_key, unsigned.signed_bytes()))
     connects = counted_connects(monkeypatch, alice)
     mark = len(world.sim.trace)
-    channel = alice._open(("user01", route[0]), route[1])
-    assert connects == [route[0]] * 2
-    assert [size for kind, size in handshake_frames(world, mark) if kind == "register_peer"] == ["36", "178"]
-    assert channel.peer_cert == bob.state.certificate
-    assert channel.call("ping") == ()
-    channel.close()
+    with pytest.raises(HandshakeError):
+        alice._open(("user01", route[0]), route[1])
+    assert connects == [route[0]]
+    assert [size for kind, size in handshake_frames(world, mark) if kind == "register_peer"] == ["36"]
 
 
 def test_a_friends_address_answering_as_a_server_costs_one_connection(monkeypatch):
-    # Its refusal of the tag hello and its bare key for the full one are no
-    # sign of a changed certificate: the peer does not dial again.
-    from friendmesh import identity, secure, wire
+    # It refuses the tag hello, and its bare key for the full one names no
+    # user: both hellos go on the one connection, and the peer does not
+    # dial again.
+    from friendmesh import identity, records, secure, wire
     from friendmesh.channel import DirectChannel, FuncService
     from friendmesh.errors import HandshakeError
 
@@ -1867,7 +1869,7 @@ def test_a_friends_address_answering_as_a_server_costs_one_connection(monkeypatc
 
     def answer(frame, ctx):
         hellos.append(len(frame.payload))
-        if len(wire.decode(wire.REGISTER_PEER, frame.payload)[0]) == secure.TAG_LEN:
+        if len(wire.decode(wire.REGISTER_PEER, frame.payload)[0]) == records.TAG_LEN:
             return wire.err_reply(wire.REGISTER_PEER, "not_found")
         return wire.reply(wire.REGISTER_PEER, secure.seal_key_reply(
             alice.state.certificate.public_key, frame.payload, identity.generate_session_key(), None, None))

@@ -7,7 +7,8 @@ from friendmesh.channel import DirectChannel, FuncService, SessionContext
 from friendmesh.config import RendezvousConfig
 from friendmesh.errors import AuthError, HandshakeError, IntegrityError, MalformedRequest, NotFound
 from friendmesh.rendezvous import RendezvousServer
-from friendmesh.secure import ResponderSession, certificate_tag, connect_secure, seal_key_reply
+from friendmesh.records import record_tag
+from friendmesh.secure import ResponderSession, connect_secure, seal_key_reply
 from friendmesh.wire import Frame
 
 
@@ -19,6 +20,11 @@ def ca():
 def user(ca, name):
     pair = identity.generate_keypair("ec-p256")
     return pair, ca.issue(name, pair.public_key)
+
+
+def certificate_tag(cert):
+    """The tag a friend's hello names a certificate by."""
+    return record_tag(cert.encode())[0]
 
 
 class ResponderService:
@@ -376,17 +382,16 @@ def test_a_tag_the_responder_does_not_hold_costs_one_hello_with_the_certificate(
 def test_a_friend_whose_certificate_changed_fails_the_held_signature(ca):
     # The responder's answer to a tag hello is signed under its new key and
     # covers its new certificate: the initiator, checking it against the
-    # old one it holds, refuses the session (a peer then dials once more
-    # with its certificate, and the answer carries the new one).
+    # old one it holds, refuses the session as any bad signature, after one
+    # hello on one connection.
     ipair, icert = user(ca, "hs-kk-stale")
     _, old_rcert = user(ca, "hs-kk-moved")
     rpair, rcert = reissued(ca, old_rcert)
     service = ResponderService(ca, rcert, rpair, holds=[icert])
-    with pytest.raises(secure.StaleCertificate):
-        connect_secure(DirectChannel(service), icert, ipair, ca.public_key,
-                       expected_username="hs-kk-moved", held=old_rcert)
-    sc = connect_secure(DirectChannel(service), icert, ipair, ca.public_key, expected_username="hs-kk-moved")
-    assert sc.peer_cert == rcert
+    tap = Recorder(DirectChannel(service))
+    with pytest.raises(HandshakeError, match="signature"):
+        connect_secure(tap, icert, ipair, ca.public_key, expected_username="hs-kk-moved", held=old_rcert)
+    assert len(service.sessions) == 1 and len(tap.frames) == 1
 
 
 def test_only_the_named_friends_key_opens_the_answer_to_a_tag_hello(ca):

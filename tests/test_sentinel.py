@@ -1,10 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from friendmesh import identity, sentinel
+from friendmesh import errors, identity, sentinel, wire
+from friendmesh.channel import DirectChannel
 from friendmesh.chord import dual_hash
 from friendmesh.errors import PeerUnreachable
+from friendmesh.rendezvous import RendezvousServer
 from friendmesh.records import make_registration_record
 from friendmesh.sentinel import (
     Complaint,
@@ -126,6 +131,43 @@ def test_complaint_wrong_username_in_cert(ca):
         certificate=other_cert.encode(),
     )
     assert not verify_complaint(spoofed, ca.public_key, 1000, 5000)
+
+
+@pytest.fixture(scope="module")
+def complainant(ca):
+    pair, cert = make_user(ca, "cm-fuzz")
+    return cert, make_complaint("10.0.0.9:7200", cert, pair.private_key, now=1000)
+
+
+def certificate_fields(cert):
+    """Bytes a complaint's certificate field may hold: any, and the
+    complainant's certificate cut short, followed by a byte or with one
+    bit flipped."""
+    encoded = cert.encode()
+    return st.one_of(
+        st.binary(max_size=120),
+        st.integers(0, len(encoded)).map(lambda n: encoded[:n]),
+        st.binary(min_size=1, max_size=3).map(lambda extra: encoded + extra),
+        st.tuples(st.integers(0, len(encoded) - 1), st.integers(0, 7)).map(
+            lambda at: encoded[:at[0]] + bytes([encoded[at[0]] ^ 1 << at[1]]) + encoded[at[0] + 1:]),
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_complaint_with_any_certificate_bytes_is_invalid_and_gets_a_coded_reply(ca, complainant, data):
+    # Only the complainant's own certificate verifies; anything else is
+    # False, and the server answers the COMPLAINT frame with a coded reply.
+    cert, signed = complainant
+    complaint = replace(signed, certificate=data.draw(certificate_fields(cert)))
+    valid = complaint.certificate == cert.encode()
+    assert verify_complaint(complaint, ca.public_key, now=1000, freshness_ms=5000) is valid
+    server = RendezvousServer("10.0.0.9:7200", ca_public_key=ca.public_key, clock=lambda: 1000)
+    reply = DirectChannel(server).request(wire.Frame(wire.COMPLAINT, complaint.encode()))
+    assert reply.msg_type == wire.COMPLAINT
+    status = wire.read_field(reply.payload)[0].decode("ascii", "replace")
+    assert status == "ok" or status in errors._BY_CODE
+    assert server.ledger.distinct_complainants("10.0.0.9:7200") == int(valid)
 
 
 def add_complaint(ledger, ca, name_pair_cert, accused, now=1000, registered=lambda u, a: True):

@@ -7,7 +7,7 @@ from itertools import chain, repeat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendmesh import identity, profile, records, rvclient, secure, sentinel, wire
+from friendmesh import chord, identity, profile, records, rvclient, secure, sentinel, wire
 from friendmesh.errors import MalformedRequest, NotFound
 from friendmesh.identity import Certificate, KeyPair, SessionKey, SignedDigest
 from friendmesh.profile import LogEntry
@@ -161,6 +161,11 @@ def test_every_handler_names_a_schema_entry():
 # its tag and the answer that leaves the responder's certificate out, were
 # added when friends came to stop sending each other certificates; the
 # certificate-carrying hello and key_reply did not move.
+# ring_notify_tagged, a notify naming the state its sender last took, was
+# added as it stood when every tag came to be records.record_tag's (the
+# notify's 8 bytes are the first 8 of that tag), and did not move; so did
+# tag_hello. register_record and register_tag, the two forms of a
+# register's one field, were added then too.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -223,6 +228,12 @@ GOLDEN = {
         'dd74923a39ed38fa7de79fc00acdc90e3c0bca2db3deffaada67d5d06a48603597ad2b2e97c7d177'
         '9facb030f5088244d75f6625b74ff3bba127d5f4346feca98824d9db8245'
     ),
+    'ring_notify_tagged': '000d31302e302e302e323a3732303000086a2568fef669f1de',
+    'register_record': (
+        '000872656769737465720041000831302e302e302e310004373530300003756470000831302e302e302e39'
+        '000437333030000670687261736500076d6972726f72730004010101010003736967'
+    ),
+    'register_tag': '0008726567697374657200100ad602d8133e5e2e066fac9a7b57436d',
     'tag_hello': '001018dfc0ce18306820ab54df75a10dd61400106e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e',
     'tag_key_reply': (
         '000457505542000c010101010101010101010101003aa7005aa848f11869eaac92ee959839776c09'
@@ -298,9 +309,14 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
         "entries": wire.encode("pull", [e1, e2], reply=True),
         "export_log": p.export_log(),
     }
+    state = ("10.0.0.1:7200", ["10.0.0.3:7200", "10.0.0.4:7200"])
+    out["ring_notify_tagged"] = wire.encode(wire.RING_NOTIFY, "10.0.0.2:7200", chord.state_tag(state))
+    register = secure.pack_app("register")
+    out["register_record"] = register + wire.encode("register", records.REGISTERED.encode(rec))
+    out["register_tag"] = register + wire.encode("register", records.record_tag(rec.encode())[0])
     hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert.encode(), b"n" * secure.NONCE_LEN)
     tag_hello = out["tag_hello"] = wire.encode(
-        wire.REGISTER_PEER, secure.certificate_tag(cert), b"n" * secure.NONCE_LEN
+        wire.REGISTER_PEER, records.record_tag(cert.encode())[0], b"n" * secure.NONCE_LEN
     )
     keys = KeyPair(b"PUB", b"PRIV", "ec-p256")
     for name, make in [
