@@ -50,10 +50,19 @@ one that finds its peer unreachable, as after a restart, or fails the
 friend's queue flush, is replaced once by a new one. Mirror channels are
 never kept. close() ends all of them and the relay admission channel.
 
-A peer reconciles its profile with a mirror in two exchanges: it asks for
-the replica's version vector (sync_vec), then pushes the entries the
-replica lacks together with its own vector (sync_push), and the mirror,
-once it has merged the push, answers the entries the owner lacks.
+A peer reconciles its profile with a mirror in one sync_push while the
+replica holds the version vector the peer last left on it, and in two
+otherwise, following the held-bytes rule: the peer keeps, in memory only,
+the vector both sides held after the last sync or seeding, and the allowed
+users the mirror last accepted, per mirror. A push names that vector by
+its tag and carries the entries past it, and the allowed users only when
+they changed. A mirror whose replica's vector has the tag merges the push
+and answers no entries: the owner's log holds every entry of the vector,
+as no entry leaves a log. Any other mirror merges nothing and answers its
+vector, and the peer pushes once more on the same channel: the entries
+past that vector, with its own vector, and the mirror, once it has merged
+them, answers the entries the owner lacks. A peer that holds no vector
+for a mirror, as after a restart, names its own.
 
 Inbound channels are admitted only for friends, friend requesters,
 requested friends, or users allowed on a hosted replica, and the check
@@ -85,9 +94,10 @@ from .errors import (
 )
 from .identity import Certificate, KeyPair
 from .nat import NatType, needs_relay, stun_classify
-from .profile import LogEntry, MirrorReplica, Profile, op_perm
+from .profile import LogEntry, MirrorReplica, Profile, decode_vector, encode_vector, op_perm
 from .records import (
     MIRROR_TABLE,
+    TAG_LEN,
     MirrorEntry,
     RegistrationRecord,
     make_registration_record,
@@ -180,6 +190,10 @@ class Peer:
         # last accepted from this peer, by address; a re-registration of that
         # record names it by the tag. Not saved.
         self._accepted: dict[str, bytes] = {}
+        # Per mirror, by username: the encoding of the version vector its
+        # replica and this peer's profile both held after the last sync or
+        # seeding, and the allowed users it last accepted. Not saved.
+        self._synced: dict[str, tuple[bytes, str]] = {}
         # ((the configured servers, ring_bits), their sorted ring ids, their
         # addresses in that order); rebuilt when the configuration changes.
         self._ring: tuple[tuple, list[int], list[str]] | None = None
@@ -715,6 +729,7 @@ class Peer:
         state.pending_incoming.pop(ex_friend, None)
         state.pending_outgoing.discard(ex_friend)
         state.mirror_table = [m for m in state.mirror_table if m.username != ex_friend]
+        self._synced.pop(ex_friend, None)
         self.replicas.pop(ex_friend, None)
         self._close_kept(ex_friend)
         state.passphrase = identity.generate_passphrase(self.rng)
@@ -782,8 +797,10 @@ class Peer:
             raise NotFound(friend_username)
 
         def seed(channel: SecureChannel, served_by: str) -> None:
-            allowed = ",".join(sorted(self.state.friend_list))
+            allowed = self._allowed()
             channel.call("mirror_init", self.username, allowed, self.profile.log)
+            # The replica replays the log as it is, so its vector is this profile's.
+            self._synced[friend_username] = (encode_vector(self.profile), allowed)
 
         # Only the friend themself can take the replica, not one of their mirrors.
         self._with_friend(friend_username, seed, mirrors=False)
@@ -807,26 +824,40 @@ class Peer:
 
     def _sync_mirror(self, mirror: MirrorEntry) -> bool:
         """Reconcile with one mirror; True when it handed the owner entries."""
-
+        name = mirror.username
         try:
             # Not with one of the mirror's own mirrors.
-            return self._with_friend(mirror.username, lambda channel, _: self._sync_over(channel), mirrors=False)
+            return self._with_friend(name, lambda channel, _: self._sync_over(name, channel), mirrors=False)
         except ProtocolError:
             return False
 
-    def _sync_over(self, channel: SecureChannel) -> bool:
+    def _allowed(self) -> str:
+        """Who may read this peer's replicas: its friends."""
+        return ",".join(sorted(self.state.friend_list))
+
+    def _sync_over(self, mirror: str, channel: SecureChannel) -> bool:
         """Bidirectional reconcile of this peer's profile with a mirror over
-        one channel, in two exchanges; True when the mirror's answer changed
-        the local copy."""
+        one channel: one exchange when the replica holds the vector held
+        for it, two otherwise; True when the mirror's answer changed the
+        local copy."""
         owner, mine = self.username, self.profile
-        ((their_vector, their_digests),) = channel.call("sync_vec", owner)
-        missing = mine.pull_updates("", their_vector, their_digests, filtered=False)
-        # The vector is encoded as the request is packed, before any merge here.
-        (entries,) = channel.call("sync_push", owner, ",".join(sorted(self.state.friend_list)),
-                                  mine, missing)
-        pushed = sum(2 + len(entry.encode()) for entry in missing)  # encodings the push kept
-        self.on_event("sync", peer=self.username, owner=owner, bytes=pushed + channel.reply_size)
-        return mine.merge_entries(entries)
+        allowed = self._allowed()
+        base, accepted = self._synced.get(mirror) or (encode_vector(mine), "")
+        sent = "" if allowed == accepted else allowed
+        missing = mine.pull_updates("", *decode_vector(base), filtered=False)
+        theirs, entries = channel.call("sync_push", owner, sent, record_tag(base)[0], missing)
+        moved = channel.reply_size
+        if theirs:
+            # The replica does not hold that vector: push what its own lacks.
+            pushed = mine.pull_updates("", *decode_vector(theirs), filtered=False)
+            _, entries = channel.call("sync_push", owner, sent, encode_vector(mine), pushed)
+            moved += channel.reply_size
+            missing += pushed
+        moved += sum(2 + len(entry.encode()) for entry in missing)  # encodings the pushes kept
+        self.on_event("sync", peer=self.username, owner=owner, bytes=moved)
+        changed = mine.merge_entries(entries)
+        self._synced[mirror] = (encode_vector(mine), allowed)
+        return changed
 
     def pull_friend_profile(self, friend_username: str, into: Profile | None = None) -> Profile:
         """Pull-based read of a friend's profile (owner or mirror serves)."""
@@ -894,7 +925,9 @@ class Peer:
     # ------------------------------------------------------------------ app handler
 
     # App kinds that only the owner they name first may send: each carries
-    # a batch of log entries, decoded only after that owner is checked.
+    # a batch of log entries, decoded only after that owner is checked, and
+    # a sync_push may be answered with the replica's version vector. No app
+    # kind answers with the vector of this peer's own profile.
     _OWNER_ONLY = ("mirror_init", "sync_push")
 
     def _handle_app(self, body: bytes, sender: Certificate) -> bytes:
@@ -961,20 +994,23 @@ class Peer:
         self.on_event("replica_seeded", peer=self.username, owner=owner)
         return ()
 
-    def _on_sync_vec(self, sender: Certificate, owner: str) -> tuple:
-        return (self._profile_for(owner, sender.username),)
-
-    def _on_sync_push(self, sender: Certificate, owner: str, allowed: str, vector: tuple,
+    def _on_sync_push(self, sender: Certificate, owner: str, allowed: str, base: bytes,
                       entries: list[LogEntry]) -> tuple:
         # owner is the sender's own name (_handle_app): a push is to its replica.
+        # The base is a vector's tag, or else (a vector encodes to more bytes) the owner's vector.
+        theirs = None if len(base) == TAG_LEN else decode_vector(base)
         replica = self.replicas.get(owner)
         if replica is None:
             raise NotFound(f"no replica for {owner}")
-        replica.profile.merge_entries(entries)
+        profile = replica.profile
+        if theirs is None:
+            vector = encode_vector(profile)
+            if record_tag(vector)[0] != base:
+                return vector, ()  # merges nothing
+        profile.merge_entries(entries)
         if allowed:
             replica.allowed_users = {u for u in allowed.split(",") if u}
-        versions, digests = vector
-        return (replica.profile.pull_updates(owner, versions, digests, filtered=False),)
+        return b"", (() if theirs is None else profile.pull_updates(owner, *theirs, filtered=False))
 
     def _on_pull(self, sender: Certificate, owner: str, vector: tuple) -> tuple:
         peer = sender.username

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable
@@ -75,8 +75,13 @@ class Element:
 
 
 @record(STR, INT, STR, RAW, INT)
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class LogEntry:
+    """One logged operation. Immutable as a frozen dataclass is (assigning
+    or deleting an attribute raises FrozenInstanceError), but built by
+    setting each slot through its descriptor, bound once below, where a
+    frozen dataclass calls object.__setattr__ per slot."""
+
     path: str
     version: int
     author: str
@@ -89,6 +94,24 @@ class LogEntry:
     # renumbered copy packs its own.
     _encoded: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, path: str, version: int, author: str, op: bytes, timestamp: int):
+        _set_path(self, path)
+        _set_version(self, version)
+        _set_author(self, author)
+        _set_op(self, op)
+        _set_timestamp(self, timestamp)
+        _set_digest(self, None)
+        _set_encoded(self, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle build through __init__, without the caches
+        return LogEntry, (self.path, self.version, self.author, self.op, self.timestamp)
+
     def content_key(self) -> tuple:
         return (self.timestamp, self.author, self.path, self.op)
 
@@ -96,15 +119,19 @@ class LogEntry:
         encoded = self._encoded
         if encoded is None:
             encoded = _ENCODE(self)
-            object.__setattr__(self, "_encoded", encoded)
+            _set_encoded(self, encoded)
         return encoded
 
     def digest(self) -> bytes:
         if self._digest is None:
-            object.__setattr__(self, "_digest", hashlib.sha256(_DIGESTED.encode(self)).digest())
+            _set_digest(self, hashlib.sha256(_DIGESTED.encode(self)).digest())
         return self._digest
 
 
+(_set_path, _set_version, _set_author, _set_op, _set_timestamp, _set_digest, _set_encoded) = (
+    LogEntry.__dict__[name].__set__
+    for name in ("path", "version", "author", "op", "timestamp", "_digest", "_encoded")
+)
 _ENCODE = LogEntry.LAYOUT.encode
 # The most decimal digits a version takes: a signed 64-bit count.
 _VERSION_DIGITS = 19
@@ -179,7 +206,7 @@ def _renumbered(entry: LogEntry, version: int) -> LogEntry:
     if entry.version == version:
         return entry
     copy = LogEntry(entry.path, version, entry.author, entry.op, entry.timestamp)
-    object.__setattr__(copy, "_digest", entry._digest)
+    _set_digest(copy, entry._digest)
     return copy
 
 

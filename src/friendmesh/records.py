@@ -79,12 +79,17 @@ def record_tag(encoding: bytes) -> tuple[bytes, bytes]:
       initiator holds, but signs over it (secure.connect_secure);
     - a ring notify names the state the notifier last took from its
       successor, by the tag's first 8 bytes, and a successor whose state
-      has it answers "unchanged" (chord.state_tag).
+      has it answers "unchanged" (chord.state_tag);
+    - a mirror sync names the version vector the owner and the replica
+      both held after their last sync, and a mirror whose replica's vector
+      has the tag merges the entries past it, which the push carries
+      (peer.Peer._sync_over).
 
-    Where the tag does not match, the bytes go after all, once: a locate's
-    or a notify's reply carries them, and a register or a hello, whose tag
-    stands in for bytes the receiver needs, is refused not_found and sent
-    again with the bytes on the same session. A tag is no secret, and
+    Where the tag does not match, the bytes go after all, once: a locate's,
+    a notify's or a mirror sync's reply carries them (a sync then pushes
+    once more, against the vector it got), and a register or a hello, whose
+    tag stands in for bytes the receiver needs, is refused not_found and
+    sent again with the bytes on the same session. A tag is no secret, and
     nothing is padded, so a frame's size shows whether bytes were held."""
     digest = identity.sha256(encoding)
     return digest[:TAG_LEN], digest[TAG_LEN:]

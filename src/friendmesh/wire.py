@@ -563,12 +563,16 @@ _app("friend_accept", (STR, RAW, many(MirrorEntry)), (RAW, many(MirrorEntry)))
 _app("passphrase_update", (STR, RAW), ())  # passphrase, friend key (b"": keep the old one)
 _app("note_bad_server", (STR,), ())  # accused server
 _app("mirror_init", (STR, STR, many(LogEntry)), ())  # owner, allowed users, entries
-# A mirror sync is two exchanges: the owner asks for its replica's vector,
-# then pushes what the replica lacks with its own vector and gets back,
-# once the push is merged, what the owner lacks.
-_app("sync_vec", (STR,), (VECTOR,))  # owner -> the replica's version vector
-# owner, allowed users ("": keep them), the owner's version vector, entries
-# -> entries the owner lacks
-_app("sync_push", (STR, STR, VECTOR, many(LogEntry)), (many(LogEntry),))
+# A mirror sync is one exchange while the replica holds the version vector
+# the owner last left on it, two otherwise (peer.Peer._sync_over).
+# owner, allowed users ("": keep them), base, entries -> the replica's
+# version vector or b"", entries the owner lacks. The base is the tag
+# (records.record_tag) of a vector's encoding (profile.encode_vector),
+# with the entries past that vector: a replica whose vector has that tag
+# merges them and answers b"" and no entries, any other merges nothing
+# and answers its vector. Or the base is the owner's vector itself, with
+# the entries past the replica's: the replica merges them and answers b""
+# and the entries past the owner's vector.
+_app("sync_push", (STR, STR, RAW, many(LogEntry)), (RAW, many(LogEntry)))
 _app("pull", (STR, VECTOR), (many(LogEntry),))  # a reader's read: owner, version vector -> entries
 _app("op", (STR, STR, RAW), (INT,))  # owner, path, operation -> version

@@ -108,6 +108,22 @@ longer than refresh's). Baseline: 25 frames +2 B and 22 +1 B; churn 10
 and 9; e1_eclipse 4 and 4; eviction 10 and 12; island_partition 14 and
 8; r1_drop 3 and 4; r2_misroute 4 and 5; r3_claim_key 4 and 5; s1_sybil
 8 and 8; t1_falsify 4 and 4. No outcome moved.
+Every hash of the three scenarios whose owners sync with mirrors
+(baseline, churn, island_partition) was re-recorded again when a warm
+mirror sync became one sync_push that names, by its tag, the version
+vector the owner last left on the replica, and sync_vec went.
+scripts/trace_diff.py --untimed (lines compared without their times),
+run on the two checkouts, reads: the other seven traces kept every line
+and time; in these three every line but app_data frames and sync events
+was kept, in order, and every time after the first sync moved, as every
+exchange draws its latency from one generator. Counted by kind, baseline
+went from 12 sync_vec and 12 sync_push exchanges to 12 sync_push, churn
+from 6 and 5 to 6 (in each, one sync's first request met a reset kept
+channel and was sent again on a new one), and island_partition from 12
+and 12 to 13: isle013's write reached the mirror isle007 while isle000 was
+cut off, so one sync named a vector that replica no longer held and
+pushed once more. Each sync event's bytes moved with its push and reply.
+No outcome moved.
 Any change to a wire byte, a message count, a timestamp or an event in
 any scenario changes a hash.
 
@@ -134,11 +150,11 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 OUTCOMES = pathlib.Path(__file__).with_name("golden_outcomes.json")
 
 TRACE_SHA256 = {
-    "baseline": "bdb227c48c0caa4617017867c4afc13c3e261353e0beb325b50655b0d452d22c",
-    "churn": "9e739aa073163d7a3df27a820e22b9197652f328cd2e66a544b619ad704156ca",
+    "baseline": "4acc9a5725e6fd8a1b0da4dfd7f60db3c7a4f06ba01c67d739ae667f17cff7de",
+    "churn": "c45f83bdd557701c6afdf9dd77dd5143495f4587fa503a96dba0b29b474ba7b4",
     "e1_eclipse": "9d8468a5520457f95fc6482b9fc21e6997672ee6f4edfb8a13f6395363a89332",
     "eviction": "73a5acb6faa7f35de68e755267283d67d20cafaa60fde26e0e035f2932819281",
-    "island_partition": "8128f44a6f03b39e924740009d922fe0d44df39a6ce1513014db7aed7d28ee99",
+    "island_partition": "80d7ce77f847ef29d863c378f7669e703865dc8b950f61df3df01f08fcf587f7",
     "r1_drop": "297e45bd16da8610c75ca131a974401f96a81db5698ae4d4a5a261ee5509857e",
     "r2_misroute": "0dcae4a9004e45eade670ceecc2a2c43e348acb7f2ce7679f8e60037b2373309",
     "r3_claim_key": "2840780db1c2cc6b8f40dfe8e8e20ed8f909aff1e75585f43436de7ae271f537",

@@ -23,7 +23,7 @@ from friendmesh.errors import (
 )
 from friendmesh.identity import SessionCipher
 from friendmesh.netio import TcpChannel, TcpServer
-from friendmesh.profile import LogEntry, Profile, encode_vector
+from friendmesh.profile import LogEntry, Profile, decode_vector, encode_vector, op_add
 from friendmesh import records
 from friendmesh.records import _CANONICAL, PeerRow, RegistrationRecord, make_registration_record
 from friendmesh.relay import LEG_PROBE, MuxService, RelayServer, admit_as_server
@@ -41,7 +41,6 @@ APP_ARITY = {
     "passphrase_update": 2,
     "note_bad_server": 1,
     "mirror_init": 2,
-    "sync_vec": 1,
     "sync_push": 3,
     "pull": 2,
     "op": 3,
@@ -482,6 +481,88 @@ def test_a_version_vector_with_the_wrong_field_count_is_malformed(friends, count
     for kind, head in (("pull", [b"user01"]), ("sync_push", [b"user00", b""])):
         with pytest.raises(MalformedRequest):
             channel.request_app(kind, *head, wire.pack_fields(*[b""] * count))
+    assert channel.request_app("ping") == []
+    channel.close()
+
+
+@pytest.fixture(scope="module")
+def mirrored():
+    """user01 mirrors user00 and hosts its replica; user02, a friend of
+    user00 only, may read it; user03 has asked user01 to be its friend."""
+    world = Scenario(SimConfig(seed=23, duration_ms=5000, n_rendezvous=1, n_relays=1, n_peers=4,
+                               friendships=[["user00", "user01"], ["user00", "user02"]],
+                               mirrors=[["user00", "user01"]]))
+    world.peers["user03"].send_friend_request("user01")
+    world.peers["user01"].reregister()
+    return world
+
+
+@pytest.mark.parametrize("stranger", ["user02", "user03"], ids=["replica_reader", "pending_requester"])
+def test_no_admitted_non_owner_gets_the_version_vector_of_the_host_profile(mirrored, stranger):
+    host, guest = mirrored.peers["user01"], mirrored.peers[stranger]
+    assert host.admission_gate(stranger) and stranger not in host.state.friend_list
+    assert stranger in host.state.pending_incoming or host.replicas["user00"].may_access(stranger)
+    own = host.profile
+    secrets = [own.prefix_digest(c, v) for c, v in own.versions.items() if v]
+    assert secrets
+    tags = [records.record_tag(encode_vector(own))[0], bytes(records.TAG_LEN)]
+    probes = [("sync_vec", b""), ("sync_vec", b"user01"), ("pull", b"", encode_vector(Profile("user01")))]
+    for owner in (b"", b"user01", b"user00", stranger.encode()):
+        probes += [("sync_push", owner, b"", tag) for tag in tags]
+    channel = guest._open(("user01", host.endpoint.local_addr()))
+    answered = []
+    for kind, *fields in probes:
+        try:
+            reply = b"".join(channel.request_app(kind, *fields))
+        except ProtocolError:
+            continue
+        answered.append(kind)
+        assert not any(secret in reply for secret in secrets), kind
+    assert answered == ["pull"]  # a read of what the stranger may read: nothing
+    assert channel.request_app("ping") == []
+    channel.close()
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_tagged_push_with_any_base_gets_the_replica_vector_or_the_valid_merge(mirrored, data):
+    # The owner's push names any 0-40 bytes as its base: 16 that are the
+    # tag of the replica's vector, of the owner's (which the replica leaves
+    # once it merges entries the owner lacks) or of none, the owner's
+    # vector, or other bytes.
+    owner, mirror = mirrored.peers["user00"], mirrored.peers["user01"]
+    replica = mirror.replicas["user00"]
+    before = (list(replica.profile.log), replica.profile.state_digest(), set(replica.allowed_users))
+    extra = Profile("user00")
+    for i in range(data.draw(st.integers(0, 3))):
+        extra.apply_update("user00", "share_board", op_add(f"h{i}", b"x"), timestamp=data.draw(st.integers(1, 9)))
+    entries = data.draw(st.lists(st.sampled_from(owner.profile.log + extra.log), max_size=4))
+    base = data.draw(st.one_of(
+        st.sampled_from([records.record_tag(encode_vector(profile))[0] for profile in (replica.profile, owner.profile)]
+                        + [encode_vector(owner.profile)]),
+        st.binary(min_size=records.TAG_LEN, max_size=records.TAG_LEN),
+        st.binary(max_size=40),
+    ))
+    allowed = data.draw(st.sampled_from(["", "user02", "user01,user02"]))
+    channel = owner._open(("user01", mirror.endpoint.local_addr()))
+    try:
+        theirs, back = channel.call("sync_push", "user00", allowed, base, entries)
+    except ProtocolError:
+        theirs, back = None, None
+    if theirs is None or theirs:
+        # A coded error, or the replica's vector: the replica is as it was.
+        assert theirs is None or (theirs == encode_vector(replica.profile) and back == [])
+        assert (list(replica.profile.log), replica.profile.state_digest(), replica.allowed_users) == before
+    else:
+        expected = Profile.replay("user00", before[0])
+        expected.merge_entries(entries)
+        assert replica.profile.log == expected.log
+        assert replica.profile.state_digest() == expected.state_digest()
+        assert replica.allowed_users == ({u for u in allowed.split(",") if u} if allowed else before[2])
+        if len(base) != records.TAG_LEN:  # the owner's vector: what the owner lacks comes back
+            assert back == replica.profile.pull_updates("user00", *decode_vector(base), filtered=False)
+        else:
+            assert back == []
     assert channel.request_app("ping") == []
     channel.close()
 

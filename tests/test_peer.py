@@ -2,11 +2,15 @@ import base64
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from friendmesh.errors import AuthError, NotFound, StorageAttack, Unavailable
 from friendmesh.nat import NatType
 from friendmesh.peer import Peer, load_state, save_state
 from friendmesh.profile import Profile, encode_vector, op_add, op_set
+from friendmesh.records import TAG_LEN, record_tag
+from friendmesh.secure import SecureChannel
 from friendmesh.simnet.adversary import AdversaryScript
 from friendmesh.simnet.scenario import Scenario, SimConfig
 
@@ -1221,8 +1225,27 @@ def test_mirror_writeback_to_owner():
     assert owner.profile.element("share_board/away").content == b"missed you"
 
 
-def test_a_sync_converges_both_sides_in_two_exchanges():
-    # The mirror holds a write the owner lacks, and the owner one the mirror lacks.
+@pytest.fixture
+def pushes(monkeypatch):
+    """Every sync_push sent: (mirror, allowed users, base, entries, whether
+    the mirror answered with its vector)."""
+    sent = []
+    real = SecureChannel.call
+
+    def call(self, kind, *values):
+        reply = real(self, kind, *values)
+        if kind == "sync_push":
+            _owner, allowed, base, entries = values
+            sent.append((self.peer_cert.username, allowed, base, list(entries), bool(reply[0])))
+        return reply
+
+    monkeypatch.setattr(SecureChannel, "call", call)
+    return sent
+
+
+def test_a_sync_converges_both_sides_in_two_exchanges(pushes):
+    # The mirror holds a write the owner lacks, and the owner one the mirror
+    # lacks: the replica no longer has the vector the owner left on it.
     world = small_world(
         seed=23,
         n_peers=3,
@@ -1236,15 +1259,163 @@ def test_a_sync_converges_both_sides_in_two_exchanges():
     world.sim.set_down(owner.endpoint.local_addr(), False)
     owner.profile.apply_update("user00", "share_board", op_add("home", b"at the owner"),
                                timestamp=world.sim.now + 1)
-    mark = len(world.sim.trace)
-    owner.sync_mirrors()
-    app_frames = [line for line in world.sim.trace[mark:]
-                  if " app_data " in line and mirror.endpoint.local_addr() in line]
-    assert len(app_frames) == 4  # sync_vec and sync_push, each with its reply
+
+    def sync_frames() -> list[str]:
+        mark = len(world.sim.trace)
+        owner.sync_mirrors()
+        return [line for line in world.sim.trace[mark:]
+                if " app_data " in line and mirror.endpoint.local_addr() in line]
+
+    left, mine = owner._synced["user01"][0], encode_vector(owner.profile)
+    pushes.clear()
+    # The push naming the vector the owner left, answered with the replica's
+    # own, then the push against that vector with the owner's, each with its reply.
+    assert len(sync_frames()) == 4
+    assert [(base, answered) for _, _, base, _, answered in pushes] == [
+        (record_tag(left)[0], True), (mine, False)]
     replica = mirror.replicas["user00"].profile
     assert owner.profile.element("share_board/away").content == b"at the mirror"
     assert replica.element("share_board/home").content == b"at the owner"
     assert owner.profile.canonical_encode() == replica.canonical_encode()
+    assert owner._synced["user01"][0] == encode_vector(replica)
+    assert len(sync_frames()) == 2  # warm again: one push, one reply
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(st.tuples(st.sampled_from(["post", "write", "sync"]),
+                                st.sampled_from(["user00", "user01", "user02"]), st.integers(-3, 3)),
+                      max_size=12))
+def test_any_mix_of_posts_friend_writes_and_syncs_ends_with_each_replica_equal_to_the_owner(steps):
+    # A write lands where it is aimed (the owner, or a mirror while the
+    # owner and the mirrors before it are down); a sync runs with the
+    # aimed mirror down, so the other may hand the owner entries; a post
+    # may be stamped before the log's tail. Every sync of one mirror is at
+    # most two exchanges, and a last round leaves each replica equal to the owner.
+    world = small_world(
+        seed=31,
+        n_peers=4,
+        friendships=[["user00", "user01"], ["user00", "user02"], ["user00", "user03"]],
+        mirrors=[["user00", "user01"], ["user00", "user02"]],
+    )
+    owner, writer = world.peers["user00"], world.peers["user03"]
+    order = ["user00", "user01", "user02"]
+    addrs = {name: world.peers[name].endpoint.local_addr() for name in order}
+
+    def set_down(names, down):
+        for name in names:
+            world.sim.set_down(addrs[name], down)
+
+    calls = []
+    real_call, real_sync = SecureChannel.call, owner._sync_over
+
+    def sync_over(mirror, channel):
+        mark = len(calls)
+        changed = real_sync(mirror, channel)
+        assert calls[mark:].count("sync_push") <= 2
+        return changed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SecureChannel, "call", lambda self, kind, *v: calls.append(kind) or real_call(self, kind, *v))
+        patch.setattr(owner, "_sync_over", sync_over)
+        for i, (action, name, skew) in enumerate(steps):
+            if action == "post":
+                owner.profile.apply_update("user00", "share_board", op_add(f"p{i}", b"post"),
+                                           timestamp=world.sim.now + skew)
+            elif action == "write":
+                before = order[:order.index(name)]
+                set_down(before, True)
+                writer.write_to_friend("user00", "share_board", op_add(f"w{i}", b"write"))
+                set_down(before, False)
+            elif name != "user00":
+                set_down([name], True)
+                owner.sync_mirrors()
+                set_down([name], False)
+            else:
+                owner.sync_mirrors()
+        owner.sync_mirrors()
+    for mirror in ("user01", "user02"):
+        replica = world.peers[mirror].replicas["user00"].profile
+        assert replica.state_digest() == owner.profile.state_digest()
+        assert replica.log == owner.profile.log
+        assert owner._synced[mirror][0] == encode_vector(replica)
+
+
+def test_the_vectors_held_for_mirrors_are_never_saved(tmp_path):
+    world = small_world(seed=23, n_peers=3, friendships=[["user00", "user01"], ["user00", "user02"]],
+                        mirrors=[["user00", "user01"]])
+    owner = world.peers["user00"]
+    owner.profile.apply_update("user00", "share_board", op_add("p", b"x"), timestamp=world.sim.now)
+    owner.sync_mirrors()
+    (vector, allowed), = owner._synced.values()
+    assert allowed == "user01,user02"
+    path = tmp_path / "state.json"
+    save_state(owner, str(path))
+    text = path.read_text()
+    assert "synced" not in text
+    for held in (vector, record_tag(vector)[0]):
+        assert base64.b64encode(held).decode() not in text and held.hex() not in text
+    restarted = Peer(owner.config, owner.endpoint, owner.ca_public_key)
+    load_state(restarted, str(path))
+    assert restarted._synced == {}
+
+
+def test_a_revoke_drops_the_held_vector_and_the_next_push_sends_the_new_allowed_users(pushes):
+    world = small_world(
+        seed=23,
+        n_peers=4,
+        friendships=[["user00", "user01"], ["user00", "user02"], ["user00", "user03"]],
+        mirrors=[["user00", "user01"], ["user00", "user02"]],
+    )
+    owner = world.peers["user00"]
+    assert set(owner._synced) == {"user01", "user02"}  # each seeded by add_mirror
+    owner.sync_mirrors()
+    # Warm: each push names a vector and leaves the allowed users as they are.
+    assert [(m, allowed, len(base), answered) for m, allowed, base, _, answered in pushes] == [
+        ("user01", "", TAG_LEN, False), ("user02", "", TAG_LEN, False)]
+    owner.revoke_friend("user02")  # a mirror: it leaves the mirror table
+    assert [m.username for m in owner.state.mirror_table] == ["user01"]
+    assert set(owner._synced) == {"user01"}
+    owner.revoke_friend("user03")  # no mirror
+    assert set(owner._synced) == {"user01"}
+    pushes.clear()
+    owner.sync_mirrors()
+    assert [(m, allowed, len(base), answered) for m, allowed, base, _, answered in pushes] == [
+        ("user01", "user01", TAG_LEN, False)]
+    replica = world.peers["user01"].replicas["user00"]
+    assert replica.allowed_users == {"user01"}
+    assert replica.profile.log == owner.profile.log
+
+
+def test_a_restart_costs_one_two_exchange_sync_and_no_wrong_merge(tmp_path, pushes):
+    world = small_world(seed=23, n_peers=3, friendships=[["user00", "user01"], ["user00", "user02"]],
+                        mirrors=[["user00", "user01"]])
+    owner, mirror = world.peers["user00"], world.peers["user01"]
+    owner.sync_mirrors()
+    # While the owner restarts, a friend's write reaches the mirror; once
+    # back, the owner posts. It holds no vector for the mirror, so it names its own.
+    world.sim.set_down(owner.endpoint.local_addr(), True)
+    world.peers["user02"].write_to_friend("user00", "share_board", op_add("away", b"during the restart"))
+    owner = restart(world, owner, tmp_path / "state.json")
+    assert owner._synced == {}
+    owner.profile.apply_update("user00", "share_board", op_add("back", b"after"), timestamp=world.sim.now)
+    mine = encode_vector(owner.profile)
+    pushes.clear()
+    owner.sync_mirrors()
+    assert [(base, answered) for _, _, base, _, answered in pushes] == [
+        (record_tag(mine)[0], True), (mine, False)]
+    replica = mirror.replicas["user00"].profile
+    assert owner.profile.element("share_board/away").content == b"during the restart"
+    assert replica.element("share_board/back").content == b"after"
+    assert replica.log == owner.profile.log
+    pushes.clear()
+    owner.sync_mirrors()
+    assert [(len(base), answered) for _, _, base, _, answered in pushes] == [(TAG_LEN, False)]
+    # A restart with nothing changed since: the vector the owner names is the replica's.
+    owner = restart(world, owner, tmp_path / "again.json")
+    pushes.clear()
+    owner.sync_mirrors()
+    assert [(len(base), entries, answered) for _, _, base, entries, answered in pushes] == [(TAG_LEN, [], False)]
+    assert mirror.replicas["user00"].profile.log == owner.profile.log
 
 
 # -- channel lifetime ------------------------------------------------------------
@@ -1379,7 +1550,8 @@ def frames_of(world, operation) -> int:
 
 def test_warm_operations_message_counts():
     # Warm, every operation is its locate (one request to the one server)
-    # plus its own requests on the kept channel: no handshake.
+    # plus its own requests on the kept channel: no handshake. A warm sync
+    # is one sync_push: the replica holds the vector its owner left on it.
     world = small_world(seed=24, n_peers=2, friendships=[["user00", "user01"]],
                         mirrors=[["user00", "user01"]])
     owner, reader = world.peers["user00"], world.peers["user01"]
@@ -1387,7 +1559,7 @@ def test_warm_operations_message_counts():
         "locate": (lambda: reader.locate_friend("user00"), 2),
         "pull": (lambda: reader.pull_friend_profile("user00"), 4),
         "write": (lambda: reader.write_to_friend("user00", "share_board", op_add("w", b"x")), 4),
-        "sync": (owner.sync_mirrors, 6),
+        "sync": (owner.sync_mirrors, 4),
     }
     for operation, _ in operations.values():
         operation()

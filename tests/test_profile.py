@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +313,25 @@ def test_renumbered_entry_encodes_its_new_version():
     assert merged[1].digest() == late.digest()
     assert merged[1].encode() == LogEntry("info", 2, "alice", op_set(b"x"), 5).encode() != stale
     assert over_the_wire(merged) == merged
+
+
+def test_a_log_entry_is_immutable_slotted_and_equal_whatever_it_caches():
+    entry = LogEntry("info", 1, "alice", op_set(b"x"), 5)
+    twin = LogEntry(path="info", version=1, author="alice", op=op_set(b"x"), timestamp=5)
+    twin.encode(), twin.digest()  # cached on the twin only
+    assert entry == twin and hash(entry) == hash(twin)
+    assert entry != LogEntry("info", 2, "alice", op_set(b"x"), 5)
+    assert not hasattr(entry, "__dict__")
+    for name in ("path", "version", "_digest", "_encoded", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(entry, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(entry, name)
+    assert (entry.path, entry.version, entry.author, entry.op, entry.timestamp) == (
+        "info", 1, "alice", op_set(b"x"), 5)
+    assert LogEntry.decode(entry.encode()) == entry and entry.digest() == twin.digest()
+    assert copy.deepcopy(twin) == pickle.loads(pickle.dumps(twin)) == entry
+    assert repr(entry) == f"LogEntry(path='info', version=1, author='alice', op={op_set(b'x')!r}, timestamp=5)"
 
 
 # -- strict op decoding ----------------------------------------------------------------

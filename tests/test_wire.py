@@ -166,6 +166,10 @@ def test_every_handler_names_a_schema_entry():
 # notify's 8 bytes are the first 8 of that tag), and did not move; so did
 # tag_hello. register_record and register_tag, the two forms of a
 # register's one field, were added then too.
+# sync_push_warm, a warm mirror sync's one request (the tag of the vector
+# the owner left on the replica, the allowed users kept, one entry past
+# that vector), and its answer, sync_push_warm_reply, were added when a
+# warm sync came to be that one exchange.
 
 RECORDS = [
     Certificate, SignedDigest, SessionKey, KeyPair, RegistrationRecord, PeerRow, MirrorEntry,
@@ -234,6 +238,11 @@ GOLDEN = {
         '000437333030000670687261736500076d6972726f72730004010101010003736967'
     ),
     'register_tag': '0008726567697374657200100ad602d8133e5e2e066fac9a7b57436d',
+    'sync_push_warm': (
+        '000973796e635f707573680005616c6963650000001020cd0d9734de7988f349e17dcc37b824001f'
+        '000b73686172655f626f6172640001330005616c69636500026f7000023737'
+    ),
+    'sync_push_warm_reply': '00026f6b0000',
     'tag_hello': '001018dfc0ce18306820ab54df75a10dd61400106e6e6e6e6e6e6e6e6e6e6e6e6e6e6e6e',
     'tag_key_reply': (
         '000457505542000c010101010101010101010101003aa7005aa848f11869eaac92ee959839776c09'
@@ -314,6 +323,9 @@ def fixed_instances(counter, tmp_path) -> dict[str, bytes]:
     register = secure.pack_app("register")
     out["register_record"] = register + wire.encode("register", records.REGISTERED.encode(rec))
     out["register_tag"] = register + wire.encode("register", records.record_tag(rec.encode())[0])
+    vector_tag = records.record_tag(profile.encode_vector(p))[0]
+    out["sync_push_warm"] = secure.pack_app("sync_push") + wire.encode("sync_push", "alice", "", vector_tag, [e1])
+    out["sync_push_warm_reply"] = wire.OK + wire.encode("sync_push", b"", [], reply=True)
     hello = out["hello"] = wire.encode(wire.REGISTER_PEER, cert.encode(), b"n" * secure.NONCE_LEN)
     tag_hello = out["tag_hello"] = wire.encode(
         wire.REGISTER_PEER, records.record_tag(cert.encode())[0], b"n" * secure.NONCE_LEN
